@@ -84,7 +84,6 @@ func serve(args []string) {
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP address to listen on, host:port (port 0 picks a free one)")
 	backends := fs.String("backends", "", "comma-separated host:port ring members the gateway pools over (required)")
 	replicas := fs.Int("replicas", 10, "|Hr|: replicas per data item (must match every ring member)")
-	poll := fs.Duration("poll", 0, "waiter re-check interval for coalesced flights (0 selects the default, 1ms)")
 	cooldownAfter := fs.Int("cooldown-after", 0, "consecutive backend errors before the balancer benches a backend (0 selects the default, 3)")
 	cooldown := fs.Duration("cooldown", 0, "how long a benched backend sits out, e.g. 2s (0 selects the default)")
 	seed := fs.Int64("seed", 0, "seed for the gateway's derived streams; 0 derives one from the clock")
@@ -143,7 +142,6 @@ func serve(args []string) {
 	time.Sleep(500 * time.Millisecond)
 
 	gw, err := dcdht.NewGateway(clients, dcdht.GatewayConfig{
-		Poll:          *poll,
 		CooldownAfter: *cooldownAfter,
 		Cooldown:      *cooldown,
 		Seed:          *seed,

@@ -65,7 +65,7 @@ func TestFlagHelp(t *testing.T) {
 	if code != 0 {
 		t.Errorf("-h: exit %d, want 0 (flag.ExitOnError help)", code)
 	}
-	for _, flagName := range []string{"-listen", "-backends", "-replicas", "-cooldown", "-poll", "-log-format"} {
+	for _, flagName := range []string{"-listen", "-backends", "-replicas", "-cooldown", "-log-format"} {
 		if !strings.Contains(stderr, flagName) {
 			t.Errorf("-h output missing %s:\n%s", flagName, stderr)
 		}

@@ -123,7 +123,23 @@ func TestConsistencyLevelsThroughClient(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 
-	cur, err := net.Get(ctx, "doc")
+	// Compare the costs of the two levels from one issuer, chosen so
+	// that the KTS round trip the Current read pays is a real one: the
+	// issuer neither is rsp(doc, hts) nor can name it from its own
+	// routing state.
+	hts := net.d.Set.HTS.ID("doc")
+	issuer := -1
+	for i, p := range net.d.LivePeers() {
+		if _, guessed := p.Ring.Guess(hts); !guessed && !p.Ring.OwnsID(hts) {
+			issuer = i
+			break
+		}
+	}
+	if issuer < 0 {
+		t.Fatal("no peer is more than a guess away from rsp(doc, hts)")
+	}
+
+	cur, err := net.Get(ctx, "doc", WithIssuer(issuer))
 	if err != nil {
 		t.Fatalf("current get: %v", err)
 	}
@@ -131,7 +147,7 @@ func TestConsistencyLevelsThroughClient(t *testing.T) {
 		t.Fatalf("current verdict = %v", cur.Currency)
 	}
 
-	ev, err := net.Get(ctx, "doc", WithConsistency(Eventual))
+	ev, err := net.Get(ctx, "doc", WithIssuer(issuer), WithConsistency(Eventual))
 	if err != nil {
 		t.Fatalf("eventual get: %v", err)
 	}

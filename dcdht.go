@@ -506,7 +506,7 @@ func (s *SimNetwork) multi(ctx context.Context, keys []Key, issue func(context.C
 		peers[i] = s.pickPeer(oc)
 	}
 	ok := s.d.Do(func() {
-		network.GoJoin(s.d.Net.Env(), len(keys), 10*time.Millisecond, func(i int) {
+		s.d.Net.Env().Join(len(keys), func(i int) {
 			out[i].Key = keys[i]
 			if peers[i] == nil {
 				out[i].Err = fmt.Errorf("dcdht: no live peer: %w", core.ErrUnreachable)

@@ -14,9 +14,6 @@ import (
 
 // GatewayConfig parameterizes a Gateway front-end.
 type GatewayConfig struct {
-	// Poll is the re-check interval for coalesced waiters and batch
-	// joins. Zero selects the default (1ms).
-	Poll time.Duration
 	// CooldownAfter benches a backend after this many consecutive
 	// errors (0 selects the default, 3).
 	CooldownAfter int
@@ -101,7 +98,6 @@ func NewGateway(backends []Client, cfg GatewayConfig) (*Gateway, error) {
 	gw, err := gateway.New(pool, gateway.Config{
 		Env:           env,
 		Obs:           reg,
-		Poll:          cfg.Poll,
 		CooldownAfter: cfg.CooldownAfter,
 		Cooldown:      cfg.Cooldown,
 	})

@@ -247,6 +247,9 @@ func (n *Node) Endpoint() network.Endpoint { return n.ep }
 // Env implements dht.Ring.
 func (n *Node) Env() network.Env { return n.env }
 
+// Obs implements dht.Ring.
+func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
+
 // Store exposes the local replica store.
 func (n *Node) Store() *dht.LocalStore { return n.store }
 
@@ -279,6 +282,33 @@ func (n *Node) OwnsID(id core.ID) bool {
 		}
 	}
 	return false
+}
+
+// Guess implements dht.Ring: this node when one of its zones contains
+// the point of id, else the neighbor whose recorded zones do. Stale
+// neighbor records can overlap after a split; the lowest ID wins so the
+// choice does not depend on map order.
+func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.alive {
+		return dht.NodeRef{}, false
+	}
+	p := PointOf(id)
+	for _, z := range n.zones {
+		if z.Contains(p) {
+			return n.self, true
+		}
+	}
+	var best dht.NodeRef
+	for _, nb := range n.neighbors {
+		for _, z := range nb.zones {
+			if z.Contains(p) && (best.IsZero() || nb.ref.ID < best.ID) {
+				best = nb.ref
+			}
+		}
+	}
+	return best, !best.IsZero()
 }
 
 // Zones returns a copy of the owned zones.

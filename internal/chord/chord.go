@@ -179,6 +179,9 @@ func (n *Node) Endpoint() network.Endpoint { return n.ep }
 // Env implements dht.Ring.
 func (n *Node) Env() network.Env { return n.env }
 
+// Obs implements dht.Ring.
+func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
+
 // Store exposes the local replica store (tests and handover paths).
 func (n *Node) Store() *dht.LocalStore { return n.store }
 
@@ -212,6 +215,33 @@ func (n *Node) OwnsID(id core.ID) bool {
 		return true
 	}
 	return id.Between(n.pred.ID, n.self.ID)
+}
+
+// Guess implements dht.Ring from the arcs whose both ends this node
+// knows: its own, (pred, self], when the predecessor is known, and the
+// arc between each pair of consecutive successor-list entries, owned by
+// the later one. Everything else — and everything while the
+// predecessor is unknown and the list is empty — is left to Lookup.
+func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.alive {
+		return dht.NodeRef{}, false
+	}
+	if !n.pred.IsZero() && id.Between(n.pred.ID, n.self.ID) {
+		return n.self, true
+	}
+	prev := n.self
+	for _, s := range n.succs {
+		if s.ID == n.self.ID {
+			break // the list wrapped around a ring smaller than itself
+		}
+		if id.Between(prev.ID, s.ID) {
+			return s, true
+		}
+		prev = s
+	}
+	return dht.NodeRef{}, false
 }
 
 // Predecessor returns the current predecessor (zero if unknown).

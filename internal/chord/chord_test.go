@@ -647,3 +647,41 @@ func TestCrashedNodeRefusesOperations(t *testing.T) {
 		t.Fatal("crash must clear the store")
 	}
 }
+
+// TestGuessNeedsKnownPredecessor: with no known predecessor OwnsID falls
+// back to "everything is mine", which is a default, not knowledge — Guess
+// must not repeat it. The successor-list arcs stay answerable, and the
+// own arc comes back once the predecessor is known again.
+func TestGuessNeedsKnownPredecessor(t *testing.T) {
+	tr := newTestRing(t, 16)
+	tr.build(5, true)
+	tr.settle(5 * time.Second)
+	sorted := tr.aliveSorted()
+	nd, pred, succ := sorted[1], sorted[0], sorted[2]
+	own, next := nd.Self().ID, succ.Self().ID
+
+	if g, ok := nd.Guess(own); !ok || g.ID != own {
+		t.Fatalf("converged: Guess(own id) = %v, %v, want self", g, ok)
+	}
+	nd.mu.Lock()
+	nd.pred = dht.NodeRef{}
+	nd.mu.Unlock()
+	if !nd.OwnsID(pred.Self().ID) {
+		t.Fatal("precondition: without a predecessor OwnsID claims the whole ring")
+	}
+	if g, ok := nd.Guess(own); ok {
+		t.Errorf("unknown predecessor: Guess(own id) = %v, want it declined", g)
+	}
+	if g, ok := nd.Guess(pred.Self().ID + 1); ok {
+		t.Errorf("unknown predecessor: Guess(first id of the own arc) = %v, want it declined", g)
+	}
+	if g, ok := nd.Guess(next); !ok || g.ID != next {
+		t.Errorf("unknown predecessor: Guess(successor's id) = %v, %v, want the successor", g, ok)
+	}
+
+	single := tr.newNode("alone")
+	single.CreateRing()
+	if g, ok := single.Guess(own); ok {
+		t.Errorf("singleton ring: Guess = %v, want it declined", g)
+	}
+}

@@ -2,32 +2,36 @@ package dht
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/hashing"
-	"repro/internal/network"
 )
 
-// Client performs puth/geth operations (§2.2) from one peer: it resolves
-// rsp(k, h) through the ring's lookup service and invokes the store
-// protocol on the responsible peer. One retry is allowed when the
-// responsible moved between lookup and operation.
+// Client performs puth/geth operations (§2.2) from one peer: a Router
+// delivers the store protocol to rsp(k, h) — the owner named from local
+// routing state first, the ring's lookup service when that misses. One
+// retry is allowed when the responsible moved between lookup and
+// operation.
 //
 // Every operation takes a context: its deadline bounds the whole
 // resolve-and-invoke sequence, its cancellation stops retries, and the
 // meter it carries (network.WithMeter) is charged for every message.
 type Client struct {
-	ring Ring
-	ns   string
+	ring  Ring
+	ns    string
+	route *Router
 }
 
 // NewClient builds a client for the given namespace ("ums", "brk").
 func NewClient(ring Ring, namespace string) *Client {
-	return &Client{ring: ring, ns: namespace}
+	return &Client{ring: ring, ns: namespace,
+		route: NewRouter(ring, RouteConfig{Retries: 1, Backoff: 100 * time.Millisecond})}
 }
+
+// Router exposes the client's router (its guess statistics, in tests).
+func (c *Client) Router() *Router { return c.route }
 
 // Ring exposes the underlying ring (used by services for lookups).
 func (c *Client) Ring() Ring { return c.ring }
@@ -49,7 +53,7 @@ func (c *Client) PutH(ctx context.Context, k core.Key, h hashing.Func, val core.
 func (c *Client) PutHStored(ctx context.Context, k core.Key, h hashing.Func, val core.Value, mode PutMode) (bool, error) {
 	rid := h.ID(k)
 	req := PutReq{RingID: rid, Qual: Qualifier(c.ns, k, h.Name()), Val: val, Mode: mode}
-	resp, err := c.invokeResponsible(ctx, rid, MethodPut, req)
+	resp, err := c.route.Call(ctx, rid, MethodPut, req)
 	if err != nil {
 		return false, fmt.Errorf("dht: puth %q via %s: %w", k, h.Name(), err)
 	}
@@ -61,36 +65,9 @@ func (c *Client) PutHStored(ctx context.Context, k core.Key, h hashing.Func, val
 func (c *Client) GetH(ctx context.Context, k core.Key, h hashing.Func) (core.Value, error) {
 	rid := h.ID(k)
 	req := GetReq{RingID: rid, Qual: Qualifier(c.ns, k, h.Name())}
-	resp, err := c.invokeResponsible(ctx, rid, MethodGet, req)
+	resp, err := c.route.Call(ctx, rid, MethodGet, req)
 	if err != nil {
 		return core.Value{}, fmt.Errorf("dht: geth %q via %s: %w", k, h.Name(), err)
 	}
 	return resp.(GetResp).Val, nil
-}
-
-// invokeResponsible looks up the peer responsible for rid and invokes
-// method on it, retrying the lookup once if responsibility moved.
-func (c *Client) invokeResponsible(ctx context.Context, rid core.ID, method string, req network.Message) (network.Message, error) {
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		ref, _, err := c.ring.Lookup(ctx, rid)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := c.ring.Endpoint().Invoke(ctx, ref.Addr, method, req, network.Call{})
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		// Responsibility moved or the peer died mid-operation: resolve
-		// again once, then give up (the replica is simply unavailable).
-		if !errors.Is(err, core.ErrNotResponsible) && !errors.Is(err, core.ErrTimeout) &&
-			!errors.Is(err, core.ErrUnreachable) {
-			return nil, err
-		}
-		if serr := network.SleepCtx(ctx, c.ring.Env(), 100*time.Millisecond); serr != nil {
-			return nil, serr
-		}
-	}
-	return nil, lastErr
 }

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // NodeRef identifies a peer: its ring position and transport address.
@@ -54,7 +55,8 @@ type HandoverRegistrar interface {
 }
 
 // Ring is the lookup service a DHT substrate provides to the services
-// layered on it. Implementations: chord.Node, can.Node.
+// layered on it. Implementations: chord.Node, can.Node, onehop.Node and
+// the CachedRing wrapper.
 type Ring interface {
 	// Self returns this peer's reference.
 	Self() NodeRef
@@ -63,6 +65,15 @@ type Ring interface {
 	// carries the meter routing messages are charged to. hops reports
 	// routing steps.
 	Lookup(ctx context.Context, id core.ID) (ref NodeRef, hops int, err error)
+	// Guess names the peer responsible for id from this peer's own
+	// routing state, at zero messages. It answers only from positive
+	// knowledge — an arc whose both ends the peer knows — and declines
+	// (ok false) otherwise; in particular it never answers from the
+	// "no known predecessor, so I own everything" default that OwnsID
+	// falls back to. A guess may be stale: the guessed peer's own
+	// responsibility check on the operation is what confirms it (see
+	// Router).
+	Guess(id core.ID) (ref NodeRef, ok bool)
 	// Endpoint returns this peer's transport attachment, on which
 	// services register their own RPC methods.
 	Endpoint() network.Endpoint
@@ -72,6 +83,9 @@ type Ring interface {
 	OwnsID(id core.ID) bool
 	// Alive reports whether the peer is still part of the overlay.
 	Alive() bool
+	// Obs returns the registry this peer's metrics land in; nil when the
+	// peer exports none (every obs.Registry method accepts nil).
+	Obs() *obs.Registry
 }
 
 // RingNode is the full lifecycle surface a DHT substrate exposes to the

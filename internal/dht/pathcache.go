@@ -102,6 +102,11 @@ func (c *CachedRing) Endpoint() network.Endpoint { return c.inner.Endpoint() }
 func (c *CachedRing) Env() network.Env           { return c.inner.Env() }
 func (c *CachedRing) OwnsID(id core.ID) bool     { return c.inner.OwnsID(id) }
 func (c *CachedRing) Alive() bool                { return c.inner.Alive() }
+func (c *CachedRing) Obs() *obs.Registry         { return c.inner.Obs() }
+
+// Guess forwards to the inner ring: the substrate's own routing state is
+// positive knowledge, a cached arc is only a hint that needs its probe.
+func (c *CachedRing) Guess(id core.ID) (NodeRef, bool) { return c.inner.Guess(id) }
 
 // RegisterHandover forwards to the substrate when it supports handover.
 func (c *CachedRing) RegisterHandover(h Handover) {

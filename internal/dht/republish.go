@@ -2,6 +2,7 @@ package dht
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"time"
 
@@ -46,6 +47,7 @@ func (c *RepublishConfig) defaults() {
 type Republisher struct {
 	ring  Ring
 	store *LocalStore
+	route *Router
 	cfg   RepublishConfig
 
 	cursor int
@@ -56,10 +58,22 @@ type Republisher struct {
 	fails   *obs.Counter
 }
 
+// errOwnedHere marks a replica whose responsible turned out to be this
+// peer after all.
+var errOwnedHere = errors.New("dht: republish: replica is owned here")
+
 // NewRepublisher builds a republisher over ring's local store.
 func NewRepublisher(ring Ring, st *LocalStore, cfg RepublishConfig) *Republisher {
 	cfg.defaults()
 	r := &Republisher{ring: ring, store: st, cfg: cfg}
+	// One try per replica per round; a push that resolves back to this
+	// peer is not a push at all.
+	r.route = NewRouter(ring, RouteConfig{
+		Timeout: cfg.RPCTimeout,
+		Local: func(string, network.Message) (network.Message, error) {
+			return nil, errOwnedHere
+		},
+	})
 	reg := cfg.Obs
 	r.rounds = reg.Counter("dcdht_republish_rounds_total", "Republish rounds run.")
 	r.pushed = reg.Counter("dcdht_republish_pushed_total", "Replicas re-pushed to their current owner.")
@@ -111,8 +125,6 @@ func (r *Republisher) RunOnce(ctx context.Context) int {
 	start := r.cursor % len(items)
 	r.cursor = (start + n) % len(items)
 
-	self := r.ring.Self()
-	ep := r.ring.Endpoint()
 	pushed := 0
 	for i := 0; i < n; i++ {
 		it := items[(start+i)%len(items)]
@@ -120,18 +132,13 @@ func (r *Republisher) RunOnce(ctx context.Context) int {
 			r.skipped.Inc()
 			continue
 		}
-		ref, _, err := r.ring.Lookup(ctx, it.RingID)
-		if err != nil {
-			r.fails.Inc()
-			continue
-		}
-		if ref.Addr == self.Addr {
+		_, err := r.route.Call(ctx, it.RingID, MethodPut, PutReq{
+			RingID: it.RingID, Qual: it.Qual, Val: it.Val, Mode: PutIfNewer,
+		})
+		if errors.Is(err, errOwnedHere) {
 			r.skipped.Inc()
 			continue
 		}
-		_, err = ep.Invoke(ctx, ref.Addr, MethodPut, PutReq{
-			RingID: it.RingID, Qual: it.Qual, Val: it.Val, Mode: PutIfNewer,
-		}, network.Call{Timeout: r.cfg.RPCTimeout})
 		if err != nil {
 			r.fails.Inc()
 			continue

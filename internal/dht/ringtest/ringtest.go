@@ -49,6 +49,10 @@ func Run(t *testing.T, f Factory) {
 	t.Run("Ownership", func(t *testing.T) { testOwnership(t, f) })
 	t.Run("HopBound", func(t *testing.T) { testHopBound(t, f) })
 	t.Run("LookupUnderChurn", func(t *testing.T) { testLookupUnderChurn(t, f) })
+	t.Run("GuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f) })
+	for _, ev := range []string{"join", "leave", "crash"} {
+		t.Run("StaleGuessFallsBack/"+ev, func(t *testing.T) { testStaleGuessFallsBack(t, f, ev) })
+	}
 	if f.SupportsNudgeMerge {
 		t.Run("HealMerge", func(t *testing.T) { testHealMerge(t, f) })
 	}
@@ -347,4 +351,197 @@ func testHealMerge(t *testing.T, f Factory) {
 			}
 		}
 	})
+}
+
+// testGuessAgreesWithLookup checks the zero-message guess on a converged
+// overlay: for every sampled position a node either declines or names
+// the same peer the authoritative Lookup resolves — local routing state
+// is never wrong while nothing has moved.
+func testGuessAgreesWithLookup(t *testing.T, f Factory) {
+	const peers = 24
+	c := newCluster(t, f, 505, peers)
+	rng := c.k.NewRand("guess")
+	const samples = 1000
+	offered := 0
+	c.do(func() {
+		for i := 0; i < samples; i++ {
+			id := core.ID(rng.Uint64())
+			issuer := c.nodes[i%len(c.nodes)]
+			got, ok := issuer.Guess(id)
+			if !ok {
+				continue
+			}
+			offered++
+			want, _, err := issuer.Lookup(context.Background(), id)
+			if err != nil {
+				t.Fatalf("lookup %s from %s: %v", id, issuer.Self().ID, err)
+			}
+			if got.ID != want.ID {
+				t.Fatalf("%s guessed %s for %s, lookup resolved %s", issuer.Self().ID, got.ID, id, want.ID)
+			}
+		}
+	})
+	if offered == 0 {
+		t.Fatalf("no node offered a guess for any of %d positions", samples)
+	}
+}
+
+// fixedHash is a replication function that sends every key to one
+// chosen ring position, so a test can aim a replica at a specific arc.
+type fixedHash struct {
+	id   core.ID
+	name string
+}
+
+func (h fixedHash) ID(core.Key) core.ID { return h.id }
+func (h fixedHash) Name() string        { return h.name }
+
+// The patience of one simulated RPC in this suite (the transport default
+// and every factory's RPCTimeout) and dht.Client's back-off.
+const (
+	rpcTimeout    = 200 * time.Millisecond
+	clientBackoff = 100 * time.Millisecond
+)
+
+// testStaleGuessFallsBack freezes one node's routing state across a
+// membership event, then issues a replicated put from it. The frozen
+// node still names the old owner; that peer's own responsibility check
+// (or its silence, after a crash) must send the operation to the
+// authoritative lookup at once, and every replica must land on its true
+// owner — with no back-off sleep on the way.
+func testStaleGuessFallsBack(t *testing.T, f Factory, event string) {
+	const peers = 16
+	c := newCluster(t, f, 606, peers)
+	issuer := c.nodes[0]
+	for _, n := range c.nodes[1:] {
+		n.Start() // the issuer runs no maintenance: its view only ages
+	}
+	c.settle(time.Second)
+	rng := c.k.NewRand("stale-" + event)
+	// Pick where the event happens: at a peer the issuer can name — not
+	// itself, so its knowledge is what goes stale, and not the bootstrap
+	// a joiner goes through.
+	var named dht.RingNode
+	for named == nil {
+		g, ok := issuer.Guess(core.ID(rng.Uint64()))
+		if ok && g.ID != issuer.Self().ID && g.ID != c.nodes[1].Self().ID {
+			named = c.byID(g.ID)
+		}
+	}
+
+	// For a join: a joiner whose identity falls where the issuer names
+	// `named`.
+	var joiner dht.RingNode
+	for event == "join" && joiner == nil {
+		cand := c.newNode()
+		if g, ok := issuer.Guess(cand.Self().ID); ok && g.ID == named.Self().ID {
+			joiner = cand
+			c.nodes = append(c.nodes, joiner)
+		}
+	}
+
+	// The issuer hears nothing of the event: eager substrates would
+	// otherwise update it in the same round trip.
+	var rest []network.Addr
+	for _, n := range c.nodes[1:] {
+		rest = append(rest, n.Self().Addr)
+	}
+	c.net.Partition([]network.Addr{issuer.Self().Addr}, rest)
+	switch event {
+	case "join":
+		var err error
+		c.do(func() { err = joiner.Join(c.nodes[1].Self().Addr) })
+		if err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		joiner.Start()
+	case "leave":
+		// The leaver's farewell to the cut-off issuer fails; that is the
+		// point.
+		c.do(func() {
+			if err := named.Leave(); err != nil {
+				t.Logf("leave: %v", err)
+			}
+		})
+	case "crash":
+		named.Crash()
+		c.net.Kill(named.Self().Addr)
+	}
+	c.settle(5 * time.Second)
+	c.net.Heal()
+
+	// The live overlay's owner of id, excluding the issuer (cut off for
+	// five seconds, the others have written it out of the ring).
+	truth := func(id core.ID) dht.RingNode {
+		var own dht.RingNode
+		for _, n := range c.alive() {
+			if n == issuer || !n.OwnsID(id) {
+				continue
+			}
+			if own != nil {
+				return nil
+			}
+			own = n
+		}
+		return own
+	}
+	// Find a position whose guess went stale: the issuer names a peer
+	// that is no longer the owner.
+	var stale core.ID
+	found := false
+	for i := 0; i < 5000 && !found; i++ {
+		id := core.ID(rng.Uint64())
+		g, ok := issuer.Guess(id)
+		if own := truth(id); ok && own != nil && g.ID != issuer.Self().ID && g.ID != own.Self().ID {
+			stale, found = id, true
+		}
+	}
+	if !found {
+		t.Fatalf("after the %s no guess of %s went stale", event, issuer.Self().ID)
+	}
+
+	// One put replicated under |Hr| = 3 functions, the first aimed at
+	// the stale position, each on a position the issuer does not claim.
+	hr := []fixedHash{{stale, "h0"}}
+	for len(hr) < 3 {
+		id := core.ID(rng.Uint64())
+		if truth(id) != nil && !issuer.OwnsID(id) {
+			hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
+		}
+	}
+	cl := dht.NewClient(issuer, "ringtest")
+	val := core.Value{Data: []byte("v"), TS: core.TS(1)}
+	stored := 0
+	c.do(func() {
+		for _, h := range hr {
+			start := c.k.Now()
+			ok, err := cl.PutHStored(context.Background(), "k", h, val, dht.PutIfNewer)
+			if err != nil {
+				t.Fatalf("puth via %s: %v", h.Name(), err)
+			}
+			if ok {
+				stored++
+			}
+			// A timed-out call costs exactly rpcTimeout of virtual time
+			// and the round trips around it a few milliseconds each, so
+			// what is left after whole timeouts is where a back-off
+			// sleep would show.
+			if rest := (c.k.Now() - start) % rpcTimeout; rest >= clientBackoff {
+				t.Errorf("puth via %s took %v: %v beyond whole timeouts, a back-off was slept",
+					h.Name(), c.k.Now()-start, rest)
+			}
+		}
+	})
+	if stored != len(hr) {
+		t.Fatalf("Stored = %d, want |Hr| = %d", stored, len(hr))
+	}
+	for _, h := range hr {
+		own := truth(h.id)
+		if _, ok := own.Store().Get(h.id, dht.Qualifier("ringtest", "k", h.Name())); !ok {
+			t.Errorf("replica %s did not land on its owner %s", h.Name(), own.Self().ID)
+		}
+	}
+	if _, misses := cl.Router().GuessStats(); misses == 0 {
+		t.Errorf("the stale guess was never refused: no miss counted")
+	}
 }

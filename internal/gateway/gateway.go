@@ -18,9 +18,10 @@
 // waiter's floor, so read-your-writes survives the extra tier even when
 // a write races an in-progress flight.
 //
-// The package is environment-portable: under the simulation kernel all
-// waiting is env.Sleep polling (the only legal blocking shape there),
-// which also works unchanged over the real clock.
+// The package is environment-portable: batch fan-outs join through
+// env.Join and coalesced waiters poll with env.Sleep, the blocking
+// shapes that are legal under the simulation kernel and work unchanged
+// over the real clock.
 package gateway
 
 import (
@@ -36,8 +37,8 @@ import (
 	"repro/internal/obs"
 )
 
-// defaultPoll is how often a coalesced waiter re-checks its flight.
-const defaultPoll = time.Millisecond
+// flightPoll is how often a coalesced waiter re-checks its flight.
+const flightPoll = time.Millisecond
 
 // Backend is one pooled DHT client: anything that can write, read with
 // a currency policy, and ask KTS for a last timestamp. The public
@@ -57,9 +58,6 @@ type Config struct {
 	// Obs receives the dcdht_gw_* metric families. Nil disables
 	// metrics without disabling the gateway.
 	Obs *obs.Registry
-	// Poll is the waiter re-check interval for coalesced flights and
-	// batch joins. Zero selects the default (1ms).
-	Poll time.Duration
 	// CooldownAfter benches a backend after this many consecutive
 	// errors (0 selects the default, 3).
 	CooldownAfter int
@@ -179,7 +177,6 @@ type Gateway struct {
 	backends []Backend
 	bal      *balancer
 	cache    *tsCache
-	poll     time.Duration
 	metrics  gwMetrics
 	perBE    []beMetrics
 
@@ -196,16 +193,11 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 	if cfg.Env == nil {
 		return nil, errors.New("gateway: Config.Env is required")
 	}
-	poll := cfg.Poll
-	if poll <= 0 {
-		poll = defaultPoll
-	}
 	g := &Gateway{
 		env:      cfg.Env,
 		backends: backends,
 		bal:      newBalancer(len(backends), cfg.Env.Now, cfg.CooldownAfter, cfg.Cooldown),
 		cache:    newTSCache(cfg.Env.Now),
-		poll:     poll,
 		metrics:  newGWMetrics(cfg.Obs),
 		flights:  make(map[flightKey]*flight),
 	}
@@ -390,7 +382,7 @@ func (g *Gateway) RetrieveMulti(ctx context.Context, keys []core.Key, pol dht.Re
 // unfinished elements report that error.
 func (g *Gateway) fanOut(n int, out []ItemResult, op func(i int) (dht.OpResult, error)) {
 	done := make([]bool, n)
-	jerr := network.GoJoin(g.env, n, g.poll, func(i int) {
+	jerr := g.env.Join(n, func(i int) {
 		res, err := op(i)
 		out[i] = ItemResult{Res: res, Err: err}
 		done[i] = true
@@ -449,7 +441,7 @@ func (g *Gateway) awaitFlight(ctx context.Context, f *flight, k core.Key, pol dh
 			g.bump(func(s *Stats) { s.FlightRetries++ })
 			return g.retrieveBackend(ctx, k, pol)
 		}
-		if serr := network.SleepCtx(ctx, g.env, g.poll); serr != nil {
+		if serr := network.SleepCtx(ctx, g.env, flightPoll); serr != nil {
 			return dht.OpResult{}, serr
 		}
 	}

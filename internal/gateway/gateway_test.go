@@ -229,7 +229,7 @@ func TestCoalescingHotKey(t *testing.T) {
 		}
 		preGets := func() int { st.mu.Lock(); defer st.mu.Unlock(); return st.gets }()
 		results := make([]dht.OpResult, readers)
-		network.GoJoin(env, readers, time.Millisecond, func(i int) {
+		env.Join(readers, func(i int) {
 			res, err := g.Retrieve(ctx, "hot", dht.ReadPolicy{Level: dht.LevelCurrent})
 			if err != nil {
 				t.Errorf("reader %d: %v", i, err)
@@ -268,7 +268,7 @@ func TestCoalescingWriteRacingFlight(t *testing.T) {
 		}
 		var raceRes dht.OpResult
 		var raceErr error
-		network.GoJoin(env, 2, time.Millisecond, func(i int) {
+		env.Join(2, func(i int) {
 			switch i {
 			case 0:
 				// Session A: floor from the first write; its read
@@ -313,7 +313,7 @@ func TestCoalescingClassesDoNotMix(t *testing.T) {
 		ctx := context.Background()
 		g.Insert(ctx, "k", []byte("v"))
 		var cur, ev dht.OpResult
-		network.GoJoin(env, 2, time.Millisecond, func(i int) {
+		env.Join(2, func(i int) {
 			if i == 0 {
 				ev, _ = g.Retrieve(ctx, "k", dht.ReadPolicy{Level: dht.LevelEventual})
 			} else {
@@ -514,7 +514,7 @@ func TestCoalescingPropertySim(t *testing.T) {
 				g.Insert(ctx, k, []byte("seed"))
 			}
 			const workers, ops = 12, 40
-			network.GoJoin(env, workers, time.Millisecond, func(w int) {
+			env.Join(workers, func(w int) {
 				rng := env.Rand(fmt.Sprintf("worker-%d", w))
 				floors := map[core.Key]core.Timestamp{}
 				for i := 0; i < ops; i++ {

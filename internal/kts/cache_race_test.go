@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 // stubRing is the minimal dht.Ring for exercising the client-side cache
@@ -23,6 +24,10 @@ func (r stubRing) Endpoint() network.Endpoint { return nil }
 func (r stubRing) Env() network.Env           { return r.env }
 func (r stubRing) OwnsID(id core.ID) bool     { return false }
 func (r stubRing) Alive() bool                { return true }
+func (r stubRing) Obs() *obs.Registry         { return nil }
+func (r stubRing) Guess(core.ID) (dht.NodeRef, bool) {
+	return dht.NodeRef{}, false
+}
 
 // TestLastTSCacheRaceHammer drives the last-ts cache from many
 // goroutines at once — the TCP-transport shape, where concurrent client
@@ -40,8 +45,8 @@ func TestLastTSCacheRaceHammer(t *testing.T) {
 	keyOf := func(i int) core.Key { return core.Key([]byte{'k', byte('0' + i%keys)}) }
 
 	// floors[k] is a monotone lower bound on what has been noted for k:
-	// writers publish it BEFORE noting, so any consult that starts
-	// afterwards must see at least that timestamp.
+	// writers publish it AFTER the note has landed, so any consult that
+	// starts after reading a floor must see at least that timestamp.
 	var floorMu sync.Mutex
 	floors := map[core.Key]core.Timestamp{}
 
@@ -53,12 +58,12 @@ func TestLastTSCacheRaceHammer(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				k := keyOf(w + i)
 				ts := core.TS(uint64(i*writers + w + 1))
+				s.noteLastTS(k, ts)
 				floorMu.Lock()
 				if floors[k].Less(ts) {
 					floors[k] = ts
 				}
 				floorMu.Unlock()
-				s.noteLastTS(k, ts)
 				// Stale and zero observations must never regress the entry.
 				s.noteLastTS(k, core.TS(1))
 				s.noteLastTS(k, core.TSZero)

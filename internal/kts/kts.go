@@ -21,7 +21,6 @@ package kts
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -229,6 +228,7 @@ type Service struct {
 	ring   dht.Ring
 	set    hashing.Set
 	client *dht.Client // reads the replica namespace for indirect init
+	route  *dht.Router // delivers gen_ts/last_ts/recover to rsp(k, hts)
 	cfg    Config
 
 	// mu guards vcs and the statistics (required on the TCP transport;
@@ -381,6 +381,13 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 		vcs:     NewVCS(),
 		metrics: newKTSMetrics(cfg.Obs),
 	}
+	// We may be the responsible ourselves: serve locally, free of charge.
+	s.route = dht.NewRouter(ring, dht.RouteConfig{
+		Retries: s.cfg.LookupRetries,
+		Backoff: 200 * time.Millisecond,
+		Timeout: s.cfg.RPCTimeout,
+		Local:   s.serveLocal,
+	})
 	cfg.Obs.GaugeFunc("dcdht_kts_counters",
 		"Valid counters currently held (cluster-wide under a shared registry).",
 		func() float64 {
@@ -461,14 +468,15 @@ func (s *Service) Stats() (generated, indirectInits, directArrivals uint64) {
 // age is acceptable (bounded-staleness reads compare it to their
 // bound); a successful consult counts as a cache hit.
 func (s *Service) Cached(k core.Key) (ts core.Timestamp, age time.Duration, ok bool) {
-	now := s.ring.Env().Now()
 	e, ok := s.cache.get(k)
 	if !ok {
 		s.metrics.cacheMisses.Inc()
 		return core.TSZero, 0, false
 	}
 	s.cacheHits.Add(1)
-	age = now - e.at
+	// Read the clock after the entry, not before: an entry stamped by a
+	// concurrent noteLastTS between the two would show a negative age.
+	age = max(0, s.ring.Env().Now()-e.at)
 	s.metrics.cacheHits.Inc()
 	s.metrics.cacheAge.Observe(age)
 	return e.ts, age, true
@@ -496,7 +504,7 @@ func (s *Service) noteLastTS(k core.Key, ts core.Timestamp) {
 // context bounds the call and carries the operation's meter.
 func (s *Service) GenTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
 	s.metrics.genTSReqs.Inc()
-	resp, err := s.callResponsible(ctx, MethodGenTS, GenTSReq{Key: k}, k)
+	resp, err := s.route.Call(ctx, s.set.HTS.ID(k), MethodGenTS, GenTSReq{Key: k})
 	if err != nil {
 		return core.TSZero, fmt.Errorf("kts: gen_ts(%q): %w", k, err)
 	}
@@ -513,7 +521,7 @@ func (s *Service) GenTS(ctx context.Context, k core.Key) (core.Timestamp, error)
 // the paper's KTS.last_ts(k).
 func (s *Service) LastTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
 	s.metrics.lastTSReqs.Inc()
-	resp, err := s.callResponsible(ctx, MethodLastTS, LastTSReq{Key: k}, k)
+	resp, err := s.route.Call(ctx, s.set.HTS.ID(k), MethodLastTS, LastTSReq{Key: k})
 	if err != nil {
 		return core.TSZero, fmt.Errorf("kts: last_ts(%q): %w", k, err)
 	}
@@ -559,140 +567,39 @@ func (s *Service) LastTSBatch(ctx context.Context, keys []core.Key) ([]core.Time
 	return out, errs
 }
 
-// retryableCallErr reports whether a per-key or transport error means
-// "re-resolve the responsible and try again" (the same set the
-// single-key path retries on).
-func retryableCallErr(err error) bool {
-	return errors.Is(err, core.ErrNotResponsible) || errors.Is(err, core.ErrTimeout) ||
-		errors.Is(err, core.ErrUnreachable)
-}
-
-// batchCall is the grouped analogue of callResponsible: resolve every
-// key's responsible, batch the keys per responsible, and issue one RPC
-// per group — the local group is served free of charge. Keys that come
-// back with a retryable outcome re-resolve on the next attempt.
+// batchCall is the grouped analogue of the single-key call: the router
+// groups the keys by responsible and each group travels as one RPC —
+// the local group is served free of charge. Outcomes are per key.
 func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key) ([]core.Timestamp, []error) {
-	n := len(keys)
-	out := make([]core.Timestamp, n)
-	errs := make([]error, n)
-	pending := make([]int, 0, n)
-	for i := range keys {
-		pending = append(pending, i)
+	out := make([]core.Timestamp, len(keys))
+	ids := make([]core.ID, len(keys))
+	for i, k := range keys {
+		ids[i] = s.set.HTS.ID(k)
 	}
-	for attempt := 0; attempt <= s.cfg.LookupRetries && len(pending) > 0; attempt++ {
-		if attempt > 0 {
-			// A responsible moved or died: give the ring a beat to
-			// converge before re-resolving.
-			if serr := network.SleepCtx(ctx, s.ring.Env(), 200*time.Millisecond); serr != nil {
-				for _, i := range pending {
-					errs[i] = serr
-				}
-				return out, errs
-			}
+	errs := s.route.CallEach(ctx, ids, func(ref dht.NodeRef, idx []int) []error {
+		errs := make([]error, len(idx))
+		req := BatchReq{Keys: make([]core.Key, len(idx))}
+		for j, i := range idx {
+			req.Keys[j] = keys[i]
 		}
-		if err := network.CtxError(ctx); err != nil {
-			for _, i := range pending {
-				errs[i] = err
-			}
-			return out, errs
-		}
-		// Group the pending keys by responsible, preserving first-seen
-		// order so the round's RPC sequence is deterministic.
-		var order []network.Addr
-		groups := make(map[network.Addr][]int)
-		for _, i := range pending {
-			ref, _, err := s.ring.Lookup(ctx, s.set.HTS.ID(keys[i]))
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			if _, seen := groups[ref.Addr]; !seen {
-				order = append(order, ref.Addr)
-			}
-			groups[ref.Addr] = append(groups[ref.Addr], i)
-		}
-		var next []int
-		for _, addr := range order {
-			idx := groups[addr]
-			req := BatchReq{Keys: make([]core.Key, len(idx))}
-			for j, i := range idx {
-				req.Keys[j] = keys[i]
-			}
-			var resp network.Message
-			var err error
-			if addr == s.ring.Self().Addr {
-				// We are the responsible: serve locally, free of charge.
-				resp, err = s.serveLocal(method, req)
-			} else {
-				resp, err = s.ring.Endpoint().Invoke(ctx, addr, method, req, network.Call{
-					Timeout: s.cfg.RPCTimeout,
-				})
-			}
-			if err != nil {
-				// The whole group shares the transport outcome.
-				for _, i := range idx {
-					errs[i] = err
-					if retryableCallErr(err) {
-						next = append(next, i)
-					}
-				}
-				continue
-			}
-			r := resp.(BatchResp)
-			network.MeterFrom(ctx).Merge(r.Cost)
-			for j, i := range idx {
-				if r.Code[j] == "" {
-					out[i], errs[i] = r.TS[j], nil
-					continue
-				}
-				errs[i] = network.DecodeError(r.Code[j], r.Msg[j])
-				if retryableCallErr(errs[i]) {
-					next = append(next, i)
-				}
-			}
-		}
-		pending = next
-	}
-	return out, errs
-}
-
-// callResponsible resolves rsp(k, hts) and invokes a method on it,
-// re-resolving when responsibility moved or the peer died mid-call.
-func (s *Service) callResponsible(ctx context.Context, method string, req network.Message, k core.Key) (network.Message, error) {
-	id := s.set.HTS.ID(k)
-	var lastErr error
-	for attempt := 0; attempt <= s.cfg.LookupRetries; attempt++ {
-		if err := network.CtxError(ctx); err != nil {
-			return nil, err
-		}
-		ref, _, err := s.ring.Lookup(ctx, id)
+		resp, err := s.route.Send(ctx, ref, method, req)
 		if err != nil {
-			return nil, err
+			// The whole group shares the transport outcome.
+			for j := range errs {
+				errs[j] = err
+			}
+			return errs
 		}
-		var resp network.Message
-		if ref.Addr == s.ring.Self().Addr {
-			// We are the responsible: serve locally, free of charge.
-			resp, err = s.serveLocal(method, req)
-		} else {
-			resp, err = s.ring.Endpoint().Invoke(ctx, ref.Addr, method, req, network.Call{
-				Timeout: s.cfg.RPCTimeout,
-			})
+		r := resp.(BatchResp)
+		network.MeterFrom(ctx).Merge(r.Cost)
+		for j, i := range idx {
+			if errs[j] = network.DecodeError(r.Code[j], r.Msg[j]); errs[j] == nil {
+				out[i] = r.TS[j]
+			}
 		}
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-		if !errors.Is(err, core.ErrNotResponsible) && !errors.Is(err, core.ErrTimeout) &&
-			!errors.Is(err, core.ErrUnreachable) {
-			return nil, err
-		}
-		// The responsible moved or died: give the ring a beat to
-		// converge before re-resolving.
-		if serr := network.SleepCtx(ctx, s.ring.Env(), 200*time.Millisecond); serr != nil {
-			return nil, serr
-		}
-	}
-	return nil, lastErr
+		return errs
+	})
+	return out, errs
 }
 
 func (s *Service) serveLocal(method string, req network.Message) (network.Message, error) {
@@ -706,7 +613,7 @@ func (s *Service) serveLocal(method string, req network.Message) (network.Messag
 	case MethodLastTSBatch:
 		return s.handleBatch(req.(BatchReq), false), nil
 	case MethodRecover:
-		return s.handleRecover(req.(RecoverReq)), nil
+		return s.handleRecover(req.(RecoverReq))
 	default:
 		return nil, fmt.Errorf("kts: unknown local method %q", method)
 	}
@@ -729,7 +636,7 @@ func (s *Service) registerHandlers() {
 		return s.handleBatch(req.(BatchReq), false), nil
 	})
 	ep.Handle(MethodRecover, func(_ network.Addr, req network.Message) (network.Message, error) {
-		return s.handleRecover(req.(RecoverReq)), nil
+		return s.handleRecover(req.(RecoverReq))
 	})
 }
 
@@ -748,7 +655,7 @@ func (s *Service) handleBatch(req BatchReq, gen bool) BatchResp {
 		Msg:  make([]string, n),
 	}
 	costs := make([]network.Meter, n)
-	joinErr := network.GoJoin(s.ring.Env(), n, 10*time.Millisecond, func(i int) {
+	joinErr := s.ring.Env().Join(n, func(i int) {
 		var r network.Message
 		var err error
 		if gen {
@@ -845,8 +752,15 @@ func (s *Service) handleLastTS(req LastTSReq) (network.Message, error) {
 
 // handleRecover implements the recovery strategy: correct counters upward
 // from a restarted responsible's snapshot and trigger repairs for data
-// stamped with under-estimated counters.
-func (s *Service) handleRecover(req RecoverReq) RecoverResp {
+// stamped with under-estimated counters. Like gen_ts and last_ts it
+// refuses keys this peer is not responsible for — a counter adopted by
+// a bystander would pass for valid if the key ever moved there.
+func (s *Service) handleRecover(req RecoverReq) (network.Message, error) {
+	for _, e := range req.Entries {
+		if err := s.checkResponsible(e.Key); err != nil {
+			return nil, err
+		}
+	}
 	corrected := 0
 	type repairJob struct {
 		key          core.Key
@@ -881,7 +795,7 @@ func (s *Service) handleRecover(req RecoverReq) RecoverResp {
 			repair(r.key, r.oldTS, r.newTS)
 		}
 	}
-	return RecoverResp{Corrected: corrected}
+	return RecoverResp{Corrected: corrected}, nil
 }
 
 // checkResponsible rejects requests for keys whose hts position this
@@ -952,7 +866,7 @@ func (s *Service) indirectInit(ctx context.Context, k core.Key) (core.Timestamp,
 		meter network.Meter
 	}
 	results := make([]probe, len(s.set.Hr))
-	err := network.GoJoin(env, len(s.set.Hr), 50*time.Millisecond, func(i int) {
+	err := env.Join(len(s.set.Hr), func(i int) {
 		var p probe
 		p.val, p.err = s.client.GetH(network.WithMeter(ctx, &p.meter), k, s.set.Hr[i])
 		results[i] = p
@@ -1042,7 +956,7 @@ func (s *Service) RecoverTo(ctx context.Context) (corrected int, err error) {
 	})
 	s.mu.Unlock()
 	for _, e := range entries {
-		resp, cerr := s.callResponsible(ctx, MethodRecover, RecoverReq{Entries: []CounterEntry{e}}, e.Key)
+		resp, cerr := s.route.Call(ctx, s.set.HTS.ID(e.Key), MethodRecover, RecoverReq{Entries: []CounterEntry{e}})
 		if cerr != nil {
 			err = cerr
 			continue

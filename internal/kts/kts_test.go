@@ -434,9 +434,19 @@ func TestRecoveryCorrectsLowCounters(t *testing.T) {
 			t.Errorf("initial gen = %v, %v", ts, err)
 		}
 	})
-	resp, err := svc.handleRecover(RecoverReq{Entries: []CounterEntry{{Key: key, TS: core.TS(10)}}}), error(nil)
-	if err != nil || resp.Corrected != 1 {
+	req := RecoverReq{Entries: []CounterEntry{{Key: key, TS: core.TS(10)}}}
+	resp, err := svc.handleRecover(req)
+	if err != nil || resp.(RecoverResp).Corrected != 1 {
 		t.Fatalf("recover: %+v, %v", resp, err)
+	}
+	// A peer that is not responsible for the key must refuse the
+	// snapshot, not adopt a counter it has no business holding.
+	bystander := c.services[(idx+1)%len(c.services)]
+	if _, err := bystander.handleRecover(req); !errors.Is(err, core.ErrNotResponsible) {
+		t.Fatalf("recover at a non-responsible peer: %v, want ErrNotResponsible", err)
+	}
+	if bystander.VCSLen() != 0 {
+		t.Fatalf("non-responsible peer adopted %d counters", bystander.VCSLen())
 	}
 	c.do(func() {
 		ts, err := c.svc().GenTS(context.Background(), key)

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -49,6 +50,31 @@ func (e *RealEnv) Sleep(d time.Duration) error {
 
 // Go implements Env.
 func (e *RealEnv) Go(fn func()) { go fn() }
+
+// Join implements Env: the last goroutine to finish closes the channel
+// the caller waits on.
+func (e *RealEnv) Join(n int, run func(i int)) error {
+	if n == 0 {
+		return nil
+	}
+	var left atomic.Int32
+	left.Store(int32(n))
+	joined := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			run(i)
+			if left.Add(-1) == 0 {
+				close(joined)
+			}
+		}()
+	}
+	select {
+	case <-joined:
+		return nil
+	case <-e.done:
+		return core.ErrStopped
+	}
+}
 
 // After implements Env.
 func (e *RealEnv) After(d time.Duration, fn func()) Canceler {

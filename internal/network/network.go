@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -35,6 +34,13 @@ type Env interface {
 	Sleep(d time.Duration) error
 	// Go runs fn as a new activity.
 	Go(fn func())
+	// Join runs run(0..n-1) as n new activities and blocks the caller
+	// until all have finished; the last finisher wakes the caller, so
+	// the join costs no environment time of its own. It returns early
+	// with core.ErrStopped when the environment shuts down mid-join.
+	// (A bare sync.WaitGroup would block a real goroutine, which
+	// deadlocks the simulation kernel — hence a method of the Env.)
+	Join(n int, run func(i int)) error
 	// After schedules fn to run as a new activity after d; the returned
 	// Canceler can stop it before it fires.
 	After(d time.Duration, fn func()) Canceler
@@ -165,39 +171,6 @@ func Patience(ctx context.Context, timeout, transportDefault time.Duration) time
 		timeout = time.Millisecond
 	}
 	return timeout
-}
-
-// GoJoin spawns n activities with env.Go and blocks the caller until
-// all have finished, polling in environment time every poll — the only
-// fan-out/join shape portable across the simulated and real
-// environments (a sync.WaitGroup would block real goroutines, which
-// deadlocks the simulation kernel). It returns early with the
-// environment's error when the environment shuts down mid-join.
-func GoJoin(env Env, n int, poll time.Duration, run func(i int)) error {
-	if n == 0 {
-		return nil
-	}
-	var mu sync.Mutex
-	done := 0
-	for i := 0; i < n; i++ {
-		env.Go(func() {
-			run(i)
-			mu.Lock()
-			done++
-			mu.Unlock()
-		})
-	}
-	for {
-		mu.Lock()
-		d := done
-		mu.Unlock()
-		if d == n {
-			return nil
-		}
-		if err := env.Sleep(poll); err != nil {
-			return err
-		}
-	}
 }
 
 // SleepCtx sleeps d of environment time, giving up when ctx is done.

@@ -507,6 +507,28 @@ type simEnv struct{ k *simnet.Kernel }
 func (e simEnv) Now() time.Duration          { return e.k.Now() }
 func (e simEnv) Sleep(d time.Duration) error { return e.k.Sleep(d) }
 func (e simEnv) Go(fn func())                { e.k.Go(fn) }
+
+// Join implements network.Env: one future, resolved by the last
+// finisher and awaited by the caller. The kernel runs one process at a
+// time, so the countdown needs no lock.
+func (e simEnv) Join(n int, run func(i int)) error {
+	if n == 0 {
+		return nil
+	}
+	joined := e.k.NewFuture()
+	left := n
+	for i := 0; i < n; i++ {
+		e.k.Go(func() {
+			run(i)
+			if left--; left == 0 {
+				joined.Resolve(nil)
+			}
+		})
+	}
+	_, err := joined.Await(0)
+	return err
+}
+
 func (e simEnv) After(d time.Duration, fn func()) network.Canceler {
 	return e.k.After(d, fn)
 }

@@ -121,7 +121,7 @@ func (n *Node) Leave() error {
 			others = append(others, ref)
 		}
 	}
-	network.GoJoin(n.env, len(others), 10*time.Millisecond, func(i int) {
+	n.env.Join(len(others), func(i int) {
 		n.metrics.eventsSent.Inc()
 		n.call(context.Background(), others[i].Addr, methodEvent, ev)
 	})

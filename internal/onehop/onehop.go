@@ -157,6 +157,9 @@ func (n *Node) Endpoint() network.Endpoint { return n.ep }
 // Env implements dht.Ring.
 func (n *Node) Env() network.Env { return n.env }
 
+// Obs implements dht.Ring.
+func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
+
 // Store exposes the local replica store.
 func (n *Node) Store() *dht.LocalStore { return n.store }
 
@@ -190,6 +193,18 @@ func (n *Node) OwnsID(id core.ID) bool {
 		return true
 	}
 	return id.Between(pred.ID, n.self.ID)
+}
+
+// Guess implements dht.Ring: the table's successor of id. A table that
+// holds only self names nobody — that is the own-everything default,
+// not knowledge.
+func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if !n.alive || len(n.table) <= 1 {
+		return dht.NodeRef{}, false
+	}
+	return n.successorOfLocked(id, nil)
 }
 
 // Predecessor returns this node's table predecessor (zero when the

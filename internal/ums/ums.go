@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -145,7 +144,7 @@ func (s *Service) InsertMulti(ctx context.Context, keys []core.Key, datas [][]by
 	results := make([]dht.OpResult, n)
 	errs := make([]error, n)
 	tss, terrs := s.ts.GenTSBatch(ctx, keys)
-	if jerr := network.GoJoin(s.ring.Env(), n, 10*time.Millisecond, func(i int) {
+	if jerr := s.ring.Env().Join(n, func(i int) {
 		if terrs[i] != nil {
 			errs[i] = fmt.Errorf("ums: insert(%q): %w", keys[i], terrs[i])
 			return
@@ -177,7 +176,7 @@ func (s *Service) RetrieveMulti(ctx context.Context, keys []core.Key, pol dht.Re
 	if batched {
 		tss, terrs = s.ts.LastTSBatch(ctx, keys)
 	}
-	if jerr := network.GoJoin(s.ring.Env(), n, 10*time.Millisecond, func(i int) {
+	if jerr := s.ring.Env().Join(n, func(i int) {
 		defer func() { seen[i] = true }()
 		p := pol
 		if batched {

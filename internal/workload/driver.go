@@ -30,10 +30,9 @@ type LevelClient interface {
 	GetWith(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error)
 }
 
-// joinPoll is how often the drivers poll for worker completion — the
-// fan-out/join shape portable across both environments (see
-// network.GoJoin).
-const joinPoll = 10 * time.Millisecond
+// drainPoll is how often the open-loop driver checks whether its
+// stragglers have finished.
+const drainPoll = 10 * time.Millisecond
 
 // Run executes spec against c inside env and returns the report:
 // closed-loop (Spec.Concurrency workers issuing back to back) by
@@ -75,7 +74,7 @@ func preload(ctx context.Context, env network.Env, c Client, gen *Generator) err
 	spec := gen.Spec()
 	var mu sync.Mutex
 	next := 0
-	return network.GoJoin(env, spec.Concurrency, joinPoll, func(int) {
+	return env.Join(spec.Concurrency, func(int) {
 		for {
 			if ctx.Err() != nil {
 				return
@@ -101,7 +100,7 @@ func runClosed(ctx context.Context, env network.Env, c Client, gen *Generator, r
 	spec := gen.Spec()
 	var mu sync.Mutex
 	issued := 0
-	return network.GoJoin(env, spec.Concurrency, joinPoll, func(int) {
+	return env.Join(spec.Concurrency, func(int) {
 		for {
 			if ctx.Err() != nil {
 				return
@@ -175,7 +174,7 @@ func runOpen(ctx context.Context, env network.Env, c Client, gen *Generator, rec
 		if d >= issued {
 			return nil
 		}
-		if err := env.Sleep(joinPoll); err != nil {
+		if err := env.Sleep(drainPoll); err != nil {
 			return err
 		}
 	}

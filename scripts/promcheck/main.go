@@ -117,6 +117,7 @@ func main() {
 		"dcdht_kts_counters",
 		"dcdht_chord_lookup_hops",
 		"dcdht_chord_lookups_total",
+		"dcdht_dht_guess_total",
 		"dcdht_repair_rounds_total",
 		"dcdht_store_items",
 		"dcdht_store_wal_appends_total",
