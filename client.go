@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/network"
+	"repro/internal/peer"
 )
 
 // Client is the deployment-agnostic interface to a replicated DHT with
@@ -81,24 +83,16 @@ var (
 )
 
 // Algorithm selects the replication protocol an operation runs.
-type Algorithm int
+type Algorithm = peer.Algorithm
 
 const (
 	// AlgUMS is the paper's Update Management Service: KTS timestamps,
 	// provable currency, early-stop probing. The default.
-	AlgUMS Algorithm = iota
+	AlgUMS = peer.UMS
 	// AlgBRK is the BRICKS baseline: per-replica version numbers and
 	// read-all retrieves, kept for side-by-side comparisons.
-	AlgBRK
+	AlgBRK = peer.BRK
 )
-
-// String returns "UMS" or "BRK".
-func (a Algorithm) String() string {
-	if a == AlgBRK {
-		return "BRK"
-	}
-	return "UMS"
-}
 
 // ErrBadOption marks an operation issued with an invalid option
 // combination — a negative issuer index, a negative staleness bound, an
@@ -233,4 +227,83 @@ type MultiResult struct {
 	// Err is this key's outcome; classify with errors.Is (ErrNotFound,
 	// ErrNoCurrentReplica, ErrTimeout, ...).
 	Err error
+}
+
+// issuer is the one thing the two deployment styles do differently
+// about an operation: which peer stack it issues from, and what has to
+// run around it. Option resolution and the context gate are the shared
+// functions below; the protocols are internal/peer.
+type issuer interface {
+	// issue runs fn against the issuing peer's stack and returns once fn
+	// has. SimNetwork draws a live peer and drives virtual time around
+	// fn; Node calls fn on its own stack.
+	issue(oc opConfig, fn func(*peer.Stack)) error
+}
+
+// issueOp is the operation path of both worlds: resolve the options,
+// reject a context that is already done before anything is touched (so
+// expired deadlines fail promptly), then run fn on the issuing stack.
+func issueOp[T any](ctx context.Context, w issuer, what string, key Key, opts []OpOption, fn func(*peer.Stack, opConfig) (T, error)) (T, error) {
+	var out T
+	var opErr error
+	oc, err := resolveOpts(opts)
+	if err == nil {
+		err = network.CtxError(ctx)
+	}
+	if err == nil {
+		err = w.issue(oc, func(p *peer.Stack) { out, opErr = fn(p, oc) })
+	}
+	if err != nil {
+		return out, fmt.Errorf("dcdht: %s(%q): %w", what, key, err)
+	}
+	return out, opErr
+}
+
+func put(ctx context.Context, w issuer, key Key, data []byte, opts []OpOption) (Result, error) {
+	return issueOp(ctx, w, "put", key, opts, func(p *peer.Stack, oc opConfig) (Result, error) {
+		return p.Put(ctx, oc.alg, key, data)
+	})
+}
+
+func get(ctx context.Context, w issuer, key Key, opts []OpOption) (Result, error) {
+	return issueOp(ctx, w, "get", key, opts, func(p *peer.Stack, oc opConfig) (Result, error) {
+		return p.Get(ctx, oc.alg, key, oc.readPolicy())
+	})
+}
+
+func lastTS(ctx context.Context, w issuer, key Key, opts []OpOption) (Timestamp, error) {
+	return issueOp(ctx, w, "last_ts", key, opts, func(p *peer.Stack, oc opConfig) (Timestamp, error) {
+		return p.LastTSWith(ctx, key, oc.readPolicy())
+	})
+}
+
+func putMulti(ctx context.Context, w issuer, items []KV, opts []OpOption) ([]MultiResult, error) {
+	keys := make([]Key, len(items))
+	datas := make([][]byte, len(items))
+	for i, it := range items {
+		keys[i], datas[i] = it.Key, it.Data
+	}
+	return issueMulti(ctx, w, "put multi", keys, opts, func(p *peer.Stack, oc opConfig) ([]Result, []error) {
+		return p.PutMulti(ctx, oc.alg, keys, datas)
+	})
+}
+
+func getMulti(ctx context.Context, w issuer, keys []Key, opts []OpOption) ([]MultiResult, error) {
+	return issueMulti(ctx, w, "get multi", keys, opts, func(p *peer.Stack, oc opConfig) ([]Result, []error) {
+		return p.GetMulti(ctx, oc.alg, keys, oc.readPolicy())
+	})
+}
+
+// issueMulti issues a whole batch from one stack and pairs each key
+// with its own outcome. Invalid options, a done context or no issuing
+// peer fail the batch as a whole.
+func issueMulti(ctx context.Context, w issuer, what string, keys []Key, opts []OpOption, fn func(*peer.Stack, opConfig) ([]Result, []error)) ([]MultiResult, error) {
+	return issueOp(ctx, w, what, "", opts, func(p *peer.Stack, oc opConfig) ([]MultiResult, error) {
+		results, errs := fn(p, oc)
+		out := make([]MultiResult, len(keys))
+		for i := range out {
+			out[i] = MultiResult{Key: keys[i], Result: results[i], Err: errs[i]}
+		}
+		return out, nil
+	})
 }

@@ -51,75 +51,227 @@ func expiredCtx(t *testing.T) context.Context {
 	return ctx
 }
 
-func TestSimExpiredDeadlineFailsPromptly(t *testing.T) {
-	n := NewSimNetwork(24, SimConfig{Replicas: 5, Seed: 21})
-	defer n.Close()
-	if _, err := n.Put(context.Background(), "k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, op := range map[string]func(context.Context) error{
-		"get":    func(ctx context.Context) error { _, err := n.Get(ctx, "k"); return err },
-		"put":    func(ctx context.Context) error { _, err := n.Put(ctx, "k", []byte("v2")); return err },
-		"lastts": func(ctx context.Context) error { _, err := n.LastTS(ctx, "k"); return err },
-	} {
-		start := time.Now()
-		err := op(expiredCtx(t))
-		if err == nil {
-			t.Fatalf("%s: expected error from expired deadline", name)
-		}
-		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: err = %v, want both ErrTimeout and context.DeadlineExceeded", name, err)
-		}
-		if wall := time.Since(start); wall > time.Second {
-			t.Fatalf("%s: expired deadline took %v, want prompt failure", name, wall)
-		}
-	}
+// contractWorld is one deployment style under the Client contract:
+// its clients (operations are spread over them), and the two places
+// where the styles are specified to differ.
+type contractWorld struct {
+	clients []Client
+	// pins reports whether WithIssuer selects a peer (SimNetwork) or is
+	// rejected with ErrBadOption (a Node always issues from itself).
+	pins bool
+	// bogusRing builds the world on a ring name that does not exist.
+	bogusRing func() error
 }
 
-func TestSimCanceledContext(t *testing.T) {
-	n := NewSimNetwork(24, SimConfig{Replicas: 5, Seed: 22})
-	defer n.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := n.Get(ctx, "k"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("get with canceled ctx: err = %v, want context.Canceled", err)
-	}
-	if _, err := n.PutMulti(ctx, []KV{{Key: "a", Data: []byte("1")}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("putmulti with canceled ctx: err = %v, want context.Canceled", err)
-	}
+func (w contractWorld) at(i int) Client { return w.clients[i%len(w.clients)] }
+
+// clientContract is the behaviour every Client owes its callers,
+// whichever world runs underneath. Each row owns its keys, so rows are
+// independent of one another and of their order.
+var clientContract = []struct {
+	name string
+	run  func(t *testing.T, w contractWorld)
+}{
+	{"put-get-levels", func(t *testing.T, w contractWorld) {
+		ctx := context.Background()
+		ins, err := w.at(0).Put(ctx, "c-levels", []byte("v1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ins.Stored == 0 {
+			t.Fatal("put stored no replicas")
+		}
+		for name, opts := range map[string][]OpOption{
+			"current":  nil,
+			"bounded":  {WithConsistency(Bounded(time.Minute))},
+			"bounded0": {WithConsistency(Bounded(0))},
+			"eventual": {WithConsistency(Eventual)},
+		} {
+			r, err := w.at(1).Get(ctx, "c-levels", opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if string(r.Data) != "v1" {
+				t.Fatalf("%s: got %q", name, r.Data)
+			}
+			if name == "current" && (!r.Current() || r.Msgs <= 0) {
+				t.Fatalf("current read: current=%v msgs=%d", r.Current(), r.Msgs)
+			}
+		}
+	}},
+	{"last-ts", func(t *testing.T, w contractWorld) {
+		ctx := context.Background()
+		ins, err := w.at(0).Put(ctx, "c-lastts", []byte("v1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, opts := range map[string][]OpOption{
+			"current": nil,
+			"bounded": {WithConsistency(Bounded(time.Hour))},
+		} {
+			// From the writer (whose cache may answer the bounded ask)
+			// and from a peer that has to go to KTS.
+			for i := 0; i < 2; i++ {
+				ts, err := w.at(i).LastTS(ctx, "c-lastts", opts...)
+				if err != nil || ts != ins.TS {
+					t.Fatalf("%s from client %d: last_ts = %v (err %v), want the insert's %v", name, i, ts, err, ins.TS)
+				}
+			}
+		}
+		if ts, err := w.at(2).LastTS(ctx, "c-never-stamped"); err != nil || !ts.IsZero() {
+			t.Fatalf("unstamped key: last_ts = %v (err %v), want zero", ts, err)
+		}
+	}},
+	{"missing-key", func(t *testing.T, w contractWorld) {
+		if _, err := w.at(0).Get(context.Background(), "c-ghost"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("err = %v, want ErrNotFound", err)
+		}
+	}},
+	{"brk-reads-all", func(t *testing.T, w contractWorld) {
+		ctx := context.Background()
+		if _, err := w.at(0).Put(ctx, "c-brk", []byte("v1"), WithAlgorithm(AlgBRK)); err != nil {
+			t.Fatal(err)
+		}
+		r, err := w.at(1).Get(ctx, "c-brk", WithAlgorithm(AlgBRK))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(r.Data) != "v1" || r.Probed != 5 {
+			t.Fatalf("BRK got %q probing %d, want v1 from all 5 replicas", r.Data, r.Probed)
+		}
+		// UMS on the same ring stops at the first provably current one.
+		if _, err := w.at(0).Put(ctx, "c-ums", []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		ru, err := w.at(1).Get(ctx, "c-ums")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ru.Probed >= r.Probed {
+			t.Fatalf("UMS probed %d vs BRK %d", ru.Probed, r.Probed)
+		}
+	}},
+	{"multi-ums", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mu") }},
+	{"multi-brk", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mb", WithAlgorithm(AlgBRK)) }},
+	{"multi-relaxed", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mr", WithConsistency(Eventual)) }},
+	{"canceled-context", func(t *testing.T, w contractWorld) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := w.at(0).Get(ctx, "c-levels"); !errors.Is(err, context.Canceled) {
+			t.Fatalf("get: err = %v, want context.Canceled", err)
+		}
+		if _, err := w.at(0).PutMulti(ctx, []KV{{Key: "c-x", Data: []byte("1")}}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("put multi: err = %v, want context.Canceled", err)
+		}
+		if _, err := w.at(0).GetMulti(ctx, []Key{"c-levels"}, WithAlgorithm(AlgBRK)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("brk get multi: err = %v, want context.Canceled", err)
+		}
+	}},
+	{"expired-deadline", func(t *testing.T, w contractWorld) {
+		if _, err := w.at(0).Put(context.Background(), "c-expired", []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		for name, op := range map[string]func(context.Context) error{
+			"get":    func(ctx context.Context) error { _, err := w.at(1).Get(ctx, "c-expired"); return err },
+			"put":    func(ctx context.Context) error { _, err := w.at(2).Put(ctx, "c-expired", []byte("v2")); return err },
+			"lastts": func(ctx context.Context) error { _, err := w.at(0).LastTS(ctx, "c-expired"); return err },
+		} {
+			start := time.Now()
+			err := op(expiredCtx(t))
+			if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s: err = %v, want both ErrTimeout and context.DeadlineExceeded", name, err)
+			}
+			if wall := time.Since(start); wall > time.Second {
+				t.Fatalf("%s: expired deadline took %v, want prompt failure", name, wall)
+			}
+		}
+	}},
+	{"bad-options", func(t *testing.T, w contractWorld) {
+		ctx := context.Background()
+		c := w.at(1)
+		one := []KV{{Key: "c-bad", Data: []byte("v")}}
+		// Each operation with an option that is invalid everywhere; BRK
+		// has no currency proof to relax, in either option order.
+		for name, err := range map[string]error{
+			"get negative issuer":       second(c.Get(ctx, "c-bad", WithIssuer(-1))),
+			"put negative issuer":       second(c.Put(ctx, "c-bad", []byte("v"), WithIssuer(-7))),
+			"last_ts negative issuer":   second(c.LastTS(ctx, "c-bad", WithIssuer(-1))),
+			"get negative bound":        second(c.Get(ctx, "c-bad", WithConsistency(Bounded(-time.Second)))),
+			"get multi negative bound":  second(c.GetMulti(ctx, []Key{"a", "b"}, WithConsistency(Bounded(-1)))),
+			"put multi negative issuer": second(c.PutMulti(ctx, one, WithIssuer(-1))),
+			"BRK+consistency":           second(c.Get(ctx, "c-bad", WithAlgorithm(AlgBRK), WithConsistency(Eventual))),
+			"consistency+BRK":           second(c.Get(ctx, "c-bad", WithConsistency(Eventual), WithAlgorithm(AlgBRK))),
+			"BRK multi + consistency":   second(c.GetMulti(ctx, []Key{"a"}, WithAlgorithm(AlgBRK), WithConsistency(Eventual))),
+		} {
+			if !errors.Is(err, ErrBadOption) {
+				t.Errorf("%s: err = %v, want ErrBadOption", name, err)
+			}
+		}
+		// BRK enforces no floors, so a floored session read through it
+		// fails loudly.
+		brkSession := c.NewSession(WithAlgorithm(AlgBRK))
+		if _, err := brkSession.Put(ctx, "c-brk-doc", []byte("v")); err != nil {
+			t.Errorf("BRK session put: %v", err)
+		}
+		if _, err := brkSession.Get(ctx, "c-brk-doc"); !errors.Is(err, ErrBadOption) {
+			t.Errorf("floored session read on BRK: err = %v, want ErrBadOption", err)
+		}
+	}},
+	{"issuer-pin", func(t *testing.T, w contractWorld) {
+		ctx := context.Background()
+		c := w.at(1)
+		pin := WithIssuer(3)
+		one := []KV{{Key: "c-pin-multi", Data: []byte("v")}}
+		errs := map[string]error{
+			"put":       second(c.Put(ctx, "c-pin", []byte("v"), pin)),
+			"get":       second(c.Get(ctx, "c-pin", pin)),
+			"last_ts":   second(c.LastTS(ctx, "c-pin", pin)),
+			"put multi": second(c.PutMulti(ctx, one, pin)),
+			"get multi": second(c.GetMulti(ctx, []Key{"c-pin"}, pin)),
+		}
+		for name, err := range errs {
+			if w.pins && err != nil {
+				t.Errorf("%s with a pinned issuer: %v", name, err)
+			}
+			if !w.pins && !errors.Is(err, ErrBadOption) {
+				t.Errorf("%s: err = %v, want ErrBadOption (nothing to pin)", name, err)
+			}
+		}
+	}},
+	{"unknown-ring", func(t *testing.T, w contractWorld) {
+		if err := w.bogusRing(); err == nil {
+			t.Fatal("a deployment on ring \"bogus\" was built; want it refused")
+		}
+	}},
 }
 
-func TestSimGetMultiFanOut(t *testing.T) {
-	n := NewSimNetwork(32, SimConfig{Replicas: 5, Seed: 23})
-	defer n.Close()
-	ctx := context.Background()
+// second drops an operation's result, keeping its error.
+func second[T any](_ T, err error) error { return err }
 
-	items := []KV{
-		{Key: "multi-a", Data: []byte("va")},
-		{Key: "multi-b", Data: []byte("vb")},
-		{Key: "multi-c", Data: []byte("vc")},
+// contractMulti writes a batch and reads it back with a never-inserted
+// key in the middle: index i of every result matches input i, and the
+// missing key's error stays its own.
+func contractMulti(t *testing.T, w contractWorld, prefix string, opts ...OpOption) {
+	t.Helper()
+	items := make([]KV, 4)
+	for i := range items {
+		items[i] = KV{Key: Key(fmt.Sprintf("%s-%d", prefix, i)), Data: []byte(fmt.Sprintf("v%d", i))}
 	}
-	puts, err := n.PutMulti(ctx, items)
+	puts, err := w.at(0).PutMulti(context.Background(), items, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(puts) != len(items) {
+		t.Fatalf("got %d put results for %d items", len(puts), len(items))
+	}
 	for i, r := range puts {
-		if r.Key != items[i].Key {
-			t.Fatalf("put result %d keyed %q, want %q", i, r.Key, items[i].Key)
-		}
-		if r.Err != nil {
-			t.Fatalf("put %q: %v", r.Key, r.Err)
-		}
-		if r.Stored == 0 {
-			t.Fatalf("put %q stored no replicas", r.Key)
+		if r.Key != items[i].Key || r.Err != nil || r.Stored == 0 {
+			t.Fatalf("put %d: key %q stored %d err %v, want %q stored", i, r.Key, r.Stored, r.Err, items[i].Key)
 		}
 	}
 
-	// One key of the batch was never inserted: its error must be
-	// isolated and the sibling keys unaffected.
-	keys := []Key{"multi-a", "ghost", "multi-b", "multi-c"}
-	gets, err := n.GetMulti(ctx, keys)
+	keys := []Key{items[0].Key, items[1].Key, "c-multi-ghost", items[2].Key, items[3].Key}
+	gets, err := w.at(2).GetMulti(context.Background(), keys, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,82 +282,64 @@ func TestSimGetMultiFanOut(t *testing.T) {
 		if r.Key != keys[i] {
 			t.Fatalf("result %d keyed %q, want %q", i, r.Key, keys[i])
 		}
-	}
-	if !errors.Is(gets[1].Err, ErrNotFound) {
-		t.Fatalf("ghost err = %v, want ErrNotFound", gets[1].Err)
-	}
-	for _, i := range []int{0, 2, 3} {
-		if gets[i].Err != nil {
-			t.Fatalf("%q: %v (ghost error leaked into sibling)", gets[i].Key, gets[i].Err)
+		if i == 2 {
+			if !errors.Is(r.Err, ErrNotFound) {
+				t.Fatalf("ghost err = %v, want ErrNotFound", r.Err)
+			}
+			continue
 		}
-		want := "v" + string(gets[i].Key[len(gets[i].Key)-1])
-		if string(gets[i].Data) != want {
-			t.Fatalf("%q = %q, want %q", gets[i].Key, gets[i].Data, want)
+		want := "v" + string(r.Key[len(r.Key)-1])
+		if r.Err != nil || string(r.Data) != want {
+			t.Fatalf("%q = %q (err %v), want %q with the ghost's error kept out", r.Key, r.Data, r.Err, want)
 		}
+	}
+	if empty, err := w.at(2).GetMulti(context.Background(), nil, opts...); err != nil || len(empty) != 0 {
+		t.Fatalf("empty batch: %d results, err %v", len(empty), err)
 	}
 }
 
-func TestSimBaselineOption(t *testing.T) {
-	n := NewSimNetwork(24, SimConfig{Replicas: 5, Seed: 24})
-	defer n.Close()
-	ctx := context.Background()
-	if _, err := n.Put(ctx, "b", []byte("v1"), WithAlgorithm(AlgBRK)); err != nil {
-		t.Fatal(err)
+// TestClientContract runs the same cases against a simulated network
+// and a 3-node loopback TCP ring: the two worlds issue through the same
+// code, and this is where a difference between them would show.
+func TestClientContract(t *testing.T) {
+	worlds := map[string]func(t *testing.T) contractWorld{
+		"sim": func(t *testing.T) contractWorld {
+			n := NewSimNetwork(24, SimConfig{Replicas: 5, Seed: 21})
+			t.Cleanup(n.Close)
+			return contractWorld{clients: []Client{n}, pins: true, bogusRing: func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				NewSimNetwork(4, SimConfig{Ring: "bogus"}).Close()
+				return nil
+			}}
+		},
+		"tcp": func(t *testing.T) contractWorld {
+			if testing.Short() {
+				t.Skip("tcp integration test")
+			}
+			w := contractWorld{bogusRing: func() error {
+				n, err := StartNode("127.0.0.1:0", NodeConfig{Ring: "bogus"})
+				if err == nil {
+					n.Close()
+				}
+				return err
+			}}
+			for _, n := range newTestRing(t, 3) {
+				w.clients = append(w.clients, n)
+			}
+			return w
+		},
 	}
-	r, err := n.Get(ctx, "b", WithAlgorithm(AlgBRK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r.Data) != "v1" {
-		t.Fatalf("got %q", r.Data)
-	}
-	if r.Probed != 5 {
-		t.Fatalf("BRK probed %d, want all 5 replicas", r.Probed)
-	}
-}
-
-func TestSimWithIssuerPinsPeer(t *testing.T) {
-	n := NewSimNetwork(24, SimConfig{Replicas: 5, Seed: 25})
-	defer n.Close()
-	ctx := context.Background()
-	if _, err := n.Put(ctx, "pinned", []byte("v"), WithIssuer(3)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := n.Get(ctx, "pinned", WithIssuer(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r.Data) != "v" {
-		t.Fatalf("got %q", r.Data)
-	}
-}
-
-func TestTCPExpiredDeadlineFailsPromptly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp integration test")
-	}
-	nodes := newTestRing(t, 4)
-	ctx := context.Background()
-	if _, err := nodes[0].Put(ctx, "tcp-ctx", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
-	for name, op := range map[string]func(context.Context) error{
-		"get":    func(ctx context.Context) error { _, err := nodes[1].Get(ctx, "tcp-ctx"); return err },
-		"put":    func(ctx context.Context) error { _, err := nodes[2].Put(ctx, "tcp-ctx", []byte("v2")); return err },
-		"lastts": func(ctx context.Context) error { _, err := nodes[3].LastTS(ctx, "tcp-ctx"); return err },
-	} {
-		start := time.Now()
-		err := op(expiredCtx(t))
-		if err == nil {
-			t.Fatalf("%s: expected error from expired deadline", name)
-		}
-		if !errors.Is(err, ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: err = %v, want both ErrTimeout and context.DeadlineExceeded", name, err)
-		}
-		if wall := time.Since(start); wall > time.Second {
-			t.Fatalf("%s: expired deadline took %v, want prompt failure", name, wall)
-		}
+	for name, build := range worlds {
+		t.Run(name, func(t *testing.T) {
+			w := build(t)
+			for _, row := range clientContract {
+				t.Run(row.name, func(t *testing.T) { row.run(t, w) })
+			}
+		})
 	}
 }
 
@@ -234,42 +368,4 @@ func TestTCPCanceledContextStopsOperation(t *testing.T) {
 		}
 	}
 	t.Fatal("cancellation never surfaced")
-}
-
-func TestTCPGetMultiFanOut(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp integration test")
-	}
-	nodes := newTestRing(t, 4)
-	ctx := context.Background()
-
-	items := make([]KV, 4)
-	for i := range items {
-		items[i] = KV{Key: Key(fmt.Sprintf("fan-%d", i)), Data: []byte(fmt.Sprintf("v%d", i))}
-	}
-	puts, err := nodes[0].PutMulti(ctx, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range puts {
-		if r.Err != nil {
-			t.Fatalf("put %q: %v", r.Key, r.Err)
-		}
-	}
-	keys := []Key{"fan-0", "fan-1", "tcp-ghost", "fan-2", "fan-3"}
-	gets, err := nodes[2].GetMulti(ctx, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(gets[2].Err, ErrNotFound) {
-		t.Fatalf("ghost err = %v, want ErrNotFound", gets[2].Err)
-	}
-	for _, i := range []int{0, 1, 3, 4} {
-		if gets[i].Err != nil {
-			t.Fatalf("%q: %v", gets[i].Key, gets[i].Err)
-		}
-		if len(gets[i].Data) == 0 {
-			t.Fatalf("%q returned no data", gets[i].Key)
-		}
-	}
 }

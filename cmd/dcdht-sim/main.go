@@ -20,6 +20,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/network/simwire"
 	"repro/internal/onehop"
+	"repro/internal/peer"
 	"repro/internal/scenario"
 )
 
@@ -82,11 +83,8 @@ func main() {
 	sc.ChurnRate = *churn
 	sc.FailRate = *fail
 	sc.UpdateRate = *updates
-	switch exp.RingKind(*ring) {
-	case exp.RingChord, exp.RingCAN, exp.RingOneHop:
-		sc.Ring = exp.RingKind(*ring)
-	default:
-		log.Error("unknown -ring (want chord, can or onehop)", "ring", *ring)
+	if sc.Ring, err = peer.ParseRing(*ring); err != nil {
+		log.Error("bad -ring", "err", err)
 		os.Exit(2)
 	}
 	sc.PathCache = *pathCache

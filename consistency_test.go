@@ -2,84 +2,9 @@ package dcdht
 
 import (
 	"context"
-	"errors"
 	"testing"
 	"time"
 )
-
-// TestBadOptionsRejected: invalid option combinations fail the
-// operation with an error wrapping ErrBadOption instead of being
-// silently dropped.
-func TestBadOptionsRejected(t *testing.T) {
-	net := NewSimNetwork(16, SimConfig{Replicas: 3, Seed: 3})
-	defer net.Close()
-	ctx := context.Background()
-
-	if _, err := net.Get(ctx, "k", WithIssuer(-1)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("negative issuer: err = %v, want ErrBadOption", err)
-	}
-	if _, err := net.Put(ctx, "k", []byte("v"), WithIssuer(-7)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("negative issuer on put: err = %v, want ErrBadOption", err)
-	}
-	if _, err := net.Get(ctx, "k", WithConsistency(Bounded(-time.Second))); !errors.Is(err, ErrBadOption) {
-		t.Errorf("negative bound: err = %v, want ErrBadOption", err)
-	}
-	if _, err := net.LastTS(ctx, "k", WithIssuer(-1)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("negative issuer on last_ts: err = %v, want ErrBadOption", err)
-	}
-	if _, err := net.GetMulti(ctx, []Key{"a", "b"}, WithConsistency(Bounded(-1))); !errors.Is(err, ErrBadOption) {
-		t.Errorf("negative bound on batch: err = %v, want ErrBadOption", err)
-	}
-	// BRK has no currency proof to relax and no floor enforcement:
-	// combining it with a consistency level — in either option order —
-	// or issuing a floored session read through it fails loudly.
-	if _, err := net.Get(ctx, "k", WithAlgorithm(AlgBRK), WithConsistency(Eventual)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("BRK+consistency: err = %v, want ErrBadOption", err)
-	}
-	if _, err := net.Get(ctx, "k", WithConsistency(Eventual), WithAlgorithm(AlgBRK)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("consistency+BRK: err = %v, want ErrBadOption", err)
-	}
-	brkSession := net.NewSession(WithAlgorithm(AlgBRK))
-	if _, err := brkSession.Put(ctx, "brk-doc", []byte("v")); err != nil {
-		t.Errorf("BRK session put: %v", err)
-	}
-	if _, err := brkSession.Get(ctx, "brk-doc"); !errors.Is(err, ErrBadOption) {
-		t.Errorf("floored session read on BRK: err = %v, want ErrBadOption", err)
-	}
-
-	// Valid combinations still pass the validation layer.
-	if _, err := net.Put(ctx, "k", []byte("v"), WithIssuer(2)); err != nil {
-		t.Errorf("valid issuer rejected: %v", err)
-	}
-	if _, err := net.Get(ctx, "k", WithConsistency(Bounded(0))); err != nil && !IsNoCurrent(err) {
-		t.Errorf("zero bound rejected: %v", err)
-	}
-}
-
-// TestNodeRejectsIssuerOption: a TCP node always issues from itself, so
-// WithIssuer — meaningful only under simulation — fails with
-// ErrBadOption on every operation instead of being silently ignored.
-func TestNodeRejectsIssuerOption(t *testing.T) {
-	nodes := newTestRing(t, 3)
-	ctx := context.Background()
-	n := nodes[1]
-
-	if _, err := n.Put(ctx, "k", []byte("v"), WithIssuer(0)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("put: err = %v, want ErrBadOption", err)
-	}
-	if _, err := n.Get(ctx, "k", WithIssuer(0)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("get: err = %v, want ErrBadOption", err)
-	}
-	if _, err := n.LastTS(ctx, "k", WithIssuer(0)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("last_ts: err = %v, want ErrBadOption", err)
-	}
-	if _, err := n.PutMulti(ctx, []KV{{Key: "k", Data: []byte("v")}}, WithIssuer(0)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("put multi: err = %v, want ErrBadOption", err)
-	}
-	if _, err := n.GetMulti(ctx, []Key{"k"}, WithIssuer(0)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("get multi: err = %v, want ErrBadOption", err)
-	}
-}
 
 // TestLastTSTakesOptions: LastTS accepts the variadic options like
 // every other Client operation — WithIssuer pins the asking peer under

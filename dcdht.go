@@ -12,9 +12,9 @@ import (
 	"repro/internal/dht"
 	"repro/internal/exp"
 	"repro/internal/kts"
-	"repro/internal/network"
 	"repro/internal/network/simwire"
 	"repro/internal/onehop"
+	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/scenario"
 )
@@ -51,33 +51,29 @@ type Mode = kts.InitMode
 // Ring selects the overlay substrate a deployment runs on. All three
 // substrates implement the same dht.Ring contract, so KTS/UMS/BRK run
 // on any of them unchanged.
-type Ring = exp.RingKind
+type Ring = peer.RingKind
 
 // The ring substrates.
 const (
 	// RingChord is the paper's primary substrate: O(log n) finger-table
 	// routing (default).
-	RingChord = exp.RingChord
+	RingChord = peer.RingChord
 	// RingCAN is the d-dimensional coordinate-space overlay (§4.2.1.1).
-	RingCAN = exp.RingCAN
+	RingCAN = peer.RingCAN
 	// RingOneHop keeps a full routing table per node via membership
 	// event propagation: O(1) lookups bought with O(n) event fan-out
 	// under churn (the D1HT trade).
-	RingOneHop = exp.RingOneHop
+	RingOneHop = peer.RingOneHop
 )
 
 // ParseRing parses the -ring flag spellings "chord", "can" and
 // "onehop" (empty means the chord default).
 func ParseRing(s string) (Ring, error) {
-	switch Ring(s) {
-	case "", RingChord:
-		return RingChord, nil
-	case RingCAN:
-		return RingCAN, nil
-	case RingOneHop:
-		return RingOneHop, nil
+	kind, err := peer.ParseRing(s)
+	if err != nil {
+		return "", fmt.Errorf("dcdht: %w", err)
 	}
-	return "", fmt.Errorf("dcdht: unknown ring %q (want chord, can or onehop)", s)
+	return kind, nil
 }
 
 // RepairStats reports the replica-maintenance subsystem's cumulative
@@ -137,7 +133,8 @@ type SimConfig struct {
 	// Cluster selects the LAN profile instead of Table 1's WAN model.
 	Cluster bool
 	// Ring picks the overlay substrate. The zero value keeps the
-	// paper's Chord.
+	// paper's Chord; NewSimNetwork panics on a name that is none of the
+	// three (use ParseRing on outside input).
 	Ring Ring
 	// PathCache gives every peer a lookup path cache with this many
 	// arcs: resolved lookups are remembered per key range and re-used
@@ -181,11 +178,6 @@ type SimConfig struct {
 	// an invalid scenario (use Scenario.Validate to check one first);
 	// nil plays nothing.
 	Scenario *Scenario
-}
-
-// repairConfig translates the facade knobs for the subsystem.
-func (c SimConfig) repairConfig() repair.Config {
-	return repair.Config{Every: c.RepairEvery, PerRound: c.RepairPerRound, ReadRepair: c.ReadRepair}
 }
 
 // SimNetwork is a simulated deployment of peers running Chord + KTS +
@@ -242,10 +234,8 @@ func NewSimNetwork(n int, cfg SimConfig) *SimNetwork {
 		PathCache:         cfg.PathCache,
 		RepublishEvery:    cfg.RepublishEvery,
 		RepublishPerRound: cfg.RepublishPerRound,
-		KTSMode:           cfg.Mode,
-		GraceDelay:        cfg.GraceDelay,
-		InspectEvery:      cfg.Inspect,
-		Repair:            cfg.repairConfig(),
+		KTS:               kts.Config{Mode: cfg.Mode, GraceDelay: cfg.GraceDelay, InspectEvery: cfg.Inspect},
+		Repair:            repair.Config{Every: cfg.RepairEvery, PerRound: cfg.RepairPerRound, ReadRepair: cfg.ReadRepair},
 	})
 	sim := &SimNetwork{cfg: cfg, failRate: failRate, d: d, rng: d.K.NewRand("facade")}
 	// Let maintenance settle before handing the network to the caller.
@@ -272,32 +262,14 @@ func (s *SimNetwork) Advance(d time.Duration) { s.d.RunFor(d) }
 // timestamp, issued from a random (or pinned, see WithIssuer) live
 // peer. The context's deadline is honored across every simulated RPC.
 func (s *SimNetwork) Put(ctx context.Context, key Key, data []byte, opts ...OpOption) (Result, error) {
-	oc, err := resolveOpts(opts)
-	if err != nil {
-		return Result{}, fmt.Errorf("dcdht: put(%q): %w", key, err)
-	}
-	return s.op(ctx, oc, func(ctx context.Context, p *exp.Peer) (Result, error) {
-		if oc.alg == AlgBRK {
-			return p.BRK.Insert(ctx, key, data)
-		}
-		return p.UMS.Insert(ctx, key, data)
-	})
+	return put(ctx, s, key, data, opts)
 }
 
 // Get implements Client: it returns the current replica of key, issued
 // from a random (or pinned) live peer, at the requested consistency
 // level (WithConsistency; provably current by default).
 func (s *SimNetwork) Get(ctx context.Context, key Key, opts ...OpOption) (Result, error) {
-	oc, err := resolveOpts(opts)
-	if err != nil {
-		return Result{}, fmt.Errorf("dcdht: get(%q): %w", key, err)
-	}
-	return s.op(ctx, oc, func(ctx context.Context, p *exp.Peer) (Result, error) {
-		if oc.alg == AlgBRK {
-			return p.BRK.Retrieve(ctx, key)
-		}
-		return p.UMS.RetrieveWith(ctx, key, oc.readPolicy())
-	})
+	return get(ctx, s, key, opts)
 }
 
 // LastTS implements Client: it asks KTS for the last timestamp
@@ -305,84 +277,24 @@ func (s *SimNetwork) Get(ctx context.Context, key Key, opts ...OpOption) (Result
 // WithConsistency(Bounded(d)) a cached answer observed at most d ago is
 // served without a network hop (and Eventual serves any cached answer).
 func (s *SimNetwork) LastTS(ctx context.Context, key Key, opts ...OpOption) (Timestamp, error) {
-	oc, err := resolveOpts(opts)
-	if err != nil {
-		return Timestamp{}, fmt.Errorf("dcdht: last_ts(%q): %w", key, err)
-	}
-	res, err := s.op(ctx, oc, func(ctx context.Context, p *exp.Peer) (Result, error) {
-		if ts, ok := cachedLastTS(p.KTS, key, oc); ok {
-			return Result{TS: ts}, nil
-		}
-		t, lerr := p.KTS.LastTS(ctx, key)
-		return Result{TS: t}, lerr
-	})
-	if err != nil {
-		return Timestamp{}, err
-	}
-	return res.TS, nil
+	return lastTS(ctx, s, key, opts)
 }
 
-// cachedLastTS consults a peer's last-ts cache for the relaxed
-// consistency levels: Bounded(d) serves an entry no older than d,
-// Eventual serves any entry. Current (the default) never uses it.
-func cachedLastTS(svc *kts.Service, key Key, oc opConfig) (Timestamp, bool) {
-	if !oc.levelSet || oc.level == dht.LevelCurrent {
-		return Timestamp{}, false
-	}
-	ts, age, ok := svc.Cached(key)
-	if !ok {
-		return Timestamp{}, false
-	}
-	if oc.level == dht.LevelBounded && age > oc.bound {
-		return Timestamp{}, false
-	}
-	return ts, true
-}
-
-// PutMulti implements Client: UMS writes share one batched KTS round
-// per responsible (kts.GenTSBatch) issued from a single live peer, then
-// replicate concurrently, with per-key error isolation. BRK has no KTS
-// round to batch, so its writes fan out per key as before.
+// PutMulti implements Client: the whole batch issues from one live
+// peer. UMS writes share one batched KTS round per responsible
+// (kts.GenTSBatch), then replicate concurrently, with per-key error
+// isolation; BRK has no KTS round to batch, so its writes fan out per
+// key.
 func (s *SimNetwork) PutMulti(ctx context.Context, items []KV, opts ...OpOption) ([]MultiResult, error) {
-	oc, err := resolveOpts(opts)
-	if err != nil {
-		return nil, fmt.Errorf("dcdht: put multi: %w", err)
-	}
-	keys := make([]Key, len(items))
-	for i, it := range items {
-		keys[i] = it.Key
-	}
-	if oc.alg == AlgBRK {
-		return s.multi(ctx, keys, func(ctx context.Context, i int, p *exp.Peer) (Result, error) {
-			return p.BRK.Insert(ctx, items[i].Key, items[i].Data)
-		}, oc)
-	}
-	return s.batchMulti(ctx, keys, oc, func(ctx context.Context, p *exp.Peer) ([]Result, []error) {
-		datas := make([][]byte, len(items))
-		for i := range items {
-			datas[i] = items[i].Data
-		}
-		return p.UMS.InsertMulti(ctx, keys, datas)
-	})
+	return putMulti(ctx, s, items, opts)
 }
 
-// GetMulti implements Client: UMS reads at the provably-current level
-// share one batched KTS last_ts round per responsible
-// (kts.LastTSBatch) issued from a single live peer; the relaxed levels
+// GetMulti implements Client: the whole batch issues from one live
+// peer. UMS reads at the provably-current level share one batched KTS
+// last_ts round per responsible (kts.LastTSBatch); the relaxed levels
 // and BRK have no KTS round to batch and fan out per key.
 func (s *SimNetwork) GetMulti(ctx context.Context, keys []Key, opts ...OpOption) ([]MultiResult, error) {
-	oc, err := resolveOpts(opts)
-	if err != nil {
-		return nil, fmt.Errorf("dcdht: get multi: %w", err)
-	}
-	if oc.alg == AlgBRK {
-		return s.multi(ctx, keys, func(ctx context.Context, i int, p *exp.Peer) (Result, error) {
-			return p.BRK.Retrieve(ctx, keys[i])
-		}, oc)
-	}
-	return s.batchMulti(ctx, keys, oc, func(ctx context.Context, p *exp.Peer) ([]Result, []error) {
-		return p.UMS.RetrieveMulti(ctx, keys, oc.readPolicy())
-	})
+	return getMulti(ctx, s, keys, opts)
 }
 
 // ChurnOne makes one random peer depart (gracefully or by failure per
@@ -437,86 +349,16 @@ func (s *SimNetwork) pickPeer(oc opConfig) *exp.Peer {
 	return s.d.RandomLivePeer(s.rng)
 }
 
-// op runs one operation as a simulation process, driving virtual time
-// until it completes. A context that is already done is rejected before
-// the simulation is touched, so expired deadlines fail promptly.
-func (s *SimNetwork) op(ctx context.Context, oc opConfig, fn func(context.Context, *exp.Peer) (Result, error)) (Result, error) {
-	if err := network.CtxError(ctx); err != nil {
-		return Result{}, fmt.Errorf("dcdht: %w", err)
-	}
+// issue implements issuer: one draw off the facade stream names the
+// issuing peer (unless pinned), and fn runs as a simulation process
+// while virtual time is driven until it completes.
+func (s *SimNetwork) issue(oc opConfig, fn func(*peer.Stack)) error {
 	p := s.pickPeer(oc)
 	if p == nil {
-		return Result{}, fmt.Errorf("dcdht: no live peer: %w", core.ErrUnreachable)
+		return fmt.Errorf("no live peer: %w", core.ErrUnreachable)
 	}
-	var res Result
-	var err error
-	if !s.d.Do(func() { res, err = fn(ctx, p) }) {
-		return res, fmt.Errorf("dcdht: simulation stalled: %w", core.ErrTimeout)
+	if !s.d.Do(func() { fn(p.Stack) }) {
+		return fmt.Errorf("simulation stalled: %w", core.ErrTimeout)
 	}
-	return res, err
-}
-
-// batchMulti runs a whole multi-operation from one issuing peer as a
-// single simulation process: the batched KTS round inside run is what
-// turns n per-key round trips into one round per replica set. Per-key
-// outcomes keep their error isolation.
-func (s *SimNetwork) batchMulti(ctx context.Context, keys []Key, oc opConfig, run func(context.Context, *exp.Peer) ([]Result, []error)) ([]MultiResult, error) {
-	out := make([]MultiResult, len(keys))
-	if err := network.CtxError(ctx); err != nil {
-		return nil, fmt.Errorf("dcdht: %w", err)
-	}
-	for i := range keys {
-		out[i].Key = keys[i]
-	}
-	if len(keys) == 0 {
-		return out, nil
-	}
-	p := s.pickPeer(oc)
-	if p == nil {
-		for i := range out {
-			out[i].Err = fmt.Errorf("dcdht: no live peer: %w", core.ErrUnreachable)
-		}
-		return out, nil
-	}
-	var results []Result
-	var errs []error
-	if !s.d.Do(func() { results, errs = run(ctx, p) }) {
-		return out, fmt.Errorf("dcdht: simulation stalled: %w", core.ErrTimeout)
-	}
-	for i := range out {
-		out[i].Result, out[i].Err = results[i], errs[i]
-	}
-	return out, nil
-}
-
-// multi fans n sub-operations out as concurrent simulation processes
-// and drives virtual time until all have completed. Issuing peers are
-// chosen up front so the deterministic RNG stream is consumed in a
-// reproducible order.
-func (s *SimNetwork) multi(ctx context.Context, keys []Key, issue func(context.Context, int, *exp.Peer) (Result, error), oc opConfig) ([]MultiResult, error) {
-	out := make([]MultiResult, len(keys))
-	if err := network.CtxError(ctx); err != nil {
-		return nil, fmt.Errorf("dcdht: %w", err)
-	}
-	if len(keys) == 0 {
-		return out, nil
-	}
-	peers := make([]*exp.Peer, len(keys))
-	for i := range keys {
-		peers[i] = s.pickPeer(oc)
-	}
-	ok := s.d.Do(func() {
-		s.d.Net.Env().Join(len(keys), func(i int) {
-			out[i].Key = keys[i]
-			if peers[i] == nil {
-				out[i].Err = fmt.Errorf("dcdht: no live peer: %w", core.ErrUnreachable)
-				return
-			}
-			out[i].Result, out[i].Err = issue(ctx, i, peers[i])
-		})
-	})
-	if !ok {
-		return out, fmt.Errorf("dcdht: simulation stalled: %w", core.ErrTimeout)
-	}
-	return out, nil
+	return nil
 }

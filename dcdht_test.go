@@ -83,43 +83,6 @@ func TestSimNetworkSurvivesChurn(t *testing.T) {
 	}
 }
 
-func TestSimNetworkBRKBaseline(t *testing.T) {
-	ctx := context.Background()
-	n := NewSimNetwork(32, SimConfig{Replicas: 5, Seed: 4})
-	defer n.Close()
-	if _, err := n.Put(ctx, "b", []byte("v1"), WithAlgorithm(AlgBRK)); err != nil {
-		t.Fatal(err)
-	}
-	r, err := n.Get(ctx, "b", WithAlgorithm(AlgBRK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(r.Data) != "v1" {
-		t.Fatalf("got %q", r.Data)
-	}
-	if r.Probed != 5 {
-		t.Fatalf("BRK probed %d, want all 5", r.Probed)
-	}
-	// UMS on the same network probes fewer.
-	n.Put(ctx, "u", []byte("v1"))
-	ru, err := n.Get(ctx, "u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ru.Probed >= r.Probed {
-		t.Fatalf("UMS probed %d vs BRK %d", ru.Probed, r.Probed)
-	}
-}
-
-func TestSimNetworkMissingKey(t *testing.T) {
-	ctx := context.Background()
-	n := NewSimNetwork(16, SimConfig{Replicas: 5, Seed: 5})
-	defer n.Close()
-	if _, err := n.Get(ctx, "ghost"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestAnalysisReexports(t *testing.T) {
 	if e := ExpectedRetrievals(0.35, 10); e >= 3 {
 		t.Fatalf("E(X) = %v", e)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/brk"
 	"repro/internal/can"
 	"repro/internal/chord"
 	"repro/internal/core"
@@ -20,10 +19,10 @@ import (
 	"repro/internal/network/simwire"
 	"repro/internal/obs"
 	"repro/internal/onehop"
+	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/simnet"
 	"repro/internal/store"
-	"repro/internal/ums"
 	"repro/internal/workload"
 )
 
@@ -40,31 +39,12 @@ const (
 // Algorithms lists the contenders in the paper's plotting order.
 var Algorithms = []Algorithm{AlgBRK, AlgUMSIndirect, AlgUMSDirect}
 
-// RingKind selects the overlay substrate a deployment runs on.
-type RingKind string
-
-// The three substrates behind dht.RingNode.
-const (
-	RingChord  RingKind = "chord"
-	RingCAN    RingKind = "can"
-	RingOneHop RingKind = "onehop"
-)
-
-// Peer bundles one simulated peer's substrate and services.
+// Peer is one simulated peer: the stack every deployment style runs,
+// under the name and endpoint the simulated network knows it by.
 type Peer struct {
 	Name string
 	EP   *simwire.Endpoint
-	// Node is the substrate node (chord, can or onehop).
-	Node dht.RingNode
-	// Ring is the service-facing lookup surface: Node itself, or the
-	// path cache wrapped around it when the deployment enables one.
-	Ring   dht.Ring
-	Cache  *dht.CachedRing  // nil unless Cfg.PathCache > 0
-	Repub  *dht.Republisher // nil unless Cfg.RepublishEvery > 0
-	KTS    *kts.Service
-	UMS    *ums.Service
-	BRK    *brk.Service
-	Repair *repair.Service // nil when the maintenance subsystem is off
+	*peer.Stack
 }
 
 // Alive reports whether the peer is still part of the overlay.
@@ -76,12 +56,12 @@ type DeployConfig struct {
 	Replicas int // |Hr|
 	Seed     int64
 	Net      simwire.Config
-	// Ring picks the substrate; zero value means RingChord, keeping
+	// Ring picks the substrate; zero value means peer.RingChord, keeping
 	// every pre-existing call site unchanged.
-	Ring   RingKind
+	Ring   peer.RingKind
 	Chord  chord.Config
-	CAN    can.Config    // used when Ring == RingCAN
-	OneHop onehop.Config // used when Ring == RingOneHop
+	CAN    can.Config    // used when Ring == peer.RingCAN
+	OneHop onehop.Config // used when Ring == peer.RingOneHop
 	// PathCache wraps each peer's service-facing ring in a lookup path
 	// cache with this many arcs (0 = off).
 	PathCache int
@@ -89,19 +69,10 @@ type DeployConfig struct {
 	// period (0 = off); RepublishPerRound bounds one round's pushes.
 	RepublishEvery    time.Duration
 	RepublishPerRound int
-	KTSMode           kts.InitMode
-	// GraceDelay for the indirect algorithm; zero uses the KTS default.
-	GraceDelay time.Duration
-	// InspectEvery enables KTS periodic inspection.
-	InspectEvery time.Duration
-	// KTSTimeout bounds gen_ts/last_ts round trips. A timestamp request
-	// can legitimately take many ring RPCs of server-side work (indirect
-	// initialization), so it needs far more patience than one protocol
-	// probe; zero derives 15x the Chord RPC timeout.
-	KTSTimeout time.Duration
-	// RLU enables the Responsibility-Loss-Unaware KTS fallback of §4.3
-	// (drop the counter after every generated timestamp) — an ablation.
-	RLU bool
+	// KTS tunes the timestamping service: the counter initialization
+	// mode, the indirect algorithm's grace delay, periodic inspection and
+	// the §4.3 RLU ablation.
+	KTS kts.Config
 	// PaperDataModel disables replica handoff on responsibility changes,
 	// matching the paper's DHT model (§2): a replica whose responsible
 	// departs is unavailable until the next update re-inserts it. This
@@ -128,16 +99,6 @@ type DeployConfig struct {
 	NoObs bool
 }
 
-func (c DeployConfig) ktsTimeout() time.Duration {
-	if c.KTSTimeout != 0 {
-		return c.KTSTimeout
-	}
-	if c.Chord.RPCTimeout != 0 {
-		return 15 * c.Chord.RPCTimeout
-	}
-	return 30 * time.Second
-}
-
 // Deployment is a running simulated network of peers.
 type Deployment struct {
 	Cfg   DeployConfig
@@ -151,7 +112,7 @@ type Deployment struct {
 	// time. Nil when Cfg.NoObs.
 	Obs *obs.Registry
 
-	tracer   obs.Tracer // shared MetricsTracer; nil when Cfg.NoObs
+	peerCfg  peer.Config // what every peer of this deployment is built from
 	nextName int
 }
 
@@ -163,9 +124,6 @@ func NewDeployment(cfg DeployConfig) *Deployment {
 	cfg.Chord.NoDataHandoff = cfg.PaperDataModel
 	cfg.CAN.NoDataHandoff = cfg.PaperDataModel
 	cfg.OneHop.NoDataHandoff = cfg.PaperDataModel
-	if cfg.Ring == "" {
-		cfg.Ring = RingChord
-	}
 	d := &Deployment{
 		Cfg: cfg,
 		K:   k,
@@ -177,7 +135,18 @@ func NewDeployment(cfg DeployConfig) *Deployment {
 	}
 	if !cfg.NoObs {
 		d.Obs = obs.NewRegistry()
-		d.tracer = obs.NewMetricsTracer(d.Obs)
+	}
+	d.peerCfg = peer.Config{
+		Set:       d.Set,
+		Ring:      cfg.Ring,
+		Chord:     cfg.Chord,
+		CAN:       cfg.CAN,
+		OneHop:    cfg.OneHop,
+		PathCache: cfg.PathCache,
+		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery, PerRound: cfg.RepublishPerRound},
+		KTS:       cfg.KTS,
+		Repair:    cfg.Repair,
+		Obs:       d.Obs,
 	}
 	nodes := make([]dht.RingNode, 0, cfg.Peers)
 	for i := 0; i < cfg.Peers; i++ {
@@ -187,25 +156,22 @@ func NewDeployment(cfg DeployConfig) *Deployment {
 	}
 	assembleRing(cfg.Ring, nodes)
 	for _, p := range d.Peers {
-		p.Node.Start()
-		if p.Repub != nil {
-			p.Repub.Start()
-		}
+		p.Start()
 	}
 	return d
 }
 
 // assembleRing wires the freshly created nodes administratively, per
 // substrate.
-func assembleRing(kind RingKind, nodes []dht.RingNode) {
+func assembleRing(kind peer.RingKind, nodes []dht.RingNode) {
 	switch kind {
-	case RingCAN:
+	case peer.RingCAN:
 		concrete := make([]*can.Node, len(nodes))
 		for i, n := range nodes {
 			concrete[i] = n.(*can.Node)
 		}
 		can.AssembleSpace(concrete)
-	case RingOneHop:
+	case peer.RingOneHop:
 		concrete := make([]*onehop.Node, len(nodes))
 		for i, n := range nodes {
 			concrete[i] = n.(*onehop.Node)
@@ -229,89 +195,20 @@ func (d *Deployment) newPeer() *Peer {
 
 // newPeerNamed creates a peer with all services attached (not joined).
 // Under Durable the peer's storage is its depot slot — re-using a dead
-// peer's name resumes that peer's retained state.
+// peer's name resumes that peer's retained state. An unknown
+// DeployConfig.Ring panics: it is a harness programming error, and the
+// first peer of NewDeployment already hits it.
 func (d *Deployment) newPeerNamed(name string) *Peer {
 	ep := d.Net.NewEndpoint(name)
 	var backing store.Store
 	if d.Depot != nil {
 		backing = d.Depot.Open(name)
 	}
-	var node dht.RingNode
-	switch d.Cfg.Ring {
-	case RingCAN:
-		canCfg := d.Cfg.CAN
-		canCfg.Obs = d.Obs
-		canCfg.Store = backing
-		node = can.New(d.Net.Env(), ep, hashing.NodeID(name), canCfg)
-	case RingOneHop:
-		hopCfg := d.Cfg.OneHop
-		hopCfg.Obs = d.Obs
-		hopCfg.Store = backing
-		node = onehop.New(d.Net.Env(), ep, hashing.NodeID(name), hopCfg)
-	default:
-		chordCfg := d.Cfg.Chord
-		chordCfg.Obs = d.Obs
-		chordCfg.Store = backing
-		node = chord.New(d.Net.Env(), ep, hashing.NodeID(name), chordCfg)
+	stack, err := peer.New(d.Net.Env(), ep, backing, d.peerCfg)
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
 	}
-	// The service-facing lookup surface: the node itself, or the path
-	// cache wrapped around it. Services route reads and writes through
-	// it; the substrate's own protocol traffic stays on the inner ring.
-	var ring dht.Ring = node
-	var cache *dht.CachedRing
-	if d.Cfg.PathCache > 0 {
-		cache = dht.NewCachedRing(node, dht.PathCacheConfig{
-			Capacity: d.Cfg.PathCache,
-			Obs:      d.Obs,
-		})
-		ring = cache
-	}
-	ktsCfg := kts.Config{
-		Mode:         d.Cfg.KTSMode,
-		GraceDelay:   d.Cfg.GraceDelay,
-		InspectEvery: d.Cfg.InspectEvery,
-		RPCTimeout:   d.Cfg.ktsTimeout(),
-		RLU:          d.Cfg.RLU,
-		Obs:          d.Obs,
-		Persist:      backing,
-	}
-	ktsSvc := kts.New(ring, d.Set, ums.Namespace, ktsCfg)
-	if backing != nil {
-		// Seed the counter service with what the slot retained, so a
-		// restarted responsible continues above every pre-crash grant.
-		for _, c := range backing.Counters() {
-			ktsSvc.SeedCounters([]kts.CounterEntry{{Key: c.Key, TS: c.TS}})
-		}
-	}
-	p := &Peer{
-		Name:  name,
-		EP:    ep,
-		Node:  node,
-		Ring:  ring,
-		Cache: cache,
-		KTS:   ktsSvc,
-		UMS:   ums.New(ring, d.Set, ktsSvc),
-		BRK:   brk.New(ring, d.Set),
-	}
-	if d.tracer != nil {
-		p.UMS.SetTracer(d.tracer)
-		p.BRK.SetTracer(d.tracer)
-	}
-	if d.Cfg.Repair.Enabled() {
-		rcfg := d.Cfg.Repair
-		rcfg.Obs = d.Obs
-		p.Repair = repair.New(ring, d.Set, ktsSvc, node.Store(), ums.Namespace, rcfg)
-		p.UMS.SetReadRepair(p.Repair)
-		p.Repair.Start()
-	}
-	if d.Cfg.RepublishEvery > 0 {
-		p.Repub = dht.NewRepublisher(ring, node.Store(), dht.RepublishConfig{
-			Every:    d.Cfg.RepublishEvery,
-			PerRound: d.Cfg.RepublishPerRound,
-			Obs:      d.Obs,
-		})
-	}
-	return p
+	return &Peer{Name: name, EP: ep, Stack: stack}
 }
 
 // RandomLivePeer picks a live peer uniformly using the given stream.
@@ -443,10 +340,7 @@ func (d *Deployment) RestartWithState(name string, rng interface{ Intn(int) int 
 	if p == nil {
 		return nil
 	}
-	p.Node.Start()
-	if p.Repub != nil {
-		p.Repub.Start()
-	}
+	p.Start()
 	d.Peers = append(d.Peers, p)
 	if d.Depot != nil {
 		// Recovery strategy: ship the recovered counters to whoever is

@@ -122,22 +122,6 @@ type GatewayResult struct {
 	KTSSavedPct float64 `json:"kts_saved_pct"`
 }
 
-// peerBackend adapts one simulated peer to the gateway backend
-// interface.
-type peerBackend struct{ p *Peer }
-
-func (b peerBackend) Insert(ctx context.Context, k core.Key, data []byte) (dht.OpResult, error) {
-	return b.p.UMS.Insert(ctx, k, data)
-}
-
-func (b peerBackend) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
-	return b.p.UMS.RetrieveWith(ctx, k, pol)
-}
-
-func (b peerBackend) LastTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
-	return b.p.KTS.LastTS(ctx, k)
-}
-
 // gatewayClient adapts the gateway to the workload engine's client.
 type gatewayClient struct{ g *gateway.Gateway }
 
@@ -205,7 +189,7 @@ func GatewayComparison(o Options, gwo GatewayOptions) (*GatewayResult, error) {
 	d = newDeployment()
 	pool := make([]gateway.Backend, gwo.Backends)
 	for i := 0; i < gwo.Backends; i++ {
-		pool[i] = peerBackend{p: d.Peers[i%len(d.Peers)]}
+		pool[i] = d.Peers[i%len(d.Peers)].Stack
 	}
 	gw, err := gateway.New(pool, gateway.Config{Env: d.Net.Env(), Obs: d.Obs})
 	if err != nil {

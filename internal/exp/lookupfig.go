@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/onehop"
+	"repro/internal/peer"
 )
 
 // The lookup figure: the cost model's last big lever. Every UMS/BRK
@@ -130,7 +131,7 @@ func lookupDeployment(arm string, peers int, seed int64, lo LookupOptions) *Depl
 	case LookupArmCache:
 		cfg.PathCache = lo.CacheSize
 	case LookupArmOneHop:
-		cfg.Ring = RingOneHop
+		cfg.Ring = peer.RingOneHop
 		cfg.OneHop = onehop.Config{
 			PingEvery:  sc.Chord.CheckPredEvery,
 			RPCTimeout: sc.Chord.RPCTimeout,

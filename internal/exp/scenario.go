@@ -13,6 +13,7 @@ import (
 	"repro/internal/network/simwire"
 	"repro/internal/obs"
 	"repro/internal/onehop"
+	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -42,8 +43,8 @@ type Scenario struct {
 	// Environment.
 	Seed int64
 	Net  simwire.Config
-	// Ring picks the overlay substrate (zero value = RingChord).
-	Ring   RingKind
+	// Ring picks the overlay substrate (zero value = peer.RingChord).
+	Ring   peer.RingKind
 	Chord  chord.Config
 	CAN    can.Config
 	OneHop onehop.Config
@@ -178,16 +179,14 @@ func Run(sc Scenario) *Result {
 		PathCache:         sc.PathCache,
 		RepublishEvery:    sc.RepublishEvery,
 		RepublishPerRound: sc.RepublishPerRound,
-		GraceDelay:        sc.Grace,
-		InspectEvery:      sc.Inspect,
-		RLU:               sc.RLU,
+		KTS:               kts.Config{GraceDelay: sc.Grace, InspectEvery: sc.Inspect, RLU: sc.RLU},
 		PaperDataModel:    !sc.DataHandoff,
 		Repair:            sc.Repair,
 		Durable:           sc.Durable,
 		NoObs:             sc.NoObs,
 	}
 	if sc.Algorithm == AlgUMSIndirect {
-		cfg.KTSMode = kts.ModeIndirect
+		cfg.KTS.Mode = kts.ModeIndirect
 	}
 	d := NewDeployment(cfg)
 	res := &Result{Scenario: sc}

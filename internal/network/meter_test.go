@@ -93,7 +93,7 @@ func TestMeterFanOutMerge(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Each branch derives its own metered context from the
-			// parent's, exactly like nodeMulti issuing one Put per key.
+			// parent's, exactly like a BRK PutMulti issuing one Put per key.
 			bctx := WithMeter(ctx, &subs[i])
 			for j := 0; j < chargesPer; j++ {
 				MeterFrom(bctx).Count(8)

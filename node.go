@@ -3,10 +3,8 @@ package dcdht
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/brk"
 	"repro/internal/can"
 	"repro/internal/chord"
 	"repro/internal/dht"
@@ -16,9 +14,9 @@ import (
 	"repro/internal/network/tcpwire"
 	"repro/internal/obs"
 	"repro/internal/onehop"
+	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/store"
-	"repro/internal/ums"
 )
 
 // FsyncPolicy selects when a durable node's write-ahead log reaches
@@ -118,17 +116,11 @@ type NodeConfig struct {
 // — the deployment unit of the paper's cluster experiment — plus the
 // replica-maintenance subsystem when enabled.
 type Node struct {
-	env    *network.RealEnv
-	ep     *tcpwire.Endpoint
-	ring   dht.RingNode
-	cache  *dht.CachedRing  // nil when the path cache is off
-	repub  *dht.Republisher // nil when republish is off
-	kts    *kts.Service
-	ums    *ums.Service
-	brk    *brk.Service
-	repair *repair.Service // nil when maintenance is off
-	wal    *store.WAL      // nil when the node is volatile
-	obs    *obs.Registry
+	env   *network.RealEnv
+	ep    *tcpwire.Endpoint
+	stack *peer.Stack
+	wal   *store.WAL // nil when the node is volatile
+	obs   *obs.Registry
 }
 
 // StartNode opens a TCP endpoint on listen ("127.0.0.1:0" picks a free
@@ -145,111 +137,54 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dcdht: start node: %w", err)
 	}
+	// Replicas and counters share the one recoverable unit (when
+	// durable): the log backs the replica store and journals the KTS
+	// counters.
 	var wal *store.WAL
+	var backing store.Store
 	if cfg.DataDir != "" {
 		wal, err = store.OpenWAL(cfg.DataDir, store.WALOptions{Policy: cfg.Fsync})
 		if err != nil {
 			ep.Close()
 			return nil, fmt.Errorf("dcdht: start node: %w", err)
 		}
-	}
-	env := network.NewRealEnv(cfg.Seed)
-	// Replicas and counters share the one recoverable unit (when
-	// durable). The node's ring position derives from its listen
-	// address, so a restart on the same address resumes the same arc —
-	// the recovered replicas are the ones it is responsible for again.
-	var backing store.Store
-	if wal != nil {
 		backing = wal
 	}
-	var node dht.RingNode
-	switch cfg.Ring {
-	case "", RingChord:
-		node = chord.New(env, ep, hashing.NodeID(string(ep.Addr())), chord.Config{
+	env := network.NewRealEnv(cfg.Seed)
+	const rpcTimeout = 2 * time.Second
+	stack, err := peer.New(env, ep, backing, peer.Config{
+		Set:  hashing.NewSet(cfg.Replicas),
+		Ring: cfg.Ring,
+		Chord: chord.Config{
 			StabilizeEvery:  cfg.StabilizeEvery,
 			FixFingersEvery: cfg.StabilizeEvery,
 			CheckPredEvery:  cfg.StabilizeEvery,
-			RPCTimeout:      2 * time.Second,
-			Obs:             reg,
-			Store:           backing,
-		})
-	case RingCAN:
-		node = can.New(env, ep, hashing.NodeID(string(ep.Addr())), can.Config{
-			PingEvery:  cfg.StabilizeEvery,
-			RPCTimeout: 2 * time.Second,
-			Obs:        reg,
-			Store:      backing,
-		})
-	case RingOneHop:
-		node = onehop.New(env, ep, hashing.NodeID(string(ep.Addr())), onehop.Config{
-			PingEvery:  cfg.StabilizeEvery,
-			RPCTimeout: 2 * time.Second,
-			Obs:        reg,
-			Store:      backing,
-		})
-	default:
+			RPCTimeout:      rpcTimeout,
+		},
+		CAN:       can.Config{PingEvery: cfg.StabilizeEvery, RPCTimeout: rpcTimeout},
+		OneHop:    onehop.Config{PingEvery: cfg.StabilizeEvery, RPCTimeout: rpcTimeout},
+		PathCache: cfg.PathCache,
+		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery, PerRound: cfg.RepublishPerRound},
+		KTS: kts.Config{
+			Mode:            cfg.Mode,
+			GraceDelay:      cfg.GraceDelay,
+			InspectEvery:    cfg.Inspect,
+			InspectPerRound: cfg.InspectPerRound,
+		},
+		Repair: repair.Config{Every: cfg.RepairEvery, PerRound: cfg.RepairPerRound, ReadRepair: cfg.ReadRepair},
+		Obs:    reg,
+	})
+	if err != nil {
+		env.Close()
 		if wal != nil {
 			wal.Close()
 		}
 		ep.Close()
-		return nil, fmt.Errorf("dcdht: start node: unknown ring %q (want chord, can or onehop)", cfg.Ring)
+		return nil, fmt.Errorf("dcdht: start node: %w", err)
 	}
-	// The service-facing ring: the node itself, or the path cache
-	// around it.
-	var ring dht.Ring = node
-	var cache *dht.CachedRing
-	if cfg.PathCache > 0 {
-		cache = dht.NewCachedRing(node, dht.PathCacheConfig{Capacity: cfg.PathCache, Obs: reg})
-		ring = cache
-	}
-	set := hashing.NewSet(cfg.Replicas)
-	ktsCfg := kts.Config{
-		Mode:            cfg.Mode,
-		GraceDelay:      cfg.GraceDelay,
-		InspectEvery:    cfg.Inspect,
-		InspectPerRound: cfg.InspectPerRound,
-		RPCTimeout:      30 * time.Second,
-		Obs:             reg,
-	}
-	if wal != nil {
-		ktsCfg.Persist = wal
-	}
-	ktsSvc := kts.New(ring, set, ums.Namespace, ktsCfg)
-	if wal != nil {
-		// Seed the counter service with what the log retained, so the
-		// first gen_ts after a restart continues above every timestamp
-		// granted before the crash instead of re-deriving from replicas.
-		recovered := wal.Counters()
-		entries := make([]kts.CounterEntry, 0, len(recovered))
-		for _, c := range recovered {
-			entries = append(entries, kts.CounterEntry{Key: c.Key, TS: c.TS})
-		}
-		ktsSvc.SeedCounters(entries)
-	}
-	n := &Node{
-		env:   env,
-		ep:    ep,
-		ring:  node,
-		cache: cache,
-		kts:   ktsSvc,
-		ums:   ums.New(ring, set, ktsSvc),
-		brk:   brk.New(ring, set),
-		wal:   wal,
-		obs:   reg,
-	}
-	if cfg.RepublishEvery > 0 {
-		n.repub = dht.NewRepublisher(ring, node.Store(), dht.RepublishConfig{
-			Every:    cfg.RepublishEvery,
-			PerRound: cfg.RepublishPerRound,
-			Obs:      reg,
-		})
-	}
-	tracer := obs.NewMetricsTracer(reg)
-	n.ums.SetTracer(tracer)
-	n.brk.SetTracer(tracer)
 	reg.GaugeFunc("dcdht_store_items",
 		"Replicas this node currently hosts.",
-		func() float64 { return float64(node.Store().Len()) })
+		func() float64 { return float64(stack.Node.Store().Len()) })
 	if wal != nil {
 		// The WAL keeps its own counters (it must not depend on obs);
 		// scrape-time collectors bridge them into the registry.
@@ -275,12 +210,7 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 				return 0
 			})
 	}
-	rcfg := repair.Config{Every: cfg.RepairEvery, PerRound: cfg.RepairPerRound, ReadRepair: cfg.ReadRepair, Obs: reg}
-	if rcfg.Enabled() {
-		n.repair = repair.New(ring, set, ktsSvc, node.Store(), ums.Namespace, rcfg)
-		n.ums.SetReadRepair(n.repair)
-	}
-	return n, nil
+	return &Node{env: env, ep: ep, stack: stack, wal: wal, obs: reg}, nil
 }
 
 // Addr returns the node's listen address (give it to joiners).
@@ -290,10 +220,8 @@ func (n *Node) Addr() string { return string(n.ep.Addr()) }
 // maintenance (Chord stabilization plus the replica-maintenance sweep,
 // when enabled).
 func (n *Node) CreateRing() {
-	n.ring.CreateRing()
-	n.ring.Start()
-	n.startRepair()
-	n.startRepublish()
+	n.stack.Node.CreateRing()
+	n.stack.Start()
 }
 
 // Join attaches this node to the ring reachable at bootstrap and starts
@@ -303,17 +231,15 @@ func (n *Node) CreateRing() {
 // down get corrected upward (use Recover directly for a synchronous,
 // deterministic run).
 func (n *Node) Join(bootstrap string) error {
-	if err := n.ring.Join(network.Addr(bootstrap)); err != nil {
+	if err := n.stack.Node.Join(network.Addr(bootstrap)); err != nil {
 		return err
 	}
-	n.ring.Start()
-	n.startRepair()
-	n.startRepublish()
+	n.stack.Start()
 	if n.wal != nil && n.Recovered().Counters > 0 {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
-			n.kts.RecoverTo(ctx)
+			n.stack.KTS.RecoverTo(ctx)
 		}()
 	}
 	return nil
@@ -333,89 +259,59 @@ func (n *Node) Recovered() store.Recovered {
 // returning how many remote counters were corrected upward. Join
 // already triggers this in the background after a durable restart.
 func (n *Node) Recover(ctx context.Context) (int, error) {
-	return n.kts.RecoverTo(ctx)
-}
-
-func (n *Node) startRepair() {
-	if n.repair != nil {
-		n.repair.Start()
-	}
-}
-
-func (n *Node) startRepublish() {
-	if n.repub != nil {
-		n.repub.Start()
-	}
+	return n.stack.KTS.RecoverTo(ctx)
 }
 
 // PathCacheStats reports the lookup path cache's counters (zero when
 // NodeConfig.PathCache is off).
 func (n *Node) PathCacheStats() PathCacheStats {
-	if n.cache == nil {
+	if n.stack.Cache == nil {
 		return PathCacheStats{}
 	}
-	return n.cache.Stats()
+	return n.stack.Cache.Stats()
 }
 
 // Republished reports how many replicas the periodic republisher has
 // pushed to their current responsible (zero when RepublishEvery is
 // off).
 func (n *Node) Republished() uint64 {
-	if n.repub == nil {
+	if n.stack.Repub == nil {
 		return 0
 	}
-	return n.repub.Pushed()
+	return n.stack.Repub.Pushed()
 }
 
 // RepairStats reports the replica-maintenance subsystem's counters for
 // this node (zero when RepairEvery and ReadRepair are both off).
 func (n *Node) RepairStats() RepairStats {
-	if n.repair == nil {
+	if n.stack.Repair == nil {
 		return RepairStats{}
 	}
-	return n.repair.Stats()
+	return n.stack.Repair.Stats()
 }
 
-// nodeOpts resolves and validates options for an operation issued from
-// this node: on top of the generic validation, an issuer pin is
-// rejected with ErrBadOption — a Node always issues from itself.
-func nodeOpts(what string, key Key, opts []OpOption) (opConfig, error) {
-	oc, err := resolveOpts(opts)
-	if err == nil && oc.issuerSet {
-		err = fmt.Errorf("WithIssuer on a TCP node (a node always issues from itself): %w", ErrBadOption)
+// issue implements issuer: a node always issues from itself, so an
+// issuer pin is rejected with ErrBadOption.
+func (n *Node) issue(oc opConfig, fn func(*peer.Stack)) error {
+	if oc.issuerSet {
+		return fmt.Errorf("WithIssuer on a TCP node (a node always issues from itself): %w", ErrBadOption)
 	}
-	if err != nil {
-		return oc, fmt.Errorf("dcdht: %s(%q): %w", what, key, err)
-	}
-	return oc, nil
+	fn(n.stack)
+	return nil
 }
 
 // Put implements Client: it stores data under key with a fresh
 // timestamp, issued from this node. The context's deadline and
 // cancellation are honored natively by the TCP transport.
 func (n *Node) Put(ctx context.Context, key Key, data []byte, opts ...OpOption) (Result, error) {
-	oc, err := nodeOpts("put", key, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if oc.alg == AlgBRK {
-		return n.brk.Insert(ctx, key, data)
-	}
-	return n.ums.Insert(ctx, key, data)
+	return put(ctx, n, key, data, opts)
 }
 
 // Get implements Client: it returns the current replica of key, at the
 // requested consistency level (WithConsistency; provably current by
 // default).
 func (n *Node) Get(ctx context.Context, key Key, opts ...OpOption) (Result, error) {
-	oc, err := nodeOpts("get", key, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if oc.alg == AlgBRK {
-		return n.brk.Retrieve(ctx, key)
-	}
-	return n.ums.RetrieveWith(ctx, key, oc.readPolicy())
+	return get(ctx, n, key, opts)
 }
 
 // LastTS implements Client: it asks KTS for the last timestamp
@@ -423,14 +319,7 @@ func (n *Node) Get(ctx context.Context, key Key, opts ...OpOption) (Result, erro
 // observed at most d ago is served without a network hop (and Eventual
 // serves any cached answer).
 func (n *Node) LastTS(ctx context.Context, key Key, opts ...OpOption) (Timestamp, error) {
-	oc, err := nodeOpts("last_ts", key, opts)
-	if err != nil {
-		return Timestamp{}, err
-	}
-	if ts, ok := cachedLastTS(n.kts, key, oc); ok {
-		return ts, nil
-	}
-	return n.kts.LastTS(ctx, key)
+	return lastTS(ctx, n, key, opts)
 }
 
 // PutMulti implements Client: UMS writes share one batched KTS round
@@ -438,30 +327,7 @@ func (n *Node) LastTS(ctx context.Context, key Key, opts ...OpOption) (Timestamp
 // per-key error isolation. BRK writes have no KTS round to batch and
 // fan out per key. Invalid options fail the batch as a whole.
 func (n *Node) PutMulti(ctx context.Context, items []KV, opts ...OpOption) ([]MultiResult, error) {
-	oc, err := nodeOpts("put multi", "", opts)
-	if err != nil {
-		return nil, err
-	}
-	if oc.alg == AlgBRK {
-		return nodeMulti(ctx, len(items), func(i int) (Key, Result, error) {
-			r, err := n.brk.Insert(ctx, items[i].Key, items[i].Data)
-			return items[i].Key, r, err
-		})
-	}
-	if cerr := network.CtxError(ctx); cerr != nil {
-		return nil, fmt.Errorf("dcdht: %w", cerr)
-	}
-	keys := make([]Key, len(items))
-	datas := make([][]byte, len(items))
-	for i, it := range items {
-		keys[i], datas[i] = it.Key, it.Data
-	}
-	results, errs := n.ums.InsertMulti(ctx, keys, datas)
-	out := make([]MultiResult, len(items))
-	for i := range out {
-		out[i] = MultiResult{Key: keys[i], Result: results[i], Err: errs[i]}
-	}
-	return out, nil
+	return putMulti(ctx, n, items, opts)
 }
 
 // GetMulti implements Client: UMS reads at the provably-current level
@@ -469,52 +335,14 @@ func (n *Node) PutMulti(ctx context.Context, items []KV, opts ...OpOption) ([]Mu
 // (kts.LastTSBatch); the relaxed levels and BRK fan out per key. Every
 // outcome keeps its per-key error isolation.
 func (n *Node) GetMulti(ctx context.Context, keys []Key, opts ...OpOption) ([]MultiResult, error) {
-	oc, err := nodeOpts("get multi", "", opts)
-	if err != nil {
-		return nil, err
-	}
-	if oc.alg == AlgBRK {
-		return nodeMulti(ctx, len(keys), func(i int) (Key, Result, error) {
-			r, err := n.brk.Retrieve(ctx, keys[i])
-			return keys[i], r, err
-		})
-	}
-	if cerr := network.CtxError(ctx); cerr != nil {
-		return nil, fmt.Errorf("dcdht: %w", cerr)
-	}
-	results, errs := n.ums.RetrieveMulti(ctx, keys, oc.readPolicy())
-	out := make([]MultiResult, len(keys))
-	for i := range out {
-		out[i] = MultiResult{Key: keys[i], Result: results[i], Err: errs[i]}
-	}
-	return out, nil
-}
-
-// nodeMulti fans count sub-operations out concurrently and gathers
-// per-key outcomes.
-func nodeMulti(ctx context.Context, count int, one func(i int) (Key, Result, error)) ([]MultiResult, error) {
-	if err := network.CtxError(ctx); err != nil {
-		return nil, fmt.Errorf("dcdht: %w", err)
-	}
-	out := make([]MultiResult, count)
-	var wg sync.WaitGroup
-	for i := 0; i < count; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			k, r, err := one(i)
-			out[i] = MultiResult{Key: k, Result: r, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	return out, nil
+	return getMulti(ctx, n, keys, opts)
 }
 
 // Leave departs gracefully, handing replicas and counters to the
 // successor, flushing and closing the durable store (when there is
 // one), then closes the endpoint.
 func (n *Node) Leave() error {
-	err := n.ring.Leave()
+	err := n.stack.Node.Leave()
 	if n.wal != nil {
 		if cerr := n.wal.Close(); err == nil {
 			err = cerr
@@ -529,7 +357,7 @@ func (n *Node) Leave() error {
 // flush — a durable store keeps only what its fsync policy had already
 // made stable, exactly like SIGKILL).
 func (n *Node) Close() {
-	n.ring.Crash()
+	n.stack.Node.Crash()
 	n.env.Close()
 	n.ep.Close()
 }

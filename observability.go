@@ -76,16 +76,16 @@ type NodeStatus struct {
 // Status captures the node's current state for /debug/status.
 func (n *Node) Status() NodeStatus {
 	st := NodeStatus{
-		Addr:     string(n.ring.Self().Addr),
-		ID:       n.ring.Self().ID.String(),
-		Replicas: n.ring.Store().Len(),
-		Counters: n.kts.VCSLen(),
+		Addr:     string(n.stack.Node.Self().Addr),
+		ID:       n.stack.Node.Self().ID.String(),
+		Replicas: n.stack.Node.Store().Len(),
+		Counters: n.stack.KTS.VCSLen(),
 		Durable:  n.wal != nil,
 	}
 	// The neighborhood view is substrate-specific: chord has a
 	// predecessor and successor, CAN zone neighbors, onehop a
 	// predecessor plus the full membership table.
-	switch r := n.ring.(type) {
+	switch r := n.stack.Node.(type) {
 	case *chord.Node:
 		st.Ring = string(RingChord)
 		if pred := r.Predecessor(); !pred.IsZero() {
