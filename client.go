@@ -234,22 +234,36 @@ type MultiResult struct {
 // run around it. Option resolution and the context gate are the shared
 // functions below; the protocols are internal/peer.
 type issuer interface {
+	// admit rejects resolved options this world cannot honor (a Node has
+	// no issuer to pin), with an error wrapping ErrBadOption.
+	admit(oc opConfig) error
 	// issue runs fn against the issuing peer's stack and returns once fn
 	// has. SimNetwork draws a live peer and drives virtual time around
 	// fn; Node calls fn on its own stack.
 	issue(oc opConfig, fn func(*peer.Stack)) error
 }
 
-// issueOp is the operation path of both worlds: resolve the options,
-// reject a context that is already done before anything is touched (so
-// expired deadlines fail promptly), then run fn on the issuing stack.
-func issueOp[T any](ctx context.Context, w issuer, what string, key Key, opts []OpOption, fn func(*peer.Stack, opConfig) (T, error)) (T, error) {
-	var out T
-	var opErr error
+// gate is the front of every operation in both worlds: resolve and vet
+// the options, then reject a context that is already done before
+// anything is touched (so expired deadlines fail promptly). Option
+// errors come first, so a bad call reads the same whatever the context.
+func gate(ctx context.Context, w issuer, opts []OpOption) (opConfig, error) {
 	oc, err := resolveOpts(opts)
+	if err == nil {
+		err = w.admit(oc)
+	}
 	if err == nil {
 		err = network.CtxError(ctx)
 	}
+	return oc, err
+}
+
+// issueOp is the single-key operation path of both worlds: pass the
+// gate, then run fn on the issuing stack.
+func issueOp[T any](ctx context.Context, w issuer, what string, key Key, opts []OpOption, fn func(*peer.Stack, opConfig) (T, error)) (T, error) {
+	var out T
+	var opErr error
+	oc, err := gate(ctx, w, opts)
 	if err == nil {
 		err = w.issue(oc, func(p *peer.Stack) { out, opErr = fn(p, oc) })
 	}
@@ -294,16 +308,24 @@ func getMulti(ctx context.Context, w issuer, keys []Key, opts []OpOption) ([]Mul
 	})
 }
 
-// issueMulti issues a whole batch from one stack and pairs each key
-// with its own outcome. Invalid options, a done context or no issuing
-// peer fail the batch as a whole.
+// issueMulti is the batch operation path of both worlds: pass the gate,
+// then issue the whole batch from one stack and pair each key with its
+// own outcome. Invalid options, a done context or no issuing peer fail
+// the batch as a whole; an empty batch issues nothing (and draws no
+// issuer).
 func issueMulti(ctx context.Context, w issuer, what string, keys []Key, opts []OpOption, fn func(*peer.Stack, opConfig) ([]Result, []error)) ([]MultiResult, error) {
-	return issueOp(ctx, w, what, "", opts, func(p *peer.Stack, oc opConfig) ([]MultiResult, error) {
-		results, errs := fn(p, oc)
-		out := make([]MultiResult, len(keys))
-		for i := range out {
-			out[i] = MultiResult{Key: keys[i], Result: results[i], Err: errs[i]}
-		}
-		return out, nil
-	})
+	out := make([]MultiResult, len(keys))
+	oc, err := gate(ctx, w, opts)
+	if err == nil && len(keys) > 0 {
+		err = w.issue(oc, func(p *peer.Stack) {
+			results, errs := fn(p, oc)
+			for i := range out {
+				out[i] = MultiResult{Key: keys[i], Result: results[i], Err: errs[i]}
+			}
+		})
+	}
+	if err != nil {
+		return nil, fmt.Errorf("dcdht: %s: %w", what, err)
+	}
+	return out, nil
 }

@@ -207,6 +207,18 @@ var clientContract = []struct {
 				t.Errorf("%s: err = %v, want ErrBadOption", name, err)
 			}
 		}
+		// A bad call reads the same whatever the context: option errors
+		// come before the done-context rejection.
+		done, cancel := context.WithCancel(ctx)
+		cancel()
+		for name, err := range map[string]error{
+			"get":       second(c.Get(done, "c-bad", WithIssuer(-1))),
+			"get multi": second(c.GetMulti(done, []Key{"a"}, WithConsistency(Bounded(-1)))),
+		} {
+			if !errors.Is(err, ErrBadOption) {
+				t.Errorf("%s on a canceled context: err = %v, want ErrBadOption", name, err)
+			}
+		}
 		// BRK enforces no floors, so a floored session read through it
 		// fails loudly.
 		brkSession := c.NewSession(WithAlgorithm(AlgBRK))
@@ -228,6 +240,13 @@ var clientContract = []struct {
 			"last_ts":   second(c.LastTS(ctx, "c-pin", pin)),
 			"put multi": second(c.PutMulti(ctx, one, pin)),
 			"get multi": second(c.GetMulti(ctx, []Key{"c-pin"}, pin)),
+		}
+		if !w.pins {
+			// Rejected as an option, so ahead of the done-context check.
+			done, cancel := context.WithCancel(ctx)
+			cancel()
+			errs["get, canceled"] = second(c.Get(done, "c-pin", pin))
+			errs["put multi, canceled"] = second(c.PutMulti(done, one, pin))
 		}
 		for name, err := range errs {
 			if w.pins && err != nil {

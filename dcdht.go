@@ -284,7 +284,8 @@ func (s *SimNetwork) LastTS(ctx context.Context, key Key, opts ...OpOption) (Tim
 // peer. UMS writes share one batched KTS round per responsible
 // (kts.GenTSBatch), then replicate concurrently, with per-key error
 // isolation; BRK has no KTS round to batch, so its writes fan out per
-// key.
+// key. With no live peer left to issue from, the batch fails as a whole
+// with ErrUnreachable, like a single operation.
 func (s *SimNetwork) PutMulti(ctx context.Context, items []KV, opts ...OpOption) ([]MultiResult, error) {
 	return putMulti(ctx, s, items, opts)
 }
@@ -348,6 +349,9 @@ func (s *SimNetwork) pickPeer(oc opConfig) *exp.Peer {
 	}
 	return s.d.RandomLivePeer(s.rng)
 }
+
+// admit implements issuer: every resolved option is honored here.
+func (s *SimNetwork) admit(opConfig) error { return nil }
 
 // issue implements issuer: one draw off the facade stream names the
 // issuing peer (unless pinned), and fn runs as a simulation process

@@ -83,6 +83,28 @@ func TestSimNetworkSurvivesChurn(t *testing.T) {
 	}
 }
 
+// TestSimNetworkNoLivePeer: with nobody left to issue from, single
+// operations and batches alike fail as a whole with ErrUnreachable.
+func TestSimNetworkNoLivePeer(t *testing.T) {
+	ctx := context.Background()
+	n := NewSimNetwork(2, SimConfig{Replicas: 2, Seed: 5})
+	defer n.Close()
+	n.FailOne()
+	n.FailOne()
+	if got := n.Peers(); got != 0 {
+		t.Fatalf("peers = %d, want none left", got)
+	}
+	if _, err := n.Get(ctx, "k"); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("get: err = %v, want ErrUnreachable", err)
+	}
+	for _, alg := range []Algorithm{AlgUMS, AlgBRK} {
+		res, err := n.GetMulti(ctx, []Key{"a", "b"}, WithAlgorithm(alg))
+		if !errors.Is(err, ErrUnreachable) || res != nil {
+			t.Errorf("%v get multi: %d results, err = %v; want the batch to fail with ErrUnreachable", alg, len(res), err)
+		}
+	}
+}
+
 func TestAnalysisReexports(t *testing.T) {
 	if e := ExpectedRetrievals(0.35, 10); e >= 3 {
 		t.Fatalf("E(X) = %v", e)

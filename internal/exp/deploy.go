@@ -266,10 +266,7 @@ func (d *Deployment) SpawnJoin(rng interface{ Intn(int) int }) *Peer {
 			d.Net.Kill(p.EP.Addr())
 			continue
 		}
-		p.Node.Start()
-		if p.Repub != nil {
-			p.Repub.Start()
-		}
+		p.Start()
 		d.Peers = append(d.Peers, p)
 		return p
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/repair"
 	"repro/internal/ums"
 )
 
@@ -186,5 +187,43 @@ func TestRestartWithStateVolatile(t *testing.T) {
 	})
 	if !ok {
 		t.Fatal("retrieve did not complete")
+	}
+}
+
+// TestEveryEntryPathStartsRepair: however a peer comes to be in the ring
+// — assembled at deployment, joined as a churn replacement, restarted
+// under its old name — its repair sweep runs.
+func TestEveryEntryPathStartsRepair(t *testing.T) {
+	d := NewDeployment(DeployConfig{
+		Peers:    8,
+		Replicas: 3,
+		Seed:     7,
+		Chord:    chord.Config{StabilizeEvery: 2 * time.Second, FixFingersEvery: 3 * time.Second},
+		Repair:   repair.Config{Every: 10 * time.Second},
+	})
+	defer d.K.Stop()
+	d.RunFor(30 * time.Second)
+
+	rng := d.K.NewRand("entry-paths")
+	victim := d.Peers[1]
+	var joined, restarted *Peer
+	if !d.Do(func() {
+		joined = d.SpawnJoin(rng)
+		d.Depart(victim, true)
+	}) {
+		t.Fatal("join stalled")
+	}
+	d.RunFor(5 * time.Minute) // let the survivors purge the dead peer
+	if !d.Do(func() { restarted = d.RestartWithState(victim.Name, rng) }) {
+		t.Fatal("restart stalled")
+	}
+	if joined == nil || restarted == nil {
+		t.Fatalf("joined = %v, restarted = %v; want both in the ring", joined, restarted)
+	}
+	d.RunFor(5 * time.Minute)
+	for name, p := range map[string]*Peer{"assembled": d.Peers[0], "joined": joined, "restarted": restarted} {
+		if rounds := p.Repair.Stats().Rounds; rounds == 0 {
+			t.Errorf("%s peer completed no repair sweep rounds", name)
+		}
 	}
 }

@@ -39,41 +39,16 @@ const (
 	RingOneHop RingKind = "onehop"
 )
 
-// substrate builds one kind of ring node from its part of cfg and
-// reports the per-RPC patience the node runs with.
-type substrate func(env network.Env, ep network.Endpoint, id core.ID, backing store.Store, cfg Config) (dht.RingNode, time.Duration)
-
-// substrates is the one table of ring substrates: New builds from it and
-// ParseRing validates against it.
-var substrates = map[RingKind]substrate{
-	RingChord: func(env network.Env, ep network.Endpoint, id core.ID, backing store.Store, cfg Config) (dht.RingNode, time.Duration) {
-		c := cfg.Chord
-		c.Obs, c.Store = cfg.Obs, backing
-		return chord.New(env, ep, id, c), c.RPCTimeout
-	},
-	RingCAN: func(env network.Env, ep network.Endpoint, id core.ID, backing store.Store, cfg Config) (dht.RingNode, time.Duration) {
-		c := cfg.CAN
-		c.Obs, c.Store = cfg.Obs, backing
-		return can.New(env, ep, id, c), c.RPCTimeout
-	},
-	RingOneHop: func(env network.Env, ep network.Endpoint, id core.ID, backing store.Store, cfg Config) (dht.RingNode, time.Duration) {
-		c := cfg.OneHop
-		c.Obs, c.Store = cfg.Obs, backing
-		return onehop.New(env, ep, id, c), c.RPCTimeout
-	},
-}
-
 // ParseRing validates a ring name ("chord", "can" or "onehop"; empty
 // means the chord default).
 func ParseRing(s string) (RingKind, error) {
-	kind := RingKind(s)
-	if kind == "" {
-		kind = RingChord
+	switch kind := RingKind(s); kind {
+	case "":
+		return RingChord, nil
+	case RingChord, RingCAN, RingOneHop:
+		return kind, nil
 	}
-	if _, ok := substrates[kind]; !ok {
-		return "", fmt.Errorf("unknown ring %q (want chord, can or onehop)", s)
-	}
-	return kind, nil
+	return "", fmt.Errorf("unknown ring %q (want chord, can or onehop)", s)
 }
 
 // Config is everything that shapes a peer besides where it runs. The
@@ -134,7 +109,25 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 	if err != nil {
 		return nil, err
 	}
-	node, ringRPC := substrates[kind](env, ep, hashing.NodeID(string(ep.Addr())), backing, cfg)
+	id := hashing.NodeID(string(ep.Addr()))
+	var node dht.RingNode
+	var ringRPC time.Duration // the substrate's per-RPC patience
+	switch kind {
+	case RingChord:
+		c := cfg.Chord
+		c.Obs, c.Store = cfg.Obs, backing
+		node, ringRPC = chord.New(env, ep, id, c), c.RPCTimeout
+	case RingCAN:
+		c := cfg.CAN
+		c.Obs, c.Store = cfg.Obs, backing
+		node, ringRPC = can.New(env, ep, id, c), c.RPCTimeout
+	case RingOneHop:
+		c := cfg.OneHop
+		c.Obs, c.Store = cfg.Obs, backing
+		node, ringRPC = onehop.New(env, ep, id, c), c.RPCTimeout
+	default: // a kind ParseRing admits but nothing here builds
+		return nil, fmt.Errorf("ring %q has no constructor", kind)
+	}
 	s := &Stack{Node: node, Ring: node}
 	if cfg.PathCache > 0 {
 		s.Cache = dht.NewCachedRing(node, dht.PathCacheConfig{Capacity: cfg.PathCache, Obs: cfg.Obs})

@@ -290,12 +290,17 @@ func (n *Node) RepairStats() RepairStats {
 	return n.stack.Repair.Stats()
 }
 
-// issue implements issuer: a node always issues from itself, so an
+// admit implements issuer: a node always issues from itself, so an
 // issuer pin is rejected with ErrBadOption.
-func (n *Node) issue(oc opConfig, fn func(*peer.Stack)) error {
+func (n *Node) admit(oc opConfig) error {
 	if oc.issuerSet {
 		return fmt.Errorf("WithIssuer on a TCP node (a node always issues from itself): %w", ErrBadOption)
 	}
+	return nil
+}
+
+// issue implements issuer: fn runs on the node's own stack.
+func (n *Node) issue(_ opConfig, fn func(*peer.Stack)) error {
 	fn(n.stack)
 	return nil
 }
