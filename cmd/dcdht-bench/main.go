@@ -32,8 +32,9 @@
 // gateway tier (internal/gateway, see docs/GATEWAY.md) on same-seed
 // deployments, comparing KTS traffic, coalescing factor, and latency
 // quantiles, and writes BENCH_gateway.json by default. The lookup
-// figure races the three routing substrates head-to-head — plain
-// chord, chord behind the lookup path cache, and the one-hop
+// figure races three ways of finding an owner head-to-head — chord's
+// authoritative lookup, chord as an operation resolves (guess from
+// routing state and learned arcs, else lookup), and the one-hop
 // full-table ring — on same-seed deployments, comparing hops, latency
 // and maintenance traffic (see docs/LOOKUP.md), and writes
 // BENCH_lookup.json by default. The perf figure measures the hot paths
@@ -126,7 +127,6 @@ func main() {
 	// Lookup-figure knobs (-figure lookup).
 	lookupPeersFlag := flag.String("lookup-peers", "", "comma-separated deployment sizes for the lookup figure, e.g. 100,1000; empty selects the default (100,300,1000 quick / 100,1000,10000 full)")
 	lookupSamples := flag.Int("lookup-samples", 0, "measured lookups per (arm, size) point; 0 selects the default (200)")
-	lookupCache := flag.Int("lookup-cache", 0, "path-cache capacity in arcs for the chord+cache arm; 0 selects the default (256)")
 	lookupChurn := flag.Int("lookup-churn", 0, "leave+join pairs inside the maintenance window; 0 selects the default (3)")
 	lookupWarmup := flag.Duration("lookup-warmup", 0, "settle window of simulated time before (and after) the churn window; 0 selects the default (30s)")
 	lookupMaint := flag.Duration("lookup-maint", 0, "churn-and-maintenance observation window of simulated time; 0 selects the default (1m)")
@@ -347,7 +347,6 @@ func main() {
 		t, res, err := exp.FigureLookup(opts, exp.LookupOptions{
 			Peers:       sizes,
 			Samples:     *lookupSamples,
-			CacheSize:   *lookupCache,
 			ChurnEvents: *lookupChurn,
 			Warmup:      *lookupWarmup,
 			MaintWindow: *lookupMaint,

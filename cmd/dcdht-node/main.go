@@ -75,7 +75,6 @@ func serve(args []string) {
 	readRepair := fs.Bool("read-repair", false, "refresh stale/missing replicas observed by retrieves")
 	inspect := fs.Duration("inspect", 0, "KTS periodic inspection period as a duration, e.g. 1m (0 disables)")
 	inspectBudget := fs.Int("inspect-budget", 0, "counters re-read per inspection round (0 selects the default, 4)")
-	pathCache := fs.Int("path-cache", 0, "lookup path cache capacity in arcs (0 disables; see docs/LOOKUP.md)")
 	republish := fs.Duration("republish", 0, "periodic republish interval: re-push replicas this node no longer owns to the current responsible (0 disables)")
 	dataDir := fs.String("data-dir", "", "directory for the write-ahead log; replicas and counters survive restarts (empty = volatile)")
 	fsync := fs.String("fsync", "os", "log durability: always (fsync per append), batch (periodic flush) or os (page cache)")
@@ -107,7 +106,6 @@ func serve(args []string) {
 		ReadRepair:      *readRepair,
 		Inspect:         *inspect,
 		InspectPerRound: *inspectBudget,
-		PathCache:       *pathCache,
 		RepublishEvery:  *republish,
 		DataDir:         *dataDir,
 		Fsync:           policy,

@@ -50,7 +50,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed; the run replays bit-identically per seed")
 	cluster := flag.Bool("cluster", false, "use the LAN cluster profile instead of Table 1's WAN model")
 	ring := flag.String("ring", "chord", "overlay substrate: chord, can or onehop (see docs/LOOKUP.md)")
-	pathCache := flag.Int("path-cache", 0, "per-peer lookup path cache capacity in arcs; 0 disables it")
 	republish := flag.Duration("republish", 0, "periodic republish interval (peers re-push replicas they no longer own); 0 disables it")
 	scen := flag.String("scenario", "", "scripted scenario to play over the window: calm, churn-wave, split-heal, lossy-wan or mass-crash (see docs/SCENARIOS.md); empty plays none")
 	metricsOut := flag.String("metrics-out", "", "write the run's aggregated metrics snapshot as JSON to this file (see docs/OBSERVABILITY.md)")
@@ -87,7 +86,6 @@ func main() {
 		log.Error("bad -ring", "err", err)
 		os.Exit(2)
 	}
-	sc.PathCache = *pathCache
 	sc.RepublishEvery = *republish
 	if *cluster {
 		sc.Net = simwire.Cluster()

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/dht"
 )
 
 // TestLastTSTakesOptions: LastTS accepts the variadic options like
@@ -55,7 +57,7 @@ func TestConsistencyLevelsThroughClient(t *testing.T) {
 	hts := net.d.Set.HTS.ID("doc")
 	issuer := -1
 	for i, p := range net.d.LivePeers() {
-		if _, guessed := p.Ring.Guess(hts); !guessed && !p.Ring.OwnsID(hts) {
+		if _, src := p.Node.Guess(hts); src == dht.NoGuess && !p.Node.OwnsID(hts) {
 			issuer = i
 			break
 		}

@@ -97,10 +97,14 @@ func TestCurrencyUnderBuiltinScenariosOnEveryRing(t *testing.T) {
 				// this run said nothing about the fallback.
 				outcomes := map[string]float64{}
 				for _, s := range n.MetricsSnapshot().Get("dcdht_dht_guess_total").Series {
-					outcomes[s.Labels["outcome"]] = s.Value
+					outcomes[s.Labels["outcome"]] += s.Value
 				}
 				if outcomes["hit"] == 0 || outcomes["miss"] == 0 {
 					t.Fatalf("guess outcomes %v: want both hits and misses", outcomes)
+				}
+				// On chord the same must hold for the arcs lookups taught.
+				if st := sumLearnedStats(n); ring == RingChord && (st.Hits == 0 || st.Misses == 0) {
+					t.Fatalf("learned arcs %+v: want them both used and refused", st)
 				}
 				// Let the overlay re-merge, inspection reconcile split-brain
 				// counters and repair restore replicas; then every key must

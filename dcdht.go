@@ -83,11 +83,6 @@ func ParseRing(s string) (Ring, error) {
 // Node.
 type RepairStats = repair.Stats
 
-// PathCacheStats reports the lookup path cache's counters: hits,
-// misses, stale fallbacks and the arcs currently cached. Per peer on
-// Node; aggregate with MetricsSnapshot on SimNetwork.
-type PathCacheStats = dht.PathCacheStats
-
 // The two UMS variants of the paper's evaluation.
 const (
 	// ModeDirect transfers KTS counters directly on responsibility
@@ -136,11 +131,6 @@ type SimConfig struct {
 	// paper's Chord; NewSimNetwork panics on a name that is none of the
 	// three (use ParseRing on outside input).
 	Ring Ring
-	// PathCache gives every peer a lookup path cache with this many
-	// arcs: resolved lookups are remembered per key range and re-used
-	// after a liveness-and-ownership probe, cutting repeat-lookup hops
-	// on any substrate. Zero disables it.
-	PathCache int
 	// RepublishEvery enables the periodic republisher with the given
 	// period: peers re-push replicas they still hold but no longer own
 	// to the current responsible, restoring reachability under the
@@ -231,7 +221,6 @@ func NewSimNetwork(n int, cfg SimConfig) *SimNetwork {
 		Chord:             chordCfg,
 		CAN:               canCfg,
 		OneHop:            hopCfg,
-		PathCache:         cfg.PathCache,
 		RepublishEvery:    cfg.RepublishEvery,
 		RepublishPerRound: cfg.RepublishPerRound,
 		KTS:               kts.Config{Mode: cfg.Mode, GraceDelay: cfg.GraceDelay, InspectEvery: cfg.Inspect},

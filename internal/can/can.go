@@ -288,16 +288,16 @@ func (n *Node) OwnsID(id core.ID) bool {
 // the point of id, else the neighbor whose recorded zones do. Stale
 // neighbor records can overlap after a split; the lowest ID wins so the
 // choice does not depend on map order.
-func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
+func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive {
-		return dht.NodeRef{}, false
+		return dht.NodeRef{}, dht.NoGuess
 	}
 	p := PointOf(id)
 	for _, z := range n.zones {
 		if z.Contains(p) {
-			return n.self, true
+			return n.self, dht.GuessRouting
 		}
 	}
 	var best dht.NodeRef
@@ -308,8 +308,16 @@ func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
 			}
 		}
 	}
-	return best, !best.IsZero()
+	if best.IsZero() {
+		return best, dht.NoGuess
+	}
+	return best, dht.GuessRouting
 }
+
+// GuessMissed implements dht.Ring. Zones and neighbor records are live
+// routing state, repaired by the ping/takeover lifecycle; nothing is
+// remembered beside them.
+func (n *Node) GuessMissed(dht.NodeRef) {}
 
 // Zones returns a copy of the owned zones.
 func (n *Node) Zones() []Zone {

@@ -113,6 +113,7 @@ type Node struct {
 	succs    []dht.NodeRef
 	fingers  [M]dht.NodeRef
 	nextFix  int
+	learned  learnedArcs
 	alive    bool
 	started  bool
 	handover []dht.Handover
@@ -167,6 +168,9 @@ func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
 	n.succs = []dht.NodeRef{n.self}
 	n.registerHandlers()
 	dht.RegisterStore(ep, n.store, n.OwnsID)
+	cfg.Obs.GaugeFunc("dcdht_chord_learned_arcs",
+		"Arcs proved by this node's own lookups that Guess can currently name.",
+		func() float64 { return float64(n.LearnedArcs()) })
 	return n
 }
 
@@ -218,18 +222,20 @@ func (n *Node) OwnsID(id core.ID) bool {
 }
 
 // Guess implements dht.Ring from the arcs whose both ends this node
-// knows: its own, (pred, self], when the predecessor is known, and the
-// arc between each pair of consecutive successor-list entries, owned by
-// the later one. Everything else — and everything while the
-// predecessor is unknown and the list is empty — is left to Lookup.
-func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
+// knows. Live routing state answers first: its own arc, (pred, self],
+// when the predecessor is known, and the arc between each pair of
+// consecutive successor-list entries, owned by the later one. Behind it
+// come the arcs this node's own lookups proved (learnedArcs). Everything
+// else — and everything while the predecessor is unknown, the list is
+// empty and nothing was learned — is left to Lookup.
+func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive {
-		return dht.NodeRef{}, false
+		return dht.NodeRef{}, dht.NoGuess
 	}
 	if !n.pred.IsZero() && id.Between(n.pred.ID, n.self.ID) {
-		return n.self, true
+		return n.self, dht.GuessRouting
 	}
 	prev := n.self
 	for _, s := range n.succs {
@@ -237,11 +243,14 @@ func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
 			break // the list wrapped around a ring smaller than itself
 		}
 		if id.Between(prev.ID, s.ID) {
-			return s, true
+			return s, dht.GuessRouting
 		}
 		prev = s
 	}
-	return dht.NodeRef{}, false
+	if ref, ok := n.learned.find(id); ok {
+		return ref, dht.GuessLearned
+	}
+	return dht.NodeRef{}, dht.NoGuess
 }
 
 // Predecessor returns the current predecessor (zero if unknown).
@@ -293,6 +302,7 @@ func (n *Node) setSuccessors(refs []dht.NodeRef) {
 }
 
 func (n *Node) setSuccessorsLocked(refs []dht.NodeRef) {
+	old := n.succs
 	seen := map[core.ID]bool{}
 	out := make([]dht.NodeRef, 0, n.cfg.SuccessorListLen)
 	for _, r := range refs {
@@ -309,6 +319,13 @@ func (n *Node) setSuccessorsLocked(refs []dht.NodeRef) {
 		out = append(out, n.self)
 	}
 	n.succs = out
+	// A peer maintenance wrote out of the list has left, died or been
+	// displaced: what lookups proved about it is no longer worth trying.
+	for _, s := range old {
+		if !seen[s.ID] {
+			n.learned.forget(s.ID)
+		}
+	}
 }
 
 // Crash models a failure: the node vanishes without any handoff and its

@@ -660,8 +660,8 @@ func TestGuessNeedsKnownPredecessor(t *testing.T) {
 	nd, pred, succ := sorted[1], sorted[0], sorted[2]
 	own, next := nd.Self().ID, succ.Self().ID
 
-	if g, ok := nd.Guess(own); !ok || g.ID != own {
-		t.Fatalf("converged: Guess(own id) = %v, %v, want self", g, ok)
+	if g, src := nd.Guess(own); src != dht.GuessRouting || g.ID != own {
+		t.Fatalf("converged: Guess(own id) = %v, %v, want self", g, src)
 	}
 	nd.mu.Lock()
 	nd.pred = dht.NodeRef{}
@@ -669,19 +669,19 @@ func TestGuessNeedsKnownPredecessor(t *testing.T) {
 	if !nd.OwnsID(pred.Self().ID) {
 		t.Fatal("precondition: without a predecessor OwnsID claims the whole ring")
 	}
-	if g, ok := nd.Guess(own); ok {
+	if g, src := nd.Guess(own); src != dht.NoGuess {
 		t.Errorf("unknown predecessor: Guess(own id) = %v, want it declined", g)
 	}
-	if g, ok := nd.Guess(pred.Self().ID + 1); ok {
+	if g, src := nd.Guess(pred.Self().ID + 1); src != dht.NoGuess {
 		t.Errorf("unknown predecessor: Guess(first id of the own arc) = %v, want it declined", g)
 	}
-	if g, ok := nd.Guess(next); !ok || g.ID != next {
-		t.Errorf("unknown predecessor: Guess(successor's id) = %v, %v, want the successor", g, ok)
+	if g, src := nd.Guess(next); src != dht.GuessRouting || g.ID != next {
+		t.Errorf("unknown predecessor: Guess(successor's id) = %v, %v, want the successor", g, src)
 	}
 
 	single := tr.newNode("alone")
 	single.CreateRing()
-	if g, ok := single.Guess(own); ok {
+	if g, src := single.Guess(own); src != dht.NoGuess {
 		t.Errorf("singleton ring: Guess = %v, want it declined", g)
 	}
 }

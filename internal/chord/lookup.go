@@ -87,7 +87,18 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 			resp = raw.(FindStepResp)
 		}
 		if resp.Done {
-			return resp.Next, hops, nil
+			// A remote peer naming its successor proves an exact arc
+			// when the target lies inside it; the "converging ring"
+			// answer (interval check failed) proves nothing. Arcs owned
+			// by this node are left to its live predecessor pointer.
+			next := resp.Next
+			if cur.ID != n.self.ID && next.ID != n.self.ID && next.ID != cur.ID &&
+				target.Between(cur.ID, next.ID) {
+				n.mu.Lock()
+				n.learned.learn(cur.ID, next)
+				n.mu.Unlock()
+			}
+			return next, hops, nil
 		}
 		if resp.Next.IsZero() || resp.Next.ID == cur.ID {
 			return cur, hops, nil

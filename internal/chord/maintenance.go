@@ -315,6 +315,9 @@ func (n *Node) fixNextFinger() {
 		return
 	}
 	n.mu.Lock()
+	if old := n.fingers[i]; !old.IsZero() && old.ID != ref.ID {
+		n.learned.forget(old.ID) // maintenance replaced the peer
+	}
 	n.fingers[i] = ref
 	n.mu.Unlock()
 }

@@ -55,8 +55,7 @@ type HandoverRegistrar interface {
 }
 
 // Ring is the lookup service a DHT substrate provides to the services
-// layered on it. Implementations: chord.Node, can.Node, onehop.Node and
-// the CachedRing wrapper.
+// layered on it. Implementations: chord.Node, can.Node and onehop.Node.
 type Ring interface {
 	// Self returns this peer's reference.
 	Self() NodeRef
@@ -66,14 +65,20 @@ type Ring interface {
 	// routing steps.
 	Lookup(ctx context.Context, id core.ID) (ref NodeRef, hops int, err error)
 	// Guess names the peer responsible for id from this peer's own
-	// routing state, at zero messages. It answers only from positive
-	// knowledge — an arc whose both ends the peer knows — and declines
-	// (ok false) otherwise; in particular it never answers from the
-	// "no known predecessor, so I own everything" default that OwnsID
-	// falls back to. A guess may be stale: the guessed peer's own
-	// responsibility check on the operation is what confirms it (see
-	// Router).
-	Guess(id core.ID) (ref NodeRef, ok bool)
+	// state, at zero messages. It answers only from positive knowledge
+	// — an arc whose both ends the peer knows, from live routing state
+	// (GuessRouting) or as last proved by one of its own authoritative
+	// lookups (GuessLearned) — and declines (NoGuess) otherwise; in
+	// particular it never answers from the "no known predecessor, so I
+	// own everything" default that OwnsID falls back to. A guess may be
+	// stale: the guessed peer's own responsibility check on the
+	// operation is what confirms it (see Router).
+	Guess(id core.ID) (ref NodeRef, src GuessSource)
+	// GuessMissed reports that ref, named by Guess, refused the
+	// operation or could not be reached. A ring that remembers proved
+	// arcs drops what it remembers about ref; live routing state is
+	// repaired by the substrate's own maintenance, not from here.
+	GuessMissed(ref NodeRef)
 	// Endpoint returns this peer's transport attachment, on which
 	// services register their own RPC methods.
 	Endpoint() network.Endpoint
@@ -87,6 +92,21 @@ type Ring interface {
 	// peer exports none (every obs.Registry method accepts nil).
 	Obs() *obs.Registry
 }
+
+// GuessSource says what a Guess rests on; it is also the "source" label
+// of dcdht_dht_guess_total.
+type GuessSource string
+
+const (
+	// NoGuess: the ring names nobody and the authoritative Lookup runs.
+	NoGuess GuessSource = ""
+	// GuessRouting: the substrate's live routing state (own arc,
+	// successor list, membership table, neighbor zones).
+	GuessRouting GuessSource = "routing"
+	// GuessLearned: an arc one of this peer's own lookups proved and
+	// nothing has contradicted since (chord only).
+	GuessLearned GuessSource = "learned"
+)
 
 // RingNode is the full lifecycle surface a DHT substrate exposes to the
 // deployment layer: the lookup service plus membership operations. All
@@ -162,20 +182,6 @@ type GetResp struct {
 // WireSize charges the payload against the simulated bandwidth.
 func (r GetResp) WireSize() int { return network.DefaultWireSize + len(r.Val.Data) }
 
-// OwnsReq asks a peer whether it is currently responsible for a ring
-// position. The path cache uses it as a one-message probe: before
-// trusting a cached owner, ask the owner itself. The answer comes from
-// the peer's live view, so a node that ceded the arc since the cache
-// entry was learned answers false and the caller re-resolves.
-type OwnsReq struct {
-	RingID core.ID
-}
-
-// OwnsResp answers an ownership probe.
-type OwnsResp struct {
-	Owns bool
-}
-
 // Item is one stored replica, as moved in bulk during handovers.
 type Item struct {
 	RingID core.ID
@@ -184,8 +190,7 @@ type Item struct {
 }
 
 func init() {
-	network.RegisterMessage(PutReq{}, PutResp{}, GetReq{}, GetResp{}, Item{}, []Item(nil), NodeRef{},
-		OwnsReq{}, OwnsResp{})
+	network.RegisterMessage(PutReq{}, PutResp{}, GetReq{}, GetResp{}, Item{}, []Item(nil), NodeRef{})
 }
 
 // Qualifier builds the storage qualifier for key k replicated under hash
@@ -211,7 +216,6 @@ func ParseQualifier(q string) (ns string, k core.Key, hname string, ok bool) {
 
 // Methods registered by RegisterStore.
 const (
-	MethodPut  = "dht.Put"
-	MethodGet  = "dht.Get"
-	MethodOwns = "dht.Owns"
+	MethodPut = "dht.Put"
+	MethodGet = "dht.Get"
 )

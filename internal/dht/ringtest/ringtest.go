@@ -42,6 +42,10 @@ type Factory struct {
 	// Nudge re-merges a healed partition (chord, onehop). CAN's zone
 	// geometry has no cheap cross-partition arbitration, so it opts out.
 	SupportsNudgeMerge bool
+	// LearnsArcs gates the learned-guess tests: true when Guess also
+	// answers from arcs the node's own lookups proved (chord). Rings
+	// whose Guess is live routing state only opt out.
+	LearnsArcs bool
 }
 
 // Run executes the conformance sweep against one factory.
@@ -49,9 +53,15 @@ func Run(t *testing.T, f Factory) {
 	t.Run("Ownership", func(t *testing.T) { testOwnership(t, f) })
 	t.Run("HopBound", func(t *testing.T) { testHopBound(t, f) })
 	t.Run("LookupUnderChurn", func(t *testing.T) { testLookupUnderChurn(t, f) })
-	t.Run("GuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f) })
+	t.Run("GuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f, dht.GuessRouting) })
 	for _, ev := range []string{"join", "leave", "crash"} {
-		t.Run("StaleGuessFallsBack/"+ev, func(t *testing.T) { testStaleGuessFallsBack(t, f, ev) })
+		t.Run("StaleGuessFallsBack/"+ev, func(t *testing.T) { testStaleGuessFallsBack(t, f, ev, dht.GuessRouting) })
+	}
+	if f.LearnsArcs {
+		t.Run("LearnedGuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f, dht.GuessLearned) })
+		for _, ev := range []string{"join", "leave", "crash"} {
+			t.Run("StaleLearnedArcFallsBack/"+ev, func(t *testing.T) { testStaleGuessFallsBack(t, f, ev, dht.GuessLearned) })
+		}
 	}
 	if f.SupportsNudgeMerge {
 		t.Run("HealMerge", func(t *testing.T) { testHealMerge(t, f) })
@@ -355,34 +365,45 @@ func testHealMerge(t *testing.T, f Factory) {
 
 // testGuessAgreesWithLookup checks the zero-message guess on a converged
 // overlay: for every sampled position a node either declines or names
-// the same peer the authoritative Lookup resolves — local routing state
-// is never wrong while nothing has moved.
-func testGuessAgreesWithLookup(t *testing.T, f Factory) {
+// the same peer the authoritative Lookup resolves — what a node knows is
+// never wrong while nothing has moved. src picks the knowledge under
+// test: live routing state, or (after 200 lookups from four issuers)
+// the arcs those lookups proved.
+func testGuessAgreesWithLookup(t *testing.T, f Factory, src dht.GuessSource) {
 	const peers = 24
 	c := newCluster(t, f, 505, peers)
 	rng := c.k.NewRand("guess")
+	issuers, warm := c.nodes, 0
+	if src == dht.GuessLearned {
+		issuers, warm = c.nodes[:4], 200
+	}
 	const samples = 1000
 	offered := 0
 	c.do(func() {
-		for i := 0; i < samples; i++ {
+		for i := 0; i < warm+samples; i++ {
 			id := core.ID(rng.Uint64())
-			issuer := c.nodes[i%len(c.nodes)]
-			got, ok := issuer.Guess(id)
-			if !ok {
+			issuer := issuers[i%len(issuers)]
+			got, from := issuer.Guess(id)
+			if i >= warm && from == dht.NoGuess {
 				continue
 			}
-			offered++
 			want, _, err := issuer.Lookup(context.Background(), id)
 			if err != nil {
 				t.Fatalf("lookup %s from %s: %v", id, issuer.Self().ID, err)
 			}
+			if i < warm {
+				continue
+			}
+			if from == src {
+				offered++
+			}
 			if got.ID != want.ID {
-				t.Fatalf("%s guessed %s for %s, lookup resolved %s", issuer.Self().ID, got.ID, id, want.ID)
+				t.Fatalf("%s guessed %s (%s) for %s, lookup resolved %s", issuer.Self().ID, got.ID, from, id, want.ID)
 			}
 		}
 	})
 	if offered == 0 {
-		t.Fatalf("no node offered a guess for any of %d positions", samples)
+		t.Fatalf("no node offered a %s guess for any of %d positions", src, samples)
 	}
 }
 
@@ -403,13 +424,18 @@ const (
 	clientBackoff = 100 * time.Millisecond
 )
 
-// testStaleGuessFallsBack freezes one node's routing state across a
+// testStaleGuessFallsBack freezes what one node knows across a
 // membership event, then issues a replicated put from it. The frozen
-// node still names the old owner; that peer's own responsibility check
-// (or its silence, after a crash) must send the operation to the
-// authoritative lookup at once, and every replica must land on its true
-// owner — with no back-off sleep on the way.
-func testStaleGuessFallsBack(t *testing.T, f Factory, event string) {
+// node still names the old owner — from its routing state, or from an
+// arc a lookup of its own proved before the event, whichever src asks
+// for; that peer's own responsibility check (or its silence, after a
+// crash) must send the operation to the authoritative lookup at once,
+// and every replica must land on its true owner — with no back-off
+// sleep on the way. A peer named from a learned arc is given up after
+// its first miss: two replicas aimed at the same stale arc cost one
+// wasted round trip, and nothing learned names that peer for a position
+// it does not own afterwards.
+func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.GuessSource) {
 	const peers = 16
 	c := newCluster(t, f, 606, peers)
 	issuer := c.nodes[0]
@@ -418,13 +444,29 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string) {
 	}
 	c.settle(time.Second)
 	rng := c.k.NewRand("stale-" + event)
+	if src == dht.GuessLearned {
+		c.do(func() {
+			for i := 0; i < 100; i++ {
+				if _, _, err := issuer.Lookup(context.Background(), core.ID(rng.Uint64())); err != nil {
+					t.Fatalf("warm lookup: %v", err)
+				}
+			}
+		})
+	}
+	// names reports the peer the issuer guesses for id when that guess
+	// rests on src.
+	names := func(id core.ID) (dht.NodeRef, bool) {
+		g, from := issuer.Guess(id)
+		return g, from == src
+	}
 	// Pick where the event happens: at a peer the issuer can name — not
-	// itself, so its knowledge is what goes stale, and not the bootstrap
+	// itself, so its knowledge is what goes stale, not its predecessor,
+	// whose arc would fall to the cut-off issuer, and not the bootstrap
 	// a joiner goes through.
 	var named dht.RingNode
 	for named == nil {
-		g, ok := issuer.Guess(core.ID(rng.Uint64()))
-		if ok && g.ID != issuer.Self().ID && g.ID != c.nodes[1].Self().ID {
+		g, ok := names(core.ID(rng.Uint64()))
+		if ok && g.ID != issuer.Self().ID && !issuer.OwnsID(g.ID+1) && g.ID != c.nodes[1].Self().ID {
 			named = c.byID(g.ID)
 		}
 	}
@@ -434,7 +476,7 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string) {
 	var joiner dht.RingNode
 	for event == "join" && joiner == nil {
 		cand := c.newNode()
-		if g, ok := issuer.Guess(cand.Self().ID); ok && g.ID == named.Self().ID {
+		if g, ok := names(cand.Self().ID); ok && g.ID == named.Self().ID {
 			joiner = cand
 			c.nodes = append(c.nodes, joiner)
 		}
@@ -485,27 +527,25 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string) {
 		}
 		return own
 	}
-	// Find a position whose guess went stale: the issuer names a peer
-	// that is no longer the owner.
-	var stale core.ID
-	found := false
-	for i := 0; i < 5000 && !found; i++ {
+	// Find two positions whose guess went stale: the issuer names
+	// `named`, which is no longer the owner.
+	var hr []fixedHash
+	for i := 0; i < 5000 && len(hr) < 2; i++ {
 		id := core.ID(rng.Uint64())
-		g, ok := issuer.Guess(id)
-		if own := truth(id); ok && own != nil && g.ID != issuer.Self().ID && g.ID != own.Self().ID {
-			stale, found = id, true
+		g, ok := names(id)
+		if own := truth(id); ok && own != nil && g.ID == named.Self().ID && g.ID != own.Self().ID {
+			hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
 		}
 	}
-	if !found {
-		t.Fatalf("after the %s no guess of %s went stale", event, issuer.Self().ID)
+	if len(hr) < 2 {
+		t.Fatalf("after the %s %s names %s for %d stale positions, want 2", event, issuer.Self().ID, named.Self().ID, len(hr))
 	}
 
-	// One put replicated under |Hr| = 3 functions, the first aimed at
-	// the stale position, each on a position the issuer does not claim.
-	hr := []fixedHash{{stale, "h0"}}
+	// One put replicated under |Hr| = 3 functions, the first two aimed
+	// at the stale arc, each on a position the issuer does not claim.
 	for len(hr) < 3 {
 		id := core.ID(rng.Uint64())
-		if truth(id) != nil && !issuer.OwnsID(id) {
+		if g, _ := issuer.Guess(id); truth(id) != nil && !issuer.OwnsID(id) && g.ID != named.Self().ID {
 			hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
 		}
 	}
@@ -543,5 +583,17 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string) {
 	}
 	if _, misses := cl.Router().GuessStats(); misses == 0 {
 		t.Errorf("the stale guess was never refused: no miss counted")
+	}
+	if src != dht.GuessLearned {
+		return
+	}
+	if _, misses := cl.Router().LearnedStats(); misses != 1 {
+		t.Errorf("learned misses = %d, want exactly 1: the first refusal gives %s up", misses, named.Self().ID)
+	}
+	for i := 0; i < 2000; i++ {
+		id := core.ID(rng.Uint64())
+		if g, ok := names(id); ok && g.ID == named.Self().ID && (!named.Alive() || !named.OwnsID(id)) {
+			t.Fatalf("a learned arc still names %s for %s, which it does not own", g.ID, id)
+		}
 	}
 }

@@ -40,6 +40,7 @@ func chordFactory() Factory {
 		// unlucky ID distributions.
 		MaxMeanHops:        func(n int) float64 { return 2.5 * math.Log2(float64(n)) },
 		SupportsNudgeMerge: true,
+		LearnsArcs:         true,
 	}
 }
 

@@ -30,29 +30,37 @@ type RouteConfig struct {
 
 // Router delivers an operation to the peer responsible for a ring
 // position — the paper's "locate rsp(k, h), then talk to it" — in one
-// round trip when it can: it first names the owner from the ring's
-// local routing state (Ring.Guess, zero messages) and sends the
-// operation straight there. Every operation handler already refuses
-// positions its peer does not own (core.ErrNotResponsible), so the
-// callee's answer is the confirmation a separate lookup would have
-// bought. Only when the guess is refused or the guessed peer is
-// unreachable does the router pay for the authoritative Ring.Lookup,
+// round trip when it can: it first names the owner from what the ring
+// already knows (Ring.Guess, zero messages) and sends the operation
+// straight there. Every operation handler already refuses positions its
+// peer does not own (core.ErrNotResponsible), so the callee's answer is
+// the confirmation a separate lookup would have bought. Only when the
+// guess is refused or the guessed peer is unreachable does the router
+// pay for the authoritative Ring.Lookup — after telling the ring, so a
+// peer that is gone costs one wasted round trip, not one per use —
 // immediately and then under the configured retry policy.
 type Router struct {
 	ring Ring
 	cfg  RouteConfig
 
-	hits   *obs.Counter
-	misses *obs.Counter
+	routing, learned guessCounters
+	declined         *obs.Counter
 }
+
+// guessCounters count the guesses from one source by how they ended.
+type guessCounters struct{ hit, miss *obs.Counter }
 
 // NewRouter builds a router over ring; its guess counters land in the
 // ring's metrics registry.
 func NewRouter(ring Ring, cfg RouteConfig) *Router {
-	outcome := ring.Obs().CounterVec("dcdht_dht_guess_total",
-		"Operations sent to an owner named from local routing state, by whether that peer accepted (hit) or the authoritative lookup had to run (miss).",
-		"outcome")
-	return &Router{ring: ring, cfg: cfg, hits: outcome.With("hit"), misses: outcome.With("miss")}
+	total := ring.Obs().CounterVec("dcdht_dht_guess_total",
+		"Owner resolutions by what the ring's guess rested on (routing state, a learned arc, none) and how it ended: the named peer accepted the operation (hit), refused or was unreachable so the authoritative lookup ran (miss), or the ring named nobody (declined).",
+		"source", "outcome")
+	by := func(src GuessSource) guessCounters {
+		return guessCounters{hit: total.With(string(src), "hit"), miss: total.With(string(src), "miss")}
+	}
+	return &Router{ring: ring, cfg: cfg,
+		routing: by(GuessRouting), learned: by(GuessLearned), declined: total.With("none", "declined")}
 }
 
 // retryable reports whether err means "the responsible moved or died:
@@ -62,17 +70,27 @@ func retryable(err error) bool {
 		errors.Is(err, core.ErrUnreachable)
 }
 
+// guess asks the ring to name id's owner and counts it when the ring
+// declines.
+func (r *Router) guess(id core.ID) (NodeRef, GuessSource) {
+	ref, src := r.ring.Guess(id)
+	if src == NoGuess {
+		r.declined.Inc()
+	}
+	return ref, src
+}
+
 // resolve names the peer to send an operation for id to: the ring's
 // guess when one is wanted and offered, the authoritative Lookup
 // otherwise.
-func (r *Router) resolve(ctx context.Context, id core.ID, guess bool) (ref NodeRef, guessed bool, err error) {
+func (r *Router) resolve(ctx context.Context, id core.ID, guess bool) (ref NodeRef, src GuessSource, err error) {
 	if guess {
-		if ref, ok := r.ring.Guess(id); ok {
-			return ref, true, nil
+		if ref, src = r.guess(id); src != NoGuess {
+			return ref, src, nil
 		}
 	}
 	ref, _, err = r.ring.Lookup(ctx, id)
-	return ref, false, err
+	return ref, NoGuess, err
 }
 
 // Send performs one operation on ref: locally when ref is this peer and
@@ -84,16 +102,23 @@ func (r *Router) Send(ctx context.Context, ref NodeRef, method string, req netwo
 	return r.ring.Endpoint().Invoke(ctx, ref.Addr, method, req, network.Call{Timeout: r.cfg.Timeout})
 }
 
-// settle records how an operation sent to a resolved peer ended and
-// reports whether it must be re-resolved.
-func (r *Router) settle(guessed bool, err error) (retry bool) {
+// settle records how an operation sent to ref ended and reports whether
+// it must be re-resolved. src is what named ref: a guess that missed is
+// reported to the ring before anything is resolved again.
+func (r *Router) settle(ref NodeRef, src GuessSource, err error) (retry bool) {
 	retry = retryable(err)
-	if guessed {
-		if retry {
-			r.misses.Inc()
-		} else {
-			r.hits.Inc()
-		}
+	if src == NoGuess {
+		return retry
+	}
+	c := &r.routing
+	if src == GuessLearned {
+		c = &r.learned
+	}
+	if retry {
+		c.miss.Inc()
+		r.ring.GuessMissed(ref)
+	} else {
+		c.hit.Inc()
 	}
 	return retry
 }
@@ -112,9 +137,9 @@ func (r *Router) Call(ctx context.Context, id core.ID, method string, req networ
 	if err := network.CtxError(ctx); err != nil {
 		return nil, err
 	}
-	if ref, ok := r.ring.Guess(id); ok {
+	if ref, src := r.guess(id); src != NoGuess {
 		resp, err := r.Send(ctx, ref, method, req)
-		if !r.settle(true, err) {
+		if !r.settle(ref, src, err) {
 			return resp, err
 		}
 	}
@@ -151,7 +176,7 @@ func (r *Router) Call(ctx context.Context, id core.ID, method string, req networ
 // next round; the result is each position's final outcome.
 func (r *Router) CallEach(ctx context.Context, ids []core.ID, send func(ref NodeRef, idx []int) []error) []error {
 	errs := make([]error, len(ids))
-	guessed := make([]bool, len(ids))
+	guessed := make([]GuessSource, len(ids))
 	pending := make([]int, len(ids))
 	for i := range pending {
 		pending[i] = i
@@ -176,12 +201,12 @@ func (r *Router) CallEach(ctx context.Context, ids []core.ID, send func(ref Node
 		var order []NodeRef
 		groups := make(map[network.Addr][]int)
 		for _, i := range pending {
-			ref, g, err := r.resolve(ctx, ids[i], round == 0)
+			ref, src, err := r.resolve(ctx, ids[i], round == 0)
 			if err != nil {
 				errs[i] = err
 				continue
 			}
-			if guessed[i] = g; g && rounds == r.cfg.Retries+1 {
+			if guessed[i] = src; src != NoGuess && rounds == r.cfg.Retries+1 {
 				rounds++ // a round with guesses in it is outside the retry budget
 			}
 			if _, seen := groups[ref.Addr]; !seen {
@@ -195,9 +220,9 @@ func (r *Router) CallEach(ctx context.Context, ids []core.ID, send func(ref Node
 			for j, err := range send(ref, idx) {
 				i := idx[j]
 				errs[i] = err
-				if r.settle(guessed[i], err) {
+				if r.settle(ref, guessed[i], err) {
 					pending = append(pending, i)
-					backoff = backoff || !guessed[i]
+					backoff = backoff || guessed[i] == NoGuess
 				}
 			}
 		}
@@ -206,7 +231,15 @@ func (r *Router) CallEach(ctx context.Context, ids []core.ID, send func(ref Node
 }
 
 // GuessStats reports how many guessed owners accepted their operation
-// and how many sent it back to the authoritative lookup.
+// and how many sent it back to the authoritative lookup, over both
+// sources.
 func (r *Router) GuessStats() (hits, misses uint64) {
-	return r.hits.Value(), r.misses.Value()
+	lh, lm := r.LearnedStats()
+	return r.routing.hit.Value() + lh, r.routing.miss.Value() + lm
+}
+
+// LearnedStats is GuessStats for the guesses that rested on a learned
+// arc.
+func (r *Router) LearnedStats() (hits, misses uint64) {
+	return r.learned.hit.Value(), r.learned.miss.Value()
 }

@@ -194,10 +194,6 @@ func RegisterStore(ep network.Endpoint, store *LocalStore, owns func(core.ID) bo
 		stored := store.Put(r.RingID, r.Qual, r.Val, r.Mode)
 		return PutResp{Stored: stored}, nil
 	})
-	ep.Handle(MethodOwns, func(_ network.Addr, req network.Message) (network.Message, error) {
-		r := req.(OwnsReq)
-		return OwnsResp{Owns: owns == nil || owns(r.RingID)}, nil
-	})
 	ep.Handle(MethodGet, func(_ network.Addr, req network.Message) (network.Message, error) {
 		r := req.(GetReq)
 		if owns != nil && !owns(r.RingID) {

@@ -62,9 +62,6 @@ type DeployConfig struct {
 	Chord  chord.Config
 	CAN    can.Config    // used when Ring == peer.RingCAN
 	OneHop onehop.Config // used when Ring == peer.RingOneHop
-	// PathCache wraps each peer's service-facing ring in a lookup path
-	// cache with this many arcs (0 = off).
-	PathCache int
 	// RepublishEvery runs each peer's periodic republisher at this
 	// period (0 = off); RepublishPerRound bounds one round's pushes.
 	RepublishEvery    time.Duration
@@ -142,7 +139,6 @@ func NewDeployment(cfg DeployConfig) *Deployment {
 		Chord:     cfg.Chord,
 		CAN:       cfg.CAN,
 		OneHop:    cfg.OneHop,
-		PathCache: cfg.PathCache,
 		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery, PerRound: cfg.RepublishPerRound},
 		KTS:       cfg.KTS,
 		Repair:    cfg.Repair,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/network"
 	"repro/internal/onehop"
 	"repro/internal/peer"
@@ -14,11 +15,13 @@ import (
 // The lookup figure: the cost model's last big lever. Every UMS/BRK
 // operation pays one ring lookup per replica, so routing hops dominate
 // Get latency at scale. Three arms run the identical sample stream on
-// same-seed deployments — plain chord, chord behind the lookup path
-// cache, and the onehop full-table ring — and the figure compares mean
-// hops, simulated latency, and the maintenance traffic each substrate
-// pays for its routing state (the D1HT trade: O(1) lookups bought with
-// O(n) membership-event fan-out under churn).
+// same-seed deployments — chord's authoritative Ring.Lookup, chord as
+// an operation resolves an owner (Guess from routing state and learned
+// arcs at zero messages, Lookup only when it declines), and the onehop
+// full-table ring — and the figure compares mean hops, simulated
+// latency, and the maintenance traffic each substrate pays for its
+// routing state (the D1HT trade: O(1) lookups bought with O(n)
+// membership-event fan-out under churn).
 
 // LookupArm names one contender.
 const (
@@ -38,9 +41,6 @@ type LookupOptions struct {
 	Peers []int
 	// Samples is the number of lookups measured per point (default 200).
 	Samples int
-	// CacheSize is the path-cache capacity for the cache arm
-	// (default 256 arcs).
-	CacheSize int
 	// Warmup settles the assembled overlay before measuring
 	// (default 30s simulated).
 	Warmup time.Duration
@@ -62,9 +62,6 @@ func (lo LookupOptions) withDefaults(full bool) LookupOptions {
 	}
 	if lo.Samples <= 0 {
 		lo.Samples = 200
-	}
-	if lo.CacheSize <= 0 {
-		lo.CacheSize = 256
 	}
 	if lo.Warmup <= 0 {
 		lo.Warmup = 30 * time.Second
@@ -98,8 +95,11 @@ type LookupPoint struct {
 	// WrongOwner counts lookups that resolved to a node which does not
 	// claim the target — the figure's safety check; must be zero.
 	WrongOwner int `json:"wrong_owner"`
-	// CacheHitRate and StaleFallbacks describe the cache arm
-	// (zero elsewhere).
+	// CacheHitRate and StaleFallbacks describe the chord+cache arm
+	// (zero elsewhere): the share of samples a learned arc answered
+	// correctly at zero messages, and the guesses whose named peer did
+	// not claim the target — each charged the hop an operation would
+	// waste on it before its fallback Lookup.
 	CacheHitRate   float64 `json:"cache_hit_rate"`
 	StaleFallbacks uint64  `json:"stale_fallbacks"`
 	// OneHopTableSize is the issuer's routing-table size on the onehop
@@ -112,13 +112,13 @@ type LookupPoint struct {
 type LookupResult struct {
 	Seed        int64         `json:"seed"`
 	Samples     int           `json:"samples"`
-	CacheSize   int           `json:"cache_size"`
 	ChurnEvents int           `json:"churn_events"`
 	Points      []LookupPoint `json:"points"`
 }
 
-// lookupDeployment builds one arm's deployment at the given size.
-func lookupDeployment(arm string, peers int, seed int64, lo LookupOptions) *Deployment {
+// lookupDeployment builds one arm's deployment at the given size. The
+// two chord arms share it: they differ in how a sample is resolved.
+func lookupDeployment(arm string, peers int, seed int64) *Deployment {
 	sc := Table1Scenario(AlgUMSDirect, peers, seed)
 	cfg := DeployConfig{
 		Peers:    peers,
@@ -127,10 +127,7 @@ func lookupDeployment(arm string, peers int, seed int64, lo LookupOptions) *Depl
 		Net:      sc.Net,
 		Chord:    sc.Chord,
 	}
-	switch arm {
-	case LookupArmCache:
-		cfg.PathCache = lo.CacheSize
-	case LookupArmOneHop:
+	if arm == LookupArmOneHop {
 		cfg.Ring = peer.RingOneHop
 		cfg.OneHop = onehop.Config{
 			PingEvery:  sc.Chord.CheckPredEvery,
@@ -142,10 +139,10 @@ func lookupDeployment(arm string, peers int, seed int64, lo LookupOptions) *Depl
 
 // measureLookupPoint runs one (arm, peers) cell: assemble, settle, play
 // the churn window (charged to maintenance), re-settle, then meter the
-// sample stream from a fixed issuer — the client's-eye view a path
-// cache accelerates.
+// sample stream from a fixed issuer — the client's-eye view learned
+// arcs accelerate.
 func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (LookupPoint, error) {
-	d := lookupDeployment(arm, peers, o.seed(), lo)
+	d := lookupDeployment(arm, peers, o.seed())
 	defer d.K.Stop()
 	pt := LookupPoint{Arm: arm, Peers: peers, Samples: lo.Samples}
 	d.RunFor(lo.Warmup)
@@ -181,26 +178,48 @@ func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (Loo
 	rng := d.K.NewRand("lookup-samples")
 	env := d.Net.Env()
 	meter := &network.Meter{}
-	var totalHops, latSamples int
+	var totalHops, latSamples, learnedHits int
 	var totalLat time.Duration
+	owns := func(ref dht.NodeRef, id core.ID) bool {
+		resolved := lookupLiveByID(d, ref.ID)
+		return resolved != nil && resolved.Node.OwnsID(id)
+	}
 	ok := d.Do(func() {
 		ctx := network.WithMeter(context.Background(), meter)
 		for i := 0; i < lo.Samples; i++ {
 			id := core.ID(rng.Uint64())
 			t0 := env.Now()
-			ref, hops, err := issuer.Ring.Lookup(ctx, id)
+			hops := 0
+			if arm == LookupArmCache {
+				// What dht.Router does: take the ring's guess, and pay
+				// for the authoritative lookup only when it names nobody
+				// or the named peer would turn the operation away (one
+				// wasted hop).
+				if ref, src := issuer.Node.Guess(id); src != dht.NoGuess && owns(ref, id) {
+					if src == dht.GuessLearned {
+						learnedHits++
+					}
+					latSamples++
+					continue
+				} else if src != dht.NoGuess {
+					pt.StaleFallbacks++
+					issuer.Node.GuessMissed(ref)
+					hops = 1
+				}
+			}
+			ref, walked, err := issuer.Node.Lookup(ctx, id)
 			if err != nil {
 				pt.WrongOwner++
 				continue
 			}
+			hops += walked
 			totalLat += env.Now() - t0
 			latSamples++
 			totalHops += hops
 			if hops > pt.MaxHops {
 				pt.MaxHops = hops
 			}
-			resolved := lookupLiveByID(d, ref.ID)
-			if resolved == nil || !resolved.Node.OwnsID(id) {
+			if !owns(ref, id) {
 				pt.WrongOwner++
 			}
 		}
@@ -213,13 +232,7 @@ func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (Loo
 		pt.MeanLatencyMs = float64(totalLat) / float64(time.Millisecond) / float64(latSamples)
 	}
 	pt.LookupMsgs = meter.Msgs
-	if issuer.Cache != nil {
-		st := issuer.Cache.Stats()
-		if st.Hits+st.Misses > 0 {
-			pt.CacheHitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-		}
-		pt.StaleFallbacks = st.Fallbacks
-	}
+	pt.CacheHitRate = float64(learnedHits) / float64(lo.Samples)
 	if hop, isOneHop := issuer.Node.(*onehop.Node); isOneHop {
 		pt.OneHopTableSize = hop.TableSize()
 	}
@@ -242,7 +255,6 @@ func LookupComparison(o Options, lo LookupOptions) (*LookupResult, error) {
 	res := &LookupResult{
 		Seed:        o.seed(),
 		Samples:     lo.Samples,
-		CacheSize:   lo.CacheSize,
 		ChurnEvents: lo.ChurnEvents,
 	}
 	for _, peers := range lo.Peers {

@@ -48,10 +48,8 @@ type Scenario struct {
 	Chord  chord.Config
 	CAN    can.Config
 	OneHop onehop.Config
-	// PathCache enables the per-peer lookup path cache with this many
-	// arcs (0 = off); RepublishEvery/RepublishPerRound run the periodic
-	// republisher (see DeployConfig).
-	PathCache         int
+	// RepublishEvery/RepublishPerRound run the periodic republisher
+	// (see DeployConfig).
 	RepublishEvery    time.Duration
 	RepublishPerRound int
 	Grace             time.Duration
@@ -176,7 +174,6 @@ func Run(sc Scenario) *Result {
 		Chord:             sc.Chord,
 		CAN:               sc.CAN,
 		OneHop:            sc.OneHop,
-		PathCache:         sc.PathCache,
 		RepublishEvery:    sc.RepublishEvery,
 		RepublishPerRound: sc.RepublishPerRound,
 		KTS:               kts.Config{GraceDelay: sc.Grace, InspectEvery: sc.Inspect, RLU: sc.RLU},

@@ -25,9 +25,10 @@ func (r stubRing) Env() network.Env           { return r.env }
 func (r stubRing) OwnsID(id core.ID) bool     { return false }
 func (r stubRing) Alive() bool                { return true }
 func (r stubRing) Obs() *obs.Registry         { return nil }
-func (r stubRing) Guess(core.ID) (dht.NodeRef, bool) {
-	return dht.NodeRef{}, false
+func (r stubRing) Guess(core.ID) (dht.NodeRef, dht.GuessSource) {
+	return dht.NodeRef{}, dht.NoGuess
 }
+func (r stubRing) GuessMissed(dht.NodeRef) {}
 
 // TestLastTSCacheRaceHammer drives the last-ts cache from many
 // goroutines at once — the TCP-transport shape, where concurrent client

@@ -198,14 +198,22 @@ func (n *Node) OwnsID(id core.ID) bool {
 // Guess implements dht.Ring: the table's successor of id. A table that
 // holds only self names nobody — that is the own-everything default,
 // not knowledge.
-func (n *Node) Guess(id core.ID) (dht.NodeRef, bool) {
+func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if !n.alive || len(n.table) <= 1 {
-		return dht.NodeRef{}, false
+		return dht.NodeRef{}, dht.NoGuess
 	}
-	return n.successorOfLocked(id, nil)
+	if ref, ok := n.successorOfLocked(id, nil); ok {
+		return ref, dht.GuessRouting
+	}
+	return dht.NodeRef{}, dht.NoGuess
 }
+
+// GuessMissed implements dht.Ring. The table is live routing state,
+// which the ping/evict lifecycle repairs; nothing is remembered beside
+// it.
+func (n *Node) GuessMissed(dht.NodeRef) {}
 
 // Predecessor returns this node's table predecessor (zero when the
 // table holds only self).

@@ -1,8 +1,10 @@
 // Package peer is the one peer stack and the one operation path both
 // deployment styles run. The paper's services are thin layers over any
-// DHT, so a peer is the same assembly everywhere: a ring substrate,
-// optionally a lookup path cache around it, KTS, UMS and BRK on top, and
-// the maintenance loops (republisher, replica repair) beside them. The
+// DHT, so a peer is the same assembly everywhere: a ring substrate, KTS,
+// UMS and BRK on top of it, and the maintenance loops (republisher,
+// replica repair) beside them. Nothing sits between the services and
+// the substrate: what speeds owner resolution up (chord's learned arcs,
+// onehop's table) lives inside the ring, behind dht.Ring.Guess. The
 // simulator and the TCP node differ only in what they hand New — the
 // Env, the endpoint and the backing store — and in who picks the issuing
 // peer; everything else is this package.
@@ -64,9 +66,6 @@ type Config struct {
 	Chord  chord.Config
 	CAN    can.Config
 	OneHop onehop.Config
-	// PathCache wraps the service-facing ring in a lookup path cache
-	// with this many arcs (0 = off).
-	PathCache int
 	// Republish tunes the periodic republisher; a zero Every leaves the
 	// peer without one.
 	Republish dht.RepublishConfig
@@ -81,13 +80,9 @@ type Config struct {
 
 // Stack is one assembled peer.
 type Stack struct {
-	// Node is the substrate node (chord, can or onehop).
-	Node dht.RingNode
-	// Ring is the service-facing lookup surface: Node itself, or the
-	// path cache wrapped around it. Services route reads and writes
-	// through it; the substrate's own protocol traffic stays on Node.
-	Ring   dht.Ring
-	Cache  *dht.CachedRing  // nil unless Config.PathCache > 0
+	// Node is the substrate node (chord, can or onehop); the services
+	// route reads and writes through it directly.
+	Node   dht.RingNode
 	Repub  *dht.Republisher // nil unless Config.Republish.Every > 0
 	KTS    *kts.Service
 	UMS    *ums.Service
@@ -128,11 +123,7 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 	default: // a kind ParseRing admits but nothing here builds
 		return nil, fmt.Errorf("ring %q has no constructor", kind)
 	}
-	s := &Stack{Node: node, Ring: node}
-	if cfg.PathCache > 0 {
-		s.Cache = dht.NewCachedRing(node, dht.PathCacheConfig{Capacity: cfg.PathCache, Obs: cfg.Obs})
-		s.Ring = s.Cache
-	}
+	s := &Stack{Node: node}
 
 	ktsCfg := cfg.KTS
 	// A timestamp request can legitimately take many ring RPCs of
@@ -145,7 +136,7 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 	ktsCfg.RPCTimeout = 15 * ringRPC
 	ktsCfg.Obs = cfg.Obs
 	ktsCfg.Persist = backing
-	s.KTS = kts.New(s.Ring, cfg.Set, ums.Namespace, ktsCfg)
+	s.KTS = kts.New(node, cfg.Set, ums.Namespace, ktsCfg)
 	if backing != nil {
 		recovered := backing.Counters()
 		entries := make([]kts.CounterEntry, len(recovered))
@@ -154,8 +145,8 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 		}
 		s.KTS.SeedCounters(entries)
 	}
-	s.UMS = ums.New(s.Ring, cfg.Set, s.KTS)
-	s.BRK = brk.New(s.Ring, cfg.Set)
+	s.UMS = ums.New(node, cfg.Set, s.KTS)
+	s.BRK = brk.New(node, cfg.Set)
 	if cfg.Obs != nil {
 		// Families register once per registry, so peers sharing one
 		// aggregate into the same series.
@@ -167,12 +158,12 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 	if cfg.Republish.Every > 0 {
 		rcfg := cfg.Republish
 		rcfg.Obs = cfg.Obs
-		s.Repub = dht.NewRepublisher(s.Ring, node.Store(), rcfg)
+		s.Repub = dht.NewRepublisher(node, node.Store(), rcfg)
 	}
 	if cfg.Repair.Enabled() {
 		rcfg := cfg.Repair
 		rcfg.Obs = cfg.Obs
-		s.Repair = repair.New(s.Ring, cfg.Set, s.KTS, node.Store(), ums.Namespace, rcfg)
+		s.Repair = repair.New(node, cfg.Set, s.KTS, node.Store(), ums.Namespace, rcfg)
 		s.UMS.SetReadRepair(s.Repair)
 	}
 	return s, nil
@@ -289,7 +280,7 @@ func (s *Stack) GetMulti(ctx context.Context, alg Algorithm, keys []core.Key, po
 func (s *Stack) fanOut(n int, one func(i int) (dht.OpResult, error)) ([]dht.OpResult, []error) {
 	results := make([]dht.OpResult, n)
 	errs := make([]error, n)
-	if err := s.Ring.Env().Join(n, func(i int) { results[i], errs[i] = one(i) }); err != nil {
+	if err := s.Node.Env().Join(n, func(i int) { results[i], errs[i] = one(i) }); err != nil {
 		// The Env shut down under the batch. Operations still in flight
 		// keep writing the slices above, so report the shutdown on
 		// fresh ones.

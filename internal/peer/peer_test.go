@@ -84,9 +84,6 @@ func TestStackParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bare.Cache != nil || bare.Ring != dht.Ring(bare.Node) {
-				t.Error("a path cache nobody asked for sits in front of the ring")
-			}
 			if bare.Repub != nil || bare.Repair != nil {
 				t.Errorf("maintenance nobody asked for: republisher %v, repair %v", bare.Repub, bare.Repair)
 			}
@@ -107,15 +104,11 @@ func TestStackParity(t *testing.T) {
 			full, err := New(w.env, w.newEP(t), backing, Config{
 				Set:       set,
 				Ring:      RingOneHop,
-				PathCache: 8,
 				Republish: dht.RepublishConfig{Every: time.Hour},
 				Repair:    repair.Config{ReadRepair: true},
 			})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if full.Cache == nil || full.Ring != dht.Ring(full.Cache) || full.Cache.Inner() != dht.Ring(full.Node) {
-				t.Error("the services do not route through a path cache around the node")
 			}
 			if full.Repub == nil || full.Repair == nil {
 				t.Fatalf("maintenance missing: republisher %v, repair %v", full.Repub, full.Repair)

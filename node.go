@@ -87,11 +87,6 @@ type NodeConfig struct {
 	// observes stale or missing replicas among the probed positions
 	// refreshes them asynchronously with the value it found.
 	ReadRepair bool
-	// PathCache gives the node a lookup path cache with this many arcs:
-	// resolved lookups are remembered per key range and re-used after a
-	// liveness-and-ownership probe, cutting repeat-lookup hops on any
-	// substrate. Zero disables it.
-	PathCache int
 	// RepublishEvery enables the periodic republisher with the given
 	// period: the node re-pushes replicas it still holds but no longer
 	// owns to the current responsible. Zero disables it.
@@ -163,7 +158,6 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 		},
 		CAN:       can.Config{PingEvery: cfg.StabilizeEvery, RPCTimeout: rpcTimeout},
 		OneHop:    onehop.Config{PingEvery: cfg.StabilizeEvery, RPCTimeout: rpcTimeout},
-		PathCache: cfg.PathCache,
 		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery, PerRound: cfg.RepublishPerRound},
 		KTS: kts.Config{
 			Mode:            cfg.Mode,
@@ -260,15 +254,6 @@ func (n *Node) Recovered() store.Recovered {
 // already triggers this in the background after a durable restart.
 func (n *Node) Recover(ctx context.Context) (int, error) {
 	return n.stack.KTS.RecoverTo(ctx)
-}
-
-// PathCacheStats reports the lookup path cache's counters (zero when
-// NodeConfig.PathCache is off).
-func (n *Node) PathCacheStats() PathCacheStats {
-	if n.stack.Cache == nil {
-		return PathCacheStats{}
-	}
-	return n.stack.Cache.Stats()
 }
 
 // Republished reports how many replicas the periodic republisher has

@@ -57,6 +57,9 @@ type NodeStatus struct {
 	Predecessor string `json:"predecessor,omitempty"`
 	// Successor is the ring successor's address (chord only).
 	Successor string `json:"successor,omitempty"`
+	// LearnedArcs is how many arcs proved by the node's own lookups its
+	// Guess can currently name (chord only).
+	LearnedArcs int `json:"learned_arcs,omitempty"`
 	// Neighbors is the zone-neighbor count (CAN only).
 	Neighbors int `json:"neighbors,omitempty"`
 	// Zones is the number of coordinate zones owned (CAN only).
@@ -94,6 +97,7 @@ func (n *Node) Status() NodeStatus {
 		if succ := r.Successor(); !succ.IsZero() {
 			st.Successor = string(succ.Addr)
 		}
+		st.LearnedArcs = r.LearnedArcs()
 	case *can.Node:
 		st.Ring = string(RingCAN)
 		st.Neighbors = len(r.Neighbors())

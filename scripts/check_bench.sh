@@ -79,8 +79,9 @@ figure gateway "Gateway: hot-key coalescing front-end" -gateway-json replay - \
 
 # Lookup acceleration, the three-arm routing comparison (chord /
 # chord+cache / onehop): onehop within the 1.1-hop ceiling and strictly
-# below chord; the cache never worse than the ring it wraps; zero
-# wrong-owner resolutions.
+# below chord; resolving as an operation does (guess from routing state
+# and learned arcs, else lookup) never worse than the lookup alone, with
+# learned arcs answering; zero wrong-owner resolutions.
 figure lookup "Lookup acceleration: chord vs chord+cache vs onehop" -lookup-json replay - \
     -lookup-peers 24 -lookup-samples 40 -lookup-churn 2 -lookup-warmup 2m -lookup-maint 1m
 

@@ -37,8 +37,13 @@ import (
 	"time"
 )
 
+// stopNode kills the node under test; fail runs it because os.Exit
+// skips deferred calls and would leave the node serving.
+var stopNode = func() {}
+
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "promcheck: "+format+"\n", args...)
+	stopNode()
 	os.Exit(1)
 }
 
@@ -86,10 +91,11 @@ func main() {
 	if err := serve.Start(); err != nil {
 		fail("starting node: %v", err)
 	}
-	defer func() {
+	stopNode = func() {
 		_ = serve.Process.Kill()
 		_, _ = serve.Process.Wait()
-	}()
+	}
+	defer stopNode()
 
 	statusURL := "http://" + metrics + "/debug/status"
 	metricsURL := "http://" + metrics + "/metrics"
@@ -117,6 +123,7 @@ func main() {
 		"dcdht_kts_counters",
 		"dcdht_chord_lookup_hops",
 		"dcdht_chord_lookups_total",
+		"dcdht_chord_learned_arcs",
 		"dcdht_dht_guess_total",
 		"dcdht_repair_rounds_total",
 		"dcdht_store_items",
@@ -129,6 +136,13 @@ func main() {
 		if _, ok := families[name]; !ok {
 			fail("/metrics missing required family %s", name)
 		}
+	}
+
+	// Owner resolutions are accounted by what the guess rested on; a
+	// ring of one names nobody, so the serve node's first resolutions
+	// are declined ones.
+	if !strings.Contains(text, `dcdht_dht_guess_total{outcome="declined",source="none"}`) {
+		fail("dcdht_dht_guess_total has no outcome=\"declined\",source=\"none\" series")
 	}
 
 	// Activity guaranteed by construction: the client joined (accepted
