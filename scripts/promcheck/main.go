@@ -119,6 +119,7 @@ func main() {
 		"dcdht_op_verdicts_total",
 		"dcdht_op_msgs_total",
 		"dcdht_ops_inflight",
+		"dcdht_ums_replicate_total",
 		"dcdht_kts_grants_total",
 		"dcdht_kts_counters",
 		"dcdht_chord_lookup_hops",
