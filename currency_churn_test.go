@@ -22,9 +22,12 @@ import (
 // CAN plays churn-wave only, and is not required to recover. Its zones
 // do not re-merge after a heal (see can.Node.Nudge), and a 32-peer space
 // that loses half its members at once stops routing: indirect
-// initialization then reaches no replica and restarts the counter at 1,
-// with or without guessed owners. Both are the substrate's recorded
-// limits, not properties of the access path under test here.
+// initialization then reaches one peer that took over a crashed zone
+// empty-handed and none of the replicas, reads "not found" as a
+// never-stamped key and restarts the counter at 1, with or without
+// guessed owners (docs/PROTOCOLS.md, "Indirect initialization"). Both
+// are the substrate's recorded limits, not properties of the access
+// path under test here.
 func TestCurrencyUnderBuiltinScenariosOnEveryRing(t *testing.T) {
 	const keys = 4
 	const window = 10 * time.Minute

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hashing"
+	"repro/internal/network"
 )
 
 // Client performs puth/geth operations (§2.2) from one peer: a Router
@@ -51,9 +52,28 @@ func (c *Client) PutH(ctx context.Context, k core.Key, h hashing.Func, val core.
 // maintenance subsystem uses the report to count real heals instead of
 // every push.
 func (c *Client) PutHStored(ctx context.Context, k core.Key, h hashing.Func, val core.Value, mode PutMode) (bool, error) {
+	return c.putH(ctx, k, h, val, mode, false, NodeRef{})
+}
+
+// PutHResolved is PutH for a position whose owner was sought ahead of
+// the write: the ring declined to guess it (Router.Declines), and owner
+// is what the Lookup run then named — zero when it failed. See
+// Router.CallResolved.
+func (c *Client) PutHResolved(ctx context.Context, k core.Key, h hashing.Func, owner NodeRef, val core.Value, mode PutMode) error {
+	_, err := c.putH(ctx, k, h, val, mode, true, owner)
+	return err
+}
+
+func (c *Client) putH(ctx context.Context, k core.Key, h hashing.Func, val core.Value, mode PutMode, resolved bool, owner NodeRef) (bool, error) {
 	rid := h.ID(k)
 	req := PutReq{RingID: rid, Qual: Qualifier(c.ns, k, h.Name()), Val: val, Mode: mode}
-	resp, err := c.route.Call(ctx, rid, MethodPut, req)
+	var resp network.Message
+	var err error
+	if resolved {
+		resp, err = c.route.CallResolved(ctx, rid, owner, MethodPut, req)
+	} else {
+		resp, err = c.route.Call(ctx, rid, MethodPut, req)
+	}
 	if err != nil {
 		return false, fmt.Errorf("dht: puth %q via %s: %w", k, h.Name(), err)
 	}

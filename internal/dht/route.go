@@ -143,6 +143,25 @@ func (r *Router) Call(ctx context.Context, id core.ID, method string, req networ
 			return resp, err
 		}
 	}
+	return r.CallResolved(ctx, id, NodeRef{}, method, req)
+}
+
+// Declines asks the ring to name id's owner, as Call does first, and
+// reports whether it named nobody — counted as Call counts it. A caller
+// that resolves id ahead of an operation runs the Lookup itself on a
+// decline and hands the answer to CallResolved, which asks no second
+// guess; where the ring does name an owner, Call will again, for free.
+func (r *Router) Declines(id core.ID) bool {
+	_, src := r.guess(id)
+	return src == NoGuess
+}
+
+// CallResolved is Call's authoritative path: owner — what a Lookup for
+// id run ahead of the operation named, zero when there was none or it
+// failed — takes the place of the first lookup, so the operation goes
+// there first exactly as Call's lookup-routed attempt would; a
+// retryable answer re-resolves under the retry policy.
+func (r *Router) CallResolved(ctx context.Context, id core.ID, owner NodeRef, method string, req network.Message) (network.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -153,9 +172,13 @@ func (r *Router) Call(ctx context.Context, id core.ID, method string, req networ
 		if err := network.CtxError(ctx); err != nil {
 			return nil, err
 		}
-		ref, _, err := r.ring.Lookup(ctx, id)
-		if err != nil {
-			return nil, err
+		ref := owner
+		owner = NodeRef{}
+		if ref.IsZero() {
+			var err error
+			if ref, _, err = r.ring.Lookup(ctx, id); err != nil {
+				return nil, err
+			}
 		}
 		resp, err := r.Send(ctx, ref, method, req)
 		if !retryable(err) {

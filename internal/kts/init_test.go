@@ -1,0 +1,125 @@
+package kts
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dht"
+	"repro/internal/hashing"
+	"repro/internal/network"
+	"repro/internal/network/simwire"
+	"repro/internal/obs"
+	"repro/internal/simnet"
+)
+
+// replica is what one replica position answers a read with.
+type replica int
+
+const (
+	unreachable replica = iota // no answer: the owner is down or cut off
+	absent                     // the owner answers that it holds nothing
+	stamped                    // the owner holds a replica stamped 7
+)
+
+// initRing is a ring on which the issuer is the key's KTS responsible
+// and every replica position has an owner of its own, answering reads
+// as scripted: gen_ts is served locally, so its indirect initialization
+// reads exactly those answers.
+type initRing struct {
+	env     network.Env
+	set     hashing.Set
+	k       core.Key
+	answers map[network.Addr]replica
+}
+
+func ownerAddr(i int) network.Addr { return network.Addr(fmt.Sprintf("owner%d", i)) }
+
+func (r *initRing) Self() dht.NodeRef { return dht.NodeRef{ID: r.set.HTS.ID(r.k), Addr: "kts"} }
+func (r *initRing) Lookup(_ context.Context, id core.ID) (dht.NodeRef, int, error) {
+	ref, _ := r.Guess(id)
+	return ref, 0, nil
+}
+func (r *initRing) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
+	for i, h := range r.set.Hr {
+		if h.ID(r.k) == id {
+			return dht.NodeRef{ID: id, Addr: ownerAddr(i)}, dht.GuessRouting
+		}
+	}
+	return r.Self(), dht.GuessRouting
+}
+func (r *initRing) GuessMissed(dht.NodeRef)            {}
+func (r *initRing) Endpoint() network.Endpoint         { return r }
+func (r *initRing) Env() network.Env                   { return r.env }
+func (r *initRing) OwnsID(id core.ID) bool             { return id == r.set.HTS.ID(r.k) }
+func (r *initRing) Alive() bool                        { return true }
+func (r *initRing) Obs() *obs.Registry                 { return nil }
+func (r *initRing) Addr() network.Addr                 { return "kts" }
+func (r *initRing) Handle(string, network.HandlerFunc) {}
+func (r *initRing) Close() error                       { return nil }
+
+func (r *initRing) Invoke(ctx context.Context, to network.Addr, _ string, req network.Message, _ network.Call) (network.Message, error) {
+	network.MeterFrom(ctx).Count(network.SizeOf(req))
+	switch r.answers[to] {
+	case absent:
+		network.MeterFrom(ctx).Count(network.DefaultWireSize)
+		return nil, fmt.Errorf("stub: %s: %w", to, core.ErrNotFound)
+	case stamped:
+		network.MeterFrom(ctx).Count(network.DefaultWireSize)
+		return dht.GetResp{Val: core.Value{Data: []byte("v"), TS: core.TS(7)}}, nil
+	}
+	return nil, fmt.Errorf("stub: %s: %w", to, core.ErrUnreachable)
+}
+
+// TestIndirectInitTellsAbsentFromUnreachable: a counter initialized from
+// replicas that no read reached is refused with ErrUnreachable rather
+// than restarted at 1, and nothing is installed for it; one position
+// answering "nothing here" keeps Figure 5's zero, as do all of them; a
+// replica anywhere sets the counter past it.
+func TestIndirectInitTellsAbsentFromUnreachable(t *testing.T) {
+	key := core.Key("k")
+	set := hashing.NewSet(5)
+	all := func(a replica) []replica { return []replica{a, a, a, a, a} }
+	for _, c := range []struct {
+		name    string
+		answers []replica
+		want    core.Timestamp // zero: gen_ts must fail with ErrUnreachable
+	}{
+		{"all unreachable", all(unreachable), core.TSZero},
+		{"mixed", []replica{unreachable, absent, unreachable, unreachable, unreachable}, core.TS(1)},
+		{"all absent", all(absent), core.TS(1)},
+		{"one stamped", []replica{unreachable, unreachable, stamped, absent, unreachable}, core.TS(9)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := simnet.New(1)
+			ring := &initRing{env: simwire.Env(k), set: set, k: key, answers: map[network.Addr]replica{}}
+			for i, a := range c.answers {
+				ring.answers[ownerAddr(i)] = a
+			}
+			svc := New(ring, set, "ums", Config{GraceDelay: -1})
+			var ts core.Timestamp
+			var err error
+			done := false
+			k.Go(func() {
+				ts, err = svc.GenTS(context.Background(), key)
+				done = true
+			})
+			k.Run(time.Hour)
+			if !done {
+				t.Fatal("simulation stalled")
+			}
+			if c.want.IsZero() {
+				if !errors.Is(err, core.ErrUnreachable) || svc.VCSLen() != 0 {
+					t.Errorf("gen_ts = %v, err %v, %d counters; want ErrUnreachable and no counter", ts, err, svc.VCSLen())
+				}
+				return
+			}
+			if err != nil || ts != c.want {
+				t.Errorf("gen_ts = %v, err %v; want %v", ts, err, c.want)
+			}
+		})
+	}
+}

@@ -21,6 +21,7 @@ package kts
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -847,7 +848,11 @@ func (s *Service) ensureCounter(ctx context.Context, k core.Key) (core.Timestamp
 
 // indirectInit is Figure 5: wait the grace delay, read the replica
 // stored at rsp(k, h) for every h ∈ Hr, and return max(ts)+1 — or zero
-// when no replica exists anywhere (a never-stamped key).
+// when a responsible answered that it holds no replica and none did (a
+// never-stamped key). When no read reached a responsible at all it
+// returns core.ErrUnreachable: "nothing answered" is not "nothing
+// exists", and restarting the counter at 1 over replicas it could not
+// see is the regression §4.2.2 exists to prevent.
 //
 // The |Hr| reads are issued concurrently: the paper prices the algorithm
 // in messages (O(|Hr|·cret), unchanged here) and reports only a slight
@@ -876,19 +881,25 @@ func (s *Service) indirectInit(ctx context.Context, k core.Key) (core.Timestamp,
 	}
 	cost := network.MeterFrom(ctx)
 	tsm := core.TSZero
-	found := false
+	found, absent := false, false
 	for _, p := range results {
 		cost.Merge(p.meter)
-		if p.err != nil {
-			continue // unavailable or missing replica: skip (Figure 5 keeps going)
+		switch {
+		case p.err == nil:
+			found = true
+			tsm = tsm.Max(p.val.TS)
+		case errors.Is(p.err, core.ErrNotFound):
+			absent = true // a responsible holds no replica (Figure 5 keeps going)
 		}
-		found = true
-		tsm = tsm.Max(p.val.TS)
+		// Any other error: that position was unreachable; skip it.
 	}
-	if !found {
+	switch {
+	case found:
+		return tsm.Next(), nil
+	case absent:
 		return core.TSZero, nil
 	}
-	return tsm.Next(), nil
+	return core.TSZero, fmt.Errorf("kts: init(%q): no replica position answered: %w", k, core.ErrUnreachable)
 }
 
 // ---- handover (direct algorithm) ---------------------------------------

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -45,7 +44,8 @@ type Service struct {
 	repairs ReadRepairer // nil: read-repair disabled
 	tracer  obs.Tracer   // nil: untraced unless the context carries one
 
-	puts, gets modes // by whether their round trips overlapped
+	puts, gets modes        // by whether their round trips overlapped
+	prefetched *obs.Counter // puts whose writes all went at once (see replicate)
 }
 
 // modes counts operations by how their round trips ran: one after the
@@ -53,8 +53,7 @@ type Service struct {
 // network.
 type modes struct{ serial, overlapped *obs.Counter }
 
-func newModes(r *obs.Registry, name, help string) modes {
-	v := r.CounterVec(name, help, "mode")
+func newModes(v *obs.CounterVec) modes {
 	return modes{serial: v.With("serial"), overlapped: v.With("overlapped")}
 }
 
@@ -69,10 +68,13 @@ func New(ring dht.Ring, set hashing.Set, ts *kts.Service) *Service {
 		ts:     ts,
 		client: dht.NewClient(ring, Namespace),
 	}
-	s.puts = newModes(ring.Obs(), "dcdht_ums_replicate_total",
-		"Puts by how their replica writes ran: one after the other (serial), or side by side from the first write whose round trip showed the put was waiting on the network (overlapped).")
-	s.gets = newModes(ring.Obs(), "dcdht_ums_retrieve_total",
-		"Retrieves that asked KTS for last_ts, by when their first probe went: after last_ts answered (serial), or alongside a last_ts still outstanding after the overlap threshold (overlapped).")
+	puts := ring.Obs().CounterVec("dcdht_ums_replicate_total",
+		"Puts by how their replica writes ran: one after the other (serial), side by side from the first write whose round trip showed the put was waiting on the network (overlapped), or all side by side because an owner lookup run while gen_ts was outstanding took that long (prefetched).",
+		"mode")
+	s.puts, s.prefetched = newModes(puts), puts.With("prefetched")
+	s.gets = newModes(ring.Obs().CounterVec("dcdht_ums_retrieve_total",
+		"Retrieves that asked KTS for last_ts, by when their first probe went: after last_ts answered (serial), or alongside a last_ts still outstanding after the overlap threshold (overlapped).",
+		"mode"))
 	ts.SetRepair(s.repair)
 	return s
 }
@@ -93,6 +95,11 @@ func (s *Service) SetTracer(t obs.Tracer) { s.tracer = t }
 // then send (k, {data, ts}) to rsp(k, h) for every h ∈ Hr. Peers keep
 // the pair only if the timestamp is newer than what they hold, so of
 // concurrent inserts exactly the one with the latest timestamp survives.
+//
+// Only the writes' payload needs ts, not finding rsp(k, h): a gen_ts
+// still outstanding after overlapAfter gets the owner lookups the
+// writes would run resolved alongside it (see prefetch). No write
+// leaves before ts exists.
 func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.OpResult, err error) {
 	meter := &network.Meter{}
 	ctx = network.WithMeter(ctx, meter)
@@ -105,21 +112,38 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 		finish(&res, err)
 	}()
 
+	p := prefetchPool.Get().(*prefetch)
+	p.s, p.k = s, k
+	p.arm(env, ctx)
 	ktsStart := env.Now()
 	ts, err := s.ts.GenTS(ctx, k)
 	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-ktsStart)
+	// A gen_ts that failed leaves nothing to write: its lookups are
+	// cancelled, and the put returns once they have unwound.
+	went, werr := p.settle(err != nil)
+	if werr != nil {
+		// The environment shut down under the lookups: what they hold is
+		// not ours to read, nor the pool's to reuse.
+		return res, fmt.Errorf("ums: insert(%q): %w", k, werr)
+	}
+	defer p.release()
 	if err != nil {
 		return res, fmt.Errorf("ums: insert(%q): %w", k, err)
 	}
 	res.TS = ts
-	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res)
+	var owners *prefetch
+	if went {
+		owners = p
+	}
+	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, owners)
 }
 
 // overlapAfter is the round trip at and beyond which an op is paying for
 // waiting rather than for processor time, so that what it would do next
 // is worth starting now: a put's remaining replica writes once one write
-// took this long, a retrieve's first probe once last_ts has been
-// outstanding this long. The measured regimes lie well to either side: a
+// (or one owner lookup) took this long, a put's owner lookups once
+// gen_ts has been outstanding this long, a retrieve's first probe once
+// last_ts has. The measured regimes lie well to either side: a
 // loopback tcpwire call takes 0.03–0.15 ms with a contention tail of a
 // few ms on the 2-core sandbox, simwire.Cluster() (§5.1) about 0.6 ms —
 // where concurrent calls only contend for the processors serving them —
@@ -133,9 +157,11 @@ const overlapAfter = 10 * time.Millisecond
 // costs is time. The writes go one at a time while each returns faster
 // than overlapAfter; once one has taken that long the remaining ones
 // run side by side, the put then waiting for the slowest instead of for
-// their sum. The regime is observed on this put's own store round trips,
-// never configured and never remembered.
-func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res *dht.OpResult) error {
+// their sum. The regime is observed on this put's own round trips, never
+// configured and never remembered: when owners resolved while stamping
+// (owners, nil when nothing was) include a lookup that took overlapAfter
+// or longer, no write goes alone and all |Hr| run side by side at once.
+func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res *dht.OpResult, owners *prefetch) error {
 	env := s.ring.Env()
 	mode := s.puts.serial
 	defer func() { mode.Inc() }()
@@ -143,32 +169,38 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 	// A failed write means that replica position is currently
 	// unreachable; the insert proceeds — availability of that replica
 	// simply suffers, which is the behaviour the analysis models.
-	rest := s.set.Hr
-	for waited := false; len(rest) > 0 && !waited; rest = rest[1:] {
+	n := len(s.set.Hr)
+	i, waited := 0, false
+	if owners != nil && owners.slow {
+		mode, waited = s.prefetched, true
+	}
+	for ; i < n && !waited; i++ {
 		if cerr := network.CtxError(ctx); cerr != nil {
 			return fmt.Errorf("ums: insert(%q): %w", k, cerr)
 		}
 		begin := env.Now()
-		if s.client.PutH(ctx, k, rest[0], val, dht.PutIfNewer) == nil {
+		if s.write(ctx, k, i, val, owners) {
 			res.Stored++
 		}
 		waited = env.Now()-begin >= overlapAfter
 	}
-	if len(rest) > 0 {
-		mode = s.puts.overlapped
+	if i < n {
+		if mode == s.puts.serial {
+			mode = s.puts.overlapped
+		}
 		// A Meter is a plain struct: each branch charges its own and the
-		// op's meter takes their sum once all have finished. (hs, because
-		// a closure over rest, which the loop reassigns, would move it to
-		// the heap on every put, the serial ones included.)
-		hs := rest
+		// op's meter takes their sum once all have finished. (first,
+		// because a closure over i, which the loop reassigns, would move
+		// it to the heap on every put, the serial ones included.)
+		first := i
 		type write struct {
 			stored bool
 			meter  network.Meter
 		}
-		writes := make([]write, len(hs))
-		if jerr := env.Join(len(hs), func(i int) {
-			w := &writes[i]
-			w.stored = s.client.PutH(network.WithMeter(ctx, &w.meter), k, hs[i], val, dht.PutIfNewer) == nil
+		writes := make([]write, n-first)
+		if jerr := env.Join(len(writes), func(j int) {
+			w := &writes[j]
+			w.stored = s.write(network.WithMeter(ctx, &w.meter), k, first+j, val, owners)
 		}); jerr != nil {
 			// The environment shut down with branches still running:
 			// what they hold is not ours to read.
@@ -183,7 +215,7 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 			}
 		}
 		res.Stored += landed
-		if landed < len(hs) {
+		if landed < len(writes) {
 			// A context that ended under the branches is why they failed.
 			if cerr := network.CtxError(ctx); cerr != nil {
 				return fmt.Errorf("ums: insert(%q): %w", k, cerr)
@@ -194,6 +226,17 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 		return fmt.Errorf("ums: insert(%q): no replica stored: %w", k, core.ErrUnreachable)
 	}
 	return nil
+}
+
+// write sends val to rsp(k, Hr[i]) and reports whether it was stored:
+// to the owner resolved while stamping when that position's was (owners
+// may be nil), through the router's own resolution otherwise.
+func (s *Service) write(ctx context.Context, k core.Key, i int, val core.Value, owners *prefetch) bool {
+	h := s.set.Hr[i]
+	if owners != nil && owners.owners[i].looked {
+		return s.client.PutHResolved(ctx, k, h, owners.owners[i].ref, val, dht.PutIfNewer) == nil
+	}
+	return s.client.PutH(ctx, k, h, val, dht.PutIfNewer) == nil
 }
 
 // InsertWithTS is Insert for a caller that already holds the key's fresh
@@ -211,7 +254,7 @@ func (s *Service) InsertWithTS(ctx context.Context, k core.Key, data []byte, ts 
 		finish(&res, err)
 	}()
 	res.TS = ts
-	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res)
+	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, nil)
 }
 
 // InsertMulti inserts many keys with one KTS round per responsible: a
@@ -431,73 +474,34 @@ func (s *Service) cachedTarget(k core.Key, pol dht.ReadPolicy, res *dht.OpResult
 	return true
 }
 
-// probe is a retrieve's first probe sent alongside last_ts: the read of
-// rsp(k, Hr[0]) on an activity of its own, with the messages and time it
-// cost. Probes are pooled with run bound once, so arming one allocates
-// no probe and no closure — most are cancelled unfired.
-type probe struct {
-	s   *Service
-	ctx context.Context
-	k   core.Key
-	run func() // p.read
-
-	val   core.Value
-	err   error
-	meter network.Meter
-	took  time.Duration
-}
-
-var probePool = sync.Pool{New: func() any {
-	p := &probe{}
-	p.run = p.read
-	return p
-}}
-
-func (p *probe) read() {
-	env := p.s.ring.Env()
-	begin := env.Now()
-	p.val, p.err = p.s.client.GetH(network.WithMeter(p.ctx, &p.meter), p.k, p.s.set.Hr[0])
-	p.took = env.Now() - begin
-}
-
-// release returns a probe that will not run, or has run, to the pool.
-func (p *probe) release() {
-	*p = probe{run: p.run}
-	probePool.Put(p)
-}
-
 // lastTS fetches Figure 2's ts1 = KTS.last_ts(k) for a retrieve. Figure
 // 2 probes only after last_ts answers, but its proof needs no more than
 // the accepted replica carrying ts1 (docs/PROTOCOLS.md, "Retrieve
 // sequencing"), so a last_ts still outstanding after overlapAfter gets
-// the retrieve's first probe, of rsp(k, Hr[0]), sent alongside it. A
-// last_ts that answers sooner cancels the timer: the retrieve is then
-// the serial loop, with no extra activity or message. A probe that went
-// is waited for whatever last_ts returned, so no activity outlives the
-// op; its messages and time are charged to the op and its read comes
-// back in first, for the probe loop to start from. The regime is
-// observed on this retrieve's own last_ts, never configured and never
-// remembered.
+// the retrieve's first probe, of rsp(k, Hr[0]), sent alongside it (see
+// overlap). A probe that went is waited for whatever last_ts returned;
+// its messages and time are charged to the op and its read comes back
+// in first, for the probe loop to start from.
 func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, first *earlyRead, err error) {
 	env := s.ring.Env()
 	p := probePool.Get().(*probe)
-	p.s, p.ctx, p.k = s, ctx, k
-	timer := env.After(overlapAfter, p.run)
+	p.s, p.k = s, k
+	p.arm(env, ctx)
 	begin := env.Now()
 	ts1, err = s.ts.LastTS(ctx, k)
 	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-begin)
-	if timer.Cancel() {
+	went, werr := p.settle(false)
+	if !went {
 		s.gets.serial.Inc()
 		p.release()
 		return ts1, nil, err
 	}
 	s.gets.overlapped.Inc()
-	if werr := timer.Wait(); werr != nil {
+	if werr != nil {
 		// The environment shut down under the probe: what it holds is
 		// not ours to read, nor the pool's to reuse.
 		return ts1, nil, werr
 	}
-	network.MeterFrom(ctx).Merge(p.meter)
 	obs.PhasesFrom(ctx).Add(obs.PhaseProbe, p.took)
 	first = &earlyRead{val: p.val, err: p.err}
 	p.release()

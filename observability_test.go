@@ -53,6 +53,7 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 		"dcdht_op_duration_seconds",
 		"dcdht_op_verdicts_total",
 		"dcdht_op_msgs_total",
+		"dcdht_ums_replicate_total",
 		"dcdht_ums_retrieve_total",
 		"dcdht_kts_grants_total",
 		"dcdht_kts_cache_hits_total",
@@ -70,6 +71,9 @@ func TestNodeMetricsEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(text, `dcdht_op_duration_seconds_count{alg="ums",level="current",op="get"} 1`) {
 		t.Errorf("get latency not recorded:\n%s", grepLines(text, "dcdht_op_duration_seconds_count"))
+	}
+	if !strings.Contains(text, `dcdht_ums_replicate_total{mode="prefetched"}`) {
+		t.Errorf("no prefetched replicate mode:\n%s", grepLines(text, "dcdht_ums_replicate_total"))
 	}
 	if !strings.Contains(text, `dcdht_kts_grants_total 1`) {
 		t.Errorf("KTS grant not counted:\n%s", grepLines(text, "dcdht_kts_grants_total"))

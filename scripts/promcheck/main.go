@@ -146,6 +146,14 @@ func main() {
 	if !strings.Contains(text, `dcdht_dht_guess_total{outcome="declined",source="none"}`) {
 		fail("dcdht_dht_guess_total has no outcome=\"declined\",source=\"none\" series")
 	}
+	// Puts whose owners were resolved while gen_ts was outstanding are a
+	// mode of the replicate family, exported from the start like the
+	// other two.
+	for _, mode := range []string{"serial", "overlapped", "prefetched"} {
+		if !strings.Contains(text, `dcdht_ums_replicate_total{mode="`+mode+`"}`) {
+			fail("dcdht_ums_replicate_total has no mode=%q series", mode)
+		}
+	}
 
 	// Activity guaranteed by construction: the client joined (accepted
 	// connection), its leave handed replicas and counters to this node
