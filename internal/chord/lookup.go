@@ -53,7 +53,8 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hop
 	return dht.NodeRef{}, hops, fmt.Errorf("chord: lookup %s: %w", target, lastErr)
 }
 
-// lookupOnce performs one routing walk. Peers that time out are added to
+// lookupOnce performs one routing walk, learning the arc of every remote
+// hop and the one its answer proves. Peers that time out are added to
 // exclude so the retry routes around them.
 func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.ID]bool) (dht.NodeRef, int, error) {
 	cur := n.self
@@ -75,16 +76,26 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 			if err != nil {
 				// Dead peers are silence on the simulated transport
 				// (timeout) and connection refusals on TCP (unreachable);
-				// either way, route around them.
+				// either way, route around them, and stop asking them on
+				// the strength of anything learned.
 				if errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) ||
 					errors.Is(err, core.ErrUnreachable) {
 					exclude[cur.ID] = true
+					n.mu.Lock()
+					n.learned.forget(cur.ID)
+					n.mu.Unlock()
 					return dht.NodeRef{}, hops, fmt.Errorf("chord: peer %s dead during lookup: %w",
 						cur.ID, core.ErrTimeout)
 				}
 				return dht.NodeRef{}, hops, err
 			}
 			resp = raw.(FindStepResp)
+			// Every remote hop names its own arc, (Pred, cur].
+			if !resp.Pred.IsZero() && resp.Pred.ID != cur.ID {
+				n.mu.Lock()
+				n.learned.learn(resp.Pred, cur)
+				n.mu.Unlock()
+			}
 		}
 		if resp.Done {
 			// A remote peer naming its successor proves an exact arc
@@ -95,7 +106,7 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 			if cur.ID != n.self.ID && next.ID != n.self.ID && next.ID != cur.ID &&
 				target.Between(cur.ID, next.ID) {
 				n.mu.Lock()
-				n.learned.learn(cur.ID, next)
+				n.learned.learn(cur, next)
 				n.mu.Unlock()
 			}
 			return next, hops, nil

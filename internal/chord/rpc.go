@@ -39,10 +39,13 @@ type FindStepReq struct {
 }
 
 // FindStepResp either concludes the lookup (Done: Next is the
-// responsible) or names the next node to ask.
+// responsible) or names the next node to ask. Pred is the answering
+// peer's predecessor (zero when unknown), so the issuer learns the
+// hop's own arc (Pred, hop] from every step.
 type FindStepResp struct {
 	Done bool
 	Next dht.NodeRef
+	Pred dht.NodeRef
 }
 
 // NotifyReq tells a node about a possible (closer) predecessor.
@@ -246,19 +249,21 @@ func (n *Node) findStep(target core.ID, exclude map[core.ID]bool) FindStepResp {
 		}
 	}
 	if target.Between(n.self.ID, succ.ID) {
-		return FindStepResp{Done: true, Next: succ}
+		return FindStepResp{Done: true, Next: succ, Pred: n.pred}
 	}
 	next := n.closestPrecedingLocked(target, exclude)
 	if next.ID == n.self.ID {
 		// Nothing better than ourselves: the successor is our best
 		// answer even though the interval check failed (converging ring).
-		return FindStepResp{Done: true, Next: succ}
+		return FindStepResp{Done: true, Next: succ, Pred: n.pred}
 	}
-	return FindStepResp{Next: next}
+	return FindStepResp{Next: next, Pred: n.pred}
 }
 
-// closestPrecedingLocked scans fingers (highest first) and the successor
-// list for the closest peer strictly preceding target.
+// closestPrecedingLocked scans fingers (highest first), the successor
+// list and both ends of every learned arc for the closest peer strictly
+// preceding target. A learned peer is only ever asked next: the walk
+// still ends on some peer's own successor pointer.
 func (n *Node) closestPrecedingLocked(target core.ID, exclude map[core.ID]bool) dht.NodeRef {
 	best := n.self
 	consider := func(r dht.NodeRef) {
@@ -279,6 +284,10 @@ func (n *Node) closestPrecedingLocked(target core.ID, exclude map[core.ID]bool) 
 	}
 	for _, s := range n.succs {
 		consider(s)
+	}
+	for i := range n.learned.arcs {
+		consider(n.learned.arcs[i].from)
+		consider(n.learned.arcs[i].owner)
 	}
 	return best
 }

@@ -11,6 +11,7 @@ package ringtest
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -42,9 +43,10 @@ type Factory struct {
 	// Nudge re-merges a healed partition (chord, onehop). CAN's zone
 	// geometry has no cheap cross-partition arbitration, so it opts out.
 	SupportsNudgeMerge bool
-	// LearnsArcs gates the learned-guess tests: true when Guess also
-	// answers from arcs the node's own lookups proved (chord). Rings
-	// whose Guess is live routing state only opt out.
+	// LearnsArcs gates the learned-arc tests: true when Guess also
+	// answers from arcs the node's own lookups proved and Lookup routes
+	// through their ends (chord). Rings whose Guess is live routing
+	// state only opt out.
 	LearnsArcs bool
 }
 
@@ -61,6 +63,9 @@ func Run(t *testing.T, f Factory) {
 		t.Run("LearnedGuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f, dht.GuessLearned) })
 		for _, ev := range []string{"join", "leave", "crash"} {
 			t.Run("StaleLearnedArcFallsBack/"+ev, func(t *testing.T) { testStaleGuessFallsBack(t, f, ev, dht.GuessLearned) })
+		}
+		for _, ev := range []string{"join", "leave", "crash"} {
+			t.Run("LookupThroughStaleLearnedPeer/"+ev, func(t *testing.T) { testLookupThroughStaleLearnedPeer(t, f, ev) })
 		}
 	}
 	if f.SupportsNudgeMerge {
@@ -424,59 +429,52 @@ const (
 	clientBackoff = 100 * time.Millisecond
 )
 
-// testStaleGuessFallsBack freezes what one node knows across a
-// membership event, then issues a replicated put from it. The frozen
-// node still names the old owner — from its routing state, or from an
-// arc a lookup of its own proved before the event, whichever src asks
-// for; that peer's own responsibility check (or its silence, after a
-// crash) must send the operation to the authoritative lookup at once,
-// and every replica must land on its true owner — with no back-off
-// sleep on the way. A peer named from a learned arc is given up after
-// its first miss: two replicas aimed at the same stale arc cost one
-// wasted round trip, and nothing learned names that peer for a position
-// it does not own afterwards.
-func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.GuessSource) {
+// staleView is a cluster whose issuer's knowledge went stale across one
+// membership event: the issuer runs no maintenance and hears nothing of
+// the event, which happens at a peer the issuer can name from src.
+type staleView struct {
+	*cluster
+	issuer, named dht.RingNode
+	src           dht.GuessSource
+	rng           *rand.Rand
+}
+
+// newStaleView builds the cluster, warms the issuer's learned arcs with
+// 100 lookups when src asks for them, and plays event ("join", "leave"
+// or "crash") at a peer the issuer names from src — not itself, so its
+// knowledge is what goes stale, not its predecessor, whose arc would
+// fall to the cut-off issuer, and not the bootstrap a joiner goes
+// through. A joiner's identity falls where the issuer names that peer.
+// The issuer is cut off from the event and healed five seconds later.
+func newStaleView(t *testing.T, f Factory, event string, src dht.GuessSource, label string) *staleView {
 	const peers = 16
-	c := newCluster(t, f, 606, peers)
-	issuer := c.nodes[0]
+	v := &staleView{cluster: newCluster(t, f, 606, peers), src: src}
+	c := v.cluster
+	v.issuer = c.nodes[0]
 	for _, n := range c.nodes[1:] {
 		n.Start() // the issuer runs no maintenance: its view only ages
 	}
 	c.settle(time.Second)
-	rng := c.k.NewRand("stale-" + event)
+	v.rng = c.k.NewRand(label)
 	if src == dht.GuessLearned {
 		c.do(func() {
 			for i := 0; i < 100; i++ {
-				if _, _, err := issuer.Lookup(context.Background(), core.ID(rng.Uint64())); err != nil {
+				if _, _, err := v.issuer.Lookup(context.Background(), core.ID(v.rng.Uint64())); err != nil {
 					t.Fatalf("warm lookup: %v", err)
 				}
 			}
 		})
 	}
-	// names reports the peer the issuer guesses for id when that guess
-	// rests on src.
-	names := func(id core.ID) (dht.NodeRef, bool) {
-		g, from := issuer.Guess(id)
-		return g, from == src
-	}
-	// Pick where the event happens: at a peer the issuer can name — not
-	// itself, so its knowledge is what goes stale, not its predecessor,
-	// whose arc would fall to the cut-off issuer, and not the bootstrap
-	// a joiner goes through.
-	var named dht.RingNode
-	for named == nil {
-		g, ok := names(core.ID(rng.Uint64()))
-		if ok && g.ID != issuer.Self().ID && !issuer.OwnsID(g.ID+1) && g.ID != c.nodes[1].Self().ID {
-			named = c.byID(g.ID)
+	for v.named == nil {
+		g, ok := v.names(core.ID(v.rng.Uint64()))
+		if ok && g.ID != v.issuer.Self().ID && !v.issuer.OwnsID(g.ID+1) && g.ID != c.nodes[1].Self().ID {
+			v.named = c.byID(g.ID)
 		}
 	}
-
-	// For a join: a joiner whose identity falls where the issuer names
-	// `named`.
 	var joiner dht.RingNode
 	for event == "join" && joiner == nil {
 		cand := c.newNode()
-		if g, ok := names(cand.Self().ID); ok && g.ID == named.Self().ID {
+		if g, ok := v.names(cand.Self().ID); ok && g.ID == v.named.Self().ID {
 			joiner = cand
 			c.nodes = append(c.nodes, joiner)
 		}
@@ -488,7 +486,7 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.Gues
 	for _, n := range c.nodes[1:] {
 		rest = append(rest, n.Self().Addr)
 	}
-	c.net.Partition([]network.Addr{issuer.Self().Addr}, rest)
+	c.net.Partition([]network.Addr{v.issuer.Self().Addr}, rest)
 	switch event {
 	case "join":
 		var err error
@@ -501,60 +499,70 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.Gues
 		// The leaver's farewell to the cut-off issuer fails; that is the
 		// point.
 		c.do(func() {
-			if err := named.Leave(); err != nil {
+			if err := v.named.Leave(); err != nil {
 				t.Logf("leave: %v", err)
 			}
 		})
 	case "crash":
-		named.Crash()
-		c.net.Kill(named.Self().Addr)
+		v.named.Crash()
+		c.net.Kill(v.named.Self().Addr)
 	}
 	c.settle(5 * time.Second)
 	c.net.Heal()
+	return v
+}
 
-	// The live overlay's owner of id, excluding the issuer (cut off for
-	// five seconds, the others have written it out of the ring).
-	truth := func(id core.ID) dht.RingNode {
-		var own dht.RingNode
-		for _, n := range c.alive() {
-			if n == issuer || !n.OwnsID(id) {
-				continue
-			}
-			if own != nil {
-				return nil
-			}
-			own = n
-		}
-		return own
-	}
-	// Find two positions whose guess went stale: the issuer names
-	// `named`, which is no longer the owner.
-	var hr []fixedHash
-	for i := 0; i < 5000 && len(hr) < 2; i++ {
-		id := core.ID(rng.Uint64())
-		g, ok := names(id)
-		if own := truth(id); ok && own != nil && g.ID == named.Self().ID && g.ID != own.Self().ID {
-			hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
-		}
-	}
-	if len(hr) < 2 {
-		t.Fatalf("after the %s %s names %s for %d stale positions, want 2", event, issuer.Self().ID, named.Self().ID, len(hr))
-	}
+// names reports the peer the issuer guesses for id when that guess
+// rests on the view's source.
+func (v *staleView) names(id core.ID) (dht.NodeRef, bool) {
+	g, from := v.issuer.Guess(id)
+	return g, from == v.src
+}
 
-	// One put replicated under |Hr| = 3 functions, the first two aimed
-	// at the stale arc, each on a position the issuer does not claim.
-	for len(hr) < 3 {
-		id := core.ID(rng.Uint64())
-		if g, _ := issuer.Guess(id); truth(id) != nil && !issuer.OwnsID(id) && g.ID != named.Self().ID {
-			hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
+// truth is the live overlay's owner of id, excluding the issuer (cut
+// off for five seconds, the others have written it out of the ring).
+func (v *staleView) truth(id core.ID) dht.RingNode {
+	var own dht.RingNode
+	for _, n := range v.alive() {
+		if n == v.issuer || !n.OwnsID(id) {
+			continue
+		}
+		if own != nil {
+			return nil
+		}
+		own = n
+	}
+	return own
+}
+
+// stalePositions draws up to want positions whose guess went stale: the
+// issuer names the event's peer, which is no longer the owner.
+func (v *staleView) stalePositions(want int) []core.ID {
+	var out []core.ID
+	for i := 0; i < 5000 && len(out) < want; i++ {
+		id := core.ID(v.rng.Uint64())
+		g, ok := v.names(id)
+		if own := v.truth(id); ok && own != nil && g.ID == v.named.Self().ID && g.ID != own.Self().ID {
+			out = append(out, id)
 		}
 	}
-	cl := dht.NewClient(issuer, "ringtest")
+	if len(out) < want {
+		v.t.Fatalf("%s names %s for %d stale positions, want %d", v.issuer.Self().ID, v.named.Self().ID, len(out), want)
+	}
+	return out
+}
+
+// put issues one put from the issuer replicated under hr, and checks
+// that every replica lands on its true owner with no back-off sleep on
+// the way. It returns the client for its router's counters.
+func (v *staleView) put(hr []fixedHash) *dht.Client {
+	t := v.t
+	cl := dht.NewClient(v.issuer, "ringtest")
 	val := core.Value{Data: []byte("v"), TS: core.TS(1)}
 	stored := 0
-	c.do(func() {
+	v.do(func() {
 		for _, h := range hr {
-			start := c.k.Now()
+			start := v.k.Now()
 			ok, err := cl.PutHStored(context.Background(), "k", h, val, dht.PutIfNewer)
 			if err != nil {
 				t.Fatalf("puth via %s: %v", h.Name(), err)
@@ -562,25 +570,58 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.Gues
 			if ok {
 				stored++
 			}
-			// A timed-out call costs exactly rpcTimeout of virtual time
-			// and the round trips around it a few milliseconds each, so
-			// what is left after whole timeouts is where a back-off
-			// sleep would show.
-			if rest := (c.k.Now() - start) % rpcTimeout; rest >= clientBackoff {
-				t.Errorf("puth via %s took %v: %v beyond whole timeouts, a back-off was slept",
-					h.Name(), c.k.Now()-start, rest)
-			}
+			v.noBackoff("puth via "+h.Name(), start)
 		}
 	})
 	if stored != len(hr) {
 		t.Fatalf("Stored = %d, want |Hr| = %d", stored, len(hr))
 	}
 	for _, h := range hr {
-		own := truth(h.id)
+		own := v.truth(h.id)
 		if _, ok := own.Store().Get(h.id, dht.Qualifier("ringtest", "k", h.Name())); !ok {
 			t.Errorf("replica %s did not land on its owner %s", h.Name(), own.Self().ID)
 		}
 	}
+	return cl
+}
+
+// noBackoff fails the test when what ran since start slept a back-off.
+// A timed-out call costs exactly rpcTimeout of virtual time and the
+// round trips around it a few milliseconds each, so what is left after
+// whole timeouts is where a back-off sleep would show.
+func (v *staleView) noBackoff(what string, start time.Duration) {
+	if took := v.k.Now() - start; took%rpcTimeout >= clientBackoff {
+		v.t.Errorf("%s took %v: %v beyond whole timeouts, a back-off was slept", what, took, took%rpcTimeout)
+	}
+}
+
+// testStaleGuessFallsBack freezes what one node knows across a
+// membership event, then issues a replicated put from it. The frozen
+// node still names the old owner — from its routing state, or from an
+// arc a lookup of its own proved before the event, whichever src asks
+// for; that peer's own responsibility check (or its silence, after a
+// crash) must send the operation to the authoritative lookup at once,
+// and every replica must land on its true owner — with no back-off
+// sleep on the way. A peer named from a learned arc is given up after
+// its first miss: two replicas aimed at the same stale arc cost one
+// wasted round trip, and nothing learned names that peer for a position
+// it does not own afterwards.
+func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.GuessSource) {
+	v := newStaleView(t, f, event, src, "stale-"+event)
+	issuer, named := v.issuer, v.named
+	var hr []fixedHash
+	for _, id := range v.stalePositions(2) {
+		hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
+	}
+	// One put replicated under |Hr| = 3 functions, the first two aimed
+	// at the stale arc, each on a position the issuer does not claim.
+	for len(hr) < 3 {
+		id := core.ID(v.rng.Uint64())
+		if g, _ := issuer.Guess(id); v.truth(id) != nil && !issuer.OwnsID(id) && g.ID != named.Self().ID {
+			hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
+		}
+	}
+	cl := v.put(hr)
 	if _, misses := cl.Router().GuessStats(); misses == 0 {
 		t.Errorf("the stale guess was never refused: no miss counted")
 	}
@@ -591,9 +632,57 @@ func testStaleGuessFallsBack(t *testing.T, f Factory, event string, src dht.Gues
 		t.Errorf("learned misses = %d, want exactly 1: the first refusal gives %s up", misses, named.Self().ID)
 	}
 	for i := 0; i < 2000; i++ {
-		id := core.ID(rng.Uint64())
-		if g, ok := names(id); ok && g.ID == named.Self().ID && (!named.Alive() || !named.OwnsID(id)) {
+		id := core.ID(v.rng.Uint64())
+		if g, ok := v.names(id); ok && g.ID == named.Self().ID && (!named.Alive() || !named.OwnsID(id)) {
 			t.Fatalf("a learned arc still names %s for %s, which it does not own", g.ID, id)
 		}
 	}
+}
+
+// testLookupThroughStaleLearnedPeer is the routing side of the same
+// event: the issuer's learned arcs are routing state too, so its lookups
+// start by asking a peer they name. A learned peer is only ever asked
+// next, never answered from, so Lookup still resolves the true owner —
+// of positions the issuer's table names the event's peer for, and of
+// the position just past that peer, whose walk asks it first — with no
+// back-off sleep; a peer that left or crashed is dropped from the table
+// at either end on the way. A put through the same issuer then stores
+// |Hr| replicas on their true owners.
+func testLookupThroughStaleLearnedPeer(t *testing.T, f Factory, event string) {
+	v := newStaleView(t, f, event, dht.GuessLearned, "stale-lookup-"+event)
+	named := v.named
+	// The position just past the peer goes first: a lookup of a stale
+	// position proves an arc that overlaps, and so replaces, the ones
+	// naming the peer.
+	ids := append([]core.ID{named.Self().ID + 1}, v.stalePositions(2)...)
+	v.do(func() {
+		for _, id := range ids {
+			want := v.truth(id)
+			if want == nil {
+				t.Fatalf("no unique live owner of %s", id)
+			}
+			start := v.k.Now()
+			got, _, err := v.issuer.Lookup(context.Background(), id)
+			if err != nil {
+				t.Fatalf("lookup %s: %v", id, err)
+			}
+			if got.ID != want.Self().ID {
+				t.Errorf("lookup %s resolved %s, ground truth %s (the learned arc named %s)",
+					id, got.ID, want.Self().ID, named.Self().ID)
+			}
+			v.noBackoff(fmt.Sprintf("lookup %s", id), start)
+		}
+	})
+	if event != "join" {
+		for i := 0; i < 2000; i++ {
+			if g, ok := v.names(core.ID(v.rng.Uint64())); ok && g.ID == named.Self().ID {
+				t.Fatalf("a learned arc still names %s, which is gone", g.ID)
+			}
+		}
+	}
+	var hr []fixedHash
+	for _, id := range ids {
+		hr = append(hr, fixedHash{id, fmt.Sprintf("h%d", len(hr))})
+	}
+	v.put(hr)
 }

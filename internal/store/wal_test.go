@@ -301,7 +301,9 @@ func TestWALCounterMonotonicityAcrossTwoRestarts(t *testing.T) {
 			high = cs[0].TS
 		}
 		// Concurrent generators: each bumps the shared counter past the
-		// other's last write, like racing gen_ts handlers.
+		// other's last write, like racing gen_ts handlers, and journals
+		// it under the same lock, as kts.Service does under its mutex
+		// (journalling outside it would let a lower value land last).
 		var mu sync.Mutex
 		next := high
 		var wg sync.WaitGroup
@@ -312,9 +314,9 @@ func TestWALCounterMonotonicityAcrossTwoRestarts(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					mu.Lock()
 					next = next.Next()
-					ts := next
+					err := w.PutCounter("k", next)
 					mu.Unlock()
-					if err := w.PutCounter("k", ts); err != nil {
+					if err != nil {
 						t.Error(err)
 						return
 					}

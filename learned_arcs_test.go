@@ -132,9 +132,9 @@ func TestLearnedArcsSafetyUnderChurnAndHeal(t *testing.T) {
 	}
 
 	// Ring-layer check of the same invariant: the authoritative lookup
-	// never reads the learned table, so whatever the pinned issuer
-	// remembers, every position it resolves must land on a live node
-	// that claims it.
+	// may ask a learned peer next but never answers from one, so
+	// whatever the pinned issuer remembers, every position it resolves
+	// must land on a live node that claims it.
 	issuer := n.d.LivePeers()[0]
 	for i := 0; i < 200; i++ {
 		id := core.ID(uint64(i+1) * 0x9e3779b97f4a7c15)
@@ -201,10 +201,13 @@ func TestLearnedArcsChurnReplaysBitIdentical(t *testing.T) {
 // 2·(|Hr|+1) = 22 messages — and a provably-current get is last_ts plus
 // one probe: 4.
 func TestWarmChordIssuerPaysTheMessageFloor(t *testing.T) {
-	// The update put of a never-used issuer at commit f876ac0, same
-	// seed and script (its second put cost the same 56 there, and its
-	// get 12).
-	const coldPutMsgsAtParent = 56
+	// The update put of a never-used issuer, measured: 56 at commit
+	// f876ac0, before the table existed (its second put cost the same
+	// there, and its get 12), and 56 again once lookups route through
+	// learned peers. This put's owners are prefetched while gen_ts is
+	// out, so its lookups start side by side from the same empty table
+	// and no lookup can route through an arc another one teaches.
+	const coldPutMsgs = 56
 	ctx := context.Background()
 	n := NewSimNetwork(16, SimConfig{Replicas: 10, Seed: 5, FailureRate: Float(0)})
 	defer n.Close()
@@ -216,8 +219,8 @@ func TestWarmChordIssuerPaysTheMessageFloor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold put: %v", err)
 	}
-	if cold.Msgs > coldPutMsgsAtParent {
-		t.Errorf("first-contact put cost %d msgs, %d before learned arcs", cold.Msgs, coldPutMsgsAtParent)
+	if cold.Msgs > coldPutMsgs {
+		t.Errorf("first-contact put cost %d msgs, want at most %d", cold.Msgs, coldPutMsgs)
 	}
 	warm, err := n.Put(ctx, "pin2", []byte("v2"), WithIssuer(issuer))
 	if err != nil {
