@@ -115,13 +115,13 @@ type Salted struct {
 	Salt string
 }
 
-// ID implements Func.
+// ID implements Func: the first 8 bytes of SHA-1(salt ‖ 0 ‖ k). The
+// input is assembled on the stack, so a key of up to about 50 bytes is
+// hashed without a heap allocation — an ID is computed on every probe
+// and every guess of an owner.
 func (s Salted) ID(k core.Key) core.ID {
-	h := sha1.New()
-	h.Write([]byte(s.Salt))
-	h.Write([]byte{0})
-	h.Write([]byte(k))
-	sum := h.Sum(nil)
+	var buf [64]byte
+	sum := sha1.Sum(append(append(append(buf[:0], s.Salt...), 0), k...))
 	return core.ID(binary.BigEndian.Uint64(sum[:8]))
 }
 

@@ -1,6 +1,8 @@
 package hashing
 
 import (
+	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
@@ -20,6 +22,26 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("%s: not deterministic: %v vs %v", f.Name(), a, b)
 		}
 	}
+}
+
+// TestSaltedIDIsSHA1: a salted ID is the first 8 bytes of
+// SHA-1(salt ‖ 0 ‖ k), as a streaming digest computes it, for keys that
+// fit the stack buffer and keys that do not; a short key's costs no
+// allocation.
+func TestSaltedIDIsSHA1(t *testing.T) {
+	f := Salted{Salt: "hr3"}
+	for _, k := range []core.Key{"", "k", "some-key-0042", core.Key(fmt.Sprintf("%0200d", 7))} {
+		h := sha1.New()
+		h.Write([]byte(f.Salt + "\x00" + string(k)))
+		if want := core.ID(binary.BigEndian.Uint64(h.Sum(nil))); f.ID(k) != want {
+			t.Errorf("ID(%d-byte key) = %v, want %v", len(k), f.ID(k), want)
+		}
+	}
+	var sink core.ID
+	if n := testing.AllocsPerRun(100, func() { sink = f.ID("some-key-0042") }); n != 0 {
+		t.Errorf("ID allocates %v times per call, want 0", n)
+	}
+	_ = sink
 }
 
 func TestFamiliesDiffer(t *testing.T) {

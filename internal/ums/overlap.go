@@ -100,11 +100,12 @@ func (o *overlap) reset() {
 }
 
 // probe is a retrieve's first probe sent alongside last_ts: the read of
-// rsp(k, Hr[0]).
+// rsp(k, Hr[pos]), pos as nextProbe names it when the probe fires.
 type probe struct {
 	overlap
 	s   *Service
 	k   core.Key
+	pos int
 	val core.Value
 	err error
 }
@@ -116,13 +117,14 @@ var probePool = sync.Pool{New: func() any {
 }}
 
 func (p *probe) read(ctx context.Context) {
-	p.val, p.err = p.s.client.GetH(ctx, p.k, p.s.set.Hr[0])
+	p.pos = p.s.nextProbe(p.k, nil)
+	p.val, p.err = p.s.client.GetH(ctx, p.k, p.s.set.Hr[p.pos])
 }
 
 // release returns a probe that will not run, or has run, to the pool.
 func (p *probe) release() {
 	p.reset()
-	p.s, p.k, p.val, p.err = nil, "", core.Value{}, nil
+	p.s, p.k, p.pos, p.val, p.err = nil, "", 0, core.Value{}, nil
 	probePool.Put(p)
 }
 

@@ -145,14 +145,16 @@ func TestPutStaysSerialOnClusterLinks(t *testing.T) {
 // one key and one KTS responsible for it, all reached through a
 // stubWire: what replicate and retrieve do with slow, dead and cancelled
 // calls can then be scripted exactly, on the simulation kernel and on
-// the wall clock alike. It guesses every owner except those in noGuess;
-// a lookup takes lookupHops (at least one) hops of lookupRTT and one
-// message pair on the wire each.
+// the wall clock alike. It guesses every owner except those in noGuess,
+// naming the peer in stale instead where it lists one; a lookup takes
+// lookupHops (at least one) hops of lookupRTT and one message pair on
+// the wire each.
 type stubRing struct {
 	env        network.Env
 	wire       *stubWire
 	owners     map[core.ID]dht.NodeRef
 	noGuess    map[core.ID]bool
+	stale      map[core.ID]dht.NodeRef
 	lookupRTT  time.Duration
 	lookupHops int
 	reg        *obs.Registry
@@ -169,8 +171,9 @@ const stubKTS network.Addr = "kts"
 
 func newStubRing(env network.Env, set hashing.Set, k core.Key) *stubRing {
 	r := &stubRing{env: env, owners: map[core.ID]dht.NodeRef{}, noGuess: map[core.ID]bool{},
-		reg: obs.NewRegistry(), lookups: map[core.ID]int{}}
-	r.wire = &stubWire{env: env, delay: map[network.Addr]time.Duration{}}
+		stale: map[core.ID]dht.NodeRef{}, reg: obs.NewRegistry(), lookups: map[core.ID]int{}}
+	r.wire = &stubWire{env: env, delay: map[network.Addr]time.Duration{},
+		behind: map[network.Addr]bool{}, refuse: map[network.Addr]bool{}}
 	for i, h := range set.Hr {
 		id := h.ID(k)
 		r.owners[id] = dht.NodeRef{ID: id, Addr: stubOwner(i)}
@@ -202,6 +205,9 @@ func (r *stubRing) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	if r.noGuess[id] {
 		return dht.NodeRef{}, dht.NoGuess
 	}
+	if ref, ok := r.stale[id]; ok {
+		return ref, dht.GuessRouting
+	}
 	return r.owners[id], dht.GuessRouting
 }
 
@@ -225,22 +231,36 @@ func (r *stubRing) service(set hashing.Set) *ums.Service {
 
 // stubWire answers after the callee's delay: every store with "stored",
 // gen_ts with the stamp after stamp, last_ts with stamp, and every
-// replica read with a value stamped stamp
-// — or not found while stamp is zero, the key never inserted. A callee
-// listed in dead stays silent for timeout and the call fails as a
-// crashed peer's does. It charges the caller's meter as the transports
-// do and keeps its own totals to hold the op's against.
+// replica read with a value stamped stamp — or, from a callee listed in
+// behind, stamped zero — or not found while stamp is zero, the key never
+// inserted. A callee listed in dead stays silent for timeout and the
+// call fails as a crashed peer's does; one listed in refuse answers that
+// it is not responsible. It charges the caller's meter as the
+// transports do and keeps its own totals to hold the op's against, and
+// the callees of replica reads in the order the reads were sent.
 type stubWire struct {
 	env     network.Env
 	delay   map[network.Addr]time.Duration // per callee; missing means rtt
 	rtt     time.Duration
 	dead    map[network.Addr]bool
+	behind  map[network.Addr]bool
+	refuse  map[network.Addr]bool
 	timeout time.Duration
 	stamp   core.Timestamp
 	genErr  error // gen_ts's answer instead of a timestamp, when set
 
 	msgs, bytes   atomic.Int64
 	inFlight, max atomic.Int32
+
+	mu    sync.Mutex
+	reads []network.Addr
+}
+
+// readFrom lists the callees of the replica reads sent so far.
+func (w *stubWire) readFrom() []network.Addr {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return append([]network.Addr(nil), w.reads...)
 }
 
 func (w *stubWire) Addr() network.Addr                 { return "issuer" }
@@ -262,6 +282,11 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 		}
 	}
 	w.count(ctx, network.SizeOf(req))
+	if _, ok := req.(dht.GetReq); ok {
+		w.mu.Lock()
+		w.reads = append(w.reads, to)
+		w.mu.Unlock()
+	}
 	d, ok := w.delay[to]
 	if !ok {
 		d = w.rtt
@@ -276,6 +301,9 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 		return nil, fmt.Errorf("stub: %s: %w", to, core.ErrTimeout)
 	}
 	w.count(ctx, network.DefaultWireSize)
+	if w.refuse[to] {
+		return nil, fmt.Errorf("stub: %s: %w", to, core.ErrNotResponsible)
+	}
 	switch req.(type) {
 	case kts.GenTSReq:
 		if w.genErr != nil {
@@ -287,6 +315,9 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 	case dht.GetReq:
 		if w.stamp.IsZero() {
 			return nil, fmt.Errorf("stub: %s: %w", to, core.ErrNotFound)
+		}
+		if w.behind[to] {
+			return dht.GetResp{Val: core.Value{Data: []byte("old")}}, nil
 		}
 		return dht.GetResp{Val: core.Value{Data: []byte("v"), TS: w.stamp}}, nil
 	}

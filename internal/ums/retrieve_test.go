@@ -109,20 +109,54 @@ func TestCurrentGetOverlapsLastTSOnWANLinks(t *testing.T) {
 	}
 }
 
+// firstGuessable is the Hr position a retrieve from p probes first: the
+// first one whose owner p's ring names without a lookup, Hr[0] when it
+// names none.
+func firstGuessable(p *exp.Peer, set hashing.Set, k core.Key) int {
+	for i, h := range set.Hr {
+		if _, src := p.Node.Guess(h.ID(k)); src != dht.NoGuess {
+			return i
+		}
+	}
+	return 0
+}
+
 // TestCurrentGetStaysSerialOnClusterLinks: on the §5.1 cluster profile
-// last_ts answers long before the threshold, so a Current get — cold,
-// with its lookups, or warm — is exactly Figure 2's order: the same
-// elapsed time, messages and bytes as last_ts and one probe issued one
-// after the other on a twin deployment of the same seed.
+// last_ts answers long before the threshold, so a Current get — cold or
+// warm — is exactly Figure 2's serial order: the same elapsed time,
+// messages and bytes as last_ts and then one probe of the first position
+// the issuer can guess, issued one after the other on a twin deployment
+// of the same seed. The cold issuer cannot guess Hr[0] but can a later
+// position, so its get pays no lookup: 4 messages, where last_ts then a
+// probe of Hr[0] cost 8 on a third twin. The warm get costs the 4 it
+// always did.
 func TestCurrentGetStaysSerialOnClusterLinks(t *testing.T) {
 	key := core.Key("lan")
-	get, ref := calmRing(24, simwire.Cluster()), calmRing(24, simwire.Cluster())
-	for _, d := range []*exp.Deployment{get, ref} {
+	get, ref, hr0 := calmRing(24, simwire.Cluster()), calmRing(24, simwire.Cluster()), calmRing(24, simwire.Cluster())
+	for _, d := range []*exp.Deployment{get, ref, hr0} {
 		d.Do(func() {
 			if _, err := d.Peers[9].UMS.Insert(context.Background(), key, []byte("v")); err != nil {
 				t.Fatalf("put: %v", err)
 			}
 		})
+	}
+	// serially plays last_ts and then a probe of the position pick names
+	// on d's issuer, reporting its time and cost.
+	serially := func(d *exp.Deployment, pick func(p *exp.Peer) int) (elapsed time.Duration, meter network.Meter, pos int) {
+		d.Do(func() {
+			p := d.Peers[5]
+			ctx := network.WithMeter(context.Background(), &meter)
+			start := d.K.Now()
+			if _, err := p.KTS.LastTS(ctx, key); err != nil {
+				t.Errorf("last_ts: %v", err)
+			}
+			pos = pick(p)
+			if _, err := dht.NewClient(p.Node, ums.Namespace).GetH(ctx, key, d.Set.Hr[pos]); err != nil {
+				t.Errorf("probe: %v", err)
+			}
+			elapsed = d.K.Now() - start
+		})
+		return elapsed, meter, pos
 	}
 	for round := 0; round < 2; round++ { // cold, then warm
 		var res dht.OpResult
@@ -131,26 +165,25 @@ func TestCurrentGetStaysSerialOnClusterLinks(t *testing.T) {
 		if err != nil || res.Probed != 1 {
 			t.Fatalf("round %d: get: %d probes, %v", round, res.Probed, err)
 		}
-		var elapsed time.Duration
-		var meter network.Meter
-		ref.Do(func() {
-			p := ref.Peers[5]
-			ctx := network.WithMeter(context.Background(), &meter)
-			start := ref.K.Now()
-			if _, err := p.KTS.LastTS(ctx, key); err != nil {
-				t.Errorf("round %d: last_ts: %v", round, err)
-			}
-			if _, err := dht.NewClient(p.Node, ums.Namespace).GetH(ctx, key, ref.Set.Hr[0]); err != nil {
-				t.Errorf("round %d: probe: %v", round, err)
-			}
-			elapsed = ref.K.Now() - start
-		})
+		elapsed, meter, pos := serially(ref, func(p *exp.Peer) int { return firstGuessable(p, ref.Set, key) })
+		t.Logf("round %d: probed Hr[%d] for %d msgs", round, pos, res.Msgs)
 		if res.Elapsed != elapsed || res.Msgs != meter.Msgs || res.Bytes != meter.Bytes {
 			t.Errorf("round %d: get took %v, %d msgs, %d bytes; last_ts then probe %v, %d, %d",
 				round, res.Elapsed, res.Msgs, res.Bytes, elapsed, meter.Msgs, meter.Bytes)
 		}
 		if a, b := get.Net.TotalMessages(), ref.Net.TotalMessages(); a != b {
 			t.Errorf("round %d: the network carried %d messages under the get, %d under last_ts then probe", round, a, b)
+		}
+		if res.Msgs != 4 {
+			t.Errorf("round %d: get cost %d msgs, want last_ts and one probe, 4", round, res.Msgs)
+		}
+		if round == 0 {
+			if pos == 0 {
+				t.Fatalf("the cold issuer guesses Hr[0]; the test wants one that guesses only a later position")
+			}
+			if _, hr0Meter, _ := serially(hr0, func(*exp.Peer) int { return 0 }); hr0Meter.Msgs != 8 {
+				t.Errorf("cold: last_ts then a probe of Hr[0] cost %d msgs, want 8 (one lookup on the way)", hr0Meter.Msgs)
+			}
 		}
 	}
 	if serial, overlapped := retrieveModes(get.Obs); serial != 2 || overlapped != 0 {
@@ -318,4 +351,184 @@ func TestOverlappedGetOnRealEnv(t *testing.T) {
 			t.Errorf("%s: %d goroutines after the get, %d before", c.name, runtime.NumGoroutine(), baseline)
 		}
 	}
+}
+
+// repairLog is a ReadRepairer that keeps what it was handed.
+type repairLog struct {
+	mu    sync.Mutex
+	stale [][]hashing.Func
+}
+
+func (l *repairLog) ReadRepair(_ core.Key, _ core.Value, stale []hashing.Func) {
+	l.mu.Lock()
+	l.stale = append(l.stale, stale)
+	l.mu.Unlock()
+}
+
+// TestGetProbesAGuessedPositionFirst: a get's probes go first to the
+// positions whose owner the issuer can guess, in Hr order among them,
+// and to the others in Hr order once none is left — the early probe sent
+// alongside a slow last_ts included. The guess only orders the probes: a
+// stale one costs one fallback lookup and the get stays Proven, and
+// read-repair hears of exactly the probed positions that fell short.
+func TestGetProbesAGuessedPositionFirst(t *testing.T) {
+	const rtt, timeout = 700 * time.Millisecond, 2 * time.Second
+	key := core.Key("k")
+	set := hashing.NewSet(10)
+	// run plays one get at pol on a fresh kernel whose ring can guess
+	// none of the positions in declined; script sets the rest up.
+	run := func(t *testing.T, pol dht.ReadPolicy, declined []int, script func(r *stubRing)) (res dht.OpResult, ring *stubRing, repairs *repairLog) {
+		t.Helper()
+		k := simnet.New(1)
+		ring = newStubRing(simwire.Env(k), set, key)
+		ring.wire.rtt, ring.wire.timeout, ring.wire.stamp = rtt, timeout, core.TS(1)
+		ring.lookupRTT = rtt
+		for _, i := range declined {
+			ring.noGuess[set.Hr[i].ID(key)] = true
+		}
+		if script != nil {
+			script(ring)
+		}
+		svc := ring.service(set)
+		repairs = &repairLog{}
+		svc.SetReadRepair(repairs)
+		var err error
+		k.Go(func() { res, err = svc.RetrieveWith(context.Background(), key, pol) })
+		k.Run(time.Minute)
+		if err != nil {
+			t.Fatalf("get: %v", err)
+		}
+		return res, ring, repairs
+	}
+	lookups := func(ring *stubRing) (n int) {
+		for _, h := range set.Hr {
+			n += ring.lookupsOf(h.ID(key))
+		}
+		return n + ring.lookupsOf(set.HTS.ID(key))
+	}
+	reads := func(t *testing.T, ring *stubRing, want ...int) {
+		t.Helper()
+		var addrs []network.Addr
+		for _, i := range want {
+			addrs = append(addrs, stubOwner(i))
+		}
+		if got := ring.wire.readFrom(); !reflect.DeepEqual(got, addrs) {
+			t.Errorf("replica reads went to %v, want %v", got, addrs)
+		}
+	}
+
+	t.Run("guessed position first", func(t *testing.T) {
+		for _, c := range []struct {
+			name       string
+			pol        dht.ReadPolicy
+			fastKTS    bool
+			overlapped uint64
+		}{
+			{"current, early probe", dht.ReadPolicy{}, false, 1},
+			{"current, serial", dht.ReadPolicy{}, true, 0},
+			{"eventual", dht.ReadPolicy{Level: dht.LevelEventual}, false, 0},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				res, ring, _ := run(t, c.pol, []int{0, 1, 2}, func(r *stubRing) {
+					if c.fastKTS {
+						r.wire.delay[stubKTS] = time.Millisecond
+					}
+				})
+				reads(t, ring, 3)
+				wantMsgs := 4
+				if c.pol.Level == dht.LevelEventual {
+					wantMsgs = 2
+				}
+				if res.Probed != 1 || res.Msgs != wantMsgs || lookups(ring) != 0 {
+					t.Errorf("%d probes, %d msgs, %d lookups; want 1, %d, 0", res.Probed, res.Msgs, lookups(ring), wantMsgs)
+				}
+				if _, overlapped := retrieveModes(ring.reg); overlapped != c.overlapped {
+					t.Errorf("%d gets overlapped, want %d", overlapped, c.overlapped)
+				}
+			})
+		}
+	})
+	t.Run("nothing guessable", func(t *testing.T) {
+		all := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+		res, ring, _ := run(t, dht.ReadPolicy{}, all, func(r *stubRing) {
+			r.wire.behind[stubOwner(0)], r.wire.behind[stubOwner(1)] = true, true
+		})
+		reads(t, ring, 0, 1, 2)
+		if res.Probed != 3 || lookups(ring) != 3 || res.Currency != dht.CurrencyProven {
+			t.Errorf("%s after %d probes, %d lookups; want proven after 3 probes, 3 lookups", res.Currency, res.Probed, lookups(ring))
+		}
+	})
+	t.Run("stale guess", func(t *testing.T) {
+		id := set.Hr[3].ID(key)
+		res, ring, _ := run(t, dht.ReadPolicy{}, []int{0, 1, 2}, func(r *stubRing) {
+			r.stale[id] = dht.NodeRef{ID: id, Addr: "moved"}
+			r.wire.refuse["moved"] = true
+		})
+		if got := ring.wire.readFrom(); !reflect.DeepEqual(got, []network.Addr{"moved", stubOwner(3)}) {
+			t.Errorf("replica reads went to %v, want the stale guess and then Hr[3]'s owner", got)
+		}
+		if res.Currency != dht.CurrencyProven || res.Probed != 1 || lookups(ring) != 1 || ring.lookupsOf(id) != 1 {
+			t.Errorf("%s after %d probes, %d lookups (%d of Hr[3]); want proven after 1 probe and one fallback lookup of Hr[3]",
+				res.Currency, res.Probed, lookups(ring), ring.lookupsOf(id))
+		}
+	})
+	t.Run("stale first replica", func(t *testing.T) {
+		res, ring, repairs := run(t, dht.ReadPolicy{}, []int{0, 1, 2}, func(r *stubRing) {
+			r.wire.behind[stubOwner(3)] = true
+			r.wire.refuse[stubOwner(4)] = true
+		})
+		// Hr[3] answers behind, Hr[4]'s owner refuses the guess, its
+		// lookup and the one retry; Hr[5] is current. Hr[0..2] were
+		// never probed and are nobody's to repair here.
+		reads(t, ring, 3, 4, 4, 4, 5)
+		if res.Currency != dht.CurrencyProven || res.Probed != 3 || res.Retrieved != 2 {
+			t.Errorf("%s after %d probes (%d read); want proven after 3 (2 read)", res.Currency, res.Probed, res.Retrieved)
+		}
+		want := [][]hashing.Func{{set.Hr[3], set.Hr[4]}}
+		if !reflect.DeepEqual(repairs.stale, want) {
+			t.Errorf("read-repair got %v, want Hr[3] and Hr[4]", repairs.stale)
+		}
+	})
+	t.Run("same seed on Table 1 links", func(t *testing.T) {
+		script := func() (gets []dht.OpResult, later int) {
+			d := calmRing(25, simwire.Table1())
+			p, cold := d.Peers[3], d.Peers[17]
+			keys := []core.Key{"a", "b", "c", "d", "e", "f"}
+			pols := []dht.ReadPolicy{{}, {Level: dht.LevelBounded, Bound: time.Hour}, {Level: dht.LevelEventual}}
+			if !d.Do(func() {
+				for _, k := range keys {
+					if _, err := p.UMS.Insert(context.Background(), k, []byte(k)); err != nil {
+						t.Errorf("put %q: %v", k, err)
+					}
+				}
+				for i, k := range keys {
+					if firstGuessable(cold, d.Set, k) > 0 {
+						later++
+					}
+					res, err := cold.UMS.RetrieveWith(context.Background(), k, pols[i%len(pols)])
+					if err != nil || string(res.Data) != string(k) {
+						t.Errorf("get %q: %q, %v", k, res.Data, err)
+					}
+					gets = append(gets, res)
+				}
+				res, errs := cold.UMS.RetrieveMulti(context.Background(), keys, dht.ReadPolicy{})
+				for i, err := range errs {
+					if err != nil || res[i].Currency != dht.CurrencyProven {
+						t.Errorf("multi get %q: %s, %v", keys[i], res[i].Currency, err)
+					}
+				}
+				gets = append(gets, res...)
+			}) {
+				t.Fatal("simulation stalled")
+			}
+			return gets, later
+		}
+		gets, later := script()
+		if later == 0 {
+			t.Errorf("the cold issuer guessed Hr[0] or nothing for every key; the test wants a later first probe")
+		}
+		if again, _ := script(); !reflect.DeepEqual(gets, again) {
+			t.Errorf("same seed, different results:\n first %+v\n again %+v", gets, again)
+		}
+	})
 }

@@ -373,7 +373,7 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 	// and the currency verdict an accepting replica earns.
 	target := core.TSZero
 	verdict := dht.CurrencyUnknown
-	var first *earlyRead // Hr[0]'s read, when it went out alongside last_ts
+	var first *earlyRead // the first probe's read, when it went out alongside last_ts
 	switch {
 	case pol.FloorFirst && !pol.Floor.IsZero():
 		// Session fast path: the floor is the bar; no KTS round trip.
@@ -417,20 +417,30 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 	var dataMR []byte // most recent replica seen so far (Figure 2's data_mr)
 	tsMR := core.TSZero
 	var missed []observation // probed positions that did not meet the target
-	for i, h := range s.set.Hr {
+	var few [1]uint64
+	probed := positions(few[:])
+	if n := len(s.set.Hr); n > 64 {
+		probed = make(positions, (n+63)/64)
+	}
+	for range s.set.Hr {
 		if cerr := network.CtxError(ctx); cerr != nil {
 			return res, fmt.Errorf("ums: retrieve(%q): %w", k, cerr)
 		}
 		res.Probed++
+		var i int
 		var val core.Value
 		var gerr error
-		if i == 0 && first != nil {
-			val, gerr = first.val, first.err
+		if first != nil {
+			i, val, gerr = first.pos, first.val, first.err
+			first = nil
 		} else {
+			i = s.nextProbe(k, probed)
 			probeStart := env.Now()
-			val, gerr = s.client.GetH(ctx, k, h)
+			val, gerr = s.client.GetH(ctx, k, s.set.Hr[i])
 			obs.PhasesFrom(ctx).Add(obs.PhaseProbe, env.Now()-probeStart)
 		}
+		probed.add(i)
+		h := s.set.Hr[i]
 		if gerr != nil {
 			missed = append(missed, observation{h: h, missing: true})
 			continue // replica unavailable (peer down, data lost, stale lookup)
@@ -461,6 +471,39 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 	return res, fmt.Errorf("ums: retrieve(%q): returning most recent available: %w", k, core.ErrNoCurrentReplica)
 }
 
+// nextProbe names the Hr position a retrieve probes next: the first one
+// not yet probed whose owner the ring names without a lookup, or, when
+// it can name none of them, the first one not yet probed. Figure 2's
+// proof and Eq. 1 rest on which replicas are current, never on the
+// order they are probed in (docs/PROTOCOLS.md, "Retrieve sequencing"),
+// so a position the issuer already knows the way to goes first. A warm
+// issuer knows Hr[0]'s and probes in Figure 2's order. The guess only
+// orders the probes: the probe itself goes through the router, whose
+// callee's owns-check confirms it, and a stale guess falls back to a
+// lookup there.
+func (s *Service) nextProbe(k core.Key, probed positions) int {
+	fallback := -1
+	for i, h := range s.set.Hr {
+		if probed.has(i) {
+			continue
+		}
+		if _, src := s.ring.Guess(h.ID(k)); src != dht.NoGuess {
+			return i
+		}
+		if fallback < 0 {
+			fallback = i
+		}
+	}
+	return fallback
+}
+
+// positions marks the Hr positions a retrieve has probed, one bit each;
+// nil marks none.
+type positions []uint64
+
+func (p positions) has(i int) bool { return i/64 < len(p) && p[i/64]&(1<<(i%64)) != 0 }
+func (p positions) add(i int)      { p[i/64] |= 1 << (i % 64) }
+
 // cachedTarget consults the issuing peer's last-ts cache for a bounded
 // read. On a hit within the bound it loads the acceptance floor and its
 // age into res and reports true; the retrieve then runs with no KTS
@@ -478,10 +521,11 @@ func (s *Service) cachedTarget(k core.Key, pol dht.ReadPolicy, res *dht.OpResult
 // 2 probes only after last_ts answers, but its proof needs no more than
 // the accepted replica carrying ts1 (docs/PROTOCOLS.md, "Retrieve
 // sequencing"), so a last_ts still outstanding after overlapAfter gets
-// the retrieve's first probe, of rsp(k, Hr[0]), sent alongside it (see
-// overlap). A probe that went is waited for whatever last_ts returned;
-// its messages and time are charged to the op and its read comes back
-// in first, for the probe loop to start from.
+// the retrieve's first probe, of the position nextProbe names when it
+// fires, sent alongside it (see overlap). A probe that went is waited
+// for whatever last_ts returned; its messages and time are charged to
+// the op and its read comes back in first, for the probe loop to start
+// from.
 func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, first *earlyRead, err error) {
 	env := s.ring.Env()
 	p := probePool.Get().(*probe)
@@ -503,13 +547,14 @@ func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, f
 		return ts1, nil, werr
 	}
 	obs.PhasesFrom(ctx).Add(obs.PhaseProbe, p.took)
-	first = &earlyRead{val: p.val, err: p.err}
+	first = &earlyRead{pos: p.pos, val: p.val, err: p.err}
 	p.release()
 	return ts1, first, err
 }
 
 // earlyRead is what the first probe read when it went alongside last_ts.
 type earlyRead struct {
+	pos int // the Hr position it read
 	val core.Value
 	err error
 }
