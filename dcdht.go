@@ -144,8 +144,10 @@ type SimConfig struct {
 	// Float(0) for a network whose departures are all graceful — a plain
 	// float64 could not express that (its zero value meant the default).
 	FailureRate *float64
-	// GraceDelay overrides the indirect algorithm's wait. Zero selects
-	// the KTS default (500ms); a negative value means "no wait".
+	// GraceDelay overrides the indirect algorithm's wait, measured from
+	// the last change to the peer's arc: a counter built on an arc held
+	// longer than this reads the replicas at once. Zero selects the KTS
+	// default (500ms); a negative value means "no wait".
 	GraceDelay time.Duration
 	// Inspect enables KTS periodic inspection with the given period.
 	Inspect time.Duration

@@ -195,6 +195,7 @@ type Node struct {
 
 	mu        sync.Mutex
 	zones     []Zone
+	held      time.Duration // Env time zones last changed (zonesChangedLocked)
 	neighbors map[core.ID]*neighbor
 	alive     bool
 	started   bool
@@ -284,6 +285,22 @@ func (n *Node) OwnsID(id core.ID) bool {
 	return false
 }
 
+// HeldSince implements dht.Ring: the zones are held since they last
+// changed. A node with no neighbor owns its zones only because it knows
+// of nobody else, the CAN form of a ring of one, which is nothing steady.
+func (n *Node) HeldSince() time.Duration {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.neighbors) == 0 {
+		return n.env.Now()
+	}
+	return n.held
+}
+
+// zonesChangedLocked follows every write to n.zones: whether the write
+// grew or shrank them, HeldSince restarts.
+func (n *Node) zonesChangedLocked() { n.held = n.env.Now() }
+
 // Guess implements dht.Ring: this node when one of its zones contains
 // the point of id, else the neighbor whose recorded zones do. Stale
 // neighbor records can overlap after a split; the lowest ID wins so the
@@ -344,6 +361,7 @@ func (n *Node) CreateSpace() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.zones = []Zone{FullZone()}
+	n.zonesChangedLocked()
 }
 
 // CreateRing implements dht.RingNode; on CAN "the ring" is the

@@ -42,6 +42,7 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	resp := raw.(SplitResp)
 	n.mu.Lock()
 	n.zones = []Zone{resp.Zone}
+	n.zonesChangedLocked()
 	n.mu.Unlock()
 	n.store.Absorb(resp.Items)
 	n.acceptServices(resp.Services)
@@ -237,6 +238,7 @@ func (n *Node) handleDeadNeighbor(dead *neighbor) {
 	mine := bestID == n.self.ID
 	if mine {
 		n.zones = append(n.zones, dead.zones...)
+		n.zonesChangedLocked()
 	} else if nb, ok := n.neighbors[bestID]; ok {
 		nb.zones = append(nb.zones, dead.zones...)
 	} else {
@@ -289,6 +291,7 @@ func AssembleSpace(nodes []*Node) {
 
 	// Pairwise neighbor computation.
 	for _, a := range sorted {
+		a.zonesChangedLocked()
 		a.neighbors = make(map[core.ID]*neighbor)
 	}
 	for i, a := range sorted {

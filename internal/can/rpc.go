@@ -285,6 +285,7 @@ func (n *Node) handleSplit(req SplitReq) (SplitResp, error) {
 		joinerZone, keptZone = upper, lower
 	}
 	n.zones[zi] = keptZone
+	n.zonesChangedLocked()
 	// Neighborhood snapshot: our neighbors plus ourselves.
 	infos := []NeighborInfo{{Ref: n.self, Zones: append([]Zone(nil), n.zones...)}}
 	for _, nb := range n.neighbors {
@@ -307,6 +308,7 @@ func (n *Node) handleSplit(req SplitReq) (SplitResp, error) {
 func (n *Node) handleTakeover(req TakeoverReq) {
 	n.mu.Lock()
 	n.zones = append(n.zones, req.Zones...)
+	n.zonesChangedLocked()
 	delete(n.neighbors, req.From.ID)
 	n.mu.Unlock()
 	n.store.Absorb(req.Items)

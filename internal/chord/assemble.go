@@ -38,7 +38,7 @@ func AssembleRing(nodes []*Node) {
 
 	for i, nd := range sorted {
 		nd.mu.Lock()
-		nd.pred = refs[(i-1+n)%n]
+		nd.setPredLocked(refs[(i-1+n)%n])
 		listLen := nd.cfg.SuccessorListLen
 		succs := make([]dht.NodeRef, 0, listLen)
 		for j := 1; j <= listLen && j < n+1; j++ {

@@ -109,7 +109,8 @@ type Node struct {
 	store *dht.LocalStore
 
 	mu       sync.Mutex
-	pred     dht.NodeRef // zero when unknown
+	pred     dht.NodeRef   // zero when unknown
+	held     time.Duration // Env time pred last changed (setPredLocked)
 	succs    []dht.NodeRef
 	fingers  [M]dht.NodeRef
 	nextFix  int
@@ -221,6 +222,27 @@ func (n *Node) OwnsID(id core.ID) bool {
 	return id.Between(n.pred.ID, n.self.ID)
 }
 
+// HeldSince implements dht.Ring: the arc (pred, self] is held since the
+// predecessor last changed. With none known the node owns everything by
+// default, which is nothing steady.
+func (n *Node) HeldSince() time.Duration {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.pred.IsZero() {
+		return n.env.Now()
+	}
+	return n.held
+}
+
+// setPredLocked installs p as the predecessor; every assignment goes
+// through here so that one that moves the arc restarts HeldSince.
+func (n *Node) setPredLocked(p dht.NodeRef) {
+	if p.ID != n.pred.ID || p.IsZero() != n.pred.IsZero() {
+		n.held = n.env.Now()
+	}
+	n.pred = p
+}
+
 // Guess implements dht.Ring from the arcs whose both ends this node
 // knows. Live routing state answers first: its own arc, (pred, self],
 // when the predecessor is known, and the arc between each pair of
@@ -280,7 +302,7 @@ func (n *Node) SuccessorList() []dht.NodeRef {
 func (n *Node) CreateRing() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.pred = dht.NodeRef{}
+	n.setPredLocked(dht.NodeRef{})
 	n.succs = []dht.NodeRef{n.self}
 }
 

@@ -50,7 +50,7 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	tr := raw.(TransferResp)
 
 	n.mu.Lock()
-	n.pred = tr.Pred
+	n.setPredLocked(tr.Pred)
 	n.setSuccessorsLocked(tr.Succs)
 	for i, f := range tr.Fingers {
 		if i < M {
@@ -334,7 +334,7 @@ func (n *Node) checkPredecessor() {
 		if errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) || errors.Is(err, core.ErrUnreachable) {
 			n.mu.Lock()
 			if n.pred.ID == pred.ID {
-				n.pred = dht.NodeRef{}
+				n.setPredLocked(dht.NodeRef{})
 			}
 			n.mu.Unlock()
 		}

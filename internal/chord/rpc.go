@@ -309,7 +309,7 @@ func (n *Node) notify(candidate dht.NodeRef) {
 		return
 	}
 	oldPred := n.pred
-	n.pred = candidate
+	n.setPredLocked(candidate)
 	n.mu.Unlock()
 
 	ceded := func(id core.ID) bool {
@@ -329,7 +329,7 @@ func (n *Node) handleTransfer(req TransferReq) TransferResp {
 	joiner := req.NewNode
 	// Adopt the joiner as predecessor if it is closer (or we had none).
 	if n.pred.IsZero() || joiner.ID.InOpenInterval(n.pred.ID, n.self.ID) {
-		n.pred = joiner
+		n.setPredLocked(joiner)
 	}
 	// Snapshot the list for the joiner before considering the joiner
 	// itself as a successor candidate (a node must not be seeded with
@@ -373,7 +373,7 @@ func (n *Node) handleAbsorb(req AbsorbReq) {
 	if req.Departing {
 		n.mu.Lock()
 		if !n.pred.IsZero() && n.pred.ID == req.From.ID {
-			n.pred = req.NewPred
+			n.setPredLocked(req.NewPred)
 		}
 		// Drop the leaver from the successor list if present.
 		var keep []dht.NodeRef

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -86,6 +87,12 @@ type Ring interface {
 	Env() network.Env
 	// OwnsID reports whether this peer is currently responsible for id.
 	OwnsID(id core.ID) bool
+	// HeldSince returns the Env time since which the set of positions
+	// OwnsID accepts has not changed; any change restarts it, whether the
+	// arc grew or shrank. A peer whose ownership rests on a default — no
+	// known predecessor, a membership table of one, a space with no
+	// neighbor — holds nothing steady and reports Env().Now().
+	HeldSince() time.Duration
 	// Alive reports whether the peer is still part of the overlay.
 	Alive() bool
 	// Obs returns the registry this peer's metrics land in; nil when the

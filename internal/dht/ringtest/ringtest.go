@@ -59,6 +59,10 @@ func Run(t *testing.T, f Factory) {
 	for _, ev := range []string{"join", "leave", "crash"} {
 		t.Run("StaleGuessFallsBack/"+ev, func(t *testing.T) { testStaleGuessFallsBack(t, f, ev, dht.GuessRouting) })
 	}
+	t.Run("HeldSinceOnDefault", func(t *testing.T) { testHeldSinceOnDefault(t, f) })
+	for _, ev := range []string{"join", "leave", "crash"} {
+		t.Run("HeldSinceMoves/"+ev, func(t *testing.T) { testHeldSinceMoves(t, f, ev) })
+	}
 	if f.LearnsArcs {
 		t.Run("LearnedGuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f, dht.GuessLearned) })
 		for _, ev := range []string{"join", "leave", "crash"} {
@@ -366,6 +370,112 @@ func testHealMerge(t *testing.T, f Factory) {
 			}
 		}
 	})
+}
+
+// testHeldSinceOnDefault: a node whose ownership rests on the default —
+// alone in its overlay, before and after it creates it and while its
+// maintenance runs — has no steady arc, so HeldSince reports the
+// current time whenever it is asked.
+func testHeldSinceOnDefault(t *testing.T, f Factory) {
+	c := newCluster(t, f, 707, 0)
+	n := c.newNode()
+	check := func(when string) {
+		t.Helper()
+		if got, now := n.HeldSince(), c.k.Now(); got != now {
+			t.Errorf("%s: HeldSince = %v at %v, want the current time", when, got, now)
+		}
+	}
+	check("unjoined")
+	c.settle(time.Second)
+	check("unjoined, a second later")
+	c.do(n.CreateRing)
+	n.Start()
+	check("alone in a new overlay")
+	c.settle(5 * time.Second)
+	check("alone, after five seconds of maintenance")
+}
+
+// testHeldSinceMoves plays one membership event on a converged overlay
+// and checks HeldSince peer by peer. The peers whose arc the event
+// changes — the owner a joiner splits, or whoever claims the departed
+// peer's positions once its leave has landed or its crash has been
+// detected — report a time at or after the event. Every other peer,
+// which may have rewritten its routing state but not its arc, reports
+// exactly what it did before.
+func testHeldSinceMoves(t *testing.T, f Factory, event string) {
+	const peers = 12
+	c := newCluster(t, f, 808, peers)
+	c.startAll()
+	c.settle(3 * time.Second)
+	before := map[core.ID]time.Duration{}
+	for _, n := range c.nodes {
+		before[n.Self().ID] = n.HeldSince()
+		if before[n.Self().ID] >= c.k.Now() {
+			t.Fatalf("%s reports no steady arc on a converged overlay", n.Self().ID)
+		}
+	}
+	rng := c.k.NewRand("held-" + event)
+	subject := c.nodes[1+rng.Intn(peers-1)] // the join's bootstrap stays up
+	// Positions the subject owns now (for a join: the joiner's own).
+	var arc []core.ID
+	for i := 0; i < 5000 && len(arc) < 50; i++ {
+		if id := core.ID(rng.Uint64()); subject.OwnsID(id) {
+			arc = append(arc, id)
+		}
+	}
+	if len(arc) == 0 {
+		t.Fatalf("no sampled position falls in %s's arc", subject.Self().ID)
+	}
+	at := c.k.Now()
+	touched := map[core.ID]bool{}
+	switch event {
+	case "join":
+		joiner := c.newNode()
+		touched[c.owner(joiner.Self().ID).Self().ID] = true
+		c.do(func() {
+			if err := joiner.Join(c.nodes[0].Self().Addr); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+		})
+		joiner.Start()
+		subject = joiner
+	case "leave":
+		c.do(func() {
+			if err := subject.Leave(); err != nil {
+				t.Logf("leave: %v", err)
+			}
+		})
+		c.net.Kill(subject.Self().Addr)
+	case "crash":
+		subject.Crash()
+		c.net.Kill(subject.Self().Addr)
+	}
+	c.settle(5 * time.Second)
+	if event != "join" {
+		for _, n := range c.alive() {
+			for _, id := range arc {
+				if n.OwnsID(id) {
+					touched[n.Self().ID] = true
+				}
+			}
+		}
+		if len(touched) == 0 {
+			t.Fatalf("nobody took over %s's arc", subject.Self().ID)
+		}
+	}
+	for _, n := range c.alive() {
+		id := n.Self().ID
+		if id == subject.Self().ID {
+			continue
+		}
+		got := n.HeldSince()
+		switch {
+		case touched[id] && (got < at || got >= c.k.Now()):
+			t.Errorf("%s took part of the arc: HeldSince = %v, want a steady time at or after the %s at %v", id, got, event, at)
+		case !touched[id] && got != before[id]:
+			t.Errorf("%s's arc did not change, but HeldSince moved from %v to %v", id, before[id], got)
+		}
+	}
 }
 
 // testGuessAgreesWithLookup checks the zero-message guess on a converged

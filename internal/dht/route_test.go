@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/network"
@@ -33,6 +34,7 @@ func (r *scriptedRing) GuessMissed(ref NodeRef) {
 func (r *scriptedRing) Endpoint() network.Endpoint { return nil }
 func (r *scriptedRing) Env() network.Env           { return nil }
 func (r *scriptedRing) OwnsID(core.ID) bool        { return true }
+func (r *scriptedRing) HeldSince() time.Duration   { return 0 } // no Env: nothing reads it
 func (r *scriptedRing) Alive() bool                { return true }
 func (r *scriptedRing) Obs() *obs.Registry         { return nil }
 

@@ -49,7 +49,9 @@ func AblationRLU(o Options) *Table {
 
 // AblationGraceDelay sweeps the indirect algorithm's pre-read wait
 // (§4.2.2's "waits a while"): too short risks missing in-flight commits,
-// longer only adds latency to every counter re-initialization.
+// longer only adds latency. The wait runs from the last change to the
+// responsible's arc, so only a re-initialization that follows such a
+// change by less than the delay pays any of it.
 func AblationGraceDelay(o Options) *Table {
 	t := NewTable("Ablation (§4.2.2): indirect-init grace delay (UMS-Indirect)",
 		"grace", "per-retrieve cost", []string{"resp (s)", "stale returns", "failed"})

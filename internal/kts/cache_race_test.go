@@ -23,6 +23,7 @@ func (r stubRing) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, err
 func (r stubRing) Endpoint() network.Endpoint { return nil }
 func (r stubRing) Env() network.Env           { return r.env }
 func (r stubRing) OwnsID(id core.ID) bool     { return false }
+func (r stubRing) HeldSince() time.Duration   { return r.env.Now() }
 func (r stubRing) Alive() bool                { return true }
 func (r stubRing) Obs() *obs.Registry         { return nil }
 func (r stubRing) Guess(core.ID) (dht.NodeRef, dht.GuessSource) {

@@ -34,6 +34,10 @@ type initRing struct {
 	set     hashing.Set
 	k       core.Key
 	answers map[network.Addr]replica
+	// steady says the responsible's arc is held since heldAt; otherwise
+	// HeldSince reports Env.Now(), as a ring with no steady arc does.
+	steady bool
+	heldAt time.Duration
 }
 
 func ownerAddr(i int) network.Addr { return network.Addr(fmt.Sprintf("owner%d", i)) }
@@ -60,6 +64,13 @@ func (r *initRing) Obs() *obs.Registry                 { return nil }
 func (r *initRing) Addr() network.Addr                 { return "kts" }
 func (r *initRing) Handle(string, network.HandlerFunc) {}
 func (r *initRing) Close() error                       { return nil }
+
+func (r *initRing) HeldSince() time.Duration {
+	if r.steady {
+		return r.heldAt
+	}
+	return r.env.Now()
+}
 
 func (r *initRing) Invoke(ctx context.Context, to network.Addr, _ string, req network.Message, _ network.Call) (network.Message, error) {
 	network.MeterFrom(ctx).Count(network.SizeOf(req))
@@ -119,6 +130,86 @@ func TestIndirectInitTellsAbsentFromUnreachable(t *testing.T) {
 			}
 			if err != nil || ts != c.want {
 				t.Errorf("gen_ts = %v, err %v; want %v", ts, err, c.want)
+			}
+		})
+	}
+}
+
+// TestFirstStampWaitsWhatIsLeftOfGrace times the first gen_ts and last_ts
+// of a never-stamped key in virtual time. The stub's reads take none, so
+// what a call takes is exactly the grace it waited: GraceDelay measured
+// from the last change to the responsible's arc, the full delay when the
+// ring reports no steady arc or under RLU, and nothing when the delay is
+// negative. The second gen_ts of a key finds its counter and waits for
+// nothing, except under RLU, where every gen_ts builds one.
+func TestFirstStampWaitsWhatIsLeftOfGrace(t *testing.T) {
+	const grace = 400 * time.Millisecond
+	const at = time.Second // when the calls start
+	key := core.Key("k")
+	set := hashing.NewSet(5)
+	for _, c := range []struct {
+		name   string
+		steady bool
+		heldAt time.Duration
+		cfg    Config
+		want   [2]time.Duration // first and second gen_ts; last_ts waits the first
+	}{
+		{"arc held past grace", true, 0, Config{GraceDelay: grace}, [2]time.Duration{0, 0}},
+		{"arc held exactly grace", true, at - grace, Config{GraceDelay: grace}, [2]time.Duration{0, 0}},
+		{"arc changed 150ms ago", true, at - 150*time.Millisecond, Config{GraceDelay: grace}, [2]time.Duration{grace - 150*time.Millisecond, 0}},
+		{"arc changed now", true, at, Config{GraceDelay: grace}, [2]time.Duration{grace, 0}},
+		{"unknown predecessor", false, 0, Config{GraceDelay: grace}, [2]time.Duration{grace, 0}},
+		{"RLU on a held arc", true, 0, Config{GraceDelay: grace, RLU: true}, [2]time.Duration{grace, grace}},
+		{"negative grace", false, 0, Config{GraceDelay: -1}, [2]time.Duration{0, 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(op func(*Service, network.Env) []time.Duration) []time.Duration {
+				k := simnet.New(1)
+				ring := &initRing{env: simwire.Env(k), set: set, k: key, answers: map[network.Addr]replica{},
+					steady: c.steady, heldAt: c.heldAt}
+				for i := range set.Hr {
+					ring.answers[ownerAddr(i)] = absent
+				}
+				svc := New(ring, set, "ums", c.cfg)
+				var took []time.Duration
+				k.Go(func() {
+					if ring.env.Sleep(at) == nil {
+						took = op(svc, ring.env)
+					}
+				})
+				k.Run(time.Hour)
+				if took == nil {
+					t.Fatal("simulation stalled")
+				}
+				return took
+			}
+			gen := run(func(svc *Service, env network.Env) []time.Duration {
+				var took []time.Duration
+				for i := 0; i < 2; i++ {
+					start := env.Now()
+					ts, err := svc.GenTS(context.Background(), key)
+					took = append(took, env.Now()-start)
+					// No replica is ever written, so RLU's second init
+					// starts over; only the first stamp is pinned.
+					if err != nil || (i == 0 && ts != core.TS(1)) {
+						t.Errorf("gen_ts #%d = %v, %v; want ts(1) first", i+1, ts, err)
+					}
+				}
+				return took
+			})
+			if gen[0] != c.want[0] || gen[1] != c.want[1] {
+				t.Errorf("gen_ts took %v then %v; want %v then %v", gen[0], gen[1], c.want[0], c.want[1])
+			}
+			last := run(func(svc *Service, env network.Env) []time.Duration {
+				start := env.Now()
+				ts, err := svc.LastTS(context.Background(), key)
+				if err != nil || !ts.IsZero() {
+					t.Errorf("last_ts = %v, %v; want zero", ts, err)
+				}
+				return []time.Duration{env.Now() - start}
+			})
+			if last[0] != c.want[0] {
+				t.Errorf("last_ts took %v; want %v", last[0], c.want[0])
 			}
 		})
 	}

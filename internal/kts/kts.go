@@ -59,11 +59,14 @@ func (m InitMode) String() string {
 type Config struct {
 	// Mode is the initialization strategy.
 	Mode InitMode
-	// GraceDelay is how long the indirect algorithm waits before reading
-	// replicas, so timestamps granted by the previous responsible can be
-	// committed (§4.2.2 "it waits a while"). Default 500ms; a negative
-	// value means "no wait" (the zero value selects the default, so an
-	// explicit zero wait needs its own spelling).
+	// GraceDelay is how long the indirect algorithm lets timestamps
+	// granted by the previous responsible commit before it reads replicas
+	// (§4.2.2 "it waits a while"), measured from the last change to the
+	// peer's arc: an initialization waits only what is left of it, and
+	// one on an arc held longer reads at once. RLU, and a ring with no
+	// steady arc, wait it in full. Default 500ms; a negative value means
+	// "no wait" (the zero value selects the default, so an explicit zero
+	// wait needs its own spelling).
 	GraceDelay time.Duration
 	// InspectEvery enables periodic inspection with the given period;
 	// zero disables it.
@@ -846,7 +849,7 @@ func (s *Service) ensureCounter(ctx context.Context, k core.Key) (core.Timestamp
 	return init, nil
 }
 
-// indirectInit is Figure 5: wait the grace delay, read the replica
+// indirectInit is Figure 5: wait out the grace delay, read the replica
 // stored at rsp(k, h) for every h ∈ Hr, and return max(ts)+1 — or zero
 // when a responsible answered that it holds no replica and none did (a
 // never-stamped key). When no read reached a responsible at all it
@@ -860,8 +863,8 @@ func (s *Service) ensureCounter(ctx context.Context, k core.Key) (core.Timestamp
 // (Figure 9), which matches concurrent reads, not a sequential walk.
 func (s *Service) indirectInit(ctx context.Context, k core.Key) (core.Timestamp, error) {
 	env := s.ring.Env()
-	if s.cfg.GraceDelay > 0 {
-		if err := env.Sleep(s.cfg.GraceDelay); err != nil {
+	if wait := s.graceLeft(); wait > 0 {
+		if err := env.Sleep(wait); err != nil {
 			return core.TSZero, err
 		}
 	}
@@ -900,6 +903,20 @@ func (s *Service) indirectInit(ctx context.Context, k core.Key) (core.Timestamp,
 		return core.TSZero, nil
 	}
 	return core.TSZero, fmt.Errorf("kts: init(%q): no replica position answered: %w", k, core.ErrUnreachable)
+}
+
+// graceLeft is what an initialization starting now still owes of the
+// grace delay. The delay runs from the last change to this peer's arc
+// (Ring.HeldSince), not from the request: every grant by a previous
+// responsible predates the change that handed the position over, so
+// once GraceDelay has passed since then each such grant has had its full
+// grace. A ring with no steady arc reports now, which owes the whole
+// delay; so does RLU, which by definition cannot detect a change.
+func (s *Service) graceLeft() time.Duration {
+	if s.cfg.RLU {
+		return s.cfg.GraceDelay
+	}
+	return s.cfg.GraceDelay - (s.ring.Env().Now() - s.ring.HeldSince())
 }
 
 // ---- handover (direct algorithm) ---------------------------------------

@@ -204,49 +204,91 @@ func TestDirectTransferOnGracefulLeave(t *testing.T) {
 }
 
 // Monotonicity across a crash: with replicas stored in the DHT, the
-// indirect algorithm reconstructs a safe (strictly higher) counter.
+// indirect algorithm reconstructs a safe (strictly higher) counter. The
+// crashed responsible's last grant is still being written when its
+// successor detects the crash, and the successor's first gen_ts arrives
+// at once: the grace delay, counted from the change that handed it the
+// arc, is what lets those writes land before it reads the replicas.
 func TestIndirectInitAfterCrash(t *testing.T) {
-	c := newCluster(t, 5, 10, Config{Mode: ModeDirect})
+	const grace = time.Second
+	c := newCluster(t, 5, 10, Config{Mode: ModeDirect, GraceDelay: grace})
 	c.settle(2 * time.Second)
 	key := core.Key("crash-key")
 
 	// Generate timestamps AND store a replica carrying the latest one,
 	// as UMS would (the indirect algorithm reads these).
 	client := dht.NewClient(c.nodes[0], "ums")
+	write := func(ts core.Timestamp) {
+		for _, h := range c.set.Hr {
+			client.PutH(context.Background(), key, h, core.Value{Data: []byte("v"), TS: ts}, dht.PutIfNewer)
+		}
+	}
+	gen := func(from *Service) core.Timestamp {
+		ts, err := from.GenTS(context.Background(), key)
+		if err != nil {
+			t.Fatalf("gen: %v", err)
+		}
+		return ts
+	}
 	var last core.Timestamp
 	c.do(func() {
 		for i := 0; i < 3; i++ {
-			ts, err := c.svc().GenTS(context.Background(), key)
-			if err != nil {
-				t.Errorf("gen: %v", err)
-				return
-			}
-			last = ts
-			for _, h := range c.set.Hr {
-				client.PutH(context.Background(), key, h, core.Value{Data: []byte("v"), TS: ts}, dht.PutIfNewer)
-			}
+			write(gen(c.svc()))
 		}
+		// Two more grants: the first one's put never writes (its writer
+		// gave up), the second's writes are still to come.
+		gen(c.svc())
+		last = gen(c.svc())
 	})
 
 	idx := c.responsibleFor(key)
+	succ := c.nodes[idx].Successor()
+	var heir *chord.Node
+	var heirKTS *Service
+	for i, nd := range c.nodes {
+		if nd.Self().ID == succ.ID {
+			heir, heirKTS = nd, c.services[i]
+		}
+	}
+	crashed := c.k.Now()
 	c.nodes[idx].Crash()
 	c.net.Kill(c.nodes[idx].Self().Addr)
-	c.settle(5 * time.Second) // ring heals
+	// Detection clears the heir's predecessor; stabilization then links
+	// the crashed peer's predecessor in. Either moves its arc.
+	for heir.Predecessor().IsZero() || heir.HeldSince() <= crashed {
+		if c.k.Now()-crashed > 10*time.Second {
+			t.Fatal("the successor never took the crashed peer's arc over")
+		}
+		c.k.Run(c.k.Now() + 10*time.Millisecond)
+	}
+	detected := heir.HeldSince()
 
+	var ts core.Timestamp
+	var landed time.Duration
 	c.do(func() {
-		ts, err := c.svc().GenTS(context.Background(), key)
-		if err != nil {
-			t.Errorf("gen after crash: %v", err)
-			return
-		}
-		if !last.Less(ts) {
-			t.Errorf("monotonicity violated after crash: %v then %v", last, ts)
-		}
-		// Indirect init: counter = tsm+1 = last+1, gen returns last+2.
-		if ts != last.Add(2) {
-			t.Errorf("indirect init should yield tsm+2 on first gen: got %v after %v", ts, last)
-		}
+		env := c.nodes[0].Env()
+		env.Join(2, func(i int) {
+			if i == 0 {
+				// Sent from the heir, which serves it locally at once.
+				ts = gen(heirKTS)
+				return
+			}
+			if env.Sleep(grace/3) == nil {
+				write(last)
+				landed = env.Now()
+			}
+		})
 	})
+	if landed == 0 || landed-detected >= grace {
+		t.Fatalf("the late writes landed %v after detection; the test needs them inside the %v grace", landed-detected, grace)
+	}
+	if !last.Less(ts) {
+		t.Errorf("monotonicity violated after crash: %v then %v", last, ts)
+	}
+	// Indirect init: counter = tsm+1 = last+1, gen returns last+2.
+	if ts != last.Add(2) {
+		t.Errorf("indirect init should yield tsm+2 on first gen: got %v after %v", ts, last)
+	}
 }
 
 // ModeIndirect must not transfer counters even on graceful leaves.
@@ -384,18 +426,26 @@ func TestMonotonicityUnderChurn(t *testing.T) {
 	}
 }
 
+// RLU cannot tell that its arc has not moved, so every gen_ts pays an
+// initialization and the whole grace delay, even on an arc held since
+// long before the key existed.
 func TestRLUModeReinitializesEveryTime(t *testing.T) {
-	c := newCluster(t, 8, 8, Config{Mode: ModeDirect, RLU: true})
+	const grace = 200 * time.Millisecond
+	c := newCluster(t, 8, 8, Config{Mode: ModeDirect, RLU: true, GraceDelay: grace})
 	c.settle(2 * time.Second)
 	key := core.Key("rlu-key")
 	client := dht.NewClient(c.nodes[0], "ums")
 	var prev core.Timestamp
 	c.do(func() {
 		for i := 0; i < 4; i++ {
+			start := c.k.Now()
 			ts, err := c.svc().GenTS(context.Background(), key)
 			if err != nil {
 				t.Errorf("gen: %v", err)
 				return
+			}
+			if took := c.k.Now() - start; took < grace {
+				t.Errorf("RLU gen_ts #%d took %v, less than the %v grace", i+1, took, grace)
 			}
 			if i > 0 && !prev.Less(ts) {
 				t.Errorf("RLU monotonicity violated: %v then %v", prev, ts)

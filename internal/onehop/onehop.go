@@ -81,6 +81,8 @@ type Node struct {
 
 	mu       sync.Mutex
 	table    []dht.NodeRef // sorted by ID, always contains self
+	heldPred core.ID       // the table predecessor's ID (self's when alone)
+	held     time.Duration // Env time heldPred last changed
 	alive    bool
 	started  bool
 	handover []dht.Handover
@@ -136,6 +138,7 @@ func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
 		n.store = dht.NewLocalStore()
 	}
 	n.table = []dht.NodeRef{n.self}
+	n.tableChangedLocked()
 	n.registerHandlers()
 	dht.RegisterStore(ep, n.store, n.OwnsID)
 	if r := cfg.Obs; r != nil {
@@ -195,6 +198,18 @@ func (n *Node) OwnsID(id core.ID) bool {
 	return id.Between(pred.ID, n.self.ID)
 }
 
+// HeldSince implements dht.Ring: the arc (table-predecessor, self] is
+// held since that predecessor last changed. A table of one owns
+// everything by default, which is nothing steady.
+func (n *Node) HeldSince() time.Duration {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if len(n.table) <= 1 {
+		return n.env.Now()
+	}
+	return n.held
+}
+
 // Guess implements dht.Ring: the table's successor of id. A table that
 // holds only self names nobody — that is the own-everything default,
 // not knowledge.
@@ -248,6 +263,7 @@ func (n *Node) CreateRing() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.table = []dht.NodeRef{n.self}
+	n.tableChangedLocked()
 }
 
 // Crash kills the node without ceremony: no handover, no events. The
@@ -307,6 +323,7 @@ func (n *Node) insertLocked(ref dht.NodeRef) {
 	n.table = append(n.table, dht.NodeRef{})
 	copy(n.table[i+1:], n.table[i:])
 	n.table[i] = ref
+	n.tableChangedLocked()
 }
 
 // removeLocked drops a member by ID. Self is never removed.
@@ -317,6 +334,16 @@ func (n *Node) removeLocked(id core.ID) {
 	i := n.indexOfLocked(id)
 	if i < len(n.table) && n.table[i].ID == id {
 		n.table = append(n.table[:i], n.table[i+1:]...)
+		n.tableChangedLocked()
+	}
+}
+
+// tableChangedLocked follows a table edit: when it moved the table
+// predecessor, and with it the arc OwnsID accepts, HeldSince restarts.
+func (n *Node) tableChangedLocked() {
+	i := n.indexOfLocked(n.self.ID)
+	if pred := n.table[(i-1+len(n.table))%len(n.table)].ID; pred != n.heldPred {
+		n.heldPred, n.held = pred, n.env.Now()
 	}
 }
 
@@ -345,6 +372,7 @@ func AssembleRing(nodes []*Node) {
 		copy(table, refs)
 		nd.mu.Lock()
 		nd.table = table
+		nd.tableChangedLocked()
 		nd.mu.Unlock()
 	}
 }

@@ -221,6 +221,7 @@ func (r *stubRing) GuessMissed(dht.NodeRef)    {}
 func (r *stubRing) Endpoint() network.Endpoint { return r.wire }
 func (r *stubRing) Env() network.Env           { return r.env }
 func (r *stubRing) OwnsID(core.ID) bool        { return false }
+func (r *stubRing) HeldSince() time.Duration   { return r.env.Now() }
 func (r *stubRing) Alive() bool                { return true }
 func (r *stubRing) Obs() *obs.Registry         { return r.reg }
 

@@ -65,8 +65,10 @@ type NodeConfig struct {
 	// StabilizeEvery overrides the maintenance period (default 1s on
 	// real deployments, where RPCs are cheap).
 	StabilizeEvery time.Duration
-	// GraceDelay overrides the indirect algorithm's wait. Zero selects
-	// the KTS default (500ms); a negative value means "no wait".
+	// GraceDelay overrides the indirect algorithm's wait, measured from
+	// the last change to the peer's arc: a counter built on an arc held
+	// longer than this reads the replicas at once. Zero selects the KTS
+	// default (500ms); a negative value means "no wait".
 	GraceDelay time.Duration
 	// Inspect enables KTS periodic inspection (§4.2.2) with the given
 	// period: the responsible re-reads replicas and raises counters that
