@@ -1,207 +1,14 @@
 package dcdht
 
-// One benchmark per table/figure of the paper's evaluation (§5) plus the
-// analysis tables of §3.3/§4.2.2. Each benchmark regenerates its figure
-// as a series table printed to stdout — the same rows the paper plots —
-// and reports headline values via b.ReportMetric.
-//
-// The benches run the scaled-down "quick" sweeps so the whole suite
-// finishes in minutes; `go run ./cmd/dcdht-bench -full` reproduces the
-// paper-scale axes (10,000 peers, 3-hour windows). Figures sharing runs
-// (7/8 and 9/10) compute once and are cached across benchmarks.
+// The paper's tables and figures regenerate through cmd/dcdht-bench
+// (`go run ./cmd/dcdht-bench -figure N`); scripts/check_bench.sh runs
+// them in CI. This file measures the harness itself.
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/exp"
 )
-
-var benchOpts = exp.Options{Seed: 42}
-
-var (
-	scaleOnce sync.Once
-	fig7      *exp.Table
-	fig8      *exp.Table
-
-	replOnce sync.Once
-	fig9     *exp.Table
-	fig10    *exp.Table
-)
-
-func scaleTables() (*exp.Table, *exp.Table) {
-	scaleOnce.Do(func() { fig7, fig8 = exp.Figures7And8(benchOpts) })
-	return fig7, fig8
-}
-
-func replicaTables() (*exp.Table, *exp.Table) {
-	replOnce.Do(func() { fig9, fig10 = exp.Figures9And10(benchOpts) })
-	return fig9, fig10
-}
-
-// report prints the table once and pushes a couple of its headline cells
-// into the benchmark metrics.
-func report(b *testing.B, t *exp.Table, metric string) {
-	b.Helper()
-	t.Render(os.Stdout)
-	last := t.XS[len(t.XS)-1]
-	for _, s := range t.Series {
-		if v, ok := t.Get(last, s); ok {
-			b.ReportMetric(v, fmt.Sprintf("%s/%s", metric, sanitize(s)))
-		}
-	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case ' ', '(', ')', ',', '|', '=':
-			out = append(out, '_')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
-}
-
-// BenchmarkAnalysisExpectedRetrievals regenerates the §3.3 cost model
-// table: E(X) vs pt with the 1/pt bound and a Monte Carlo cross-check
-// (paper example: pt=0.35 ⇒ E(X) < 3).
-func BenchmarkAnalysisExpectedRetrievals(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.AnalysisExpectedRetrievals(benchOpts)
-	}
-	report(b, t, "EX")
-}
-
-// BenchmarkAnalysisIndirectSuccess regenerates the §4.2.2 table:
-// ps = 1-(1-pt)^|Hr| (paper example: pt=0.3, |Hr|=13 ⇒ ps > 99%).
-func BenchmarkAnalysisIndirectSuccess(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.AnalysisIndirectSuccess(benchOpts)
-	}
-	report(b, t, "ps")
-}
-
-// BenchmarkFigure6ClusterResponseTime regenerates Figure 6: response
-// time vs peers (10–60) on the cluster network profile.
-func BenchmarkFigure6ClusterResponseTime(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.Figure6(benchOpts)
-	}
-	report(b, t, "resp_s")
-}
-
-// BenchmarkFigure7ScaleResponseTime regenerates Figure 7: response time
-// vs number of peers under Table 1.
-func BenchmarkFigure7ScaleResponseTime(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		scaleOnce = sync.Once{}
-		t, _ = scaleTables()
-	}
-	report(b, t, "resp_s")
-}
-
-// BenchmarkFigure8ScaleMessages regenerates Figure 8: communication cost
-// vs number of peers (shares Figure 7's runs when already computed).
-func BenchmarkFigure8ScaleMessages(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		_, t = scaleTables()
-	}
-	report(b, t, "msgs")
-}
-
-// BenchmarkFigure9ReplicasResponseTime regenerates Figure 9: response
-// time vs number of replicas.
-func BenchmarkFigure9ReplicasResponseTime(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		replOnce = sync.Once{}
-		t, _ = replicaTables()
-	}
-	report(b, t, "resp_s")
-}
-
-// BenchmarkFigure10ReplicasMessages regenerates Figure 10: communication
-// cost vs number of replicas (shares Figure 9's runs when already
-// computed).
-func BenchmarkFigure10ReplicasMessages(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		_, t = replicaTables()
-	}
-	report(b, t, "msgs")
-}
-
-// BenchmarkFigure11FailureRate regenerates Figure 11: response time vs
-// failure rate.
-func BenchmarkFigure11FailureRate(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.Figure11(benchOpts)
-	}
-	report(b, t, "resp_s")
-}
-
-// BenchmarkFigure12UpdateFrequency regenerates Figure 12: response time
-// vs update frequency for the two UMS variants.
-func BenchmarkFigure12UpdateFrequency(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.Figure12(benchOpts)
-	}
-	report(b, t, "resp_s")
-}
-
-// BenchmarkAblationRLU compares RLA counter management with the §4.3
-// RLU fallback (drop the counter after every timestamp).
-func BenchmarkAblationRLU(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.AblationRLU(benchOpts)
-	}
-	report(b, t, "rlu")
-}
-
-// BenchmarkAblationGraceDelay sweeps the indirect algorithm's pre-read
-// wait (§4.2.2 "waits a while").
-func BenchmarkAblationGraceDelay(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.AblationGraceDelay(benchOpts)
-	}
-	report(b, t, "grace")
-}
-
-// BenchmarkAblationSuccessorList sweeps Chord's failure budget under 50%
-// failures.
-func BenchmarkAblationSuccessorList(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.AblationSuccessorList(benchOpts)
-	}
-	report(b, t, "succs")
-}
-
-// BenchmarkAblationDataHandoff contrasts the paper's no-handoff DHT
-// model with this library's replica handoff extension.
-func BenchmarkAblationDataHandoff(b *testing.B) {
-	var t *exp.Table
-	for i := 0; i < b.N; i++ {
-		t = exp.AblationDataHandoff(benchOpts)
-	}
-	report(b, t, "handoff")
-}
 
 // BenchmarkRetrieveOpSimulated measures the harness itself: wall-clock
 // cost of one simulated UMS retrieve (network of 256 peers, |Hr|=10).

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"time"
 
@@ -28,67 +29,24 @@ import (
 // ConsistencyLevels lists the compared levels in plotting order.
 var ConsistencyLevels = []string{"current", "bounded", "eventual"}
 
-// ConsistencyOptions parameterizes the consistency figure beyond the
-// shared exp.Options. The zero value runs every level at the quick
-// scale.
-type ConsistencyOptions struct {
-	// Levels restricts the figure to a subset of ConsistencyLevels;
-	// empty runs all three.
-	Levels []string
-	// Bound is the staleness bound for the bounded level. Default 5
-	// minutes of simulated time.
-	Bound time.Duration
-	// Peers overrides the deployment size (default 120 quick / 1000
-	// full).
-	Peers int
-	// Clients is the issuing client-pool size: queries and updates are
-	// issued round-robin from this many designated peers, the way
-	// application servers front a DHT — which is what lets bounded
-	// reads find a warm last-ts cache. Default 4.
-	Clients int
-	// Queries is the number of measured retrieves per point (default
-	// 60 quick / 200 full).
-	Queries int
-	// Duration is the measured window in simulated time (default 12m
-	// quick / 1h full).
-	Duration time.Duration
+// consistencyParams are the consistency figure's parameters.
+type consistencyParams struct {
+	levels                  string
+	bound                   time.Duration
+	peers, clients, queries int
+	duration                time.Duration
 }
 
-// resolve fills the option defaults against the shared options' scale.
-func (co ConsistencyOptions) resolve(o Options) (ConsistencyOptions, error) {
-	if len(co.Levels) == 0 {
-		co.Levels = ConsistencyLevels
-	}
-	for _, l := range co.Levels {
-		if _, err := parseLevel(l); err != nil {
-			return co, err
-		}
-	}
-	if co.Bound <= 0 {
-		co.Bound = 5 * time.Minute
-	}
-	if co.Peers <= 0 {
-		co.Peers = 120
-		if o.Full {
-			co.Peers = 1000
-		}
-	}
-	if co.Clients <= 0 {
-		co.Clients = 4
-	}
-	if co.Queries <= 0 {
-		co.Queries = 60
-		if o.Full {
-			co.Queries = 200
-		}
-	}
-	if co.Duration <= 0 {
-		co.Duration = 12 * time.Minute
-		if o.Full {
-			co.Duration = time.Hour
-		}
-	}
-	return co, nil
+func (p *consistencyParams) declare(fs *flag.FlagSet, o Options) {
+	fs.StringVar(&p.levels, "levels", "all", "comma-separated consistency levels: current|bounded|eventual|all")
+	fs.DurationVar(&p.bound, "bound", 5*time.Minute, "staleness bound for bounded reads, in simulated time")
+	fs.IntVar(&p.peers, "peers", pick(o, 120, 1000), "deployment size")
+	// Queries and updates are issued round-robin from a client pool, the
+	// way application servers front a DHT — which is what lets bounded
+	// reads find a warm last-ts cache.
+	fs.IntVar(&p.clients, "clients", 4, "issuing client-pool size")
+	fs.IntVar(&p.queries, "queries", pick(o, 60, 200), "measured retrieves per (level, repair) cell")
+	fs.DurationVar(&p.duration, "duration", pick(o, 12*time.Minute, time.Hour), "measured window of simulated time per cell")
 }
 
 // parseLevel maps a level name to the UMS read level.
@@ -164,16 +122,16 @@ type ConsistencyPoint struct {
 // consistencyRun measures one (level, repair) cell on a fresh
 // deployment built from the shared seed; every random choice comes off
 // named kernel streams, so the same options replay the identical point.
-func consistencyRun(o Options, co ConsistencyOptions, levelName string, withRepair bool) ConsistencyPoint {
+func consistencyRun(o Options, cp *consistencyParams, levelName string, withRepair bool) ConsistencyPoint {
 	level, err := parseLevel(levelName)
 	if err != nil {
-		panic(err) // resolve validated the names already
+		panic(err) // run validated the names already
 	}
-	sc := Table1Scenario(AlgUMSDirect, co.Peers, o.seed())
+	sc := Table1Scenario(AlgUMSDirect, cp.peers, o.Seed)
 	cfg := DeployConfig{
-		Peers:          co.Peers,
+		Peers:          cp.peers,
 		Replicas:       sc.Replicas,
-		Seed:           o.seed(),
+		Seed:           o.Seed,
 		Net:            sc.Net,
 		Chord:          sc.Chord,
 		PaperDataModel: true,
@@ -188,19 +146,19 @@ func consistencyRun(o Options, co ConsistencyOptions, levelName string, withRepa
 	point := ConsistencyPoint{
 		Level:   levelName,
 		Repair:  withRepair,
-		Peers:   co.Peers,
-		Clients: co.Clients,
+		Peers:   cp.peers,
+		Clients: cp.clients,
 	}
 	if level == dht.LevelBounded {
-		point.BoundSec = co.Bound.Seconds()
+		point.BoundSec = cp.bound.Seconds()
 	}
 
 	// The client pool: the first Clients peers of the deployment front
 	// all traffic (queries and updates), like application servers in
 	// front of a storage tier. A pool peer lost to churn falls through
 	// to the next live one.
-	pool := make([]*Peer, co.Clients)
-	copy(pool, d.Peers[:min(co.Clients, len(d.Peers))])
+	pool := make([]*Peer, cp.clients)
+	copy(pool, d.Peers[:min(cp.clients, len(d.Peers))])
 	poolRng := d.K.NewRand("consistency-pool")
 	clientPeer := func(i int) *Peer {
 		for probe := 0; probe < len(pool); probe++ {
@@ -234,7 +192,7 @@ func consistencyRun(o Options, co ConsistencyOptions, levelName string, withRepa
 		panic("exp: consistency figure: initial load did not complete")
 	}
 
-	endAt := d.K.Now() + co.Duration
+	endAt := d.K.Now() + cp.duration
 
 	// Churn: Poisson departures with a high failure share, so replica
 	// loss — the condition that separates the levels — actually occurs
@@ -291,9 +249,9 @@ func consistencyRun(o Options, co ConsistencyOptions, levelName string, withRepa
 	staleObserved, ktsReqs := 0, 0
 	qRng := d.K.NewRand("consistency-queries")
 	queriesDone := 0
-	for q := 0; q < co.Queries; q++ {
+	for q := 0; q < cp.queries; q++ {
 		q := q
-		at := stats.UniformDuration(qRng, co.Duration)
+		at := stats.UniformDuration(qRng, cp.duration)
 		key := keys[qRng.Intn(len(keys))]
 		d.K.After(at, func() {
 			defer func() { queriesDone++ }()
@@ -305,7 +263,7 @@ func consistencyRun(o Options, co ConsistencyOptions, levelName string, withRepa
 				point.FailedQueries++
 				return
 			}
-			pol := dht.ReadPolicy{Level: level, Bound: co.Bound}
+			pol := dht.ReadPolicy{Level: level, Bound: cp.bound}
 			ledger := &readLedger{}
 			r, err := p.UMS.RetrieveWith(obs.WithTracer(context.Background(), ledger), key, pol)
 			point.QueriesRun++
@@ -361,7 +319,7 @@ func consistencyRun(o Options, co ConsistencyOptions, levelName string, withRepa
 
 	// Drive the window plus slack for stragglers.
 	d.K.Run(endAt + 2*time.Minute)
-	for i := 0; i < 100 && queriesDone < co.Queries; i++ {
+	for i := 0; i < 100 && queriesDone < cp.queries; i++ {
 		d.K.Run(d.K.Now() + 10*time.Second)
 	}
 
@@ -404,51 +362,106 @@ func (l *readLedger) phase(name string) (time.Duration, bool) {
 	return 0, false
 }
 
-// ConsistencyComparison measures every requested level with replica
-// maintenance off and on, each cell on a fresh same-seed deployment.
-func ConsistencyComparison(o Options, co ConsistencyOptions) ([]ConsistencyPoint, error) {
-	co, err := co.resolve(o)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]ConsistencyPoint, 0, 2*len(co.Levels))
-	for _, withRepair := range []bool{false, true} {
-		for _, level := range co.Levels {
-			p := consistencyRun(o, co, level, withRepair)
-			points = append(points, p)
-			o.progress("consistency-%-8s repair=%-5v msgs=%5.1f resp=%6.2fs proven=%3.0f%% stale=%3.0f%% lag=%.2f",
-				level, withRepair, p.MsgsPerRetrieve, p.RespTimeSec,
-				100*p.ProvenRate, 100*p.ObservedStaleRate, p.VersionLagMean)
+// ConsistencyPoints is the consistency figure's document
+// (BENCH_consistency.json).
+type ConsistencyPoints []ConsistencyPoint
+
+// run measures every requested level with replica maintenance off and
+// on, each cell on a fresh same-seed deployment, and tabulates the
+// per-retrieve cost and observed currency per level.
+func (p *consistencyParams) run(o Options) (*Table, *ConsistencyPoints, error) {
+	levels := names(p.levels, ConsistencyLevels)
+	for _, l := range levels {
+		if _, err := parseLevel(l); err != nil {
+			return nil, nil, err
 		}
 	}
-	return points, nil
-}
-
-// FigureConsistency tabulates the comparison: per-retrieve cost and
-// observed currency per level, with maintenance off and on.
-func FigureConsistency(o Options, co ConsistencyOptions) (*Table, []ConsistencyPoint, error) {
-	points, err := ConsistencyComparison(o, co)
-	if err != nil {
-		return nil, nil, err
+	points := make(ConsistencyPoints, 0, 2*len(levels))
+	for _, withRepair := range []bool{false, true} {
+		for _, level := range levels {
+			pt := consistencyRun(o, p, level, withRepair)
+			points = append(points, pt)
+			o.progress("consistency-%-8s repair=%-5v msgs=%5.1f resp=%6.2fs proven=%3.0f%% stale=%3.0f%% lag=%.2f",
+				level, withRepair, pt.MsgsPerRetrieve, pt.RespTimeSec,
+				100*pt.ProvenRate, 100*pt.ObservedStaleRate, pt.VersionLagMean)
+		}
 	}
 	t := NewTable("Consistency: retrieval cost vs observed currency by level (UMS-Direct)",
 		"level", "cost / currency",
 		[]string{"msgs", "resp (s)", "E(X) probes", "proven %", "stale %", "version lag"})
-	for _, p := range points {
-		row := p.Level
-		if p.Repair {
+	for _, pt := range points {
+		row := pt.Level
+		if pt.Repair {
 			row += "+repair"
 		}
-		t.Set(row, "msgs", p.MsgsPerRetrieve)
-		t.Set(row, "resp (s)", p.RespTimeSec)
-		t.Set(row, "E(X) probes", p.ProbesPerRetrieve)
-		t.Set(row, "proven %", 100*p.ProvenRate)
-		t.Set(row, "stale %", 100*p.ObservedStaleRate)
-		t.Set(row, "version lag", p.VersionLagMean)
+		t.Row(row, pt.MsgsPerRetrieve, pt.RespTimeSec, pt.ProbesPerRetrieve,
+			100*pt.ProvenRate, 100*pt.ObservedStaleRate, pt.VersionLagMean)
 	}
 	t.Notes = append(t.Notes,
 		"current proves currency against KTS last_ts; bounded accepts a cached floor within the bound (no KTS round trip on a warm cache);",
 		"eventual takes the first reachable replica with no KTS contact — stale % and version lag are measured against the harness's ground-truth update log;",
 		"queries and updates are issued round-robin from a small client pool, which is what keeps bounded's last-ts caches warm")
-	return t, points, nil
+	return t, &points, nil
+}
+
+// Validate checks the document against the figure's invariants: every
+// cell ran queries at sane costs and its verdicts account for them with
+// an intact sequencing ledger; and per repair mode, when all three
+// levels are present, Eventual and Bounded cost strictly fewer messages
+// and last_ts requests than Current, Current proves currency whenever a
+// current replica was reachable, and Eventual never claims currency.
+func (ps ConsistencyPoints) Validate() error {
+	if len(ps) == 0 {
+		return fmt.Errorf("consistency: empty point set")
+	}
+	byKey := map[string]ConsistencyPoint{}
+	for i, p := range ps {
+		if _, err := parseLevel(p.Level); err != nil {
+			return fmt.Errorf("consistency: point %d: %v", i, err)
+		}
+		if p.QueriesRun <= 0 {
+			return fmt.Errorf("consistency: point %d (%s repair=%v): no queries ran", i, p.Level, p.Repair)
+		}
+		if p.Peers <= 0 || p.Clients <= 0 {
+			return fmt.Errorf("consistency: point %d (%s): missing deployment shape: peers=%d clients=%d", i, p.Level, p.Peers, p.Clients)
+		}
+		if p.MsgsPerRetrieve <= 0 || p.RespTimeSec <= 0 || p.ProbesPerRetrieve <= 0 {
+			return fmt.Errorf("consistency: point %d (%s): non-positive costs: msgs=%v resp=%v probes=%v",
+				i, p.Level, p.MsgsPerRetrieve, p.RespTimeSec, p.ProbesPerRetrieve)
+		}
+		if got := p.Proven + p.WithinBound + p.SessionFloor + p.Unknown + p.StaleReturns + p.FailedQueries; got != p.QueriesRun {
+			return fmt.Errorf("consistency: point %d (%s repair=%v): verdicts %d do not account for %d queries", i, p.Level, p.Repair, got, p.QueriesRun)
+		}
+		if p.LedgerBreaks != 0 {
+			return fmt.Errorf("consistency: point %d (%s repair=%v): %d reads broke the sequencing ledger", i, p.Level, p.Repair, p.LedgerBreaks)
+		}
+		byKey[fmt.Sprintf("%s/%v", p.Level, p.Repair)] = p
+	}
+	for _, repaired := range []bool{false, true} {
+		cur, ok1 := byKey[fmt.Sprintf("current/%v", repaired)]
+		bnd, ok2 := byKey[fmt.Sprintf("bounded/%v", repaired)]
+		ev, ok3 := byKey[fmt.Sprintf("eventual/%v", repaired)]
+		if !ok1 || !ok2 || !ok3 {
+			continue // a restricted levels run: only the cells present are checked
+		}
+		if !(ev.MsgsPerRetrieve < cur.MsgsPerRetrieve) || !(bnd.MsgsPerRetrieve < cur.MsgsPerRetrieve) {
+			return fmt.Errorf("consistency: repair=%v: messages not strictly ordered: eventual %.2f / bounded %.2f vs current %.2f",
+				repaired, ev.MsgsPerRetrieve, bnd.MsgsPerRetrieve, cur.MsgsPerRetrieve)
+		}
+		// Response time is not ordered: a Current read's first probe
+		// rides alongside a slow last_ts, so skipping KTS saves requests,
+		// not a serial round trip (docs/CONSISTENCY.md).
+		if !(ev.KTSReqsPerRetrieve == 0 && 0 < bnd.KTSReqsPerRetrieve && bnd.KTSReqsPerRetrieve < cur.KTSReqsPerRetrieve) {
+			return fmt.Errorf("consistency: repair=%v: last_ts requests not strictly ordered: eventual %.2f / bounded %.2f / current %.2f",
+				repaired, ev.KTSReqsPerRetrieve, bnd.KTSReqsPerRetrieve, cur.KTSReqsPerRetrieve)
+		}
+		if cur.Proven+cur.StaleReturns+cur.FailedQueries != cur.QueriesRun ||
+			cur.WithinBound+cur.SessionFloor+cur.Unknown != 0 {
+			return fmt.Errorf("consistency: repair=%v: current must prove currency whenever a current replica is reachable: %+v", repaired, cur)
+		}
+		if ev.Proven+ev.WithinBound+ev.SessionFloor != 0 {
+			return fmt.Errorf("consistency: repair=%v: eventual claims currency: %+v", repaired, ev)
+		}
+	}
+	return nil
 }

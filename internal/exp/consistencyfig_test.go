@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
-	"time"
 )
 
-// tinyConsistency is the toy scale the determinism and acceptance
-// assertions run at: 6 deployments in well under a second.
-func tinyConsistency() (Options, ConsistencyOptions) {
-	return Options{Seed: 42},
-		ConsistencyOptions{Peers: 40, Queries: 24, Duration: 8 * time.Minute, Clients: 3}
+// tinyConsistency runs the figure at the toy scale the determinism and
+// acceptance assertions use: 6 deployments in well under a second.
+func tinyConsistency(t *testing.T) ConsistencyPoints {
+	t.Helper()
+	_, doc := runFigure(t, "consistency", Options{Seed: 42},
+		"peers=40", "queries=24", "duration=8m", "clients=3")
+	return *doc.(*ConsistencyPoints)
 }
 
 // TestConsistencyFigureDeterminism replays the figure twice on the same
@@ -19,12 +20,7 @@ func tinyConsistency() (Options, ConsistencyOptions) {
 // BENCH_consistency.json a CI run writes is exactly reproducible.
 func TestConsistencyFigureDeterminism(t *testing.T) {
 	run := func() []byte {
-		o, co := tinyConsistency()
-		points, err := ConsistencyComparison(o, co)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(points)
+		b, err := json.Marshal(tinyConsistency(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,13 +48,8 @@ func TestConsistencyFigureDeterminism(t *testing.T) {
 // waited on a remote last_ts overlapped its first probe with it, and
 // none was slower than its phases in series.
 func TestConsistencyLevelsOrdering(t *testing.T) {
-	o, co := tinyConsistency()
-	points, err := ConsistencyComparison(o, co)
-	if err != nil {
-		t.Fatal(err)
-	}
 	byKey := map[string]ConsistencyPoint{}
-	for _, p := range points {
+	for _, p := range tinyConsistency(t) {
 		key := p.Level
 		if p.Repair {
 			key += "+repair"

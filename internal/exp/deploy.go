@@ -111,6 +111,10 @@ type Deployment struct {
 
 	peerCfg  peer.Config // what every peer of this deployment is built from
 	nextName int
+	// restarting holds the names whose restart is still joining: the new
+	// incarnation already owns the name's address but is not yet in
+	// Peers, so the name must not be offered for restart again.
+	restarting map[string]bool
 }
 
 // NewDeployment builds cfg.Peers peers, assembles the ring
@@ -270,8 +274,8 @@ func (d *Deployment) SpawnJoin(rng interface{ Intn(int) int }) *Peer {
 }
 
 // RestartablePeers lists the names of peers that are down but could be
-// restarted (dead, and not already superseded by a newer incarnation of
-// the same name).
+// restarted (dead, not already superseded by a newer incarnation of the
+// same name, and not in the middle of a restart).
 func (d *Deployment) RestartablePeers() []string {
 	latest := make(map[string]*Peer, len(d.Peers))
 	var order []string
@@ -283,7 +287,7 @@ func (d *Deployment) RestartablePeers() []string {
 	}
 	var out []string
 	for _, name := range order {
-		if !latest[name].Alive() {
+		if !latest[name].Alive() && !d.restarting[name] {
 			out = append(out, name)
 		}
 	}
@@ -297,8 +301,8 @@ func (d *Deployment) RestartablePeers() []string {
 // then runs the §4.2.2 recovery strategy so counters that moved on get
 // corrected. Without Durable the peer comes back blank: restart-as-new,
 // the crash-and-forget baseline. Must run inside a kernel process.
-// Returns nil when the peer is unknown, still alive, or no bootstrap is
-// reachable.
+// Returns nil when the peer is unknown, still alive, already restarting,
+// or no bootstrap is reachable.
 func (d *Deployment) RestartWithState(name string, rng interface{ Intn(int) int }) *Peer {
 	var old *Peer
 	for _, p := range d.Peers {
@@ -306,9 +310,14 @@ func (d *Deployment) RestartWithState(name string, rng interface{ Intn(int) int 
 			old = p
 		}
 	}
-	if old == nil || old.Alive() {
+	if old == nil || old.Alive() || d.restarting[name] {
 		return nil
 	}
+	if d.restarting == nil {
+		d.restarting = map[string]bool{}
+	}
+	d.restarting[name] = true
+	defer delete(d.restarting, name)
 	d.Net.Remove(old.EP.Addr())
 	// Like SpawnJoin, a join can route through a peer that is itself
 	// still down (stale fingers survive a while), so a few bootstraps

@@ -48,55 +48,30 @@ func TestWholeNetworkDeterminism(t *testing.T) {
 	}
 }
 
-// TestAblationsSmoke runs each ablation at a tiny scale to keep the
-// long-running bench versions honest (they share this code).
+// TestAblationsSmoke plays every variant of every ablation, through
+// the ablation table's own mutators, at a tiny scale to keep the
+// bench-scale tables honest.
 func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation smoke test")
 	}
-	tiny := Options{Seed: 3}
-	// Shrink by running the underlying scenarios directly at small scale.
-	for _, build := range []func(Options) *Table{
-		AblationRLU, AblationGraceDelay, AblationSuccessorList, AblationDataHandoff,
-	} {
-		_ = build // signature check only; the full runs live in bench
-	}
-	// One real tiny run per knob:
-	base := Table1Scenario(AlgUMSDirect, 40, tiny.seed())
-	base.Duration = 5 * time.Minute
-	base.Warmup = 30 * time.Second
-	base.Keys = 4
-	base.Queries = 6
-	base.ChurnRate = 0.05
-	base.UpdateRate = 6
-
-	rlu := base
-	rlu.RLU = true
-	if r := Run(rlu); r.QueriesRun == 0 {
-		t.Fatal("RLU scenario ran no queries")
-	}
-
-	handoff := base
-	handoff.DataHandoff = true
-	r := Run(handoff)
-	if r.QueriesRun == 0 {
-		t.Fatal("handoff scenario ran no queries")
-	}
-	if r.CurrentRate == 0 {
-		t.Fatal("with data handoff, some retrieves must be provably current")
-	}
-
-	short := base
-	short.Algorithm = AlgUMSIndirect
-	short.Grace = -1 // explicit "no wait" (0 selects the default)
-	if r := Run(short); r.QueriesRun == 0 {
-		t.Fatal("grace scenario ran no queries")
-	}
-
-	succ := base
-	succ.FailRate = 0.5
-	succ.Chord.SuccessorListLen = 2
-	if r := Run(succ); r.QueriesRun == 0 {
-		t.Fatal("successor-list scenario ran no queries")
+	for _, a := range ablations {
+		for _, v := range a.variants {
+			sc := Table1Scenario(a.alg, 40, 3)
+			sc.Duration = 5 * time.Minute
+			sc.Warmup = 30 * time.Second
+			sc.Keys = 4
+			sc.Queries = 6
+			sc.ChurnRate = 0.05
+			sc.UpdateRate = 6
+			v.set(&sc)
+			r := Run(sc)
+			if r.QueriesRun == 0 {
+				t.Errorf("%s=%s ran no queries", a.name, v.x)
+			}
+			if sc.DataHandoff && r.CurrentRate == 0 {
+				t.Errorf("%s=%s: with data handoff, some retrieves must be provably current", a.name, v.x)
+			}
+		}
 	}
 }

@@ -120,12 +120,11 @@ func TestTableRenderAndCSV(t *testing.T) {
 }
 
 func TestAnalysisTables(t *testing.T) {
-	o := Options{Seed: 1}
-	ex := AnalysisExpectedRetrievals(o)
+	tables, _ := runFigure(t, "analysis", Options{Seed: 1})
+	ex, ps := tables[0], tables[1]
 	if v, ok := ex.Get("0.35", "E(X) analytic"); !ok || v >= 3 {
 		t.Fatalf("E(X) at 0.35 = %v (present=%v), paper promises < 3", v, ok)
 	}
-	ps := AnalysisIndirectSuccess(o)
 	if v, ok := ps.Get("0.3", "|Hr|=13"); !ok || v <= 0.99 {
 		t.Fatalf("ps(0.3,13) = %v, want > 0.99", v)
 	}

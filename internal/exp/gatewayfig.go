@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"time"
 
@@ -18,76 +19,34 @@ import (
 // through a gateway pooled over a few backend peers — and the figure
 // compares KTS traffic, hot-key coalescing, and latency quantiles.
 
-// GatewayOptions parameterizes the gateway figure beyond the shared
-// exp.Options.
-type GatewayOptions struct {
-	// Backends is the gateway's backend pool size (default 4).
-	Backends int
-	// ZipfS is the Zipf skew exponent; the default 1.6 concentrates
-	// most reads on a handful of hot keys (well past a 0.99 skew).
-	ZipfS float64
-	// Concurrency is the closed-loop worker count (default 24): the
-	// concurrency is what gives same-key reads the chance to overlap
-	// and coalesce.
-	Concurrency int
-	// Ops bounds each arm by operation count (default 600) so both
-	// arms execute exactly the same generated stream.
-	Ops int
-	// Keys is the keyspace size (default 8; small keeps it hot).
-	Keys int
-	// ReadRatio is the read fraction; nil selects the default 0.9.
-	ReadRatio *float64
-	// BoundedFrac and EventualFrac shape the read consistency mix
-	// (defaults 0.15 and 0.05; the remainder reads at Current).
-	BoundedFrac  float64
-	EventualFrac float64
-	// Bound is the staleness bound for the Bounded fraction (default 30s).
-	Bound time.Duration
-	// Peers overrides the deployment size (default 100 quick / 400 full).
-	Peers int
+// gatewayParams are the gateway figure's parameters.
+type gatewayParams struct{ peers, ops int }
+
+func (p *gatewayParams) declare(fs *flag.FlagSet, o Options) {
+	fs.IntVar(&p.peers, "peers", pick(o, 100, 400), "deployment size per arm")
+	fs.IntVar(&p.ops, "ops", 600, "operations per arm; both arms run the same stream")
 }
 
-func (gwo GatewayOptions) withDefaults(full bool) GatewayOptions {
-	if gwo.Backends <= 0 {
-		gwo.Backends = 4
-	}
-	if gwo.ZipfS == 0 {
-		gwo.ZipfS = 1.6
-	}
-	if gwo.Concurrency <= 0 {
-		gwo.Concurrency = 24
-	}
-	if gwo.Ops <= 0 {
-		gwo.Ops = 600
-	}
-	if gwo.Keys <= 0 {
-		gwo.Keys = 8
-	}
-	if gwo.Bound <= 0 {
-		gwo.Bound = 30 * time.Second
-	}
-	if gwo.Peers <= 0 {
-		gwo.Peers = 100
-		if full {
-			gwo.Peers = 400
-		}
-	}
-	return gwo
-}
+// gatewayBackends is the gateway's backend pool size.
+const gatewayBackends = 4
 
-// spec translates the options into the one workload spec both arms run.
-func (gwo GatewayOptions) spec(seed int64) workload.Spec {
+// spec is the one Zipf workload both arms run, bounded by operation
+// count so both execute exactly the same generated stream. A 1.6 skew
+// over 8 keys concentrates most reads on a handful of hot keys (well
+// past a 0.99 skew), and 24 closed-loop workers give same-key reads the
+// chance to overlap and coalesce. 15% of reads are Bounded (30 s), 5%
+// Eventual and the rest Current; reads are the engine's default 90%.
+func (p *gatewayParams) spec(seed int64) workload.Spec {
 	return workload.Spec{
 		Pattern:      workload.Zipf,
 		Seed:         seed,
-		ReadRatio:    gwo.ReadRatio,
-		ZipfS:        gwo.ZipfS,
-		Concurrency:  gwo.Concurrency,
-		Ops:          gwo.Ops,
-		Keys:         gwo.Keys,
-		BoundedFrac:  gwo.BoundedFrac,
-		EventualFrac: gwo.EventualFrac,
-		Bound:        gwo.Bound,
+		ZipfS:        1.6,
+		Concurrency:  24,
+		Ops:          p.ops,
+		Keys:         8,
+		BoundedFrac:  0.15,
+		EventualFrac: 0.05,
+		Bound:        30 * time.Second,
 	}
 }
 
@@ -122,6 +81,50 @@ type GatewayResult struct {
 	KTSSavedPct float64 `json:"kts_saved_pct"`
 }
 
+// Validate checks the paired provenance, strictly fewer KTS requests
+// through the gateway, and the coalescing acceptance floor.
+func (res *GatewayResult) Validate() error {
+	if res.Peers <= 0 || res.Backends <= 0 {
+		return fmt.Errorf("gateway: missing deployment shape: peers=%d backends=%d", res.Peers, res.Backends)
+	}
+	if res.ZipfS < 0.99 {
+		return fmt.Errorf("gateway: zipf skew %.2f below the 0.99 hot-key regime", res.ZipfS)
+	}
+	if res.Direct.Arm != "direct" || res.GW.Arm != "gateway" {
+		return fmt.Errorf("gateway: arm labels %q/%q, want direct/gateway", res.Direct.Arm, res.GW.Arm)
+	}
+	if res.Direct.Ops <= 0 || res.Direct.Ops != res.GW.Ops {
+		return fmt.Errorf("gateway: arms ran different op counts: direct %d vs gateway %d", res.Direct.Ops, res.GW.Ops)
+	}
+	directKTS := res.Direct.KTSGenTS + res.Direct.KTSLastTS
+	gwKTS := res.GW.KTSGenTS + res.GW.KTSLastTS
+	if !(gwKTS < directKTS) {
+		return fmt.Errorf("gateway: KTS traffic %.0f not strictly below direct %.0f", gwKTS, directKTS)
+	}
+	st := res.GW.Gateway
+	if st == nil {
+		return fmt.Errorf("gateway: gateway arm carries no gateway counters")
+	}
+	if st.Flights == 0 {
+		return fmt.Errorf("gateway: gateway arm reports zero flights")
+	}
+	// The figure's acceptance floor: reads served per backend read on
+	// the coalescing path.
+	if res.GW.CoalescingFactor < 2.0 {
+		return fmt.Errorf("gateway: coalescing factor %.2fx below the 2x acceptance floor", res.GW.CoalescingFactor)
+	}
+	if st.BackendErrors != 0 {
+		return fmt.Errorf("gateway: gateway arm saw %d backend errors", st.BackendErrors)
+	}
+	if st.CacheServedGets+st.CacheServedLastTS == 0 {
+		return fmt.Errorf("gateway: gateway cache served nothing under a hot-key zipf mix")
+	}
+	if res.KTSSavedPct <= 0 {
+		return fmt.Errorf("gateway: kts_saved_pct %.1f not positive", res.KTSSavedPct)
+	}
+	return nil
+}
+
 // gatewayClient adapts the gateway to the workload engine's client.
 type gatewayClient struct{ g *gateway.Gateway }
 
@@ -145,24 +148,24 @@ func (d *Deployment) ktsRequests() (gents, lastts float64) {
 		snap.Get("dcdht_kts_lastts_requests_total").Total()
 }
 
-// GatewayComparison runs the two arms on same-seed deployments and
-// returns the paired outcome.
-func GatewayComparison(o Options, gwo GatewayOptions) (*GatewayResult, error) {
-	gwo = gwo.withDefaults(o.Full)
-	spec := gwo.spec(o.seed())
+// run plays the two arms on same-seed deployments and tabulates each
+// arm's throughput, latency quantiles and KTS traffic, and the
+// gateway's coalescing and cache work.
+func (p *gatewayParams) run(o Options) (*Table, *GatewayResult, error) {
+	spec := p.spec(o.Seed)
 	res := &GatewayResult{
-		Peers:    gwo.Peers,
-		Backends: gwo.Backends,
-		ZipfS:    gwo.ZipfS,
-		Seed:     o.seed(),
+		Peers:    p.peers,
+		Backends: gatewayBackends,
+		ZipfS:    spec.ZipfS,
+		Seed:     o.Seed,
 	}
 
 	newDeployment := func() *Deployment {
-		sc := Table1Scenario(AlgUMSDirect, gwo.Peers, o.seed())
+		sc := Table1Scenario(AlgUMSDirect, p.peers, o.Seed)
 		d := NewDeployment(DeployConfig{
-			Peers:    gwo.Peers,
+			Peers:    p.peers,
 			Replicas: sc.Replicas,
-			Seed:     o.seed(),
+			Seed:     o.Seed,
 			Net:      sc.Net,
 			Chord:    sc.Chord,
 		})
@@ -175,7 +178,7 @@ func GatewayComparison(o Options, gwo GatewayOptions) (*GatewayResult, error) {
 	rep, err := d.RunWorkload(context.Background(), spec)
 	if err != nil {
 		d.K.Stop()
-		return nil, fmt.Errorf("exp: gateway figure, direct arm: %w", err)
+		return nil, nil, fmt.Errorf("exp: gateway figure, direct arm: %w", err)
 	}
 	res.Direct = GatewayArm{Arm: "direct", Report: *rep}
 	res.Direct.KTSGenTS, res.Direct.KTSLastTS = d.ktsRequests()
@@ -187,19 +190,19 @@ func GatewayComparison(o Options, gwo GatewayOptions) (*GatewayResult, error) {
 	// Arm 2: the same spec through a gateway pooled over the first
 	// Backends peers, on a fresh same-seed deployment.
 	d = newDeployment()
-	pool := make([]gateway.Backend, gwo.Backends)
-	for i := 0; i < gwo.Backends; i++ {
+	pool := make([]gateway.Backend, gatewayBackends)
+	for i := range pool {
 		pool[i] = d.Peers[i%len(d.Peers)].Stack
 	}
 	gw, err := gateway.New(pool, gateway.Config{Env: d.Net.Env(), Obs: d.Obs})
 	if err != nil {
 		d.K.Stop()
-		return nil, fmt.Errorf("exp: gateway figure: %w", err)
+		return nil, nil, fmt.Errorf("exp: gateway figure: %w", err)
 	}
 	rep, err = d.RunWorkloadWith(context.Background(), spec, gatewayClient{g: gw})
 	if err != nil {
 		d.K.Stop()
-		return nil, fmt.Errorf("exp: gateway figure, gateway arm: %w", err)
+		return nil, nil, fmt.Errorf("exp: gateway figure, gateway arm: %w", err)
 	}
 	st := gw.Stats()
 	res.GW = GatewayArm{Arm: "gateway", Report: *rep, Gateway: &st}
@@ -217,32 +220,19 @@ func GatewayComparison(o Options, gwo GatewayOptions) (*GatewayResult, error) {
 	o.progress("gateway-pooled   ops=%5d %6.2f ops/s  read p50=%7.0fms p99=%7.0fms  kts=%5.0f  coalesce=%.2fx saved=%.1f%%",
 		rep.Ops, rep.OpsPerSec, rep.Reads.P50Ms, rep.Reads.P99Ms,
 		through, res.GW.CoalescingFactor, res.KTSSavedPct)
-	return res, nil
-}
 
-// FigureGateway tabulates the comparison: per-arm throughput, latency
-// quantiles, KTS traffic, and the gateway's coalescing and cache work.
-func FigureGateway(o Options, gwo GatewayOptions) (*Table, *GatewayResult, error) {
-	res, err := GatewayComparison(o, gwo)
-	if err != nil {
-		return nil, nil, err
-	}
 	t := NewTable(
 		fmt.Sprintf("Gateway: hot-key coalescing front-end vs direct issue (Zipf s=%.2f, %d backends)",
 			res.ZipfS, res.Backends),
 		"arm", "workload outcome",
 		[]string{"ops/s", "read p50", "read p99", "kts reqs", "flights", "coalesced", "coalesce x", "cache served"})
 	for _, arm := range []*GatewayArm{&res.Direct, &res.GW} {
-		t.Set(arm.Arm, "ops/s", arm.OpsPerSec)
-		t.Set(arm.Arm, "read p50", arm.Reads.P50Ms)
-		t.Set(arm.Arm, "read p99", arm.Reads.P99Ms)
-		t.Set(arm.Arm, "kts reqs", arm.KTSGenTS+arm.KTSLastTS)
-		if arm.Gateway != nil {
-			t.Set(arm.Arm, "flights", float64(arm.Gateway.Flights))
-			t.Set(arm.Arm, "coalesced", float64(arm.Gateway.Coalesced))
-			t.Set(arm.Arm, "coalesce x", arm.CoalescingFactor)
-			t.Set(arm.Arm, "cache served", float64(arm.Gateway.CacheServedGets+arm.Gateway.CacheServedLastTS))
+		vals := []float64{arm.OpsPerSec, arm.Reads.P50Ms, arm.Reads.P99Ms, arm.KTSGenTS + arm.KTSLastTS}
+		if st := arm.Gateway; st != nil {
+			vals = append(vals, float64(st.Flights), float64(st.Coalesced), arm.CoalescingFactor,
+				float64(st.CacheServedGets+st.CacheServedLastTS))
 		}
+		t.Row(arm.Arm, vals...)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("both arms run the identical %d-op Zipf spec on same-seed deployments; latencies are simulated ms;", res.Direct.Ops),

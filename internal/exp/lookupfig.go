@@ -2,7 +2,9 @@ package exp
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -33,46 +35,21 @@ const (
 // LookupArms lists the contenders in plotting order.
 var LookupArms = []string{LookupArmChord, LookupArmCache, LookupArmOneHop}
 
-// LookupOptions parameterizes the lookup figure beyond the shared
-// exp.Options.
-type LookupOptions struct {
-	// Peers lists the deployment sizes; nil selects the default
-	// (100/300/1000 quick, 100/1000/10000 full).
-	Peers []int
-	// Samples is the number of lookups measured per point (default 200).
-	Samples int
-	// Warmup settles the assembled overlay before measuring
-	// (default 30s simulated).
-	Warmup time.Duration
-	// MaintWindow is the churn-and-maintenance observation window whose
-	// network traffic is charged to routing-state upkeep (default 60s).
-	MaintWindow time.Duration
-	// ChurnEvents is the number of graceful leave+join pairs played
-	// inside the maintenance window (default 3) — what makes the onehop
-	// event fan-out visible.
-	ChurnEvents int
+// lookupParams are the lookup figure's parameters.
+type lookupParams struct {
+	peers          intList
+	samples, churn int
+	warmup, maint  time.Duration
 }
 
-func (lo LookupOptions) withDefaults(full bool) LookupOptions {
-	if len(lo.Peers) == 0 {
-		lo.Peers = []int{100, 300, 1000}
-		if full {
-			lo.Peers = []int{100, 1000, 10000}
-		}
-	}
-	if lo.Samples <= 0 {
-		lo.Samples = 200
-	}
-	if lo.Warmup <= 0 {
-		lo.Warmup = 30 * time.Second
-	}
-	if lo.MaintWindow <= 0 {
-		lo.MaintWindow = time.Minute
-	}
-	if lo.ChurnEvents <= 0 {
-		lo.ChurnEvents = 3
-	}
-	return lo
+func (p *lookupParams) declare(fs *flag.FlagSet, o Options) {
+	p.peers = pick(o, intList{100, 300, 1000}, intList{100, 1000, 10000})
+	fs.Var(&p.peers, "peers", "comma-separated deployment sizes")
+	fs.IntVar(&p.samples, "samples", 200, "measured lookups per (arm, size) point")
+	// The churn is what makes the onehop event fan-out visible.
+	fs.IntVar(&p.churn, "churn", 3, "graceful leave+join pairs played inside the maintenance window")
+	fs.DurationVar(&p.warmup, "warmup", 30*time.Second, "settle window of simulated time before (and after) the churn window")
+	fs.DurationVar(&p.maint, "maint", time.Minute, "churn-and-maintenance window whose traffic is charged to routing-state upkeep")
 }
 
 // LookupPoint is one (arm, peers) measurement.
@@ -116,6 +93,72 @@ type LookupResult struct {
 	Points      []LookupPoint `json:"points"`
 }
 
+// Validate checks that every point is safe (wrong_owner == 0) and that
+// at each deployment size onehop stays within the 1.1-hop ceiling and
+// strictly below chord, while resolving through learned arcs never
+// costs more hops than the authoritative lookup alone and answers at
+// least once.
+func (res *LookupResult) Validate() error {
+	if len(res.Points) == 0 {
+		return fmt.Errorf("lookup: empty point set")
+	}
+	if res.Samples <= 0 {
+		return fmt.Errorf("lookup: samples %d not positive", res.Samples)
+	}
+	byKey := map[string]LookupPoint{}
+	var sizes []int
+	for i, p := range res.Points {
+		switch p.Arm {
+		case LookupArmChord, LookupArmCache, LookupArmOneHop:
+		default:
+			return fmt.Errorf("lookup: point %d: unknown arm %q", i, p.Arm)
+		}
+		if p.Peers <= 0 || p.Samples <= 0 {
+			return fmt.Errorf("lookup: point %d (%s): missing shape: peers=%d samples=%d", i, p.Arm, p.Peers, p.Samples)
+		}
+		if p.WrongOwner != 0 {
+			return fmt.Errorf("lookup: point %d (%s/n=%d): %d lookups resolved a node that does not own the target", i, p.Arm, p.Peers, p.WrongOwner)
+		}
+		if p.MeanHops < 0 || p.MeanLatencyMs < 0 || p.MaintMsgsPerPeerMin < 0 {
+			return fmt.Errorf("lookup: point %d (%s/n=%d): negative costs: hops=%v lat=%v maint=%v",
+				i, p.Arm, p.Peers, p.MeanHops, p.MeanLatencyMs, p.MaintMsgsPerPeerMin)
+		}
+		key := fmt.Sprintf("%s/%d", p.Arm, p.Peers)
+		if _, dup := byKey[key]; dup {
+			return fmt.Errorf("lookup: duplicate point %s", key)
+		}
+		byKey[key] = p
+		if p.Arm == LookupArmChord {
+			sizes = append(sizes, p.Peers)
+		}
+	}
+	sort.Ints(sizes)
+	for _, n := range sizes {
+		chord, ok1 := byKey[fmt.Sprintf("%s/%d", LookupArmChord, n)]
+		cache, ok2 := byKey[fmt.Sprintf("%s/%d", LookupArmCache, n)]
+		oneh, ok3 := byKey[fmt.Sprintf("%s/%d", LookupArmOneHop, n)]
+		if !ok1 || !ok2 || !ok3 {
+			return fmt.Errorf("lookup: n=%d: missing an arm (want chord, chord+cache and onehop)", n)
+		}
+		if oneh.MeanHops > 1.1 {
+			return fmt.Errorf("lookup: n=%d: onehop mean hops %.3f exceeds the 1.1 acceptance ceiling", n, oneh.MeanHops)
+		}
+		if !(oneh.MeanHops < chord.MeanHops) {
+			return fmt.Errorf("lookup: n=%d: onehop mean hops %.3f not strictly below chord's %.3f", n, oneh.MeanHops, chord.MeanHops)
+		}
+		if cache.MeanHops > chord.MeanHops {
+			return fmt.Errorf("lookup: n=%d: chord+cache mean hops %.3f worse than plain chord's %.3f", n, cache.MeanHops, chord.MeanHops)
+		}
+		if cache.CacheHitRate <= 0 {
+			return fmt.Errorf("lookup: n=%d: chord+cache reports a zero hit rate — no learned arc ever answered", n)
+		}
+		if oneh.OneHopTableSize <= 0 {
+			return fmt.Errorf("lookup: n=%d: onehop reports no routing table", n)
+		}
+	}
+	return nil
+}
+
 // lookupDeployment builds one arm's deployment at the given size. The
 // two chord arms share it: they differ in how a sample is resolved.
 func lookupDeployment(arm string, peers int, seed int64) *Deployment {
@@ -141,11 +184,11 @@ func lookupDeployment(arm string, peers int, seed int64) *Deployment {
 // the churn window (charged to maintenance), re-settle, then meter the
 // sample stream from a fixed issuer — the client's-eye view learned
 // arcs accelerate.
-func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (LookupPoint, error) {
-	d := lookupDeployment(arm, peers, o.seed())
+func measureLookupPoint(arm string, peers int, o Options, lp *lookupParams) (LookupPoint, error) {
+	d := lookupDeployment(arm, peers, o.Seed)
 	defer d.K.Stop()
-	pt := LookupPoint{Arm: arm, Peers: peers, Samples: lo.Samples}
-	d.RunFor(lo.Warmup)
+	pt := LookupPoint{Arm: arm, Peers: peers, Samples: lp.samples}
+	d.RunFor(lp.warmup)
 
 	// Maintenance window: graceful leave+join churn spread evenly, the
 	// whole window's traffic charged to routing-state upkeep. No lookups
@@ -153,8 +196,8 @@ func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (Loo
 	// its tables current.
 	churnRng := d.K.NewRand("lookup-churn")
 	maintStart := d.Net.TotalMessages()
-	slice := lo.MaintWindow / time.Duration(lo.ChurnEvents+1)
-	for i := 0; i < lo.ChurnEvents; i++ {
+	slice := lp.maint / time.Duration(lp.churn+1)
+	for i := 0; i < lp.churn; i++ {
 		d.RunFor(slice)
 		ok := d.Do(func() {
 			if p := d.RandomLivePeer(churnRng); p != nil {
@@ -169,10 +212,10 @@ func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (Loo
 	d.RunFor(slice)
 	maintMsgs := d.Net.TotalMessages() - maintStart
 	pt.MaintMsgsPerPeerMin = float64(maintMsgs) / float64(peers) /
-		(float64(lo.MaintWindow) / float64(time.Minute))
+		(float64(lp.maint) / float64(time.Minute))
 
 	// Let every arm reconverge before measuring routing quality.
-	d.RunFor(lo.Warmup)
+	d.RunFor(lp.warmup)
 
 	issuer := d.LivePeers()[0]
 	rng := d.K.NewRand("lookup-samples")
@@ -186,7 +229,7 @@ func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (Loo
 	}
 	ok := d.Do(func() {
 		ctx := network.WithMeter(context.Background(), meter)
-		for i := 0; i < lo.Samples; i++ {
+		for i := 0; i < lp.samples; i++ {
 			id := core.ID(rng.Uint64())
 			t0 := env.Now()
 			hops := 0
@@ -227,12 +270,12 @@ func measureLookupPoint(arm string, peers int, o Options, lo LookupOptions) (Loo
 	if !ok {
 		return pt, fmt.Errorf("exp: lookup figure: sampling stalled (%s, n=%d): %w", arm, peers, core.ErrTimeout)
 	}
-	pt.MeanHops = float64(totalHops) / float64(lo.Samples)
+	pt.MeanHops = float64(totalHops) / float64(lp.samples)
 	if latSamples > 0 {
 		pt.MeanLatencyMs = float64(totalLat) / float64(time.Millisecond) / float64(latSamples)
 	}
 	pt.LookupMsgs = meter.Msgs
-	pt.CacheHitRate = float64(learnedHits) / float64(lo.Samples)
+	pt.CacheHitRate = float64(learnedHits) / float64(lp.samples)
 	if hop, isOneHop := issuer.Node.(*onehop.Node); isOneHop {
 		pt.OneHopTableSize = hop.TableSize()
 	}
@@ -249,19 +292,22 @@ func lookupLiveByID(d *Deployment, id core.ID) *Peer {
 	return nil
 }
 
-// LookupComparison measures every (arm, peers) cell.
-func LookupComparison(o Options, lo LookupOptions) (*LookupResult, error) {
-	lo = lo.withDefaults(o.Full)
-	res := &LookupResult{
-		Seed:        o.seed(),
-		Samples:     lo.Samples,
-		ChurnEvents: lo.ChurnEvents,
+// run measures every (arm, peers) cell and tabulates the head-to-head:
+// hops, latency and maintenance traffic per substrate and scale.
+func (p *lookupParams) run(o Options) (*Table, *LookupResult, error) {
+	if p.samples <= 0 || p.maint <= 0 {
+		return nil, nil, fmt.Errorf("exp: lookup figure needs positive samples and maint, got %d and %v", p.samples, p.maint)
 	}
-	for _, peers := range lo.Peers {
+	res := &LookupResult{
+		Seed:        o.Seed,
+		Samples:     p.samples,
+		ChurnEvents: p.churn,
+	}
+	for _, peers := range p.peers {
 		for _, arm := range LookupArms {
-			pt, err := measureLookupPoint(arm, peers, o, lo)
+			pt, err := measureLookupPoint(arm, peers, o, p)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			res.Points = append(res.Points, pt)
 			o.progress("lookup %-12s n=%-6d hops=%5.2f (max %2d) lat=%6.1fms maint=%7.1f msg/peer/min hit=%4.2f wrong=%d",
@@ -269,28 +315,13 @@ func LookupComparison(o Options, lo LookupOptions) (*LookupResult, error) {
 				pt.MaintMsgsPerPeerMin, pt.CacheHitRate, pt.WrongOwner)
 		}
 	}
-	return res, nil
-}
-
-// FigureLookup tabulates the head-to-head: hops, latency and
-// maintenance traffic per substrate and scale.
-func FigureLookup(o Options, lo LookupOptions) (*Table, *LookupResult, error) {
-	res, err := LookupComparison(o, lo)
-	if err != nil {
-		return nil, nil, err
-	}
 	t := NewTable(
 		"Lookup acceleration: chord vs chord+cache vs onehop (hops, latency, maintenance)",
 		"arm/n", "measurement",
 		[]string{"mean hops", "max hops", "latency ms", "maint msg/peer/min", "cache hit", "wrong owner"})
 	for _, pt := range res.Points {
-		row := fmt.Sprintf("%s/n=%d", pt.Arm, pt.Peers)
-		t.Set(row, "mean hops", pt.MeanHops)
-		t.Set(row, "max hops", float64(pt.MaxHops))
-		t.Set(row, "latency ms", pt.MeanLatencyMs)
-		t.Set(row, "maint msg/peer/min", pt.MaintMsgsPerPeerMin)
-		t.Set(row, "cache hit", pt.CacheHitRate)
-		t.Set(row, "wrong owner", float64(pt.WrongOwner))
+		t.Row(fmt.Sprintf("%s/n=%d", pt.Arm, pt.Peers), pt.MeanHops, float64(pt.MaxHops),
+			pt.MeanLatencyMs, pt.MaintMsgsPerPeerMin, pt.CacheHitRate, float64(pt.WrongOwner))
 	}
 	t.Notes = append(t.Notes,
 		"every arm replays the identical sample stream on a same-seed deployment; latencies are simulated ms;",

@@ -3,20 +3,16 @@ package exp
 import (
 	"encoding/json"
 	"testing"
-	"time"
 )
 
-// toyLookupOptions shrinks the lookup figure to test scale: one small
-// deployment size, few samples, generous settle windows so every
-// substrate reconverges after the churn window.
-func toyLookupOptions() LookupOptions {
-	return LookupOptions{
-		Peers:       []int{24},
-		Samples:     40,
-		Warmup:      2 * time.Minute,
-		MaintWindow: time.Minute,
-		ChurnEvents: 2,
-	}
+// toyLookup runs the lookup figure at test scale: one small deployment
+// size, few samples, generous settle windows so every substrate
+// reconverges after the churn window.
+func toyLookup(t *testing.T, seed int64) *LookupResult {
+	t.Helper()
+	_, doc := runFigure(t, "lookup", Options{Seed: seed},
+		"peers=24", "samples=40", "warmup=2m", "maint=1m", "churn=2")
+	return doc.(*LookupResult)
 }
 
 func pointFor(t *testing.T, res *LookupResult, arm string, peers int) LookupPoint {
@@ -35,10 +31,7 @@ func pointFor(t *testing.T, res *LookupResult, arm string, peers int) LookupPoin
 // strictly below chord, and resolving through learned arcs never costs
 // more hops than the authoritative lookup alone.
 func TestLookupFigureOrderings(t *testing.T) {
-	res, err := LookupComparison(Options{Seed: 7}, toyLookupOptions())
-	if err != nil {
-		t.Fatalf("lookup comparison: %v", err)
-	}
+	res := toyLookup(t, 7)
 	for _, pt := range res.Points {
 		if pt.WrongOwner != 0 {
 			t.Errorf("%s/n=%d: %d lookups missed the true owner", pt.Arm, pt.Peers, pt.WrongOwner)
@@ -67,11 +60,7 @@ func TestLookupFigureOrderings(t *testing.T) {
 // double-run step enforces on the shipped artifact.
 func TestLookupFigureDeterminism(t *testing.T) {
 	run := func() []byte {
-		res, err := LookupComparison(Options{Seed: 11}, toyLookupOptions())
-		if err != nil {
-			t.Fatalf("lookup comparison: %v", err)
-		}
-		b, err := json.Marshal(res)
+		b, err := json.Marshal(toyLookup(t, 11))
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}

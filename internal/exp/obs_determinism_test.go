@@ -14,11 +14,7 @@ import (
 // activity counters.
 func obsRun(t *testing.T, noObs bool) (trace, snap []byte, msgs, events uint64) {
 	t.Helper()
-	sc := scenarioBase(Options{Seed: 29}, ScenarioOptions{
-		Peers:    40,
-		Duration: 8 * time.Minute,
-		Queries:  8,
-	})
+	sc := (&scenarioParams{peers: 40, duration: 8 * time.Minute, queries: 8}).base(Options{Seed: 29})
 	sc.Name = "obs-determinism"
 	sc.NoObs = noObs
 	script, err := scenario.Builtin(scenario.ChurnWave, sc.Duration)

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"time"
 
@@ -11,92 +12,47 @@ import (
 	"repro/internal/workload"
 )
 
-// PerfOptions parameterizes the perf figure beyond the shared Options.
-// Zero values select the quick/full defaults.
-type PerfOptions struct {
-	// MicroOps is the operation count per micro point (one point per
-	// algorithm x op x level).
-	MicroOps int
-	// Peers is the deployment size the micro and macro points run on.
-	Peers int
-	// Bound is the staleness bound for the bounded-level micro reads.
-	Bound time.Duration
-	// KernelPeers are the synthetic scales for the scheduler benchmark.
-	KernelPeers []int
-	// KernelEventsPerPeer is each synthetic peer's chain length.
-	KernelEventsPerPeer int
-	// MacroOps bounds the end-to-end workload point; 0 skips quickly at
-	// the default, negative skips the macro point entirely.
-	MacroOps int
-	// MacroConcurrency is the macro point's closed-loop worker count.
-	MacroConcurrency int
+// perfParams are the perf figure's parameters.
+type perfParams struct {
+	ops, peers                 int
+	kernelPeers                intList
+	kernelEvents               int
+	macroOps, macroConcurrency int
+	stripTiming                bool
 }
 
-func (po PerfOptions) withDefaults(full bool) PerfOptions {
-	if po.MicroOps == 0 {
-		if full {
-			po.MicroOps = 200
-		} else {
-			po.MicroOps = 30
-		}
-	}
-	if po.Peers == 0 {
-		if full {
-			po.Peers = 1000
-		} else {
-			po.Peers = 48
-		}
-	}
-	if po.Bound == 0 {
-		po.Bound = 10 * time.Minute
-	}
-	if len(po.KernelPeers) == 0 {
-		// The 100k point stays in quick mode on purpose: booting 100k
-		// synthetic peers and draining >= 1M events is the scale
-		// acceptance check, and the bare kernel does it in well under a
-		// second.
-		po.KernelPeers = []int{1000, 10000, 100000}
-	}
-	if po.KernelEventsPerPeer == 0 {
-		if full {
-			po.KernelEventsPerPeer = 50
-		} else {
-			po.KernelEventsPerPeer = 10
-		}
-	}
-	if po.MacroOps == 0 {
-		if full {
-			po.MacroOps = 1000000
-		} else {
-			po.MacroOps = 300
-		}
-	}
-	if po.MacroConcurrency == 0 {
-		if full {
-			po.MacroConcurrency = 16
-		} else {
-			po.MacroConcurrency = 4
-		}
-	}
-	return po
+func (p *perfParams) declare(fs *flag.FlagSet, o Options) {
+	fs.IntVar(&p.ops, "ops", pick(o, 30, 200), "operations per micro point (one point per algorithm x op x level)")
+	fs.IntVar(&p.peers, "peers", pick(o, 48, 1000), "deployment size of the micro and macro points")
+	// The 100k point stays in quick mode on purpose: booting 100k
+	// synthetic peers and draining >= 1M events is the scale acceptance
+	// check, and the bare kernel does it in well under a second.
+	p.kernelPeers = intList{1000, 10000, 100000}
+	fs.Var(&p.kernelPeers, "kernel_peers", "comma-separated synthetic scales of the kernel benchmark")
+	fs.IntVar(&p.kernelEvents, "kernel_events", pick(o, 10, 50), "kernel-benchmark chain length per synthetic peer")
+	fs.IntVar(&p.macroOps, "macro_ops", pick(o, 300, 1000000), "macro workload operation count; 0 skips the macro point")
+	fs.IntVar(&p.macroConcurrency, "macro_concurrency", pick(o, 4, 16), "macro workload closed-loop worker count")
+	fs.BoolVar(&p.stripTiming, "strip_timing", false, "zero the host-dependent timing fields so same-seed runs are byte-identical")
 }
 
-// FigurePerf measures the hot paths end to end: one micro point per
+// perfBound is the staleness bound of the bounded-level micro reads.
+const perfBound = 10 * time.Minute
+
+// run measures the hot paths end to end: one micro point per
 // (algorithm, op, level) through a warm simulated deployment, the bare
 // kernel at synthetic 1k/10k/100k-peer scales, and one closed-loop
 // macro workload. Deterministic fields (op counts, msgs/op, KTS
 // reqs/op, simulated latency, kernel event counts) replay bit-for-bit
 // per seed; timing fields are the host's and are stripped before CI
 // byte-compares (see internal/perf).
-func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
-	po = po.withDefaults(o.Full)
-	fig := &perf.Figure{Schema: perf.SchemaV1, Seed: o.seed(), Full: o.Full}
+func (p *perfParams) run(o Options) (*Table, *perf.Figure, error) {
+	fig := &perf.Figure{Schema: perf.SchemaV1, Seed: o.Seed, Full: o.Full}
 
-	sc := Table1Scenario(AlgUMSDirect, po.Peers, o.seed())
+	sc := Table1Scenario(AlgUMSDirect, p.peers, o.Seed)
 	d := NewDeployment(DeployConfig{
-		Peers:    po.Peers,
+		Peers:    p.peers,
 		Replicas: sc.Replicas,
-		Seed:     o.seed(),
+		Seed:     o.Seed,
 		Net:      sc.Net,
 		Chord:    sc.Chord,
 	})
@@ -107,7 +63,7 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 	// bounded level reads through the last_ts cache that peer's own
 	// writes warmed — exactly the session shape the cache serves.
 	issuer := d.Peers[0]
-	keys := make([]core.Key, po.MicroOps)
+	keys := make([]core.Key, p.ops)
 	for i := range keys {
 		keys[i] = core.Key(fmt.Sprintf("perf-k%03d", i))
 	}
@@ -120,9 +76,9 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 		t0 := d.K.Now()
 		var msgs, failed int
 		var opErr error
-		tm := perf.Measure(po.MicroOps, func() {
+		tm := perf.Measure(p.ops, func() {
 			if !d.Do(func() {
-				for i := 0; i < po.MicroOps; i++ {
+				for i := 0; i < p.ops; i++ {
 					r, err := fn(i)
 					if err != nil {
 						failed++
@@ -133,28 +89,28 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 				}
 			}) {
 				opErr = fmt.Errorf("exp: perf micro %s/%s stalled: %w", alg, op, core.ErrTimeout)
-				failed = po.MicroOps
+				failed = p.ops
 			}
 		})
 		if failed > 0 {
 			return perf.OpPoint{}, fmt.Errorf("exp: perf micro %s/%s/%s: %d/%d ops failed: %w",
-				alg, op, level, failed, po.MicroOps, opErr)
+				alg, op, level, failed, p.ops, opErr)
 		}
 		g1, l1 := d.ktsRequests()
-		p := perf.OpPoint{
+		pt := perf.OpPoint{
 			Alg:           alg,
 			Op:            op,
 			Level:         level,
-			OpsRun:        po.MicroOps,
-			MsgsPerOp:     float64(msgs) / float64(po.MicroOps),
-			KTSReqsPerOp:  (g1 - g0 + l1 - l0) / float64(po.MicroOps),
-			SimLatencyMs:  float64((d.K.Now() - t0).Milliseconds()) / float64(po.MicroOps),
+			OpsRun:        p.ops,
+			MsgsPerOp:     float64(msgs) / float64(p.ops),
+			KTSReqsPerOp:  (g1 - g0 + l1 - l0) / float64(p.ops),
+			SimLatencyMs:  float64((d.K.Now() - t0).Milliseconds()) / float64(p.ops),
 			WallOpsPerSec: tm.OpsPerSec,
 			AllocsPerOp:   tm.AllocsPerOp,
 		}
 		o.progress("perf-micro %-4s %-3s %-8s  msgs/op=%6.2f kts/op=%5.2f simlat=%6.1fms  %8.0f ops/s wall",
-			alg, op, level, p.MsgsPerOp, p.KTSReqsPerOp, p.SimLatencyMs, p.WallOpsPerSec)
-		return p, nil
+			alg, op, level, pt.MsgsPerOp, pt.KTSReqsPerOp, pt.SimLatencyMs, pt.WallOpsPerSec)
+		return pt, nil
 	}
 
 	data := []byte("perf-payload")
@@ -169,7 +125,7 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 			return issuer.UMS.RetrieveWith(context.Background(), keys[i], dht.ReadPolicy{Level: dht.LevelCurrent})
 		}},
 		{"ums", "get", "bounded", func(i int) (dht.OpResult, error) {
-			return issuer.UMS.RetrieveWith(context.Background(), keys[i], dht.ReadPolicy{Level: dht.LevelBounded, Bound: po.Bound})
+			return issuer.UMS.RetrieveWith(context.Background(), keys[i], dht.ReadPolicy{Level: dht.LevelBounded, Bound: perfBound})
 		}},
 		{"ums", "get", "eventual", func(i int) (dht.OpResult, error) {
 			return issuer.UMS.RetrieveWith(context.Background(), keys[i], dht.ReadPolicy{Level: dht.LevelEventual})
@@ -181,21 +137,21 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 			return issuer.BRK.Retrieve(context.Background(), keys[i])
 		}},
 	}
-	for _, pt := range points {
-		p, err := micro(pt.alg, pt.op, pt.level, pt.fn)
+	for _, m := range points {
+		pt, err := micro(m.alg, m.op, m.level, m.fn)
 		if err != nil {
 			return nil, nil, err
 		}
-		fig.Ops = append(fig.Ops, p)
+		fig.Ops = append(fig.Ops, pt)
 	}
 
 	// The bare-kernel sweep: no protocol stack, just the sharded event
 	// queue at scales the deployment figures never reach.
-	for _, n := range po.KernelPeers {
+	for _, n := range p.kernelPeers {
 		kp := perf.KernelBench(perf.KernelConfig{
-			Seed:          o.seed(),
+			Seed:          o.Seed,
 			Peers:         n,
-			EventsPerPeer: po.KernelEventsPerPeer,
+			EventsPerPeer: p.kernelEvents,
 		})
 		o.progress("perf-kernel n=%6d  events=%8d  %10.0f ev/s  %6.1f ns/ev  %5.2f allocs/ev",
 			kp.Peers, kp.Events, kp.EventsPerSec, kp.NsPerEvent, kp.AllocsPerEvent)
@@ -204,25 +160,25 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 
 	// The macro point: a closed-loop uniform workload through the same
 	// deployment, issued from random live peers like the workload figure.
-	if po.MacroOps > 0 {
+	if p.macroOps > 0 {
 		spec := workload.Spec{
 			Pattern:     workload.Uniform,
 			Keys:        32,
 			KeyPrefix:   "perfwl-",
-			Ops:         po.MacroOps,
-			Concurrency: po.MacroConcurrency,
-			Seed:        o.seed(),
+			Ops:         p.macroOps,
+			Concurrency: p.macroConcurrency,
+			Seed:        o.Seed,
 		}
 		var rep *workload.Report
 		var err error
-		tm := perf.Measure(po.MacroOps, func() {
+		tm := perf.Measure(p.macroOps, func() {
 			rep, err = d.RunWorkload(context.Background(), spec)
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("exp: perf macro workload: %w", err)
 		}
 		fig.Macro = &perf.MacroPoint{
-			Peers:         po.Peers,
+			Peers:         p.peers,
 			Ops:           rep.Ops,
 			Failed:        rep.Reads.Errors + rep.Writes.Errors,
 			SimElapsedSec: rep.ElapsedSec,
@@ -238,25 +194,24 @@ func FigurePerf(o Options, po PerfOptions) (*Table, *perf.Figure, error) {
 	}
 
 	t := NewTable(
-		fmt.Sprintf("Perf: hot-path costs (n=%d, %d ops/point, seed %d)", po.Peers, po.MicroOps, o.seed()),
+		fmt.Sprintf("Perf: hot-path costs (n=%d, %d ops/point, seed %d)", p.peers, p.ops, o.Seed),
 		"point", "cost",
 		[]string{"msgs/op", "kts reqs/op", "sim lat ms", "wall ops/s", "allocs/op"})
-	for _, p := range fig.Ops {
-		row := p.Alg + " " + p.Op
-		if p.Level != "" {
-			row += " " + p.Level
+	for _, pt := range fig.Ops {
+		row := pt.Alg + " " + pt.Op
+		if pt.Level != "" {
+			row += " " + pt.Level
 		}
-		t.Set(row, "msgs/op", p.MsgsPerOp)
-		t.Set(row, "kts reqs/op", p.KTSReqsPerOp)
-		t.Set(row, "sim lat ms", p.SimLatencyMs)
-		t.Set(row, "wall ops/s", p.WallOpsPerSec)
-		t.Set(row, "allocs/op", p.AllocsPerOp)
+		t.Row(row, pt.MsgsPerOp, pt.KTSReqsPerOp, pt.SimLatencyMs, pt.WallOpsPerSec, pt.AllocsPerOp)
 	}
 	for _, kp := range fig.Kernel {
 		row := fmt.Sprintf("kernel n=%d", kp.Peers)
 		t.Set(row, "msgs/op", float64(kp.Events))
 		t.Set(row, "wall ops/s", kp.EventsPerSec)
 		t.Set(row, "allocs/op", kp.AllocsPerEvent)
+	}
+	if p.stripTiming {
+		fig.StripTiming()
 	}
 	return t, fig, nil
 }

@@ -3,29 +3,21 @@ package exp
 import (
 	"encoding/json"
 	"testing"
-	"time"
 
 	"repro/internal/perf"
 )
 
-// tinyPerfOptions keeps the perf figure test in CI time.
-func tinyPerfOptions() PerfOptions {
-	return PerfOptions{
-		MicroOps:            6,
-		Peers:               24,
-		Bound:               10 * time.Minute,
-		KernelPeers:         []int{50, 200},
-		KernelEventsPerPeer: 3,
-		MacroOps:            30,
-		MacroConcurrency:    2,
-	}
+// tinyPerf runs the perf figure at a scale that keeps its tests in CI
+// time; extra sets override the toy parameters.
+func tinyPerf(t *testing.T, seed int64, sets ...string) *perf.Figure {
+	t.Helper()
+	toy := []string{"ops=6", "peers=24", "kernel_peers=50,200", "kernel_events=3", "macro_ops=30", "macro_concurrency=2"}
+	_, doc := runFigure(t, "perf", Options{Seed: seed}, append(toy, sets...)...)
+	return doc.(*perf.Figure)
 }
 
 func TestFigurePerfValidatesAtToyScale(t *testing.T) {
-	_, fig, err := FigurePerf(Options{Seed: 11}, tinyPerfOptions())
-	if err != nil {
-		t.Fatalf("FigurePerf: %v", err)
-	}
+	fig := tinyPerf(t, 11)
 	if err := fig.Validate(); err != nil {
 		t.Fatalf("figure invalid: %v", err)
 	}
@@ -35,8 +27,8 @@ func TestFigurePerfValidatesAtToyScale(t *testing.T) {
 	if fig.Macro == nil || fig.Macro.Ops == 0 {
 		t.Fatal("macro point missing or empty")
 	}
-	// Timing fields must be populated on a live run (they are only
-	// zeroed by an explicit StripTiming).
+	// Timing fields must be populated on a live run (only strip_timing
+	// zeroes them).
 	if fig.Kernel[0].EventsPerSec == 0 {
 		t.Fatal("kernel timing missing")
 	}
@@ -47,12 +39,7 @@ func TestFigurePerfValidatesAtToyScale(t *testing.T) {
 // scripts/check_bench.sh holds the shipped binary to.
 func TestFigurePerfDeterministic(t *testing.T) {
 	run := func() []byte {
-		_, fig, err := FigurePerf(Options{Seed: 23}, tinyPerfOptions())
-		if err != nil {
-			t.Fatalf("FigurePerf: %v", err)
-		}
-		fig.StripTiming()
-		data, err := json.Marshal(fig)
+		data, err := json.Marshal(tinyPerf(t, 23, "strip_timing=true"))
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
@@ -68,14 +55,7 @@ func TestFigurePerfDeterministic(t *testing.T) {
 // TestFigurePerfBaselineDrift proves ValidateAgainst catches a changed
 // deterministic outcome: a different seed produces different costs.
 func TestFigurePerfBaselineDrift(t *testing.T) {
-	_, base, err := FigurePerf(Options{Seed: 11}, tinyPerfOptions())
-	if err != nil {
-		t.Fatalf("FigurePerf: %v", err)
-	}
-	_, other, err := FigurePerf(Options{Seed: 12}, tinyPerfOptions())
-	if err != nil {
-		t.Fatalf("FigurePerf: %v", err)
-	}
+	base, other := tinyPerf(t, 11), tinyPerf(t, 12)
 	if err := other.ValidateAgainst(base); err == nil {
 		t.Fatal("cross-seed figures validated against each other")
 	}

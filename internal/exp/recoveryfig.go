@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"time"
 
@@ -21,16 +22,16 @@ import (
 // under, in plotting order.
 var RecoveryModes = []string{"crash-forget", "durable"}
 
-// RecoveryOptions parameterises the recovery comparison beyond the
-// shared exp.Options. The zero value runs the quick-mode scale.
-type RecoveryOptions struct {
-	// Peers overrides the deployment size (default: quick 120, full
-	// basePeers).
-	Peers int
-	// Duration overrides the measured window per run.
-	Duration time.Duration
-	// Queries overrides the retrieves measured per run.
-	Queries int
+// recoveryParams are the recovery figure's parameters.
+type recoveryParams struct {
+	peers, queries int
+	duration       time.Duration
+}
+
+func (p *recoveryParams) declare(fs *flag.FlagSet, o Options) {
+	fs.IntVar(&p.peers, "peers", pick(o, 120, o.basePeers()), "deployment size")
+	fs.IntVar(&p.queries, "queries", 60, "measured retrieves per storage mode")
+	fs.DurationVar(&p.duration, "duration", o.duration(), "measured window of simulated time per storage mode")
 }
 
 // RecoveryScriptName names the kill-and-restart script the figure plays.
@@ -73,52 +74,78 @@ type RecoveryPoint struct {
 	UpdatesFailed     int     `json:"updates_failed"`
 }
 
-// recoveryBase is the configuration both modes start from: UMS-Direct
-// with background churn off, so the scripted kill-and-restart waves are
-// the only failures and the mode contrast is pure storage.
-func recoveryBase(o Options, ro RecoveryOptions) Scenario {
-	peers := ro.Peers
-	if peers <= 0 {
-		peers = 120
-		if o.Full {
-			peers = o.basePeers()
+// RecoveryPoints is the recovery figure's document (BENCH_recovery.json).
+type RecoveryPoints []RecoveryPoint
+
+// Validate checks that exactly the two storage modes ran the same
+// experiment, both played crash and restart waves and ran queries, and
+// that retained state never made things worse: durable currency is at
+// least crash-and-forget's and durable fails no more queries.
+func (ps RecoveryPoints) Validate() error {
+	if len(ps) != len(RecoveryModes) {
+		return fmt.Errorf("recovery: %d points, want exactly the storage modes %v", len(ps), RecoveryModes)
+	}
+	for i, p := range ps {
+		if p.Mode != RecoveryModes[i] {
+			return fmt.Errorf("recovery: point %d is mode %q, want %q", i, p.Mode, RecoveryModes[i])
+		}
+		if p.QueriesRun <= 0 {
+			return fmt.Errorf("recovery: mode %q ran no queries", p.Mode)
+		}
+		if p.Peers <= 0 || p.DurationSec <= 0 {
+			return fmt.Errorf("recovery: mode %q: missing deployment shape: peers=%d duration=%v", p.Mode, p.Peers, p.DurationSec)
+		}
+		if p.Crashes <= 0 || p.Restarts <= 0 {
+			return fmt.Errorf("recovery: mode %q: crashes=%d restarts=%d, want both waves played", p.Mode, p.Crashes, p.Restarts)
+		}
+		if p.CurrentRate < 0 || p.CurrentRate > 1 {
+			return fmt.Errorf("recovery: mode %q: current_rate %v outside [0,1]", p.Mode, p.CurrentRate)
 		}
 	}
-	sc := Table1Scenario(AlgUMSDirect, peers, o.seed())
-	sc.Duration = o.duration()
-	if ro.Duration > 0 {
-		sc.Duration = ro.Duration
+	cf, du := ps[0], ps[1]
+	if cf.Seed != du.Seed || cf.Peers != du.Peers || cf.DurationSec != du.DurationSec {
+		return fmt.Errorf("recovery: modes did not run the same experiment: %+v vs %+v", cf, du)
 	}
-	sc.ChurnRate = 0
-	sc.UpdateRate *= o.compress()
-	// Sparse replication puts the figure in the loss regime: a 35% wave
-	// has a real chance of taking out every replica of some key, which
-	// is exactly the case where the storage mode decides the outcome.
-	sc.Replicas = 3
-	// Brisk ring maintenance: restart waves rejoin into arcs whose
-	// neighbors just died, so stale fingers must heal inside the window.
-	sc.Chord.StabilizeEvery = 5 * time.Second
-	sc.Chord.FixFingersEvery = 5 * time.Second
-	sc.Chord.CheckPredEvery = 5 * time.Second
-	sc.Queries = 60
-	if ro.Queries > 0 {
-		sc.Queries = ro.Queries
+	if du.CurrentRate < cf.CurrentRate {
+		return fmt.Errorf("recovery: durable currency %.3f below crash-and-forget %.3f on seed %d",
+			du.CurrentRate, cf.CurrentRate, du.Seed)
 	}
-	return sc
+	if du.FailedQueries > cf.FailedQueries {
+		return fmt.Errorf("recovery: durable failed %d queries, crash-and-forget only %d on seed %d",
+			du.FailedQueries, cf.FailedQueries, du.Seed)
+	}
+	return nil
 }
 
-// RecoveryComparison plays the identical kill-and-restart script on the
-// same seed in both storage modes and returns one point per mode.
-func RecoveryComparison(o Options, ro RecoveryOptions) ([]RecoveryPoint, error) {
-	points := make([]RecoveryPoint, 0, len(RecoveryModes))
+// run plays the identical kill-and-restart script on the same seed in
+// both storage modes, and tabulates currency, E(X), response time and
+// loss per mode. Both start from UMS-Direct with background churn off,
+// so the scripted waves are the only failures and the mode contrast is
+// pure storage.
+func (p *recoveryParams) run(o Options) (*Table, *RecoveryPoints, error) {
+	points := make(RecoveryPoints, 0, len(RecoveryModes))
 	for _, mode := range RecoveryModes {
-		sc := recoveryBase(o, ro)
+		sc := o.table1(AlgUMSDirect, p.peers)
+		sc.Duration = p.duration
+		sc.ChurnRate = 0
+		// Sparse replication puts the figure in the loss regime: a 35%
+		// wave has a real chance of taking out every replica of some key,
+		// which is exactly the case where the storage mode decides the
+		// outcome.
+		sc.Replicas = 3
+		// Brisk ring maintenance: restart waves rejoin into arcs whose
+		// neighbors just died, so stale fingers must heal inside the
+		// window.
+		sc.Chord.StabilizeEvery = 5 * time.Second
+		sc.Chord.FixFingersEvery = 5 * time.Second
+		sc.Chord.CheckPredEvery = 5 * time.Second
+		sc.Queries = p.queries
 		sc.Name = fmt.Sprintf("recovery/%s", mode)
 		sc.Durable = mode == "durable"
 		script := RecoveryScript(sc.Duration)
 		sc.Script = &script
 		r := Run(sc)
-		p := RecoveryPoint{
+		pt := RecoveryPoint{
 			Mode:              mode,
 			Peers:             sc.Peers,
 			Seed:              sc.Seed,
@@ -133,50 +160,35 @@ func RecoveryComparison(o Options, ro RecoveryOptions) ([]RecoveryPoint, error) 
 			UpdatesFailed:     r.UpdatesFailed,
 		}
 		if r.Trace != nil {
-			p.EventsApplied = len(r.Trace.Applied)
+			pt.EventsApplied = len(r.Trace.Applied)
 			for _, a := range r.Trace.Applied {
 				switch a.Kind {
 				case scenario.KindCrashWave:
-					p.Crashes++
+					pt.Crashes++
 				case scenario.KindRestartWave:
 					if a.Note == "" {
-						p.Restarts++
+						pt.Restarts++
 					} else {
-						p.FailedRestarts++
+						pt.FailedRestarts++
 					}
 				}
 			}
 		}
-		points = append(points, p)
+		points = append(points, pt)
 		o.progress("%-24s crashes=%2d restarts=%2d current=%3.0f%% stale=%d failed=%d",
-			sc.Name, p.Crashes, p.Restarts, 100*p.CurrentRate, p.StaleReturns, p.FailedQueries)
-	}
-	return points, nil
-}
-
-// FigureRecovery tabulates the comparison: currency, E(X), response
-// time and loss per storage mode under identical kill-and-restart waves.
-func FigureRecovery(o Options, ro RecoveryOptions) (*Table, []RecoveryPoint, error) {
-	points, err := RecoveryComparison(o, ro)
-	if err != nil {
-		return nil, nil, err
+			sc.Name, pt.Crashes, pt.Restarts, 100*pt.CurrentRate, pt.StaleReturns, pt.FailedQueries)
 	}
 	t := NewTable("Recovery: crash-and-forget vs durable restart (UMS-Direct, kill-and-restart waves)",
 		"mode", "effect",
 		[]string{"current %", "E(X) probes", "resp (s)", "stale", "failed", "crashes", "restarts"})
-	for _, p := range points {
-		t.Set(p.Mode, "current %", 100*p.CurrentRate)
-		t.Set(p.Mode, "E(X) probes", p.ProbesPerRetrieve)
-		t.Set(p.Mode, "resp (s)", p.RespTimeSec)
-		t.Set(p.Mode, "stale", float64(p.StaleReturns))
-		t.Set(p.Mode, "failed", float64(p.FailedQueries))
-		t.Set(p.Mode, "crashes", float64(p.Crashes))
-		t.Set(p.Mode, "restarts", float64(p.Restarts))
+	for _, pt := range points {
+		t.Row(pt.Mode, 100*pt.CurrentRate, pt.ProbesPerRetrieve, pt.RespTimeSec,
+			float64(pt.StaleReturns), float64(pt.FailedQueries), float64(pt.Crashes), float64(pt.Restarts))
 	}
 	t.Notes = append(t.Notes,
 		"both modes play the identical kill-and-restart script on the same seed;",
 		"crash-forget = the paper's model: a restarted peer returns blank (volatile store);",
 		"durable = restarted peers resume retained replicas + KTS counters (internal/store),",
 		"then run the §4.2.2 recovery strategy, so pre-crash data answers post-restart queries")
-	return t, points, nil
+	return t, &points, nil
 }

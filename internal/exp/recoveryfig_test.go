@@ -3,29 +3,23 @@ package exp
 import (
 	"encoding/json"
 	"testing"
-	"time"
 )
 
-// tinyRecoveryOptions keeps the tests fast: a small population still
-// plays both crash waves and both full restart waves.
-func tinyRecoveryOptions() (Options, RecoveryOptions) {
-	return Options{Seed: 17}, RecoveryOptions{
-		Peers:    30,
-		Duration: 20 * time.Minute,
-		Queries:  16,
-	}
+// tinyRecovery runs the figure at a scale that keeps the tests fast: a
+// small population still plays both crash waves and both full restart
+// waves.
+func tinyRecovery(t *testing.T) (*Table, RecoveryPoints) {
+	t.Helper()
+	tables, doc := runFigure(t, "recovery", Options{Seed: 17}, "peers=30", "duration=20m", "queries=16")
+	return tables[0], *doc.(*RecoveryPoints)
 }
 
 // TestRecoveryFigureDeterminism is the acceptance test the race job
 // replays: both storage modes must replay bit-identically per seed —
 // identical point JSON, including the event counts and every metric.
 func TestRecoveryFigureDeterminism(t *testing.T) {
-	o, ro := tinyRecoveryOptions()
 	run := func() []byte {
-		points, err := RecoveryComparison(o, ro)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, points := tinyRecovery(t)
 		blob, err := json.Marshal(points)
 		if err != nil {
 			t.Fatal(err)
@@ -44,11 +38,7 @@ func TestRecoveryFigureDeterminism(t *testing.T) {
 // the durable mode at least as current — and no more lossy — than
 // crash-and-forget on the same seed.
 func TestRecoveryFigureShapes(t *testing.T) {
-	o, ro := tinyRecoveryOptions()
-	table, points, err := FigureRecovery(o, ro)
-	if err != nil {
-		t.Fatal(err)
-	}
+	table, points := tinyRecovery(t)
 	if len(points) != 2 {
 		t.Fatalf("points = %d, want 2 (crash-forget and durable)", len(points))
 	}

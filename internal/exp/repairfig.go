@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"flag"
+	"fmt"
 	"time"
 
 	"repro/internal/repair"
@@ -50,13 +52,43 @@ type RepairPoint struct {
 	MaintenanceBytes  uint64  `json:"maintenance_bytes"`
 }
 
-// RepairComparison runs the three modes on the same seed and workload.
-// The failure share is raised above Table 1's 5% so replica loss — the
-// condition maintenance exists for — actually occurs within the window.
-func RepairComparison(o Options) []RepairPoint {
-	points := make([]RepairPoint, 0, len(RepairModes))
+// RepairPoints is the repair figure's document (BENCH_repair.json).
+type RepairPoints []RepairPoint
+
+// Validate checks one point per mode, each of which ran queries and
+// reports a currency rate in [0,1].
+func (ps RepairPoints) Validate() error {
+	if len(ps) != len(RepairModes) {
+		return fmt.Errorf("repair: %d points, want one per mode %v", len(ps), RepairModes)
+	}
+	for i, p := range ps {
+		if p.Mode != RepairModes[i] {
+			return fmt.Errorf("repair: point %d is mode %q, want %q", i, p.Mode, RepairModes[i])
+		}
+		if p.QueriesRun <= 0 || p.Peers <= 0 {
+			return fmt.Errorf("repair: mode %q: peers=%d queries_run=%d", p.Mode, p.Peers, p.QueriesRun)
+		}
+		if p.CurrentRate < 0 || p.CurrentRate > 1 {
+			return fmt.Errorf("repair: mode %q: current_rate %v outside [0,1]", p.Mode, p.CurrentRate)
+		}
+	}
+	return nil
+}
+
+// repairParams: the repair figure has no parameters beyond the scale.
+type repairParams struct{}
+
+func (*repairParams) declare(*flag.FlagSet, Options) {}
+
+// run plays the three modes on the same seed and workload and tabulates
+// the probability of currency, E(X) (replicas probed), stale fallbacks
+// and the maintenance work per mode. The failure share is raised above
+// Table 1's 5% so replica loss — the condition maintenance exists for —
+// actually occurs within the window.
+func (*repairParams) run(o Options) (*Table, *RepairPoints, error) {
+	points := make(RepairPoints, 0, len(RepairModes))
 	for _, mode := range RepairModes {
-		sc := ablationScenario(o, AlgUMSDirect)
+		sc := o.table1(AlgUMSDirect, o.basePeers())
 		sc.Name = "repair-" + mode
 		sc.FailRate = 0.3
 		sc.Repair = repairConfigFor(mode)
@@ -81,27 +113,16 @@ func RepairComparison(o Options) []RepairPoint {
 			sc.Name, 100*r.CurrentRate, r.Probed.Mean(), r.RespTime.Mean(),
 			r.Repair.Healed, r.Repair.ReadRepairs)
 	}
-	return points
-}
-
-// FigureRepair tabulates the comparison: probability of currency, E(X)
-// (replicas probed), stale fallbacks and the maintenance work performed,
-// per mode.
-func FigureRepair(o Options) (*Table, []RepairPoint) {
-	points := RepairComparison(o)
 	t := NewTable("Repair: currency and E(X) under sustained churn (UMS-Direct, 30% failures)",
 		"repair", "effect",
 		[]string{"current %", "E(X) probes", "stale returns", "healed", "maint msgs"})
 	for _, p := range points {
-		t.Set(p.Mode, "current %", 100*p.CurrentRate)
-		t.Set(p.Mode, "E(X) probes", p.ProbesPerRetrieve)
-		t.Set(p.Mode, "stale returns", float64(p.StaleReturns))
-		t.Set(p.Mode, "healed", float64(p.ReplicasHealed))
-		t.Set(p.Mode, "maint msgs", float64(p.MaintenanceMsgs))
+		t.Row(p.Mode, 100*p.CurrentRate, p.ProbesPerRetrieve, float64(p.StaleReturns),
+			float64(p.ReplicasHealed), float64(p.MaintenanceMsgs))
 	}
 	t.Notes = append(t.Notes,
 		"off reproduces the paper's decay: crashed peers' replicas stay lost until the next update;",
 		"the sweep re-pushes current values to the live replica set (PutIfNewer, monotone);",
 		"read-repair additionally refreshes stale/missing replicas observed by each retrieve")
-	return t, points
+	return t, &points, nil
 }

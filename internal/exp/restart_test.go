@@ -190,6 +190,62 @@ func TestRestartWithStateVolatile(t *testing.T) {
 	}
 }
 
+// TestRestartOfARestartingName: a restart wave spreads its restarts
+// over a window, so a second restart of a name can come while the
+// first incarnation is still joining under that name's address. The
+// name is then neither offered as restartable nor restarted again, and
+// the first incarnation completes.
+func TestRestartOfARestartingName(t *testing.T) {
+	sc := Table1Scenario(AlgUMSDirect, 10, 42)
+	d := NewDeployment(DeployConfig{Peers: 10, Replicas: 3, Seed: 42, Net: sc.Net, Chord: sc.Chord})
+	defer d.K.Stop()
+	d.RunFor(time.Minute)
+	victim := d.Peers[3]
+	if !d.Do(func() { d.Depart(victim, true) }) {
+		t.Fatal("crash stalled")
+	}
+	d.RunFor(time.Minute)
+
+	rng := d.K.NewRand("restart-twice")
+	var first, second *Peer
+	firstDone := false
+	d.K.Go(func() {
+		first = d.RestartWithState(victim.Name, rng)
+		firstDone = true
+	})
+	var restartable []string
+	ok := d.Do(func() {
+		// One millisecond in, the first join is still crossing Table 1's
+		// WAN links.
+		if err := d.Net.Env().Sleep(time.Millisecond); err != nil {
+			t.Error(err)
+		}
+		if firstDone {
+			t.Error("the first restart finished before the second began")
+		}
+		restartable = d.RestartablePeers()
+		second = d.RestartWithState(victim.Name, rng)
+	})
+	if !ok || t.Failed() {
+		t.FailNow()
+	}
+	d.RunFor(time.Minute)
+	for _, name := range restartable {
+		if name == victim.Name {
+			t.Errorf("%s offered for restart while its restart was joining: %v", name, restartable)
+		}
+	}
+	if second != nil {
+		t.Error("a name mid-restart was restarted a second time")
+	}
+	if !firstDone || first == nil || !first.Alive() {
+		t.Fatalf("the first restart did not complete: done=%v peer=%v", firstDone, first)
+	}
+	if left := d.RestartablePeers(); len(left) != 0 {
+		t.Errorf("still restartable after the restart: %v", left)
+	}
+}
+
 // TestEveryEntryPathStartsRepair: however a peer comes to be in the ring
 // — assembled at deployment, joined as a churn replacement, restarted
 // under its old name — its repair sweep runs.

@@ -1,10 +1,10 @@
 package exp
 
 import (
+	"flag"
 	"fmt"
 	"time"
 
-	"repro/internal/repair"
 	"repro/internal/scenario"
 )
 
@@ -18,44 +18,23 @@ import (
 // it maintenance wins back.
 
 // ScenarioRepairModes are the repair configurations each scenario runs
-// under, in plotting order.
+// under, in plotting order: "on" is the repair figure's
+// sweep+read-repair.
 var ScenarioRepairModes = []string{"off", "on"}
 
-// scenarioRepairConfigFor maps a mode to the subsystem configuration
-// (the "on" setting matches the repair figure's sweep+read-repair).
-func scenarioRepairConfigFor(mode string) repair.Config {
-	if mode == "on" {
-		return repairConfigFor("sweep+read-repair")
-	}
-	return repair.Config{}
+// scenarioParams are the scenario figure's parameters.
+type scenarioParams struct {
+	scenarios string
+	peers     int
+	duration  time.Duration
+	queries   int
 }
 
-// ScenarioOptions parameterises the scenario comparison beyond the
-// shared exp.Options. The zero value runs every builtin scenario at the
-// quick-mode scale.
-type ScenarioOptions struct {
-	// Names restricts the comparison; empty or ["all"] runs every
-	// builtin script.
-	Names []string
-	// Peers overrides the deployment size (default: quick 400, full
-	// basePeers).
-	Peers int
-	// Duration overrides the measured window per run.
-	Duration time.Duration
-	// Queries overrides the retrieves measured per run.
-	Queries int
-}
-
-func (so ScenarioOptions) names() ([]string, error) {
-	if len(so.Names) == 0 || (len(so.Names) == 1 && so.Names[0] == "all") {
-		return scenario.BuiltinNames(), nil
-	}
-	for _, n := range so.Names {
-		if _, err := scenario.Builtin(n, time.Hour); err != nil {
-			return nil, err
-		}
-	}
-	return so.Names, nil
+func (p *scenarioParams) declare(fs *flag.FlagSet, o Options) {
+	fs.StringVar(&p.scenarios, "scenarios", "all", "comma-separated scripted scenarios: calm|churn-wave|split-heal|lossy-wan|mass-crash|all")
+	fs.IntVar(&p.peers, "peers", pick(o, 400, o.basePeers()), "deployment size")
+	fs.DurationVar(&p.duration, "duration", o.duration(), "measured window of simulated time per run")
+	fs.IntVar(&p.queries, "queries", 60, "measured retrieves per run (double the paper's 30: scenarios bend the tail)")
 }
 
 // ScenarioPoint is one (scenario, repair mode) outcome in
@@ -81,50 +60,60 @@ type ScenarioPoint struct {
 	MaintenanceMsgs   uint64  `json:"maintenance_msgs"`
 }
 
-// scenarioBase is the shared configuration every (scenario, mode) run
-// starts from: UMS-Direct with the paper's background churn kept on, so
-// the scripted events land on top of realistic steady-state dynamics.
-func scenarioBase(o Options, so ScenarioOptions) Scenario {
-	peers := so.Peers
-	if peers <= 0 {
-		peers = 400
-		if o.Full {
-			peers = o.basePeers()
+// ScenarioPoints is the scenario figure's document (BENCH_scenario.json).
+type ScenarioPoints []ScenarioPoint
+
+// Validate checks that every scenario ran in both repair modes and ran
+// queries (calm, the control, plays no event at all).
+func (ps ScenarioPoints) Validate() error {
+	if len(ps) == 0 || len(ps)%len(ScenarioRepairModes) != 0 {
+		return fmt.Errorf("scenario: %d points, want a pair per scenario", len(ps))
+	}
+	for i, p := range ps {
+		if mode := ScenarioRepairModes[i%len(ScenarioRepairModes)]; p.Repair != mode {
+			return fmt.Errorf("scenario: point %d (%s) has repair %q, want %q", i, p.Scenario, p.Repair, mode)
+		}
+		if p.Peers <= 0 || p.QueriesRun <= 0 {
+			return fmt.Errorf("scenario: %s/%s: peers=%d queries_run=%d", p.Scenario, p.Repair, p.Peers, p.QueriesRun)
+		}
+		if p.CurrentRate < 0 || p.CurrentRate > 1 {
+			return fmt.Errorf("scenario: %s/%s: current_rate %v outside [0,1]", p.Scenario, p.Repair, p.CurrentRate)
 		}
 	}
-	sc := Table1Scenario(AlgUMSDirect, peers, o.seed())
-	sc.Duration = o.duration()
-	if so.Duration > 0 {
-		sc.Duration = so.Duration
-	}
-	sc.ChurnRate = o.churnFor(peers)
-	sc.UpdateRate *= o.compress()
-	if so.Queries > 0 {
-		sc.Queries = so.Queries
-	} else {
-		sc.Queries = 60 // double the paper's 30: scenarios bend the tail
-	}
+	return nil
+}
+
+// base is the configuration every (scenario, mode) run starts from:
+// UMS-Direct with the paper's background churn kept on, so the scripted
+// events land on top of realistic steady-state dynamics.
+func (p *scenarioParams) base(o Options) Scenario {
+	sc := o.table1(AlgUMSDirect, p.peers)
+	sc.Duration = p.duration
+	sc.Queries = p.queries
 	return sc
 }
 
-// ScenarioComparison runs each selected scenario with maintenance off
-// and on, on the same seed, and returns one point per (scenario, mode).
-func ScenarioComparison(o Options, so ScenarioOptions) ([]ScenarioPoint, error) {
-	names, err := so.names()
-	if err != nil {
-		return nil, err
+// run plays each selected scenario with maintenance off and on, on the
+// same seed, and tabulates currency, E(X), response time and failure
+// counts per (scenario, repair mode).
+func (p *scenarioParams) run(o Options) (*Table, *ScenarioPoints, error) {
+	selected := names(p.scenarios, scenario.BuiltinNames())
+	scripts := make([]scenario.Script, len(selected))
+	for i, name := range selected {
+		var err error
+		if scripts[i], err = scenario.Builtin(name, p.duration); err != nil {
+			return nil, nil, err
+		}
 	}
-	points := make([]ScenarioPoint, 0, len(names)*len(ScenarioRepairModes))
-	for _, name := range names {
+	points := make(ScenarioPoints, 0, len(selected)*len(ScenarioRepairModes))
+	for i, name := range selected {
 		for _, mode := range ScenarioRepairModes {
-			sc := scenarioBase(o, so)
+			sc := p.base(o)
 			sc.Name = fmt.Sprintf("scenario-%s/repair-%s", name, mode)
-			sc.Repair = scenarioRepairConfigFor(mode)
-			script, err := scenario.Builtin(name, sc.Duration)
-			if err != nil {
-				return nil, err
+			if mode == "on" {
+				sc.Repair = repairConfigFor("sweep+read-repair")
 			}
-			sc.Script = &script
+			sc.Script = &scripts[i]
 			r := Run(sc)
 			applied := 0
 			if r.Trace != nil {
@@ -154,28 +143,12 @@ func ScenarioComparison(o Options, so ScenarioOptions) ([]ScenarioPoint, error) 
 				r.RespTime.Mean(), r.StaleReturns, r.QueriesFailed, r.Repair.Healed)
 		}
 	}
-	return points, nil
-}
-
-// FigureScenario tabulates the comparison: currency, E(X), response
-// time and failure counts per (scenario, repair mode).
-func FigureScenario(o Options, so ScenarioOptions) (*Table, []ScenarioPoint, error) {
-	points, err := ScenarioComparison(o, so)
-	if err != nil {
-		return nil, nil, err
-	}
 	t := NewTable("Scenarios: currency and cost under scripted faults (UMS-Direct, repair off vs on)",
 		"scenario/repair", "effect",
 		[]string{"current %", "E(X) probes", "resp (s)", "stale", "failed", "events", "healed"})
-	for _, p := range points {
-		row := p.Scenario + "/" + p.Repair
-		t.Set(row, "current %", 100*p.CurrentRate)
-		t.Set(row, "E(X) probes", p.ProbesPerRetrieve)
-		t.Set(row, "resp (s)", p.RespTimeSec)
-		t.Set(row, "stale", float64(p.StaleReturns))
-		t.Set(row, "failed", float64(p.FailedQueries))
-		t.Set(row, "events", float64(p.EventsApplied))
-		t.Set(row, "healed", float64(p.ReplicasHealed))
+	for _, pt := range points {
+		t.Row(pt.Scenario+"/"+pt.Repair, 100*pt.CurrentRate, pt.ProbesPerRetrieve, pt.RespTimeSec,
+			float64(pt.StaleReturns), float64(pt.FailedQueries), float64(pt.EventsApplied), float64(pt.ReplicasHealed))
 	}
 	t.Notes = append(t.Notes,
 		"scripted scenarios (internal/scenario) on top of the paper's background churn;",
@@ -184,5 +157,5 @@ func FigureScenario(o Options, so ScenarioOptions) (*Table, []ScenarioPoint, err
 		"repair trades failed queries for available (sometimes stale) returns: after the hts",
 		"responsible crashes, indirect init leaves last_ts past every replica until the next",
 		"insert, so healed replicas count as stale, not provably current (see README repair notes)")
-	return t, points, nil
+	return t, &points, nil
 }

@@ -9,15 +9,13 @@ import (
 	"repro/internal/scenario"
 )
 
-// tinyScenarioOptions keeps the determinism test fast: a small
-// population and window still exercises every event kind.
-func tinyScenarioOptions() (Options, ScenarioOptions) {
-	return Options{Seed: 11}, ScenarioOptions{
-		Names:    []string{scenario.SplitHeal, scenario.ChurnWave},
-		Peers:    40,
-		Duration: 8 * time.Minute,
-		Queries:  8,
-	}
+// tinyScenario keeps the determinism test fast: a small population
+// and window still exercises every event kind.
+var tinyScenario = scenarioParams{
+	scenarios: scenario.SplitHeal + "," + scenario.ChurnWave,
+	peers:     40,
+	duration:  8 * time.Minute,
+	queries:   8,
 }
 
 // TestScenarioDeterminism is the acceptance test the race job replays:
@@ -25,16 +23,12 @@ func tinyScenarioOptions() (Options, ScenarioOptions) {
 // bit-identically for a fixed seed — identical applied-event traces and
 // identical figure JSON.
 func TestScenarioDeterminism(t *testing.T) {
-	o, so := tinyScenarioOptions()
+	o := Options{Seed: 11}
 	run := func() ([]byte, []*scenario.Trace) {
-		names, err := so.names()
-		if err != nil {
-			t.Fatal(err)
-		}
 		var traces []*scenario.Trace
 		points := make([]ScenarioPoint, 0)
-		for _, name := range names {
-			sc := scenarioBase(o, so)
+		for _, name := range names(tinyScenario.scenarios, nil) {
+			sc := tinyScenario.base(o)
 			sc.Name = "determinism-" + name
 			script, err := scenario.Builtin(name, sc.Duration)
 			if err != nil {
@@ -85,17 +79,9 @@ func TestScenarioComparisonShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario comparison is minutes of simulated time")
 	}
-	o := Options{Seed: 5}
-	so := ScenarioOptions{
-		Names:    []string{scenario.MassCrash},
-		Peers:    40,
-		Duration: 8 * time.Minute,
-		Queries:  8,
-	}
-	table, points, err := FigureScenario(o, so)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables, doc := runFigure(t, "scenario", Options{Seed: 5},
+		"scenarios="+scenario.MassCrash, "peers=40", "duration=8m", "queries=8")
+	table, points := tables[0], *doc.(*ScenarioPoints)
 	if len(points) != 2 {
 		t.Fatalf("points = %d, want 2 (off and on)", len(points))
 	}
@@ -119,7 +105,11 @@ func TestScenarioComparisonShapes(t *testing.T) {
 	if len(table.XS) != 2 {
 		t.Fatalf("table rows = %v", table.XS)
 	}
-	if _, _, err := FigureScenario(o, ScenarioOptions{Names: []string{"bogus"}}); err == nil {
+	run, err := FigureNamed("scenario").Prepare(Options{Seed: 5}, []string{"scenarios=bogus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := run(); err == nil {
 		t.Fatal("unknown scenario name accepted")
 	}
 }

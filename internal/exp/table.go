@@ -40,6 +40,13 @@ func (t *Table) Set(x, series string, v float64) {
 	t.Cells[x][series] = v
 }
 
+// Row records row x's cells, one value per series in series order.
+func (t *Table) Row(x string, vals ...float64) {
+	for i, v := range vals {
+		t.Set(x, t.Series[i], v)
+	}
+}
+
 // Get returns the cell value and whether it is present.
 func (t *Table) Get(x, series string) (float64, bool) {
 	row, ok := t.Cells[x]

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"flag"
+	"fmt"
 	"time"
 
 	"repro/internal/workload"
@@ -15,139 +17,112 @@ import (
 // op type instead of a single mean — the shape production capacity
 // planning actually needs.
 
-// WorkloadOptions parameterizes the workload figure beyond the shared
-// exp.Options. The zero value runs every pattern with a 90% read mix
-// under the closed-loop driver.
-type WorkloadOptions struct {
-	// Pattern restricts the figure to one pattern; empty or "all" runs
-	// every built-in pattern as one series each.
-	Pattern string
-	// ReadRatio is the read fraction in [0, 1]; nil selects the default
-	// 0.9. A pointer so 0 — a pure-write workload — stays expressible,
-	// like SimConfig.FailureRate.
-	ReadRatio *float64
-	// ZipfS is the Zipf skew exponent (>1) for the zipf pattern.
-	ZipfS float64
-	// Rate, when positive, selects the open-loop driver at this many
-	// ops per simulated second; otherwise the closed-loop driver runs
-	// Concurrency workers.
-	Rate        float64
-	Concurrency int
-	// Duration bounds each run in simulated time; Ops by operation
-	// count. Defaults: 2 simulated minutes, unbounded ops.
-	Duration time.Duration
-	Ops      int
-	// Peers overrides the deployment size (default 200 quick / 2000
-	// full).
-	Peers int
-	// Keys overrides the keyspace size (default 50).
-	Keys int
+// workloadParams are the workload figure's parameters.
+type workloadParams struct {
+	pattern     string
+	ratio, rate float64
+	concurrency int
+	duration    time.Duration
+	ops, keys   int
+	peers       int
 }
 
-// WorkloadPoint is one pattern's outcome in machine-readable form;
-// cmd/dcdht-bench serializes the set as BENCH_workload.json.
+func (p *workloadParams) declare(fs *flag.FlagSet, o Options) {
+	fs.StringVar(&p.pattern, "pattern", "all", "workload pattern: uniform|zipf|hotkey-update|scan-recent|all")
+	fs.Float64Var(&p.ratio, "ratio", 0.9, "read fraction of the mix, in [0,1]")
+	fs.Float64Var(&p.rate, "rate", 0, "open-loop target in ops per simulated second; 0 runs the closed-loop driver")
+	fs.IntVar(&p.concurrency, "concurrency", 8, "closed-loop worker count")
+	fs.DurationVar(&p.duration, "duration", 2*time.Minute, "measured window of simulated time per run; 0 bounds the run by ops alone")
+	fs.IntVar(&p.ops, "ops", 0, "operations per run; 0 bounds the run by duration alone")
+	fs.IntVar(&p.keys, "keys", 50, "keyspace size")
+	fs.IntVar(&p.peers, "peers", pick(o, 200, 2000), "deployment size")
+}
+
+// WorkloadPoint is one pattern's outcome in machine-readable form.
 type WorkloadPoint struct {
 	Peers int `json:"peers"`
 	workload.Report
 }
 
-// workloadPatterns resolves the pattern selection.
-func (wo WorkloadOptions) patterns() ([]workload.Pattern, error) {
-	if wo.Pattern == "" || wo.Pattern == "all" {
-		return workload.Patterns(), nil
-	}
-	p, err := workload.ParsePattern(wo.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	return []workload.Pattern{p}, nil
-}
+// WorkloadPoints is the workload figure's document (BENCH_workload.json).
+type WorkloadPoints []WorkloadPoint
 
-// spec translates the options into a workload spec for one pattern.
-func (wo WorkloadOptions) spec(p workload.Pattern, seed int64) workload.Spec {
-	spec := workload.Spec{
-		Pattern:     p,
-		Seed:        seed,
-		ReadRatio:   wo.ReadRatio,
-		ZipfS:       wo.ZipfS,
-		Rate:        wo.Rate,
-		Concurrency: wo.Concurrency,
-		Duration:    wo.Duration,
-		Ops:         wo.Ops,
-		Keys:        wo.Keys,
+// Validate checks that every pattern ran and accounted for its
+// operations.
+func (ps WorkloadPoints) Validate() error {
+	if len(ps) == 0 {
+		return fmt.Errorf("workload: empty point set")
 	}
-	if spec.Duration <= 0 && spec.Ops <= 0 {
-		spec.Duration = 2 * time.Minute
-	}
-	return spec
-}
-
-// WorkloadComparison runs the selected patterns, each against a fresh
-// deployment built from the same seed, and returns one point per
-// pattern.
-func WorkloadComparison(o Options, wo WorkloadOptions) ([]WorkloadPoint, error) {
-	patterns, err := wo.patterns()
-	if err != nil {
-		return nil, err
-	}
-	peers := wo.Peers
-	if peers <= 0 {
-		peers = 200
-		if o.Full {
-			peers = 2000
+	for _, p := range ps {
+		if p.Peers <= 0 || p.Ops <= 0 {
+			return fmt.Errorf("workload: pattern %q: peers=%d ops=%d", p.Workload, p.Peers, p.Ops)
+		}
+		if p.Reads.Ops+p.Writes.Ops != p.Ops {
+			return fmt.Errorf("workload: pattern %q: %d reads + %d writes != %d ops",
+				p.Workload, p.Reads.Ops, p.Writes.Ops, p.Ops)
 		}
 	}
-	points := make([]WorkloadPoint, 0, len(patterns))
-	for _, p := range patterns {
-		sc := Table1Scenario(AlgUMSDirect, peers, o.seed())
+	return nil
+}
+
+// run drives each selected pattern against a fresh deployment built
+// from the same seed, and tabulates throughput and latency quantiles
+// per op type for each.
+func (p *workloadParams) run(o Options) (*Table, *WorkloadPoints, error) {
+	if p.ratio < 0 || p.ratio > 1 {
+		return nil, nil, fmt.Errorf("exp: workload ratio %v outside [0,1]", p.ratio)
+	}
+	patterns := workload.Patterns()
+	if p.pattern != "all" {
+		pat, err := workload.ParsePattern(p.pattern)
+		if err != nil {
+			return nil, nil, err
+		}
+		patterns = []workload.Pattern{pat}
+	}
+	points := make(WorkloadPoints, 0, len(patterns))
+	for _, pat := range patterns {
+		sc := Table1Scenario(AlgUMSDirect, p.peers, o.Seed)
 		d := NewDeployment(DeployConfig{
-			Peers:    peers,
+			Peers:    p.peers,
 			Replicas: sc.Replicas,
-			Seed:     o.seed(),
+			Seed:     o.Seed,
 			Net:      sc.Net,
 			Chord:    sc.Chord,
 		})
 		d.RunFor(sc.Warmup) // let ring maintenance settle before loading
-		rep, err := d.RunWorkload(context.Background(), wo.spec(p, o.seed()))
+		rep, err := d.RunWorkload(context.Background(), workload.Spec{
+			Pattern:     pat,
+			Seed:        o.Seed,
+			ReadRatio:   &p.ratio,
+			Rate:        p.rate,
+			Concurrency: p.concurrency,
+			Duration:    p.duration,
+			Ops:         p.ops,
+			Keys:        p.keys,
+		})
 		d.K.Stop()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		points = append(points, WorkloadPoint{Peers: peers, Report: *rep})
+		points = append(points, WorkloadPoint{Peers: p.peers, Report: *rep})
 		o.progress("workload-%-16s ops=%5d %6.2f ops/s  read p50=%7.0fms p99=%7.0fms  write p99=%7.0fms stale=%d err=%d",
-			p, rep.Ops, rep.OpsPerSec, rep.Reads.P50Ms, rep.Reads.P99Ms,
+			pat, rep.Ops, rep.OpsPerSec, rep.Reads.P50Ms, rep.Reads.P99Ms,
 			rep.Writes.P99Ms, rep.Reads.Stale, rep.Reads.Errors+rep.Writes.Errors)
-	}
-	return points, nil
-}
-
-// FigureWorkload tabulates the comparison: throughput and latency
-// quantiles per op type for each pattern.
-func FigureWorkload(o Options, wo WorkloadOptions) (*Table, []WorkloadPoint, error) {
-	points, err := WorkloadComparison(o, wo)
-	if err != nil {
-		return nil, nil, err
 	}
 	t := NewTable("Workload: throughput and latency quantiles by access pattern (UMS-Direct)",
 		"workload", "latency (ms) / throughput",
 		[]string{"ops/s", "read p50", "read p95", "read p99", "write p99", "stale", "errors"})
-	for _, p := range points {
-		t.Set(p.Workload, "ops/s", p.OpsPerSec)
-		t.Set(p.Workload, "read p50", p.Reads.P50Ms)
-		t.Set(p.Workload, "read p95", p.Reads.P95Ms)
-		t.Set(p.Workload, "read p99", p.Reads.P99Ms)
-		t.Set(p.Workload, "write p99", p.Writes.P99Ms)
-		t.Set(p.Workload, "stale", float64(p.Reads.Stale))
-		t.Set(p.Workload, "errors", float64(p.Reads.Errors+p.Writes.Errors))
+	for _, pt := range points {
+		t.Row(pt.Workload, pt.OpsPerSec, pt.Reads.P50Ms, pt.Reads.P95Ms, pt.Reads.P99Ms,
+			pt.Writes.P99Ms, float64(pt.Reads.Stale), float64(pt.Reads.Errors+pt.Writes.Errors))
 	}
-	if len(points) > 0 {
-		driver := "closed loop"
-		if points[0].TargetRate > 0 {
-			driver = "open loop"
-		}
-		t.Notes = append(t.Notes,
-			"latencies are simulated milliseconds under the Table 1 WAN model, quantiles from log-bucketed histograms;",
-			driver+" driver; the same spec and seed replay bit-identically (workload determinism tests)")
+	driver := "closed loop"
+	if p.rate > 0 {
+		driver = "open loop"
 	}
-	return t, points, nil
+	t.Notes = append(t.Notes,
+		"latencies are simulated milliseconds under the Table 1 WAN model, quantiles from log-bucketed histograms;",
+		driver+" driver; the same spec and seed replay bit-identically (workload determinism tests)")
+	return t, &points, nil
 }

@@ -10,25 +10,14 @@ import (
 	"repro/internal/workload"
 )
 
-// workloadTestOptions keeps the figure fast enough for `go test`.
-func workloadTestOptions() (Options, WorkloadOptions) {
-	ratio := 0.8
-	return Options{Seed: 5}, WorkloadOptions{
-		Peers:       32,
-		Keys:        12,
-		Ops:         40,
-		Concurrency: 3,
-		ReadRatio:   &ratio,
-	}
-}
+// workloadTestSets keep the figure fast enough for `go test`: runs
+// bounded by operation count alone.
+var workloadTestSets = []string{"peers=32", "keys=12", "ops=40", "duration=0", "concurrency=3", "ratio=0.8"}
 
 func TestFigureWorkload(t *testing.T) {
-	o, wo := workloadTestOptions()
-	wo.Pattern = string(workload.Zipf)
-	table, points, err := FigureWorkload(o, wo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables, doc := runFigure(t, "workload", Options{Seed: 5},
+		append(workloadTestSets, "pattern="+string(workload.Zipf))...)
+	table, points := tables[0], *doc.(*WorkloadPoints)
 	if len(points) != 1 {
 		t.Fatalf("got %d points, want 1", len(points))
 	}
@@ -54,9 +43,11 @@ func TestFigureWorkload(t *testing.T) {
 }
 
 func TestFigureWorkloadRejectsUnknownPattern(t *testing.T) {
-	o, wo := workloadTestOptions()
-	wo.Pattern = "bogus"
-	if _, _, err := FigureWorkload(o, wo); err == nil {
+	run, err := FigureNamed("workload").Prepare(Options{Seed: 5}, append(workloadTestSets, "pattern=bogus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := run(); err == nil {
 		t.Fatal("unknown pattern accepted")
 	}
 }

@@ -1,100 +1,113 @@
 #!/bin/sh
-# check_bench.sh — the bench smoke gate run by CI: regenerate the
-# consistency, recovery, workload, gateway, lookup and perf figures at
-# toy scale and validate the emitted BENCH_*.json files against the
-# documented schemas and acceptance invariants (scripts/validate_bench),
-# byte-comparing the deterministic exports against committed baselines.
-# A schema drift, a broken figure, a consistency level that stopped
-# being cheaper than Current, a durable restart that stopped beating
-# crash-and-forget, or a perf hot-path whose deterministic costs moved
-# without a regenerated baseline all fail this gate.
+# check_bench.sh — the bench smoke gate run by CI. It regenerates
+# figures of the internal/exp registry through dcdht-bench and holds
+# each JSON document to its figure's schema and acceptance invariants
+# (scripts/validate_bench): the consistency and recovery figures at toy
+# scale; the workload, gateway and lookup figures byte-compared against
+# their committed BENCH_*.json; the perf figure replayed and compared
+# with the committed BENCH_perf.json's deterministic fields; and the
+# paper's own tables (§3.3 analysis, Figures 6–12, the ablations) with
+# the repair and scenario figures at quick scale, every table required
+# to print. A schema drift, a broken figure, a consistency level that
+# stopped being cheaper than Current, a durable restart that stopped
+# beating crash-and-forget, or a deterministic figure that moved without
+# a regenerated baseline all fail this gate.
 # Run from the repository root: ./scripts/check_bench.sh
 set -eu
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+go build -o "$out/dcdht-bench" ./cmd/dcdht-bench
+go build -o "$out/validate_bench" ./scripts/validate_bench
 
-# figure NAME TITLE JSONFLAG CHECK BASELINE [bench flags...] regenerates
-# one figure into $out/BENCH_NAME.json and requires TITLE in the printed
-# table. CHECK picks what the export is then held to:
-#   validate  schema and acceptance invariants (validate_bench)
-#   replay    a same-seed rerun must be bit-identical, then validate
-#   cmp       byte-identical to the committed BASELINE
-# Under validate and replay a BASELINE other than "-" goes to
-# validate_bench too: its deterministic fields must match exactly.
+# bench NAMES JSONDIR [key=value...] runs figures NAMES, with each
+# key=value a -set, writing their documents into JSONDIR and their
+# tables into JSONDIR.txt.
+bench() {
+    names=$1 dir=$2
+    shift 2
+    set -- $(for kv in "$@"; do printf -- '-set %s ' "$kv"; done)
+    "$out/dcdht-bench" -figure "$names" "$@" -quiet -json "$dir" > "$dir.txt"
+}
+
+# figure NAME TITLE CHECK [key=value...] regenerates one figure and
+# requires TITLE in its printed table. CHECK is what its document is
+# held to beyond the figure's invariants:
+#   -             nothing more
+#   cmp:FILE      byte-identical to the committed FILE
+#   replay:FILE   a same-seed rerun is byte-identical, and the
+#                 deterministic fields equal the committed FILE's
 figure() {
-    name=$1 title=$2 jsonflag=$3 check=$4 baseline=$5
-    shift 5
-    json="$out/BENCH_$name.json"
-    go run ./cmd/dcdht-bench -figure "$name" "$@" -quiet "$jsonflag" "$json" > "$out/$name.txt"
-    grep -q "$title" "$out/$name.txt" || {
+    name=$1 title=$2 check=$3
+    shift 3
+    json="$out/$name/BENCH_$name.json"
+    bench "$name" "$out/$name" "$@"
+    grep -qF "$title" "$out/$name.txt" || {
         echo "check_bench: $name table missing from bench output" >&2
         exit 1
     }
-    if [ "$check" = cmp ]; then
-        cmp -s "$json" "$baseline" || {
-            echo "check_bench: $baseline drifted from the committed baseline" >&2
-            diff "$json" "$baseline" >&2 || true
+    baseline=
+    case $check in
+    cmp:*)
+        cmp -s "$json" "${check#cmp:}" || {
+            echo "check_bench: ${check#cmp:} drifted from the committed baseline" >&2
+            diff "$json" "${check#cmp:}" >&2 || true
             exit 1
-        }
-        return
-    fi
-    if [ "$check" = replay ]; then
-        go run ./cmd/dcdht-bench -figure "$name" "$@" -quiet "$jsonflag" "$out/BENCH_${name}2.json" > /dev/null
-        cmp -s "$json" "$out/BENCH_${name}2.json" || {
+        } ;;
+    replay:*)
+        baseline=${check#replay:}
+        bench "$name" "$out/${name}2" "$@"
+        cmp -s "$json" "$out/${name}2/BENCH_$name.json" || {
             echo "check_bench: $name figure is not deterministic across same-seed runs" >&2
-            diff "$json" "$out/BENCH_${name}2.json" >&2 || true
+            diff "$json" "$out/${name}2/BENCH_$name.json" >&2 || true
             exit 1
-        }
-    fi
-    if [ "$baseline" = - ]; then
-        go run ./scripts/validate_bench "$json"
-    else
-        go run ./scripts/validate_bench "$json" "$baseline"
-    fi
+        } ;;
+    esac
+    "$out/validate_bench" "$name" "$json" $baseline
 }
 
 # 48 queries per level: the validator demands strictly fewer messages
 # for bounded than for current, and that gap is the bounded reads served
 # from a warm last-ts cache — about a quarter of them at this scale, so
 # the ordering rests on a dozen hits rather than on one.
-figure consistency "Consistency: retrieval cost vs observed currency" -consistency-json validate - \
-    -consistency-peers 32 -consistency-queries 48 -consistency-duration 6m
+figure consistency "Consistency: retrieval cost vs observed currency" - peers=32 queries=48 duration=6m
 
-figure recovery "Recovery: crash-and-forget vs durable restart" -recovery-json validate - \
-    -recovery-peers 30 -recovery-queries 16 -recovery-duration 20m
+figure recovery "Recovery: crash-and-forget vs durable restart" - peers=30 queries=16 duration=20m
 
-# Workload baseline: the run is fully deterministic (simulated time,
-# fixed seed), so any drift from the committed BENCH_workload.json means
-# the workload path changed behaviour — regenerate the baseline with
-# these flags and commit it alongside the change.
-figure workload "Workload: throughput and latency quantiles" -workload-json cmp BENCH_workload.json \
-    -workload uniform -workload-peers 32 -duration 45s -concurrency 3
-
-# Gateway: KTS strictly fewer through the gateway, coalescing at least
-# 2x; any nondeterminism in the coalescing/balancing path breaks the
-# replay.
-figure gateway "Gateway: hot-key coalescing front-end" -gateway-json replay - \
-    -gateway-peers 60 -gateway-ops 300
-
-# Lookup acceleration, the three-arm routing comparison (chord /
-# chord+cache / onehop): onehop within the 1.1-hop ceiling and strictly
-# below chord; resolving as an operation does (guess from routing state
-# and learned arcs, else lookup) never worse than the lookup alone, with
-# learned arcs answering; zero wrong-owner resolutions.
-figure lookup "Lookup acceleration: chord vs chord+cache vs onehop" -lookup-json replay - \
-    -lookup-peers 24 -lookup-samples 40 -lookup-churn 2 -lookup-warmup 2m -lookup-maint 1m
+# The committed baselines: every run is fully deterministic (simulated
+# time, fixed seed), so any drift means the path changed behaviour —
+# regenerate the baseline with the same parameters (defaults for gateway
+# and lookup) and commit it alongside the change.
+figure workload "Workload: throughput and latency quantiles" cmp:BENCH_workload.json \
+    pattern=uniform peers=32 duration=45s concurrency=3
+figure gateway "Gateway: hot-key coalescing front-end" cmp:BENCH_gateway.json
+figure lookup "Lookup acceleration: chord vs chord+cache vs onehop" cmp:BENCH_lookup.json
 
 # Perf: replayed with the host-dependent timing fields stripped, then
 # the deterministic fields are validated against the committed
 # BENCH_perf.json exactly. To refresh the baseline after an intended
-# behaviour change, run the same command without -perf-strip-timing
+# behaviour change, run the same parameters without strip_timing
 # (keeping one machine's timing as a trajectory record) and commit the
-# output as BENCH_perf.json:
-#   go run ./cmd/dcdht-bench -figure perf \
-#       -perf-ops 12 -perf-peers 32 -perf-kernel-events 10 \
-#       -perf-macro-ops 120 -quiet -perf-json BENCH_perf.json
-figure perf "Perf: hot-path costs" -perf-json replay BENCH_perf.json \
-    -perf-ops 12 -perf-peers 32 -perf-kernel-events 10 -perf-macro-ops 120 -perf-strip-timing
+# output:
+#   go run ./cmd/dcdht-bench -figure perf -set ops=12 -set peers=32 \
+#       -set kernel_events=10 -set macro_ops=120 -quiet -json .
+figure perf "Perf: hot-path costs" replay:BENCH_perf.json \
+    ops=12 peers=32 kernel_events=10 macro_ops=120 strip_timing=true
 
-echo "bench check clean: consistency, recovery, workload, gateway, lookup and perf figures regenerate and validate at toy scale"
+# The paper's figures, the ablations and the repair and scenario
+# figures at quick scale (about three minutes on one core): every table
+# must print, and the two documents pass their checks.
+bench analysis,6,7,8,9,10,11,12,ablations,repair,scenario "$out/paper"
+for title in "Analysis (§3.3)" "Analysis (§4.2.2)" "Figure 6:" "Figure 7:" "Figure 8:" \
+    "Figure 9:" "Figure 10:" "Figure 11:" "Figure 12:" "Ablation (§4.3)" "Ablation (§4.2.2)" \
+    "Ablation: Chord successor-list" "Ablation: replica handoff" "Repair:" "Scenarios:"; do
+    grep -qF "$title" "$out/paper.txt" || {
+        echo "check_bench: table \"$title\" missing from bench output" >&2
+        exit 1
+    }
+done
+for name in repair scenario; do
+    "$out/validate_bench" "$name" "$out/paper/BENCH_$name.json"
+done
+
+echo "bench check clean: consistency, recovery, workload, gateway, lookup and perf figures validate against their invariants and baselines; the paper's figures, ablations, repair and scenario regenerate"
