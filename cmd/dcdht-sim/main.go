@@ -16,10 +16,7 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/can"
 	"repro/internal/exp"
-	"repro/internal/network/simwire"
-	"repro/internal/onehop"
 	"repro/internal/peer"
 	"repro/internal/scenario"
 )
@@ -74,6 +71,25 @@ func main() {
 		os.Exit(2)
 	}
 
+	for _, c := range []struct {
+		flag string
+		ok   bool
+		want string
+	}{
+		{"peers", *peers >= 1, "at least 1"},
+		{"replicas", *replicas >= 1, "at least 1"},
+		{"keys", *keys >= 1, "at least 1"},
+		{"queries", *queries >= 0, "not negative"},
+		{"churn", *churn >= 0, "not negative"},
+		{"fail", *fail >= 0 && *fail <= 1, "in [0,1]"},
+		{"updates", *updates >= 0, "not negative"},
+	} {
+		if !c.ok {
+			log.Error("bad -"+c.flag, "want", c.want)
+			os.Exit(2)
+		}
+	}
+
 	sc := exp.Table1Scenario(algorithm, *peers, *seed)
 	sc.Replicas = *replicas
 	sc.Keys = *keys
@@ -86,18 +102,10 @@ func main() {
 		log.Error("bad -ring", "err", err)
 		os.Exit(2)
 	}
-	sc.RepublishEvery = *republish
+	sc.Republish.Every = *republish
 	if *cluster {
-		sc.Net = simwire.Cluster()
-		sc.Chord.RPCTimeout = 250 * time.Millisecond
-		sc.Chord.StabilizeEvery = 2 * time.Second
-		sc.Chord.FixFingersEvery = 2 * time.Second
-		sc.Chord.CheckPredEvery = 2 * time.Second
-		sc.Grace = 10 * time.Millisecond
+		sc.UseCluster()
 	}
-	// The alternative substrates track chord's maintenance cadence.
-	sc.CAN = can.Config{PingEvery: sc.Chord.CheckPredEvery, RPCTimeout: sc.Chord.RPCTimeout}
-	sc.OneHop = onehop.Config{PingEvery: sc.Chord.CheckPredEvery, RPCTimeout: sc.Chord.RPCTimeout}
 
 	if *scen != "" {
 		script, err := scenario.Builtin(*scen, sc.Duration)

@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary impersonate the command: when the guard
+// variable is set, run main() with the test binary's own arguments, so
+// tests observe real exit codes and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("DCDHT_SIM_BE_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain re-executes the test binary as dcdht-sim and returns its
+// stdout, stderr and exit code.
+func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DCDHT_SIM_BE_MAIN=1")
+	var outBuf, errBuf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &outBuf, &errBuf
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		code = ee.ExitCode()
+	}
+	return outBuf.String(), errBuf.String(), code
+}
+
+// TestBadInputExitsTwo: a population, replication factor, working set,
+// rate or failure share the simulation cannot run exits 2 and names the
+// flag, before anything runs.
+func TestBadInputExitsTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		flag string
+	}{
+		{"no peers", []string{"-peers", "0"}, "-peers"},
+		{"no replicas", []string{"-replicas", "0"}, "-replicas"},
+		{"negative keys", []string{"-keys", "-1"}, "-keys"},
+		{"negative queries", []string{"-queries", "-1"}, "-queries"},
+		{"negative churn", []string{"-churn", "-0.5"}, "-churn"},
+		{"fail above one", []string{"-fail", "3"}, "-fail"},
+		{"negative fail", []string{"-fail", "-0.1"}, "-fail"},
+		{"negative updates", []string{"-updates", "-1"}, "-updates"},
+		{"unknown ring", []string{"-ring", "pastry"}, "-ring"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runMain(t, append([]string{"-peers", "8", "-duration", "1m"}, tc.args...)...)
+			if code != 2 {
+				t.Errorf("exit %d, want 2 (stderr %q)", code, stderr)
+			}
+			if stdout != "" {
+				t.Errorf("a simulation ran: stdout %q", stdout)
+			}
+			if !strings.Contains(stderr, "bad "+tc.flag) {
+				t.Errorf("stderr %q does not name %s", stderr, tc.flag)
+			}
+		})
+	}
+}
+
+// TestSmallRunSucceeds: the smallest sensible run exits 0 and reports.
+func TestSmallRunSucceeds(t *testing.T) {
+	stdout, stderr, code := runMain(t, "-peers", "8", "-replicas", "3", "-keys", "2",
+		"-duration", "2m", "-queries", "2", "-churn", "0")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.Contains(stdout, "failed queries") {
+		t.Errorf("no report on stdout: %q", stdout)
+	}
+}

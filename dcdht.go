@@ -7,13 +7,10 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/exp"
 	"repro/internal/kts"
-	"repro/internal/network/simwire"
-	"repro/internal/onehop"
 	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/scenario"
@@ -125,20 +122,10 @@ type SimConfig struct {
 	// Seed makes the whole simulation reproducible. Default 1 (seed 0
 	// itself is reserved as "unset"; every other value is used as given).
 	Seed int64
-	// Cluster selects the LAN profile instead of Table 1's WAN model.
-	Cluster bool
 	// Ring picks the overlay substrate. The zero value keeps the
 	// paper's Chord; NewSimNetwork panics on a name that is none of the
 	// three (use ParseRing on outside input).
 	Ring Ring
-	// RepublishEvery enables the periodic republisher with the given
-	// period: peers re-push replicas they still hold but no longer own
-	// to the current responsible, restoring reachability under the
-	// paper's no-handoff data model. Zero disables it.
-	RepublishEvery time.Duration
-	// RepublishPerRound caps how many keys one republish round pushes
-	// per peer. Default 16.
-	RepublishPerRound int
 	// FailureRate is the fraction of ChurnOne departures that crash
 	// instead of leaving gracefully. nil selects Table 1's 0.05; use
 	// Float(0) for a network whose departures are all graceful — a plain
@@ -154,11 +141,9 @@ type SimConfig struct {
 	// RepairEvery enables the replica-maintenance subsystem's
 	// anti-entropy sweep with the given period: each peer periodically
 	// re-pushes the current value of the keys it hosts to the current
-	// replica set, healing replicas lost to churn. Zero disables it.
+	// replica set, healing replicas lost to churn (8 keys per peer and
+	// round). Zero disables it.
 	RepairEvery time.Duration
-	// RepairPerRound caps how many keys one sweep round repairs per
-	// peer. Default 8.
-	RepairPerRound int
 	// ReadRepair enables opportunistic read-repair: a retrieve that
 	// observes stale or missing replicas among the probed positions
 	// refreshes them asynchronously with the value it found.
@@ -183,10 +168,15 @@ type SimNetwork struct {
 	eng      *scenario.Engine // most recent scenario playback, nil if none
 }
 
-// NewSimNetwork builds and assembles a simulated network of n peers.
+// NewSimNetwork builds and assembles a simulated network of n peers on
+// Table 1's links, with replica handoff on. It panics when n is below 1
+// or cfg.Replicas is negative.
 func NewSimNetwork(n int, cfg SimConfig) *SimNetwork {
 	if n <= 0 {
 		panic("dcdht: network needs at least one peer")
+	}
+	if cfg.Replicas < 0 {
+		panic(fmt.Sprintf("dcdht: %d replicas (want at least 1)", cfg.Replicas))
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 10
@@ -198,36 +188,12 @@ func NewSimNetwork(n int, cfg SimConfig) *SimNetwork {
 	if cfg.FailureRate != nil {
 		failRate = *cfg.FailureRate
 	}
-	net := simwire.Table1()
-	sc := exp.Table1Scenario(exp.AlgUMSDirect, n, cfg.Seed)
-	chordCfg := sc.Chord
-	// The alternative substrates' maintenance timers track chord's: one
-	// liveness/update probe period and the shared RPC patience.
-	canCfg := can.Config{PingEvery: chordCfg.CheckPredEvery, RPCTimeout: chordCfg.RPCTimeout}
-	hopCfg := onehop.Config{PingEvery: chordCfg.CheckPredEvery, RPCTimeout: chordCfg.RPCTimeout}
-	if cfg.Cluster {
-		net = simwire.Cluster()
-		chordCfg.RPCTimeout = 250 * time.Millisecond
-		chordCfg.StabilizeEvery = 2 * time.Second
-		chordCfg.FixFingersEvery = 2 * time.Second
-		chordCfg.CheckPredEvery = 2 * time.Second
-		canCfg = can.Config{PingEvery: 2 * time.Second, RPCTimeout: 250 * time.Millisecond}
-		hopCfg = onehop.Config{PingEvery: 2 * time.Second, RPCTimeout: 250 * time.Millisecond}
-	}
-	d := exp.NewDeployment(exp.DeployConfig{
-		Peers:             n,
-		Replicas:          cfg.Replicas,
-		Seed:              cfg.Seed,
-		Net:               net,
-		Ring:              cfg.Ring,
-		Chord:             chordCfg,
-		CAN:               canCfg,
-		OneHop:            hopCfg,
-		RepublishEvery:    cfg.RepublishEvery,
-		RepublishPerRound: cfg.RepublishPerRound,
-		KTS:               kts.Config{Mode: cfg.Mode, GraceDelay: cfg.GraceDelay, InspectEvery: cfg.Inspect},
-		Repair:            repair.Config{Every: cfg.RepairEvery, PerRound: cfg.RepairPerRound, ReadRepair: cfg.ReadRepair},
-	})
+	dc := exp.Table1Deployment(n, cfg.Seed)
+	dc.Replicas = cfg.Replicas
+	dc.Ring = cfg.Ring
+	dc.KTS = kts.Config{Mode: cfg.Mode, GraceDelay: cfg.GraceDelay, InspectEvery: cfg.Inspect}
+	dc.Repair = repair.Config{Every: cfg.RepairEvery, ReadRepair: cfg.ReadRepair}
+	d := exp.NewDeployment(dc)
 	sim := &SimNetwork{cfg: cfg, failRate: failRate, d: d, rng: d.K.NewRand("facade")}
 	// Let maintenance settle before handing the network to the caller.
 	d.RunFor(time.Minute)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -202,4 +203,26 @@ func TestTCPRingEndToEnd(t *testing.T) {
 	if ts.IsZero() {
 		t.Fatal("last_ts lost after leave")
 	}
+}
+
+// TestNegativeReplicasRejected: a negative |Hr| is an error from
+// StartNode and a named panic from NewSimNetwork, never a crash deep in
+// the hash set's construction.
+func TestNegativeReplicasRejected(t *testing.T) {
+	n, err := StartNode("127.0.0.1:0", NodeConfig{Replicas: -1})
+	if err == nil {
+		n.Close()
+		t.Fatal("StartNode accepted -1 replicas")
+	}
+	if !strings.Contains(err.Error(), "replicas") {
+		t.Errorf("StartNode error %q does not name the replicas", err)
+	}
+
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.HasPrefix(msg, "dcdht: ") || !strings.Contains(msg, "replicas") {
+			t.Errorf("NewSimNetwork panicked with %q, want a dcdht message naming the replicas", msg)
+		}
+	}()
+	NewSimNetwork(4, SimConfig{Replicas: -1}).Close()
 }

@@ -149,8 +149,6 @@ type Config struct {
 	PingEvery time.Duration
 	// RPCTimeout bounds protocol RPCs; zero uses the transport default.
 	RPCTimeout time.Duration
-	// MaxRouteSteps bounds one greedy walk. Default 256.
-	MaxRouteSteps int
 	// NoDataHandoff disables moving stored replicas on zone handoffs
 	// (see chord.Config.NoDataHandoff — the paper's DHT model).
 	NoDataHandoff bool
@@ -164,11 +162,11 @@ func (c Config) withDefaults() Config {
 	if c.PingEvery == 0 {
 		c.PingEvery = 30 * time.Second
 	}
-	if c.MaxRouteSteps == 0 {
-		c.MaxRouteSteps = 256
-	}
 	return c
 }
+
+// maxRouteSteps bounds one greedy walk.
+const maxRouteSteps = 256
 
 // neighbor is this node's view of an adjacent peer. strikes counts
 // consecutive failed probe rounds; takeover fires on the second strike,
@@ -330,11 +328,6 @@ func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	}
 	return best, dht.GuessRouting
 }
-
-// GuessMissed implements dht.Ring. Zones and neighbor records are live
-// routing state, repaired by the ping/takeover lifecycle; nothing is
-// remembered beside them.
-func (n *Node) GuessMissed(dht.NodeRef) {}
 
 // Zones returns a copy of the owned zones.
 func (n *Node) Zones() []Zone {

@@ -19,7 +19,7 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	target := PointOf(n.self.ID)
 	// Route from the bootstrap to the owner of our point.
 	cur := dht.NodeRef{Addr: bootstrap}
-	for step := 0; step < n.cfg.MaxRouteSteps; step++ {
+	for step := 0; step < maxRouteSteps; step++ {
 		raw, err := n.call(context.Background(), cur.Addr, methodRouteStep, RouteStepReq{Target: target})
 		if err != nil {
 			return fmt.Errorf("can: join routing via %s: %w", cur.Addr, err)

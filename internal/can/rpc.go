@@ -402,7 +402,7 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 	cur := n.self
 	hops := 0
 	visited := map[core.ID]bool{}
-	for step := 0; step < n.cfg.MaxRouteSteps; step++ {
+	for step := 0; step < maxRouteSteps; step++ {
 		var resp RouteStepResp
 		if cur.ID == n.self.ID {
 			resp = n.routeStep(target, exclude)
@@ -443,7 +443,7 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 		}
 		cur = resp.Next
 	}
-	return dht.NodeRef{}, hops, fmt.Errorf("can: routing exceeded %d steps: %w", n.cfg.MaxRouteSteps, core.ErrUnreachable)
+	return dht.NodeRef{}, hops, fmt.Errorf("can: routing exceeded %d steps: %w", maxRouteSteps, core.ErrUnreachable)
 }
 
 func setToList(m map[core.ID]bool) []core.ID {

@@ -52,19 +52,15 @@ type Config struct {
 	// RPCTimeout bounds every protocol RPC; zero uses the transport
 	// default (the failure-detection patience).
 	RPCTimeout time.Duration
-	// MaxLookupSteps bounds one routing walk. Default 3*M.
-	MaxLookupSteps int
-	// LookupRetries is how many times a lookup restarts from the local
-	// node after hitting a dead peer (excluding it). Default 3.
-	LookupRetries int
 	// NoDataHandoff disables moving stored replicas on responsibility
 	// changes (joins, graceful leaves). Service state (KTS counters)
 	// still moves — that is the paper's direct algorithm. The paper's
 	// DHT model (§2) has no data handoff: a replica whose responsible
 	// departs becomes unavailable until the next update re-inserts it,
 	// which is exactly what drives the probability of currency and
-	// availability below 1. The evaluation harness enables this flag;
-	// library deployments keep handoff on by default.
+	// availability below 1. peer.New sets it, like Store and Obs, from
+	// peer.Config, where the evaluation harness enables it and library
+	// deployments keep handoff on by default.
 	NoDataHandoff bool
 	// Store, when non-nil, backs the node's replica store (and, if the
 	// deployment shares the unit, its KTS counters). Nil keeps the
@@ -91,14 +87,16 @@ func (c Config) withDefaults() Config {
 	if c.CheckPredEvery == 0 {
 		c.CheckPredEvery = 30 * time.Second
 	}
-	if c.MaxLookupSteps == 0 {
-		c.MaxLookupSteps = 3 * M
-	}
-	if c.LookupRetries == 0 {
-		c.LookupRetries = 3
-	}
 	return c
 }
+
+const (
+	// maxLookupSteps bounds one routing walk.
+	maxLookupSteps = 3 * M
+	// lookupRetries is how many times a lookup restarts from the local
+	// node after hitting a dead peer (excluding it).
+	lookupRetries = 3
+)
 
 // Node is one Chord peer.
 type Node struct {
@@ -122,7 +120,10 @@ type Node struct {
 	metrics chordMetrics
 }
 
-var _ dht.RingNode = (*Node)(nil)
+var (
+	_ dht.RingNode       = (*Node)(nil)
+	_ dht.GuessForgetter = (*Node)(nil)
+)
 
 // chordMetrics are the ring's routing/maintenance observables. They use
 // only atomic counters and the locked histogram — never the clock or a

@@ -75,9 +75,9 @@ func (t *learnedArcs) drop(gone func(*learnedArc) bool) {
 	t.arcs = kept
 }
 
-// GuessMissed implements dht.Ring: the peer a guess named refused the
-// operation or could not be reached, so nothing learned about it is
-// worth a second wasted round trip.
+// GuessMissed implements dht.GuessForgetter: the peer a guess named
+// refused the operation or could not be reached, so nothing learned
+// about it is worth a second wasted round trip.
 func (n *Node) GuessMissed(ref dht.NodeRef) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

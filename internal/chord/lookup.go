@@ -35,7 +35,7 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hop
 	}()
 	exclude := map[core.ID]bool{}
 	var lastErr error
-	for attempt := 0; attempt <= n.cfg.LookupRetries; attempt++ {
+	for attempt := 0; attempt <= lookupRetries; attempt++ {
 		if cerr := network.CtxError(ctx); cerr != nil {
 			return dht.NodeRef{}, hops, fmt.Errorf("chord: lookup %s: %w", target, cerr)
 		}
@@ -60,7 +60,7 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 	cur := n.self
 	hops := 0
 	visited := map[core.ID]bool{}
-	for step := 0; step < n.cfg.MaxLookupSteps; step++ {
+	for step := 0; step < maxLookupSteps; step++ {
 		var resp FindStepResp
 		if cur.ID == n.self.ID {
 			resp = n.findStep(target, exclude)
@@ -117,7 +117,7 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 		cur = resp.Next
 	}
 	return dht.NodeRef{}, hops, fmt.Errorf("chord: lookup for %s exceeded %d steps: %w",
-		target, n.cfg.MaxLookupSteps, core.ErrUnreachable)
+		target, maxLookupSteps, core.ErrUnreachable)
 }
 
 func setToList(m map[core.ID]bool) []core.ID {

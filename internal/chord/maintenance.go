@@ -32,7 +32,7 @@ func (n *Node) Join(bootstrap network.Addr) error {
 		}
 		dead := errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) ||
 			errors.Is(err, core.ErrUnreachable)
-		if !dead || attempt >= n.cfg.LookupRetries {
+		if !dead || attempt >= lookupRetries {
 			return err
 		}
 	}
@@ -137,7 +137,7 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 	step := raw.(FindStepResp)
 	cur := step.Next
 	visited := map[core.ID]bool{}
-	for hop := 0; !step.Done && hop < n.cfg.MaxLookupSteps; hop++ {
+	for hop := 0; !step.Done && hop < maxLookupSteps; hop++ {
 		if visited[cur.ID] {
 			break // routing loop mid-merge; cur is still a usable candidate
 		}

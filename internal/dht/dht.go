@@ -75,11 +75,6 @@ type Ring interface {
 	// stale: the guessed peer's own responsibility check on the
 	// operation is what confirms it (see Router).
 	Guess(id core.ID) (ref NodeRef, src GuessSource)
-	// GuessMissed reports that ref, named by Guess, refused the
-	// operation or could not be reached. A ring that remembers proved
-	// arcs drops what it remembers about ref; live routing state is
-	// repaired by the substrate's own maintenance, not from here.
-	GuessMissed(ref NodeRef)
 	// Endpoint returns this peer's transport attachment, on which
 	// services register their own RPC methods.
 	Endpoint() network.Endpoint
@@ -98,6 +93,16 @@ type Ring interface {
 	// Obs returns the registry this peer's metrics land in; nil when the
 	// peer exports none (every obs.Registry method accepts nil).
 	Obs() *obs.Registry
+}
+
+// GuessForgetter is a Ring whose guesses can rest on remembered arcs
+// (chord's learned arcs). A ring that guesses from live routing state
+// alone lacks it: its own maintenance repairs that state.
+type GuessForgetter interface {
+	// GuessMissed reports that ref, named by Guess, refused the
+	// operation or could not be reached; the ring drops what it
+	// remembers about ref.
+	GuessMissed(ref NodeRef)
 }
 
 // GuessSource says what a Guess rests on; it is also the "source" label

@@ -20,8 +20,6 @@ type RepublishConfig struct {
 	PerRound int
 	// RPCTimeout bounds each re-push; zero selects 2s.
 	RPCTimeout time.Duration
-	// Obs receives republish metrics when non-nil.
-	Obs *obs.Registry
 }
 
 func (c *RepublishConfig) defaults() {
@@ -62,7 +60,8 @@ type Republisher struct {
 // peer after all.
 var errOwnedHere = errors.New("dht: republish: replica is owned here")
 
-// NewRepublisher builds a republisher over ring's local store.
+// NewRepublisher builds a republisher over ring's local store; its
+// metrics land in the ring's registry.
 func NewRepublisher(ring Ring, st *LocalStore, cfg RepublishConfig) *Republisher {
 	cfg.defaults()
 	r := &Republisher{ring: ring, store: st, cfg: cfg}
@@ -74,7 +73,7 @@ func NewRepublisher(ring Ring, st *LocalStore, cfg RepublishConfig) *Republisher
 			return nil, errOwnedHere
 		},
 	})
-	reg := cfg.Obs
+	reg := ring.Obs()
 	r.rounds = reg.Counter("dcdht_republish_rounds_total", "Republish rounds run.")
 	r.pushed = reg.Counter("dcdht_republish_pushed_total", "Replicas re-pushed to their current owner.")
 	r.skipped = reg.Counter("dcdht_republish_skipped_total", "Replicas skipped because this peer still owns them.")

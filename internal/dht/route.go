@@ -36,12 +36,14 @@ type RouteConfig struct {
 // peer does not own (core.ErrNotResponsible), so the callee's answer is
 // the confirmation a separate lookup would have bought. Only when the
 // guess is refused or the guessed peer is unreachable does the router
-// pay for the authoritative Ring.Lookup — after telling the ring, so a
-// peer that is gone costs one wasted round trip, not one per use —
-// immediately and then under the configured retry policy.
+// pay for the authoritative Ring.Lookup — after telling a ring that
+// remembers arcs (GuessForgetter), so a peer that is gone costs one
+// wasted round trip, not one per use — immediately and then under the
+// configured retry policy.
 type Router struct {
-	ring Ring
-	cfg  RouteConfig
+	ring   Ring
+	forget GuessForgetter // nil when the ring remembers no arcs
+	cfg    RouteConfig
 
 	routing, learned guessCounters
 	declined         *obs.Counter
@@ -59,7 +61,8 @@ func NewRouter(ring Ring, cfg RouteConfig) *Router {
 	by := func(src GuessSource) guessCounters {
 		return guessCounters{hit: total.With(string(src), "hit"), miss: total.With(string(src), "miss")}
 	}
-	return &Router{ring: ring, cfg: cfg,
+	forget, _ := ring.(GuessForgetter)
+	return &Router{ring: ring, forget: forget, cfg: cfg,
 		routing: by(GuessRouting), learned: by(GuessLearned), declined: total.With("none", "declined")}
 }
 
@@ -116,7 +119,9 @@ func (r *Router) settle(ref NodeRef, src GuessSource, err error) (retry bool) {
 	}
 	if retry {
 		c.miss.Inc()
-		r.ring.GuessMissed(ref)
+		if r.forget != nil {
+			r.forget.GuessMissed(ref)
+		}
 	} else {
 		c.hit.Inc()
 	}

@@ -13,7 +13,8 @@ import (
 )
 
 // scriptedRing is a Ring whose guess and lookup both name the peer
-// itself and which records the order the router consults it in.
+// itself and which records the order the router consults it in. It
+// remembers no arcs: it is no GuessForgetter.
 type scriptedRing struct {
 	src   GuessSource
 	calls []string
@@ -28,15 +29,32 @@ func (r *scriptedRing) Guess(core.ID) (NodeRef, GuessSource) {
 	r.calls = append(r.calls, "guess")
 	return r.Self(), r.src
 }
-func (r *scriptedRing) GuessMissed(ref NodeRef) {
-	r.calls = append(r.calls, "missed "+string(ref.Addr))
-}
 func (r *scriptedRing) Endpoint() network.Endpoint { return nil }
 func (r *scriptedRing) Env() network.Env           { return nil }
 func (r *scriptedRing) OwnsID(core.ID) bool        { return true }
 func (r *scriptedRing) HeldSince() time.Duration   { return 0 } // no Env: nothing reads it
 func (r *scriptedRing) Alive() bool                { return true }
 func (r *scriptedRing) Obs() *obs.Registry         { return nil }
+
+// forgettingRing is a scriptedRing that remembers arcs, so the router
+// reports every missed guess to it.
+type forgettingRing struct{ scriptedRing }
+
+func (r *forgettingRing) GuessMissed(ref NodeRef) {
+	r.calls = append(r.calls, "missed "+string(ref.Addr))
+}
+
+// refuseFirst is a local server that turns the first n operations away
+// as not its own and stores the rest.
+func refuseFirst(n int) func(string, network.Message) (network.Message, error) {
+	return func(string, network.Message) (network.Message, error) {
+		if n > 0 {
+			n--
+			return nil, core.ErrNotResponsible
+		}
+		return PutResp{Stored: true}, nil
+	}
+}
 
 // TestRouterReportsMissBeforeLookup: a guessed owner that refuses is
 // reported to the ring before the authoritative lookup runs, and the
@@ -45,18 +63,12 @@ func (r *scriptedRing) Obs() *obs.Registry         { return nil }
 func TestRouterReportsMissBeforeLookup(t *testing.T) {
 	for _, src := range []GuessSource{GuessRouting, GuessLearned, NoGuess} {
 		t.Run(fmt.Sprintf("source=%q", src), func(t *testing.T) {
-			ring := &scriptedRing{src: src}
+			ring := &forgettingRing{scriptedRing{src: src}}
 			refusals := 1
 			if src == NoGuess {
 				refusals = 0
 			}
-			r := NewRouter(ring, RouteConfig{Local: func(string, network.Message) (network.Message, error) {
-				if refusals > 0 {
-					refusals--
-					return nil, core.ErrNotResponsible
-				}
-				return PutResp{Stored: true}, nil
-			}})
+			r := NewRouter(ring, RouteConfig{Local: refuseFirst(refusals)})
 			if _, err := r.Call(context.Background(), 7, MethodPut, PutReq{}); err != nil {
 				t.Fatalf("call: %v", err)
 			}
@@ -83,5 +95,23 @@ func TestRouterReportsMissBeforeLookup(t *testing.T) {
 				t.Errorf("declined = %d for source %q", got, src)
 			}
 		})
+	}
+}
+
+// TestRouterMissOnRingWithoutForgetter: on a ring that remembers no
+// arcs, a refused guess has nobody to be reported to, yet it is still
+// counted as a miss and the authoritative lookup still runs.
+func TestRouterMissOnRingWithoutForgetter(t *testing.T) {
+	ring := &scriptedRing{src: GuessRouting}
+	r := NewRouter(ring, RouteConfig{Local: refuseFirst(1)})
+	resp, err := r.Call(context.Background(), 7, MethodPut, PutReq{})
+	if err != nil || !resp.(PutResp).Stored {
+		t.Fatalf("call = %v, %v; want the lookup-routed retry to store", resp, err)
+	}
+	if want := []string{"guess", "lookup"}; !reflect.DeepEqual(ring.calls, want) {
+		t.Errorf("ring consulted as %v, want %v", ring.calls, want)
+	}
+	if hits, misses := r.GuessStats(); hits != 0 || misses != 1 {
+		t.Errorf("hits %d misses %d, want 0 and 1", hits, misses)
 	}
 }

@@ -15,16 +15,9 @@ import (
 // hot-path rewrite that starts boxing per-op state, not to fight
 // single-object noise.
 func TestEventualGetAllocsPinned(t *testing.T) {
-	sc := Table1Scenario(AlgUMSDirect, 24, 7)
-	d := NewDeployment(DeployConfig{
-		Peers:    24,
-		Replicas: sc.Replicas,
-		Seed:     7,
-		Net:      sc.Net,
-		Chord:    sc.Chord,
-	})
+	d := NewDeployment(Table1Deployment(24, 7))
 	defer d.K.Stop()
-	d.RunFor(sc.Warmup)
+	d.RunFor(table1Warmup)
 	p := d.Peers[0]
 	key := core.Key("alloc-k")
 	if !d.Do(func() {

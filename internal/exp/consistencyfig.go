@@ -128,14 +128,7 @@ func consistencyRun(o Options, cp *consistencyParams, levelName string, withRepa
 		panic(err) // run validated the names already
 	}
 	sc := Table1Scenario(AlgUMSDirect, cp.peers, o.Seed)
-	cfg := DeployConfig{
-		Peers:          cp.peers,
-		Replicas:       sc.Replicas,
-		Seed:           o.Seed,
-		Net:            sc.Net,
-		Chord:          sc.Chord,
-		PaperDataModel: true,
-	}
+	cfg := sc.DeployConfig
 	if withRepair {
 		cfg.Repair = repair.Config{Every: 2 * time.Minute, PerRound: 8, ReadRepair: true}
 	}

@@ -10,15 +10,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/can"
 	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/hashing"
-	"repro/internal/kts"
 	"repro/internal/network/simwire"
 	"repro/internal/obs"
-	"repro/internal/onehop"
 	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/simnet"
@@ -50,37 +47,13 @@ type Peer struct {
 // Alive reports whether the peer is still part of the overlay.
 func (p *Peer) Alive() bool { return p.Node.Alive() }
 
-// DeployConfig parameterises a simulated deployment.
+// DeployConfig parameterises a simulated deployment: what belongs to the
+// deployment itself, and the peer.Config every peer is built from. The
+// deployment owns that config's Obs (see NoObs).
 type DeployConfig struct {
-	Peers    int
-	Replicas int // |Hr|
-	Seed     int64
-	Net      simwire.Config
-	// Ring picks the substrate; zero value means peer.RingChord, keeping
-	// every pre-existing call site unchanged.
-	Ring   peer.RingKind
-	Chord  chord.Config
-	CAN    can.Config    // used when Ring == peer.RingCAN
-	OneHop onehop.Config // used when Ring == peer.RingOneHop
-	// RepublishEvery runs each peer's periodic republisher at this
-	// period (0 = off); RepublishPerRound bounds one round's pushes.
-	RepublishEvery    time.Duration
-	RepublishPerRound int
-	// KTS tunes the timestamping service: the counter initialization
-	// mode, the indirect algorithm's grace delay, periodic inspection and
-	// the §4.3 RLU ablation.
-	KTS kts.Config
-	// PaperDataModel disables replica handoff on responsibility changes,
-	// matching the paper's DHT model (§2): a replica whose responsible
-	// departs is unavailable until the next update re-inserts it. This
-	// is what makes the probability of currency and availability decay
-	// between updates — the dynamic behind Figures 7–12. KTS counters
-	// still move (the direct algorithm is about counters, §4.2.1).
-	PaperDataModel bool
-	// Repair configures the replica-maintenance subsystem (anti-entropy
-	// sweep + read-repair). The zero value keeps it off, preserving the
-	// paper's dynamics; the repair figures and scenarios switch it on.
-	Repair repair.Config
+	Peers int
+	Seed  int64
+	Net   simwire.Config
 	// Durable backs every peer with a retained depot slot keyed by peer
 	// name — the simulation analogue of a real node's -data-dir, kept
 	// deterministically in memory so replays stay bit-identical. A crash
@@ -94,19 +67,53 @@ type DeployConfig struct {
 	// proves exactly that by comparing instrumented and uninstrumented
 	// replays, not as a performance knob.
 	NoObs bool
+	peer.Config
+}
+
+// Table1Deployment returns the paper's Table 1 environment at the given
+// population: WAN links, |Hr| = 10 and chord's maintenance periods. Replicas
+// hand over on responsibility changes, as the library does by default;
+// Table1Scenario switches to the paper's data model on top.
+func Table1Deployment(peers int, seed int64) DeployConfig {
+	return DeployConfig{
+		Peers: peers,
+		Seed:  seed,
+		Net:   simwire.Table1(),
+		Config: peer.Config{
+			Replicas: 10,
+			Chord: chord.Config{
+				StabilizeEvery:  30 * time.Second,
+				FixFingersEvery: 45 * time.Second,
+				CheckPredEvery:  30 * time.Second,
+				RPCTimeout:      2 * time.Second,
+			},
+		},
+	}
+}
+
+// UseCluster switches c to the cluster profile of §5.2's 64-node LAN
+// experiment: simwire.Cluster() links, chord RPCs that give up after
+// 250ms, 2s maintenance periods, and a 10ms indirect grace delay, since
+// commits land in milliseconds on a LAN.
+func (c *DeployConfig) UseCluster() {
+	c.Net = simwire.Cluster()
+	c.Chord.RPCTimeout = 250 * time.Millisecond
+	c.Chord.StabilizeEvery = 2 * time.Second
+	c.Chord.FixFingersEvery = 2 * time.Second
+	c.Chord.CheckPredEvery = 2 * time.Second
+	c.KTS.GraceDelay = 10 * time.Millisecond
 }
 
 // Deployment is a running simulated network of peers.
 type Deployment struct {
-	Cfg   DeployConfig
 	K     *simnet.Kernel
 	Net   *simwire.Network
 	Set   hashing.Set
 	Peers []*Peer      // all peers ever created; filter with Alive
-	Depot *store.Depot // nil unless Cfg.Durable
+	Depot *store.Depot // nil unless DeployConfig.Durable
 	// Obs is the deployment-wide metrics registry: every peer registers
 	// the same families, so counters aggregate cluster-wide at scrape
-	// time. Nil when Cfg.NoObs.
+	// time. Nil when DeployConfig.NoObs.
 	Obs *obs.Registry
 
 	peerCfg  peer.Config // what every peer of this deployment is built from
@@ -122,11 +129,7 @@ type Deployment struct {
 // exercises the protocol join/leave/fail paths.
 func NewDeployment(cfg DeployConfig) *Deployment {
 	k := simnet.New(cfg.Seed)
-	cfg.Chord.NoDataHandoff = cfg.PaperDataModel
-	cfg.CAN.NoDataHandoff = cfg.PaperDataModel
-	cfg.OneHop.NoDataHandoff = cfg.PaperDataModel
 	d := &Deployment{
-		Cfg: cfg,
 		K:   k,
 		Net: simwire.New(k, cfg.Net),
 		Set: hashing.NewSet(cfg.Replicas),
@@ -137,53 +140,19 @@ func NewDeployment(cfg DeployConfig) *Deployment {
 	if !cfg.NoObs {
 		d.Obs = obs.NewRegistry()
 	}
-	d.peerCfg = peer.Config{
-		Set:       d.Set,
-		Ring:      cfg.Ring,
-		Chord:     cfg.Chord,
-		CAN:       cfg.CAN,
-		OneHop:    cfg.OneHop,
-		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery, PerRound: cfg.RepublishPerRound},
-		KTS:       cfg.KTS,
-		Repair:    cfg.Repair,
-		Obs:       d.Obs,
-	}
+	d.peerCfg = cfg.Config
+	d.peerCfg.Obs = d.Obs
 	nodes := make([]dht.RingNode, 0, cfg.Peers)
 	for i := 0; i < cfg.Peers; i++ {
 		p := d.newPeer()
 		d.Peers = append(d.Peers, p)
 		nodes = append(nodes, p.Node)
 	}
-	assembleRing(cfg.Ring, nodes)
+	peer.AssembleRing(cfg.Ring, nodes)
 	for _, p := range d.Peers {
 		p.Start()
 	}
 	return d
-}
-
-// assembleRing wires the freshly created nodes administratively, per
-// substrate.
-func assembleRing(kind peer.RingKind, nodes []dht.RingNode) {
-	switch kind {
-	case peer.RingCAN:
-		concrete := make([]*can.Node, len(nodes))
-		for i, n := range nodes {
-			concrete[i] = n.(*can.Node)
-		}
-		can.AssembleSpace(concrete)
-	case peer.RingOneHop:
-		concrete := make([]*onehop.Node, len(nodes))
-		for i, n := range nodes {
-			concrete[i] = n.(*onehop.Node)
-		}
-		onehop.AssembleRing(concrete)
-	default:
-		concrete := make([]*chord.Node, len(nodes))
-		for i, n := range nodes {
-			concrete[i] = n.(*chord.Node)
-		}
-		chord.AssembleRing(concrete)
-	}
 }
 
 // newPeer creates a peer under the next fresh name (not joined).
@@ -195,9 +164,10 @@ func (d *Deployment) newPeer() *Peer {
 
 // newPeerNamed creates a peer with all services attached (not joined).
 // Under Durable the peer's storage is its depot slot — re-using a dead
-// peer's name resumes that peer's retained state. An unknown
-// DeployConfig.Ring panics: it is a harness programming error, and the
-// first peer of NewDeployment already hits it.
+// peer's name resumes that peer's retained state. A peer.Config that
+// peer.New rejects (an unknown ring, no replicas) panics: it is a
+// harness programming error, and the first peer of NewDeployment
+// already hits it.
 func (d *Deployment) newPeerNamed(name string) *Peer {
 	ep := d.Net.NewEndpoint(name)
 	var backing store.Store

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"repro/internal/network/simwire"
 )
 
 // TestWholeNetworkDeterminism replays a full deployment — churn, joins,
@@ -11,13 +13,10 @@ import (
 // bit-identical: the foundation of reproducible experiments.
 func TestWholeNetworkDeterminism(t *testing.T) {
 	run := func() (uint64, uint64, int) {
-		d := NewDeployment(DeployConfig{
-			Peers:          40,
-			Replicas:       5,
-			Seed:           1234,
-			Chord:          Table1Scenario(AlgUMSDirect, 40, 1).Chord,
-			PaperDataModel: true,
-		})
+		cfg := Table1Scenario(AlgUMSDirect, 40, 1234).DeployConfig
+		cfg.Net = simwire.Config{}
+		cfg.Replicas = 5
+		d := NewDeployment(cfg)
 		defer d.K.Stop()
 		d.RunFor(time.Minute)
 		rng := d.K.NewRand("drive")
@@ -69,7 +68,7 @@ func TestAblationsSmoke(t *testing.T) {
 			if r.QueriesRun == 0 {
 				t.Errorf("%s=%s ran no queries", a.name, v.x)
 			}
-			if sc.DataHandoff && r.CurrentRate == 0 {
+			if !sc.NoDataHandoff && r.CurrentRate == 0 {
 				t.Errorf("%s=%s: with data handoff, some retrieves must be provably current", a.name, v.x)
 			}
 		}

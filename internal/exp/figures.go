@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/network/simwire"
 )
 
 // Options scales the figures. Quick mode (the default) runs scaled-down
@@ -100,18 +99,12 @@ var (
 		// as the paper's 1 Gbps cluster replaced the simulated network.
 		setup: func(o Options, alg Algorithm, n float64) Scenario {
 			sc := Table1Scenario(alg, int(n), o.Seed)
-			sc.Net = simwire.Cluster()
-			sc.Chord.RPCTimeout = 250 * time.Millisecond
-			sc.Chord.StabilizeEvery = 2 * time.Second
-			sc.Chord.FixFingersEvery = 2 * time.Second
-			sc.Chord.CheckPredEvery = 2 * time.Second
+			sc.UseCluster()
 			sc.Duration = 10 * time.Minute
 			sc.Warmup = 30 * time.Second
 			sc.Queries = 60 // cheap on a LAN; averages out churn spikes
-			// LAN-scale constants: commits land in milliseconds, and a
-			// 64-node cluster sees occasional restarts, not Table 1's
+			// A 64-node cluster sees occasional restarts, not Table 1's
 			// planetary churn.
-			sc.Grace = 10 * time.Millisecond
 			sc.ChurnRate = 0.005
 			return sc
 		},
@@ -260,7 +253,7 @@ var ablations = []ablation{{
 	xlabel: "mode", ylabel: "per-retrieve cost", alg: AlgUMSDirect,
 	variants: []variant{
 		{"RLA (normal)", func(*Scenario) {}},
-		{"RLU fallback", func(sc *Scenario) { sc.RLU = true }},
+		{"RLU fallback", func(sc *Scenario) { sc.KTS.RLU = true }},
 	},
 	cols: []column{{"resp (s)", respTime}, {"msgs", msgsPerQuery}, {"stale returns", staleReturns}},
 	notes: []string{
@@ -276,10 +269,10 @@ var ablations = []ablation{{
 	title:  "Ablation (§4.2.2): indirect-init grace delay (UMS-Indirect)",
 	xlabel: "grace", ylabel: "per-retrieve cost", alg: AlgUMSIndirect,
 	variants: []variant{
-		{"0s", func(sc *Scenario) { sc.Grace = -1 }}, // explicit "no wait" (0 selects the default)
-		{"500ms", func(sc *Scenario) { sc.Grace = 500 * time.Millisecond }},
-		{"2s", func(sc *Scenario) { sc.Grace = 2 * time.Second }},
-		{"8s", func(sc *Scenario) { sc.Grace = 8 * time.Second }},
+		{"0s", func(sc *Scenario) { sc.KTS.GraceDelay = -1 }}, // explicit "no wait" (0 selects the default)
+		{"500ms", func(sc *Scenario) { sc.KTS.GraceDelay = 500 * time.Millisecond }},
+		{"2s", func(sc *Scenario) { sc.KTS.GraceDelay = 2 * time.Second }},
+		{"8s", func(sc *Scenario) { sc.KTS.GraceDelay = 8 * time.Second }},
 	},
 	cols: []column{{"resp (s)", respTime}, {"stale returns", staleReturns}, {"failed", failedQueries}},
 }, {
@@ -306,7 +299,7 @@ var ablations = []ablation{{
 	xlabel: "data model", ylabel: "effect", alg: AlgUMSDirect,
 	variants: []variant{
 		{"paper model (no handoff)", func(*Scenario) {}},
-		{"with handoff", func(sc *Scenario) { sc.DataHandoff = true }},
+		{"with handoff", func(sc *Scenario) { sc.NoDataHandoff = false }},
 	},
 	cols: []column{
 		{"resp (s)", respTime},

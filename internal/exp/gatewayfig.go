@@ -161,15 +161,8 @@ func (p *gatewayParams) run(o Options) (*Table, *GatewayResult, error) {
 	}
 
 	newDeployment := func() *Deployment {
-		sc := Table1Scenario(AlgUMSDirect, p.peers, o.Seed)
-		d := NewDeployment(DeployConfig{
-			Peers:    p.peers,
-			Replicas: sc.Replicas,
-			Seed:     o.Seed,
-			Net:      sc.Net,
-			Chord:    sc.Chord,
-		})
-		d.RunFor(sc.Warmup)
+		d := NewDeployment(Table1Deployment(p.peers, o.Seed))
+		d.RunFor(table1Warmup)
 		return d
 	}
 

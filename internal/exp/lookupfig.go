@@ -162,20 +162,9 @@ func (res *LookupResult) Validate() error {
 // lookupDeployment builds one arm's deployment at the given size. The
 // two chord arms share it: they differ in how a sample is resolved.
 func lookupDeployment(arm string, peers int, seed int64) *Deployment {
-	sc := Table1Scenario(AlgUMSDirect, peers, seed)
-	cfg := DeployConfig{
-		Peers:    peers,
-		Replicas: sc.Replicas,
-		Seed:     seed,
-		Net:      sc.Net,
-		Chord:    sc.Chord,
-	}
+	cfg := Table1Deployment(peers, seed)
 	if arm == LookupArmOneHop {
 		cfg.Ring = peer.RingOneHop
-		cfg.OneHop = onehop.Config{
-			PingEvery:  sc.Chord.CheckPredEvery,
-			RPCTimeout: sc.Chord.RPCTimeout,
-		}
 	}
 	return NewDeployment(cfg)
 }
@@ -246,7 +235,9 @@ func measureLookupPoint(arm string, peers int, o Options, lp *lookupParams) (Loo
 					continue
 				} else if src != dht.NoGuess {
 					pt.StaleFallbacks++
-					issuer.Node.GuessMissed(ref)
+					if f, ok := issuer.Node.(dht.GuessForgetter); ok {
+						f.GuessMissed(ref)
+					}
 					hops = 1
 				}
 			}

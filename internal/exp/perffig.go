@@ -48,16 +48,9 @@ const perfBound = 10 * time.Minute
 func (p *perfParams) run(o Options) (*Table, *perf.Figure, error) {
 	fig := &perf.Figure{Schema: perf.SchemaV1, Seed: o.Seed, Full: o.Full}
 
-	sc := Table1Scenario(AlgUMSDirect, p.peers, o.Seed)
-	d := NewDeployment(DeployConfig{
-		Peers:    p.peers,
-		Replicas: sc.Replicas,
-		Seed:     o.Seed,
-		Net:      sc.Net,
-		Chord:    sc.Chord,
-	})
+	d := NewDeployment(Table1Deployment(p.peers, o.Seed))
 	defer d.K.Stop()
-	d.RunFor(sc.Warmup)
+	d.RunFor(table1Warmup)
 
 	// All micro ops issue from one fixed peer: deterministic, and the
 	// bounded level reads through the last_ts cache that peer's own

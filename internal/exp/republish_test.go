@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/chord"
 	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/network/simwire"
+	"repro/internal/peer"
 	"repro/internal/stats"
 )
 
@@ -23,28 +25,29 @@ import (
 func republishArm(t *testing.T, republish bool) (core.Key, *Deployment) {
 	t.Helper()
 	cfg := DeployConfig{
-		Peers:    10,
-		Replicas: 1,
-		Seed:     909,
+		Peers: 10,
+		Seed:  909,
 		Net: simwire.Config{
 			LatencyMS:      stats.Normal{Mean: 5, Variance: 0, Min: 5},
 			BandwidthKbps:  stats.Normal{Mean: 1e6, Variance: 0, Min: 1e6},
 			DefaultTimeout: 200 * time.Millisecond,
 		},
-		Chord: chord.Config{
-			SuccessorListLen: 6,
-			StabilizeEvery:   500 * time.Millisecond,
-			FixFingersEvery:  300 * time.Millisecond,
-			CheckPredEvery:   500 * time.Millisecond,
-			RPCTimeout:       200 * time.Millisecond,
+		Config: peer.Config{
+			Replicas: 1,
+			Chord: chord.Config{
+				SuccessorListLen: 6,
+				StabilizeEvery:   500 * time.Millisecond,
+				FixFingersEvery:  300 * time.Millisecond,
+				CheckPredEvery:   500 * time.Millisecond,
+				RPCTimeout:       200 * time.Millisecond,
+			},
+			// The paper's DHT model: no replica handoff on responsibility
+			// changes — exactly the gap republish exists to close.
+			NoDataHandoff: true,
 		},
-		// The paper's DHT model: no replica handoff on responsibility
-		// changes — exactly the gap republish exists to close.
-		PaperDataModel: true,
 	}
 	if republish {
-		cfg.RepublishEvery = 10 * time.Second
-		cfg.RepublishPerRound = 64
+		cfg.Republish = dht.RepublishConfig{Every: 10 * time.Second, PerRound: 64}
 	}
 	d := NewDeployment(cfg)
 	d.RunFor(5 * time.Second)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/ums"
 )
@@ -42,13 +43,15 @@ func holdsCounter(p *Peer, k core.Key) bool {
 func crashKeyHolders(t *testing.T, durable bool, key core.Key) (*Deployment, []string, core.Timestamp) {
 	t.Helper()
 	d := NewDeployment(DeployConfig{
-		Peers:    10,
-		Replicas: 3,
-		Seed:     42,
-		Durable:  durable,
-		// Brisk maintenance so the ring re-converges quickly (in virtual
-		// time) after the crash and restart waves.
-		Chord: chord.Config{StabilizeEvery: 2 * time.Second, FixFingersEvery: 3 * time.Second},
+		Peers:   10,
+		Seed:    42,
+		Durable: durable,
+		Config: peer.Config{
+			Replicas: 3,
+			// Brisk maintenance so the ring re-converges quickly (in
+			// virtual time) after the crash and restart waves.
+			Chord: chord.Config{StabilizeEvery: 2 * time.Second, FixFingersEvery: 3 * time.Second},
+		},
 	})
 	d.RunFor(time.Minute)
 
@@ -196,8 +199,9 @@ func TestRestartWithStateVolatile(t *testing.T) {
 // name is then neither offered as restartable nor restarted again, and
 // the first incarnation completes.
 func TestRestartOfARestartingName(t *testing.T) {
-	sc := Table1Scenario(AlgUMSDirect, 10, 42)
-	d := NewDeployment(DeployConfig{Peers: 10, Replicas: 3, Seed: 42, Net: sc.Net, Chord: sc.Chord})
+	cfg := Table1Deployment(10, 42)
+	cfg.Replicas = 3
+	d := NewDeployment(cfg)
 	defer d.K.Stop()
 	d.RunFor(time.Minute)
 	victim := d.Peers[3]
@@ -251,11 +255,13 @@ func TestRestartOfARestartingName(t *testing.T) {
 // under its old name — its repair sweep runs.
 func TestEveryEntryPathStartsRepair(t *testing.T) {
 	d := NewDeployment(DeployConfig{
-		Peers:    8,
-		Replicas: 3,
-		Seed:     7,
-		Chord:    chord.Config{StabilizeEvery: 2 * time.Second, FixFingersEvery: 3 * time.Second},
-		Repair:   repair.Config{Every: 10 * time.Second},
+		Peers: 8,
+		Seed:  7,
+		Config: peer.Config{
+			Replicas: 3,
+			Chord:    chord.Config{StabilizeEvery: 2 * time.Second, FixFingersEvery: 3 * time.Second},
+			Repair:   repair.Config{Every: 10 * time.Second},
+		},
 	})
 	defer d.K.Stop()
 	d.RunFor(30 * time.Second)

@@ -5,32 +5,23 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/can"
-	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/kts"
-	"repro/internal/network/simwire"
 	"repro/internal/obs"
-	"repro/internal/onehop"
-	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/ums"
 )
 
-// Scenario is one experimental configuration: the knobs of Table 1 plus
-// the algorithm under test and the measurement schedule.
+// Scenario is one experimental configuration: the deployment it runs on
+// plus the algorithm under test, the workload of Table 1 and the
+// measurement schedule.
 type Scenario struct {
 	Name      string
 	Algorithm Algorithm
 
-	// Topology.
-	Peers    int
-	Replicas int // |Hr|
-
-	// Workload.
 	Keys       int           // size of the replicated working set
 	DataSize   int           // bytes per value
 	Duration   time.Duration // measured experiment window
@@ -39,71 +30,41 @@ type Scenario struct {
 	ChurnRate  float64       // peer departures per second (Table 1: 1)
 	FailRate   float64       // fraction of departures that are failures (Table 1: 0.05)
 	UpdateRate float64       // updates per key per hour (Table 1: 1)
-
-	// Environment.
-	Seed int64
-	Net  simwire.Config
-	// Ring picks the overlay substrate (zero value = peer.RingChord).
-	Ring   peer.RingKind
-	Chord  chord.Config
-	CAN    can.Config
-	OneHop onehop.Config
-	// RepublishEvery/RepublishPerRound run the periodic republisher
-	// (see DeployConfig).
-	RepublishEvery    time.Duration
-	RepublishPerRound int
-	Grace             time.Duration
-	Inspect           time.Duration
-	// RLU enables the §4.3 Responsibility-Loss-Unaware KTS fallback
-	// (ablation).
-	RLU bool
-	// DataHandoff re-enables replica handoff on responsibility changes
-	// (ablation: the engineering improvement the paper's model omits).
-	DataHandoff bool
-	// Repair configures the replica-maintenance subsystem; the zero
-	// value keeps it off (the paper's dynamics).
-	Repair repair.Config
-	// Durable backs every peer with a retained in-memory depot slot, so
-	// scripted restart waves resume pre-crash replicas and counters
-	// (the recovery figure's durable mode). Off = crash-and-forget.
-	Durable bool
-	// NoObs disables the deployment-wide metrics registry (see
-	// DeployConfig.NoObs — it exists for the determinism proof, not as a
-	// performance knob).
-	NoObs bool
 	// Script plays a scripted fault-and-condition scenario
 	// (internal/scenario) over the measured window: event times are
 	// relative to the end of warmup and initial load. Nil plays nothing.
 	// Run panics on an invalid script — validate first when the script
 	// comes from outside.
 	Script *scenario.Script
+
+	// DeployConfig is the deployment the scenario runs on; Run hands it
+	// to NewDeployment whole, with the KTS mode the algorithm implies.
+	DeployConfig
 }
 
+// table1Warmup is how long a Table 1 deployment settles before
+// anything is measured.
+const table1Warmup = 2 * time.Minute
+
 // Table1Scenario returns the paper's default configuration (Table 1)
-// scaled by peers; callers override individual fields per figure.
+// scaled by peers, under the paper's data model (no replica handoff);
+// callers override individual fields per figure.
 func Table1Scenario(alg Algorithm, peers int, seed int64) Scenario {
-	return Scenario{
-		Name:       fmt.Sprintf("%s/n=%d", alg, peers),
-		Algorithm:  alg,
-		Peers:      peers,
-		Replicas:   10,
-		Keys:       20,
-		DataSize:   1000,
-		Duration:   time.Hour,
-		Warmup:     2 * time.Minute,
-		Queries:    30,
-		ChurnRate:  1,
-		FailRate:   0.05,
-		UpdateRate: 1,
-		Seed:       seed,
-		Net:        simwire.Table1(),
-		Chord: chord.Config{
-			StabilizeEvery:  30 * time.Second,
-			FixFingersEvery: 45 * time.Second,
-			CheckPredEvery:  30 * time.Second,
-			RPCTimeout:      2 * time.Second,
-		},
+	sc := Scenario{
+		Name:         fmt.Sprintf("%s/n=%d", alg, peers),
+		Algorithm:    alg,
+		Keys:         20,
+		DataSize:     1000,
+		Duration:     time.Hour,
+		Warmup:       table1Warmup,
+		Queries:      30,
+		ChurnRate:    1,
+		FailRate:     0.05,
+		UpdateRate:   1,
+		DeployConfig: Table1Deployment(peers, seed),
 	}
+	sc.NoDataHandoff = true
+	return sc
 }
 
 // Result aggregates one scenario run.
@@ -165,23 +126,7 @@ func (sc *Scenario) retrieve(p *Peer, k core.Key) (dht.OpResult, error) {
 // Run executes the scenario and returns aggregated metrics.
 func Run(sc Scenario) *Result {
 	wallStart := time.Now()
-	cfg := DeployConfig{
-		Peers:             sc.Peers,
-		Replicas:          sc.Replicas,
-		Seed:              sc.Seed,
-		Net:               sc.Net,
-		Ring:              sc.Ring,
-		Chord:             sc.Chord,
-		CAN:               sc.CAN,
-		OneHop:            sc.OneHop,
-		RepublishEvery:    sc.RepublishEvery,
-		RepublishPerRound: sc.RepublishPerRound,
-		KTS:               kts.Config{GraceDelay: sc.Grace, InspectEvery: sc.Inspect, RLU: sc.RLU},
-		PaperDataModel:    !sc.DataHandoff,
-		Repair:            sc.Repair,
-		Durable:           sc.Durable,
-		NoObs:             sc.NoObs,
-	}
+	cfg := sc.DeployConfig
 	if sc.Algorithm == AlgUMSIndirect {
 		cfg.KTS.Mode = kts.ModeIndirect
 	}

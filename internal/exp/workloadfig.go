@@ -82,15 +82,8 @@ func (p *workloadParams) run(o Options) (*Table, *WorkloadPoints, error) {
 	}
 	points := make(WorkloadPoints, 0, len(patterns))
 	for _, pat := range patterns {
-		sc := Table1Scenario(AlgUMSDirect, p.peers, o.Seed)
-		d := NewDeployment(DeployConfig{
-			Peers:    p.peers,
-			Replicas: sc.Replicas,
-			Seed:     o.Seed,
-			Net:      sc.Net,
-			Chord:    sc.Chord,
-		})
-		d.RunFor(sc.Warmup) // let ring maintenance settle before loading
+		d := NewDeployment(Table1Deployment(p.peers, o.Seed))
+		d.RunFor(table1Warmup) // let ring maintenance settle before loading
 		rep, err := d.RunWorkload(context.Background(), workload.Spec{
 			Pattern:     pat,
 			Seed:        o.Seed,

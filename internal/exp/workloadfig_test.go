@@ -57,10 +57,7 @@ func TestFigureWorkloadRejectsUnknownPattern(t *testing.T) {
 // sequence and identical latency histograms.
 func TestDeploymentWorkloadDeterminism(t *testing.T) {
 	run := func() *workload.Report {
-		sc := Table1Scenario(AlgUMSDirect, 32, 9)
-		d := NewDeployment(DeployConfig{
-			Peers: 32, Replicas: sc.Replicas, Seed: 9, Net: sc.Net, Chord: sc.Chord,
-		})
+		d := NewDeployment(Table1Deployment(32, 9))
 		defer d.K.Stop()
 		d.RunFor(2 * time.Minute)
 		rep, err := d.RunWorkload(context.Background(), workload.Spec{

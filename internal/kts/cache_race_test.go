@@ -29,7 +29,6 @@ func (r stubRing) Obs() *obs.Registry         { return nil }
 func (r stubRing) Guess(core.ID) (dht.NodeRef, dht.GuessSource) {
 	return dht.NodeRef{}, dht.NoGuess
 }
-func (r stubRing) GuessMissed(dht.NodeRef) {}
 
 // TestLastTSCacheRaceHammer drives the last-ts cache from many
 // goroutines at once — the TCP-transport shape, where concurrent client

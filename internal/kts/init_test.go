@@ -55,7 +55,6 @@ func (r *initRing) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	}
 	return r.Self(), dht.GuessRouting
 }
-func (r *initRing) GuessMissed(dht.NodeRef)            {}
 func (r *initRing) Endpoint() network.Endpoint         { return r }
 func (r *initRing) Env() network.Env                   { return r.env }
 func (r *initRing) OwnsID(id core.ID) bool             { return id == r.set.HTS.ID(r.k) }

@@ -86,9 +86,6 @@ type Config struct {
 	// context with a sooner deadline always wins; zero uses the
 	// transport default.
 	RPCTimeout time.Duration
-	// LookupRetries is how often gen_ts/last_ts re-resolve the
-	// responsible when it moved or died mid-call. Default 3.
-	LookupRetries int
 	// Persist, when non-nil, journals every counter mutation so a
 	// restarted peer can ship its pre-crash counters back to the current
 	// responsible (§4.2.2's recovery strategy). Typically the store.Store
@@ -96,11 +93,11 @@ type Config struct {
 	// recoverable unit. gen_ts refuses to acknowledge a timestamp whose
 	// journal write failed — durable monotonicity over availability.
 	Persist CounterLog
-	// Obs receives timestamping metrics (grants, initializations, cache
-	// hits/misses/age, journal write failures, live counter count). Nil
-	// disables export; the metrics are still maintained but unregistered.
-	Obs *obs.Registry
 }
+
+// lookupRetries is how often gen_ts/last_ts re-resolve the responsible
+// when it moved or died mid-call.
+const lookupRetries = 3
 
 // CounterLog is the slice of a storage backing the service journals
 // counters through; store.Store satisfies it.
@@ -117,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InspectPerRound == 0 {
 		c.InspectPerRound = 4
-	}
-	if c.LookupRetries == 0 {
-		c.LookupRetries = 3
 	}
 	return c
 }
@@ -375,7 +369,8 @@ const cacheCap = 1 << 16
 // New attaches a KTS service to a peer. replicaNS names the namespace in
 // which UMS stores stamped replicas (indirect initialization reads it).
 // If the ring supports handovers the service registers itself so
-// counters travel with responsibility (the direct algorithm).
+// counters travel with responsibility (the direct algorithm). Its
+// metrics land in the ring's registry.
 func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service {
 	s := &Service{
 		ring:    ring,
@@ -383,16 +378,16 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 		client:  dht.NewClient(ring, replicaNS),
 		cfg:     cfg.withDefaults(),
 		vcs:     NewVCS(),
-		metrics: newKTSMetrics(cfg.Obs),
+		metrics: newKTSMetrics(ring.Obs()),
 	}
 	// We may be the responsible ourselves: serve locally, free of charge.
 	s.route = dht.NewRouter(ring, dht.RouteConfig{
-		Retries: s.cfg.LookupRetries,
+		Retries: lookupRetries,
 		Backoff: 200 * time.Millisecond,
 		Timeout: s.cfg.RPCTimeout,
 		Local:   s.serveLocal,
 	})
-	cfg.Obs.GaugeFunc("dcdht_kts_counters",
+	ring.Obs().GaugeFunc("dcdht_kts_counters",
 		"Valid counters currently held (cluster-wide under a shared registry).",
 		func() float64 {
 			if !s.ring.Alive() {

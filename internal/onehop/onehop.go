@@ -44,10 +44,6 @@ type Config struct {
 	// PingEvery is the period of the predecessor liveness check that
 	// turns silent crashes into broadcast leave events. Zero selects 30s.
 	PingEvery time.Duration
-	// MaxForward bounds the forwarding chain a lookup follows when the
-	// local table is stale. Zero selects 8 — generous, since each
-	// forward follows a strictly fresher table.
-	MaxForward int
 	// NoDataHandoff keeps replicas on the old responsible across
 	// membership changes — the paper's data model, where a joiner
 	// starts empty and republish/repair restore reachability.
@@ -65,11 +61,13 @@ func (c Config) withDefaults() Config {
 	if c.PingEvery <= 0 {
 		c.PingEvery = 30 * time.Second
 	}
-	if c.MaxForward <= 0 {
-		c.MaxForward = 8
-	}
 	return c
 }
+
+// maxForward bounds the forwarding chain a lookup follows when the
+// local table is stale: generous, since each forward follows a strictly
+// fresher table.
+const maxForward = 8
 
 // Node is one one-hop peer.
 type Node struct {
@@ -224,11 +222,6 @@ func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
 	}
 	return dht.NodeRef{}, dht.NoGuess
 }
-
-// GuessMissed implements dht.Ring. The table is live routing state,
-// which the ping/evict lifecycle repairs; nothing is remembered beside
-// it.
-func (n *Node) GuessMissed(dht.NodeRef) {}
 
 // Predecessor returns this node's table predecessor (zero when the
 // table holds only self).

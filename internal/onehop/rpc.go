@@ -243,7 +243,7 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 		n.metrics.lookupFails.Inc()
 		return dht.NodeRef{}, hops, fmt.Errorf("onehop: no candidate for %s: %w", id, core.ErrUnreachable)
 	}
-	for fwd := 0; fwd < n.cfg.MaxForward; fwd++ {
+	for fwd := 0; fwd < maxForward; fwd++ {
 		if err := network.CtxError(ctx); err != nil {
 			return dht.NodeRef{}, hops, err
 		}

@@ -8,6 +8,12 @@
 // simulator and the TCP node differ only in what they hand New — the
 // Env, the endpoint and the backing store — and in who picks the issuing
 // peer; everything else is this package.
+//
+// Config is the one description of a peer, and this is the only package
+// that turns it into a chord, CAN or onehop node: callers pick a
+// RingKind and tune chord's timers, and New derives the other two
+// substrates' from them and applies the data-handoff model to whichever
+// it builds.
 package peer
 
 import (
@@ -53,19 +59,30 @@ func ParseRing(s string) (RingKind, error) {
 	return "", fmt.Errorf("unknown ring %q (want chord, can or onehop)", s)
 }
 
-// Config is everything that shapes a peer besides where it runs. The
-// Obs, Store, Persist and KTS RPCTimeout fields of the nested configs
-// are owned by New: whatever the caller put there is overwritten.
+// Config is everything that shapes a peer besides where it runs, on any
+// of the three substrates. The Obs, Store and NoDataHandoff fields of
+// Chord and the RPCTimeout and Persist fields of KTS are owned by New:
+// whatever the caller put there is overwritten.
 type Config struct {
-	// Set is the deployment's hash set: the replication functions Hr
-	// and the timestamping function hts. All peers of a ring share it.
-	Set hashing.Set
-	// Ring picks the substrate; only the matching one of Chord, CAN and
-	// OneHop is read.
-	Ring   RingKind
-	Chord  chord.Config
-	CAN    can.Config
-	OneHop onehop.Config
+	// Replicas is |Hr|, the number of replication hash functions of the
+	// deployment's hash set (hashing.NewSet). All peers of a ring agree
+	// on it; it must be at least 1.
+	Replicas int
+	// Ring picks the substrate.
+	Ring RingKind
+	// Chord tunes chord. CAN and onehop take their timers from it: they
+	// probe their neighbors every CheckPredEvery, with RPCTimeout's
+	// patience (see derive).
+	Chord chord.Config
+	// NoDataHandoff keeps stored replicas on the old responsible when
+	// responsibility moves (joins, graceful leaves), matching the paper's
+	// DHT model (§2): a replica whose responsible departs is unavailable
+	// until the next update re-inserts it. This is what makes the
+	// probability of currency and availability decay between updates —
+	// the dynamic behind Figures 7–12. KTS counters still move (the
+	// direct algorithm is about counters, §4.2.1). Off, the default,
+	// hands replicas over.
+	NoDataHandoff bool
 	// Republish tunes the periodic republisher; a zero Every leaves the
 	// peer without one.
 	Republish dht.RepublishConfig
@@ -76,6 +93,23 @@ type Config struct {
 	// Obs receives every layer's metric families and the op tracer's.
 	// Nil runs uninstrumented.
 	Obs *obs.Registry
+}
+
+// derive spells out what c implies for the other substrates and for
+// KTS: CAN and onehop probe every c.CheckPredEvery with c.RPCTimeout's
+// patience (a zero stays zero, so each keeps its own default), and a
+// timestamp request waits 15 ring RPC timeouts — it can legitimately
+// take many ring RPCs of server-side work (indirect initialization), so
+// it needs far more patience than one protocol probe: 30s on the
+// substrates' 2s default.
+func derive(c chord.Config) (can.Config, onehop.Config, time.Duration) {
+	rpc := c.RPCTimeout
+	if rpc <= 0 {
+		rpc = 2 * time.Second
+	}
+	return can.Config{PingEvery: c.CheckPredEvery, RPCTimeout: c.RPCTimeout},
+		onehop.Config{PingEvery: c.CheckPredEvery, RPCTimeout: c.RPCTimeout},
+		15 * rpc
 }
 
 // Stack is one assembled peer.
@@ -98,45 +132,40 @@ type Stack struct {
 // the service, so the first gen_ts after a restart continues above every
 // timestamp granted before the crash instead of re-deriving from
 // replicas. A nil backing keeps the volatile default (a crash loses
-// everything, the paper's fail-stop model).
+// everything, the paper's fail-stop model). New fails on an unknown ring
+// and on fewer than one replica.
 func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) (*Stack, error) {
 	kind, err := ParseRing(string(cfg.Ring))
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Replicas < 1 {
+		return nil, fmt.Errorf("%d replicas (want at least 1)", cfg.Replicas)
+	}
+	set := hashing.NewSet(cfg.Replicas)
 	id := hashing.NodeID(string(ep.Addr()))
+	canCfg, hopCfg, ktsPatience := derive(cfg.Chord)
 	var node dht.RingNode
-	var ringRPC time.Duration // the substrate's per-RPC patience
 	switch kind {
 	case RingChord:
 		c := cfg.Chord
-		c.Obs, c.Store = cfg.Obs, backing
-		node, ringRPC = chord.New(env, ep, id, c), c.RPCTimeout
+		c.Obs, c.Store, c.NoDataHandoff = cfg.Obs, backing, cfg.NoDataHandoff
+		node = chord.New(env, ep, id, c)
 	case RingCAN:
-		c := cfg.CAN
-		c.Obs, c.Store = cfg.Obs, backing
-		node, ringRPC = can.New(env, ep, id, c), c.RPCTimeout
+		canCfg.Obs, canCfg.Store, canCfg.NoDataHandoff = cfg.Obs, backing, cfg.NoDataHandoff
+		node = can.New(env, ep, id, canCfg)
 	case RingOneHop:
-		c := cfg.OneHop
-		c.Obs, c.Store = cfg.Obs, backing
-		node, ringRPC = onehop.New(env, ep, id, c), c.RPCTimeout
+		hopCfg.Obs, hopCfg.Store, hopCfg.NoDataHandoff = cfg.Obs, backing, cfg.NoDataHandoff
+		node = onehop.New(env, ep, id, hopCfg)
 	default: // a kind ParseRing admits but nothing here builds
 		return nil, fmt.Errorf("ring %q has no constructor", kind)
 	}
 	s := &Stack{Node: node}
 
 	ktsCfg := cfg.KTS
-	// A timestamp request can legitimately take many ring RPCs of
-	// server-side work (indirect initialization), so it needs far more
-	// patience than one protocol probe: 15 ring RPC timeouts, which is
-	// 30s on the substrates' 2s default.
-	if ringRPC <= 0 {
-		ringRPC = 2 * time.Second
-	}
-	ktsCfg.RPCTimeout = 15 * ringRPC
-	ktsCfg.Obs = cfg.Obs
+	ktsCfg.RPCTimeout = ktsPatience
 	ktsCfg.Persist = backing
-	s.KTS = kts.New(node, cfg.Set, ums.Namespace, ktsCfg)
+	s.KTS = kts.New(node, set, ums.Namespace, ktsCfg)
 	if backing != nil {
 		recovered := backing.Counters()
 		entries := make([]kts.CounterEntry, len(recovered))
@@ -145,8 +174,8 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 		}
 		s.KTS.SeedCounters(entries)
 	}
-	s.UMS = ums.New(node, cfg.Set, s.KTS)
-	s.BRK = brk.New(node, cfg.Set)
+	s.UMS = ums.New(node, set, s.KTS)
+	s.BRK = brk.New(node, set)
 	if cfg.Obs != nil {
 		// Families register once per registry, so peers sharing one
 		// aggregate into the same series.
@@ -156,17 +185,35 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 	}
 
 	if cfg.Republish.Every > 0 {
-		rcfg := cfg.Republish
-		rcfg.Obs = cfg.Obs
-		s.Repub = dht.NewRepublisher(node, node.Store(), rcfg)
+		s.Repub = dht.NewRepublisher(node, node.Store(), cfg.Republish)
 	}
 	if cfg.Repair.Enabled() {
-		rcfg := cfg.Repair
-		rcfg.Obs = cfg.Obs
-		s.Repair = repair.New(node, cfg.Set, s.KTS, node.Store(), ums.Namespace, rcfg)
+		s.Repair = repair.New(node, set, s.KTS, node.Store(), ums.Namespace, cfg.Repair)
 		s.UMS.SetReadRepair(s.Repair)
 	}
 	return s, nil
+}
+
+// AssembleRing wires freshly built nodes of one kind into a single
+// ring administratively, without running the join protocol.
+func AssembleRing(kind RingKind, nodes []dht.RingNode) {
+	switch kind {
+	case RingCAN:
+		can.AssembleSpace(concrete[*can.Node](nodes))
+	case RingOneHop:
+		onehop.AssembleRing(concrete[*onehop.Node](nodes))
+	default:
+		chord.AssembleRing(concrete[*chord.Node](nodes))
+	}
+}
+
+// concrete unwraps nodes to the substrate type T they were built as.
+func concrete[T dht.RingNode](nodes []dht.RingNode) []T {
+	out := make([]T, len(nodes))
+	for i, n := range nodes {
+		out[i] = n.(T)
+	}
+	return out
 }
 
 // Start launches the peer's background loops once it is part of a ring

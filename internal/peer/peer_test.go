@@ -2,15 +2,20 @@ package peer
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/can"
+	"repro/internal/chord"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/hashing"
 	"repro/internal/network"
 	"repro/internal/network/simwire"
 	"repro/internal/network/tcpwire"
+	"repro/internal/onehop"
 	"repro/internal/repair"
 	"repro/internal/simnet"
 	"repro/internal/store"
@@ -80,7 +85,7 @@ func TestStackParity(t *testing.T) {
 			w := build(t)
 			set := hashing.NewSet(3)
 
-			bare, err := New(w.env, w.newEP(t), nil, Config{Set: set})
+			bare, err := New(w.env, w.newEP(t), nil, Config{Replicas: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +96,7 @@ func TestStackParity(t *testing.T) {
 				t.Errorf("volatile peer starts with %d counters", bare.KTS.VCSLen())
 			}
 
-			if _, err := New(w.env, w.newEP(t), nil, Config{Set: set, Ring: "bogus"}); err == nil {
+			if _, err := New(w.env, w.newEP(t), nil, Config{Replicas: 3, Ring: "bogus"}); err == nil {
 				t.Error("ring \"bogus\" was accepted")
 			}
 
@@ -102,7 +107,7 @@ func TestStackParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			full, err := New(w.env, w.newEP(t), backing, Config{
-				Set:       set,
+				Replicas:  3,
 				Ring:      RingOneHop,
 				Republish: dht.RepublishConfig{Every: time.Hour},
 				Repair:    repair.Config{ReadRepair: true},
@@ -152,5 +157,91 @@ func TestStackParity(t *testing.T) {
 				t.Errorf("read-repairs = %d, want the wiped position refreshed once", got)
 			}
 		})
+	}
+}
+
+// TestDerive pins the one rule that turns chord's timers into the other
+// substrates' and into KTS's patience.
+func TestDerive(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		chord    chord.Config
+		ping     time.Duration // CAN's and onehop's PingEvery
+		rpc      time.Duration // their RPCTimeout
+		patience time.Duration // KTS's RPCTimeout
+	}{
+		{"table 1", chord.Config{StabilizeEvery: 30 * time.Second, FixFingersEvery: 45 * time.Second,
+			CheckPredEvery: 30 * time.Second, RPCTimeout: 2 * time.Second}, 30 * time.Second, 2 * time.Second, 30 * time.Second},
+		{"cluster", chord.Config{StabilizeEvery: 2 * time.Second, CheckPredEvery: 2 * time.Second,
+			RPCTimeout: 250 * time.Millisecond}, 2 * time.Second, 250 * time.Millisecond, 3750 * time.Millisecond},
+		{"node", chord.Config{CheckPredEvery: time.Second, RPCTimeout: 2 * time.Second}, time.Second, 2 * time.Second, 30 * time.Second},
+		// Zero stays zero, so each substrate keeps its own default; KTS
+		// waits 15 of the substrates' 2s default.
+		{"zero", chord.Config{}, 0, 0, 30 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, h, patience := derive(tc.chord)
+			if want := (can.Config{PingEvery: tc.ping, RPCTimeout: tc.rpc}); c != want {
+				t.Errorf("can = %+v, want %+v", c, want)
+			}
+			if want := (onehop.Config{PingEvery: tc.ping, RPCTimeout: tc.rpc}); h != want {
+				t.Errorf("onehop = %+v, want %+v", h, want)
+			}
+			if patience != tc.patience {
+				t.Errorf("KTS patience = %v, want %v", patience, tc.patience)
+			}
+		})
+	}
+}
+
+// TestNoDataHandoffOnEveryRing: on each substrate New builds, a joiner
+// that takes over stored positions receives their replicas, unless
+// NoDataHandoff is set — then the replicas stay behind on the peer that
+// ceded the positions.
+func TestNoDataHandoffOnEveryRing(t *testing.T) {
+	for _, kind := range []RingKind{RingChord, RingCAN, RingOneHop} {
+		for _, noHandoff := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/NoDataHandoff=%v", kind, noHandoff), func(t *testing.T) {
+				w := simWire(t)
+				cfg := Config{Replicas: 1, Ring: kind, NoDataHandoff: noHandoff}
+				build := func() *Stack {
+					s, err := New(w.env, w.newEP(t), nil, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return s
+				}
+				// A ring of one owns every position.
+				first := build()
+				first.Node.CreateRing()
+				ids := make([]core.ID, 32)
+				for i := range ids {
+					ids[i] = core.ID(uint64(i) * (math.MaxUint64 / uint64(len(ids))))
+					first.Node.Store().Put(ids[i], "q", core.Value{TS: core.TS(1)}, dht.PutOverwrite)
+				}
+				joiner := build()
+				w.run(func() {
+					if err := joiner.Node.Join(first.Node.Self().Addr); err != nil {
+						t.Errorf("join: %v", err)
+					}
+				})
+				taken := 0
+				for _, id := range ids {
+					if first.Node.OwnsID(id) {
+						continue // not ceded to the joiner
+					}
+					taken++
+					_, behind := first.Node.Store().Get(id, "q")
+					_, moved := joiner.Node.Store().Get(id, "q")
+					if behind != noHandoff || moved == noHandoff {
+						t.Errorf("position %v taken over: left behind %v, at the joiner %v; want behind only without handoff",
+							id, behind, moved)
+					}
+				}
+				if taken == 0 {
+					t.Fatal("the joiner took over no stored position")
+				}
+			})
+		}
 	}
 }

@@ -37,7 +37,6 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/kts"
 	"repro/internal/network"
-	"repro/internal/obs"
 )
 
 // Config tunes the subsystem. The zero value disables both mechanisms;
@@ -53,10 +52,6 @@ type Config struct {
 	// ReadRepair enables opportunistic refresh of stale or missing
 	// replicas observed by UMS retrieves.
 	ReadRepair bool
-	// Obs exports the maintenance Stats as scrape-time collector
-	// functions (sweep rounds, heals, read-repairs, maintenance traffic).
-	// Nil disables export.
-	Obs *obs.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -134,25 +129,26 @@ func New(ring dht.Ring, set hashing.Set, ts *kts.Service, store *dht.LocalStore,
 		cfg:    cfg.withDefaults(),
 	}
 	// The subsystem already keeps cumulative Stats under its own lock;
-	// the registry reads them at scrape time instead of double-counting
-	// on the hot path. Per-peer registrations under a shared deployment
-	// registry sum into cluster-wide series.
+	// the ring's registry reads them at scrape time instead of
+	// double-counting on the hot path. Per-peer registrations under a
+	// shared deployment registry sum into cluster-wide series.
 	stat := func(read func(Stats) uint64) func() float64 {
 		return func() float64 { return float64(read(s.Stats())) }
 	}
-	cfg.Obs.CounterFunc("dcdht_repair_rounds_total",
+	reg := ring.Obs()
+	reg.CounterFunc("dcdht_repair_rounds_total",
 		"Anti-entropy sweep rounds completed.", stat(func(st Stats) uint64 { return st.Rounds }))
-	cfg.Obs.CounterFunc("dcdht_repair_keys_scanned_total",
+	reg.CounterFunc("dcdht_repair_keys_scanned_total",
 		"Key repairs attempted by the sweep.", stat(func(st Stats) uint64 { return st.KeysScanned }))
-	cfg.Obs.CounterFunc("dcdht_repair_healed_total",
+	reg.CounterFunc("dcdht_repair_healed_total",
 		"Replicas restored or advanced by the sweep.", stat(func(st Stats) uint64 { return st.Healed }))
-	cfg.Obs.CounterFunc("dcdht_repair_read_repairs_total",
+	reg.CounterFunc("dcdht_repair_read_repairs_total",
 		"Replicas restored or advanced by read-repair.", stat(func(st Stats) uint64 { return st.ReadRepairs }))
-	cfg.Obs.CounterFunc("dcdht_repair_msgs_total",
+	reg.CounterFunc("dcdht_repair_msgs_total",
 		"Messages spent on maintenance traffic.", stat(func(st Stats) uint64 { return st.Msgs }))
-	cfg.Obs.CounterFunc("dcdht_repair_bytes_total",
+	reg.CounterFunc("dcdht_repair_bytes_total",
 		"Bytes spent on maintenance traffic.", stat(func(st Stats) uint64 { return st.Bytes }))
-	cfg.Obs.CounterFunc("dcdht_repair_errors_total",
+	reg.CounterFunc("dcdht_repair_errors_total",
 		"Repair attempts abandoned on RPC or KTS failures.", stat(func(st Stats) uint64 { return st.Errors }))
 	return s
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/can"
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/exp"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/network/simwire"
 	"repro/internal/obs"
-	"repro/internal/onehop"
 	"repro/internal/peer"
 	"repro/internal/simnet"
 	"repro/internal/ums"
@@ -398,13 +396,9 @@ func TestPrefetchAddsNoLookupOnEveryRing(t *testing.T) {
 	key, data := core.Key("every-ring"), make([]byte, 1000)
 	for _, kind := range []peer.RingKind{peer.RingChord, peer.RingCAN, peer.RingOneHop} {
 		t.Run(string(kind), func(t *testing.T) {
-			sc := exp.Table1Scenario(exp.AlgUMSDirect, 32, 27)
-			d := exp.NewDeployment(exp.DeployConfig{
-				Peers: 32, Replicas: 10, Seed: 27, Net: simwire.Table1(), Ring: kind,
-				Chord:  sc.Chord,
-				CAN:    can.Config{PingEvery: sc.Chord.CheckPredEvery, RPCTimeout: sc.Chord.RPCTimeout},
-				OneHop: onehop.Config{PingEvery: sc.Chord.CheckPredEvery, RPCTimeout: sc.Chord.RPCTimeout},
-			})
+			cfg := exp.Table1Deployment(32, 27)
+			cfg.Ring = kind
+			d := exp.NewDeployment(cfg)
 			defer d.K.Stop()
 			d.RunFor(time.Minute)
 			p := d.Peers[5]

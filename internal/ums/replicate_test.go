@@ -26,13 +26,9 @@ import (
 // calmRing builds a 32-peer chord deployment at the paper's |Hr| = 10
 // on the given links and lets it settle.
 func calmRing(seed int64, links simwire.Config) *exp.Deployment {
-	d := exp.NewDeployment(exp.DeployConfig{
-		Peers:    32,
-		Replicas: 10,
-		Seed:     seed,
-		Net:      links,
-		Chord:    exp.Table1Scenario(exp.AlgUMSDirect, 32, seed).Chord,
-	})
+	cfg := exp.Table1Deployment(32, seed)
+	cfg.Net = links
+	d := exp.NewDeployment(cfg)
 	d.RunFor(time.Minute)
 	return d
 }
@@ -217,7 +213,6 @@ func (r *stubRing) lookupsOf(id core.ID) int {
 	defer r.mu.Unlock()
 	return r.lookups[id]
 }
-func (r *stubRing) GuessMissed(dht.NodeRef)    {}
 func (r *stubRing) Endpoint() network.Endpoint { return r.wire }
 func (r *stubRing) Env() network.Env           { return r.env }
 func (r *stubRing) OwnsID(core.ID) bool        { return false }

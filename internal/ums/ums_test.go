@@ -8,19 +8,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exp"
+	"repro/internal/network/simwire"
 	"repro/internal/ums"
 )
 
 // deploy builds a quiet 24-peer deployment for direct service tests.
 func deploy(t *testing.T, seed int64) *exp.Deployment {
 	t.Helper()
-	sc := exp.Table1Scenario(exp.AlgUMSDirect, 24, seed)
-	d := exp.NewDeployment(exp.DeployConfig{
-		Peers:    24,
-		Replicas: 5,
-		Seed:     seed,
-		Chord:    sc.Chord,
-	})
+	cfg := exp.Table1Deployment(24, seed)
+	cfg.Net = simwire.Config{}
+	cfg.Replicas = 5
+	d := exp.NewDeployment(cfg)
 	d.RunFor(time.Minute)
 	return d
 }

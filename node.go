@@ -5,15 +5,12 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/can"
 	"repro/internal/chord"
 	"repro/internal/dht"
-	"repro/internal/hashing"
 	"repro/internal/kts"
 	"repro/internal/network"
 	"repro/internal/network/tcpwire"
 	"repro/internal/obs"
-	"repro/internal/onehop"
 	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/store"
@@ -51,7 +48,7 @@ var (
 // NodeConfig tunes a real (TCP) peer. All peers of one ring must agree
 // on Replicas.
 type NodeConfig struct {
-	// Replicas is |Hr|. Default 10.
+	// Replicas is |Hr|. Default 10; StartNode rejects a negative value.
 	Replicas int
 	// Ring picks the overlay substrate (RingChord, RingCAN or
 	// RingOneHop). The zero value keeps the paper's Chord. All members
@@ -91,11 +88,9 @@ type NodeConfig struct {
 	ReadRepair bool
 	// RepublishEvery enables the periodic republisher with the given
 	// period: the node re-pushes replicas it still holds but no longer
-	// owns to the current responsible. Zero disables it.
+	// owns to the current responsible, 16 keys a round. Zero disables
+	// it.
 	RepublishEvery time.Duration
-	// RepublishPerRound caps how many keys one republish round pushes.
-	// Default 16.
-	RepublishPerRound int
 	// DataDir, when non-empty, makes the node durable: hosted replicas
 	// and KTS counters are persisted to a write-ahead log in this
 	// directory and recovered on the next start, feeding the paper's
@@ -148,19 +143,16 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 		backing = wal
 	}
 	env := network.NewRealEnv(cfg.Seed)
-	const rpcTimeout = 2 * time.Second
 	stack, err := peer.New(env, ep, backing, peer.Config{
-		Set:  hashing.NewSet(cfg.Replicas),
-		Ring: cfg.Ring,
+		Replicas: cfg.Replicas,
+		Ring:     cfg.Ring,
 		Chord: chord.Config{
 			StabilizeEvery:  cfg.StabilizeEvery,
 			FixFingersEvery: cfg.StabilizeEvery,
 			CheckPredEvery:  cfg.StabilizeEvery,
-			RPCTimeout:      rpcTimeout,
+			RPCTimeout:      2 * time.Second,
 		},
-		CAN:       can.Config{PingEvery: cfg.StabilizeEvery, RPCTimeout: rpcTimeout},
-		OneHop:    onehop.Config{PingEvery: cfg.StabilizeEvery, RPCTimeout: rpcTimeout},
-		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery, PerRound: cfg.RepublishPerRound},
+		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery},
 		KTS: kts.Config{
 			Mode:            cfg.Mode,
 			GraceDelay:      cfg.GraceDelay,
