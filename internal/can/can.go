@@ -13,7 +13,6 @@
 package can
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -22,8 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
-	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // D is the dimensionality of the coordinate space.
@@ -149,13 +146,9 @@ type Config struct {
 	PingEvery time.Duration
 	// RPCTimeout bounds protocol RPCs; zero uses the transport default.
 	RPCTimeout time.Duration
-	// NoDataHandoff disables moving stored replicas on zone handoffs
-	// (see chord.Config.NoDataHandoff — the paper's DHT model).
-	NoDataHandoff bool
-	// Store backs the local replica store; nil uses volatile memory.
-	Store store.Store
-	// Obs registers routing metrics; nil disables instrumentation.
-	Obs *obs.Registry
+	// MemberConfig holds the handoff model, the store backing and the
+	// metrics registry.
+	dht.MemberConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -185,19 +178,13 @@ type neighbor struct {
 // protocol's "defragmentation" is deliberately left as background
 // repair via re-splits on join).
 type Node struct {
-	env   network.Env
-	ep    network.Endpoint
-	cfg   Config
-	self  dht.NodeRef
-	store *dht.LocalStore
+	*dht.Member
+	cfg Config
 
 	mu        sync.Mutex
 	zones     []Zone
 	held      time.Duration // Env time zones last changed (zonesChangedLocked)
 	neighbors map[core.ID]*neighbor
-	alive     bool
-	started   bool
-	handover  []dht.Handover
 }
 
 var _ dht.Ring = (*Node)(nil)
@@ -206,18 +193,8 @@ var _ dht.RingNode = (*Node)(nil)
 
 // New creates a node. Call CreateSpace or Join before Start.
 func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
-	n := &Node{
-		env:       env,
-		ep:        ep,
-		cfg:       cfg.withDefaults(),
-		self:      dht.NodeRef{ID: id, Addr: ep.Addr()},
-		store:     dht.NewLocalStore(),
-		neighbors: make(map[core.ID]*neighbor),
-		alive:     true,
-	}
-	if cfg.Store != nil {
-		n.store = dht.NewLocalStoreOn(cfg.Store)
-	}
+	n := &Node{cfg: cfg.withDefaults(), neighbors: make(map[core.ID]*neighbor)}
+	n.Member = dht.NewMember(env, ep, id, cfg.MemberConfig, cfg.RPCTimeout, n.OwnsID)
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("dcdht_can_neighbors", "CAN neighbor-table entries on this node.",
 			func() float64 {
@@ -233,47 +210,17 @@ func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
 			})
 	}
 	n.registerHandlers()
-	dht.RegisterStore(ep, n.store, n.OwnsID)
 	return n
-}
-
-// Self implements dht.Ring.
-func (n *Node) Self() dht.NodeRef { return n.self }
-
-// Endpoint implements dht.Ring.
-func (n *Node) Endpoint() network.Endpoint { return n.ep }
-
-// Env implements dht.Ring.
-func (n *Node) Env() network.Env { return n.env }
-
-// Obs implements dht.Ring.
-func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
-
-// Store exposes the local replica store.
-func (n *Node) Store() *dht.LocalStore { return n.store }
-
-// Alive implements dht.Ring.
-func (n *Node) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
-
-// RegisterHandover implements dht.HandoverRegistrar.
-func (n *Node) RegisterHandover(h dht.Handover) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handover = append(n.handover, h)
 }
 
 // OwnsID implements dht.Ring: the node is responsible for id iff the
 // point of id lies in one of its zones.
 func (n *Node) OwnsID(id core.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
+	if !n.Alive() {
 		return false
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	p := PointOf(id)
 	for _, z := range n.zones {
 		if z.Contains(p) {
@@ -290,29 +237,29 @@ func (n *Node) HeldSince() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.neighbors) == 0 {
-		return n.env.Now()
+		return n.Env().Now()
 	}
 	return n.held
 }
 
 // zonesChangedLocked follows every write to n.zones: whether the write
 // grew or shrank them, HeldSince restarts.
-func (n *Node) zonesChangedLocked() { n.held = n.env.Now() }
+func (n *Node) zonesChangedLocked() { n.held = n.Env().Now() }
 
 // Guess implements dht.Ring: this node when one of its zones contains
 // the point of id, else the neighbor whose recorded zones do. Stale
 // neighbor records can overlap after a split; the lowest ID wins so the
 // choice does not depend on map order.
 func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
+	if !n.Alive() {
 		return dht.NodeRef{}, dht.NoGuess
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	p := PointOf(id)
 	for _, z := range n.zones {
 		if z.Contains(p) {
-			return n.self, dht.GuessRouting
+			return n.Self(), dht.GuessRouting
 		}
 	}
 	var best dht.NodeRef
@@ -376,15 +323,6 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 	return nil
 }
 
-// Crash models a failure: no handoff, the storage backing fails (for the
-// CAN substrate's default volatile backing, state is lost).
-func (n *Node) Crash() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.alive = false
-	n.store.Crash()
-}
-
 // distanceTo returns the distance from the node's closest zone to p;
 // callers hold n.mu.
 func (n *Node) distanceToLocked(p Point) float64 {
@@ -395,10 +333,4 @@ func (n *Node) distanceToLocked(p Point) float64 {
 		}
 	}
 	return best
-}
-
-// call invokes a protocol RPC with the node's per-hop patience; the
-// caller's context carries the end-to-end deadline and the meter.
-func (n *Node) call(ctx context.Context, to network.Addr, method string, req network.Message) (network.Message, error) {
-	return n.ep.Invoke(ctx, to, method, req, network.Call{Timeout: n.cfg.RPCTimeout})
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -16,11 +15,11 @@ import (
 // direct algorithm on CAN), then introduce ourselves to the
 // neighborhood.
 func (n *Node) Join(bootstrap network.Addr) error {
-	target := PointOf(n.self.ID)
+	target := PointOf(n.Self().ID)
 	// Route from the bootstrap to the owner of our point.
 	cur := dht.NodeRef{Addr: bootstrap}
 	for step := 0; step < maxRouteSteps; step++ {
-		raw, err := n.call(context.Background(), cur.Addr, methodRouteStep, RouteStepReq{Target: target})
+		raw, err := n.Call(context.Background(), cur.Addr, methodRouteStep, RouteStepReq{Target: target})
 		if err != nil {
 			return fmt.Errorf("can: join routing via %s: %w", cur.Addr, err)
 		}
@@ -35,7 +34,7 @@ func (n *Node) Join(bootstrap network.Addr) error {
 		cur = resp.Next
 	}
 
-	raw, err := n.call(context.Background(), cur.Addr, methodSplit, SplitReq{NewNode: n.self})
+	raw, err := n.Call(context.Background(), cur.Addr, methodSplit, SplitReq{NewNode: n.Self()})
 	if err != nil {
 		return fmt.Errorf("can: join split at %s: %w", cur.Addr, err)
 	}
@@ -44,8 +43,7 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	n.zones = []Zone{resp.Zone}
 	n.zonesChangedLocked()
 	n.mu.Unlock()
-	n.store.Absorb(resp.Items)
-	n.acceptServices(resp.Services)
+	n.Absorb(resp.Items, resp.Services)
 	for _, info := range resp.Neighbors {
 		n.applyNeighborInfo(info)
 	}
@@ -58,12 +56,10 @@ func (n *Node) Join(bootstrap network.Addr) error {
 // §4.2.1.1's point that the next responsible is a neighbor); everyone
 // else learns who covers us now.
 func (n *Node) Leave() error {
-	n.mu.Lock()
-	if !n.alive {
-		n.mu.Unlock()
+	if !n.Stop() {
 		return core.ErrStopped
 	}
-	n.alive = false
+	n.mu.Lock()
 	zones := append([]Zone(nil), n.zones...)
 	type cand struct {
 		ref dht.NodeRef
@@ -93,27 +89,17 @@ func (n *Node) Leave() error {
 	})
 	takeover := cands[0].ref
 
-	everything := func(core.ID) bool { return true }
-	var items []dht.Item
-	if !n.cfg.NoDataHandoff {
-		items = n.store.CollectIf(everything, true)
-	}
-	req := TakeoverReq{
-		From:      n.self,
-		Zones:     zones,
-		Items:     items,
-		Services:  n.collectServices(everything),
-		Neighbors: infos,
-	}
+	items, services := n.Cede(func(core.ID) bool { return true })
+	req := TakeoverReq{From: n.Self(), Zones: zones, Items: items, Services: services, Neighbors: infos}
 	var firstErr error
-	if _, err := n.call(context.Background(), takeover.Addr, methodTakeover, req); err != nil {
+	if _, err := n.Call(context.Background(), takeover.Addr, methodTakeover, req); err != nil {
 		firstErr = fmt.Errorf("can: leave takeover by %s: %w", takeover.Addr, err)
 	}
 	// Advertise the successor with its post-takeover zones (its own plus
 	// ours), so the remaining neighbors adopt it instead of dropping it.
 	succ := NeighborInfo{Ref: takeover, Zones: append(zonesByID[takeover.ID], zones...)}
 	for _, c := range cands[1:] {
-		if _, err := n.call(context.Background(), c.ref.Addr, methodGone, GoneReq{Departed: n.self, Successor: succ}); err != nil && firstErr == nil {
+		if _, err := n.Call(context.Background(), c.ref.Addr, methodGone, GoneReq{Departed: n.Self(), Successor: succ}); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("can: leave notice to %s: %w", c.ref.Addr, err)
 		}
 	}
@@ -126,27 +112,9 @@ func (n *Node) Leave() error {
 // neighbors as locally known) — CAN's TAKEOVER protocol simplified to a
 // deterministic rule.
 func (n *Node) Start() {
-	n.mu.Lock()
-	if n.started || !n.alive {
-		n.mu.Unlock()
-		return
+	if n.Starting() {
+		n.Every("can", n.cfg.PingEvery, n.probeNeighbors)
 	}
-	n.started = true
-	n.mu.Unlock()
-
-	rng := n.env.Rand("can:" + string(n.self.Addr))
-	n.env.Go(func() {
-		for n.Alive() {
-			d := n.cfg.PingEvery + time.Duration(rng.Int63n(int64(n.cfg.PingEvery)/4+1))
-			if err := n.env.Sleep(d); err != nil {
-				return
-			}
-			if !n.Alive() {
-				return
-			}
-			n.probeNeighbors()
-		}
-	})
 }
 
 // probeNeighbors runs one round over the neighbor set, in ID order so a
@@ -159,7 +127,7 @@ func (n *Node) Start() {
 // routing black holes.
 func (n *Node) probeNeighbors() {
 	n.mu.Lock()
-	info := NeighborInfo{Ref: n.self, Zones: append([]Zone(nil), n.zones...)}
+	info := NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}
 	refs := make([]*neighbor, 0, len(n.neighbors))
 	for _, nb := range n.neighbors {
 		refs = append(refs, nb)
@@ -167,7 +135,7 @@ func (n *Node) probeNeighbors() {
 	n.mu.Unlock()
 	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.ID < refs[j].ref.ID })
 	for _, nb := range refs {
-		raw, err := n.call(context.Background(), nb.ref.Addr, methodUpdate, UpdateReq{Info: info})
+		raw, err := n.Call(context.Background(), nb.ref.Addr, methodUpdate, UpdateReq{Info: info})
 		if err == nil {
 			n.applyNeighborInfo(raw.(UpdateResp).Info)
 			n.mu.Lock()
@@ -214,7 +182,7 @@ func (n *Node) handleDeadNeighbor(dead *neighbor) {
 	for _, z := range n.zones {
 		myVol += z.Volume()
 	}
-	bestVol, bestID, bestRef := myVol, n.self.ID, n.self
+	bestVol, bestID, bestRef := myVol, n.Self().ID, n.Self()
 	for _, nb := range n.neighbors {
 		abuts := false
 		for _, dz := range dead.zones {
@@ -235,7 +203,7 @@ func (n *Node) handleDeadNeighbor(dead *neighbor) {
 			bestVol, bestID, bestRef = v, nb.ref.ID, nb.ref
 		}
 	}
-	mine := bestID == n.self.ID
+	mine := bestID == n.Self().ID
 	if mine {
 		n.zones = append(n.zones, dead.zones...)
 		n.zonesChangedLocked()
@@ -260,11 +228,11 @@ func AssembleSpace(nodes []*Node) {
 	}
 	sorted := make([]*Node, len(nodes))
 	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].self.ID < sorted[j].self.ID })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Self().ID < sorted[j].Self().ID })
 
 	sorted[0].zones = []Zone{FullZone()}
 	for _, nd := range sorted[1:] {
-		p := PointOf(nd.self.ID)
+		p := PointOf(nd.Self().ID)
 		// Find the owner and the zone containing p.
 		var owner *Node
 		zi := -1
@@ -297,8 +265,8 @@ func AssembleSpace(nodes []*Node) {
 	for i, a := range sorted {
 		for _, b := range sorted[i+1:] {
 			if a.abutsLocked(b.zones) {
-				a.neighbors[b.self.ID] = &neighbor{ref: b.self, zones: append([]Zone(nil), b.zones...)}
-				b.neighbors[a.self.ID] = &neighbor{ref: a.self, zones: append([]Zone(nil), a.zones...)}
+				a.neighbors[b.Self().ID] = &neighbor{ref: b.Self(), zones: append([]Zone(nil), b.zones...)}
+				b.neighbors[a.Self().ID] = &neighbor{ref: a.Self(), zones: append([]Zone(nil), a.zones...)}
 			}
 		}
 	}

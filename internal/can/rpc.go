@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -18,7 +17,6 @@ const (
 	methodTakeover  = "can.Takeover"
 	methodUpdate    = "can.Update"
 	methodGone      = "can.Gone"
-	methodPing      = "can.Ping"
 	methodState     = "can.State"
 )
 
@@ -48,7 +46,7 @@ type SplitResp struct {
 }
 
 // WireSize charges the bulk payload.
-func (r SplitResp) WireSize() int { return bulkSize(r.Items) }
+func (r SplitResp) WireSize() int { return dht.BulkSize(r.Items) }
 
 // NeighborInfo advertises a peer and its zones.
 type NeighborInfo struct {
@@ -66,7 +64,7 @@ type TakeoverReq struct {
 }
 
 // WireSize charges the bulk payload.
-func (r TakeoverReq) WireSize() int { return bulkSize(r.Items) }
+func (r TakeoverReq) WireSize() int { return dht.BulkSize(r.Items) }
 
 // TakeoverResp acknowledges a takeover.
 type TakeoverResp struct{}
@@ -86,12 +84,6 @@ type GoneReq struct {
 // GoneResp acknowledges a Gone.
 type GoneResp struct{}
 
-// PingReq probes liveness.
-type PingReq struct{}
-
-// PingResp acknowledges a ping.
-type PingResp struct{}
-
 // StateReq asks for a node's zones and neighbors (tests, diagnostics).
 type StateReq struct{}
 
@@ -101,75 +93,43 @@ type StateResp struct {
 	Neighbors []NeighborInfo
 }
 
-func bulkSize(items []dht.Item) int {
-	n := network.DefaultWireSize
-	for _, it := range items {
-		n += 40 + len(it.Qual) + len(it.Val.Data)
-	}
-	return n
-}
-
 func init() {
 	network.RegisterMessage(
 		RouteStepReq{}, RouteStepResp{}, SplitReq{}, SplitResp{},
 		TakeoverReq{}, TakeoverResp{}, UpdateReq{}, UpdateResp{},
-		GoneReq{}, GoneResp{}, PingReq{}, PingResp{},
+		GoneReq{}, GoneResp{},
 		StateReq{}, StateResp{}, NeighborInfo{}, Zone{}, Point{},
 	)
 }
 
 func (n *Node) registerHandlers() {
-	n.ep.Handle(methodRouteStep, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodRouteStep, func(req network.Message) (network.Message, error) {
 		r := req.(RouteStepReq)
-		return n.routeStep(r.Target, toSet(r.Exclude)), nil
+		return n.routeStep(r.Target, dht.IDSet(r.Exclude)), nil
 	})
-	n.ep.Handle(methodPing, func(network.Addr, network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
-		return PingResp{}, nil
-	})
-	n.ep.Handle(methodState, func(network.Addr, network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodState, func(network.Message) (network.Message, error) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		resp := StateResp{Info: NeighborInfo{Ref: n.self, Zones: append([]Zone(nil), n.zones...)}}
+		resp := StateResp{Info: NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}
 		for _, nb := range n.neighbors {
 			resp.Neighbors = append(resp.Neighbors, NeighborInfo{Ref: nb.ref, Zones: append([]Zone(nil), nb.zones...)})
 		}
 		return resp, nil
 	})
-	n.ep.Handle(methodSplit, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodSplit, func(req network.Message) (network.Message, error) {
 		return n.handleSplit(req.(SplitReq))
 	})
-	n.ep.Handle(methodTakeover, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodTakeover, func(req network.Message) (network.Message, error) {
 		n.handleTakeover(req.(TakeoverReq))
 		return TakeoverResp{}, nil
 	})
-	n.ep.Handle(methodUpdate, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodUpdate, func(req network.Message) (network.Message, error) {
 		n.applyNeighborInfo(req.(UpdateReq).Info)
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		return UpdateResp{Info: NeighborInfo{Ref: n.self, Zones: append([]Zone(nil), n.zones...)}}, nil
+		return UpdateResp{Info: NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}, nil
 	})
-	n.ep.Handle(methodGone, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodGone, func(req network.Message) (network.Message, error) {
 		r := req.(GoneReq)
 		n.mu.Lock()
 		delete(n.neighbors, r.Departed.ID)
@@ -179,17 +139,6 @@ func (n *Node) registerHandlers() {
 	})
 }
 
-func toSet(ids []core.ID) map[core.ID]bool {
-	if len(ids) == 0 {
-		return nil
-	}
-	m := make(map[core.ID]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
 // routeStep is one greedy hop: done if a local zone contains the target,
 // otherwise the non-excluded neighbor closest to the target.
 func (n *Node) routeStep(target Point, exclude map[core.ID]bool) RouteStepResp {
@@ -197,7 +146,7 @@ func (n *Node) routeStep(target Point, exclude map[core.ID]bool) RouteStepResp {
 	defer n.mu.Unlock()
 	for _, z := range n.zones {
 		if z.Contains(target) {
-			return RouteStepResp{Done: true, Next: n.self}
+			return RouteStepResp{Done: true, Next: n.Self()}
 		}
 	}
 	var best *neighbor
@@ -238,7 +187,7 @@ const math_Inf = 1e18
 // applyNeighborInfo installs or refreshes a neighbor entry, dropping it
 // if its zones no longer abut ours.
 func (n *Node) applyNeighborInfo(info NeighborInfo) {
-	if info.Ref.ID == n.self.ID || info.Ref.IsZero() {
+	if info.Ref.ID == n.Self().ID || info.Ref.IsZero() {
 		return
 	}
 	n.mu.Lock()
@@ -287,18 +236,14 @@ func (n *Node) handleSplit(req SplitReq) (SplitResp, error) {
 	n.zones[zi] = keptZone
 	n.zonesChangedLocked()
 	// Neighborhood snapshot: our neighbors plus ourselves.
-	infos := []NeighborInfo{{Ref: n.self, Zones: append([]Zone(nil), n.zones...)}}
+	infos := []NeighborInfo{{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}
 	for _, nb := range n.neighbors {
 		infos = append(infos, NeighborInfo{Ref: nb.ref, Zones: append([]Zone(nil), nb.zones...)})
 	}
 	n.mu.Unlock()
 
 	ceded := func(id core.ID) bool { return joinerZone.Contains(PointOf(id)) }
-	var items []dht.Item
-	if !n.cfg.NoDataHandoff {
-		items = n.store.CollectIf(ceded, true)
-	}
-	services := n.collectServices(ceded)
+	items, services := n.Cede(ceded)
 	// Refresh our own neighbors with the shrunk zone.
 	n.broadcastUpdate()
 	return SplitResp{Zone: joinerZone, Items: items, Services: services, Neighbors: infos}, nil
@@ -311,8 +256,7 @@ func (n *Node) handleTakeover(req TakeoverReq) {
 	n.zonesChangedLocked()
 	delete(n.neighbors, req.From.ID)
 	n.mu.Unlock()
-	n.store.Absorb(req.Items)
-	n.acceptServices(req.Services)
+	n.Absorb(req.Items, req.Services)
 	for _, info := range req.Neighbors {
 		n.applyNeighborInfo(info)
 	}
@@ -323,7 +267,7 @@ func (n *Node) handleTakeover(req TakeoverReq) {
 // asynchronously and refreshes our view from their replies.
 func (n *Node) broadcastUpdate() {
 	n.mu.Lock()
-	info := NeighborInfo{Ref: n.self, Zones: append([]Zone(nil), n.zones...)}
+	info := NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}
 	targets := make([]dht.NodeRef, 0, len(n.neighbors))
 	for _, nb := range n.neighbors {
 		targets = append(targets, nb.ref)
@@ -331,43 +275,11 @@ func (n *Node) broadcastUpdate() {
 	n.mu.Unlock()
 	for _, ref := range targets {
 		ref := ref
-		n.env.Go(func() {
-			if raw, err := n.call(context.Background(), ref.Addr, methodUpdate, UpdateReq{Info: info}); err == nil {
+		n.Env().Go(func() {
+			if raw, err := n.Call(context.Background(), ref.Addr, methodUpdate, UpdateReq{Info: info}); err == nil {
 				n.applyNeighborInfo(raw.(UpdateResp).Info)
 			}
 		})
-	}
-}
-
-func (n *Node) collectServices(ceded func(core.ID) bool) map[string]network.Message {
-	n.mu.Lock()
-	hooks := make([]dht.Handover, len(n.handover))
-	copy(hooks, n.handover)
-	n.mu.Unlock()
-	var out map[string]network.Message
-	for _, h := range hooks {
-		if msg := h.Collect(ceded); msg != nil {
-			if out == nil {
-				out = make(map[string]network.Message)
-			}
-			out[h.Name()] = msg
-		}
-	}
-	return out
-}
-
-func (n *Node) acceptServices(payloads map[string]network.Message) {
-	if len(payloads) == 0 {
-		return
-	}
-	n.mu.Lock()
-	hooks := make([]dht.Handover, len(n.handover))
-	copy(hooks, n.handover)
-	n.mu.Unlock()
-	for _, h := range hooks {
-		if msg, ok := payloads[h.Name()]; ok {
-			h.Accept(msg)
-		}
 	}
 }
 
@@ -399,12 +311,12 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (dht.NodeRef, int, er
 }
 
 func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID]bool) (dht.NodeRef, int, error) {
-	cur := n.self
+	cur := n.Self()
 	hops := 0
 	visited := map[core.ID]bool{}
 	for step := 0; step < maxRouteSteps; step++ {
 		var resp RouteStepResp
-		if cur.ID == n.self.ID {
+		if cur.ID == n.Self().ID {
 			resp = n.routeStep(target, exclude)
 		} else {
 			if visited[cur.ID] {
@@ -416,12 +328,11 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 				return dht.NodeRef{}, hops, fmt.Errorf("can: routing loop at %s: %w", cur.ID, core.ErrUnreachable)
 			}
 			visited[cur.ID] = true
-			raw, err := n.call(ctx, cur.Addr, methodRouteStep,
-				RouteStepReq{Target: target, Exclude: setToList(exclude)})
+			raw, err := n.Call(ctx, cur.Addr, methodRouteStep,
+				RouteStepReq{Target: target, Exclude: dht.IDList(exclude)})
 			hops++
 			if err != nil {
-				if errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) ||
-					errors.Is(err, core.ErrUnreachable) {
+				if dht.PeerDead(err) {
 					exclude[cur.ID] = true
 					return dht.NodeRef{}, hops, fmt.Errorf("can: peer %s dead during lookup: %w", cur.ID, core.ErrTimeout)
 				}
@@ -436,7 +347,7 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 			// cur answered not-Done with nowhere to forward: it is a
 			// proven non-owner at a dead end, so routing around it on
 			// the retry is safe.
-			if cur.ID != n.self.ID {
+			if cur.ID != n.Self().ID {
 				exclude[cur.ID] = true
 			}
 			return dht.NodeRef{}, hops, fmt.Errorf("can: routing stuck at %s: %w", cur.ID, core.ErrUnreachable)
@@ -444,16 +355,4 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 		cur = resp.Next
 	}
 	return dht.NodeRef{}, hops, fmt.Errorf("can: routing exceeded %d steps: %w", maxRouteSteps, core.ErrUnreachable)
-}
-
-func setToList(m map[core.ID]bool) []core.ID {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]core.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

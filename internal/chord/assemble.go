@@ -19,12 +19,12 @@ func AssembleRing(nodes []*Node) {
 	}
 	sorted := make([]*Node, len(nodes))
 	copy(sorted, nodes)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].self.ID < sorted[j].self.ID })
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Self().ID < sorted[j].Self().ID })
 
 	n := len(sorted)
 	refs := make([]dht.NodeRef, n)
 	for i, nd := range sorted {
-		refs[i] = nd.self
+		refs[i] = nd.Self()
 	}
 
 	// successorOf returns the first node whose ID >= id (wrapping).
@@ -45,11 +45,11 @@ func AssembleRing(nodes []*Node) {
 			succs = append(succs, refs[(i+j)%n])
 		}
 		if len(succs) == 0 {
-			succs = []dht.NodeRef{nd.self}
+			succs = []dht.NodeRef{nd.Self()}
 		}
 		nd.setSuccessorsLocked(succs)
 		for b := 0; b < M; b++ {
-			target := nd.self.ID + core.ID(uint64(1)<<uint(b))
+			target := nd.Self().ID + core.ID(uint64(1)<<uint(b))
 			nd.fingers[b] = successorOf(target)
 		}
 		nd.mu.Unlock()

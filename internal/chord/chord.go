@@ -22,7 +22,6 @@
 package chord
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -30,7 +29,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // M is the identifier width in bits: the ring has 2^64 positions.
@@ -52,26 +50,10 @@ type Config struct {
 	// RPCTimeout bounds every protocol RPC; zero uses the transport
 	// default (the failure-detection patience).
 	RPCTimeout time.Duration
-	// NoDataHandoff disables moving stored replicas on responsibility
-	// changes (joins, graceful leaves). Service state (KTS counters)
-	// still moves — that is the paper's direct algorithm. The paper's
-	// DHT model (§2) has no data handoff: a replica whose responsible
-	// departs becomes unavailable until the next update re-inserts it,
-	// which is exactly what drives the probability of currency and
-	// availability below 1. peer.New sets it, like Store and Obs, from
-	// peer.Config, where the evaluation harness enables it and library
-	// deployments keep handoff on by default.
-	NoDataHandoff bool
-	// Store, when non-nil, backs the node's replica store (and, if the
-	// deployment shares the unit, its KTS counters). Nil keeps the
-	// volatile default: a crash loses everything, the paper's fail-stop
-	// model. A durable backing (store.WAL, the sim depot) instead
-	// survives into the §4.2.2 restart path.
-	Store store.Store
-	// Obs receives routing metrics (lookup hop counts and failures,
-	// stabilize rounds, finger-fix failures). Nil disables export; the
-	// metrics are still maintained but unregistered.
-	Obs *obs.Registry
+	// MemberConfig holds the handoff model, the store backing and the
+	// metrics registry (lookup hop counts and failures, stabilize
+	// rounds, finger-fix failures).
+	dht.MemberConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -100,22 +82,16 @@ const (
 
 // Node is one Chord peer.
 type Node struct {
-	env   network.Env
-	ep    network.Endpoint
-	cfg   Config
-	self  dht.NodeRef
-	store *dht.LocalStore
+	*dht.Member
+	cfg Config
 
-	mu       sync.Mutex
-	pred     dht.NodeRef   // zero when unknown
-	held     time.Duration // Env time pred last changed (setPredLocked)
-	succs    []dht.NodeRef
-	fingers  [M]dht.NodeRef
-	nextFix  int
-	learned  learnedArcs
-	alive    bool
-	started  bool
-	handover []dht.Handover
+	mu      sync.Mutex
+	pred    dht.NodeRef   // zero when unknown
+	held    time.Duration // Env time pred last changed (setPredLocked)
+	succs   []dht.NodeRef
+	fingers [M]dht.NodeRef
+	nextFix int
+	learned learnedArcs
 
 	metrics chordMetrics
 }
@@ -154,73 +130,32 @@ func newChordMetrics(r *obs.Registry) chordMetrics {
 // New creates a node with the given identity on an endpoint. Call
 // CreateRing or Join before Start.
 func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
-	n := &Node{
-		env:     env,
-		ep:      ep,
-		cfg:     cfg.withDefaults(),
-		self:    dht.NodeRef{ID: id, Addr: ep.Addr()},
-		alive:   true,
-		metrics: newChordMetrics(cfg.Obs),
-	}
-	if cfg.Store != nil {
-		n.store = dht.NewLocalStoreOn(cfg.Store)
-	} else {
-		n.store = dht.NewLocalStore()
-	}
-	n.succs = []dht.NodeRef{n.self}
+	n := &Node{cfg: cfg.withDefaults(), metrics: newChordMetrics(cfg.Obs)}
+	n.Member = dht.NewMember(env, ep, id, cfg.MemberConfig, cfg.RPCTimeout, n.OwnsID)
+	n.succs = []dht.NodeRef{n.Self()}
 	n.registerHandlers()
-	dht.RegisterStore(ep, n.store, n.OwnsID)
 	cfg.Obs.GaugeFunc("dcdht_chord_learned_arcs",
 		"Arcs proved by this node's own lookups that Guess can currently name.",
 		func() float64 { return float64(n.LearnedArcs()) })
 	return n
 }
 
-// Self implements dht.Ring.
-func (n *Node) Self() dht.NodeRef { return n.self }
-
-// Endpoint implements dht.Ring.
-func (n *Node) Endpoint() network.Endpoint { return n.ep }
-
-// Env implements dht.Ring.
-func (n *Node) Env() network.Env { return n.env }
-
-// Obs implements dht.Ring.
-func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
-
-// Store exposes the local replica store (tests and handover paths).
-func (n *Node) Store() *dht.LocalStore { return n.store }
-
 // Config returns the effective configuration.
 func (n *Node) Config() Config { return n.cfg }
-
-// Alive implements dht.Ring.
-func (n *Node) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
-
-// RegisterHandover attaches a service to responsibility transfers.
-func (n *Node) RegisterHandover(h dht.Handover) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handover = append(n.handover, h)
-}
 
 // OwnsID implements dht.Ring: the node is responsible for id iff id lies
 // in (pred, self]. With no known predecessor the node assumes
 // responsibility (single-node ring or still converging).
 func (n *Node) OwnsID(id core.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
+	if !n.Alive() {
 		return false
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	if n.pred.IsZero() {
 		return true
 	}
-	return id.Between(n.pred.ID, n.self.ID)
+	return id.Between(n.pred.ID, n.Self().ID)
 }
 
 // HeldSince implements dht.Ring: the arc (pred, self] is held since the
@@ -230,7 +165,7 @@ func (n *Node) HeldSince() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.pred.IsZero() {
-		return n.env.Now()
+		return n.Env().Now()
 	}
 	return n.held
 }
@@ -239,7 +174,7 @@ func (n *Node) HeldSince() time.Duration {
 // through here so that one that moves the arc restarts HeldSince.
 func (n *Node) setPredLocked(p dht.NodeRef) {
 	if p.ID != n.pred.ID || p.IsZero() != n.pred.IsZero() {
-		n.held = n.env.Now()
+		n.held = n.Env().Now()
 	}
 	n.pred = p
 }
@@ -252,17 +187,18 @@ func (n *Node) setPredLocked(p dht.NodeRef) {
 // else — and everything while the predecessor is unknown, the list is
 // empty and nothing was learned — is left to Lookup.
 func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
+	if !n.Alive() {
 		return dht.NodeRef{}, dht.NoGuess
 	}
-	if !n.pred.IsZero() && id.Between(n.pred.ID, n.self.ID) {
-		return n.self, dht.GuessRouting
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	self := n.Self()
+	if !n.pred.IsZero() && id.Between(n.pred.ID, self.ID) {
+		return self, dht.GuessRouting
 	}
-	prev := n.self
+	prev := self
 	for _, s := range n.succs {
-		if s.ID == n.self.ID {
+		if s.ID == self.ID {
 			break // the list wrapped around a ring smaller than itself
 		}
 		if id.Between(prev.ID, s.ID) {
@@ -304,7 +240,7 @@ func (n *Node) CreateRing() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.setPredLocked(dht.NodeRef{})
-	n.succs = []dht.NodeRef{n.self}
+	n.succs = []dht.NodeRef{n.Self()}
 }
 
 // snapshot returns (pred, succs copy) under the lock.
@@ -339,7 +275,7 @@ func (n *Node) setSuccessorsLocked(refs []dht.NodeRef) {
 		}
 	}
 	if len(out) == 0 {
-		out = append(out, n.self)
+		out = append(out, n.Self())
 	}
 	n.succs = out
 	// A peer maintenance wrote out of the list has left, died or been
@@ -349,22 +285,4 @@ func (n *Node) setSuccessorsLocked(refs []dht.NodeRef) {
 			n.learned.forget(s.ID)
 		}
 	}
-}
-
-// Crash models a failure: the node vanishes without any handoff and its
-// storage backing fails as under SIGKILL — a volatile backing loses the
-// store and counters, a durable one keeps whatever its sync policy made
-// stable. The caller is responsible for also killing the transport
-// endpoint (the simulated network's Kill).
-func (n *Node) Crash() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.alive = false
-	n.store.Crash()
-}
-
-// call invokes a protocol RPC with the node's per-hop patience; the
-// caller's context carries the end-to-end deadline and the meter.
-func (n *Node) call(ctx context.Context, to network.Addr, method string, req network.Message) (network.Message, error) {
-	return n.ep.Invoke(ctx, to, method, req, network.Call{Timeout: n.cfg.RPCTimeout})
 }

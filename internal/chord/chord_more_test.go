@@ -31,10 +31,10 @@ func TestAssembledFingersExact(t *testing.T) {
 	for _, nd := range tr.nodes {
 		nd.mu.Lock()
 		for b := 0; b < M; b++ {
-			target := nd.self.ID + core.ID(uint64(1)<<uint(b))
+			target := nd.Self().ID + core.ID(uint64(1)<<uint(b))
 			if got, want := nd.fingers[b].ID, succOf(target); got != want {
 				nd.mu.Unlock()
-				t.Fatalf("node %s finger[%d] = %s, want %s", nd.self.ID, b, got, want)
+				t.Fatalf("node %s finger[%d] = %s, want %s", nd.Self().ID, b, got, want)
 			}
 		}
 		nd.mu.Unlock()

@@ -1,13 +1,31 @@
 package chord
 
 import (
+	"context"
 	"encoding/binary"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/network"
 )
+
+// addrEP is an endpoint with an address and nothing behind it: enough
+// for a node whose routing state a test sets by hand.
+type addrEP network.Addr
+
+func (a addrEP) Addr() network.Addr { return network.Addr(a) }
+func (addrEP) Invoke(context.Context, network.Addr, string, network.Message, network.Call) (network.Message, error) {
+	return nil, core.ErrUnreachable
+}
+func (addrEP) Handle(string, network.HandlerFunc) {}
+func (addrEP) Close() error                       { return nil }
+
+// bareNode is a node at self with empty routing state and no protocol.
+func bareNode(self dht.NodeRef) *Node {
+	return &Node{Member: dht.NewMember(nil, addrEP(self.Addr), self.ID, dht.MemberConfig{}, 0, nil)}
+}
 
 // The kinds of record a FuzzFindStep state is made of. Each record is a
 // kind byte followed by one 8-byte big-endian ID, two for a learned arc;
@@ -58,7 +76,7 @@ func FuzzFindStep(f *testing.F) {
 	f.Add(uint64(0), uint64(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, self, target uint64, state []byte) {
-		n := &Node{self: ref(core.ID(self))}
+		n := bareNode(ref(core.ID(self)))
 		exclude := map[core.ID]bool{}
 		next := func() (core.ID, bool) {
 			if len(state) < 8 {
@@ -106,7 +124,7 @@ func FuzzFindStep(f *testing.F) {
 			t.Fatalf("reply carries predecessor %v, the handler holds %v", resp.Pred, n.pred)
 		}
 		if resp.Done {
-			want := n.self
+			want := n.Self()
 			for _, s := range n.succs {
 				if !exclude[s.ID] {
 					want = s
@@ -123,8 +141,8 @@ func FuzzFindStep(f *testing.F) {
 			t.Fatalf("Next %v is no peer the handler holds", nx)
 		case exclude[nx.ID]:
 			t.Fatalf("Next %v was excluded", nx)
-		case !nx.ID.InOpenInterval(n.self.ID, to) || nx.ID == n.self.ID:
-			t.Fatalf("Next %v does not lie strictly in (%s, %s)", nx, n.self.ID, to)
+		case !nx.ID.InOpenInterval(n.Self().ID, to) || nx.ID == n.Self().ID:
+			t.Fatalf("Next %v does not lie strictly in (%s, %s)", nx, n.Self().ID, to)
 		}
 	})
 }

@@ -22,11 +22,11 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hop
 		return dht.NodeRef{}, 0, fmt.Errorf("chord: lookup from dead node: %w", core.ErrStopped)
 	}
 	n.metrics.lookups.Inc()
-	start := n.env.Now()
+	start := n.Env().Now()
 	defer func() {
 		// Routing time is charged to the surrounding operation's lookup
 		// phase; the hop count feeds the per-node routing histogram.
-		obs.PhasesFrom(ctx).Add(obs.PhaseLookup, n.env.Now()-start)
+		obs.PhasesFrom(ctx).Add(obs.PhaseLookup, n.Env().Now()-start)
 		if err == nil {
 			n.metrics.hops.ObserveValue(int64(hops))
 		} else {
@@ -57,12 +57,12 @@ func (n *Node) Lookup(ctx context.Context, target core.ID) (ref dht.NodeRef, hop
 // hop and the one its answer proves. Peers that time out are added to
 // exclude so the retry routes around them.
 func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.ID]bool) (dht.NodeRef, int, error) {
-	cur := n.self
+	cur := n.Self()
 	hops := 0
 	visited := map[core.ID]bool{}
 	for step := 0; step < maxLookupSteps; step++ {
 		var resp FindStepResp
-		if cur.ID == n.self.ID {
+		if cur.ID == n.Self().ID {
 			resp = n.findStep(target, exclude)
 		} else {
 			if visited[cur.ID] {
@@ -70,16 +70,15 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 					cur.ID, target, core.ErrUnreachable)
 			}
 			visited[cur.ID] = true
-			raw, err := n.call(ctx, cur.Addr, methodFindStep,
-				FindStepReq{Target: target, Exclude: setToList(exclude)})
+			raw, err := n.Call(ctx, cur.Addr, methodFindStep,
+				FindStepReq{Target: target, Exclude: dht.IDList(exclude)})
 			hops++
 			if err != nil {
 				// Dead peers are silence on the simulated transport
 				// (timeout) and connection refusals on TCP (unreachable);
 				// either way, route around them, and stop asking them on
 				// the strength of anything learned.
-				if errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) ||
-					errors.Is(err, core.ErrUnreachable) {
+				if dht.PeerDead(err) {
 					exclude[cur.ID] = true
 					n.mu.Lock()
 					n.learned.forget(cur.ID)
@@ -103,7 +102,7 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 			// answer (interval check failed) proves nothing. Arcs owned
 			// by this node are left to its live predecessor pointer.
 			next := resp.Next
-			if cur.ID != n.self.ID && next.ID != n.self.ID && next.ID != cur.ID &&
+			if cur.ID != n.Self().ID && next.ID != n.Self().ID && next.ID != cur.ID &&
 				target.Between(cur.ID, next.ID) {
 				n.mu.Lock()
 				n.learned.learn(cur, next)
@@ -118,15 +117,4 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 	}
 	return dht.NodeRef{}, hops, fmt.Errorf("chord: lookup for %s exceeded %d steps: %w",
 		target, maxLookupSteps, core.ErrUnreachable)
-}
-
-func setToList(m map[core.ID]bool) []core.ID {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]core.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	return out
 }

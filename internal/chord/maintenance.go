@@ -2,9 +2,7 @@ package chord
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -30,20 +28,18 @@ func (n *Node) Join(bootstrap network.Addr) error {
 		if err == nil {
 			break
 		}
-		dead := errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) ||
-			errors.Is(err, core.ErrUnreachable)
-		if !dead || attempt >= lookupRetries {
+		if !dht.PeerDead(err) || attempt >= lookupRetries {
 			return err
 		}
 	}
-	if succ.ID == n.self.ID {
+	if succ.ID == n.Self().ID {
 		// ID collision: with 64-bit hashed IDs this is effectively
 		// impossible; treat as a failed join.
 		return fmt.Errorf("chord: id collision on join: %w", core.ErrUnreachable)
 	}
 
 	// Pull our arc from the successor (replicas + service state).
-	raw, err := n.call(ctx, succ.Addr, methodTransfer, TransferReq{NewNode: n.self})
+	raw, err := n.Call(ctx, succ.Addr, methodTransfer, TransferReq{NewNode: n.Self()})
 	if err != nil {
 		return fmt.Errorf("chord: join transfer from %s: %w", succ.Addr, err)
 	}
@@ -58,14 +54,13 @@ func (n *Node) Join(bootstrap network.Addr) error {
 		}
 	}
 	n.mu.Unlock()
-	n.store.Absorb(tr.Items)
-	n.acceptServices(tr.Services)
+	n.Absorb(tr.Items, tr.Services)
 
 	// Tell our predecessor we are its successor candidate so inserts
 	// routed through it reach us immediately.
 	if !tr.Pred.IsZero() {
-		n.env.Go(func() {
-			n.call(context.Background(), tr.Pred.Addr, methodSuccCand, SuccCandidateReq{Candidate: n.self})
+		n.Env().Go(func() {
+			n.Call(context.Background(), tr.Pred.Addr, methodSuccCand, SuccCandidateReq{Candidate: n.Self()})
 		})
 	}
 	return nil
@@ -76,8 +71,8 @@ func (n *Node) Join(bootstrap network.Addr) error {
 // exclude so the caller's retry routes around it; a repeated hop means
 // the walk is cycling through stale state and aborts.
 func (n *Node) joinWalk(ctx context.Context, bootstrap network.Addr, exclude map[core.ID]bool) (dht.NodeRef, error) {
-	raw, err := n.call(ctx, bootstrap, methodFindStep,
-		FindStepReq{Target: n.self.ID, Exclude: setToList(exclude)})
+	raw, err := n.Call(ctx, bootstrap, methodFindStep,
+		FindStepReq{Target: n.Self().ID, Exclude: dht.IDList(exclude)})
 	if err != nil {
 		return dht.NodeRef{}, fmt.Errorf("chord: join via %s: %w", bootstrap, err)
 	}
@@ -89,11 +84,10 @@ func (n *Node) joinWalk(ctx context.Context, bootstrap network.Addr, exclude map
 			return dht.NodeRef{}, fmt.Errorf("chord: join routing loop at %s: %w", cur.ID, core.ErrUnreachable)
 		}
 		visited[cur.ID] = true
-		raw, err = n.call(ctx, cur.Addr, methodFindStep,
-			FindStepReq{Target: n.self.ID, Exclude: setToList(exclude)})
+		raw, err = n.Call(ctx, cur.Addr, methodFindStep,
+			FindStepReq{Target: n.Self().ID, Exclude: dht.IDList(exclude)})
 		if err != nil {
-			if errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) ||
-				errors.Is(err, core.ErrUnreachable) {
+			if dht.PeerDead(err) {
 				exclude[cur.ID] = true
 			}
 			return dht.NodeRef{}, fmt.Errorf("chord: join routing via %s: %w", cur.Addr, err)
@@ -125,12 +119,12 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 		return core.ErrStopped
 	}
 	ctx := context.Background()
-	target := n.self.ID + 1
+	target := n.Self().ID + 1
 	// Bounded, loop-guarded walk (like lookupOnce, but rooted at the
 	// bootstrap, not at this node — routing must happen on the *other*
 	// ring): post-heal routing state is exactly when stale fingers can
 	// form cycles, so an unguarded walk could spin forever.
-	raw, err := n.call(ctx, bootstrap, methodFindStep, FindStepReq{Target: target})
+	raw, err := n.Call(ctx, bootstrap, methodFindStep, FindStepReq{Target: target})
 	if err != nil {
 		return fmt.Errorf("chord: nudge via %s: %w", bootstrap, err)
 	}
@@ -142,7 +136,7 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 			break // routing loop mid-merge; cur is still a usable candidate
 		}
 		visited[cur.ID] = true
-		raw, err = n.call(ctx, cur.Addr, methodFindStep, FindStepReq{Target: target})
+		raw, err = n.Call(ctx, cur.Addr, methodFindStep, FindStepReq{Target: target})
 		if err != nil {
 			return fmt.Errorf("chord: nudge routing via %s: %w", cur.Addr, err)
 		}
@@ -153,18 +147,18 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 		cur = step.Next
 	}
 	cand := step.Next
-	if cand.IsZero() || cand.ID == n.self.ID {
+	if cand.IsZero() || cand.ID == n.Self().ID {
 		return nil
 	}
 	n.mu.Lock()
-	if len(n.succs) > 0 && cand.ID.InOpenInterval(n.self.ID, n.succs[0].ID) {
+	if len(n.succs) > 0 && cand.ID.InOpenInterval(n.Self().ID, n.succs[0].ID) {
 		n.setSuccessorsLocked(append([]dht.NodeRef{cand}, n.succs...))
 	}
 	n.mu.Unlock()
 	// Tell the candidate about us either way: if we sit between it and
 	// its predecessor it adopts us, which is how the other ring learns
 	// this side exists.
-	_, err = n.call(ctx, cand.Addr, methodNotify, NotifyReq{Candidate: n.self})
+	_, err = n.Call(ctx, cand.Addr, methodNotify, NotifyReq{Candidate: n.Self()})
 	return err
 }
 
@@ -173,33 +167,26 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 // messages and tells its predecessor to splice it out. Afterwards the
 // node is dead.
 func (n *Node) Leave() error {
-	n.mu.Lock()
-	if !n.alive {
-		n.mu.Unlock()
+	if !n.Stop() {
 		return core.ErrStopped
 	}
-	n.alive = false // stop accepting protocol traffic
+	n.mu.Lock()
 	pred := n.pred
 	succs := make([]dht.NodeRef, len(n.succs))
 	copy(succs, n.succs)
 	n.mu.Unlock()
 
 	var firstErr error
-	if len(succs) > 0 && succs[0].ID != n.self.ID {
-		everything := func(core.ID) bool { return true }
-		var items []dht.Item
-		if !n.cfg.NoDataHandoff {
-			items = n.store.CollectIf(everything, true)
-		}
-		services := n.collectServices(everything)
-		req := AbsorbReq{From: n.self, Items: items, Services: services, Departing: true, NewPred: pred}
-		if _, err := n.call(context.Background(), succs[0].Addr, methodAbsorb, req); err != nil {
+	if len(succs) > 0 && succs[0].ID != n.Self().ID {
+		items, services := n.Cede(func(core.ID) bool { return true })
+		req := AbsorbReq{From: n.Self(), Items: items, Services: services, Departing: true, NewPred: pred}
+		if _, err := n.Call(context.Background(), succs[0].Addr, methodAbsorb, req); err != nil {
 			firstErr = fmt.Errorf("chord: leave handoff to %s: %w", succs[0].Addr, err)
 		}
 	}
-	if !pred.IsZero() && pred.ID != n.self.ID {
-		req := PredLeavingReq{Departing: n.self, Replacements: succs}
-		if _, err := n.call(context.Background(), pred.Addr, methodPredGone, req); err != nil && firstErr == nil {
+	if !pred.IsZero() && pred.ID != n.Self().ID {
+		req := PredLeavingReq{Departing: n.Self(), Replacements: succs}
+		if _, err := n.Call(context.Background(), pred.Addr, methodPredGone, req); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("chord: leave notice to %s: %w", pred.Addr, err)
 		}
 	}
@@ -210,35 +197,11 @@ func (n *Node) Leave() error {
 // repair + notify), finger repair, and predecessor liveness checks. Each
 // node jitters its period so rounds do not synchronize.
 func (n *Node) Start() {
-	n.mu.Lock()
-	if n.started || !n.alive {
-		n.mu.Unlock()
-		return
+	if n.Starting() {
+		n.Every("chord-stabilize", n.cfg.StabilizeEvery, n.stabilize)
+		n.Every("chord-fingers", n.cfg.FixFingersEvery, n.fixNextFinger)
+		n.Every("chord-checkpred", n.cfg.CheckPredEvery, n.checkPredecessor)
 	}
-	n.started = true
-	n.mu.Unlock()
-
-	// Each task derives its own jitter stream: on the real deployment the
-	// three loops run as concurrent goroutines, and a shared rand.Rand is
-	// not synchronized.
-	task := func(label string, period time.Duration, run func()) {
-		rng := n.env.Rand("chord-" + label + ":" + string(n.self.Addr))
-		n.env.Go(func() {
-			for n.Alive() {
-				jitter := time.Duration(rng.Int63n(int64(period)/4 + 1))
-				if err := n.env.Sleep(period + jitter); err != nil {
-					return
-				}
-				if !n.Alive() {
-					return
-				}
-				run()
-			}
-		})
-	}
-	task("stabilize", n.cfg.StabilizeEvery, n.stabilize)
-	task("fingers", n.cfg.FixFingersEvery, n.fixNextFinger)
-	task("checkpred", n.cfg.CheckPredEvery, n.checkPredecessor)
 }
 
 // stabilize is Chord's core repair: find the first live successor, adopt
@@ -252,11 +215,11 @@ func (n *Node) stabilize() {
 	sawOther := false
 	dead := map[core.ID]bool{}
 	for _, s := range succs {
-		if s.ID == n.self.ID {
+		if s.ID == n.Self().ID {
 			continue
 		}
 		sawOther = true
-		raw, err := n.call(context.Background(), s.Addr, methodState, StateReq{})
+		raw, err := n.Call(context.Background(), s.Addr, methodState, StateReq{})
 		if err != nil {
 			dead[s.ID] = true
 			continue
@@ -272,21 +235,21 @@ func (n *Node) stabilize() {
 		}
 		// The whole successor list is unreachable; try to rejoin through
 		// the finger table, verifying the candidate is actually alive.
-		if ref, _, err := n.Lookup(context.Background(), n.self.ID+1); err == nil && ref.ID != n.self.ID {
-			if _, err := n.call(context.Background(), ref.Addr, methodState, StateReq{}); err == nil {
+		if ref, _, err := n.Lookup(context.Background(), n.Self().ID+1); err == nil && ref.ID != n.Self().ID {
+			if _, err := n.Call(context.Background(), ref.Addr, methodState, StateReq{}); err == nil {
 				n.setSuccessors([]dht.NodeRef{ref})
 				return
 			}
 		}
 		// Nobody reachable: degrade to a singleton; future Notify and
 		// SuccCandidate messages re-link us.
-		n.setSuccessors([]dht.NodeRef{n.self})
+		n.setSuccessors([]dht.NodeRef{n.Self()})
 		return
 	}
 
 	// Adopt succ's predecessor when it sits between us and succ.
-	if !state.Pred.IsZero() && state.Pred.ID.InOpenInterval(n.self.ID, succ.ID) && !dead[state.Pred.ID] {
-		if raw, err := n.call(context.Background(), state.Pred.Addr, methodState, StateReq{}); err == nil {
+	if !state.Pred.IsZero() && state.Pred.ID.InOpenInterval(n.Self().ID, succ.ID) && !dead[state.Pred.ID] {
+		if raw, err := n.Call(context.Background(), state.Pred.Addr, methodState, StateReq{}); err == nil {
 			succ = state.Pred
 			state = raw.(StateResp)
 		}
@@ -296,8 +259,8 @@ func (n *Node) stabilize() {
 	n.setSuccessors(append([]dht.NodeRef{succ}, state.Succs...))
 
 	// Tell succ about us.
-	n.env.Go(func() {
-		n.call(context.Background(), succ.Addr, methodNotify, NotifyReq{Candidate: n.self})
+	n.Env().Go(func() {
+		n.Call(context.Background(), succ.Addr, methodNotify, NotifyReq{Candidate: n.Self()})
 	})
 }
 
@@ -308,7 +271,7 @@ func (n *Node) fixNextFinger() {
 	i := n.nextFix
 	n.nextFix = (n.nextFix + 1) % M
 	n.mu.Unlock()
-	target := n.self.ID + core.ID(uint64(1)<<uint(i))
+	target := n.Self().ID + core.ID(uint64(1)<<uint(i))
 	ref, _, err := n.Lookup(context.Background(), target)
 	if err != nil {
 		n.metrics.fingerFixFails.Inc()
@@ -327,16 +290,14 @@ func (n *Node) fixNextFinger() {
 // at a ghost).
 func (n *Node) checkPredecessor() {
 	pred, _ := n.snapshot()
-	if pred.IsZero() || pred.ID == n.self.ID {
+	if pred.IsZero() || pred.ID == n.Self().ID {
 		return
 	}
-	if _, err := n.call(context.Background(), pred.Addr, methodPing, PingReq{}); err != nil {
-		if errors.Is(err, core.ErrTimeout) || errors.Is(err, core.ErrStopped) || errors.Is(err, core.ErrUnreachable) {
-			n.mu.Lock()
-			if n.pred.ID == pred.ID {
-				n.setPredLocked(dht.NodeRef{})
-			}
-			n.mu.Unlock()
+	if err := n.Ping(context.Background(), pred.Addr); dht.PeerDead(err) {
+		n.mu.Lock()
+		if n.pred.ID == pred.ID {
+			n.setPredLocked(dht.NodeRef{})
 		}
+		n.mu.Unlock()
 	}
 }

@@ -2,7 +2,6 @@ package chord
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -15,7 +14,6 @@ const (
 	methodFindStep = "chord.FindStep"
 	methodNotify   = "chord.Notify"
 	methodSuccCand = "chord.SuccCandidate"
-	methodPing     = "chord.Ping"
 	methodTransfer = "chord.Transfer"
 	methodAbsorb   = "chord.Absorb"
 	methodPredGone = "chord.PredLeaving"
@@ -62,12 +60,6 @@ type SuccCandidateReq struct{ Candidate dht.NodeRef }
 // SuccCandidateResp acknowledges a SuccCandidate.
 type SuccCandidateResp struct{}
 
-// PingReq probes liveness.
-type PingReq struct{}
-
-// PingResp acknowledges a ping.
-type PingResp struct{}
-
 // TransferReq is sent by a joiner to its successor-to-be: "I am your new
 // predecessor; hand over my arc".
 type TransferReq struct{ NewNode dht.NodeRef }
@@ -87,7 +79,7 @@ type TransferResp struct {
 }
 
 // WireSize charges the bulk payload against the bandwidth model.
-func (r TransferResp) WireSize() int { return bulkSize(r.Items) }
+func (r TransferResp) WireSize() int { return dht.BulkSize(r.Items) }
 
 // AbsorbReq pushes replicas and service state to the node that is (or is
 // becoming) responsible for them. It serves both graceful leaves and the
@@ -104,7 +96,7 @@ type AbsorbReq struct {
 }
 
 // WireSize charges the bulk payload against the bandwidth model.
-func (r AbsorbReq) WireSize() int { return bulkSize(r.Items) }
+func (r AbsorbReq) WireSize() int { return dht.BulkSize(r.Items) }
 
 // AbsorbResp acknowledges an Absorb.
 type AbsorbResp struct{}
@@ -119,93 +111,55 @@ type PredLeavingReq struct {
 // PredLeavingResp acknowledges a PredLeaving.
 type PredLeavingResp struct{}
 
-func bulkSize(items []dht.Item) int {
-	n := network.DefaultWireSize
-	for _, it := range items {
-		n += 40 + len(it.Qual) + len(it.Val.Data)
-	}
-	return n
-}
-
 func init() {
 	network.RegisterMessage(
 		StateReq{}, StateResp{},
 		FindStepReq{}, FindStepResp{},
 		NotifyReq{}, NotifyResp{},
 		SuccCandidateReq{}, SuccCandidateResp{},
-		PingReq{}, PingResp{},
 		TransferReq{}, TransferResp{},
 		AbsorbReq{}, AbsorbResp{},
 		PredLeavingReq{}, PredLeavingResp{},
-		map[string]network.Message{},
 	)
 }
 
 // registerHandlers wires the protocol onto the node's endpoint.
 func (n *Node) registerHandlers() {
-	n.ep.Handle(methodState, func(network.Addr, network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodState, func(network.Message) (network.Message, error) {
 		pred, succs := n.snapshot()
-		return StateResp{Self: n.self, Pred: pred, Succs: succs}, nil
+		return StateResp{Self: n.Self(), Pred: pred, Succs: succs}, nil
 	})
 
-	n.ep.Handle(methodFindStep, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodFindStep, func(req network.Message) (network.Message, error) {
 		r := req.(FindStepReq)
-		return n.findStep(r.Target, toSet(r.Exclude)), nil
+		return n.findStep(r.Target, dht.IDSet(r.Exclude)), nil
 	})
 
-	n.ep.Handle(methodPing, func(network.Addr, network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
-		return PingResp{}, nil
-	})
-
-	n.ep.Handle(methodNotify, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodNotify, func(req network.Message) (network.Message, error) {
 		n.notify(req.(NotifyReq).Candidate)
 		return NotifyResp{}, nil
 	})
 
-	n.ep.Handle(methodSuccCand, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodSuccCand, func(req network.Message) (network.Message, error) {
 		cand := req.(SuccCandidateReq).Candidate
 		n.mu.Lock()
-		if cand.ID.InOpenInterval(n.self.ID, n.succs[0].ID) {
+		if cand.ID.InOpenInterval(n.Self().ID, n.succs[0].ID) {
 			n.setSuccessorsLocked(append([]dht.NodeRef{cand}, n.succs...))
 		}
 		n.mu.Unlock()
 		return SuccCandidateResp{}, nil
 	})
 
-	n.ep.Handle(methodTransfer, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodTransfer, func(req network.Message) (network.Message, error) {
 		return n.handleTransfer(req.(TransferReq)), nil
 	})
 
-	n.ep.Handle(methodAbsorb, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodAbsorb, func(req network.Message) (network.Message, error) {
 		n.handleAbsorb(req.(AbsorbReq))
 		return AbsorbResp{}, nil
 	})
 
-	n.ep.Handle(methodPredGone, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodPredGone, func(req network.Message) (network.Message, error) {
 		r := req.(PredLeavingReq)
 		n.mu.Lock()
 		// Splice the departing successor out, falling back to its own
@@ -224,35 +178,24 @@ func (n *Node) registerHandlers() {
 	})
 }
 
-func toSet(ids []core.ID) map[core.ID]bool {
-	if len(ids) == 0 {
-		return nil
-	}
-	m := make(map[core.ID]bool, len(ids))
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
 // findStep implements one iterative lookup step (also used locally for
 // step zero, costing no message).
 func (n *Node) findStep(target core.ID, exclude map[core.ID]bool) FindStepResp {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// First successor the caller still believes alive.
-	succ := n.self
+	succ := n.Self()
 	for _, s := range n.succs {
 		if !exclude[s.ID] {
 			succ = s
 			break
 		}
 	}
-	if target.Between(n.self.ID, succ.ID) {
+	if target.Between(n.Self().ID, succ.ID) {
 		return FindStepResp{Done: true, Next: succ, Pred: n.pred}
 	}
 	next := n.closestPrecedingLocked(target, exclude)
-	if next.ID == n.self.ID {
+	if next.ID == n.Self().ID {
 		// Nothing better than ourselves: the successor is our best
 		// answer even though the interval check failed (converging ring).
 		return FindStepResp{Done: true, Next: succ, Pred: n.pred}
@@ -265,17 +208,18 @@ func (n *Node) findStep(target core.ID, exclude map[core.ID]bool) FindStepResp {
 // preceding target. A learned peer is only ever asked next: the walk
 // still ends on some peer's own successor pointer.
 func (n *Node) closestPrecedingLocked(target core.ID, exclude map[core.ID]bool) dht.NodeRef {
-	best := n.self
+	self := n.Self()
+	best := self
 	consider := func(r dht.NodeRef) {
-		if r.IsZero() || exclude[r.ID] || r.ID == n.self.ID {
+		if r.IsZero() || exclude[r.ID] || r.ID == self.ID {
 			return
 		}
-		if !r.ID.InOpenInterval(n.self.ID, target) {
+		if !r.ID.InOpenInterval(self.ID, target) {
 			return
 		}
 		// Closest = the one whose ID is farthest along toward target,
 		// i.e. best so far precedes it.
-		if best.ID == n.self.ID || r.ID.InOpenInterval(best.ID, target) {
+		if best.ID == self.ID || r.ID.InOpenInterval(best.ID, target) {
 			best = r
 		}
 	}
@@ -299,11 +243,11 @@ func (n *Node) closestPrecedingLocked(target core.ID, exclude map[core.ID]bool) 
 // counter handoff when the transfer path was missed).
 func (n *Node) notify(candidate dht.NodeRef) {
 	n.mu.Lock()
-	if candidate.ID == n.self.ID {
+	if candidate.ID == n.Self().ID {
 		n.mu.Unlock()
 		return
 	}
-	adopt := n.pred.IsZero() || candidate.ID.InOpenInterval(n.pred.ID, n.self.ID)
+	adopt := n.pred.IsZero() || candidate.ID.InOpenInterval(n.pred.ID, n.Self().ID)
 	if !adopt {
 		n.mu.Unlock()
 		return
@@ -314,7 +258,7 @@ func (n *Node) notify(candidate dht.NodeRef) {
 
 	ceded := func(id core.ID) bool {
 		if oldPred.IsZero() {
-			return !id.Between(candidate.ID, n.self.ID)
+			return !id.Between(candidate.ID, n.Self().ID)
 		}
 		return id.Between(oldPred.ID, candidate.ID)
 	}
@@ -328,7 +272,7 @@ func (n *Node) handleTransfer(req TransferReq) TransferResp {
 	oldPred := n.pred
 	joiner := req.NewNode
 	// Adopt the joiner as predecessor if it is closer (or we had none).
-	if n.pred.IsZero() || joiner.ID.InOpenInterval(n.pred.ID, n.self.ID) {
+	if n.pred.IsZero() || joiner.ID.InOpenInterval(n.pred.ID, n.Self().ID) {
 		n.setPredLocked(joiner)
 	}
 	// Snapshot the list for the joiner before considering the joiner
@@ -338,7 +282,7 @@ func (n *Node) handleTransfer(req TransferReq) TransferResp {
 	copy(succs, n.succs)
 	// A joiner is also a successor candidate: essential when this node
 	// still believes it is its own successor (ring bootstrap).
-	if n.succs[0].ID == n.self.ID || joiner.ID.InOpenInterval(n.self.ID, n.succs[0].ID) {
+	if n.succs[0].ID == n.Self().ID || joiner.ID.InOpenInterval(n.Self().ID, n.succs[0].ID) {
 		n.setSuccessorsLocked(append([]dht.NodeRef{joiner}, n.succs...))
 	}
 	fingers := make([]dht.NodeRef, M)
@@ -347,20 +291,16 @@ func (n *Node) handleTransfer(req TransferReq) TransferResp {
 
 	ceded := func(id core.ID) bool {
 		if oldPred.IsZero() {
-			return !id.Between(joiner.ID, n.self.ID)
+			return !id.Between(joiner.ID, n.Self().ID)
 		}
 		return id.Between(oldPred.ID, joiner.ID)
 	}
-	var items []dht.Item
-	if !n.cfg.NoDataHandoff {
-		items = n.store.CollectIf(ceded, true)
-	}
-	services := n.collectServices(ceded)
+	items, services := n.Cede(ceded)
 	return TransferResp{
 		Items:    items,
 		Services: services,
 		Pred:     oldPred,
-		Succs:    append([]dht.NodeRef{n.self}, succs...),
+		Succs:    append([]dht.NodeRef{n.Self()}, succs...),
 		Fingers:  fingers,
 	}
 }
@@ -368,8 +308,7 @@ func (n *Node) handleTransfer(req TransferReq) TransferResp {
 // handleAbsorb installs pushed state; on a departure it also repairs the
 // predecessor pointer.
 func (n *Node) handleAbsorb(req AbsorbReq) {
-	n.store.Absorb(req.Items)
-	n.acceptServices(req.Services)
+	n.Absorb(req.Items, req.Services)
 	if req.Departing {
 		n.mu.Lock()
 		if !n.pred.IsZero() && n.pred.ID == req.From.ID {
@@ -387,58 +326,17 @@ func (n *Node) handleAbsorb(req AbsorbReq) {
 	}
 }
 
-// collectServices gathers handover payloads for the ceded range.
-func (n *Node) collectServices(ceded func(core.ID) bool) map[string]network.Message {
-	n.mu.Lock()
-	hooks := make([]dht.Handover, len(n.handover))
-	copy(hooks, n.handover)
-	n.mu.Unlock()
-	var out map[string]network.Message
-	for _, h := range hooks {
-		if msg := h.Collect(ceded); msg != nil {
-			if out == nil {
-				out = make(map[string]network.Message)
-			}
-			out[h.Name()] = msg
-		}
-	}
-	return out
-}
-
-// acceptServices routes handover payloads to local services.
-func (n *Node) acceptServices(payloads map[string]network.Message) {
-	if len(payloads) == 0 {
-		return
-	}
-	n.mu.Lock()
-	hooks := make([]dht.Handover, len(n.handover))
-	copy(hooks, n.handover)
-	n.mu.Unlock()
-	for _, h := range hooks {
-		if msg, ok := payloads[h.Name()]; ok {
-			h.Accept(msg)
-		}
-	}
-}
-
 // pushState asynchronously sends replicas and service state for a ceded
 // arc to its new responsible.
 func (n *Node) pushState(to dht.NodeRef, ceded func(core.ID) bool, departing bool, newPred dht.NodeRef) {
-	var items []dht.Item
-	if !n.cfg.NoDataHandoff {
-		items = n.store.CollectIf(ceded, true)
-	}
-	services := n.collectServices(ceded)
+	items, services := n.Cede(ceded)
 	if len(items) == 0 && len(services) == 0 && !departing {
 		return
 	}
-	req := AbsorbReq{From: n.self, Items: items, Services: services, Departing: departing, NewPred: newPred}
-	n.env.Go(func() {
-		if _, err := n.call(context.Background(), to.Addr, methodAbsorb, req); err != nil {
-			// The new responsible is unreachable; nothing to do — the
-			// state is lost exactly as if this node had crashed, and the
-			// indirect algorithm will recover counters.
-			_ = fmt.Sprintf("absorb push to %s failed: %v", to.Addr, err)
-		}
+	req := AbsorbReq{From: n.Self(), Items: items, Services: services, Departing: departing, NewPred: newPred}
+	n.Env().Go(func() {
+		// An unreachable new responsible loses the state exactly as if
+		// this node had crashed; the indirect algorithm recovers counters.
+		n.Call(context.Background(), to.Addr, methodAbsorb, req)
 	})
 }

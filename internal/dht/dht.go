@@ -1,8 +1,10 @@
-// Package dht holds what the two DHT substrates (chord, can) share and
-// what the services (kts, ums, brk) consume: node references, the
-// namespaced replica store each peer hosts, the put/get wire protocol,
-// and the Ring interface that abstracts "find the peer responsible for a
-// ring position".
+// Package dht holds what the three DHT substrates (chord, can, onehop)
+// share and what the services (kts, ums, brk) consume: node references,
+// the namespaced replica store each peer hosts, the put/get wire
+// protocol, the Ring interface that abstracts "find the peer responsible
+// for a ring position", and Member, the membership kit every substrate
+// node embeds (liveness, service handover, RPC plumbing, maintenance
+// loops), so a substrate is its routing geometry and nothing else.
 //
 // In the paper's terms (§2.1): Ring.Lookup implements the DHT's lookup
 // service locating rsp(k, h); the Client's PutH and GetH are the puth and
@@ -50,7 +52,7 @@ type Handover interface {
 }
 
 // HandoverRegistrar is implemented by substrates that support service
-// state handover (both chord.Node and can.Node do).
+// state handover: every one, through Member.
 type HandoverRegistrar interface {
 	RegisterHandover(Handover)
 }

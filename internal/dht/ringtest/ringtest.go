@@ -3,13 +3,16 @@
 // can's d-dimensional zones, onehop's full-table event propagation, or
 // a future substrate — plugs in through a Factory and gets the same
 // sweep: ownership correctness against ground truth, hop-count bounds,
-// lookup liveness under churn, and post-heal re-merge via Nudge. The
+// lookup liveness under churn, service state following the arc across
+// joins and leaves, stopped peers refusing traffic, and post-heal
+// re-merge via Nudge. The
 // suite runs on the deterministic simulation kernel, so a failure
 // replays bit-identically from its seed.
 package ringtest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -62,6 +65,12 @@ func Run(t *testing.T, f Factory) {
 	t.Run("HeldSinceOnDefault", func(t *testing.T) { testHeldSinceOnDefault(t, f) })
 	for _, ev := range []string{"join", "leave", "crash"} {
 		t.Run("HeldSinceMoves/"+ev, func(t *testing.T) { testHeldSinceMoves(t, f, ev) })
+	}
+	for _, ev := range []string{"join", "leave"} {
+		t.Run("HandoverFollowsArc/"+ev, func(t *testing.T) { testHandoverFollowsArc(t, f, ev) })
+	}
+	for _, ev := range []string{"leave", "crash"} {
+		t.Run("StoppedPeerRefuses/"+ev, func(t *testing.T) { testStoppedPeerRefuses(t, f, ev) })
 	}
 	if f.LearnsArcs {
 		t.Run("LearnedGuessAgreesWithLookup", func(t *testing.T) { testGuessAgreesWithLookup(t, f, dht.GuessLearned) })
@@ -476,6 +485,174 @@ func testHeldSinceMoves(t *testing.T, f Factory, event string) {
 			t.Errorf("%s's arc did not change, but HeldSince moved from %v to %v", id, before[id], got)
 		}
 	}
+}
+
+// arcState is a service's state as a dht.Handover sees it: the ring
+// positions it holds, and how many payloads it has accepted.
+type arcState struct {
+	held    map[core.ID]bool
+	accepts int
+}
+
+func (s *arcState) Name() string { return "ringtest" }
+
+func (s *arcState) Collect(ceded func(core.ID) bool) network.Message {
+	var out []core.ID
+	for id := range s.held {
+		if ceded(id) {
+			out = append(out, id)
+			delete(s.held, id)
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+func (s *arcState) Accept(msg network.Message) {
+	s.accepts++
+	for _, id := range msg.([]core.ID) {
+		s.held[id] = true
+	}
+}
+
+// testHandoverFollowsArc gives every node of a converged overlay a
+// service holding state for 2000 positions, each on its owner, plays a
+// join or a graceful leave, and checks that the state followed the arc:
+// a joiner accepts the positions it took over in exactly one payload and
+// the peer that ceded them keeps none; the heir of a leaver accepts all
+// the leaver held. Afterwards every position is held by exactly its
+// owner.
+func testHandoverFollowsArc(t *testing.T, f Factory, event string) {
+	const peers = 12
+	c := newCluster(t, f, 909, peers)
+	states := map[core.ID]*arcState{}
+	attach := func(n dht.RingNode) *arcState {
+		s := &arcState{held: map[core.ID]bool{}}
+		n.RegisterHandover(s)
+		states[n.Self().ID] = s
+		return s
+	}
+	for _, n := range c.nodes {
+		attach(n)
+	}
+	c.startAll()
+	c.settle(time.Second)
+	rng := c.k.NewRand("handover-" + event)
+	positions := make([]core.ID, 2000)
+	for i := range positions {
+		positions[i] = core.ID(rng.Uint64())
+		states[c.owner(positions[i]).Self().ID].held[positions[i]] = true
+	}
+	switch event {
+	case "join":
+		joiner := c.newNode()
+		mine := attach(joiner)
+		ceder := states[c.owner(joiner.Self().ID).Self().ID]
+		c.do(func() {
+			if err := joiner.Join(c.nodes[0].Self().Addr); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+		})
+		joiner.Start()
+		c.nodes = append(c.nodes, joiner)
+		c.settle(3 * time.Second)
+		if len(mine.held) == 0 {
+			t.Fatalf("the joiner took over none of %d held positions", len(positions))
+		}
+		if mine.accepts != 1 {
+			t.Errorf("the joiner accepted %d payloads, want exactly 1", mine.accepts)
+		}
+		for id := range mine.held {
+			if ceder.held[id] {
+				t.Errorf("position %s went to the joiner but the ceder still holds it", id)
+			}
+		}
+	case "leave":
+		leaver := c.nodes[1+rng.Intn(peers-1)]
+		gone := states[leaver.Self().ID]
+		owned := len(gone.held)
+		if owned == 0 {
+			t.Fatalf("the leaver holds none of %d positions", len(positions))
+		}
+		c.do(func() {
+			if err := leaver.Leave(); err != nil {
+				t.Errorf("leave: %v", err)
+			}
+		})
+		c.net.Kill(leaver.Self().Addr)
+		c.settle(3 * time.Second)
+		if len(gone.held) != 0 {
+			t.Errorf("the leaver still holds %d positions", len(gone.held))
+		}
+		heirs := 0
+		for _, n := range c.alive() {
+			if s := states[n.Self().ID]; s.accepts > 0 {
+				heirs++
+				if s.accepts != 1 || len(s.held) < owned {
+					t.Errorf("heir %s accepted %d payloads and holds %d positions, want 1 payload and all %d of the leaver's",
+						n.Self().ID, s.accepts, len(s.held), owned)
+				}
+			}
+		}
+		if heirs != 1 {
+			t.Errorf("%d peers accepted the leaver's state, want one heir", heirs)
+		}
+	}
+	for _, id := range positions {
+		own := c.owner(id)
+		for _, n := range c.alive() {
+			if held := states[n.Self().ID].held[id]; held != (n == own) {
+				t.Fatalf("position %s: held by %s = %v, but %s owns it", id, n.Self().ID, held, own.Self().ID)
+			}
+		}
+	}
+}
+
+// testStoppedPeerRefuses stops one peer of a converged overlay, by a
+// graceful leave or a crash, and leaves its endpoint up, so whatever
+// refuses is the node and not the network: its own Lookup returns
+// core.ErrStopped, a peer's Get for a position it held is answered with
+// a refusal, and so is a Ping.
+func testStoppedPeerRefuses(t *testing.T, f Factory, event string) {
+	const peers = 8
+	c := newCluster(t, f, 1010, peers)
+	c.startAll()
+	c.settle(time.Second)
+	rng := c.k.NewRand("stopped-" + event)
+	subject, asker := c.nodes[3], c.nodes[0]
+	var pos core.ID
+	for pos = core.ID(rng.Uint64()); !subject.OwnsID(pos); pos = core.ID(rng.Uint64()) {
+	}
+	subject.Store().Put(pos, "q", core.Value{Data: []byte("v"), TS: core.TS(1)}, dht.PutOverwrite)
+	switch event {
+	case "leave":
+		c.do(func() {
+			if err := subject.Leave(); err != nil {
+				t.Errorf("leave: %v", err)
+			}
+		})
+	case "crash":
+		subject.Crash()
+	}
+	if subject.Alive() {
+		t.Fatalf("the peer is alive after its %s", event)
+	}
+	to := subject.Self().Addr
+	c.do(func() {
+		ctx := context.Background()
+		if _, _, err := subject.Lookup(ctx, pos); !errors.Is(err, core.ErrStopped) {
+			t.Errorf("the stopped peer's own lookup: %v, want %v", err, core.ErrStopped)
+		}
+		_, err := asker.Endpoint().Invoke(ctx, to, dht.MethodGet, dht.GetReq{RingID: pos, Qual: "q"}, network.Call{Timeout: rpcTimeout})
+		if err == nil || errors.Is(err, core.ErrTimeout) {
+			t.Errorf("a get sent to the stopped peer: %v, want a refusal", err)
+		}
+		if _, err := asker.Endpoint().Invoke(ctx, to, dht.MethodPing, dht.PingReq{}, network.Call{Timeout: rpcTimeout}); !errors.Is(err, core.ErrStopped) {
+			t.Errorf("a ping sent to the stopped peer: %v, want %v", err, core.ErrStopped)
+		}
+	})
 }
 
 // testGuessAgreesWithLookup checks the zero-message guess on a converged

@@ -10,8 +10,8 @@ import (
 )
 
 // LocalStore is the replica store a peer hosts: (ring position,
-// qualifier) → stamped value. Both DHT substrates embed one and move its
-// contents during responsibility handovers.
+// qualifier) → stamped value. Every substrate's Member holds one and
+// moves its contents during responsibility handovers.
 //
 // Since the durability subsystem landed, LocalStore is a thin
 // concurrency and handover layer over a pluggable store.Store backing:

@@ -176,7 +176,7 @@ type Gateway struct {
 	env      network.Env
 	backends []Backend
 	bal      *balancer
-	cache    *tsCache
+	cache    dht.LastTSCache // the KTS peer cache's semantics, one tier up
 	metrics  gwMetrics
 	perBE    []beMetrics
 
@@ -197,7 +197,6 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 		env:      cfg.Env,
 		backends: backends,
 		bal:      newBalancer(len(backends), cfg.Env.Now, cfg.CooldownAfter, cfg.Cooldown),
-		cache:    newTSCache(cfg.Env.Now),
 		metrics:  newGWMetrics(cfg.Obs),
 		flights:  make(map[flightKey]*flight),
 	}
@@ -223,7 +222,7 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 func (g *Gateway) Backends() int { return len(g.backends) }
 
 // CacheLen reports the number of keys in the gateway last-ts cache.
-func (g *Gateway) CacheLen() int { return g.cache.len() }
+func (g *Gateway) CacheLen() int { return g.cache.Len() }
 
 // Stats returns a snapshot of the gateway's cumulative counters.
 func (g *Gateway) Stats() Stats {
@@ -247,7 +246,7 @@ func (g *Gateway) Insert(ctx context.Context, k core.Key, data []byte) (dht.OpRe
 		return b.Insert(ctx, k, data)
 	})
 	if err == nil {
-		g.cache.note(k, res.TS)
+		g.cache.Note(k, res.TS, g.env.Now())
 	}
 	return res, err
 }
@@ -265,7 +264,7 @@ func (g *Gateway) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) 
 	var cfloor core.Timestamp
 	var age time.Duration
 	if pol.Level == dht.LevelBounded && !pol.FloorFirst {
-		ts, a, ok := g.cache.cached(k)
+		ts, a, ok := g.cache.Get(k, g.env.Now)
 		if ok && a <= pol.Bound {
 			g.metrics.cacheHits.Inc()
 			g.metrics.cacheAge.Observe(a)
@@ -298,7 +297,7 @@ func (g *Gateway) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) 
 		// A proven result's floor is the authoritative last_ts target:
 		// safe to cache. Weaker verdicts are not authoritative and
 		// must not feed the cache.
-		g.cache.note(k, res.Floor)
+		g.cache.Note(k, res.Floor, g.env.Now())
 	}
 	return res, err
 }
@@ -312,12 +311,12 @@ func (g *Gateway) LastTS(ctx context.Context, k core.Key, pol dht.ReadPolicy) (c
 	if !pol.FloorFirst {
 		switch pol.Level {
 		case dht.LevelEventual:
-			if ts, a, ok := g.cache.cached(k); ok {
+			if ts, a, ok := g.cache.Get(k, g.env.Now); ok {
 				g.serveLastTSFromCache(a)
 				return ts.Max(pol.Floor), nil
 			}
 		case dht.LevelBounded:
-			if ts, a, ok := g.cache.cached(k); ok && a <= pol.Bound {
+			if ts, a, ok := g.cache.Get(k, g.env.Now); ok && a <= pol.Bound {
 				g.serveLastTSFromCache(a)
 				return ts.Max(pol.Floor), nil
 			}
@@ -330,7 +329,7 @@ func (g *Gateway) LastTS(ctx context.Context, k core.Key, pol dht.ReadPolicy) (c
 		return dht.OpResult{}, berr
 	})
 	if err == nil {
-		g.cache.note(k, ts)
+		g.cache.Note(k, ts, g.env.Now())
 	}
 	return ts, err
 }

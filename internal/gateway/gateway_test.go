@@ -186,31 +186,59 @@ func TestBalancerAllCoolingStillServes(t *testing.T) {
 
 // ---- cache --------------------------------------------------------------
 
-func TestTSCacheSemantics(t *testing.T) {
-	now := time.Duration(0)
-	c := newTSCache(func() time.Duration { return now })
-	k := core.Key("k")
+// hookEnv runs hook, once, the next time its clock is read, and returns
+// the time read before the hook ran: the clock read of one activity with
+// another's work landing right behind it.
+type hookEnv struct {
+	network.Env
+	hook func()
+}
 
-	c.note(k, core.TSZero) // ignored
-	if _, _, ok := c.cached(k); ok {
-		t.Fatalf("zero timestamp was cached")
+func (e *hookEnv) Now() time.Duration {
+	now := e.Env.Now()
+	if h := e.hook; h != nil {
+		e.hook = nil
+		h()
 	}
-	c.note(k, core.TS(5))
-	now = 10 * time.Millisecond
-	c.note(k, core.TS(3)) // older: ignored
-	ts, age, ok := c.cached(k)
-	if !ok || ts != core.TS(5) || age != 10*time.Millisecond {
-		t.Fatalf("cached = %v age %v ok %v, want ts 5 age 10ms", ts, age, ok)
-	}
-	c.note(k, core.TS(5)) // equal: refreshes age
-	ts, age, _ = c.cached(k)
-	if ts != core.TS(5) || age != 0 {
-		t.Fatalf("equal-ts re-confirm: ts %v age %v, want ts 5 age 0", ts, age)
-	}
-	c.note(k, core.TS(9)) // newer wins
-	if ts, _, _ := c.cached(k); ts != core.TS(9) {
-		t.Fatalf("newer ts lost: %v", ts)
-	}
+	return now
+}
+
+// TestBoundedFloorAgeNeverNegative: a write that lands in the cache
+// between a bounded read's clock read and its cache lookup must not
+// leave the read with a floor younger than its clock — a negative
+// FloorAge. The clock notes a newer write the moment the read consults
+// it; the read keeps the entry it found and ages it from a clock read
+// after the lookup.
+func TestBoundedFloorAgeNeverNegative(t *testing.T) {
+	runSim(7, func(env network.Env) {
+		he := &hookEnv{Env: env}
+		g, _ := newSimGateway(he, 1, 20)
+		ctx := context.Background()
+		if _, err := g.Insert(ctx, "k", []byte("v1")); err != nil {
+			t.Errorf("insert: %v", err)
+			return
+		}
+		env.Sleep(100 * time.Millisecond)
+		he.hook = func() {
+			if _, err := g.Insert(ctx, "k", []byte("v2")); err != nil {
+				t.Errorf("racing insert: %v", err)
+			}
+		}
+		res, err := g.Retrieve(ctx, "k", dht.ReadPolicy{Level: dht.LevelBounded, Bound: time.Second})
+		if err != nil {
+			t.Errorf("bounded read: %v", err)
+			return
+		}
+		if res.Currency != dht.CurrencyWithinBound {
+			t.Errorf("currency %v, want the cache-served %v", res.Currency, dht.CurrencyWithinBound)
+		}
+		if res.FloorAge < 0 {
+			t.Errorf("FloorAge = %v: the floor is younger than the clock it was aged against", res.FloorAge)
+		}
+		if g.CacheLen() != 1 {
+			t.Errorf("CacheLen = %d, want 1", g.CacheLen())
+		}
+	})
 }
 
 // ---- coalescing ---------------------------------------------------------
@@ -390,7 +418,7 @@ func TestBoundedServedFromGatewayCache(t *testing.T) {
 		if res.Currency != dht.CurrencyProven {
 			t.Errorf("authoritative re-read currency = %v", res.Currency)
 		}
-		if _, _, ok := g.cache.cached("k"); !ok {
+		if _, _, ok := g.cache.Get("k", env.Now); !ok {
 			t.Errorf("proven read did not re-prime the cache")
 		}
 	})

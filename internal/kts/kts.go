@@ -241,7 +241,7 @@ type Service struct {
 	// whose age is within its bound, with no KTS round trip. It keeps
 	// its own striped locks, decoupled from mu, so hot bounded reads
 	// never contend with the server-side counter work.
-	cache lastTSCache
+	cache dht.LastTSCache
 
 	onRepair RepairFunc
 
@@ -252,65 +252,6 @@ type Service struct {
 	cacheHits      atomic.Uint64
 
 	metrics ktsMetrics
-}
-
-// lastTSCache is the client-side last-ts cache, striped by key hash:
-// concurrent drivers consulting or refreshing floors for different keys
-// proceed in parallel instead of serializing on the service mutex.
-type lastTSCache struct {
-	stripes [cacheStripes]cacheShard
-}
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[core.Key]cacheEntry
-}
-
-// cacheStripes is the cache's lock fan-out (a power of two).
-const cacheStripes = 16
-
-// shardOf picks a key's stripe by FNV-1a, independent of the ring
-// hashes so cache contention does not correlate with replica placement.
-func (c *lastTSCache) shardOf(k core.Key) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(k); i++ {
-		h ^= uint32(k[i])
-		h *= 16777619
-	}
-	return &c.stripes[h&(cacheStripes-1)]
-}
-
-// get returns the entry for k, if any.
-func (c *lastTSCache) get(k core.Key) (cacheEntry, bool) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	e, ok := s.m[k]
-	s.mu.Unlock()
-	return e, ok
-}
-
-// note records an observation; newer timestamps win, equal ones refresh
-// the age. Each stripe holds its share of the global cap.
-func (c *lastTSCache) note(k core.Key, ts core.Timestamp, at time.Duration) {
-	s := c.shardOf(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[core.Key]cacheEntry)
-	}
-	if e, ok := s.m[k]; ok {
-		if ts.Less(e.ts) {
-			return
-		}
-	} else if len(s.m) >= cacheCap/cacheStripes {
-		// Only a genuinely new key can grow the stripe past its cap;
-		// overwriting an existing entry never evicts a warm floor.
-		for victim := range s.m {
-			delete(s.m, victim)
-			break
-		}
-	}
-	s.m[k] = cacheEntry{ts: ts, at: at}
 }
 
 // ktsMetrics export the timestamping-side of the currency/cost trade:
@@ -354,17 +295,6 @@ func newKTSMetrics(r *obs.Registry) ktsMetrics {
 			"Client-side last_ts requests issued against the KTS tier."),
 	}
 }
-
-// cacheEntry is one observed last-ts with its observation time.
-type cacheEntry struct {
-	ts core.Timestamp
-	at time.Duration
-}
-
-// cacheCap bounds the last-ts cache. Eviction order is arbitrary, so
-// the cap is set far above any simulated working set — determinism is
-// only at risk for clients tracking more than 64k hot keys per peer.
-const cacheCap = 1 << 16
 
 // New attaches a KTS service to a peer. replicaNS names the namespace in
 // which UMS stores stamped replicas (indirect initialization reads it).
@@ -467,18 +397,15 @@ func (s *Service) Stats() (generated, indirectInits, directArrivals uint64) {
 // age is acceptable (bounded-staleness reads compare it to their
 // bound); a successful consult counts as a cache hit.
 func (s *Service) Cached(k core.Key) (ts core.Timestamp, age time.Duration, ok bool) {
-	e, ok := s.cache.get(k)
+	ts, age, ok = s.cache.Get(k, s.ring.Env().Now)
 	if !ok {
 		s.metrics.cacheMisses.Inc()
 		return core.TSZero, 0, false
 	}
 	s.cacheHits.Add(1)
-	// Read the clock after the entry, not before: an entry stamped by a
-	// concurrent noteLastTS between the two would show a negative age.
-	age = max(0, s.ring.Env().Now()-e.at)
 	s.metrics.cacheHits.Inc()
 	s.metrics.cacheAge.Observe(age)
-	return e.ts, age, true
+	return ts, age, true
 }
 
 // CacheHits reports how many Cached consults found an entry.
@@ -490,10 +417,7 @@ func (s *Service) CacheHits() uint64 {
 // environment time. Newer observations win; an equal timestamp
 // refreshes the entry's age (the authority re-confirmed it).
 func (s *Service) noteLastTS(k core.Key, ts core.Timestamp) {
-	if ts.IsZero() {
-		return
-	}
-	s.cache.note(k, ts, s.ring.Env().Now())
+	s.cache.Note(k, ts, s.ring.Env().Now())
 }
 
 // ---- client-side operations -------------------------------------------

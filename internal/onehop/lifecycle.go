@@ -1,8 +1,6 @@
 package onehop
 
 import (
-	"time"
-
 	"context"
 	"fmt"
 
@@ -18,7 +16,7 @@ import (
 // every steady member resolves our arc to us in one hop.
 func (n *Node) Join(bootstrap network.Addr) error {
 	ctx := context.Background()
-	raw, err := n.call(ctx, bootstrap, methodTable, TableReq{})
+	raw, err := n.Call(ctx, bootstrap, methodTable, TableReq{})
 	if err != nil {
 		return fmt.Errorf("onehop: join via %s: %w", bootstrap, err)
 	}
@@ -26,18 +24,18 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	for _, ref := range raw.(TableResp).Table {
 		n.insertLocked(ref)
 	}
-	skip := map[core.ID]bool{n.self.ID: true}
-	succ, ok := n.successorOfLocked(n.self.ID, skip)
+	skip := map[core.ID]bool{n.Self().ID: true}
+	succ, ok := n.successorOfLocked(n.Self().ID, skip)
 	n.mu.Unlock()
 	if !ok {
 		// Bootstrap knew nobody else; we and it are the ring now.
-		n.broadcast(EventReq{From: n.self, Joins: []dht.NodeRef{n.self}})
+		n.broadcast(EventReq{From: n.Self(), Joins: []dht.NodeRef{n.Self()}})
 		return nil
 	}
-	if succ.ID == n.self.ID {
+	if succ.ID == n.Self().ID {
 		return fmt.Errorf("onehop: id collision on join: %w", core.ErrUnreachable)
 	}
-	raw, err = n.call(ctx, succ.Addr, methodJoin, JoinReq{NewNode: n.self})
+	raw, err = n.Call(ctx, succ.Addr, methodJoin, JoinReq{NewNode: n.Self()})
 	if err != nil {
 		return fmt.Errorf("onehop: join transfer from %s: %w", succ.Addr, err)
 	}
@@ -47,9 +45,8 @@ func (n *Node) Join(bootstrap network.Addr) error {
 		n.insertLocked(ref)
 	}
 	n.mu.Unlock()
-	n.store.Absorb(tr.Items)
-	n.acceptServices(tr.Services)
-	n.broadcast(EventReq{From: n.self, Joins: []dht.NodeRef{n.self}})
+	n.Absorb(tr.Items, tr.Services)
+	n.broadcast(EventReq{From: n.Self(), Joins: []dht.NodeRef{n.Self()}})
 	return nil
 }
 
@@ -67,15 +64,11 @@ func (n *Node) handleJoin(r JoinReq) JoinResp {
 
 	ceded := func(id core.ID) bool {
 		if !hadPred {
-			return !id.Between(joiner.ID, n.self.ID)
+			return !id.Between(joiner.ID, n.Self().ID)
 		}
 		return id.Between(oldPred.ID, joiner.ID)
 	}
-	var items []dht.Item
-	if !n.cfg.NoDataHandoff {
-		items = n.store.CollectIf(ceded, true)
-	}
-	services := n.collectServices(ceded)
+	items, services := n.Cede(ceded)
 	return JoinResp{Items: items, Services: services, Table: table}
 }
 
@@ -84,28 +77,21 @@ func (n *Node) handleJoin(r JoinReq) JoinResp {
 // member drops us in one event. O(1) bulk transfer plus the O(n)
 // event fan-out that is the price of one-hop lookups.
 func (n *Node) Leave() error {
-	n.mu.Lock()
-	if !n.alive {
-		n.mu.Unlock()
+	if !n.Stop() {
 		return core.ErrStopped
 	}
-	n.alive = false // stop accepting protocol traffic
-	skip := map[core.ID]bool{n.self.ID: true}
-	succ, hasSucc := n.successorOfLocked(n.self.ID+1, skip)
+	n.mu.Lock()
+	skip := map[core.ID]bool{n.Self().ID: true}
+	succ, hasSucc := n.successorOfLocked(n.Self().ID+1, skip)
 	table := make([]dht.NodeRef, len(n.table))
 	copy(table, n.table)
 	n.mu.Unlock()
 
 	var firstErr error
-	if hasSucc && succ.ID != n.self.ID {
-		everything := func(core.ID) bool { return true }
-		var items []dht.Item
-		if !n.cfg.NoDataHandoff {
-			items = n.store.CollectIf(everything, true)
-		}
-		services := n.collectServices(everything)
-		req := BulkReq{From: n.self, Items: items, Services: services}
-		if _, err := n.call(context.Background(), succ.Addr, methodBulk, req); err != nil {
+	if hasSucc && succ.ID != n.Self().ID {
+		items, services := n.Cede(func(core.ID) bool { return true })
+		req := BulkReq{From: n.Self(), Items: items, Services: services}
+		if _, err := n.Call(context.Background(), succ.Addr, methodBulk, req); err != nil {
 			firstErr = fmt.Errorf("onehop: leave handoff to %s: %w", succ.Addr, err)
 		}
 	}
@@ -114,16 +100,16 @@ func (n *Node) Leave() error {
 	// handling SIGTERM) exits right after, and fire-and-forget sends
 	// die with it — leaving every table pointing at a dead member
 	// until the crash detector gets around to it.
-	ev := EventReq{From: n.self, Leaves: []core.ID{n.self.ID}}
+	ev := EventReq{From: n.Self(), Leaves: []core.ID{n.Self().ID}}
 	others := make([]dht.NodeRef, 0, len(table))
 	for _, ref := range table {
-		if ref.ID != n.self.ID {
+		if ref.ID != n.Self().ID {
 			others = append(others, ref)
 		}
 	}
-	n.env.Join(len(others), func(i int) {
+	n.Env().Join(len(others), func(i int) {
 		n.metrics.eventsSent.Inc()
-		n.call(context.Background(), others[i].Addr, methodEvent, ev)
+		n.Call(context.Background(), others[i].Addr, methodEvent, ev)
 	})
 	return firstErr
 }
@@ -136,27 +122,9 @@ func (n *Node) Leave() error {
 // message per node per period while still guaranteeing every crash has
 // exactly one detector (its successor).
 func (n *Node) Start() {
-	n.mu.Lock()
-	if n.started || !n.alive {
-		n.mu.Unlock()
-		return
+	if n.Starting() {
+		n.Every("onehop-ping", n.cfg.PingEvery, n.checkPredecessor)
 	}
-	n.started = true
-	n.mu.Unlock()
-
-	rng := n.env.Rand("onehop-ping:" + string(n.self.Addr))
-	n.env.Go(func() {
-		for n.Alive() {
-			jitter := time.Duration(rng.Int63n(int64(n.cfg.PingEvery)/4 + 1))
-			if err := n.env.Sleep(n.cfg.PingEvery + jitter); err != nil {
-				return
-			}
-			if !n.Alive() {
-				return
-			}
-			n.checkPredecessor()
-		}
-	})
 }
 
 // checkPredecessor probes the table predecessor and broadcasts its
@@ -166,11 +134,11 @@ func (n *Node) checkPredecessor() {
 	if pred.IsZero() {
 		return
 	}
-	if _, err := n.call(context.Background(), pred.Addr, methodPing, PingReq{}); err == nil {
+	if err := n.Ping(context.Background(), pred.Addr); err == nil {
 		return
 	}
 	n.evict(pred.ID)
-	n.broadcast(EventReq{From: n.self, Leaves: []core.ID{pred.ID}})
+	n.broadcast(EventReq{From: n.Self(), Leaves: []core.ID{pred.ID}})
 }
 
 // Nudge re-introduces this node to the overlay reachable through
@@ -184,7 +152,7 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 	if !n.Alive() {
 		return core.ErrStopped
 	}
-	raw, err := n.call(context.Background(), bootstrap, methodTable, TableReq{})
+	raw, err := n.Call(context.Background(), bootstrap, methodTable, TableReq{})
 	if err != nil {
 		return fmt.Errorf("onehop: nudge via %s: %w", bootstrap, err)
 	}
@@ -193,7 +161,7 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 		n.insertLocked(ref)
 	}
 	n.mu.Unlock()
-	n.broadcast(EventReq{From: n.self, Joins: []dht.NodeRef{n.self}})
+	n.broadcast(EventReq{From: n.Self(), Joins: []dht.NodeRef{n.Self()}})
 	return nil
 }
 
@@ -202,13 +170,13 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 // timeout.
 func (n *Node) broadcast(ev EventReq) {
 	for _, ref := range n.Table() {
-		if ref.ID == n.self.ID {
+		if ref.ID == n.Self().ID {
 			continue
 		}
 		n.metrics.eventsSent.Inc()
 		to := ref.Addr
-		n.env.Go(func() {
-			n.call(context.Background(), to, methodEvent, ev)
+		n.Env().Go(func() {
+			n.Call(context.Background(), to, methodEvent, ev)
 		})
 	}
 }

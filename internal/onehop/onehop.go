@@ -33,7 +33,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/store"
 )
 
 // Config tunes a one-hop node.
@@ -44,14 +43,9 @@ type Config struct {
 	// PingEvery is the period of the predecessor liveness check that
 	// turns silent crashes into broadcast leave events. Zero selects 30s.
 	PingEvery time.Duration
-	// NoDataHandoff keeps replicas on the old responsible across
-	// membership changes — the paper's data model, where a joiner
-	// starts empty and republish/repair restore reachability.
-	NoDataHandoff bool
-	// Store selects the replica-store backing; nil means volatile memory.
-	Store store.Store
-	// Obs receives routing and maintenance metrics when non-nil.
-	Obs *obs.Registry
+	// MemberConfig holds the handoff model, the store backing and the
+	// metrics registry.
+	dht.MemberConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -71,19 +65,13 @@ const maxForward = 8
 
 // Node is one one-hop peer.
 type Node struct {
-	env   network.Env
-	ep    network.Endpoint
-	cfg   Config
-	self  dht.NodeRef
-	store *dht.LocalStore
+	*dht.Member
+	cfg Config
 
 	mu       sync.Mutex
 	table    []dht.NodeRef // sorted by ID, always contains self
 	heldPred core.ID       // the table predecessor's ID (self's when alone)
 	held     time.Duration // Env time heldPred last changed
-	alive    bool
-	started  bool
-	handover []dht.Handover
 
 	metrics oneHopMetrics
 }
@@ -122,23 +110,11 @@ func newOneHopMetrics(r *obs.Registry) oneHopMetrics {
 // New creates a node with the given identity on an endpoint. Call
 // CreateRing or Join before Start.
 func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
-	n := &Node{
-		env:     env,
-		ep:      ep,
-		cfg:     cfg.withDefaults(),
-		self:    dht.NodeRef{ID: id, Addr: ep.Addr()},
-		alive:   true,
-		metrics: newOneHopMetrics(cfg.Obs),
-	}
-	if cfg.Store != nil {
-		n.store = dht.NewLocalStoreOn(cfg.Store)
-	} else {
-		n.store = dht.NewLocalStore()
-	}
-	n.table = []dht.NodeRef{n.self}
+	n := &Node{cfg: cfg.withDefaults(), metrics: newOneHopMetrics(cfg.Obs)}
+	n.Member = dht.NewMember(env, ep, id, cfg.MemberConfig, n.cfg.RPCTimeout, n.OwnsID)
+	n.table = []dht.NodeRef{n.Self()}
 	n.tableChangedLocked()
 	n.registerHandlers()
-	dht.RegisterStore(ep, n.store, n.OwnsID)
 	if r := cfg.Obs; r != nil {
 		r.GaugeFunc("dcdht_onehop_table_size", "Members in the full routing table.", func() float64 {
 			n.mu.Lock()
@@ -149,51 +125,22 @@ func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
 	return n
 }
 
-// Self implements dht.Ring.
-func (n *Node) Self() dht.NodeRef { return n.self }
-
-// Endpoint implements dht.Ring.
-func (n *Node) Endpoint() network.Endpoint { return n.ep }
-
-// Env implements dht.Ring.
-func (n *Node) Env() network.Env { return n.env }
-
-// Obs implements dht.Ring.
-func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
-
-// Store exposes the local replica store.
-func (n *Node) Store() *dht.LocalStore { return n.store }
-
 // Config returns the effective configuration.
 func (n *Node) Config() Config { return n.cfg }
-
-// Alive implements dht.Ring.
-func (n *Node) Alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.alive
-}
-
-// RegisterHandover attaches a service to responsibility transfers.
-func (n *Node) RegisterHandover(h dht.Handover) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handover = append(n.handover, h)
-}
 
 // OwnsID implements dht.Ring: the node owns id iff id lies in
 // (table-predecessor, self]. A table of one owns everything.
 func (n *Node) OwnsID(id core.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.alive {
+	if !n.Alive() {
 		return false
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	pred, ok := n.predecessorLocked()
 	if !ok {
 		return true
 	}
-	return id.Between(pred.ID, n.self.ID)
+	return id.Between(pred.ID, n.Self().ID)
 }
 
 // HeldSince implements dht.Ring: the arc (table-predecessor, self] is
@@ -203,7 +150,7 @@ func (n *Node) HeldSince() time.Duration {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if len(n.table) <= 1 {
-		return n.env.Now()
+		return n.Env().Now()
 	}
 	return n.held
 }
@@ -212,9 +159,12 @@ func (n *Node) HeldSince() time.Duration {
 // holds only self names nobody — that is the own-everything default,
 // not knowledge.
 func (n *Node) Guess(id core.ID) (dht.NodeRef, dht.GuessSource) {
+	if !n.Alive() {
+		return dht.NodeRef{}, dht.NoGuess
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.alive || len(n.table) <= 1 {
+	if len(n.table) <= 1 {
 		return dht.NodeRef{}, dht.NoGuess
 	}
 	if ref, ok := n.successorOfLocked(id, nil); ok {
@@ -255,17 +205,8 @@ func (n *Node) Table() []dht.NodeRef {
 func (n *Node) CreateRing() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.table = []dht.NodeRef{n.self}
+	n.table = []dht.NodeRef{n.Self()}
 	n.tableChangedLocked()
-}
-
-// Crash kills the node without ceremony: no handover, no events. The
-// rest of the overlay discovers the death by failed probes.
-func (n *Node) Crash() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.alive = false
-	n.store.Crash()
 }
 
 // --- table helpers (callers hold n.mu) ---
@@ -276,7 +217,7 @@ func (n *Node) predecessorLocked() (dht.NodeRef, bool) {
 	if len(n.table) <= 1 {
 		return dht.NodeRef{}, false
 	}
-	i := n.indexOfLocked(n.self.ID)
+	i := n.indexOfLocked(n.Self().ID)
 	return n.table[(i-1+len(n.table))%len(n.table)], true
 }
 
@@ -321,7 +262,7 @@ func (n *Node) insertLocked(ref dht.NodeRef) {
 
 // removeLocked drops a member by ID. Self is never removed.
 func (n *Node) removeLocked(id core.ID) {
-	if id == n.self.ID {
+	if id == n.Self().ID {
 		return
 	}
 	i := n.indexOfLocked(id)
@@ -334,9 +275,9 @@ func (n *Node) removeLocked(id core.ID) {
 // tableChangedLocked follows a table edit: when it moved the table
 // predecessor, and with it the arc OwnsID accepts, HeldSince restarts.
 func (n *Node) tableChangedLocked() {
-	i := n.indexOfLocked(n.self.ID)
+	i := n.indexOfLocked(n.Self().ID)
 	if pred := n.table[(i-1+len(n.table))%len(n.table)].ID; pred != n.heldPred {
-		n.heldPred, n.held = pred, n.env.Now()
+		n.heldPred, n.held = pred, n.Env().Now()
 	}
 }
 
@@ -357,7 +298,7 @@ func AssembleRing(nodes []*Node) {
 	}
 	refs := make([]dht.NodeRef, len(nodes))
 	for i, nd := range nodes {
-		refs[i] = nd.self
+		refs[i] = nd.Self()
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].ID < refs[j].ID })
 	for _, nd := range nodes {

@@ -16,7 +16,6 @@ const (
 	methodJoin  = "onehop.Join"
 	methodEvent = "onehop.Event"
 	methodBulk  = "onehop.Bulk"
-	methodPing  = "onehop.Ping"
 )
 
 // OwnerReq probes a candidate owner: "do you own Target, and if not,
@@ -102,29 +101,15 @@ func (r BulkReq) WireSize() int {
 // BulkResp acknowledges a bulk push.
 type BulkResp struct{}
 
-// PingReq probes liveness.
-type PingReq struct{}
-
-// PingResp acknowledges a ping.
-type PingResp struct{}
-
 func init() {
 	network.RegisterMessage(OwnerReq{}, OwnerResp{}, TableReq{}, TableResp{},
 		JoinReq{}, JoinResp{}, EventReq{}, EventResp{},
-		BulkReq{}, BulkResp{}, PingReq{}, PingResp{})
-}
-
-// call invokes a protocol RPC with the node's per-probe patience.
-func (n *Node) call(ctx context.Context, to network.Addr, method string, req network.Message) (network.Message, error) {
-	return n.ep.Invoke(ctx, to, method, req, network.Call{Timeout: n.cfg.RPCTimeout})
+		BulkReq{}, BulkResp{})
 }
 
 func (n *Node) registerHandlers() {
-	n.ep.Handle(methodOwner, func(_ network.Addr, req network.Message) (network.Message, error) {
+	n.Handle(methodOwner, func(req network.Message) (network.Message, error) {
 		r := req.(OwnerReq)
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
 		// Honor the caller's death observations before answering: they
 		// probed those peers moments ago, our periodic detector may be
 		// half a period behind.
@@ -136,7 +121,7 @@ func (n *Node) registerHandlers() {
 		if n.OwnsID(r.Target) {
 			return OwnerResp{Owns: true}, nil
 		}
-		skip := map[core.ID]bool{n.self.ID: true}
+		skip := map[core.ID]bool{n.Self().ID: true}
 		for _, id := range r.Exclude {
 			skip[id] = true
 		}
@@ -149,26 +134,16 @@ func (n *Node) registerHandlers() {
 		return OwnerResp{Owns: false, Better: better}, nil
 	})
 
-	n.ep.Handle(methodTable, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
+	n.Handle(methodTable, func(network.Message) (network.Message, error) {
 		return TableResp{Table: n.Table()}, nil
 	})
 
-	n.ep.Handle(methodJoin, func(_ network.Addr, req network.Message) (network.Message, error) {
-		r := req.(JoinReq)
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
-		return n.handleJoin(r), nil
+	n.Handle(methodJoin, func(req network.Message) (network.Message, error) {
+		return n.handleJoin(req.(JoinReq)), nil
 	})
 
-	n.ep.Handle(methodEvent, func(_ network.Addr, req network.Message) (network.Message, error) {
+	n.Handle(methodEvent, func(req network.Message) (network.Message, error) {
 		r := req.(EventReq)
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
 		n.metrics.eventsRecv.Inc()
 		n.mu.Lock()
 		for _, ref := range r.Joins {
@@ -181,21 +156,10 @@ func (n *Node) registerHandlers() {
 		return EventResp{}, nil
 	})
 
-	n.ep.Handle(methodBulk, func(_ network.Addr, req network.Message) (network.Message, error) {
+	n.Handle(methodBulk, func(req network.Message) (network.Message, error) {
 		r := req.(BulkReq)
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
-		n.store.Absorb(r.Items)
-		n.acceptServices(r.Services)
+		n.Absorb(r.Items, r.Services)
 		return BulkResp{}, nil
-	})
-
-	n.ep.Handle(methodPing, func(_ network.Addr, req network.Message) (network.Message, error) {
-		if !n.Alive() {
-			return nil, core.ErrStopped
-		}
-		return PingResp{}, nil
 	})
 }
 
@@ -214,7 +178,7 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 	n.metrics.lookups.Inc()
 	if n.OwnsID(id) {
 		n.metrics.hops.ObserveValue(0)
-		return n.self, 0, nil
+		return n.Self(), 0, nil
 	}
 	hops := 0
 	// dead: probes that errored — evicted locally and shared on the
@@ -226,9 +190,9 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 	// once our Exclude makes it evict that node, so re-probing it is
 	// productive, and each re-probe is paid for by a new death.
 	dead := map[core.ID]bool{}
-	skip := map[core.ID]bool{n.self.ID: true}
+	skip := map[core.ID]bool{n.Self().ID: true}
 	resetStale := func() {
-		skip = map[core.ID]bool{n.self.ID: true}
+		skip = map[core.ID]bool{n.Self().ID: true}
 		for d := range dead {
 			skip[d] = true
 		}
@@ -247,8 +211,8 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 		if err := network.CtxError(ctx); err != nil {
 			return dht.NodeRef{}, hops, err
 		}
-		raw, err := n.call(ctx, cand.Addr, methodOwner,
-			OwnerReq{Target: id, Exclude: deadList(dead)})
+		raw, err := n.Call(ctx, cand.Addr, methodOwner,
+			OwnerReq{Target: id, Exclude: dht.IDList(dead)})
 		hops++
 		if err != nil {
 			// Dead (or stopped) candidate: evict, remember, take our
@@ -294,55 +258,4 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 	}
 	n.metrics.lookupFails.Inc()
 	return dht.NodeRef{}, hops, fmt.Errorf("onehop: lookup %s exhausted forwarding: %w", id, core.ErrUnreachable)
-}
-
-func deadList(set map[core.ID]bool) []core.ID {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]core.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	// Deterministic wire order (map iteration is not).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-// collectServices gathers handover payloads for the ceded range.
-func (n *Node) collectServices(ceded func(core.ID) bool) map[string]network.Message {
-	n.mu.Lock()
-	hooks := make([]dht.Handover, len(n.handover))
-	copy(hooks, n.handover)
-	n.mu.Unlock()
-	var out map[string]network.Message
-	for _, h := range hooks {
-		if msg := h.Collect(ceded); msg != nil {
-			if out == nil {
-				out = make(map[string]network.Message)
-			}
-			out[h.Name()] = msg
-		}
-	}
-	return out
-}
-
-// acceptServices routes handover payloads to local services.
-func (n *Node) acceptServices(payloads map[string]network.Message) {
-	if len(payloads) == 0 {
-		return
-	}
-	n.mu.Lock()
-	hooks := make([]dht.Handover, len(n.handover))
-	copy(hooks, n.handover)
-	n.mu.Unlock()
-	for _, h := range hooks {
-		if msg, ok := payloads[h.Name()]; ok {
-			h.Accept(msg)
-		}
-	}
 }

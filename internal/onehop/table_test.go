@@ -43,7 +43,7 @@ func newTableRing(t *testing.T) *tableRing {
 			RPCTimeout: 200 * time.Millisecond,
 		}))
 	}
-	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].self.ID < r.nodes[j].self.ID })
+	sort.Slice(r.nodes, func(i, j int) bool { return r.nodes[i].Self().ID < r.nodes[j].Self().ID })
 	AssembleRing(r.nodes)
 	return r
 }
@@ -68,7 +68,7 @@ func (r *tableRing) do(fn func()) {
 // event delivers a membership event to n as a peer's broadcast would.
 func (r *tableRing) event(n *Node, ev EventReq) {
 	r.do(func() {
-		if _, err := r.sender.Invoke(context.Background(), n.self.Addr, methodEvent, ev, network.Call{}); err != nil {
+		if _, err := r.sender.Invoke(context.Background(), n.Self().Addr, methodEvent, ev, network.Call{}); err != nil {
 			r.t.Fatalf("event: %v", err)
 		}
 	})
@@ -90,38 +90,38 @@ func TestHeldSinceFollowsTablePredecessor(t *testing.T) {
 		edit  func(r *tableRing, n *Node)
 	}{
 		{"insert the predecessor", true, func(r *tableRing, n *Node) {
-			r.event(n, EventReq{Joins: []dht.NodeRef{{ID: mid(r.at(-1).self.ID, n.self.ID), Addr: "newcomer"}}})
+			r.event(n, EventReq{Joins: []dht.NodeRef{{ID: mid(r.at(-1).Self().ID, n.Self().ID), Addr: "newcomer"}}})
 		}},
 		{"insert a non-predecessor", false, func(r *tableRing, n *Node) {
-			r.event(n, EventReq{Joins: []dht.NodeRef{{ID: mid(n.self.ID, r.at(1).self.ID), Addr: "newcomer"}}})
+			r.event(n, EventReq{Joins: []dht.NodeRef{{ID: mid(n.Self().ID, r.at(1).Self().ID), Addr: "newcomer"}}})
 		}},
 		{"re-address the predecessor", false, func(r *tableRing, n *Node) {
-			r.event(n, EventReq{Joins: []dht.NodeRef{{ID: r.at(-1).self.ID, Addr: "moved"}}})
+			r.event(n, EventReq{Joins: []dht.NodeRef{{ID: r.at(-1).Self().ID, Addr: "moved"}}})
 		}},
 		{"remove the predecessor", true, func(r *tableRing, n *Node) {
-			r.event(n, EventReq{Leaves: []core.ID{r.at(-1).self.ID}})
+			r.event(n, EventReq{Leaves: []core.ID{r.at(-1).Self().ID}})
 		}},
 		{"remove a non-predecessor", false, func(r *tableRing, n *Node) {
-			r.event(n, EventReq{Leaves: []core.ID{r.at(1).self.ID}})
+			r.event(n, EventReq{Leaves: []core.ID{r.at(1).Self().ID}})
 		}},
 		{"evict the predecessor", true, func(r *tableRing, n *Node) {
 			dead := r.at(-1)
-			r.net.Kill(dead.self.Addr)
-			r.do(func() { n.Lookup(context.Background(), dead.self.ID) })
+			r.net.Kill(dead.Self().Addr)
+			r.do(func() { n.Lookup(context.Background(), dead.Self().ID) })
 		}},
 		{"evict a non-predecessor", false, func(r *tableRing, n *Node) {
 			dead := r.at(2)
-			r.net.Kill(dead.self.Addr)
+			r.net.Kill(dead.Self().Addr)
 			r.do(func() {
-				if _, _, err := n.Lookup(context.Background(), dead.self.ID); err != nil {
+				if _, _, err := n.Lookup(context.Background(), dead.Self().ID); err != nil {
 					r.t.Errorf("lookup past a dead member: %v", err)
 				}
 			})
 		}},
 		{"a caller saw the predecessor dead", true, func(r *tableRing, n *Node) {
 			r.do(func() {
-				r.sender.Invoke(context.Background(), n.self.Addr, methodOwner,
-					OwnerReq{Target: n.self.ID, Exclude: []core.ID{r.at(-1).self.ID}}, network.Call{})
+				r.sender.Invoke(context.Background(), n.Self().Addr, methodOwner,
+					OwnerReq{Target: n.Self().ID, Exclude: []core.ID{r.at(-1).Self().ID}}, network.Call{})
 			})
 		}},
 	} {

@@ -60,9 +60,9 @@ func ParseRing(s string) (RingKind, error) {
 }
 
 // Config is everything that shapes a peer besides where it runs, on any
-// of the three substrates. The Obs, Store and NoDataHandoff fields of
-// Chord and the RPCTimeout and Persist fields of KTS are owned by New:
-// whatever the caller put there is overwritten.
+// of the three substrates. Chord's MemberConfig and the RPCTimeout and
+// Persist fields of KTS are owned by New: whatever the caller put there
+// is overwritten.
 type Config struct {
 	// Replicas is |Hr|, the number of replication hash functions of the
 	// deployment's hash set (hashing.NewSet). All peers of a ring agree
@@ -101,14 +101,15 @@ type Config struct {
 // timestamp request waits 15 ring RPC timeouts — it can legitimately
 // take many ring RPCs of server-side work (indirect initialization), so
 // it needs far more patience than one protocol probe: 30s on the
-// substrates' 2s default.
-func derive(c chord.Config) (can.Config, onehop.Config, time.Duration) {
+// substrates' 2s default. All three substrate configs carry m.
+func derive(c chord.Config, m dht.MemberConfig) (chord.Config, can.Config, onehop.Config, time.Duration) {
 	rpc := c.RPCTimeout
 	if rpc <= 0 {
 		rpc = 2 * time.Second
 	}
-	return can.Config{PingEvery: c.CheckPredEvery, RPCTimeout: c.RPCTimeout},
-		onehop.Config{PingEvery: c.CheckPredEvery, RPCTimeout: c.RPCTimeout},
+	c.MemberConfig = m
+	return c, can.Config{PingEvery: c.CheckPredEvery, RPCTimeout: c.RPCTimeout, MemberConfig: m},
+		onehop.Config{PingEvery: c.CheckPredEvery, RPCTimeout: c.RPCTimeout, MemberConfig: m},
 		15 * rpc
 }
 
@@ -144,18 +145,15 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 	}
 	set := hashing.NewSet(cfg.Replicas)
 	id := hashing.NodeID(string(ep.Addr()))
-	canCfg, hopCfg, ktsPatience := derive(cfg.Chord)
+	chordCfg, canCfg, hopCfg, ktsPatience := derive(cfg.Chord,
+		dht.MemberConfig{NoDataHandoff: cfg.NoDataHandoff, Store: backing, Obs: cfg.Obs})
 	var node dht.RingNode
 	switch kind {
 	case RingChord:
-		c := cfg.Chord
-		c.Obs, c.Store, c.NoDataHandoff = cfg.Obs, backing, cfg.NoDataHandoff
-		node = chord.New(env, ep, id, c)
+		node = chord.New(env, ep, id, chordCfg)
 	case RingCAN:
-		canCfg.Obs, canCfg.Store, canCfg.NoDataHandoff = cfg.Obs, backing, cfg.NoDataHandoff
 		node = can.New(env, ep, id, canCfg)
 	case RingOneHop:
-		hopCfg.Obs, hopCfg.Store, hopCfg.NoDataHandoff = cfg.Obs, backing, cfg.NoDataHandoff
 		node = onehop.New(env, ep, id, hopCfg)
 	default: // a kind ParseRing admits but nothing here builds
 		return nil, fmt.Errorf("ring %q has no constructor", kind)

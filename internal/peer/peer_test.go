@@ -15,6 +15,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/network/simwire"
 	"repro/internal/network/tcpwire"
+	"repro/internal/obs"
 	"repro/internal/onehop"
 	"repro/internal/repair"
 	"repro/internal/simnet"
@@ -180,11 +181,17 @@ func TestDerive(t *testing.T) {
 		{"zero", chord.Config{}, 0, 0, 30 * time.Second},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, h, patience := derive(tc.chord)
-			if want := (can.Config{PingEvery: tc.ping, RPCTimeout: tc.rpc}); c != want {
+			member := dht.MemberConfig{NoDataHandoff: true, Obs: obs.NewRegistry()}
+			ch, c, h, patience := derive(tc.chord, member)
+			want := tc.chord
+			want.MemberConfig = member
+			if ch != want {
+				t.Errorf("chord = %+v, want %+v", ch, want)
+			}
+			if want := (can.Config{PingEvery: tc.ping, RPCTimeout: tc.rpc, MemberConfig: member}); c != want {
 				t.Errorf("can = %+v, want %+v", c, want)
 			}
-			if want := (onehop.Config{PingEvery: tc.ping, RPCTimeout: tc.rpc}); h != want {
+			if want := (onehop.Config{PingEvery: tc.ping, RPCTimeout: tc.rpc, MemberConfig: member}); h != want {
 				t.Errorf("onehop = %+v, want %+v", h, want)
 			}
 			if patience != tc.patience {
@@ -194,10 +201,11 @@ func TestDerive(t *testing.T) {
 	}
 }
 
-// TestNoDataHandoffOnEveryRing: on each substrate New builds, a joiner
-// that takes over stored positions receives their replicas, unless
-// NoDataHandoff is set — then the replicas stay behind on the peer that
-// ceded the positions.
+// TestNoDataHandoffOnEveryRing: on each substrate New builds, the
+// replicas on positions that change hands move to their new
+// responsible — a joiner taking them over (join), or the heir of a
+// graceful leaver (leave) — unless NoDataHandoff is set; then they stay
+// behind on the peer that ceded the positions.
 func TestNoDataHandoffOnEveryRing(t *testing.T) {
 	for _, kind := range []RingKind{RingChord, RingCAN, RingOneHop} {
 		for _, noHandoff := range []bool{false, true} {
@@ -211,6 +219,22 @@ func TestNoDataHandoffOnEveryRing(t *testing.T) {
 					}
 					return s
 				}
+				// moved checks each of ids, stored under q at from, against
+				// the handoff model: at to with handoff, left at from
+				// without.
+				moved := func(t *testing.T, from, to dht.RingNode, ids []core.ID, q string) {
+					for _, id := range ids {
+						_, behind := from.Store().Get(id, q)
+						_, there := to.Store().Get(id, q)
+						if behind != noHandoff || there == noHandoff {
+							t.Errorf("position %v changed hands: left behind %v, at the new responsible %v; want behind only without handoff",
+								id, behind, there)
+						}
+					}
+					if len(ids) == 0 {
+						t.Fatal("no stored position changed hands")
+					}
+				}
 				// A ring of one owns every position.
 				first := build()
 				first.Node.CreateRing()
@@ -220,27 +244,31 @@ func TestNoDataHandoffOnEveryRing(t *testing.T) {
 					first.Node.Store().Put(ids[i], "q", core.Value{TS: core.TS(1)}, dht.PutOverwrite)
 				}
 				joiner := build()
-				w.run(func() {
-					if err := joiner.Node.Join(first.Node.Self().Addr); err != nil {
-						t.Errorf("join: %v", err)
+				var taken []core.ID
+				t.Run("join", func(t *testing.T) {
+					w.run(func() {
+						if err := joiner.Node.Join(first.Node.Self().Addr); err != nil {
+							t.Errorf("join: %v", err)
+						}
+					})
+					for _, id := range ids {
+						if !first.Node.OwnsID(id) {
+							taken = append(taken, id)
+						}
 					}
+					moved(t, first.Node, joiner.Node, taken, "q")
 				})
-				taken := 0
-				for _, id := range ids {
-					if first.Node.OwnsID(id) {
-						continue // not ceded to the joiner
+				t.Run("leave", func(t *testing.T) {
+					for _, id := range taken {
+						joiner.Node.Store().Put(id, "l", core.Value{TS: core.TS(2)}, dht.PutOverwrite)
 					}
-					taken++
-					_, behind := first.Node.Store().Get(id, "q")
-					_, moved := joiner.Node.Store().Get(id, "q")
-					if behind != noHandoff || moved == noHandoff {
-						t.Errorf("position %v taken over: left behind %v, at the joiner %v; want behind only without handoff",
-							id, behind, moved)
-					}
-				}
-				if taken == 0 {
-					t.Fatal("the joiner took over no stored position")
-				}
+					w.run(func() {
+						if err := joiner.Node.Leave(); err != nil {
+							t.Errorf("leave: %v", err)
+						}
+					})
+					moved(t, joiner.Node, first.Node, taken, "l")
+				})
 			})
 		}
 	}
