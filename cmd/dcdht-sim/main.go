@@ -47,7 +47,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed; the run replays bit-identically per seed")
 	cluster := flag.Bool("cluster", false, "use the LAN cluster profile instead of Table 1's WAN model")
 	ring := flag.String("ring", "chord", "overlay substrate: chord, can or onehop (see docs/LOOKUP.md)")
-	republish := flag.Duration("republish", 0, "periodic republish interval (peers re-push replicas they no longer own); 0 disables it")
 	scen := flag.String("scenario", "", "scripted scenario to play over the window: calm, churn-wave, split-heal, lossy-wan or mass-crash (see docs/SCENARIOS.md); empty plays none")
 	metricsOut := flag.String("metrics-out", "", "write the run's aggregated metrics snapshot as JSON to this file (see docs/OBSERVABILITY.md)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
@@ -102,7 +101,6 @@ func main() {
 		log.Error("bad -ring", "err", err)
 		os.Exit(2)
 	}
-	sc.Republish.Every = *republish
 	if *cluster {
 		sc.UseCluster()
 	}

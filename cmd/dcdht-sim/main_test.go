@@ -39,22 +39,23 @@ func runMain(t *testing.T, args ...string) (stdout, stderr string, code int) {
 
 // TestBadInputExitsTwo: a population, replication factor, working set,
 // rate or failure share the simulation cannot run exits 2 and names the
-// flag, before anything runs.
+// flag, before anything runs; so does a flag that no longer exists.
 func TestBadInputExitsTwo(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
-		flag string
+		want string // on stderr
 	}{
-		{"no peers", []string{"-peers", "0"}, "-peers"},
-		{"no replicas", []string{"-replicas", "0"}, "-replicas"},
-		{"negative keys", []string{"-keys", "-1"}, "-keys"},
-		{"negative queries", []string{"-queries", "-1"}, "-queries"},
-		{"negative churn", []string{"-churn", "-0.5"}, "-churn"},
-		{"fail above one", []string{"-fail", "3"}, "-fail"},
-		{"negative fail", []string{"-fail", "-0.1"}, "-fail"},
-		{"negative updates", []string{"-updates", "-1"}, "-updates"},
-		{"unknown ring", []string{"-ring", "pastry"}, "-ring"},
+		{"no peers", []string{"-peers", "0"}, "bad -peers"},
+		{"no replicas", []string{"-replicas", "0"}, "bad -replicas"},
+		{"negative keys", []string{"-keys", "-1"}, "bad -keys"},
+		{"negative queries", []string{"-queries", "-1"}, "bad -queries"},
+		{"negative churn", []string{"-churn", "-0.5"}, "bad -churn"},
+		{"fail above one", []string{"-fail", "3"}, "bad -fail"},
+		{"negative fail", []string{"-fail", "-0.1"}, "bad -fail"},
+		{"negative updates", []string{"-updates", "-1"}, "bad -updates"},
+		{"unknown ring", []string{"-ring", "pastry"}, "bad -ring"},
+		{"removed flag", []string{"-republish", "10s"}, "flag provided but not defined: -republish"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := runMain(t, append([]string{"-peers", "8", "-duration", "1m"}, tc.args...)...)
@@ -64,8 +65,8 @@ func TestBadInputExitsTwo(t *testing.T) {
 			if stdout != "" {
 				t.Errorf("a simulation ran: stdout %q", stdout)
 			}
-			if !strings.Contains(stderr, "bad "+tc.flag) {
-				t.Errorf("stderr %q does not name %s", stderr, tc.flag)
+			if !strings.Contains(stderr, tc.want) {
+				t.Errorf("stderr %q does not say %q", stderr, tc.want)
 			}
 		})
 	}

@@ -13,8 +13,10 @@
 package can
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -290,9 +292,22 @@ func (n *Node) Neighbors() []dht.NodeRef {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := make([]dht.NodeRef, 0, len(n.neighbors))
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighborsLocked() {
 		out = append(out, nb.ref)
 	}
+	return out
+}
+
+// neighborsLocked returns the neighbor entries in ID order. Every walk
+// whose order shows — a routing tie, a fan-out, a list on the wire —
+// goes in this order, so one seed replays the same messages in the same
+// sequence. Callers hold n.mu.
+func (n *Node) neighborsLocked() []*neighbor {
+	out := make([]*neighbor, 0, len(n.neighbors))
+	for _, nb := range n.neighbors {
+		out = append(out, nb)
+	}
+	slices.SortFunc(out, func(a, b *neighbor) int { return cmp.Compare(a.ref.ID, b.ref.ID) })
 	return out
 }
 

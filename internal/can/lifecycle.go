@@ -3,6 +3,7 @@ package can
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"repro/internal/core"
@@ -68,7 +69,7 @@ func (n *Node) Leave() error {
 	var cands []cand
 	var infos []NeighborInfo
 	zonesByID := map[core.ID][]Zone{}
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighborsLocked() {
 		v := 0.0
 		for _, z := range nb.zones {
 			v += z.Volume()
@@ -113,7 +114,7 @@ func (n *Node) Leave() error {
 // deterministic rule.
 func (n *Node) Start() {
 	if n.Starting() {
-		n.Every("can", n.cfg.PingEvery, n.probeNeighbors)
+		dht.Every(n, "can", n.cfg.PingEvery, func(*rand.Rand) { n.probeNeighbors() })
 	}
 }
 
@@ -128,12 +129,8 @@ func (n *Node) Start() {
 func (n *Node) probeNeighbors() {
 	n.mu.Lock()
 	info := NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}
-	refs := make([]*neighbor, 0, len(n.neighbors))
-	for _, nb := range n.neighbors {
-		refs = append(refs, nb)
-	}
+	refs := n.neighborsLocked()
 	n.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].ref.ID < refs[j].ref.ID })
 	for _, nb := range refs {
 		raw, err := n.Call(context.Background(), nb.ref.Addr, methodUpdate, UpdateReq{Info: info})
 		if err == nil {
@@ -183,7 +180,7 @@ func (n *Node) handleDeadNeighbor(dead *neighbor) {
 		myVol += z.Volume()
 	}
 	bestVol, bestID, bestRef := myVol, n.Self().ID, n.Self()
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighborsLocked() {
 		abuts := false
 		for _, dz := range dead.zones {
 			for _, z := range nb.zones {

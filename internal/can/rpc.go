@@ -111,7 +111,7 @@ func (n *Node) registerHandlers() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		resp := StateResp{Info: NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}
-		for _, nb := range n.neighbors {
+		for _, nb := range n.neighborsLocked() {
 			resp.Neighbors = append(resp.Neighbors, NeighborInfo{Ref: nb.ref, Zones: append([]Zone(nil), nb.zones...)})
 		}
 		return resp, nil
@@ -151,7 +151,7 @@ func (n *Node) routeStep(target Point, exclude map[core.ID]bool) RouteStepResp {
 	}
 	var best *neighbor
 	bestDist := n.distanceToLocked(target)
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighborsLocked() {
 		if exclude[nb.ref.ID] {
 			continue
 		}
@@ -237,7 +237,7 @@ func (n *Node) handleSplit(req SplitReq) (SplitResp, error) {
 	n.zonesChangedLocked()
 	// Neighborhood snapshot: our neighbors plus ourselves.
 	infos := []NeighborInfo{{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighborsLocked() {
 		infos = append(infos, NeighborInfo{Ref: nb.ref, Zones: append([]Zone(nil), nb.zones...)})
 	}
 	n.mu.Unlock()
@@ -269,7 +269,7 @@ func (n *Node) broadcastUpdate() {
 	n.mu.Lock()
 	info := NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}
 	targets := make([]dht.NodeRef, 0, len(n.neighbors))
-	for _, nb := range n.neighbors {
+	for _, nb := range n.neighborsLocked() {
 		targets = append(targets, nb.ref)
 	}
 	n.mu.Unlock()

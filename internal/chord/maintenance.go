@@ -3,6 +3,7 @@ package chord
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -198,9 +199,9 @@ func (n *Node) Leave() error {
 // node jitters its period so rounds do not synchronize.
 func (n *Node) Start() {
 	if n.Starting() {
-		n.Every("chord-stabilize", n.cfg.StabilizeEvery, n.stabilize)
-		n.Every("chord-fingers", n.cfg.FixFingersEvery, n.fixNextFinger)
-		n.Every("chord-checkpred", n.cfg.CheckPredEvery, n.checkPredecessor)
+		dht.Every(n, "chord-stabilize", n.cfg.StabilizeEvery, func(*rand.Rand) { n.stabilize() })
+		dht.Every(n, "chord-fingers", n.cfg.FixFingersEvery, func(*rand.Rand) { n.fixNextFinger() })
+		dht.Every(n, "chord-checkpred", n.cfg.CheckPredEvery, func(*rand.Rand) { n.checkPredecessor() })
 	}
 }
 

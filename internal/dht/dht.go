@@ -2,9 +2,10 @@
 // share and what the services (kts, ums, brk) consume: node references,
 // the namespaced replica store each peer hosts, the put/get wire
 // protocol, the Ring interface that abstracts "find the peer responsible
-// for a ring position", and Member, the membership kit every substrate
-// node embeds (liveness, service handover, RPC plumbing, maintenance
-// loops), so a substrate is its routing geometry and nothing else.
+// for a ring position", Member, the membership kit every substrate node
+// embeds (liveness, service handover, RPC plumbing), so a substrate is
+// its routing geometry and nothing else, and Every, the one periodic
+// loop every peer task runs on.
 //
 // In the paper's terms (§2.1): Ring.Lookup implements the DHT's lookup
 // service locating rsp(k, h); the Client's PutH and GetH are the puth and

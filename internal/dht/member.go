@@ -3,6 +3,7 @@ package dht
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -41,10 +42,9 @@ type MemberConfig struct {
 }
 
 // Member is the membership kit every substrate node embeds: identity and
-// attachments, liveness, service handover, RPC plumbing and the
-// maintenance loop. What it holds is the same whatever the overlay's
-// geometry; the embedding node keeps only its routing state and the
-// rules over it (Lookup, Guess, OwnsID, HeldSince, who cedes what on a
+// attachments, liveness, service handover and RPC plumbing. What it
+// holds is the same whatever the overlay's geometry; the embedding node
+// keeps only its routing state and the rules over it (Lookup, Guess, OwnsID, HeldSince, who cedes what on a
 // join or leave).
 type Member struct {
 	env        network.Env
@@ -122,21 +122,24 @@ func (m *Member) Stop() bool { return m.alive.CompareAndSwap(true, false) }
 // substrate's Start launches its loops only then.
 func (m *Member) Starting() bool { return m.Alive() && m.started.CompareAndSwap(false, true) }
 
-// Every runs fn every period plus a jitter of up to a quarter period for
-// as long as the node lives. The jitter draws on the node's own stream
-// task+":"+address: each loop has its own, because on the real
-// deployment loops run as concurrent goroutines and a shared rand.Rand
-// is not synchronized, and per-node streams keep rounds from
-// synchronizing across the overlay.
-func (m *Member) Every(task string, period time.Duration, fn func()) {
-	rng := m.env.Rand(task + ":" + string(m.self.Addr))
-	m.env.Go(func() {
-		for m.Alive() {
+// Every is every periodic loop a peer runs: substrate maintenance, the
+// repair sweep, KTS inspection. It runs fn every period plus a jitter of
+// up to a quarter period for as long as node lives. The jitter draws on
+// the node's own stream task+":"+address, and fn gets the same stream
+// for whatever it picks after the sleep. Each loop has its own stream,
+// because on the real deployment loops run as concurrent goroutines and
+// a shared rand.Rand is not synchronized, and per-node streams keep
+// rounds from synchronizing across the overlay.
+func Every(node Ring, task string, period time.Duration, fn func(rng *rand.Rand)) {
+	env := node.Env()
+	rng := env.Rand(task + ":" + string(node.Self().Addr))
+	env.Go(func() {
+		for node.Alive() {
 			jitter := time.Duration(rng.Int63n(int64(period)/4 + 1))
-			if err := m.env.Sleep(period + jitter); err != nil || !m.Alive() {
+			if err := env.Sleep(period + jitter); err != nil || !node.Alive() {
 				return
 			}
-			fn()
+			fn(rng)
 		}
 	})
 }

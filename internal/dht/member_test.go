@@ -2,10 +2,16 @@ package dht
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/network"
+	"repro/internal/network/simwire"
+	"repro/internal/simnet"
 )
 
 // TestIDListSortedAndDeduplicated: the wire form of an exclusion set is
@@ -57,4 +63,59 @@ func TestPeerDead(t *testing.T) {
 			t.Errorf("PeerDead(%v) = %v, want %v", err, got, want)
 		}
 	}
+}
+
+// everyRing is all of a Ring that Every reads; anything else would call
+// the nil embedded interface and panic.
+type everyRing struct {
+	Ring
+	env   network.Env
+	alive atomic.Bool
+}
+
+func (r *everyRing) Env() network.Env { return r.env }
+func (r *everyRing) Self() NodeRef    { return NodeRef{ID: 7, Addr: "peer-7"} }
+func (r *everyRing) Alive() bool      { return r.alive.Load() }
+
+// TestEvery: a round fires between one period and a period and a
+// quarter after the one before; the jitter and the round itself draw on
+// the one stream task+":"+address, jitter first; and the loop ends once
+// the node dies, whether between rounds or in the middle of a sleep.
+func TestEvery(t *testing.T) {
+	const period = 8 * time.Second
+	k := simnet.New(3)
+	defer k.Stop()
+	r := &everyRing{env: simwire.Env(k)}
+	r.alive.Store(true)
+	// The stream Every must draw on, replayed by hand: each round takes
+	// its jitter, then the round takes one value of its own.
+	replay := k.NewRand("probe:peer-7")
+	rounds, last := 0, time.Duration(0)
+	Every(r, "probe", period, func(rng *rand.Rand) {
+		rounds++
+		gap := k.Now() - last
+		last = k.Now()
+		if gap < period || gap > period*5/4 {
+			t.Errorf("round %d fired %v after the last, want within [%v, %v]", rounds, gap, period, period*5/4)
+		}
+		if want := period + time.Duration(replay.Int63n(int64(period)/4+1)); gap != want {
+			t.Errorf("round %d fired %v after the last, want %v off stream probe:peer-7", rounds, gap, want)
+		}
+		if got, want := rng.Int63(), replay.Int63(); got != want {
+			t.Errorf("round %d drew %d, want %d off stream probe:peer-7", rounds, got, want)
+		}
+		if rounds == 5 {
+			r.alive.Store(false)
+		}
+	})
+	k.Run(100 * period)
+	if rounds != 5 {
+		t.Errorf("%d rounds, want 5: the loop must stop once the node dies", rounds)
+	}
+
+	// A node that dies in the middle of the first sleep never runs a round.
+	r.alive.Store(true)
+	Every(r, "probe", period, func(*rand.Rand) { t.Error("a round ran on a dead node") })
+	k.After(period/2, func() { r.alive.Store(false) })
+	k.Run(k.Now() + 100*period)
 }

@@ -8,21 +8,23 @@ import (
 
 	"repro/internal/chord"
 	"repro/internal/core"
-	"repro/internal/dht"
 	"repro/internal/network/simwire"
 	"repro/internal/peer"
+	"repro/internal/repair"
 	"repro/internal/stats"
 )
 
-// The republish regression: under the paper's data model a replica whose
-// responsible arc is taken over by a fresh joiner is simply gone from
-// the new owner's store — "new nodes can't find old values". The
-// periodic republisher is the documented fix: peers still holding a
-// replica they no longer own re-push it to the current responsible. One
-// arm runs without it and must fail the retrieve; the identical arm with
-// it must return the value provably current.
+// The rotated-arc regression: under the paper's data model a replica
+// whose responsible arc is taken over by a fresh joiner is simply gone
+// from the new owner's store — "new nodes can't find old values". The
+// repair sweep closes that gap: it walks every replica a peer hosts,
+// owned or not, and re-pushes the freshest value to the current replica
+// set, so the peer left holding a replica it no longer owns hands it to
+// the rotated-in responsible. One arm runs without the sweep and must
+// fail the retrieve; the identical arm with it must return the value
+// provably current.
 
-func republishArm(t *testing.T, republish bool) (core.Key, *Deployment) {
+func rotatedArcArm(t *testing.T, sweep bool) (core.Key, *Deployment) {
 	t.Helper()
 	cfg := DeployConfig{
 		Peers: 10,
@@ -42,12 +44,12 @@ func republishArm(t *testing.T, republish bool) (core.Key, *Deployment) {
 				RPCTimeout:       200 * time.Millisecond,
 			},
 			// The paper's DHT model: no replica handoff on responsibility
-			// changes — exactly the gap republish exists to close.
+			// changes — exactly the gap the sweep has to close.
 			NoDataHandoff: true,
 		},
 	}
-	if republish {
-		cfg.Republish = dht.RepublishConfig{Every: 10 * time.Second, PerRound: 64}
+	if sweep {
+		cfg.Repair = repair.Config{Every: 10 * time.Second, PerRound: 64}
 	}
 	d := NewDeployment(cfg)
 	d.RunFor(5 * time.Second)
@@ -59,7 +61,7 @@ func republishArm(t *testing.T, republish bool) (core.Key, *Deployment) {
 	// same one.
 	keys := make([]core.Key, 16)
 	for i := range keys {
-		keys[i] = core.Key(fmt.Sprintf("republished-%02d", i))
+		keys[i] = core.Key(fmt.Sprintf("rotated-%02d", i))
 	}
 	if !d.Do(func() {
 		for _, k := range keys {
@@ -88,7 +90,7 @@ func republishArm(t *testing.T, republish bool) (core.Key, *Deployment) {
 
 	// Join fresh peers: newcomers split arcs, so some candidate's
 	// position rotates to a node whose store never saw the insert.
-	rng := d.K.NewRand("republish-joins")
+	rng := d.K.NewRand("rotated-arc-joins")
 	for i := 0; i < 30; i++ {
 		if !d.Do(func() { d.SpawnJoin(rng) }) {
 			t.Fatal("join stalled")
@@ -106,43 +108,37 @@ func republishArm(t *testing.T, republish bool) (core.Key, *Deployment) {
 	if key == "" {
 		t.Fatal("no candidate key's responsibility rotated to a newcomer")
 	}
-	// Several republish periods (or, without the republisher, the same
-	// idle stretch) before the read.
+	// Several sweep periods (or, without the sweep, the same idle
+	// stretch) before the read.
 	d.RunFor(time.Minute)
 	return key, d
 }
 
-func TestRepublishMakesOldValuesFindable(t *testing.T) {
-	// Arm 1: no republisher. The rotated-in owner has no replica and the
+func TestSweepMakesOldValuesFindable(t *testing.T) {
+	// Arm 1: no sweep. The rotated-in owner has no replica and the
 	// retrieve must come back empty-handed.
-	key, d := republishArm(t, false)
+	key, d := rotatedArcArm(t, false)
 	if !d.Do(func() {
 		res, err := d.LivePeers()[len(d.LivePeers())-1].UMS.Retrieve(context.Background(), key)
 		if err == nil && len(res.Data) > 0 {
-			t.Errorf("without republish the retrieve should fail, got %q (currency %v)", res.Data, res.Currency)
+			t.Errorf("without the sweep the retrieve should fail, got %q (currency %v)", res.Data, res.Currency)
 		}
 	}) {
 		t.Fatal("retrieve stalled")
 	}
 	d.K.Stop()
 
-	// Arm 2: identical run with the republisher on. The old owner
-	// re-pushed the replica to the rotated-in responsible, so a late
-	// joiner reads it back provably current.
-	key, d = republishArm(t, true)
-	pushed := uint64(0)
-	for _, p := range d.Peers {
-		if p.Repub != nil {
-			pushed += p.Repub.Pushed()
-		}
-	}
-	if pushed == 0 {
-		t.Error("republisher never pushed a replica")
+	// Arm 2: identical run with the sweep on. The old owner re-pushed the
+	// replica to the rotated-in responsible, so a late joiner reads it
+	// back provably current.
+	key, d = rotatedArcArm(t, true)
+	if d.RepairStats().Healed == 0 {
+		t.Error("the sweep never healed a replica")
 	}
 	if !d.Do(func() {
 		res, err := d.LivePeers()[len(d.LivePeers())-1].UMS.Retrieve(context.Background(), key)
 		if err != nil {
-			t.Errorf("with republish the retrieve should succeed: %v", err)
+			t.Errorf("with the sweep the retrieve should succeed: %v", err)
 			return
 		}
 		if string(res.Data) != "v1" {

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -232,7 +233,7 @@ type Service struct {
 	// mu guards vcs and the statistics (required on the TCP transport;
 	// under simulation execution is already serialized).
 	mu  sync.Mutex
-	vcs *VCS
+	vcs VCS
 
 	// cache holds the last-ts answers this peer has observed as a
 	// client (from its own gen_ts and last_ts calls), each with the
@@ -310,12 +311,19 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 		vcs:     NewVCS(),
 		metrics: newKTSMetrics(ring.Obs()),
 	}
+	handlers := s.handlers()
 	// We may be the responsible ourselves: serve locally, free of charge.
 	s.route = dht.NewRouter(ring, dht.RouteConfig{
 		Retries: lookupRetries,
 		Backoff: 200 * time.Millisecond,
 		Timeout: s.cfg.RPCTimeout,
-		Local:   s.serveLocal,
+		Local: func(method string, req network.Message) (network.Message, error) {
+			h, ok := handlers[method]
+			if !ok {
+				return nil, fmt.Errorf("kts: unknown local method %q", method)
+			}
+			return h(req)
+		},
 	})
 	ring.Obs().GaugeFunc("dcdht_kts_counters",
 		"Valid counters currently held (cluster-wide under a shared registry).",
@@ -325,7 +333,9 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 			}
 			return float64(s.VCSLen())
 		})
-	s.registerHandlers()
+	for method, h := range handlers {
+		ring.Endpoint().Handle(method, func(_ network.Addr, req network.Message) (network.Message, error) { return h(req) })
+	}
 	if r, ok := ring.(dht.HandoverRegistrar); ok {
 		r.RegisterHandover(s)
 	}
@@ -525,42 +535,22 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 	return out, errs
 }
 
-func (s *Service) serveLocal(method string, req network.Message) (network.Message, error) {
-	switch method {
-	case MethodGenTS:
-		return s.handleGenTS(req.(GenTSReq))
-	case MethodLastTS:
-		return s.handleLastTS(req.(LastTSReq))
-	case MethodGenTSBatch:
-		return s.handleBatch(req.(BatchReq), true), nil
-	case MethodLastTSBatch:
-		return s.handleBatch(req.(BatchReq), false), nil
-	case MethodRecover:
-		return s.handleRecover(req.(RecoverReq))
-	default:
-		return nil, fmt.Errorf("kts: unknown local method %q", method)
-	}
-}
-
 // ---- server-side handlers ----------------------------------------------
 
-func (s *Service) registerHandlers() {
-	ep := s.ring.Endpoint()
-	ep.Handle(MethodGenTS, func(_ network.Addr, req network.Message) (network.Message, error) {
-		return s.handleGenTS(req.(GenTSReq))
-	})
-	ep.Handle(MethodLastTS, func(_ network.Addr, req network.Message) (network.Message, error) {
-		return s.handleLastTS(req.(LastTSReq))
-	})
-	ep.Handle(MethodGenTSBatch, func(_ network.Addr, req network.Message) (network.Message, error) {
-		return s.handleBatch(req.(BatchReq), true), nil
-	})
-	ep.Handle(MethodLastTSBatch, func(_ network.Addr, req network.Message) (network.Message, error) {
-		return s.handleBatch(req.(BatchReq), false), nil
-	})
-	ep.Handle(MethodRecover, func(_ network.Addr, req network.Message) (network.Message, error) {
-		return s.handleRecover(req.(RecoverReq))
-	})
+// handlers is the service's one method table: the endpoint serves it to
+// other peers, and the router's Local path to this one, free of charge.
+func (s *Service) handlers() map[string]func(network.Message) (network.Message, error) {
+	return map[string]func(network.Message) (network.Message, error){
+		MethodGenTS:  func(req network.Message) (network.Message, error) { return s.handleGenTS(req.(GenTSReq)) },
+		MethodLastTS: func(req network.Message) (network.Message, error) { return s.handleLastTS(req.(LastTSReq)) },
+		MethodGenTSBatch: func(req network.Message) (network.Message, error) {
+			return s.handleBatch(req.(BatchReq), true), nil
+		},
+		MethodLastTSBatch: func(req network.Message) (network.Message, error) {
+			return s.handleBatch(req.(BatchReq), false), nil
+		},
+		MethodRecover: func(req network.Message) (network.Message, error) { return s.handleRecover(req.(RecoverReq)) },
+	}
 }
 
 // handleBatch serves a grouped gen_ts/last_ts request: each key runs the
@@ -919,22 +909,10 @@ func (s *Service) RecoverTo(ctx context.Context) (corrected int, err error) {
 // re-reads the replicas for a few held counters and corrects counters
 // that are lower than the highest stored timestamp.
 func (s *Service) startInspection() {
-	env := s.ring.Env()
-	rng := env.Rand("kts-inspect:" + string(s.ring.Self().Addr))
 	// One pick stream for the whole loop: re-deriving it per round would
 	// replay the same sequence and pin every round to the same start.
-	pick := env.Rand("kts-inspect-pick:" + string(s.ring.Self().Addr))
-	env.Go(func() {
-		for s.ring.Alive() {
-			if err := env.Sleep(s.cfg.InspectEvery + time.Duration(rng.Int63n(int64(s.cfg.InspectEvery)/4+1))); err != nil {
-				return
-			}
-			if !s.ring.Alive() {
-				return
-			}
-			s.inspectOnce(pick)
-		}
-	})
+	pick := s.ring.Env().Rand("kts-inspect-pick:" + string(s.ring.Self().Addr))
+	dht.Every(s.ring, "kts-inspect", s.cfg.InspectEvery, func(*rand.Rand) { s.inspectOnce(pick) })
 }
 
 // inspectOnce checks up to InspectPerRound counters against the DHT.

@@ -1,227 +1,57 @@
 package kts
 
 import (
-	"errors"
-	"hash/fnv"
+	"maps"
+	"slices"
 
 	"repro/internal/core"
 )
 
-var (
-	errOrder = errors.New("kts: VCS violates BST key order")
-	errHeap  = errors.New("kts: VCS violates treap heap order")
-	errSize  = errors.New("kts: VCS size does not match node count")
-)
-
 // VCS is the Valid Counters Set of §4.1.2: the per-peer set of counters
-// this peer may use for timestamp generation. The paper prescribes a
+// this peer may use for timestamp generation. The paper asks for a
 // binary search tree "such that given a key k seeking c(p,k) can be done
-// rapidly"; we implement a treap — a BST ordered by key whose rotations
-// are driven by per-key hash priorities, giving expected O(log n)
-// operations without rebalancing bookkeeping.
+// rapidly"; a map seeks faster still. The one thing a tree gives that a
+// map does not is order, so Each and Keys walk the keys sorted: the
+// handover batch, a recovery and an inspection round then see the
+// counters in the same order on every replay.
 //
 // VCS is not synchronized; the owning Service serializes access.
-type VCS struct {
-	root *vcsNode
-	size int
-}
-
-type vcsNode struct {
-	key      core.Key
-	priority uint64
-	ts       core.Timestamp
-	left     *vcsNode
-	right    *vcsNode
-}
+type VCS map[core.Key]core.Timestamp
 
 // NewVCS returns an empty set (rule 1 of §4.1.2: a joining peer starts
 // with VCS = ∅).
-func NewVCS() *VCS { return &VCS{} }
-
-// priorityOf derives a deterministic heap priority from the key, so the
-// tree shape is reproducible and expected-balanced. The FNV digest is
-// passed through a splitmix64 finalizer: similar keys ("key-0001",
-// "key-0002", ...) otherwise yield correlated priorities and a skewed
-// tree.
-func priorityOf(k core.Key) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	x := h.Sum64()
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+func NewVCS() VCS { return VCS{} }
 
 // Len returns the number of valid counters.
-func (v *VCS) Len() int { return v.size }
+func (v VCS) Len() int { return len(v) }
 
 // Get returns the counter for k.
-func (v *VCS) Get(k core.Key) (core.Timestamp, bool) {
-	n := v.root
-	for n != nil {
-		switch {
-		case k < n.key:
-			n = n.left
-		case k > n.key:
-			n = n.right
-		default:
-			return n.ts, true
-		}
-	}
-	return core.TSZero, false
+func (v VCS) Get(k core.Key) (core.Timestamp, bool) {
+	ts, ok := v[k]
+	return ts, ok
 }
 
 // Put inserts or updates the counter for k (rule 2: initialization adds
 // the counter to the set).
-func (v *VCS) Put(k core.Key, ts core.Timestamp) {
-	var updated bool
-	v.root, updated = v.put(v.root, k, ts)
-	if !updated {
-		v.size++
-	}
-}
-
-func (v *VCS) put(n *vcsNode, k core.Key, ts core.Timestamp) (*vcsNode, bool) {
-	if n == nil {
-		return &vcsNode{key: k, priority: priorityOf(k), ts: ts}, false
-	}
-	switch {
-	case k < n.key:
-		var updated bool
-		n.left, updated = v.put(n.left, k, ts)
-		if n.left.priority > n.priority {
-			n = rotateRight(n)
-		}
-		return n, updated
-	case k > n.key:
-		var updated bool
-		n.right, updated = v.put(n.right, k, ts)
-		if n.right.priority > n.priority {
-			n = rotateLeft(n)
-		}
-		return n, updated
-	default:
-		n.ts = ts
-		return n, true
-	}
-}
+func (v VCS) Put(k core.Key, ts core.Timestamp) { v[k] = ts }
 
 // Delete removes the counter for k (rule 3: responsibility loss
 // invalidates the counter), reporting whether it existed.
-func (v *VCS) Delete(k core.Key) bool {
-	var deleted bool
-	v.root, deleted = v.del(v.root, k)
-	if deleted {
-		v.size--
-	}
-	return deleted
-}
-
-func (v *VCS) del(n *vcsNode, k core.Key) (*vcsNode, bool) {
-	if n == nil {
-		return nil, false
-	}
-	switch {
-	case k < n.key:
-		var deleted bool
-		n.left, deleted = v.del(n.left, k)
-		return n, deleted
-	case k > n.key:
-		var deleted bool
-		n.right, deleted = v.del(n.right, k)
-		return n, deleted
-	default:
-		// Rotate the node down until it is a leaf, then drop it.
-		switch {
-		case n.left == nil:
-			return n.right, true
-		case n.right == nil:
-			return n.left, true
-		case n.left.priority > n.right.priority:
-			n = rotateRight(n)
-			var deleted bool
-			n.right, deleted = v.del(n.right, k)
-			return n, deleted
-		default:
-			n = rotateLeft(n)
-			var deleted bool
-			n.left, deleted = v.del(n.left, k)
-			return n, deleted
-		}
-	}
+func (v VCS) Delete(k core.Key) bool {
+	_, ok := v[k]
+	delete(v, k)
+	return ok
 }
 
 // Each visits every counter in key order; fn returning false stops the
 // walk early.
-func (v *VCS) Each(fn func(k core.Key, ts core.Timestamp) bool) {
-	var walk func(n *vcsNode) bool
-	walk = func(n *vcsNode) bool {
-		if n == nil {
-			return true
+func (v VCS) Each(fn func(k core.Key, ts core.Timestamp) bool) {
+	for _, k := range v.Keys() {
+		if !fn(k, v[k]) {
+			return
 		}
-		return walk(n.left) && fn(n.key, n.ts) && walk(n.right)
 	}
-	walk(v.root)
 }
 
 // Keys returns every counter key in sorted order.
-func (v *VCS) Keys() []core.Key {
-	out := make([]core.Key, 0, v.size)
-	v.Each(func(k core.Key, _ core.Timestamp) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
-func rotateRight(n *vcsNode) *vcsNode {
-	l := n.left
-	n.left = l.right
-	l.right = n
-	return l
-}
-
-func rotateLeft(n *vcsNode) *vcsNode {
-	r := n.right
-	n.right = r.left
-	r.left = n
-	return r
-}
-
-// checkInvariants validates BST order and heap priorities; tests use it.
-func (v *VCS) checkInvariants() error {
-	count := 0
-	var check func(n *vcsNode, min, max *core.Key) error
-	check = func(n *vcsNode, min, max *core.Key) error {
-		if n == nil {
-			return nil
-		}
-		count++
-		if min != nil && n.key <= *min {
-			return errOrder
-		}
-		if max != nil && n.key >= *max {
-			return errOrder
-		}
-		if n.left != nil && n.left.priority > n.priority {
-			return errHeap
-		}
-		if n.right != nil && n.right.priority > n.priority {
-			return errHeap
-		}
-		if err := check(n.left, min, &n.key); err != nil {
-			return err
-		}
-		return check(n.right, &n.key, max)
-	}
-	if err := check(v.root, nil, nil); err != nil {
-		return err
-	}
-	if count != v.size {
-		return errSize
-	}
-	return nil
-}
+func (v VCS) Keys() []core.Key { return slices.Sorted(maps.Keys(v)) }

@@ -3,6 +3,7 @@ package onehop
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -123,7 +124,7 @@ func (n *Node) Leave() error {
 // exactly one detector (its successor).
 func (n *Node) Start() {
 	if n.Starting() {
-		n.Every("onehop-ping", n.cfg.PingEvery, n.checkPredecessor)
+		dht.Every(n, "onehop-ping", n.cfg.PingEvery, func(*rand.Rand) { n.checkPredecessor() })
 	}
 }
 

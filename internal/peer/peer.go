@@ -1,13 +1,14 @@
 // Package peer is the one peer stack and the one operation path both
 // deployment styles run. The paper's services are thin layers over any
 // DHT, so a peer is the same assembly everywhere: a ring substrate, KTS,
-// UMS and BRK on top of it, and the maintenance loops (republisher,
-// replica repair) beside them. Nothing sits between the services and
-// the substrate: what speeds owner resolution up (chord's learned arcs,
-// onehop's table) lives inside the ring, behind dht.Ring.Guess. The
-// simulator and the TCP node differ only in what they hand New — the
-// Env, the endpoint and the backing store — and in who picks the issuing
-// peer; everything else is this package.
+// UMS and BRK on top of it, and replica repair beside them, whose sweep
+// is the one loop that re-pushes hosted replicas to their current
+// responsibles. Nothing sits between the services and the substrate:
+// what speeds owner resolution up (chord's learned arcs, onehop's table)
+// lives inside the ring, behind dht.Ring.Guess. The simulator and the
+// TCP node differ only in what they hand New — the Env, the endpoint and
+// the backing store — and in who picks the issuing peer; everything else
+// is this package.
 //
 // Config is the one description of a peer, and this is the only package
 // that turns it into a chord, CAN or onehop node: callers pick a
@@ -83,12 +84,12 @@ type Config struct {
 	// direct algorithm is about counters, §4.2.1). Off, the default,
 	// hands replicas over.
 	NoDataHandoff bool
-	// Republish tunes the periodic republisher; a zero Every leaves the
-	// peer without one.
-	Republish dht.RepublishConfig
-	KTS       kts.Config
+	// KTS tunes the timestamping service.
+	KTS kts.Config
 	// Repair tunes replica maintenance; the zero value leaves the peer
-	// without it.
+	// without it. Its sweep also keeps data findable after an arc
+	// rotates without handoff: it re-pushes every hosted replica to the
+	// current replica set.
 	Repair repair.Config
 	// Obs receives every layer's metric families and the op tracer's.
 	// Nil runs uninstrumented.
@@ -118,7 +119,6 @@ type Stack struct {
 	// Node is the substrate node (chord, can or onehop); the services
 	// route reads and writes through it directly.
 	Node   dht.RingNode
-	Repub  *dht.Republisher // nil unless Config.Republish.Every > 0
 	KTS    *kts.Service
 	UMS    *ums.Service
 	BRK    *brk.Service
@@ -182,9 +182,6 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 		s.BRK.SetTracer(tracer)
 	}
 
-	if cfg.Republish.Every > 0 {
-		s.Repub = dht.NewRepublisher(node, node.Store(), cfg.Republish)
-	}
 	if cfg.Repair.Enabled() {
 		s.Repair = repair.New(node, set, s.KTS, node.Store(), ums.Namespace, cfg.Repair)
 		s.UMS.SetReadRepair(s.Repair)
@@ -215,13 +212,10 @@ func concrete[T dht.RingNode](nodes []dht.RingNode) []T {
 }
 
 // Start launches the peer's background loops once it is part of a ring
-// (assembled, created or joined): substrate maintenance, then the
-// republisher, then the repair sweep.
+// (assembled, created or joined): substrate maintenance, then the repair
+// sweep.
 func (s *Stack) Start() {
 	s.Node.Start()
-	if s.Repub != nil {
-		s.Repub.Start()
-	}
 	if s.Repair != nil {
 		s.Repair.Start()
 	}

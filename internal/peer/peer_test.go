@@ -90,8 +90,8 @@ func TestStackParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if bare.Repub != nil || bare.Repair != nil {
-				t.Errorf("maintenance nobody asked for: republisher %v, repair %v", bare.Repub, bare.Repair)
+			if bare.Repair != nil {
+				t.Errorf("maintenance nobody asked for: repair %v", bare.Repair)
 			}
 			if bare.KTS.VCSLen() != 0 {
 				t.Errorf("volatile peer starts with %d counters", bare.KTS.VCSLen())
@@ -108,16 +108,15 @@ func TestStackParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			full, err := New(w.env, w.newEP(t), backing, Config{
-				Replicas:  3,
-				Ring:      RingOneHop,
-				Republish: dht.RepublishConfig{Every: time.Hour},
-				Repair:    repair.Config{ReadRepair: true},
+				Replicas: 3,
+				Ring:     RingOneHop,
+				Repair:   repair.Config{ReadRepair: true},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if full.Repub == nil || full.Repair == nil {
-				t.Fatalf("maintenance missing: republisher %v, repair %v", full.Repub, full.Repair)
+			if full.Repair == nil {
+				t.Fatal("maintenance missing: no repair")
 			}
 			if full.Node.Store().Backing() != store.Store(backing) {
 				t.Error("the replica store does not sit on the backing")

@@ -28,6 +28,7 @@ package repair
 
 import (
 	"context"
+	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -174,21 +175,7 @@ func (s *Service) Start() {
 	}
 	s.started = true
 	s.mu.Unlock()
-
-	env := s.ring.Env()
-	rng := env.Rand("repair:" + string(s.ring.Self().Addr))
-	env.Go(func() {
-		for s.ring.Alive() {
-			jitter := time.Duration(rng.Int63n(int64(s.cfg.Every)/4 + 1))
-			if err := env.Sleep(s.cfg.Every + jitter); err != nil {
-				return
-			}
-			if !s.ring.Alive() {
-				return
-			}
-			s.SweepOnce(rng)
-		}
-	})
+	dht.Every(s.ring, "repair", s.cfg.Every, func(rng *rand.Rand) { s.SweepOnce(rng) })
 }
 
 // SweepOnce runs one anti-entropy round: pick up to PerRound hosted keys

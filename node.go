@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/chord"
-	"repro/internal/dht"
 	"repro/internal/kts"
 	"repro/internal/network"
 	"repro/internal/network/tcpwire"
@@ -77,7 +76,8 @@ type NodeConfig struct {
 	// RepairEvery enables the replica-maintenance subsystem's
 	// anti-entropy sweep with the given period: the node periodically
 	// re-pushes the current value of the keys it hosts to the current
-	// replica set, healing replicas lost to churn. Zero disables it.
+	// replica set, healing replicas lost to churn and the ones a join
+	// left behind on the old responsible. Zero disables it.
 	RepairEvery time.Duration
 	// RepairPerRound caps how many keys one sweep round repairs.
 	// Default 8.
@@ -86,11 +86,6 @@ type NodeConfig struct {
 	// observes stale or missing replicas among the probed positions
 	// refreshes them asynchronously with the value it found.
 	ReadRepair bool
-	// RepublishEvery enables the periodic republisher with the given
-	// period: the node re-pushes replicas it still holds but no longer
-	// owns to the current responsible, 16 keys a round. Zero disables
-	// it.
-	RepublishEvery time.Duration
 	// DataDir, when non-empty, makes the node durable: hosted replicas
 	// and KTS counters are persisted to a write-ahead log in this
 	// directory and recovered on the next start, feeding the paper's
@@ -152,7 +147,6 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 			CheckPredEvery:  cfg.StabilizeEvery,
 			RPCTimeout:      2 * time.Second,
 		},
-		Republish: dht.RepublishConfig{Every: cfg.RepublishEvery},
 		KTS: kts.Config{
 			Mode:            cfg.Mode,
 			GraceDelay:      cfg.GraceDelay,
@@ -248,16 +242,6 @@ func (n *Node) Recovered() store.Recovered {
 // already triggers this in the background after a durable restart.
 func (n *Node) Recover(ctx context.Context) (int, error) {
 	return n.stack.KTS.RecoverTo(ctx)
-}
-
-// Republished reports how many replicas the periodic republisher has
-// pushed to their current responsible (zero when RepublishEvery is
-// off).
-func (n *Node) Republished() uint64 {
-	if n.stack.Repub == nil {
-		return 0
-	}
-	return n.stack.Repub.Pushed()
 }
 
 // RepairStats reports the replica-maintenance subsystem's counters for
