@@ -48,8 +48,9 @@ func TestBadSetExitsTwo(t *testing.T) {
 		args []string
 		want []string
 	}{
-		{"unknown key", []string{"-figure", "perf", "-set", "bogus=1"}, []string{"bogus", "ops=", "macro_ops=", "strip_timing="}},
-		{"malformed value", []string{"-figure", "perf", "-set", "macro_ops=lots"}, []string{"macro_ops", "kernel_peers="}},
+		{"unknown key", []string{"-figure", "perf", "-set", "bogus=1"}, []string{"bogus", "ops=", "macro_ops="}},
+		{"malformed value", []string{"-figure", "perf", "-set", "macro_ops=lots"}, []string{"macro_ops", "macro_concurrency="}},
+		{"removed key", []string{"-figure", "perf", "-set", "strip_timing=true"}, []string{`unknown parameter "strip_timing"`}},
 		{"key of another figure", []string{"-figure", "gateway,lookup", "-set", "samples=3"}, []string{"figure gateway", "peers=", "ops="}},
 		{"unknown figure", []string{"-figure", "13"}, []string{`unknown figure "13"`}},
 	} {

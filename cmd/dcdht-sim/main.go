@@ -146,5 +146,5 @@ func main() {
 		fmt.Printf("scenario           %s: %d events applied\n", r.Trace.Script, len(r.Trace.Applied))
 	}
 	fmt.Printf("network messages   %d total\n", r.TotalNetMsgs)
-	fmt.Printf("simulation         %d events in %s wall time\n", r.SimEvents, r.WallTime.Round(time.Millisecond))
+	fmt.Printf("simulation         %d events\n", r.SimEvents)
 }

@@ -72,14 +72,20 @@ func TestBadInputExitsTwo(t *testing.T) {
 	}
 }
 
-// TestSmallRunSucceeds: the smallest sensible run exits 0 and reports.
+// TestSmallRunSucceeds: the smallest sensible run exits 0 and reports,
+// and its report is a function of the seed: a second run prints the
+// same bytes (no wall-clock figure rides along).
 func TestSmallRunSucceeds(t *testing.T) {
-	stdout, stderr, code := runMain(t, "-peers", "8", "-replicas", "3", "-keys", "2",
-		"-duration", "2m", "-queries", "2", "-churn", "0")
+	args := []string{"-peers", "8", "-replicas", "3", "-keys", "2",
+		"-duration", "2m", "-queries", "2", "-churn", "0"}
+	stdout, stderr, code := runMain(t, args...)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	if !strings.Contains(stdout, "failed queries") {
 		t.Errorf("no report on stdout: %q", stdout)
+	}
+	if again, _, _ := runMain(t, args...); again != stdout {
+		t.Errorf("same-seed runs printed different reports:\n%s\n%s", stdout, again)
 	}
 }

@@ -27,7 +27,7 @@
 // docs/CONSISTENCY.md.
 //
 // The evaluation harness that regenerates the paper's figures lives in
-// internal/exp and is exposed through cmd/dcdht-bench and the root
-// benchmarks in bench_test.go. docs/ARCHITECTURE.md maps the packages;
+// internal/exp and is exposed through cmd/dcdht-bench; wall-clock costs
+// are the benchmarks/ module's. docs/ARCHITECTURE.md maps the packages;
 // docs/BENCHMARKS.md documents every figure and JSON schema.
 package dcdht

@@ -44,9 +44,9 @@ func TestRunScenarioUMSDirect(t *testing.T) {
 	if r.CurrentRate == 0 {
 		t.Fatalf("UMS-Direct returned no provably current replica at all: %+v", r)
 	}
-	t.Logf("UMS-Direct: resp=%.2fs msgs=%.1f probes=%.2f current=%.0f%% churn=%d events=%d wall=%s",
+	t.Logf("UMS-Direct: resp=%.2fs msgs=%.1f probes=%.2f current=%.0f%% churn=%d events=%d",
 		r.RespTime.Mean(), r.Msgs.Mean(), r.Probed.Mean(), 100*r.CurrentRate,
-		r.ChurnEvents, r.SimEvents, r.WallTime)
+		r.ChurnEvents, r.SimEvents)
 }
 
 func TestRunScenarioBRKProbesAllReplicas(t *testing.T) {

@@ -174,9 +174,9 @@ func (s *sweep) cells(o Options) []sweepCell {
 			r := Run(sc)
 			c := sweepCell{x: fmt.Sprintf("%g", x), alg: alg, resp: r.RespTime.Mean(), msgs: r.Msgs.Mean()}
 			cells = append(cells, c)
-			o.progress("%-24s x=%-6s resp=%6.2fs msgs=%5.1f probes=%4.2f current=%.0f%% churn=%d wall=%s",
+			o.progress("%-24s x=%-6s resp=%6.2fs msgs=%5.1f probes=%4.2f current=%.0f%% churn=%d",
 				sc.Name, c.x, c.resp, c.msgs, r.Probed.Mean(),
-				100*r.CurrentRate, r.ChurnEvents, r.WallTime.Round(time.Millisecond))
+				100*r.CurrentRate, r.ChurnEvents)
 		}
 	}
 	s.mu.Lock()

@@ -102,7 +102,6 @@ type Result struct {
 
 	TotalNetMsgs uint64 // every message the network carried
 	SimEvents    uint64
-	WallTime     time.Duration
 }
 
 // insert dispatches an insert through the scenario's algorithm. The
@@ -125,7 +124,6 @@ func (sc *Scenario) retrieve(p *Peer, k core.Key) (dht.OpResult, error) {
 
 // Run executes the scenario and returns aggregated metrics.
 func Run(sc Scenario) *Result {
-	wallStart := time.Now()
 	cfg := sc.DeployConfig
 	if sc.Algorithm == AlgUMSIndirect {
 		cfg.KTS.Mode = kts.ModeIndirect
@@ -286,7 +284,6 @@ func Run(sc Scenario) *Result {
 	}
 	res.TotalNetMsgs = d.Net.TotalMessages()
 	res.SimEvents = d.K.Events()
-	res.WallTime = time.Since(wallStart)
 	d.K.Stop()
 	return res
 }

@@ -16,7 +16,8 @@ type Table struct {
 	XS     []string
 	// Cells[x][series] = value; missing cells render as "-".
 	Cells map[string]map[string]float64
-	// Notes carry run metadata (seed, scale, wall time).
+	// Notes carry run metadata (seed, scale, parameters); like the
+	// cells, they are functions of the seed.
 	Notes []string
 }
 

@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"runtime"
 	"time"
 
 	"repro/internal/simnet"
@@ -17,6 +18,17 @@ type KernelConfig struct {
 	// EventsPerPeer is the chain length: how many times each peer's
 	// timer fires before going quiet.
 	EventsPerPeer int
+}
+
+// KernelPoint is one run of the bare simulation kernel.
+type KernelPoint struct {
+	// Peers and Events are deterministic: Events is exactly Peers x
+	// EventsPerPeer.
+	Peers  int
+	Events uint64
+	// EventsPerSec is how fast this host dispatched them, in wall-clock
+	// time: the repository benchmark's simnet.events_per_wall_s.
+	EventsPerSec float64
 }
 
 // chain is one synthetic peer: a self-rescheduling kernel callback that
@@ -40,10 +52,9 @@ func tick(x any) {
 // KernelBench boots a fresh simulation kernel, schedules cfg.Peers
 // self-rescheduling event chains with deliberately co-prime periods (so
 // deadlines interleave across the queue shards rather than marching in
-// lockstep), and drains the queue. The deterministic field is the total
-// event count — exactly Peers x EventsPerPeer plus nothing, since
-// chains are pure AfterCall events with no processes — and the timing
-// fields record how fast this host dispatched them.
+// lockstep), drains the queue, and times the drain on the wall clock.
+// Chains are pure AfterCall events with no processes, so the event
+// count is exactly Peers x EventsPerPeer.
 func KernelBench(cfg KernelConfig) KernelPoint {
 	if cfg.Peers <= 0 {
 		cfg.Peers = 1000
@@ -65,19 +76,20 @@ func KernelBench(cfg KernelConfig) KernelPoint {
 		}
 	}
 
-	point := KernelPoint{Peers: cfg.Peers}
-	t := Measure(cfg.Peers*cfg.EventsPerPeer, func() {
-		for i := range chains {
-			c := &chains[i]
-			k.AfterCall(c.period, tick, c)
-		}
-		k.RunUntilIdle()
-	})
-	point.Events = k.Events()
-	if t.WallSeconds > 0 {
-		point.EventsPerSec = float64(point.Events) / t.WallSeconds
-		point.NsPerEvent = t.WallSeconds * 1e9 / float64(point.Events)
+	// A collection first, so a previous caller's garbage is not charged
+	// to the drain.
+	runtime.GC()
+	start := time.Now()
+	for i := range chains {
+		c := &chains[i]
+		k.AfterCall(c.period, tick, c)
 	}
-	point.AllocsPerEvent = t.AllocsPerOp * float64(cfg.Peers*cfg.EventsPerPeer) / float64(point.Events)
+	k.RunUntilIdle()
+	wall := time.Since(start)
+
+	point := KernelPoint{Peers: cfg.Peers, Events: k.Events()}
+	if wall > 0 {
+		point.EventsPerSec = float64(point.Events) / wall.Seconds()
+	}
 	return point
 }

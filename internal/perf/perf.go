@@ -1,50 +1,33 @@
-// Package perf is the deterministic benchmark subsystem: it defines the
-// machine-readable perf figure (BENCH_perf.json), the measurement
-// discipline that keeps it reproducible, and the validation invariants
-// CI holds every regeneration to.
+// Package perf defines the machine-readable perf figure
+// (BENCH_perf.json) and the validation invariants CI holds every
+// regeneration to, plus the bare-kernel benchmark the repository
+// benchmark's simnet probe runs.
 //
-// The figure splits every metric into two classes:
-//
-//   - Deterministic fields — operation counts, messages per op, KTS
-//     requests per op, simulated latency, kernel event counts — are
-//     functions of the seed alone. Two runs at the same seed and scale
-//     produce bit-identical values, so CI regenerates the figure twice
-//     with timing stripped and byte-compares the files, then checks the
-//     deterministic fields against the committed baseline exactly.
-//
-//   - Timing fields — wall-clock ops/sec, ns/event, allocs/op — depend
-//     on the host and are never compared across machines. StripTiming
-//     zeroes them for the byte-compare; the committed baseline keeps one
-//     machine's numbers as a trajectory record, not a gate.
-//
-// The kernel benchmark (KernelBench) drives the sharded simulation
-// kernel with synthetic self-rescheduling event chains — no protocol
-// stack, pure scheduler — at deployment scales the protocol figures
-// never reach (1k/10k/100k peers), isolating the event-queue hot path
-// the rest of the suite sits on.
+// Every field of the figure — operation counts, messages per op, KTS
+// requests per op, simulated latency, the macro workload's simulated
+// throughput — is a function of the seed alone, so two runs at the same
+// seed and scale marshal to byte-identical JSON and CI byte-compares a
+// regeneration against the committed file, like every other baseline.
+// Wall-clock and allocation numbers have one owner, the repository
+// benchmark under benchmarks/, and never enter the figure.
 package perf
 
-import (
-	"fmt"
-	"runtime"
-	"time"
-)
+import "fmt"
 
-// SchemaV1 names the current perf figure schema; Validate rejects
-// anything else so a stale baseline fails loudly.
-const SchemaV1 = "dcdht-perf/v1"
+// SchemaV2 names the current perf figure schema; Validate rejects
+// anything else so a stale baseline fails loudly. (v1 carried wall-clock
+// fields and the kernel sweep.)
+const SchemaV2 = "dcdht-perf/v2"
 
 // Figure is the machine-readable perf export (BENCH_perf.json).
 type Figure struct {
-	// Schema tags the layout (SchemaV1).
+	// Schema tags the layout (SchemaV2).
 	Schema string `json:"schema"`
 	// Seed and Full echo the run's provenance.
 	Seed int64 `json:"seed"`
 	Full bool  `json:"full"`
 	// Ops holds one micro point per (algorithm, operation, level).
 	Ops []OpPoint `json:"ops"`
-	// Kernel holds the scheduler benchmark at each synthetic scale.
-	Kernel []KernelPoint `json:"kernel"`
 	// Macro is the end-to-end workload point (nil when skipped).
 	Macro *MacroPoint `json:"macro,omitempty"`
 }
@@ -60,61 +43,23 @@ type OpPoint struct {
 	Op    string `json:"op"`
 	Level string `json:"level,omitempty"`
 
-	// Deterministic fields: functions of the seed alone.
 	OpsRun       int     `json:"ops_run"`
 	MsgsPerOp    float64 `json:"msgs_per_op"`
 	KTSReqsPerOp float64 `json:"kts_reqs_per_op"`
 	SimLatencyMs float64 `json:"sim_latency_ms"`
-
-	// Timing fields: host-dependent, zeroed by StripTiming.
-	WallOpsPerSec float64 `json:"wall_ops_per_sec"`
-	AllocsPerOp   float64 `json:"allocs_per_op"`
 }
 
-// key identifies an op point across runs for baseline comparison.
+// key identifies an op point within a figure.
 func (p OpPoint) key() string { return p.Alg + "/" + p.Op + "/" + p.Level }
 
-// KernelPoint measures the bare simulation kernel at one synthetic
-// deployment scale.
-type KernelPoint struct {
-	// Deterministic fields.
-	Peers  int    `json:"peers"`
-	Events uint64 `json:"events"`
-
-	// Timing fields.
-	EventsPerSec   float64 `json:"events_per_sec"`
-	NsPerEvent     float64 `json:"ns_per_event"`
-	AllocsPerEvent float64 `json:"allocs_per_event"`
-}
-
-// MacroPoint measures one closed-loop workload run end to end.
+// MacroPoint measures one closed-loop workload run end to end in
+// simulated time.
 type MacroPoint struct {
-	// Deterministic fields.
 	Peers         int     `json:"peers"`
 	Ops           int     `json:"ops"`
 	Failed        int     `json:"failed"`
 	SimElapsedSec float64 `json:"sim_elapsed_sec"`
 	SimOpsPerSec  float64 `json:"sim_ops_per_sec"`
-	// Timing fields.
-	WallMs float64 `json:"wall_ms"`
-}
-
-// StripTiming zeroes every host-dependent field, leaving only the
-// deterministic ones — after this, two same-seed runs marshal to
-// byte-identical JSON.
-func (f *Figure) StripTiming() {
-	for i := range f.Ops {
-		f.Ops[i].WallOpsPerSec = 0
-		f.Ops[i].AllocsPerOp = 0
-	}
-	for i := range f.Kernel {
-		f.Kernel[i].EventsPerSec = 0
-		f.Kernel[i].NsPerEvent = 0
-		f.Kernel[i].AllocsPerEvent = 0
-	}
-	if f.Macro != nil {
-		f.Macro.WallMs = 0
-	}
 }
 
 // Validate checks the figure's internal invariants: schema, shape, and
@@ -122,8 +67,8 @@ func (f *Figure) StripTiming() {
 // must cost less than provably-current ones, eventual reads must never
 // touch KTS, and every UMS write pays at least one timestamp grant.
 func (f *Figure) Validate() error {
-	if f.Schema != SchemaV1 {
-		return fmt.Errorf("perf: schema %q, want %q", f.Schema, SchemaV1)
+	if f.Schema != SchemaV2 {
+		return fmt.Errorf("perf: schema %q, want %q", f.Schema, SchemaV2)
 	}
 	if len(f.Ops) == 0 {
 		return fmt.Errorf("perf: empty op point set")
@@ -186,24 +131,6 @@ func (f *Figure) Validate() error {
 			return fmt.Errorf("perf: current get reports %v KTS reqs/op, want >= 1", cur.KTSReqsPerOp)
 		}
 	}
-	if len(f.Kernel) < 2 {
-		return fmt.Errorf("perf: kernel sweep has %d points, want >= 2 scales", len(f.Kernel))
-	}
-	for i, p := range f.Kernel {
-		if p.Peers <= 0 || p.Events == 0 {
-			return fmt.Errorf("perf: kernel point %d: peers=%d events=%d", i, p.Peers, p.Events)
-		}
-		if i > 0 {
-			prev := f.Kernel[i-1]
-			if p.Peers <= prev.Peers {
-				return fmt.Errorf("perf: kernel scales not increasing: %d after %d", p.Peers, prev.Peers)
-			}
-			if p.Events <= prev.Events {
-				return fmt.Errorf("perf: kernel events not increasing with scale: %d@%d after %d@%d",
-					p.Events, p.Peers, prev.Events, prev.Peers)
-			}
-		}
-	}
 	if f.Macro != nil {
 		if f.Macro.Ops <= 0 {
 			return fmt.Errorf("perf: macro point ran no operations")
@@ -216,85 +143,4 @@ func (f *Figure) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ValidateAgainst checks f against a committed baseline: the same point
-// set, and every deterministic field bit-equal — the simulation is a
-// function of the seed, so any drift is a behavior change that must
-// come with a regenerated baseline. Timing fields are never compared.
-func (f *Figure) ValidateAgainst(base *Figure) error {
-	if err := f.Validate(); err != nil {
-		return err
-	}
-	if f.Schema != base.Schema || f.Seed != base.Seed || f.Full != base.Full {
-		return fmt.Errorf("perf: provenance drifted from baseline: schema=%q seed=%d full=%v, want %q/%d/%v",
-			f.Schema, f.Seed, f.Full, base.Schema, base.Seed, base.Full)
-	}
-	if len(f.Ops) != len(base.Ops) {
-		return fmt.Errorf("perf: %d op points, baseline has %d", len(f.Ops), len(base.Ops))
-	}
-	for i, p := range f.Ops {
-		b := base.Ops[i]
-		if p.key() != b.key() {
-			return fmt.Errorf("perf: op point %d is %s, baseline has %s", i, p.key(), b.key())
-		}
-		if p.OpsRun != b.OpsRun || p.MsgsPerOp != b.MsgsPerOp ||
-			p.KTSReqsPerOp != b.KTSReqsPerOp || p.SimLatencyMs != b.SimLatencyMs {
-			return fmt.Errorf("perf: op point %s drifted from baseline: ops=%d msgs=%v kts=%v lat=%v, want %d/%v/%v/%v",
-				p.key(), p.OpsRun, p.MsgsPerOp, p.KTSReqsPerOp, p.SimLatencyMs,
-				b.OpsRun, b.MsgsPerOp, b.KTSReqsPerOp, b.SimLatencyMs)
-		}
-	}
-	if len(f.Kernel) != len(base.Kernel) {
-		return fmt.Errorf("perf: %d kernel points, baseline has %d", len(f.Kernel), len(base.Kernel))
-	}
-	for i, p := range f.Kernel {
-		b := base.Kernel[i]
-		if p.Peers != b.Peers || p.Events != b.Events {
-			return fmt.Errorf("perf: kernel point %d drifted: %d peers / %d events, want %d/%d",
-				i, p.Peers, p.Events, b.Peers, b.Events)
-		}
-	}
-	if (f.Macro == nil) != (base.Macro == nil) {
-		return fmt.Errorf("perf: macro point presence differs from baseline")
-	}
-	if f.Macro != nil {
-		m, b := f.Macro, base.Macro
-		if m.Peers != b.Peers || m.Ops != b.Ops || m.Failed != b.Failed ||
-			m.SimElapsedSec != b.SimElapsedSec || m.SimOpsPerSec != b.SimOpsPerSec {
-			return fmt.Errorf("perf: macro point drifted: %+v, want %+v", *m, *b)
-		}
-	}
-	return nil
-}
-
-// Timing is one measured stretch of host work: wall seconds and heap
-// allocations, normalized per operation by Measure.
-type Timing struct {
-	WallSeconds float64
-	OpsPerSec   float64
-	AllocsPerOp float64
-}
-
-// Measure runs fn — which performs ops operations — once, bracketed by
-// wall clock and heap accounting. The caller provides determinism; this
-// helper only attaches the host-dependent timing that StripTiming later
-// removes. A GC runs first so the Mallocs delta reflects fn alone as
-// closely as the runtime allows.
-func Measure(ops int, fn func()) Timing {
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	fn()
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	t := Timing{WallSeconds: wall.Seconds()}
-	if ops > 0 {
-		t.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / float64(ops)
-		if wall > 0 {
-			t.OpsPerSec = float64(ops) / wall.Seconds()
-		}
-	}
-	return t
 }

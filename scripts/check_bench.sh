@@ -3,15 +3,14 @@
 # figures of the internal/exp registry through dcdht-bench and holds
 # each JSON document to its figure's schema and acceptance invariants
 # (scripts/validate_bench): the consistency and recovery figures at toy
-# scale; the workload, gateway and lookup figures byte-compared against
-# their committed BENCH_*.json; the perf figure replayed and compared
-# with the committed BENCH_perf.json's deterministic fields; and the
-# paper's own tables (§3.3 analysis, Figures 6–12, the ablations) with
-# the repair and scenario figures at quick scale, every table required
-# to print. A schema drift, a broken figure, a consistency level that
-# stopped being cheaper than Current, a durable restart that stopped
-# beating crash-and-forget, or a deterministic figure that moved without
-# a regenerated baseline all fail this gate.
+# scale; the workload, gateway, lookup and perf figures byte-compared
+# against their committed BENCH_*.json; and the paper's own tables
+# (§3.3 analysis, Figures 6–12, the ablations) with the repair and
+# scenario figures at quick scale, every table required to print. A
+# schema drift, a broken figure, a consistency level that stopped being
+# cheaper than Current, a durable restart that stopped beating
+# crash-and-forget, or a committed figure that moved without a
+# regenerated baseline all fail this gate.
 # Run from the repository root: ./scripts/check_bench.sh
 set -eu
 
@@ -35,8 +34,6 @@ bench() {
 # held to beyond the figure's invariants:
 #   -             nothing more
 #   cmp:FILE      byte-identical to the committed FILE
-#   replay:FILE   a same-seed rerun is byte-identical, and the
-#                 deterministic fields equal the committed FILE's
 figure() {
     name=$1 title=$2 check=$3
     shift 3
@@ -46,7 +43,6 @@ figure() {
         echo "check_bench: $name table missing from bench output" >&2
         exit 1
     }
-    baseline=
     case $check in
     cmp:*)
         cmp -s "$json" "${check#cmp:}" || {
@@ -54,16 +50,8 @@ figure() {
             diff "$json" "${check#cmp:}" >&2 || true
             exit 1
         } ;;
-    replay:*)
-        baseline=${check#replay:}
-        bench "$name" "$out/${name}2" "$@"
-        cmp -s "$json" "$out/${name}2/BENCH_$name.json" || {
-            echo "check_bench: $name figure is not deterministic across same-seed runs" >&2
-            diff "$json" "$out/${name}2/BENCH_$name.json" >&2 || true
-            exit 1
-        } ;;
     esac
-    "$out/validate_bench" "$name" "$json" $baseline
+    "$out/validate_bench" "$name" "$json"
 }
 
 # 48 queries per level: the validator demands strictly fewer messages
@@ -77,22 +65,14 @@ figure recovery "Recovery: crash-and-forget vs durable restart" - peers=30 queri
 # The committed baselines: every run is fully deterministic (simulated
 # time, fixed seed), so any drift means the path changed behaviour —
 # regenerate the baseline with the same parameters (defaults for gateway
-# and lookup) and commit it alongside the change.
+# and lookup) and commit it alongside the change, e.g. for perf:
+#   go run ./cmd/dcdht-bench -figure perf -set ops=12 -set peers=32 \
+#       -set macro_ops=120 -quiet -json .
 figure workload "Workload: throughput and latency quantiles" cmp:BENCH_workload.json \
     pattern=uniform peers=32 duration=45s concurrency=3
 figure gateway "Gateway: hot-key coalescing front-end" cmp:BENCH_gateway.json
 figure lookup "Lookup acceleration: chord vs chord+cache vs onehop" cmp:BENCH_lookup.json
-
-# Perf: replayed with the host-dependent timing fields stripped, then
-# the deterministic fields are validated against the committed
-# BENCH_perf.json exactly. To refresh the baseline after an intended
-# behaviour change, run the same parameters without strip_timing
-# (keeping one machine's timing as a trajectory record) and commit the
-# output:
-#   go run ./cmd/dcdht-bench -figure perf -set ops=12 -set peers=32 \
-#       -set kernel_events=10 -set macro_ops=120 -quiet -json .
-figure perf "Perf: hot-path costs" replay:BENCH_perf.json \
-    ops=12 peers=32 kernel_events=10 macro_ops=120 strip_timing=true
+figure perf "Perf: hot-path costs" cmp:BENCH_perf.json ops=12 peers=32 macro_ops=120
 
 # The paper's figures, the ablations and the repair and scenario
 # figures at quick scale (about three minutes on one core): every table
