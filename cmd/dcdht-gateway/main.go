@@ -7,7 +7,9 @@
 // Usage:
 //
 //	dcdht-gateway serve -listen 127.0.0.1:8080 -backends 127.0.0.1:4000,127.0.0.1:4001
-//	dcdht-gateway serve -backends 127.0.0.1:4000 -replicas 5 -cooldown 5s
+//	dcdht-gateway serve -backends 127.0.0.1:4000 -replicas 5
+//
+// The balancer benches a backend for 2s after 3 consecutive errors.
 //
 // The listener binds before any ring contact, so an occupied -listen
 // fails fast (exit 1); flag and -backends syntax errors exit 2. The
@@ -84,8 +86,6 @@ func serve(args []string) {
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP address to listen on, host:port (port 0 picks a free one)")
 	backends := fs.String("backends", "", "comma-separated host:port ring members the gateway pools over (required)")
 	replicas := fs.Int("replicas", 10, "|Hr|: replicas per data item (must match every ring member)")
-	cooldownAfter := fs.Int("cooldown-after", 0, "consecutive backend errors before the balancer benches a backend (0 selects the default, 3)")
-	cooldown := fs.Duration("cooldown", 0, "how long a benched backend sits out, e.g. 2s (0 selects the default)")
 	seed := fs.Int64("seed", 0, "seed for the gateway's derived streams; 0 derives one from the clock")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	fs.Parse(args)
@@ -141,11 +141,7 @@ func serve(args []string) {
 	// One stabilization round so the ephemeral peers are fully linked.
 	time.Sleep(500 * time.Millisecond)
 
-	gw, err := dcdht.NewGateway(clients, dcdht.GatewayConfig{
-		CooldownAfter: *cooldownAfter,
-		Cooldown:      *cooldown,
-		Seed:          *seed,
-	})
+	gw, err := dcdht.NewGateway(clients, dcdht.GatewayConfig{Seed: *seed})
 	if err != nil {
 		log.Error("gateway start failed", "err", err)
 		leaveAll()

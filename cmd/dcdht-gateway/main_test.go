@@ -65,7 +65,7 @@ func TestFlagHelp(t *testing.T) {
 	if code != 0 {
 		t.Errorf("-h: exit %d, want 0 (flag.ExitOnError help)", code)
 	}
-	for _, flagName := range []string{"-listen", "-backends", "-replicas", "-cooldown", "-log-format"} {
+	for _, flagName := range []string{"-listen", "-backends", "-replicas", "-seed", "-log-format"} {
 		if !strings.Contains(stderr, flagName) {
 			t.Errorf("-h output missing %s:\n%s", flagName, stderr)
 		}
@@ -90,9 +90,14 @@ func TestBadBackendsExitsTwo(t *testing.T) {
 			}
 		})
 	}
-	// Unknown flags are also usage errors (flag.ExitOnError).
-	if _, _, code := runMain(t, "serve", "-no-such-flag"); code != 2 {
-		t.Errorf("unknown flag: exit %d, want 2", code)
+	// Unknown flags are also usage errors (flag.ExitOnError), the removed
+	// balancer cooldown flags included: the cooldown is fixed at 3
+	// errors and 2s.
+	for _, flagArgs := range [][]string{{"-no-such-flag"}, {"-cooldown-after", "3"}, {"-cooldown", "2s"}} {
+		_, stderr, code := runMain(t, append([]string{"serve", "-backends", "127.0.0.1:1"}, flagArgs...)...)
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+flagArgs[0]) {
+			t.Errorf("unknown flag %s: exit %d stderr %q, want 2", flagArgs[0], code, stderr)
+		}
 	}
 	if _, stderr, code := runMain(t, "serve", "-backends", "127.0.0.1:1", "-log-format", "yaml"); code != 2 ||
 		!strings.Contains(stderr, "log-format") {

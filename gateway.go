@@ -3,7 +3,6 @@ package dcdht
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dht"
@@ -12,14 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// GatewayConfig parameterizes a Gateway front-end.
+// GatewayConfig parameterizes a Gateway front-end. Its balancer benches
+// a backend for 2s after 3 consecutive errors.
 type GatewayConfig struct {
-	// CooldownAfter benches a backend after this many consecutive
-	// errors (0 selects the default, 3).
-	CooldownAfter int
-	// Cooldown is how long a benched backend sits out before the
-	// balancer considers it healthy again (0 selects the default, 2s).
-	Cooldown time.Duration
 	// Seed seeds the gateway's derived random streams; 0 is a valid
 	// fixed seed.
 	Seed int64
@@ -61,10 +55,11 @@ type Gateway struct {
 	httpReqs *obs.CounterVec
 }
 
-// clientBackend adapts a Client to the internal gateway backend
-// interface. Key, Timestamp and Result are aliases of the internal
-// types, so the adaptation is only about replaying read policies
-// through the option machinery.
+// clientBackend adapts a Client to the one op surface (dht.Ops) the
+// workload engine drives, and to the gateway's backend interface on
+// top. Key, Timestamp and Result are aliases of the internal types, so
+// the adaptation is only about replaying read policies through the
+// option machinery.
 type clientBackend struct{ c Client }
 
 func (b clientBackend) Insert(ctx context.Context, k core.Key, data []byte) (dht.OpResult, error) {
@@ -95,12 +90,7 @@ func NewGateway(backends []Client, cfg GatewayConfig) (*Gateway, error) {
 	for i, c := range backends {
 		pool[i] = clientBackend{c: c}
 	}
-	gw, err := gateway.New(pool, gateway.Config{
-		Env:           env,
-		Obs:           reg,
-		CooldownAfter: cfg.CooldownAfter,
-		Cooldown:      cfg.Cooldown,
-	})
+	gw, err := gateway.New(pool, gateway.Config{Env: env, Obs: reg})
 	if err != nil {
 		env.Close()
 		return nil, fmt.Errorf("dcdht: %w", err)

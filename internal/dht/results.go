@@ -1,10 +1,21 @@
 package dht
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/core"
 )
+
+// Ops is the paper's two client operations (Figure 2): insert(k, data),
+// and retrieve(k) under the acceptance predicate pol (the zero policy is
+// the paper's provably-current retrieve). It is the one op surface the
+// workload engine drives and the gateway pools: a peer stack, the
+// gateway itself and the public client adapter all implement it.
+type Ops interface {
+	Insert(ctx context.Context, k core.Key, data []byte) (OpResult, error)
+	Retrieve(ctx context.Context, k core.Key, pol ReadPolicy) (OpResult, error)
+}
 
 // OpResult reports one insert or retrieve operation with the metrics the
 // evaluation tracks: response time, communication cost (messages/bytes)

@@ -337,40 +337,29 @@ func (d *Deployment) RepairStats() repair.Stats {
 	return total
 }
 
-// workloadClient adapts the deployment to the workload engine's Client:
-// each operation is issued through UMS from a live peer drawn off a
-// dedicated deterministic stream, mirroring how the paper's harness
-// issues queries from random peers.
+// workloadClient is the deployment as one dht.Ops: each operation is
+// issued through UMS from a live peer drawn off a dedicated
+// deterministic stream, mirroring how the paper's harness issues
+// queries from random peers.
 type workloadClient struct {
 	d   *Deployment
 	rng interface{ Intn(int) int }
 }
 
-func (c workloadClient) Put(ctx context.Context, key core.Key, data []byte) (dht.OpResult, error) {
+func (c workloadClient) Insert(ctx context.Context, key core.Key, data []byte) (dht.OpResult, error) {
 	p := c.d.RandomLivePeer(c.rng)
 	if p == nil {
 		return dht.OpResult{}, fmt.Errorf("exp: no live peer: %w", core.ErrUnreachable)
 	}
-	return p.UMS.Insert(ctx, key, data)
+	return p.Insert(ctx, key, data)
 }
 
-func (c workloadClient) Get(ctx context.Context, key core.Key) (dht.OpResult, error) {
+func (c workloadClient) Retrieve(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
 	p := c.d.RandomLivePeer(c.rng)
 	if p == nil {
 		return dht.OpResult{}, fmt.Errorf("exp: no live peer: %w", core.ErrUnreachable)
 	}
-	return p.UMS.Retrieve(ctx, key)
-}
-
-// GetWith implements workload.LevelClient: a read at an explicit
-// consistency level, so workload specs with a consistency mix exercise
-// the UMS acceptance predicate end to end.
-func (c workloadClient) GetWith(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
-	p := c.d.RandomLivePeer(c.rng)
-	if p == nil {
-		return dht.OpResult{}, fmt.Errorf("exp: no live peer: %w", core.ErrUnreachable)
-	}
-	return p.UMS.RetrieveWith(ctx, key, pol)
+	return p.Retrieve(ctx, key, pol)
 }
 
 // RunWorkload drives a workload spec against the deployment as a
@@ -385,10 +374,10 @@ func (d *Deployment) RunWorkload(ctx context.Context, spec workload.Spec) (*work
 	return d.RunWorkloadWith(ctx, spec, workloadClient{d: d, rng: d.K.NewRand("workload-issuer")})
 }
 
-// RunWorkloadWith is RunWorkload against an arbitrary workload client —
-// the gateway figure drives the same spec through a front-end tier and
-// through direct peer issue, on deployments built from the same seed.
-func (d *Deployment) RunWorkloadWith(ctx context.Context, spec workload.Spec, cl workload.Client) (*workload.Report, error) {
+// RunWorkloadWith is RunWorkload against any dht.Ops — the gateway
+// figure drives the same spec through a front-end tier and through
+// direct peer issue, on deployments built from the same seed.
+func (d *Deployment) RunWorkloadWith(ctx context.Context, spec workload.Spec, cl dht.Ops) (*workload.Report, error) {
 	var rep *workload.Report
 	var err error
 	done := false

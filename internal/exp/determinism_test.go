@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,8 +59,16 @@ func TestWholeNetworkDeterminism(t *testing.T) {
 
 // TestAblationsSmoke plays every variant of every ablation, through
 // the ablation table's own mutators, at a tiny scale to keep the
-// bench-scale tables honest.
+// bench-scale tables honest. The set is pinned by name, so the three
+// tables docs/BENCHMARKS.md lists stay the ones the figure prints.
 func TestAblationsSmoke(t *testing.T) {
+	var names []string
+	for _, a := range ablations {
+		names = append(names, a.name)
+	}
+	if got, want := strings.Join(names, " "), "ablation-rlu ablation-succs ablation-handoff"; got != want {
+		t.Fatalf("ablations %q, want %q", got, want)
+	}
 	if testing.Short() {
 		t.Skip("ablation smoke test")
 	}

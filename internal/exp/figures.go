@@ -260,22 +260,6 @@ var ablations = []ablation{{
 		"RLU is the fallback for DHTs that cannot detect responsibility loss (§4.3);",
 		"Chord and CAN are RLA, so the fallback only costs — it never helps them"},
 }, {
-	// The indirect algorithm's pre-read wait (§4.2.2's "waits a while"):
-	// too short risks missing in-flight commits, longer only adds
-	// latency. The wait runs from the last change to the responsible's
-	// arc, so only a re-initialization that follows such a change by
-	// less than the delay pays any of it.
-	name:   "ablation-grace",
-	title:  "Ablation (§4.2.2): indirect-init grace delay (UMS-Indirect)",
-	xlabel: "grace", ylabel: "per-retrieve cost", alg: AlgUMSIndirect,
-	variants: []variant{
-		{"0s", func(sc *Scenario) { sc.KTS.GraceDelay = -1 }}, // explicit "no wait" (0 selects the default)
-		{"500ms", func(sc *Scenario) { sc.KTS.GraceDelay = 500 * time.Millisecond }},
-		{"2s", func(sc *Scenario) { sc.KTS.GraceDelay = 2 * time.Second }},
-		{"8s", func(sc *Scenario) { sc.KTS.GraceDelay = 8 * time.Second }},
-	},
-	cols: []column{{"resp (s)", respTime}, {"stale returns", staleReturns}, {"failed", failedQueries}},
-}, {
 	// Chord's successor-list length under an elevated failure rate: the
 	// list is the ring's failure budget, and retrieval reliability
 	// collapses when it is too short.

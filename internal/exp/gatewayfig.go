@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dht"
 	"repro/internal/gateway"
 	"repro/internal/workload"
 )
@@ -125,21 +123,6 @@ func (res *GatewayResult) Validate() error {
 	return nil
 }
 
-// gatewayClient adapts the gateway to the workload engine's client.
-type gatewayClient struct{ g *gateway.Gateway }
-
-func (c gatewayClient) Put(ctx context.Context, key core.Key, data []byte) (dht.OpResult, error) {
-	return c.g.Insert(ctx, key, data)
-}
-
-func (c gatewayClient) Get(ctx context.Context, key core.Key) (dht.OpResult, error) {
-	return c.g.Retrieve(ctx, key, dht.ReadPolicy{})
-}
-
-func (c gatewayClient) GetWith(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
-	return c.g.Retrieve(ctx, key, pol)
-}
-
 // ktsRequests reads the deployment-wide client-side KTS request
 // counters.
 func (d *Deployment) ktsRequests() (gents, lastts float64) {
@@ -192,7 +175,7 @@ func (p *gatewayParams) run(o Options) (*Table, *GatewayResult, error) {
 		d.K.Stop()
 		return nil, nil, fmt.Errorf("exp: gateway figure: %w", err)
 	}
-	rep, err = d.RunWorkloadWith(context.Background(), spec, gatewayClient{g: gw})
+	rep, err = d.RunWorkloadWith(context.Background(), spec, gw)
 	if err != nil {
 		d.K.Stop()
 		return nil, nil, fmt.Errorf("exp: gateway figure, gateway arm: %w", err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/kts"
 	"repro/internal/obs"
+	"repro/internal/peer"
 	"repro/internal/repair"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -104,30 +105,19 @@ type Result struct {
 	SimEvents    uint64
 }
 
-// insert dispatches an insert through the scenario's algorithm. The
-// harness drives virtual time and never abandons an operation, so ops
-// run under a background context.
-func (sc *Scenario) insert(p *Peer, k core.Key, data []byte) (dht.OpResult, error) {
-	if sc.Algorithm == AlgBRK {
-		return p.BRK.Insert(context.Background(), k, data)
-	}
-	return p.UMS.Insert(context.Background(), k, data)
-}
-
-// retrieve dispatches a retrieve through the scenario's algorithm.
-func (sc *Scenario) retrieve(p *Peer, k core.Key) (dht.OpResult, error) {
-	if sc.Algorithm == AlgBRK {
-		return p.BRK.Retrieve(context.Background(), k)
-	}
-	return p.UMS.Retrieve(context.Background(), k)
-}
-
 // Run executes the scenario and returns aggregated metrics.
 func Run(sc Scenario) *Result {
 	cfg := sc.DeployConfig
-	if sc.Algorithm == AlgUMSIndirect {
+	alg := peer.UMS
+	switch sc.Algorithm {
+	case AlgBRK:
+		alg = peer.BRK
+	case AlgUMSIndirect:
 		cfg.KTS.Mode = kts.ModeIndirect
 	}
+	// The harness drives virtual time and never abandons an operation, so
+	// ops run under a background context.
+	ctx := context.Background()
 	d := NewDeployment(cfg)
 	res := &Result{Scenario: sc}
 
@@ -148,7 +138,7 @@ func Run(sc Scenario) *Result {
 	ok := d.Do(func() {
 		for _, k := range keys {
 			p := d.RandomLivePeer(loadRng)
-			if _, err := sc.insert(p, k, payload(loadRng, 0, k)); err != nil {
+			if _, err := p.Put(ctx, alg, k, payload(loadRng, 0, k)); err != nil {
 				res.UpdatesFailed++
 			}
 		}
@@ -218,7 +208,7 @@ func Run(sc Scenario) *Result {
 					if p == nil {
 						return
 					}
-					if _, err := sc.insert(p, k, payload(updRng, gen, k)); err != nil {
+					if _, err := p.Put(ctx, alg, k, payload(updRng, gen, k)); err != nil {
 						res.UpdatesFailed++
 					} else {
 						res.UpdatesRun++
@@ -245,7 +235,7 @@ func Run(sc Scenario) *Result {
 				res.QueriesFailed++
 				return
 			}
-			r, err := sc.retrieve(p, key)
+			r, err := p.Get(ctx, alg, key, dht.ReadPolicy{})
 			res.QueriesRun++
 			res.RespTime.AddDuration(r.Elapsed)
 			res.Msgs.Add(float64(r.Msgs))

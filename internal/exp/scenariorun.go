@@ -118,14 +118,9 @@ func (t *scenarioTarget) firstLive(g []string) *Peer {
 }
 
 // SetLinkProfile implements scenario.Target: the profile applies to
-// both directions between the selected sets. A custom Conditions model
-// (Network.SetConditions) detaches the default model; profiles are then
-// silently ignored.
+// both directions between the selected sets.
 func (t *scenarioTarget) SetLinkProfile(from, to []string, p scenario.Profile) {
 	m := t.d.Net.Model()
-	if m == nil {
-		return
-	}
 	prof := toSimwireProfile(p)
 	fromA, toA := toAddrs(from), toAddrs(to)
 	m.SetProfile(fromA, toA, prof)
@@ -133,11 +128,7 @@ func (t *scenarioTarget) SetLinkProfile(from, to []string, p scenario.Profile) {
 }
 
 // ClearLinkProfiles implements scenario.Target.
-func (t *scenarioTarget) ClearLinkProfiles() {
-	if m := t.d.Net.Model(); m != nil {
-		m.ClearProfiles()
-	}
-}
+func (t *scenarioTarget) ClearLinkProfiles() { t.d.Net.Model().ClearProfiles() }
 
 func toAddrs(names []string) []network.Addr {
 	if names == nil {

@@ -5,12 +5,11 @@ import (
 	"time"
 )
 
-// Balancer defaults: a backend that fails defaultCooldownAfter calls in
-// a row is benched for defaultCooldown before the scan considers it
-// healthy again.
+// A backend that fails cooldownAfter calls in a row is benched for
+// cooldown before the scan considers it healthy again.
 const (
-	defaultCooldownAfter = 3
-	defaultCooldown      = 2 * time.Second
+	cooldownAfter = 3
+	cooldown      = 2 * time.Second
 )
 
 // slot is the balancer's per-backend health and load record.
@@ -28,28 +27,15 @@ type slot struct {
 // least-loaded one is used anyway (a gateway with no healthy backends
 // should degrade, not refuse).
 type balancer struct {
-	now           func() time.Duration
-	cooldownAfter int
-	cooldown      time.Duration
+	now func() time.Duration
 
 	mu    sync.Mutex
 	slots []slot
 	next  int
 }
 
-func newBalancer(n int, now func() time.Duration, after int, cooldown time.Duration) *balancer {
-	if after <= 0 {
-		after = defaultCooldownAfter
-	}
-	if cooldown <= 0 {
-		cooldown = defaultCooldown
-	}
-	return &balancer{
-		now:           now,
-		cooldownAfter: after,
-		cooldown:      cooldown,
-		slots:         make([]slot, n),
-	}
+func newBalancer(n int, now func() time.Duration) *balancer {
+	return &balancer{now: now, slots: make([]slot, n)}
 }
 
 // acquire picks a backend index and charges one inflight op to it.
@@ -93,15 +79,8 @@ func (b *balancer) release(i int, err error) {
 		return
 	}
 	s.consecErr++
-	if s.consecErr >= b.cooldownAfter {
-		s.coolUntil = b.now() + b.cooldown
+	if s.consecErr >= cooldownAfter {
+		s.coolUntil = b.now() + cooldown
 		s.consecErr = 0
 	}
-}
-
-// inflight reports the current inflight count of slot i (for gauges).
-func (b *balancer) inflightOf(i int) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.slots[i].inflight
 }

@@ -40,15 +40,16 @@ import (
 // flightPoll is how often a coalesced waiter re-checks its flight.
 const flightPoll = time.Millisecond
 
-// Backend is one pooled DHT client: anything that can write, read with
-// a currency policy, and ask KTS for a last timestamp. The public
-// dcdht.Gateway adapts dcdht.Client values; tests and the experiment
-// harness adapt simulated peers directly.
+// Backend is one pooled DHT client: the two client operations, plus
+// asking KTS for a last timestamp. The public dcdht.Gateway adapts
+// dcdht.Client values; the experiment harness pools peer stacks as they
+// stand. A Gateway is itself a dht.Ops, so workloads drive it directly.
 type Backend interface {
-	Insert(ctx context.Context, k core.Key, data []byte) (dht.OpResult, error)
-	Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) (dht.OpResult, error)
+	dht.Ops
 	LastTS(ctx context.Context, k core.Key) (core.Timestamp, error)
 }
+
+var _ dht.Ops = (*Gateway)(nil)
 
 // Config parameterizes a Gateway.
 type Config struct {
@@ -58,12 +59,6 @@ type Config struct {
 	// Obs receives the dcdht_gw_* metric families. Nil disables
 	// metrics without disabling the gateway.
 	Obs *obs.Registry
-	// CooldownAfter benches a backend after this many consecutive
-	// errors (0 selects the default, 3).
-	CooldownAfter int
-	// Cooldown is how long a benched backend sits out (0 selects the
-	// default, 2s).
-	Cooldown time.Duration
 }
 
 // Stats are the gateway's cumulative raw counters, readable without an
@@ -196,7 +191,7 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		env:      cfg.Env,
 		backends: backends,
-		bal:      newBalancer(len(backends), cfg.Env.Now, cfg.CooldownAfter, cfg.Cooldown),
+		bal:      newBalancer(len(backends), cfg.Env.Now),
 		metrics:  newGWMetrics(cfg.Obs),
 		flights:  make(map[flightKey]*flight),
 	}

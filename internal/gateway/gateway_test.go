@@ -123,7 +123,7 @@ func newSimGateway(env network.Env, backends, latMS int) (*Gateway, *fakeStore) 
 
 func TestBalancerRoundRobinAndLeastInflight(t *testing.T) {
 	now := time.Duration(0)
-	b := newBalancer(3, func() time.Duration { return now }, 0, 0)
+	b := newBalancer(3, func() time.Duration { return now })
 	// Empty pool: rotation should visit all three slots.
 	seen := map[int]bool{}
 	var held []int
@@ -144,13 +144,18 @@ func TestBalancerRoundRobinAndLeastInflight(t *testing.T) {
 
 func TestBalancerCooldown(t *testing.T) {
 	now := time.Duration(0)
-	b := newBalancer(2, func() time.Duration { return now }, 2, time.Second)
-	// Fail slot 0 twice in a row: it goes on cooldown.
-	for i := 0; i < 2; i++ {
-		j := 0
-		b.slots[j].inflight++ // simulate acquire of slot 0 specifically
-		b.release(j, fmt.Errorf("boom"))
+	b := newBalancer(2, func() time.Duration { return now })
+	// Fail slot 0 one call short of the limit: it stays in rotation.
+	for i := 0; i < cooldownAfter-1; i++ {
+		b.slots[0].inflight++ // simulate acquire of slot 0 specifically
+		b.release(0, fmt.Errorf("boom"))
 	}
+	if b.slots[0].coolUntil != 0 {
+		t.Fatalf("slot 0 benched after %d errors, limit is %d", cooldownAfter-1, cooldownAfter)
+	}
+	// One more failure in a row: it goes on cooldown.
+	b.slots[0].inflight++
+	b.release(0, fmt.Errorf("boom"))
 	for i := 0; i < 4; i++ {
 		j := b.acquire()
 		if j == 0 {
@@ -159,7 +164,7 @@ func TestBalancerCooldown(t *testing.T) {
 		b.release(j, nil)
 	}
 	// After the cooldown passes, slot 0 is eligible again.
-	now = 2 * time.Second
+	now = cooldown
 	seen := map[int]bool{}
 	for i := 0; i < 2; i++ {
 		j := b.acquire()
@@ -172,10 +177,12 @@ func TestBalancerCooldown(t *testing.T) {
 
 func TestBalancerAllCoolingStillServes(t *testing.T) {
 	now := time.Duration(0)
-	b := newBalancer(2, func() time.Duration { return now }, 1, time.Minute)
+	b := newBalancer(2, func() time.Duration { return now })
 	for j := 0; j < 2; j++ {
-		b.slots[j].inflight++
-		b.release(j, fmt.Errorf("down"))
+		for i := 0; i < cooldownAfter; i++ {
+			b.slots[j].inflight++
+			b.release(j, fmt.Errorf("down"))
+		}
 	}
 	// Both benched: acquire must still hand out a slot.
 	j := b.acquire()

@@ -4,24 +4,14 @@
 // drawn (§3.1, §4.1). It also derives node identifiers for the DHT
 // substrates.
 //
-// Two families are provided:
-//
-//   - Universal: the classic pairwise-independent construction
-//     h(x) = ((a·x + b) mod p) over the Mersenne prime p = 2^61 - 1
-//     (Luby, "Pseudorandomness and Cryptographic Applications", the
-//     paper's reference [15]); and
-//   - Salted: SHA-1 with a per-function salt, the pragmatic choice for
-//     well-spread ring positions, used as the default.
-//
-// Both map application keys to 64-bit ring positions (core.ID).
+// The family is Salted: SHA-1 with a per-function salt, which maps
+// application keys to well-spread 64-bit ring positions (core.ID).
 package hashing
 
 import (
 	"crypto/sha1"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"math/rand"
 
 	"repro/internal/core"
 )
@@ -35,78 +25,6 @@ type Func interface {
 	// so the same key replicated under different functions never
 	// collides on a peer that happens to be responsible for several.
 	Name() string
-}
-
-// mersenne61 is the prime modulus for the universal family.
-const mersenne61 = (1 << 61) - 1
-
-// fingerprint folds an application key into a 64-bit integer input for
-// the arithmetic family (FNV-1a; only used as the x in a·x+b, the
-// pairwise independence comes from the random a, b).
-func fingerprint(k core.Key) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(k); i++ {
-		h ^= uint64(k[i])
-		h *= prime
-	}
-	return h
-}
-
-// mulMod61 computes (a * b) mod (2^61 - 1) using 128-bit intermediate
-// arithmetic and Mersenne folding.
-func mulMod61(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	// a*b = hi·2^64 + lo = hi·8·2^61 + lo ≡ hi·8 + lo (mod 2^61-1) after
-	// folding each part down.
-	r := fold61(lo) + fold61(hi*8)
-	return fold61(r)
-}
-
-// fold61 reduces x modulo 2^61-1 (x < 2^63 keeps the sum in range).
-func fold61(x uint64) uint64 {
-	x = (x >> 61) + (x & mersenne61)
-	if x >= mersenne61 {
-		x -= mersenne61
-	}
-	return x
-}
-
-// Universal is one member of the pairwise-independent family
-// h(x) = ((a·x + b) mod p) with 1 <= a < p, 0 <= b < p.
-type Universal struct {
-	A, B uint64
-	Tag  string
-}
-
-// ID maps the key to a 64-bit ring position. The arithmetic yields a
-// value in [0, 2^61-1); it is spread over the full 64-bit ring by a
-// left shift of 3 (the low bits are refilled from the product so the ring
-// remains well covered).
-func (u Universal) ID(k core.Key) core.ID {
-	x := fold61(fingerprint(k))
-	v := fold61(mulMod61(u.A, x) + u.B)
-	return core.ID(v<<3 | v>>58)
-}
-
-// Name implements Func.
-func (u Universal) Name() string { return u.Tag }
-
-// NewUniversalFamily draws n pairwise-independent functions from the
-// universal family using the given seed. Functions drawn with the same
-// seed are identical across runs.
-func NewUniversalFamily(seed int64, n int) []Func {
-	rng := rand.New(rand.NewSource(seed))
-	fs := make([]Func, n)
-	for i := range fs {
-		a := uint64(rng.Int63n(mersenne61-1)) + 1 // a ∈ [1, p)
-		b := uint64(rng.Int63n(mersenne61))       // b ∈ [0, p)
-		fs[i] = Universal{A: a, B: b, Tag: fmt.Sprintf("u%d", i)}
-	}
-	return fs
 }
 
 // Salted hashes with SHA-1 over a salt prefix. Distinct salts give
@@ -157,13 +75,6 @@ func NewSet(nr int) Set {
 		Hr:  NewSaltedFamily("hr", nr),
 		HTS: Salted{Salt: "hts"},
 	}
-}
-
-// NewUniversalSet builds a hash set from the arithmetic universal family,
-// as the paper's reference [15] constructs it.
-func NewUniversalSet(seed int64, nr int) Set {
-	fam := NewUniversalFamily(seed, nr+1)
-	return Set{Hr: fam[:nr], HTS: fam[nr]}
 }
 
 // NodeID derives a ring identifier for a peer from its address, the way

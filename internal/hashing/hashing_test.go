@@ -6,21 +6,14 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/core"
 )
 
 func TestDeterminism(t *testing.T) {
-	for _, f := range []Func{
-		Salted{Salt: "x"},
-		Universal{A: 12345, B: 6789, Tag: "u"},
-	} {
-		a := f.ID("some-key")
-		b := f.ID("some-key")
-		if a != b {
-			t.Fatalf("%s: not deterministic: %v vs %v", f.Name(), a, b)
-		}
+	f := Salted{Salt: "x"}
+	if a, b := f.ID("some-key"), f.ID("some-key"); a != b {
+		t.Fatalf("%s: not deterministic: %v vs %v", f.Name(), a, b)
 	}
 }
 
@@ -61,37 +54,12 @@ func TestFamiliesDiffer(t *testing.T) {
 }
 
 func TestFamilyNamesUnique(t *testing.T) {
-	for _, fs := range [][]Func{
-		NewSaltedFamily("hr", 30),
-		NewUniversalFamily(7, 30),
-	} {
-		names := map[string]bool{}
-		for _, f := range fs {
-			if names[f.Name()] {
-				t.Fatalf("duplicate name %q", f.Name())
-			}
-			names[f.Name()] = true
+	names := map[string]bool{}
+	for _, f := range NewSaltedFamily("hr", 30) {
+		if names[f.Name()] {
+			t.Fatalf("duplicate name %q", f.Name())
 		}
-	}
-}
-
-func TestUniversalFamilySeeded(t *testing.T) {
-	a := NewUniversalFamily(42, 5)
-	b := NewUniversalFamily(42, 5)
-	for i := range a {
-		if a[i].(Universal) != b[i].(Universal) {
-			t.Fatalf("same seed must give identical family members at %d", i)
-		}
-	}
-	c := NewUniversalFamily(43, 5)
-	same := true
-	for i := range a {
-		if a[i].(Universal) != c[i].(Universal) {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds should give different families")
+		names[f.Name()] = true
 	}
 }
 
@@ -114,14 +82,13 @@ func testSpread(t *testing.T, f Func) {
 	}
 }
 
-func TestSaltedSpread(t *testing.T)    { testSpread(t, Salted{Salt: "spread"}) }
-func TestUniversalSpread(t *testing.T) { testSpread(t, NewUniversalFamily(9, 1)[0]) }
+func TestSaltedSpread(t *testing.T) { testSpread(t, Salted{Salt: "spread"}) }
 
-// Pairwise independence smoke test: for two random members of the
-// universal family, the joint distribution of (h1(x) bucket, h2(x)
-// bucket) over many keys should be close to the product of the marginals.
-func TestUniversalPairwiseBuckets(t *testing.T) {
-	fam := NewUniversalFamily(11, 2)
+// Pairwise independence smoke test: for two members of the salted
+// family, the joint distribution of (h1(x) bucket, h2(x) bucket) over
+// many keys should be close to the product of the marginals.
+func TestSaltedPairwiseBuckets(t *testing.T) {
+	fam := NewSaltedFamily("hr", 2)
 	const n = 65536
 	const b = 4
 	joint := [b][b]int{}
@@ -141,52 +108,6 @@ func TestUniversalPairwiseBuckets(t *testing.T) {
 	}
 }
 
-func TestMulMod61(t *testing.T) {
-	cases := []struct{ a, b, want uint64 }{
-		{0, 12345, 0},
-		{1, mersenne61 - 1, mersenne61 - 1},
-		{2, mersenne61 - 1, mersenne61 - 2}, // 2(p-1) = 2p-2 ≡ p-2
-		{mersenne61 - 1, mersenne61 - 1, 1}, // (p-1)^2 ≡ 1
-	}
-	for _, c := range cases {
-		if got := mulMod61(c.a, c.b); got != c.want {
-			t.Fatalf("mulMod61(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// Property: mulMod61 agrees with big-integer arithmetic emulated via
-// repeated folding for in-range operands, and stays in range.
-func TestMulMod61InRange(t *testing.T) {
-	f := func(a, b uint64) bool {
-		a %= mersenne61
-		b %= mersenne61
-		got := mulMod61(a, b)
-		return got < mersenne61
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: mulMod61 is commutative and distributes over addition mod p.
-func TestMulMod61Algebra(t *testing.T) {
-	f := func(a, b, c uint64) bool {
-		a %= mersenne61
-		b %= mersenne61
-		c %= mersenne61
-		if mulMod61(a, b) != mulMod61(b, a) {
-			return false
-		}
-		left := mulMod61(a, fold61(b+c))
-		right := fold61(mulMod61(a, b) + mulMod61(a, c))
-		return left == right
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNodeIDDistinct(t *testing.T) {
 	ids := map[core.ID]bool{}
 	for i := 0; i < 1000; i++ {
@@ -195,15 +116,5 @@ func TestNodeIDDistinct(t *testing.T) {
 			t.Fatalf("node id collision at %d", i)
 		}
 		ids[id] = true
-	}
-}
-
-func TestNewUniversalSetSizes(t *testing.T) {
-	set := NewUniversalSet(3, 13)
-	if len(set.Hr) != 13 {
-		t.Fatalf("|Hr| = %d", len(set.Hr))
-	}
-	if set.HTS == nil {
-		t.Fatal("missing hts")
 	}
 }

@@ -43,18 +43,6 @@ func (p Profile) withBase(base Config) Profile {
 	return p
 }
 
-// Conditions decides every message's fate on the wire: its one-way
-// delay and whether the network loses it. Implementations MUST be safe
-// for concurrent use — handlers, repair sweeps and timer callbacks all
-// reach the conditions model from their own goroutines — and SHOULD be
-// deterministic per (seed, link, per-link message order) so simulations
-// replay bit-identically.
-type Conditions interface {
-	// Plan returns the one-way delay for a message of the given size
-	// from src to dst, and whether the message is lost in flight.
-	Plan(src, dst network.Addr, bytes int) (delay time.Duration, lost bool)
-}
-
 // linkKey identifies one directed link.
 type linkKey struct {
 	src, dst network.Addr
@@ -79,12 +67,13 @@ type rule struct {
 	prof     Profile
 }
 
-// Model is the default Conditions implementation: the base Config
-// applied to every link, with per-link profile overrides layered on by
+// Model is the network's one link model: it decides every message's
+// one-way delay and whether the network loses it, applying the base
+// Config to every link with per-link profile overrides layered on by
 // SetProfile. All state — including every per-link RNG — is guarded by
 // one mutex, which is what makes the model race-free by construction
 // (the shared-latency-RNG data race this design replaced lived exactly
-// here).
+// here) and deterministic per (seed, link, per-link message order).
 type Model struct {
 	newRand func(label string) *rand.Rand
 	base    Config
@@ -95,9 +84,7 @@ type Model struct {
 	version uint64 // bumped on every rule change; links re-resolve lazily
 }
 
-var _ Conditions = (*Model)(nil)
-
-// NewModel builds the default conditions model. newRand derives named
+// NewModel builds a link model over base. newRand derives named
 // deterministic RNG streams (normally simnet.Kernel.NewRand); each link
 // gets its own stream the first time it carries traffic.
 func NewModel(newRand func(label string) *rand.Rand, base Config) *Model {
@@ -142,9 +129,10 @@ func addrSet(addrs []network.Addr) map[network.Addr]bool {
 	return s
 }
 
-// Plan implements Conditions. The draw order per link is fixed —
-// latency, jitter, loss — so a replayed simulation consumes each link
-// stream identically.
+// Plan returns the one-way delay for a message of the given size from
+// src to dst, and whether the message is lost in flight. The draw order
+// per link is fixed — latency, jitter, loss — so a replayed simulation
+// consumes each link stream identically.
 func (m *Model) Plan(src, dst network.Addr, bytes int) (time.Duration, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

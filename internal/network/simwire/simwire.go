@@ -7,14 +7,13 @@
 // endpoint silently drops traffic, so callers observe timeouts exactly as
 // they would with a crashed peer.
 //
-// The link model is pluggable: a Conditions implementation decides every
-// message's one-way delay and loss. The default Model keeps one
-// deterministic RNG stream per directed link — all draws under one lock,
-// so it is race-free by construction — and supports per-link Profile
-// overrides (latency distribution, jitter, loss, bandwidth). On top of
-// that the Network can be Partitioned into groups that cannot exchange
-// messages until Heal, which is how the scenario engine scripts network
-// splits.
+// One link Model decides every message's one-way delay and loss. It
+// keeps one deterministic RNG stream per directed link — all draws under
+// one lock, so it is race-free by construction — and supports per-link
+// Profile overrides (latency distribution, jitter, loss, bandwidth). On
+// top of that the Network can be Partitioned into groups that cannot
+// exchange messages until Heal, which is how the scenario engine scripts
+// network splits.
 package simwire
 
 import (
@@ -75,11 +74,12 @@ func (c Config) applyDefaults() Config {
 	return c
 }
 
-// Network owns the set of simulated endpoints, the pluggable link
-// conditions model, and the partition state.
+// Network owns the set of simulated endpoints, the link model, and the
+// partition state.
 type Network struct {
-	k   *simnet.Kernel
-	cfg Config
+	k     *simnet.Kernel
+	cfg   Config
+	model *Model
 
 	mu        sync.Mutex
 	endpoints map[network.Addr]*Endpoint
@@ -87,26 +87,21 @@ type Network struct {
 	totalMsgs uint64
 	totalDrop uint64
 
-	cond  Conditions
-	model *Model // the default model when cond is ours, for SetProfile
-
 	// partition maps an address to its group; addresses in different
 	// groups cannot exchange messages. nil means no partition is active;
 	// addresses absent from an active partition are unconstrained.
 	partition map[network.Addr]int
 }
 
-// New builds a simulated network on kernel k with the default
-// per-link conditions model.
+// New builds a simulated network on kernel k with cfg as every link's
+// base model.
 func New(k *simnet.Kernel, cfg Config) *Network {
 	cfg = cfg.applyDefaults()
-	m := NewModel(k.NewRand, cfg)
 	return &Network{
 		k:         k,
 		cfg:       cfg,
+		model:     NewModel(k.NewRand, cfg),
 		endpoints: make(map[network.Addr]*Endpoint),
-		cond:      m,
-		model:     m,
 	}
 }
 
@@ -119,39 +114,9 @@ func (n *Network) Env() network.Env { return Env(n.k) }
 // Config returns the active network model.
 func (n *Network) Config() Config { return n.cfg }
 
-// Model returns the default conditions model so callers can layer
-// per-link profiles onto it (SetProfile/ClearProfiles). It returns nil
-// after SetConditions replaced the model with a custom implementation.
-func (n *Network) Model() *Model {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.model
-}
-
-// SetConditions replaces the link conditions model wholesale. Passing a
-// custom implementation detaches the default Model (Model() returns nil
-// until another Model is installed). In-flight messages keep the delay
-// they were planned with.
-func (n *Network) SetConditions(c Conditions) {
-	if c == nil {
-		panic("simwire: nil Conditions")
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.cond = c
-	if m, ok := c.(*Model); ok {
-		n.model = m
-	} else {
-		n.model = nil
-	}
-}
-
-// conditions returns the active model under the lock.
-func (n *Network) conditions() Conditions {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.cond
-}
+// Model returns the link model so callers can layer per-link profiles
+// onto it (SetProfile/ClearProfiles).
+func (n *Network) Model() *Model { return n.model }
 
 // Partition splits the network: each listed group can only exchange
 // messages within itself. Addresses not listed in any group (e.g. peers
@@ -361,7 +326,7 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 	n.countMsg()
 
 	reply := n.k.NewFuture()
-	reqDelay, reqLost := n.conditions().Plan(ep.addr, to, reqSize)
+	reqDelay, reqLost := n.model.Plan(ep.addr, to, reqSize)
 	if reqLost || !n.Reachable(ep.addr, to) {
 		// Lost in flight or blocked by a partition: silence, the caller
 		// times out — indistinguishable from a crashed destination.
@@ -462,7 +427,7 @@ func deliverRequest(x any) {
 		respSize = network.SizeOf(res)
 	}
 	n.countMsg()
-	respDelay, respLost := n.conditions().Plan(del.to, del.from, respSize)
+	respDelay, respLost := n.model.Plan(del.to, del.from, respSize)
 	if respLost || !n.Reachable(del.to, del.from) {
 		n.countDrop()
 		del.release()

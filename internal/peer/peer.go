@@ -241,8 +241,8 @@ func (a Algorithm) String() string {
 	return "UMS"
 }
 
-// Insert, Retrieve and LastTS are the UMS-default operations under the
-// gateway's backend names, so a Stack is a gateway.Backend as it stands.
+// Insert and Retrieve are the UMS-default operations of dht.Ops, and
+// with LastTS a Stack is a gateway.Backend as it stands.
 
 // Insert stores data under k through UMS with a fresh timestamp.
 func (s *Stack) Insert(ctx context.Context, k core.Key, data []byte) (dht.OpResult, error) {

@@ -176,12 +176,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max
 }
 
-// QuantileDuration returns Quantile interpreted as a duration, for
-// histograms recorded with Record.
-func (h *Histogram) QuantileDuration(q float64) time.Duration {
-	return time.Duration(h.Quantile(q))
-}
-
 // Merge folds other's samples into h. Merging an empty histogram is a
 // no-op; the exact min/max/sum/mean survive the merge. The fold works
 // on a snapshot of other, so the two histograms' locks are never held

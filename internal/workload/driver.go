@@ -11,25 +11,6 @@ import (
 	"repro/internal/network"
 )
 
-// Client is the minimal operation surface the drivers need: a Put and a
-// Get. Both deployment facades adapt their richer dcdht.Client to it —
-// the simulated network by issuing each operation from a
-// deterministically chosen live peer, the TCP node from itself.
-type Client interface {
-	Put(ctx context.Context, key core.Key, data []byte) (dht.OpResult, error)
-	Get(ctx context.Context, key core.Key) (dht.OpResult, error)
-}
-
-// LevelClient is optionally implemented by clients whose reads honor a
-// per-operation consistency level. When a spec asks for a consistency
-// mix and the client implements it, every read runs through GetWith at
-// the level the generator assigned; otherwise reads fall back to the
-// plain provably-current Get.
-type LevelClient interface {
-	Client
-	GetWith(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error)
-}
-
 // drainPoll is how often the open-loop driver checks whether its
 // stragglers have finished.
 const drainPoll = 10 * time.Millisecond
@@ -37,15 +18,15 @@ const drainPoll = 10 * time.Millisecond
 // Run executes spec against c inside env and returns the report:
 // closed-loop (Spec.Concurrency workers issuing back to back) by
 // default, open-loop (operations issued at Spec.Rate regardless of
-// completions) when Rate is positive. Latency is measured in
-// environment time, so simulated runs report simulated latencies and
-// replay bit-identically per seed.
+// completions) when Rate is positive. Every read runs at the level the
+// generator drew. Latency is measured in environment time, so simulated
+// runs report simulated latencies and replay bit-identically per seed.
 //
 // Under simulation Run must execute as a kernel process
-// (exp.Deployment.RunWorkload and the dcdht facades arrange that); on a
-// real environment any goroutine will do. Cancelling ctx stops issuing
-// new operations at the next boundary; in-flight ones complete.
-func Run(ctx context.Context, env network.Env, c Client, spec Spec) (*Report, error) {
+// (exp.Deployment.RunWorkload arranges that); on a real environment any
+// goroutine will do. Cancelling ctx stops issuing new operations at the
+// next boundary; in-flight ones complete.
+func Run(ctx context.Context, env network.Env, c dht.Ops, spec Spec) (*Report, error) {
 	spec = spec.resolve()
 	gen := NewGenerator(spec)
 	if !spec.SkipPreload {
@@ -54,7 +35,6 @@ func Run(ctx context.Context, env network.Env, c Client, spec Spec) (*Report, er
 		}
 	}
 	rec := newRecorder()
-	_, rec.honorLevels = c.(LevelClient)
 	start := env.Now()
 	var err error
 	if spec.Rate > 0 {
@@ -70,7 +50,7 @@ func Run(ctx context.Context, env network.Env, c Client, spec Spec) (*Report, er
 
 // preload inserts every key once, untimed, with the closed-loop worker
 // pool, so the measured run never reads an empty store.
-func preload(ctx context.Context, env network.Env, c Client, gen *Generator) error {
+func preload(ctx context.Context, env network.Env, c dht.Ops, gen *Generator) error {
 	spec := gen.Spec()
 	var mu sync.Mutex
 	next := 0
@@ -88,7 +68,7 @@ func preload(ctx context.Context, env network.Env, c Client, gen *Generator) err
 			next++
 			mu.Unlock()
 			op := Op{Seq: -1 - i, Kind: OpPut, Key: gen.key(i)}
-			c.Put(ctx, op.Key, gen.Payload(op)) // best effort; reads tolerate misses
+			c.Insert(ctx, op.Key, gen.Payload(op)) // best effort; reads tolerate misses
 		}
 	})
 }
@@ -96,7 +76,7 @@ func preload(ctx context.Context, env network.Env, c Client, gen *Generator) err
 // runClosed drives spec.Concurrency workers, each issuing the next
 // generated operation as soon as its previous one completes — the
 // classic fixed-concurrency driver, measuring service capacity.
-func runClosed(ctx context.Context, env network.Env, c Client, gen *Generator, rec *recorder, start time.Duration) error {
+func runClosed(ctx context.Context, env network.Env, c dht.Ops, gen *Generator, rec *recorder, start time.Duration) error {
 	spec := gen.Spec()
 	var mu sync.Mutex
 	issued := 0
@@ -132,7 +112,7 @@ func runClosed(ctx context.Context, env network.Env, c Client, gen *Generator, r
 // environment time — each on its own activity, then waits for the
 // stragglers. Unlike the closed loop, a slow ring cannot throttle the
 // arrival process, so queueing delay shows up in the tail quantiles.
-func runOpen(ctx context.Context, env network.Env, c Client, gen *Generator, rec *recorder, start time.Duration) error {
+func runOpen(ctx context.Context, env network.Env, c dht.Ops, gen *Generator, rec *recorder, start time.Duration) error {
 	spec := gen.Spec()
 	interval := time.Duration(float64(time.Second) / spec.Rate)
 	if interval <= 0 {
@@ -180,21 +160,17 @@ func runOpen(ctx context.Context, env network.Env, c Client, gen *Generator, rec
 	}
 }
 
-// execute performs one operation, timing it in environment time, and
-// classifies the outcome.
-func execute(ctx context.Context, env network.Env, c Client, gen *Generator, op Op) (time.Duration, outcome) {
-	spec := gen.Spec()
+// execute performs one operation — a write, or a read at the level the
+// generator drew — timing it in environment time, and classifies the
+// outcome. It is the one place the engine issues an op and sees its
+// result.
+func execute(ctx context.Context, env network.Env, c dht.Ops, gen *Generator, op Op) (time.Duration, outcome) {
 	t0 := env.Now()
 	var err error
-	switch {
-	case op.Kind == OpPut:
-		_, err = c.Put(ctx, op.Key, gen.Payload(op))
-	default:
-		if lc, ok := c.(LevelClient); ok && spec.mixed() {
-			_, err = lc.GetWith(ctx, op.Key, dht.ReadPolicy{Level: op.Level, Bound: spec.Bound})
-		} else {
-			_, err = c.Get(ctx, op.Key)
-		}
+	if op.Kind == OpPut {
+		_, err = c.Insert(ctx, op.Key, gen.Payload(op))
+	} else {
+		_, err = c.Retrieve(ctx, op.Key, dht.ReadPolicy{Level: op.Level, Bound: gen.Spec().Bound})
 	}
 	lat := env.Now() - t0
 	switch {

@@ -81,45 +81,22 @@ func TestMixResolveClamps(t *testing.T) {
 	}
 }
 
-// TestRunMixFallbackCountsCurrent: against a client without GetWith
-// every read runs the plain provably-current path, so the report must
-// count them as current regardless of the generated levels — it never
-// claims relaxed reads that did not happen.
-func TestRunMixFallbackCountsCurrent(t *testing.T) {
-	env := network.NewRealEnv(1)
-	defer env.Close()
-	c := newFakeClient() // plain Client: no LevelClient fast path
-	rep, err := Run(context.Background(), env, c, Spec{
-		Seed: 5, Keys: 10, Ops: 100, Concurrency: 4, DataSize: 16,
-		ReadRatio: ratio(0.8), EventualFrac: 0.7, BoundedFrac: 0.2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ReadsEventual != 0 || rep.ReadsBounded != 0 {
-		t.Fatalf("fallback reads misreported as relaxed: %+v", rep)
-	}
-	if rep.ReadsCurrent != rep.Reads.Ops {
-		t.Fatalf("current count %d != reads %d", rep.ReadsCurrent, rep.Reads.Ops)
-	}
-}
-
-// levelRecordingClient counts the levels reads arrive at through the
-// LevelClient fast path.
+// levelRecordingClient counts the levels reads arrive at.
 type levelRecordingClient struct {
 	*fakeClient
 	levels map[dht.Level]int
 }
 
-func (c *levelRecordingClient) GetWith(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
+func (c *levelRecordingClient) Retrieve(ctx context.Context, key core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
 	c.fakeClient.mu.Lock()
 	c.levels[pol.Level]++
 	c.fakeClient.mu.Unlock()
-	return c.fakeClient.Get(ctx, key)
+	return c.fakeClient.Retrieve(ctx, key, pol)
 }
 
-// TestRunHonorsConsistencyMix: the driver routes mixed reads through
-// LevelClient.GetWith and the report counts completed reads per level.
+// TestRunHonorsConsistencyMix: the driver issues every read at the
+// level the generator drew and the report counts completed reads per
+// level.
 func TestRunHonorsConsistencyMix(t *testing.T) {
 	env := network.NewRealEnv(1)
 	defer env.Close()
@@ -137,7 +114,8 @@ func TestRunHonorsConsistencyMix(t *testing.T) {
 	if got := rep.ReadsEventual + rep.ReadsBounded + rep.ReadsCurrent; got != rep.Reads.Ops {
 		t.Fatalf("level counts sum %d != reads %d", got, rep.Reads.Ops)
 	}
-	if c.levels[dht.LevelEventual] != rep.ReadsEventual || c.levels[dht.LevelBounded] != rep.ReadsBounded {
+	if c.levels[dht.LevelEventual] != rep.ReadsEventual || c.levels[dht.LevelBounded] != rep.ReadsBounded ||
+		c.levels[dht.LevelCurrent] != rep.ReadsCurrent {
 		t.Fatalf("client saw %v, report says ev=%d bd=%d", c.levels, rep.ReadsEventual, rep.ReadsBounded)
 	}
 	if rep.EventualFrac != 0.7 || rep.BoundedFrac != 0.2 || rep.BoundSec <= 0 {

@@ -90,12 +90,7 @@ type recorder struct {
 	stale    [2]int
 	notFound [2]int
 	levels   [3]int // completed reads by dht.Level (mixed specs only)
-	// honorLevels is set when the client actually routes reads through
-	// LevelClient.GetWith: a plain client falls back to provably-current
-	// Gets, which must be counted as such regardless of the generated
-	// level, or the report would claim relaxed reads that never ran.
-	honorLevels bool
-	trace       []Op
+	trace    []Op
 }
 
 func newRecorder() *recorder {
@@ -116,14 +111,8 @@ const (
 func (r *recorder) record(op Op, lat time.Duration, oc outcome) {
 	kind := op.Kind
 	r.hist[kind].Record(lat)
-	if kind == OpGet {
-		lvl := op.Level
-		if !r.honorLevels {
-			lvl = dht.LevelCurrent // fallback path: every read ran provably current
-		}
-		if int(lvl) < len(r.levels) {
-			r.levels[lvl]++
-		}
+	if kind == OpGet && int(op.Level) < len(r.levels) {
+		r.levels[op.Level]++
 	}
 	switch oc {
 	case outcomeOK:

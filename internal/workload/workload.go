@@ -1,7 +1,9 @@
 // Package workload is the deterministic load-generation engine: it
 // turns a Spec (key-popularity pattern, read/write mix, driver shape)
 // into a reproducible operation stream and drives it against any
-// Put/Get client — the same spec replays bit-identically on the
+// dht.Ops (Insert, and Retrieve at the level each read drew) — a peer
+// stack, the gateway or a public client; the same spec replays
+// bit-identically on the
 // simulated network and generates real load on a TCP ring. Results are
 // collected into log-bucketed latency histograms (internal/stats) and
 // reported with per-op-type quantiles, throughput, error and staleness

@@ -151,7 +151,7 @@ type fakeClient struct {
 
 func newFakeClient() *fakeClient { return &fakeClient{data: map[core.Key][]byte{}} }
 
-func (f *fakeClient) Put(ctx context.Context, key core.Key, data []byte) (dht.OpResult, error) {
+func (f *fakeClient) Insert(ctx context.Context, key core.Key, data []byte) (dht.OpResult, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.puts++
@@ -164,7 +164,7 @@ func (f *fakeClient) Put(ctx context.Context, key core.Key, data []byte) (dht.Op
 	return dht.OpResult{Stored: 1}, nil
 }
 
-func (f *fakeClient) Get(ctx context.Context, key core.Key) (dht.OpResult, error) {
+func (f *fakeClient) Retrieve(ctx context.Context, key core.Key, _ dht.ReadPolicy) (dht.OpResult, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.gets++

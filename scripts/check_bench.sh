@@ -79,7 +79,7 @@ figure perf "Perf: hot-path costs" cmp:BENCH_perf.json ops=12 peers=32 macro_ops
 # must print, and the two documents pass their checks.
 bench analysis,6,7,8,9,10,11,12,ablations,repair,scenario "$out/paper"
 for title in "Analysis (§3.3)" "Analysis (§4.2.2)" "Figure 6:" "Figure 7:" "Figure 8:" \
-    "Figure 9:" "Figure 10:" "Figure 11:" "Figure 12:" "Ablation (§4.3)" "Ablation (§4.2.2)" \
+    "Figure 9:" "Figure 10:" "Figure 11:" "Figure 12:" "Ablation (§4.3)" \
     "Ablation: Chord successor-list" "Ablation: replica handoff" "Repair:" "Scenarios:"; do
     grep -qF "$title" "$out/paper.txt" || {
         echo "check_bench: table \"$title\" missing from bench output" >&2

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/dht"
 	"repro/internal/network"
 	"repro/internal/workload"
 )
@@ -45,80 +44,31 @@ const (
 	WorkloadScanRecent = workload.ScanRecent
 )
 
-// WorkloadRunner is implemented by clients that run workloads natively:
-// SimNetwork executes the whole run as virtual-time processes (so a
-// seed replays bit-identically), Node on its own environment. The
-// package-level RunWorkload prefers this interface when present.
-type WorkloadRunner interface {
-	RunWorkload(ctx context.Context, spec WorkloadSpec) (*WorkloadReport, error)
-}
-
-// Compile-time conformance: both deployment styles run workloads
-// natively.
-var (
-	_ WorkloadRunner = (*SimNetwork)(nil)
-	_ WorkloadRunner = (*Node)(nil)
-)
-
-// RunWorkload drives spec against any Client. Clients that implement
-// WorkloadRunner (both SimNetwork and Node do) run it natively;
-// anything else is driven by wall-clock goroutines through the plain
-// Put/Get surface. Cancelling ctx stops issuing new operations at the
-// next boundary.
+// RunWorkload drives spec against any Client; a context that is already
+// done is rejected before any operation is issued. A SimNetwork runs
+// the whole workload as virtual-time processes, so the generator, the
+// issuing peers and every latency sample replay bit for bit per seed
+// (when spec.Seed is zero the network's own seed is used, keeping one
+// knob for full reproducibility). Every other Client — a Node, a
+// Gateway — is driven by wall-clock goroutines, each read at the level
+// the spec's mix drew. Cancelling ctx stops issuing new operations at
+// the next boundary.
 func RunWorkload(ctx context.Context, c Client, spec WorkloadSpec) (*WorkloadReport, error) {
-	if r, ok := c.(WorkloadRunner); ok {
-		return r.RunWorkload(ctx, spec)
+	if err := network.CtxError(ctx); err != nil {
+		return nil, fmt.Errorf("dcdht: %w", err)
+	}
+	if s, ok := c.(*SimNetwork); ok {
+		if spec.Seed == 0 {
+			spec.Seed = s.cfg.Seed
+		}
+		return s.d.RunWorkload(ctx, spec)
 	}
 	env := network.NewRealEnv(spec.Seed)
 	defer env.Close()
-	return workload.Run(ctx, env, genericWorkloadClient{c}, spec)
+	return workload.Run(ctx, env, clientBackend{c}, spec)
 }
 
-// genericWorkloadClient adapts a plain Client for the workload engine,
-// translating the engine's read policies back into WithConsistency
-// options so consistency-mix specs work against any Client.
-type genericWorkloadClient struct{ c Client }
-
-func (a genericWorkloadClient) Put(ctx context.Context, key Key, data []byte) (Result, error) {
-	return a.c.Put(ctx, key, data)
-}
-
-func (a genericWorkloadClient) Get(ctx context.Context, key Key) (Result, error) {
-	return a.c.Get(ctx, key)
-}
-
-func (a genericWorkloadClient) GetWith(ctx context.Context, key Key, pol dht.ReadPolicy) (Result, error) {
-	switch pol.Level {
-	case dht.LevelEventual:
-		return a.c.Get(ctx, key, WithConsistency(Eventual))
-	case dht.LevelBounded:
-		return a.c.Get(ctx, key, WithConsistency(Bounded(pol.Bound)))
-	default:
-		return a.c.Get(ctx, key)
-	}
-}
-
-// RunWorkload implements WorkloadRunner: the generator, the issuing
-// peers and every latency sample run in virtual time, so the same spec
-// and seed replay the identical report bit for bit (asserted by the
-// determinism tests). When spec.Seed is zero the network's own seed is
-// used, keeping one knob for full reproducibility. A context that is
-// already done is rejected before the simulation is touched.
+// RunWorkload is RunWorkload(ctx, s, spec).
 func (s *SimNetwork) RunWorkload(ctx context.Context, spec WorkloadSpec) (*WorkloadReport, error) {
-	if err := network.CtxError(ctx); err != nil {
-		return nil, fmt.Errorf("dcdht: %w", err)
-	}
-	if spec.Seed == 0 {
-		spec.Seed = s.cfg.Seed
-	}
-	return s.d.RunWorkload(ctx, spec)
-}
-
-// RunWorkload implements WorkloadRunner: the workload issues every
-// operation from this node over TCP, measuring wall-clock latency.
-func (n *Node) RunWorkload(ctx context.Context, spec WorkloadSpec) (*WorkloadReport, error) {
-	if err := network.CtxError(ctx); err != nil {
-		return nil, fmt.Errorf("dcdht: %w", err)
-	}
-	return workload.Run(ctx, n.env, genericWorkloadClient{n}, spec)
+	return RunWorkload(ctx, s, spec)
 }

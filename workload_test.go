@@ -3,6 +3,7 @@ package dcdht
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -100,13 +101,30 @@ func TestSimWorkloadOpenLoop(t *testing.T) {
 	}
 }
 
+// TestSimWorkloadExpiredContext: RunWorkload rejects a done context
+// with the context's error before issuing anything, whichever client it
+// drives — the simulated network's own kernel path, or the wall-clock
+// path every other client takes.
 func TestSimWorkloadExpiredContext(t *testing.T) {
 	net := NewSimNetwork(16, SimConfig{Seed: 5})
 	defer net.Close()
+	gw, err := NewGateway([]Client{net}, GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := net.RunWorkload(ctx, WorkloadSpec{Ops: 10}); err == nil {
-		t.Fatal("expired context accepted")
+	for _, tc := range []struct {
+		name string
+		c    Client
+	}{{"sim", net}, {"gateway", gw}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := RunWorkload(ctx, tc.c, WorkloadSpec{Ops: 10})
+			if !errors.Is(err, context.Canceled) || rep != nil {
+				t.Fatalf("done context: report %v, err %v; want no report and context.Canceled", rep, err)
+			}
+		})
 	}
 }
 
@@ -146,8 +164,8 @@ func TestTCPWorkload(t *testing.T) {
 	}()
 	time.Sleep(time.Second) // a few stabilization rounds
 
-	// Through the generic entry point, which dispatches to the node's
-	// native runner.
+	// Through the generic entry point's wall-clock path, every op issued
+	// from this node.
 	rep, err := RunWorkload(context.Background(), nodes[2], WorkloadSpec{
 		Pattern:     WorkloadScanRecent,
 		ReadRatio:   Float(0.7),
