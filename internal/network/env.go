@@ -3,7 +3,6 @@ package network
 import (
 	"container/heap"
 	"encoding/gob"
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sync"
@@ -234,23 +233,17 @@ func (r *realTimer) Wait() error {
 	}
 }
 
-var (
-	gobMu         sync.Mutex
-	gobRegistered = map[string]bool{}
-)
-
-// RegisterMessage registers message types with encoding/gob for the TCP
-// transport. It is idempotent per concrete type and safe to call from
-// init functions in several packages.
+// RegisterMessage compiles the wire codec of each message type (see
+// codec.go) for the TCP transport. It is idempotent per concrete type and
+// safe to call from init functions in several packages; it panics, at
+// init, on a type the codec cannot carry or on a %T name another type
+// already holds.
 func RegisterMessage(values ...Message) {
-	gobMu.Lock()
-	defer gobMu.Unlock()
 	for _, v := range values {
-		name := fmt.Sprintf("%T", v)
-		if gobRegistered[name] {
-			continue
+		if registerWire(v) {
+			// No transport uses gob; benchmarks/probes.go still times
+			// gob on registered messages.
+			gob.Register(v)
 		}
-		gobRegistered[name] = true
-		gob.Register(v)
 	}
 }

@@ -92,8 +92,8 @@ func TestSizeOf(t *testing.T) {
 
 func TestRegisterMessageIdempotent(t *testing.T) {
 	type onceMsg struct{ A int }
-	// Registering the same concrete type twice must not panic (gob
-	// panics on duplicate registration; the wrapper deduplicates).
+	// Registering the same concrete type twice must not panic; only a
+	// different type under a taken name does.
 	RegisterMessage(onceMsg{})
 	RegisterMessage(onceMsg{})
 }

@@ -1,9 +1,7 @@
 package tcpwire
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"io"
 	"net"
 	"runtime"
@@ -13,40 +11,39 @@ import (
 	"repro/internal/network"
 )
 
-// frames gob-encodes requests the way a client's connection sends them:
-// one encoder per connection, so the first frame carries the type
-// definitions and the later ones only values.
-func frames(reqs ...wireRequest) []byte {
-	var b bytes.Buffer
-	enc := gob.NewEncoder(&b)
-	for _, r := range reqs {
-		if err := enc.Encode(r); err != nil {
-			panic(err)
-		}
+// frame encodes one request the way Invoke sends it.
+func frame(method, from string, m network.Message) []byte {
+	b, err := appendFrame(nil, method, from, m)
+	if err != nil {
+		panic(err)
 	}
-	return b.Bytes()
+	return b
 }
 
 // FuzzServeConn feeds arbitrary bytes to the inbound side of a
-// connection — serveConn, the only code that decodes what a remote peer
+// connection — serveConn, the only code that reads what a remote peer
 // sends — through a net.Pipe whose other end swallows every reply. Whatever
-// the bytes, serveConn must not panic, must return within a bounded time
-// once the peer hangs up, must leave no goroutine behind, and must leave
-// the endpoint answering a well-formed call.
+// the bytes, serveConn must not panic, must allocate no more than a small
+// multiple of them, must return within a bounded time once the peer hangs
+// up, must leave no goroutine behind, and must leave the endpoint
+// answering a well-formed call.
 func FuzzServeConn(f *testing.F) {
-	valid := frames(wireRequest{Method: "ping", From: "peer", Body: ping{N: 41}})
+	valid := frame("ping", "peer", ping{N: 41})
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // truncated mid-frame
-	f.Add(frames(wireRequest{Method: "no-such-method", From: "peer", Body: ping{N: 1}}))
-	f.Add(frames(wireRequest{Method: "ping", Body: ping{N: 1}}, wireRequest{Method: "ping", Body: ping{N: 2}}))
+	f.Add(valid[:len(valid)-3]) // truncated mid-body
+	f.Add(frame("no-such-method", "peer", ping{N: 1}))
+	f.Add(append(frame("ping", "", ping{N: 1}), frame("ping", "", ping{N: 2})...))
+	f.Add([]byte{0x80, 0, 0, 0, 'p', 'i', 'n', 'g'}) // a length prefix that claims 2 GB
 	f.Add([]byte{})
 
 	ep, cli := newFuzzPair(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
-			return // gob bounds every allocation by the input; keep runs small
+			return // the codec bounds every allocation by the input; keep runs small
 		}
 		baseline := runtime.NumGoroutine()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		client, server := net.Pipe()
 		served := make(chan struct{})
 		go func() {
@@ -68,6 +65,10 @@ func FuzzServeConn(f *testing.F) {
 			t.Fatalf("serveConn still running 5s after the peer hung up on %d bytes", len(data))
 		}
 		<-drained
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64*uint64(len(data))+1<<20 {
+			t.Fatalf("serving %d bytes allocated %d", len(data), n)
+		}
 		for i := 0; runtime.NumGoroutine() > baseline; i++ {
 			if i == 100 {
 				t.Fatalf("%d goroutines after serving %d bytes, %d before", runtime.NumGoroutine(), len(data), baseline)

@@ -1,14 +1,23 @@
-// Package tcpwire is the real transport: RPCs over TCP with gob framing
-// and per-destination connection pooling. It backs the deployment mode of
+// Package tcpwire is the real transport: RPCs over TCP and
+// per-destination connection pooling. It backs the deployment mode of
 // the reproduction — the stand-in for the paper's 64-node cluster — and
 // runs the exact same protocol code as the simulated transport.
+//
+// The package only frames: each frame is a big-endian uint32 length,
+// then two strings — method and caller for a request, error code and
+// message for a response — then the message, all in the wire form of
+// internal/network's codec. There is no version negotiation, so every
+// peer of a ring must run the same build.
 package tcpwire
 
 import (
+	"bufio"
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -18,22 +27,16 @@ import (
 	"repro/internal/obs"
 )
 
-// wireRequest is the frame a client sends for one call.
-type wireRequest struct {
-	Method string
-	From   string
-	Body   network.Message
-}
-
-// wireResponse is the frame a server returns.
-type wireResponse struct {
-	Body network.Message
-	Code string
-	Msg  string
-}
-
 // DefaultTimeout bounds calls that do not specify one.
 const DefaultTimeout = 5 * time.Second
+
+// maxFrame caps a frame's length; a peer that announces a longer one
+// loses the connection. It leaves room for the bulk handovers of a big
+// arc while keeping a lying length prefix harmless.
+const maxFrame = 64 << 20
+
+// keepBuf is the largest frame buffer a connection keeps for reuse.
+const keepBuf = 64 << 10
 
 // maxIdlePerHost limits pooled idle connections per destination.
 const maxIdlePerHost = 4
@@ -184,23 +187,22 @@ func (ep *Endpoint) serveConn(conn net.Conn) {
 		delete(ep.accepted, conn)
 		ep.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	fc := newFrameConn(conn)
 	for {
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
+		method, from, req, err := fc.read()
+		if err != nil {
 			return
 		}
-		var resp wireResponse
-		if h := ep.handler(req.Method); h == nil {
-			resp.Code, resp.Msg = network.EncodeError(
-				fmt.Errorf("tcpwire: no handler for %q: %w", req.Method, core.ErrUnreachable))
+		var code, msg string
+		var body network.Message
+		if h := ep.handler(method); h == nil {
+			code, msg = network.EncodeError(
+				fmt.Errorf("tcpwire: no handler for %q: %w", method, core.ErrUnreachable))
 		} else {
-			body, err := h(network.Addr(req.From), req.Body)
-			resp.Body = body
-			resp.Code, resp.Msg = network.EncodeError(err)
+			body, err = h(network.Addr(from), req)
+			code, msg = network.EncodeError(err)
 		}
-		if err := enc.Encode(resp); err != nil {
+		if err := fc.write(code, msg, body); err != nil {
 			return
 		}
 	}
@@ -233,7 +235,7 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 
 	pc.conn.SetDeadline(time.Now().Add(timeout))
 	// A cancellation mid-flight yanks the socket deadline into the past,
-	// which aborts the blocked encode/decode immediately.
+	// which aborts the blocked write or read immediately.
 	stopWatch := context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Unix(1, 0)) })
 	abort := func(ioErr error) error {
 		ep.metrics.aborts.Inc()
@@ -244,12 +246,13 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 		}
 		return mapNetErr(ep.addr, to, method, ioErr)
 	}
-	frame := wireRequest{Method: method, From: string(ep.addr), Body: req}
-	if err := pc.enc.Encode(frame); err != nil {
+	if err := pc.write(method, string(ep.addr), req); err != nil {
 		return nil, abort(err)
 	}
-	var resp wireResponse
-	if err := pc.dec.Decode(&resp); err != nil {
+	// The reply is decoded before the conn goes back to the pool: it
+	// reads out of the conn's buffer.
+	code, msg, body, err := pc.read()
+	if err != nil {
 		return nil, abort(err)
 	}
 	if !stopWatch() {
@@ -262,12 +265,12 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 		ep.putConn(to, pc)
 	}
 
-	if resp.Code != "" {
+	if code != "" {
 		meter.Count(network.DefaultWireSize)
-		return nil, network.DecodeError(resp.Code, resp.Msg)
+		return nil, network.DecodeError(code, msg)
 	}
-	meter.Count(network.SizeOf(resp.Body))
-	return resp.Body, nil
+	meter.Count(network.SizeOf(body))
+	return body, nil
 }
 
 // mapNetErr folds socket errors into the core taxonomy so protocol code
@@ -280,21 +283,106 @@ func mapNetErr(from, to network.Addr, method string, err error) error {
 	return fmt.Errorf("tcpwire: %s->%s %s: %v: %w", from, to, method, err, core.ErrUnreachable)
 }
 
+// frameConn is one connection with its framing state: a buffered reader
+// and the buffers of the frame last read and last written. Frames on a
+// connection never interleave — a client holds it for one call at a
+// time, and a server answers each request before reading the next — so
+// one of each suffices.
+type frameConn struct {
+	conn net.Conn
+	r    *bufio.Reader
+	hdr  [4]byte
+	rbuf []byte
+	wbuf []byte
+}
+
+func newFrameConn(conn net.Conn) *frameConn {
+	return &frameConn{conn: conn, r: bufio.NewReader(conn)}
+}
+
+func (fc *frameConn) close() { fc.conn.Close() }
+
+// write sends one frame — two header strings and a message — with one
+// Write.
+func (fc *frameConn) write(s1, s2 string, m network.Message) error {
+	b, err := appendFrame(fc.wbuf[:0], s1, s2, m)
+	if err != nil {
+		return err
+	}
+	if cap(b) <= keepBuf {
+		fc.wbuf = b
+	}
+	_, err = fc.conn.Write(b)
+	return err
+}
+
+// read receives one frame and decodes it; the results share no memory
+// with the conn's buffer.
+func (fc *frameConn) read() (s1, s2 string, m network.Message, err error) {
+	if _, err := io.ReadFull(fc.r, fc.hdr[:]); err != nil {
+		return "", "", nil, err
+	}
+	n := binary.BigEndian.Uint32(fc.hdr[:])
+	if n > maxFrame {
+		return "", "", nil, fmt.Errorf("tcpwire: frame of %d bytes exceeds %d", n, maxFrame)
+	}
+	var body []byte
+	if n <= keepBuf {
+		if int(n) > cap(fc.rbuf) {
+			fc.rbuf = make([]byte, n)
+		}
+		body = fc.rbuf[:n]
+		_, err = io.ReadFull(fc.r, body)
+	} else {
+		// A frame too big to keep grows with the bytes that arrive,
+		// so a length prefix that lies costs no more than was sent.
+		var buf bytes.Buffer
+		_, err = io.CopyN(&buf, fc.r, int64(n))
+		body = buf.Bytes()
+	}
+	if err != nil {
+		return "", "", nil, err
+	}
+	return cutFrame(body)
+}
+
+// appendFrame appends a frame of two header strings and a message to b,
+// length first.
+func appendFrame(b []byte, s1, s2 string, m network.Message) ([]byte, error) {
+	b = append(b, 0, 0, 0, 0)
+	b = network.AppendString(b, s1)
+	b = network.AppendString(b, s2)
+	b, err := network.AppendMessage(b, m)
+	if err != nil {
+		return nil, err
+	}
+	n := len(b) - 4
+	if n > maxFrame {
+		return nil, fmt.Errorf("tcpwire: frame of %d bytes exceeds %d", n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(b, uint32(n))
+	return b, nil
+}
+
+// cutFrame splits a frame's body into its header strings and message.
+func cutFrame(body []byte) (s1, s2 string, m network.Message, err error) {
+	if s1, body, err = network.CutString(body); err != nil {
+		return "", "", nil, err
+	}
+	if s2, body, err = network.CutString(body); err != nil {
+		return "", "", nil, err
+	}
+	m, err = network.DecodeMessage(body)
+	return s1, s2, m, err
+}
+
 // connPool keeps idle connections to one destination.
 type connPool struct {
 	mu   sync.Mutex
-	idle []*persistConn
+	idle []*frameConn
 }
 
-type persistConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-func (pc *persistConn) close() { pc.conn.Close() }
-
-func (p *connPool) get() *persistConn {
+func (p *connPool) get() *frameConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.idle); n > 0 {
@@ -305,7 +393,7 @@ func (p *connPool) get() *persistConn {
 	return nil
 }
 
-func (p *connPool) put(pc *persistConn) bool {
+func (p *connPool) put(pc *frameConn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.idle) >= maxIdlePerHost {
@@ -335,7 +423,7 @@ func (ep *Endpoint) pool(to network.Addr) *connPool {
 	return p
 }
 
-func (ep *Endpoint) getConn(ctx context.Context, to network.Addr, timeout time.Duration) (*persistConn, error) {
+func (ep *Endpoint) getConn(ctx context.Context, to network.Addr, timeout time.Duration) (*frameConn, error) {
 	if pc := ep.pool(to).get(); pc != nil {
 		return pc, nil
 	}
@@ -348,10 +436,10 @@ func (ep *Endpoint) getConn(ctx context.Context, to network.Addr, timeout time.D
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	return &persistConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return newFrameConn(conn), nil
 }
 
-func (ep *Endpoint) putConn(to network.Addr, pc *persistConn) {
+func (ep *Endpoint) putConn(to network.Addr, pc *frameConn) {
 	if ep.isClosed() || !ep.pool(to).put(pc) {
 		pc.close()
 	}

@@ -1,14 +1,18 @@
 package tcpwire
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/network"
 )
 
@@ -69,6 +73,69 @@ func TestConnectionReuse(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	_ = conns // reuse is observable indirectly: sequential calls stay fast
+}
+
+// TestKeptBytesSurviveLaterFrames has a handler keep the Val.Data of
+// every PutReq that arrives on one connection, as a store does, and
+// checks that later frames, read through the same buffer, leave each of
+// them as it was sent.
+func TestKeptBytesSurviveLaterFrames(t *testing.T) {
+	a, b := newPair(t)
+	var mu sync.Mutex
+	var kept [][]byte
+	b.Handle("put", func(_ network.Addr, req network.Message) (network.Message, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		kept = append(kept, req.(dht.PutReq).Val.Data)
+		return dht.PutResp{Stored: true}, nil
+	})
+	sent := make([][]byte, 8)
+	for i := range sent {
+		sent[i] = bytes.Repeat([]byte{byte('a' + i)}, 1000)
+		req := dht.PutReq{Qual: "q", Val: core.Value{Data: sent[i]}}
+		if _, err := a.Invoke(context.Background(), b.Addr(), "put", req, network.Call{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := a.metrics.dials.Value(); n != 1 {
+		t.Fatalf("%d dials, want the calls to share one connection", n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range sent {
+		if !bytes.Equal(kept[i], sent[i]) {
+			t.Fatalf("put %d kept %q..., sent %q...", i, kept[i][:4], sent[i][:4])
+		}
+	}
+}
+
+// TestOversizedFrameClosesConn sends a length prefix that claims 2 GB and
+// keeps the connection open: the server must hang up at once, without
+// allocating what the prefix claims.
+func TestOversizedFrameClosesConn(t *testing.T) {
+	_, b := newPair(t)
+	conn, err := net.Dial("tcp", string(b.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := conn.Write([]byte{0x80, 0, 0, 0, 'p', 'i', 'n', 'g'}); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if nerr := net.Error(nil); errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatal("server kept the connection open 5s after an oversized frame")
+	}
+	if n != 0 || err == nil {
+		t.Fatalf("read %d bytes, %v; want the server to close", n, err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 8<<20 {
+		t.Fatalf("an oversized frame cost %d bytes", n)
+	}
 }
 
 func TestRemoteErrorTaxonomy(t *testing.T) {
