@@ -197,20 +197,6 @@ var _ dht.RingNode = (*Node)(nil)
 func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
 	n := &Node{cfg: cfg.withDefaults(), neighbors: make(map[core.ID]*neighbor)}
 	n.Member = dht.NewMember(env, ep, id, cfg.MemberConfig, cfg.RPCTimeout, n.OwnsID)
-	if cfg.Obs != nil {
-		cfg.Obs.GaugeFunc("dcdht_can_neighbors", "CAN neighbor-table entries on this node.",
-			func() float64 {
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				return float64(len(n.neighbors))
-			})
-		cfg.Obs.GaugeFunc("dcdht_can_zones", "Zones currently owned by this node.",
-			func() float64 {
-				n.mu.Lock()
-				defer n.mu.Unlock()
-				return float64(len(n.zones))
-			})
-	}
 	n.registerHandlers()
 	return n
 }

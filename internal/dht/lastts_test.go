@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -60,5 +61,40 @@ func TestLastTSCacheReadsClockAfterEntry(t *testing.T) {
 	// A time noted ahead of the clock reads as age zero, never negative.
 	if _, age, _ := c.Get(k, func() time.Duration { return 0 }); age != 0 {
 		t.Fatalf("age %v for an entry noted ahead of the clock, want 0", age)
+	}
+}
+
+// TestLastTSCacheAtCap fills the cache to lastTSCap and pins the
+// eviction rule: re-noting a present key, newer or equal, evicts
+// nothing, and a genuinely new key evicts exactly one so the cache stays
+// at its cap.
+func TestLastTSCacheAtCap(t *testing.T) {
+	var c LastTSCache
+	key := func(i int) core.Key { return core.Key(fmt.Sprintf("k%d", i)) }
+	for i := 0; i < lastTSCap; i++ {
+		c.Note(key(i), core.TS(1), 0)
+	}
+	if c.Len() != lastTSCap {
+		t.Fatalf("Len = %d after filling, want %d", c.Len(), lastTSCap)
+	}
+	clock := func() time.Duration { return time.Second }
+	for i := 0; i < 64; i++ {
+		c.Note(key(i), core.TS(1), time.Second) // equal: refresh
+		c.Note(key(i+64), core.TS(2), 0)        // newer
+	}
+	for i := 0; i < 128; i++ {
+		if _, _, ok := c.Get(key(i), clock); !ok {
+			t.Fatalf("re-noting present keys evicted %s", key(i))
+		}
+	}
+	if c.Len() != lastTSCap {
+		t.Fatalf("Len = %d after re-notes, want %d", c.Len(), lastTSCap)
+	}
+	c.Note("new", core.TS(1), 0)
+	if c.Len() != lastTSCap {
+		t.Fatalf("Len = %d after a new key, want %d", c.Len(), lastTSCap)
+	}
+	if _, _, ok := c.Get("new", clock); !ok {
+		t.Fatal("the new key was not cached")
 	}
 }

@@ -23,39 +23,9 @@ import (
 // unavailable and drives the paper's probability of currency and
 // availability below 1. A durable backing instead survives into the
 // §4.2.2 restart path.
-// The lock is striped by ring-position arc (the top bits of the ID):
-// conditional puts against different arcs proceed in parallel instead of
-// serializing the closed-loop drivers on one mutex, while the
-// read-modify-write per key stays atomic. Whole-store operations
-// (handover collects, snapshots, clears) take every stripe in order.
 type LocalStore struct {
-	stripes [storeStripes]sync.Mutex
+	mu      sync.Mutex
 	backing store.Store
-}
-
-// storeStripes is the lock fan-out; a power of two so the stripe of an
-// ID is a shift.
-const storeStripes = 16
-
-// stripeOf maps a ring position to its lock stripe by arc: IDs are
-// uniform (hashes), so the top bits spread load evenly and keys on the
-// same arc — which one responsible serves — share a stripe.
-func stripeOf(rid core.ID) int {
-	return int(uint64(rid) >> 60)
-}
-
-// lockAll acquires every stripe in index order (the only multi-stripe
-// order used, so no deadlock) for whole-store operations.
-func (s *LocalStore) lockAll() {
-	for i := range s.stripes {
-		s.stripes[i].Lock()
-	}
-}
-
-func (s *LocalStore) unlockAll() {
-	for i := range s.stripes {
-		s.stripes[i].Unlock()
-	}
 }
 
 // NewLocalStore returns an empty store on volatile memory — the
@@ -82,9 +52,8 @@ func (s *LocalStore) Backing() store.Store {
 // Put stores val under (rid, qual) subject to mode. It reports whether
 // the value was stored; a backing write failure counts as not stored.
 func (s *LocalStore) Put(rid core.ID, qual string, val core.Value, mode PutMode) bool {
-	st := stripeOf(rid)
-	s.stripes[st].Lock()
-	defer s.stripes[st].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	old, exists := s.backing.GetItem(rid, qual)
 	switch mode {
 	case PutIfNewer:
@@ -102,9 +71,8 @@ func (s *LocalStore) Put(rid core.ID, qual string, val core.Value, mode PutMode)
 
 // Get returns the value stored under (rid, qual).
 func (s *LocalStore) Get(rid core.ID, qual string) (core.Value, bool) {
-	st := stripeOf(rid)
-	s.stripes[st].Lock()
-	defer s.stripes[st].Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	v, ok := s.backing.GetItem(rid, qual)
 	if !ok {
 		return core.Value{}, false
@@ -116,8 +84,8 @@ func (s *LocalStore) Get(rid core.ID, qual string) (core.Value, bool) {
 // removing them when remove is set. Handover paths use it: a Chord node
 // collects the arc it is ceding; a CAN node collects a zone.
 func (s *LocalStore) CollectIf(pred func(core.ID) bool, remove bool) []Item {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []Item
 	s.backing.EachItem(func(it store.Item) bool {
 		if pred(it.RingID) {
@@ -151,16 +119,16 @@ func (s *LocalStore) Absorb(items []Item) {
 
 // Len returns the number of stored replicas.
 func (s *LocalStore) Len() int {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.backing.ItemCount()
 }
 
 // Clear removes every replica but leaves the backing (and any counters
 // sharing it) alive. Tests use it to simulate replica loss in place.
 func (s *LocalStore) Clear() {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var drop []store.Item
 	s.backing.EachItem(func(it store.Item) bool {
 		drop = append(drop, it)
@@ -175,8 +143,8 @@ func (s *LocalStore) Clear() {
 // loses everything, a durable one keeps whatever its sync policy had
 // made stable.
 func (s *LocalStore) Crash() {
-	s.lockAll()
-	defer s.unlockAll()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.backing.Crash()
 }
 

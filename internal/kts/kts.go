@@ -240,8 +240,8 @@ type Service struct {
 	// environment time it was observed at. It powers bounded-staleness
 	// reads: a retrieve may accept a replica at or past a cached floor
 	// whose age is within its bound, with no KTS round trip. It keeps
-	// its own striped locks, decoupled from mu, so hot bounded reads
-	// never contend with the server-side counter work.
+	// its own lock, decoupled from mu, so hot bounded reads never
+	// contend with the server-side counter work.
 	cache dht.LastTSCache
 
 	onRepair RepairFunc

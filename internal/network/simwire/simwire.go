@@ -332,9 +332,7 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 		// times out — indistinguishable from a crashed destination.
 		n.countDrop()
 	} else {
-		del := deliveryPool.Get().(*delivery)
-		del.n, del.from, del.to, del.method = n, ep.addr, to, method
-		del.req, del.reply = req, reply
+		del := &delivery{n: n, from: ep.addr, to: to, method: method, req: req, reply: reply}
 		n.k.AfterProc(reqDelay, deliverRequest, del)
 	}
 
@@ -349,21 +347,14 @@ func (ep *Endpoint) Invoke(ctx context.Context, to network.Addr, method string, 
 	}
 	del := v.(*delivery)
 	meter.Count(del.size)
-	body, code, msg := del.body, del.code, del.msg
-	del.release()
-	if code != "" {
-		return nil, network.DecodeError(code, msg)
+	if del.code != "" {
+		return nil, network.DecodeError(del.code, del.msg)
 	}
-	return body, nil
+	return del.body, nil
 }
 
 // delivery carries one message (and later its response) through the
-// simulated wire. Deliveries are pooled: the success path releases one
-// back after the caller copied the response out, and every drop path
-// releases on the spot. The one leak is a response that arrives after
-// the caller timed out — the resolved-but-unread future keeps the
-// delivery alive, so it must go to the garbage collector, never back to
-// the pool.
+// simulated wire.
 type delivery struct {
 	n      *Network
 	from   network.Addr
@@ -378,14 +369,6 @@ type delivery struct {
 	size int
 }
 
-var deliveryPool = sync.Pool{New: func() any { return new(delivery) }}
-
-// release zeroes the delivery and returns it to the pool.
-func (d *delivery) release() {
-	*d = delivery{}
-	deliveryPool.Put(d)
-}
-
 // deliverRequest runs as a kernel process when the request arrives at
 // its destination: it serves the handler and schedules the response leg.
 func deliverRequest(x any) {
@@ -396,7 +379,6 @@ func deliverRequest(x any) {
 	// handler.
 	if !n.Reachable(del.from, del.to) {
 		n.countDrop()
-		del.release()
 		return
 	}
 	n.mu.Lock()
@@ -404,13 +386,11 @@ func deliverRequest(x any) {
 	n.mu.Unlock()
 	if dst == nil || !dst.isAlive() {
 		n.countDrop()
-		del.release()
 		return // silence; the caller times out
 	}
 	h := dst.handler(del.method)
 	if h == nil {
 		n.countDrop()
-		del.release()
 		return
 	}
 	res, err := h(del.from, del.req)
@@ -418,7 +398,6 @@ func deliverRequest(x any) {
 	// the request and the partition still permits it.
 	if !dst.isAlive() {
 		n.countDrop()
-		del.release()
 		return
 	}
 	code, msg := network.EncodeError(err)
@@ -430,7 +409,6 @@ func deliverRequest(x any) {
 	respDelay, respLost := n.model.Plan(del.to, del.from, respSize)
 	if respLost || !n.Reachable(del.to, del.from) {
 		n.countDrop()
-		del.release()
 		return
 	}
 	del.body, del.code, del.msg, del.size = res, code, msg, respSize
@@ -445,7 +423,6 @@ func deliverResponse(x any) {
 	del := x.(*delivery)
 	if !del.n.Reachable(del.to, del.from) {
 		del.n.countDrop()
-		del.release()
 		return
 	}
 	del.reply.Resolve(del)

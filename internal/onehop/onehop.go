@@ -84,7 +84,6 @@ var _ dht.RingNode = (*Node)(nil)
 type oneHopMetrics struct {
 	hops           *obs.Histogram
 	lookups        *obs.Counter
-	lookupFails    *obs.Counter
 	staleFallbacks *obs.Counter
 	eventsSent     *obs.Counter
 	eventsRecv     *obs.Counter
@@ -96,8 +95,6 @@ func newOneHopMetrics(r *obs.Registry) oneHopMetrics {
 			"Remote probes per completed lookup (1 in steady state)."),
 		lookups: r.Counter("dcdht_onehop_lookups_total",
 			"Lookups issued from this node."),
-		lookupFails: r.Counter("dcdht_onehop_lookup_failures_total",
-			"Lookups that exhausted forwarding without finding the owner."),
 		staleFallbacks: r.Counter("dcdht_onehop_stale_fallbacks_total",
 			"Probes answered 'not mine' by a stale-table candidate (forwarded)."),
 		eventsSent: r.Counter("dcdht_onehop_events_sent_total",

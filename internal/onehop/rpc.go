@@ -204,7 +204,6 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 	}
 	cand, ok := nextCandidate()
 	if !ok {
-		n.metrics.lookupFails.Inc()
 		return dht.NodeRef{}, hops, fmt.Errorf("onehop: no candidate for %s: %w", id, core.ErrUnreachable)
 	}
 	for fwd := 0; fwd < maxForward; fwd++ {
@@ -256,6 +255,5 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 		n.mu.Unlock()
 		cand = resp.Better
 	}
-	n.metrics.lookupFails.Inc()
 	return dht.NodeRef{}, hops, fmt.Errorf("onehop: lookup %s exhausted forwarding: %w", id, core.ErrUnreachable)
 }

@@ -51,7 +51,7 @@ func tick(x any) {
 
 // KernelBench boots a fresh simulation kernel, schedules cfg.Peers
 // self-rescheduling event chains with deliberately co-prime periods (so
-// deadlines interleave across the queue shards rather than marching in
+// deadlines interleave through the queue rather than marching in
 // lockstep), drains the queue, and times the drain on the wall clock.
 // Chains are pure AfterCall events with no processes, so the event
 // count is exactly Peers x EventsPerPeer.
@@ -71,7 +71,7 @@ func KernelBench(cfg KernelConfig) KernelPoint {
 			k:    k,
 			left: cfg.EventsPerPeer,
 			// Periods 1..17ms, skipping lockstep: neighbouring peers land
-			// on different shards and different virtual instants.
+			// on different virtual instants.
 			period: time.Duration(1+i%17) * time.Millisecond,
 		}
 	}

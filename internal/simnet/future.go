@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -22,12 +21,6 @@ type awaitResult struct {
 	val any
 	err error
 }
-
-// waiterPool recycles Await wake-up channels. A channel is returned only
-// after its single send was cleanly received; the stop path abandons it.
-// Stale events that still reference a recycled channel are inert: the
-// future's delivered flag stops them before they send.
-var waiterPool = sync.Pool{New: func() any { return make(chan awaitResult, 1) }}
 
 // NewFuture creates an unresolved future.
 func (k *Kernel) NewFuture() *Future { return &Future{k: k} }
@@ -67,7 +60,7 @@ func (f *Future) Await(timeout time.Duration) (any, error) {
 		k.mu.Unlock()
 		return nil, core.ErrStopped
 	}
-	w := waiterPool.Get().(chan awaitResult)
+	w := make(chan awaitResult, 1)
 	f.waiter = w
 	if timeout > 0 {
 		ev := k.push(k.now+timeout, kindTimeout)
@@ -78,7 +71,6 @@ func (f *Future) Await(timeout time.Duration) (any, error) {
 	k.mu.Unlock()
 	select {
 	case r := <-w:
-		waiterPool.Put(w)
 		return r.val, r.err
 	case <-k.stopCh:
 		return nil, core.ErrStopped

@@ -12,15 +12,13 @@
 // It also means protocol code needs no locking when run under simnet,
 // although it keeps its locks so the same code runs on real transports.
 //
-// Scale. The event queue is sharded: events hash over a small set of
-// per-shard binary heaps by sequence number, and a merge layer picks the
-// global (at, seq) minimum by scanning the shard heads. Orderings are
-// identical to a single heap — (at, seq) is a total order — but each
-// sift touches a heap 1/numShards the size. Events are recycled through
-// a free list and wake-up channels through sync.Pools, so the hot
-// schedule/fire path allocates nothing in steady state (pinned by
-// TestKernelScheduleFireAllocs). The docs/PERFORMANCE.md trajectory
-// tracks the resulting events/sec at 1k/10k/100k simulated peers.
+// Scale. The event queue is one binary heap ordered by (at, seq), a
+// total order, so simultaneous events run in schedule order. Events are
+// recycled through a free list and dispatched by kind instead of through
+// per-event closures, so the AfterCall schedule/fire path allocates
+// nothing in steady state (pinned by TestAfterCallSteadyStateAllocations).
+// The docs/PERFORMANCE.md trajectory tracks the resulting events/sec at
+// 1k/10k/100k simulated peers.
 package simnet
 
 import (
@@ -33,14 +31,9 @@ import (
 	"repro/internal/core"
 )
 
-// numShards is the event-queue fan-out. A power of two so the shard of a
-// sequence number is a mask, small enough that scanning every shard head
-// is a handful of compares.
-const numShards = 8
-
 // eventKind discriminates what dispatching an event does. Keeping the
 // behaviour in the kernel (instead of a per-event closure) is what lets
-// events be pooled and dispatched without allocation.
+// events be recycled and dispatched without allocation.
 type eventKind uint8
 
 const (
@@ -74,14 +67,12 @@ type event struct {
 	f    *Future       // kindResolve / kindTimeout
 	w    chan awaitResult
 	t    *Timer // kindProc cancel guard; nil for AfterProc
-	// index is the event's position in its shard heap; -1 once popped
-	// or removed.
+	// index is the event's position in the heap; -1 once popped or
+	// removed.
 	index int32
-	shard int32
 }
 
-// less orders events by (at, seq) — the same total order a single heap
-// would impose.
+// less orders events by (at, seq).
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -96,8 +87,7 @@ type Kernel struct {
 	cond     *sync.Cond
 	now      time.Duration
 	seq      uint64
-	shards   [numShards][]*event
-	queued   int      // total events across shards
+	queue    []*event // binary heap ordered by less
 	free     []*event // recycled events
 	runnable int      // processes currently executing user code
 	procs    int      // live processes (running or blocked)
@@ -132,7 +122,7 @@ func (k *Kernel) Events() uint64 {
 func (k *Kernel) QueueLen() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return k.queued
+	return len(k.queue)
 }
 
 // LiveProcs returns the number of processes that exist (running or
@@ -180,19 +170,16 @@ func (k *Kernel) push(at time.Duration, kind eventKind) *event {
 	ev := k.alloc()
 	ev.at, ev.seq, ev.kind = at, k.seq, kind
 	k.seq++
-	s := int32(ev.seq & (numShards - 1))
-	ev.shard = s
-	ev.index = int32(len(k.shards[s]))
-	k.shards[s] = append(k.shards[s], ev)
-	k.siftUp(s, ev.index)
-	k.queued++
+	ev.index = int32(len(k.queue))
+	k.queue = append(k.queue, ev)
+	k.siftUp(ev.index)
 	return ev
 }
 
-// siftUp restores the heap property of shard s upward from index i;
-// caller must hold k.mu.
-func (k *Kernel) siftUp(s, i int32) {
-	h := k.shards[s]
+// siftUp restores the heap property upward from index i; caller must
+// hold k.mu.
+func (k *Kernel) siftUp(i int32) {
+	h := k.queue
 	ev := h[i]
 	for i > 0 {
 		p := (i - 1) / 2
@@ -207,10 +194,10 @@ func (k *Kernel) siftUp(s, i int32) {
 	ev.index = i
 }
 
-// siftDown restores the heap property of shard s downward from index i;
-// caller must hold k.mu.
-func (k *Kernel) siftDown(s, i int32) {
-	h := k.shards[s]
+// siftDown restores the heap property downward from index i; caller
+// must hold k.mu.
+func (k *Kernel) siftDown(i int32) {
+	h := k.queue
 	n := int32(len(h))
 	ev := h[i]
 	for {
@@ -232,67 +219,38 @@ func (k *Kernel) siftDown(s, i int32) {
 	ev.index = i
 }
 
-// peekMin scans the shard heads for the globally next event (the merge
-// layer); caller must hold k.mu. Returns nil when no event is queued.
-func (k *Kernel) peekMin() *event {
-	var best *event
-	for s := 0; s < numShards; s++ {
-		h := k.shards[s]
-		if len(h) == 0 {
-			continue
-		}
-		if best == nil || less(h[0], best) {
-			best = h[0]
-		}
-	}
-	return best
-}
-
-// pop detaches the head event ev from its shard; caller must hold k.mu
-// and have found ev via peekMin. The event is NOT recycled — the caller
-// dispatches it first.
-func (k *Kernel) pop(ev *event) {
-	s := ev.shard
-	h := k.shards[s]
-	n := int32(len(h)) - 1
-	if n > 0 {
-		h[0] = h[n]
-		h[0].index = 0
-	}
-	h[n] = nil
-	k.shards[s] = h[:n]
-	if n > 1 {
-		k.siftDown(s, 0)
-	}
-	k.queued--
-	ev.index = -1
-}
-
-// remove deletes a queued event and recycles it; caller must hold k.mu.
-// Removing an already-popped event is a no-op.
-func (k *Kernel) remove(ev *event) {
-	s := ev.shard
-	i := ev.index
-	h := k.shards[s]
-	if i < 0 || int(i) >= len(h) || h[i] != ev {
-		return
-	}
+// removeAt detaches the heap entry at index i by swapping the last
+// entry into its place; caller must hold k.mu. The event is NOT
+// recycled.
+func (k *Kernel) removeAt(i int32) {
+	h := k.queue
+	ev := h[i]
 	n := int32(len(h)) - 1
 	if i != n {
 		h[i] = h[n]
 		h[i].index = i
 	}
 	h[n] = nil
-	k.shards[s] = h[:n]
+	k.queue = h[:n]
 	if i < n {
-		// The swapped-in element may need to move either way.
-		moved := k.shards[s][i]
-		k.siftDown(s, i)
+		// The swapped-in entry may need to move either way.
+		moved := h[i]
+		k.siftDown(i)
 		if moved.index == i {
-			k.siftUp(s, i)
+			k.siftUp(i)
 		}
 	}
-	k.queued--
+	ev.index = -1
+}
+
+// remove deletes a queued event and recycles it; caller must hold k.mu.
+// Removing an already-popped event is a no-op.
+func (k *Kernel) remove(ev *event) {
+	i := ev.index
+	if i < 0 || int(i) >= len(k.queue) || k.queue[i] != ev {
+		return
+	}
+	k.removeAt(i)
 	k.recycle(ev)
 }
 
@@ -318,20 +276,14 @@ func (k *Kernel) exitProc() {
 	k.mu.Unlock()
 }
 
-// sleepChPool recycles Sleep wake-up channels. A channel is returned to
-// the pool only after its wake-up was cleanly received; the stop path
-// abandons the channel instead (a send may still sit in its buffer).
-var sleepChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
 // Sleep blocks the calling process for d of virtual time. Must be called
 // from a process goroutine. Returns core.ErrStopped if the kernel is shut
 // down while sleeping.
 func (k *Kernel) Sleep(d time.Duration) error {
-	ch := sleepChPool.Get().(chan struct{})
+	ch := make(chan struct{}, 1)
 	k.mu.Lock()
 	if k.stopped {
 		k.mu.Unlock()
-		sleepChPool.Put(ch)
 		return core.ErrStopped
 	}
 	k.push(k.now+d, kindSleep).ch = ch
@@ -339,7 +291,6 @@ func (k *Kernel) Sleep(d time.Duration) error {
 	k.mu.Unlock()
 	select {
 	case <-ch:
-		sleepChPool.Put(ch)
 		return nil
 	case <-k.stopCh:
 		return core.ErrStopped
@@ -486,20 +437,20 @@ func (k *Kernel) run(until time.Duration, clamp bool) int {
 		if k.stopped {
 			break
 		}
-		next := k.peekMin()
-		if next == nil {
+		if len(k.queue) == 0 {
 			if clamp && k.now < until {
 				k.now = until
 			}
 			break
 		}
+		next := k.queue[0]
 		if next.at > until {
 			if clamp {
 				k.now = until
 			}
 			break
 		}
-		k.pop(next)
+		k.removeAt(0)
 		if next.at > k.now {
 			k.now = next.at
 		}
@@ -589,10 +540,7 @@ func (k *Kernel) Stop() {
 		return
 	}
 	k.stopped = true
-	for s := range k.shards {
-		k.shards[s] = nil
-	}
-	k.queued = 0
+	k.queue = nil
 	k.free = nil
 	close(k.stopCh)
 	k.cond.Broadcast()

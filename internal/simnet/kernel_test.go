@@ -3,6 +3,9 @@ package simnet
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -377,5 +380,302 @@ func TestEventsCounter(t *testing.T) {
 	// 5 spawn events + 5 wake events.
 	if got := k.Events(); got != 10 {
 		t.Fatalf("events = %d, want 10", got)
+	}
+}
+
+// nopArg is a package-level callback so scheduling it allocates no
+// closure — the alloc tests below depend on that.
+func nopArg(any) {}
+
+// TestSimultaneousDeadlinesFireInScheduleOrder schedules many callbacks
+// at the identical virtual instant; the seq tie-break must dispatch them
+// in exact schedule order.
+func TestSimultaneousDeadlinesFireInScheduleOrder(t *testing.T) {
+	k := New(1)
+	defer k.Stop()
+	const n = 64
+	var got []int
+	for i := 0; i < n; i++ {
+		k.AfterCall(time.Millisecond, func(x any) { got = append(got, x.(int)) }, i)
+	}
+	k.RunUntilIdle()
+	if len(got) != n {
+		t.Fatalf("fired %d of %d callbacks", len(got), n)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("fire order diverged at %d: got %v", i, got[:i+1])
+		}
+	}
+}
+
+// TestCancelEveryOtherTimer arms timers at ascending deadlines and
+// cancels every other one; only the survivors may fire, still in
+// deadline order, and a fired timer's Cancel must report false.
+func TestCancelEveryOtherTimer(t *testing.T) {
+	k := New(2)
+	defer k.Stop()
+	const n = 48
+	var mu sync.Mutex
+	var fired []int
+	timers := make([]*Timer, n)
+	for i := 0; i < n; i++ {
+		timers[i] = k.After(time.Duration(i+1)*time.Millisecond, func() {
+			mu.Lock()
+			fired = append(fired, i)
+			mu.Unlock()
+		})
+	}
+	for i := 0; i < n; i += 2 {
+		if !timers[i].Cancel() {
+			t.Fatalf("timer %d: Cancel returned false before firing", i)
+		}
+	}
+	k.RunUntilIdle()
+	mu.Lock()
+	defer mu.Unlock()
+	if want := n / 2; len(fired) != want {
+		t.Fatalf("%d timers fired, want %d", len(fired), want)
+	}
+	for j, v := range fired {
+		if want := 2*j + 1; v != want {
+			t.Fatalf("fire order diverged at %d: got %d, want %d", j, v, want)
+		}
+	}
+	for i := 1; i < n; i += 2 {
+		if timers[i].Cancel() {
+			t.Fatalf("timer %d: Cancel returned true after firing", i)
+		}
+	}
+}
+
+// checkHeap asserts the queue's heap order and that every event knows
+// its own index.
+func checkHeap(t *testing.T, k *Kernel) {
+	t.Helper()
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for i, ev := range k.queue {
+		if int(ev.index) != i {
+			t.Fatalf("event at %d records index %d", i, ev.index)
+		}
+		if i > 0 && less(ev, k.queue[(i-1)/2]) {
+			t.Fatalf("heap order broken at %d", i)
+		}
+	}
+}
+
+// TestCancelLastAndMiddleOfHeap drives remove() down each of its paths:
+// the last entry (no swap), a middle entry whose swapped-in replacement
+// must sift up, and one whose replacement must sift down.
+func TestCancelLastAndMiddleOfHeap(t *testing.T) {
+	k := New(3)
+	defer k.Stop()
+	var got []int
+	arm := func(ms int) *Timer {
+		return k.After(time.Duration(ms)*time.Millisecond, func() { got = append(got, ms) })
+	}
+	index := func(tm *Timer) int32 {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		return tm.ev.index
+	}
+	// No push sifts up, so the heap is [1 10 2 11 12 3] in push order.
+	timers := map[int]*Timer{}
+	for _, ms := range []int{1, 10, 2, 11, 12, 3} {
+		timers[ms] = arm(ms)
+	}
+	if i := index(timers[3]); i != 5 {
+		t.Fatalf("3 ms timer at index %d, want the last slot 5", i)
+	}
+	timers[3].Cancel() // the last entry: nothing to swap in
+	checkHeap(t, k)
+
+	timers[3] = arm(3) // back in the last slot, under 2
+	if i := index(timers[11]); i != 3 {
+		t.Fatalf("11 ms timer at index %d, want 3", i)
+	}
+	timers[11].Cancel() // 3 swaps into slot 3 and sifts up past 10
+	checkHeap(t, k)
+	if i := index(timers[3]); i != 1 {
+		t.Fatalf("3 ms timer at index %d after sift-up, want 1", i)
+	}
+
+	timers[3].Cancel() // 12 swaps into slot 1 and sifts down past 10
+	checkHeap(t, k)
+	if i := index(timers[12]); i != 3 {
+		t.Fatalf("12 ms timer at index %d after sift-down, want 3", i)
+	}
+
+	k.RunUntilIdle()
+	if want := []int{1, 2, 10, 12}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestDispatchOrderIsSortedByAtSeq is the queue's property test: seeded
+// random interleavings of AfterCall, After, Cancel and partial Runs must
+// dispatch exactly the surviving events, in the order that sorting them
+// by (at, seq) gives.
+func TestDispatchOrderIsSortedByAtSeq(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := New(seed)
+		type sched struct {
+			id int
+			at time.Duration
+		}
+		var all []sched
+		canceled := map[int]bool{}
+		var timers []*Timer
+		var timerIDs []int
+		var mu sync.Mutex
+		var got []int
+		record := func(x any) {
+			mu.Lock()
+			got = append(got, x.(int))
+			mu.Unlock()
+		}
+		for round := 0; round < 30; round++ {
+			for j := rng.Intn(12); j > 0; j-- {
+				id := len(all)
+				d := time.Duration(rng.Intn(8)) * time.Millisecond
+				all = append(all, sched{id, k.Now() + d})
+				if rng.Intn(2) == 0 {
+					k.AfterCall(d, record, id)
+				} else {
+					timers = append(timers, k.After(d, func() { record(id) }))
+					timerIDs = append(timerIDs, id)
+				}
+			}
+			for j := rng.Intn(4); j > 0 && len(timers) > 0; j-- {
+				i := rng.Intn(len(timers))
+				if timers[i].Cancel() {
+					canceled[timerIDs[i]] = true
+				}
+			}
+			k.Run(k.Now() + time.Duration(rng.Intn(4))*time.Millisecond)
+		}
+		k.RunUntilIdle()
+		k.Stop()
+		// ids are handed out in schedule order, so they sort like seq.
+		var want []int
+		sort.SliceStable(all, func(a, b int) bool { return all[a].at < all[b].at })
+		for _, s := range all {
+			if !canceled[s.id] {
+				want = append(want, s.id)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seed %d: dispatched %v, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestConcurrentScheduleCancelRace hammers the shared queue from many
+// OS threads while the kernel drains it — the -race regression test for
+// the push/remove/dispatch paths.
+func TestConcurrentScheduleCancelRace(t *testing.T) {
+	k := New(4)
+	defer k.Stop()
+	var fired atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 400; i++ {
+				tm := k.After(time.Duration(1+(g+i)%13)*time.Millisecond, func() { fired.Add(1) })
+				k.AfterCall(time.Duration(1+i%7)*time.Millisecond, nopArg, nil)
+				if i%3 == 0 {
+					tm.Cancel()
+				}
+			}
+		}(g)
+	}
+	producersDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(producersDone)
+	}()
+	// Drain concurrently with the producers, then finish the tail.
+	draining := true
+	for draining {
+		select {
+		case <-producersDone:
+			draining = false
+		default:
+			k.Run(k.Now() + time.Millisecond)
+		}
+	}
+	k.RunUntilIdle()
+	if fired.Load() == 0 {
+		t.Fatal("no timers fired under the hammer")
+	}
+	if k.QueueLen() != 0 {
+		t.Fatalf("queue not drained: %d events left", k.QueueLen())
+	}
+}
+
+// TestQueueLen checks the queue count through scheduling, cancelling
+// and draining.
+func TestQueueLen(t *testing.T) {
+	k := New(5)
+	defer k.Stop()
+	timers := make([]*Timer, 20)
+	for i := range timers {
+		timers[i] = k.After(time.Duration(i+1)*time.Second, func() {})
+	}
+	if got := k.QueueLen(); got != 20 {
+		t.Fatalf("QueueLen = %d, want 20", got)
+	}
+	for i := 0; i < 10; i++ {
+		timers[i].Cancel()
+	}
+	if got := k.QueueLen(); got != 10 {
+		t.Fatalf("QueueLen after cancels = %d, want 10", got)
+	}
+	k.RunUntilIdle()
+	if got := k.QueueLen(); got != 0 {
+		t.Fatalf("QueueLen after drain = %d, want 0", got)
+	}
+}
+
+// TestAfterCallSteadyStateAllocations pins the schedule/fire hot path:
+// once the free list is warm, an AfterCall round trip through the queue
+// must not allocate at all.
+func TestAfterCallSteadyStateAllocations(t *testing.T) {
+	k := New(6)
+	defer k.Stop()
+	// Warm the event free list.
+	for i := 0; i < 100; i++ {
+		k.AfterCall(time.Millisecond, nopArg, nil)
+	}
+	k.RunUntilIdle()
+	allocs := testing.AllocsPerRun(200, func() {
+		k.AfterCall(time.Millisecond, nopArg, nil)
+		k.RunUntilIdle()
+	})
+	if allocs > 0 {
+		t.Errorf("AfterCall schedule/fire path allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
+// TestTimerFireAllocations pins the After path: one Timer object plus
+// the fired goroutine — the budget is small and must not creep.
+func TestTimerFireAllocations(t *testing.T) {
+	k := New(7)
+	defer k.Stop()
+	fn := func() {}
+	for i := 0; i < 100; i++ {
+		k.After(time.Millisecond, fn)
+	}
+	k.RunUntilIdle()
+	allocs := testing.AllocsPerRun(200, func() {
+		k.After(time.Millisecond, fn)
+		k.RunUntilIdle()
+	})
+	if allocs > 6 {
+		t.Errorf("After schedule/fire path allocates %.2f objects/op, want <= 6", allocs)
 	}
 }

@@ -20,12 +20,10 @@ import (
 // messages to the op. The regime is observed on the op's own call, never
 // configured and never remembered.
 //
-// An overlap lives embedded in pooled per-op state, its step and fire
-// bound once when the pool makes it, so arming one allocates nothing but
-// the environment's timer; most are cancelled unfired.
+// An overlap lives embedded in the per-op state whose work it runs;
+// most are cancelled unfired.
 type overlap struct {
 	step func(ctx context.Context) // the embedding state's work
-	fire func()                    // o.run
 
 	env   network.Env
 	ctx   context.Context // the op's
@@ -40,14 +38,12 @@ type overlap struct {
 	stopped error         // the environment shut down under the step's own activities
 }
 
-func (o *overlap) bind(step func(context.Context)) {
-	o.step, o.fire = step, o.run
-}
-
-// arm starts the clock on the call the op is about to make.
-func (o *overlap) arm(env network.Env, ctx context.Context) {
-	o.env, o.ctx = env, ctx
-	o.timer = env.After(overlapAfter, o.fire)
+// arm starts the clock on the call the op is about to make; step is
+// the work to start should the call still be outstanding after
+// overlapAfter.
+func (o *overlap) arm(env network.Env, ctx context.Context, step func(context.Context)) {
+	o.env, o.ctx, o.step = env, ctx, step
+	o.timer = env.After(overlapAfter, o.run)
 }
 
 func (o *overlap) run() {
@@ -70,8 +66,7 @@ func (o *overlap) run() {
 // is waited out — cancelled first, through its context, when abandon
 // says its work is no longer wanted — and its messages are merged into
 // the op's meter. An error is the environment shutting down under the
-// step: what the step holds is then not the op's to read, nor the
-// pool's to reuse.
+// step: what the step holds is then not the op's to read.
 func (o *overlap) settle(abandon bool) (went bool, err error) {
 	if o.timer.Cancel() {
 		return false, nil
@@ -94,38 +89,18 @@ func (o *overlap) settle(abandon bool) (went bool, err error) {
 	return true, nil
 }
 
-// reset readies the overlap for its next op, keeping what bind bound.
-func (o *overlap) reset() {
-	*o = overlap{step: o.step, fire: o.fire}
-}
-
 // probe is a retrieve's first probe sent alongside last_ts: the read of
 // rsp(k, Hr[pos]), pos as nextProbe names it when the probe fires.
 type probe struct {
 	overlap
-	s   *Service
-	k   core.Key
-	pos int
-	val core.Value
-	err error
+	s *Service
+	k core.Key
+	earlyRead
 }
-
-var probePool = sync.Pool{New: func() any {
-	p := &probe{}
-	p.bind(p.read)
-	return p
-}}
 
 func (p *probe) read(ctx context.Context) {
 	p.pos = p.s.nextProbe(p.k, nil)
 	p.val, p.err = p.s.client.GetH(ctx, p.k, p.s.set.Hr[p.pos])
-}
-
-// release returns a probe that will not run, or has run, to the pool.
-func (p *probe) release() {
-	p.reset()
-	p.s, p.k, p.pos, p.val, p.err = nil, "", 0, core.Value{}, nil
-	probePool.Put(p)
 }
 
 // prefetch resolves a put's replica owners while its gen_ts is on the
@@ -141,7 +116,6 @@ type prefetch struct {
 	s      *Service
 	k      core.Key
 	owners []resolved // per Hr position
-	todo   []int      // the positions the ring declined
 	slow   bool       // a lookup took overlapAfter or longer
 }
 
@@ -153,26 +127,17 @@ type resolved struct {
 	meter  network.Meter
 }
 
-var prefetchPool = sync.Pool{New: func() any {
-	p := &prefetch{}
-	p.bind(p.resolve)
-	return p
-}}
-
 func (p *prefetch) resolve(ctx context.Context) {
 	s, env := p.s, p.s.ring.Env()
 	route := s.client.Router()
-	if cap(p.owners) < len(s.set.Hr) {
-		p.owners = make([]resolved, len(s.set.Hr))
-	}
-	p.owners = p.owners[:len(s.set.Hr)]
+	p.owners = make([]resolved, len(s.set.Hr))
+	var todo []int // the positions the ring declined
 	for i, h := range s.set.Hr {
 		if route.Declines(h.ID(p.k)) {
 			p.owners[i].looked = true
-			p.todo = append(p.todo, i)
+			todo = append(todo, i)
 		}
 	}
-	todo := p.todo
 	if p.stopped = env.Join(len(todo), func(j int) {
 		o := &p.owners[todo[j]]
 		begin := env.Now()
@@ -188,12 +153,4 @@ func (p *prefetch) resolve(ctx context.Context) {
 		network.MeterFrom(ctx).Merge(o.meter)
 		p.slow = p.slow || o.took >= overlapAfter
 	}
-}
-
-// release returns a prefetch that will not run, or has run, to the pool.
-func (p *prefetch) release() {
-	p.reset()
-	clear(p.owners)
-	p.s, p.k, p.owners, p.todo, p.slow = nil, "", p.owners[:0], p.todo[:0], false
-	prefetchPool.Put(p)
 }

@@ -112,9 +112,8 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 		finish(&res, err)
 	}()
 
-	p := prefetchPool.Get().(*prefetch)
-	p.s, p.k = s, k
-	p.arm(env, ctx)
+	p := &prefetch{s: s, k: k}
+	p.arm(env, ctx, p.resolve)
 	ktsStart := env.Now()
 	ts, err := s.ts.GenTS(ctx, k)
 	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-ktsStart)
@@ -123,10 +122,9 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 	went, werr := p.settle(err != nil)
 	if werr != nil {
 		// The environment shut down under the lookups: what they hold is
-		// not ours to read, nor the pool's to reuse.
+		// not ours to read.
 		return res, fmt.Errorf("ums: insert(%q): %w", k, werr)
 	}
-	defer p.release()
 	if err != nil {
 		return res, fmt.Errorf("ums: insert(%q): %w", k, err)
 	}
@@ -528,28 +526,24 @@ func (s *Service) cachedTarget(k core.Key, pol dht.ReadPolicy, res *dht.OpResult
 // from.
 func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, first *earlyRead, err error) {
 	env := s.ring.Env()
-	p := probePool.Get().(*probe)
-	p.s, p.k = s, k
-	p.arm(env, ctx)
+	p := &probe{s: s, k: k}
+	p.arm(env, ctx, p.read)
 	begin := env.Now()
 	ts1, err = s.ts.LastTS(ctx, k)
 	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-begin)
 	went, werr := p.settle(false)
 	if !went {
 		s.gets.serial.Inc()
-		p.release()
 		return ts1, nil, err
 	}
 	s.gets.overlapped.Inc()
 	if werr != nil {
 		// The environment shut down under the probe: what it holds is
-		// not ours to read, nor the pool's to reuse.
+		// not ours to read.
 		return ts1, nil, werr
 	}
 	obs.PhasesFrom(ctx).Add(obs.PhaseProbe, p.took)
-	first = &earlyRead{pos: p.pos, val: p.val, err: p.err}
-	p.release()
-	return ts1, first, err
+	return ts1, &p.earlyRead, err
 }
 
 // earlyRead is what the first probe read when it went alongside last_ts.
