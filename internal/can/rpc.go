@@ -103,11 +103,10 @@ func init() {
 }
 
 func (n *Node) registerHandlers() {
-	n.Handle(methodRouteStep, func(req network.Message) (network.Message, error) {
-		r := req.(RouteStepReq)
+	n.Handle(methodRouteStep, network.Typed(func(r RouteStepReq) (network.Message, error) {
 		return n.routeStep(r.Target, dht.IDSet(r.Exclude)), nil
-	})
-	n.Handle(methodState, func(network.Message) (network.Message, error) {
+	}))
+	n.Handle(methodState, network.Typed(func(StateReq) (network.Message, error) {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		resp := StateResp{Info: NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}
@@ -115,28 +114,27 @@ func (n *Node) registerHandlers() {
 			resp.Neighbors = append(resp.Neighbors, NeighborInfo{Ref: nb.ref, Zones: append([]Zone(nil), nb.zones...)})
 		}
 		return resp, nil
-	})
-	n.Handle(methodSplit, func(req network.Message) (network.Message, error) {
-		return n.handleSplit(req.(SplitReq))
-	})
-	n.Handle(methodTakeover, func(req network.Message) (network.Message, error) {
-		n.handleTakeover(req.(TakeoverReq))
+	}))
+	n.Handle(methodSplit, network.Typed(func(r SplitReq) (network.Message, error) {
+		return n.handleSplit(r)
+	}))
+	n.Handle(methodTakeover, network.Typed(func(r TakeoverReq) (network.Message, error) {
+		n.handleTakeover(r)
 		return TakeoverResp{}, nil
-	})
-	n.Handle(methodUpdate, func(req network.Message) (network.Message, error) {
-		n.applyNeighborInfo(req.(UpdateReq).Info)
+	}))
+	n.Handle(methodUpdate, network.Typed(func(r UpdateReq) (network.Message, error) {
+		n.applyNeighborInfo(r.Info)
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		return UpdateResp{Info: NeighborInfo{Ref: n.Self(), Zones: append([]Zone(nil), n.zones...)}}, nil
-	})
-	n.Handle(methodGone, func(req network.Message) (network.Message, error) {
-		r := req.(GoneReq)
+	}))
+	n.Handle(methodGone, network.Typed(func(r GoneReq) (network.Message, error) {
 		n.mu.Lock()
 		delete(n.neighbors, r.Departed.ID)
 		n.mu.Unlock()
 		n.applyNeighborInfo(r.Successor)
 		return GoneResp{}, nil
-	})
+	}))
 }
 
 // routeStep is one greedy hop: done if a local zone contains the target,

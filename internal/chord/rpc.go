@@ -125,42 +125,40 @@ func init() {
 
 // registerHandlers wires the protocol onto the node's endpoint.
 func (n *Node) registerHandlers() {
-	n.Handle(methodState, func(network.Message) (network.Message, error) {
+	n.Handle(methodState, network.Typed(func(StateReq) (network.Message, error) {
 		pred, succs := n.snapshot()
 		return StateResp{Self: n.Self(), Pred: pred, Succs: succs}, nil
-	})
+	}))
 
-	n.Handle(methodFindStep, func(req network.Message) (network.Message, error) {
-		r := req.(FindStepReq)
+	n.Handle(methodFindStep, network.Typed(func(r FindStepReq) (network.Message, error) {
 		return n.findStep(r.Target, dht.IDSet(r.Exclude)), nil
-	})
+	}))
 
-	n.Handle(methodNotify, func(req network.Message) (network.Message, error) {
-		n.notify(req.(NotifyReq).Candidate)
+	n.Handle(methodNotify, network.Typed(func(r NotifyReq) (network.Message, error) {
+		n.notify(r.Candidate)
 		return NotifyResp{}, nil
-	})
+	}))
 
-	n.Handle(methodSuccCand, func(req network.Message) (network.Message, error) {
-		cand := req.(SuccCandidateReq).Candidate
+	n.Handle(methodSuccCand, network.Typed(func(r SuccCandidateReq) (network.Message, error) {
+		cand := r.Candidate
 		n.mu.Lock()
 		if cand.ID.InOpenInterval(n.Self().ID, n.succs[0].ID) {
 			n.setSuccessorsLocked(append([]dht.NodeRef{cand}, n.succs...))
 		}
 		n.mu.Unlock()
 		return SuccCandidateResp{}, nil
-	})
+	}))
 
-	n.Handle(methodTransfer, func(req network.Message) (network.Message, error) {
-		return n.handleTransfer(req.(TransferReq)), nil
-	})
+	n.Handle(methodTransfer, network.Typed(func(r TransferReq) (network.Message, error) {
+		return n.handleTransfer(r), nil
+	}))
 
-	n.Handle(methodAbsorb, func(req network.Message) (network.Message, error) {
-		n.handleAbsorb(req.(AbsorbReq))
+	n.Handle(methodAbsorb, network.Typed(func(r AbsorbReq) (network.Message, error) {
+		n.handleAbsorb(r)
 		return AbsorbResp{}, nil
-	})
+	}))
 
-	n.Handle(methodPredGone, func(req network.Message) (network.Message, error) {
-		r := req.(PredLeavingReq)
+	n.Handle(methodPredGone, network.Typed(func(r PredLeavingReq) (network.Message, error) {
 		n.mu.Lock()
 		// Splice the departing successor out, falling back to its own
 		// successor list.
@@ -175,7 +173,7 @@ func (n *Node) registerHandlers() {
 		n.setSuccessorsLocked(merged)
 		n.mu.Unlock()
 		return PredLeavingResp{}, nil
-	})
+	}))
 }
 
 // findStep implements one iterative lookup step (also used locally for

@@ -81,7 +81,7 @@ func NewMember(env network.Env, ep network.Endpoint, id core.ID, cfg MemberConfi
 	}
 	m.alive.Store(true)
 	RegisterStore(ep, m.store, owns)
-	m.Handle(MethodPing, func(network.Message) (network.Message, error) { return PingResp{}, nil })
+	m.Handle(MethodPing, network.Typed(func(PingReq) (network.Message, error) { return PingResp{}, nil }))
 	return m
 }
 
@@ -200,12 +200,12 @@ func (m *Member) Call(ctx context.Context, to network.Addr, method string, req n
 
 // Handle serves method on the node's endpoint while the node is alive;
 // a stopped node answers core.ErrStopped.
-func (m *Member) Handle(method string, fn func(req network.Message) (network.Message, error)) {
-	m.ep.Handle(method, func(_ network.Addr, req network.Message) (network.Message, error) {
+func (m *Member) Handle(method string, h network.HandlerFunc) {
+	m.ep.Handle(method, func(from network.Addr, req network.Message) (network.Message, error) {
 		if !m.Alive() {
 			return nil, core.ErrStopped
 		}
-		return fn(req)
+		return h(from, req)
 	})
 }
 

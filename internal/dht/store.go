@@ -154,16 +154,14 @@ func (s *LocalStore) Crash() {
 // callers re-resolve (the DHT's mapping function m(k, h, t) changes over
 // time, §2.1).
 func RegisterStore(ep network.Endpoint, store *LocalStore, owns func(core.ID) bool) {
-	ep.Handle(MethodPut, func(_ network.Addr, req network.Message) (network.Message, error) {
-		r := req.(PutReq)
+	ep.Handle(MethodPut, network.Typed(func(r PutReq) (network.Message, error) {
 		if owns != nil && !owns(r.RingID) {
 			return nil, fmt.Errorf("dht: put %s: %w", r.RingID, core.ErrNotResponsible)
 		}
 		stored := store.Put(r.RingID, r.Qual, r.Val, r.Mode)
 		return PutResp{Stored: stored}, nil
-	})
-	ep.Handle(MethodGet, func(_ network.Addr, req network.Message) (network.Message, error) {
-		r := req.(GetReq)
+	}))
+	ep.Handle(MethodGet, network.Typed(func(r GetReq) (network.Message, error) {
 		if owns != nil && !owns(r.RingID) {
 			return nil, fmt.Errorf("dht: get %s: %w", r.RingID, core.ErrNotResponsible)
 		}
@@ -172,5 +170,5 @@ func RegisterStore(ep network.Endpoint, store *LocalStore, owns func(core.ID) bo
 			return nil, fmt.Errorf("dht: get %s %q: %w", r.RingID, r.Qual, core.ErrNotFound)
 		}
 		return GetResp{Val: v}, nil
-	})
+	}))
 }

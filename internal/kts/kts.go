@@ -322,7 +322,7 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 			if !ok {
 				return nil, fmt.Errorf("kts: unknown local method %q", method)
 			}
-			return h(req)
+			return h(ring.Self().Addr, req)
 		},
 	})
 	ring.Obs().GaugeFunc("dcdht_kts_counters",
@@ -334,7 +334,7 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 			return float64(s.VCSLen())
 		})
 	for method, h := range handlers {
-		ring.Endpoint().Handle(method, func(_ network.Addr, req network.Message) (network.Message, error) { return h(req) })
+		ring.Endpoint().Handle(method, h)
 	}
 	if r, ok := ring.(dht.HandoverRegistrar); ok {
 		r.RegisterHandover(s)
@@ -539,17 +539,17 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 
 // handlers is the service's one method table: the endpoint serves it to
 // other peers, and the router's Local path to this one, free of charge.
-func (s *Service) handlers() map[string]func(network.Message) (network.Message, error) {
-	return map[string]func(network.Message) (network.Message, error){
-		MethodGenTS:  func(req network.Message) (network.Message, error) { return s.handleGenTS(req.(GenTSReq)) },
-		MethodLastTS: func(req network.Message) (network.Message, error) { return s.handleLastTS(req.(LastTSReq)) },
-		MethodGenTSBatch: func(req network.Message) (network.Message, error) {
-			return s.handleBatch(req.(BatchReq), true), nil
-		},
-		MethodLastTSBatch: func(req network.Message) (network.Message, error) {
-			return s.handleBatch(req.(BatchReq), false), nil
-		},
-		MethodRecover: func(req network.Message) (network.Message, error) { return s.handleRecover(req.(RecoverReq)) },
+func (s *Service) handlers() map[string]network.HandlerFunc {
+	return map[string]network.HandlerFunc{
+		MethodGenTS:  network.Typed(s.handleGenTS),
+		MethodLastTS: network.Typed(s.handleLastTS),
+		MethodGenTSBatch: network.Typed(func(r BatchReq) (network.Message, error) {
+			return s.handleBatch(r, true), nil
+		}),
+		MethodLastTSBatch: network.Typed(func(r BatchReq) (network.Message, error) {
+			return s.handleBatch(r, false), nil
+		}),
+		MethodRecover: network.Typed(s.handleRecover),
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 )
 
 // The wire codec. RegisterMessage compiles each message type once into
-// an encode and a decode function, one step per field, and the TCP
-// transport frames every request and reply with them. A message travels
+// an encode and a decode function, one step per field; the TCP
+// transport frames every request and reply with them, and the store
+// every WAL and snapshot record. A message travels
 // as its registered name (its %T) followed by its fields in declaration
 // order:
 //

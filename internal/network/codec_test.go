@@ -14,6 +14,7 @@ import (
 	"repro/internal/kts"
 	"repro/internal/network"
 	"repro/internal/onehop"
+	"repro/internal/store"
 )
 
 var (
@@ -94,6 +95,11 @@ var wireSamples = []network.Message{
 	onehop.EventResp{},
 	onehop.BulkReq{From: ref2, Items: []dht.Item{item}, Services: svc},
 	onehop.BulkResp{},
+	// store: the log and snapshot records
+	store.Item{RingID: 42, Qual: "ums|k|h1", Val: val},
+	store.Counter{Key: "k", TS: core.TSMax},
+	store.DeletedItem{RingID: 1<<64 - 1, Qual: "brk|k|h2"},
+	store.DeletedCounter{Key: ""},
 }
 
 // wantDecoded is what v comes back as: gob's convention, which the codec

@@ -234,7 +234,7 @@ func (r *realTimer) Wait() error {
 }
 
 // RegisterMessage compiles the wire codec of each message type (see
-// codec.go) for the TCP transport. It is idempotent per concrete type and
+// codec.go) for the TCP transport and the store's log records. It is idempotent per concrete type and
 // safe to call from init functions in several packages; it panics, at
 // init, on a type the codec cannot carry or on a %T name another type
 // already holds.

@@ -93,6 +93,22 @@ func SizeOf(m Message) int {
 // immutable.
 type HandlerFunc func(from Addr, req Message) (Message, error)
 
+// Typed adapts fn, which serves requests of type Req, to a HandlerFunc.
+// A request of any other type, a nil one included, gets an error
+// wrapping core.ErrUnreachable, the answer to a method nobody serves: a
+// frame that names one method but carries another's body cannot crash
+// the node.
+func Typed[Req any](fn func(req Req) (Message, error)) HandlerFunc {
+	return func(_ Addr, req Message) (Message, error) {
+		r, ok := req.(Req)
+		if !ok {
+			var want Req
+			return nil, fmt.Errorf("network: request %T where %T is served: %w", req, want, core.ErrUnreachable)
+		}
+		return fn(r)
+	}
+}
+
 // Call carries per-invocation options. Deadlines and cancellation come
 // from the context passed to Invoke; Timeout is only the per-RPC
 // patience a protocol grants one round trip (its failure-detection

@@ -97,3 +97,27 @@ func TestRegisterMessageIdempotent(t *testing.T) {
 	RegisterMessage(onceMsg{})
 	RegisterMessage(onceMsg{})
 }
+
+// TestTypedRefusesOtherRequests: a Typed handler serves its own request
+// type and answers any other, nil included, with ErrUnreachable without
+// running.
+func TestTypedRefusesOtherRequests(t *testing.T) {
+	type req struct{ N int }
+	type other struct{ N int }
+	ran := 0
+	h := Typed(func(r req) (Message, error) {
+		ran++
+		return r.N + 1, nil
+	})
+	if resp, err := h("peer", req{N: 41}); err != nil || resp != 42 {
+		t.Fatalf("own request answered %v, %v", resp, err)
+	}
+	for _, bad := range []Message{other{N: 41}, nil, &req{N: 41}} {
+		if resp, err := h("peer", bad); !errors.Is(err, core.ErrUnreachable) || resp != nil {
+			t.Errorf("%T request answered %v, %v; want an error wrapping ErrUnreachable", bad, resp, err)
+		}
+	}
+	if ran != 1 {
+		t.Fatalf("handler ran %d times, want only for its own request", ran)
+	}
+}

@@ -108,8 +108,7 @@ func init() {
 }
 
 func (n *Node) registerHandlers() {
-	n.Handle(methodOwner, func(req network.Message) (network.Message, error) {
-		r := req.(OwnerReq)
+	n.Handle(methodOwner, network.Typed(func(r OwnerReq) (network.Message, error) {
 		// Honor the caller's death observations before answering: they
 		// probed those peers moments ago, our periodic detector may be
 		// half a period behind.
@@ -132,18 +131,17 @@ func (n *Node) registerHandlers() {
 			return OwnerResp{Owns: false}, nil
 		}
 		return OwnerResp{Owns: false, Better: better}, nil
-	})
+	}))
 
-	n.Handle(methodTable, func(network.Message) (network.Message, error) {
+	n.Handle(methodTable, network.Typed(func(TableReq) (network.Message, error) {
 		return TableResp{Table: n.Table()}, nil
-	})
+	}))
 
-	n.Handle(methodJoin, func(req network.Message) (network.Message, error) {
-		return n.handleJoin(req.(JoinReq)), nil
-	})
+	n.Handle(methodJoin, network.Typed(func(r JoinReq) (network.Message, error) {
+		return n.handleJoin(r), nil
+	}))
 
-	n.Handle(methodEvent, func(req network.Message) (network.Message, error) {
-		r := req.(EventReq)
+	n.Handle(methodEvent, network.Typed(func(r EventReq) (network.Message, error) {
 		n.metrics.eventsRecv.Inc()
 		n.mu.Lock()
 		for _, ref := range r.Joins {
@@ -154,13 +152,12 @@ func (n *Node) registerHandlers() {
 		}
 		n.mu.Unlock()
 		return EventResp{}, nil
-	})
+	}))
 
-	n.Handle(methodBulk, func(req network.Message) (network.Message, error) {
-		r := req.(BulkReq)
+	n.Handle(methodBulk, network.Typed(func(r BulkReq) (network.Message, error) {
 		n.Absorb(r.Items, r.Services)
 		return BulkResp{}, nil
-	})
+	}))
 }
 
 // Lookup implements dht.Ring. In steady state it costs exactly one

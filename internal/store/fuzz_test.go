@@ -7,15 +7,28 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/network"
 )
 
-// counterFrame builds one framed PutCounter record, for seeding the
-// fuzzer with well-formed log bytes.
+// notARecord is a registered message that is no log record, standing in
+// for the RPC types a node's binary registers beside the records.
+type notARecord struct{ Key core.Key }
+
+func init() { network.RegisterMessage(notARecord{}) }
+
+// recordFrame frames one record, for seeding the fuzzer with
+// well-formed log bytes.
+func recordFrame(rec network.Message) []byte {
+	b, err := appendRecord(nil, rec)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// counterFrame frames one counter-put record.
 func counterFrame(k core.Key, ts core.Timestamp) []byte {
-	var e encoder
-	e.reset()
-	e.encodePutCounter(k, ts)
-	return frame(nil, e.buf)
+	return recordFrame(Counter{Key: k, TS: ts})
 }
 
 // FuzzWALReplay throws arbitrary bytes at the recovery path as the
@@ -37,6 +50,10 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(tampered)
 	huge := append([]byte(walMagicStr), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0) // insane length prefix
 	f.Add(huge)
+	for _, rec := range []network.Message{notARecord{Key: "k"}, nil} { // CRC-valid frames that are no record
+		f.Add(append([]byte(walMagicStr), recordFrame(rec)...))
+	}
+	f.Add(oldFormatLog)
 
 	f.Fuzz(func(t *testing.T, log []byte) {
 		dir := t.TempDir()

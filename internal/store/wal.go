@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/network"
 )
 
 // File names inside a data directory. The snapshot is replaced
@@ -21,9 +22,85 @@ const (
 	walName      = "wal.dcdht"
 	snapName     = "snapshot.dcdht"
 	snapTmpName  = "snapshot.tmp"
-	walMagicStr  = "DCWAL1\n\x00"
-	snapMagicStr = "DCSNAP1\n"
+	walMagicStr  = "DCWAL2\n\x00"
+	snapMagicStr = "DCSNAP2\n"
 )
+
+// On-disk records, shared by the write-ahead log and the snapshot file
+// (docs/STORAGE.md documents the format). Every record is framed as
+//
+//	uint32  payload length (little-endian)
+//	uint32  CRC-32C (Castagnoli) of the payload
+//	bytes   payload: one message in internal/network's wire codec
+//
+// and the message is one of four record types: Item and Counter record
+// puts, DeletedItem and DeletedCounter deletes. The codec writes a
+// type's name and its fields in declaration order, so renaming or
+// reordering a record type's fields, or those of a type it carries
+// (core.Value, core.Timestamp), changes the format and needs new
+// magics.
+
+// DeletedItem is the log record of a DeleteItem.
+type DeletedItem struct {
+	RingID core.ID
+	Qual   string
+}
+
+// DeletedCounter is the log record of a DeleteCounter.
+type DeletedCounter struct {
+	Key core.Key
+}
+
+func init() {
+	network.RegisterMessage(Item{}, Counter{}, DeletedItem{}, DeletedCounter{})
+}
+
+// frameOverhead is the byte cost of one record frame.
+const frameOverhead = 8
+
+// maxRecord bounds one record's payload: larger length prefixes are
+// treated as corruption, not allocation requests.
+const maxRecord = 1 << 28
+
+// crcTable is the Castagnoli polynomial table (hardware-accelerated on
+// common platforms).
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// appendRecord appends rec to dst as one frame. On failure dst comes
+// back as it was.
+func appendRecord(dst []byte, rec network.Message) ([]byte, error) {
+	start := len(dst)
+	b, err := network.AppendMessage(append(dst, make([]byte, frameOverhead)...), rec)
+	if err != nil {
+		return dst, err
+	}
+	payload := b[start+frameOverhead:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, crcTable))
+	return b, nil
+}
+
+// applyRecord decodes one payload and applies it to m. The frame's CRC
+// has already been verified; a payload that is not one of the four
+// records is still corruption (a CRC collision or an encoder bug),
+// never tolerated.
+func applyRecord(m *Mem, payload []byte) error {
+	rec, err := network.DecodeMessage(payload)
+	if err != nil {
+		return fmt.Errorf("%v: %w", err, errCorrupt())
+	}
+	switch r := rec.(type) {
+	case Item:
+		return m.PutItem(r)
+	case Counter:
+		return m.PutCounter(r.Key, r.TS)
+	case DeletedItem:
+		return m.DeleteItem(r.RingID, r.Qual)
+	case DeletedCounter:
+		return m.DeleteCounter(r.Key)
+	}
+	return fmt.Errorf("%T is not a record: %w", rec, errCorrupt())
+}
 
 // SyncPolicy selects when appended records reach stable storage — the
 // durability/throughput trade-off of docs/STORAGE.md.
@@ -118,9 +195,8 @@ type WAL struct {
 	mu     sync.Mutex
 	mem    *Mem
 	logF   *os.File
-	buf    []byte // pending (unflushed) frames — SyncBatch only
-	enc    encoder
-	recs   int // records appended since the last snapshot
+	buf    []byte // framed records not yet written; only SyncBatch leaves any between appends
+	recs   int    // records appended since the last snapshot
 	closed bool
 	rec    Recovered
 	stats  WALStats
@@ -328,18 +404,20 @@ func errCorrupt() error {
 
 // ---- appends -----------------------------------------------------------
 
-// append frames the encoder's payload, writes it per the sync policy and
+// appendLocked frames rec into w.buf, writes it per the sync policy and
 // triggers compaction when due. Caller holds w.mu.
-func (w *WAL) appendLocked() error {
+func (w *WAL) appendLocked(rec network.Message) error {
 	if w.closed {
 		return fmt.Errorf("append to closed store: %w", ErrStore)
 	}
-	framed := frame(nil, w.enc.buf)
-	switch w.opt.Policy {
-	case SyncBatch:
-		w.buf = append(w.buf, framed...)
-	default:
-		if _, err := w.logF.Write(framed); err != nil {
+	var err error
+	if w.buf, err = appendRecord(w.buf, rec); err != nil {
+		return fmt.Errorf("wal append: %v: %w", err, ErrStore)
+	}
+	if w.opt.Policy != SyncBatch {
+		_, err := w.logF.Write(w.buf)
+		w.buf = w.buf[:0]
+		if err != nil {
 			return fmt.Errorf("wal append: %v: %w", err, ErrStore)
 		}
 		if w.opt.Policy == SyncAlways {
@@ -364,9 +442,7 @@ func (w *WAL) PutItem(it Item) error {
 	if err := w.mem.PutItem(it); err != nil {
 		return err
 	}
-	w.enc.reset()
-	w.enc.encodePutItem(it)
-	return w.appendLocked()
+	return w.appendLocked(it)
 }
 
 // DeleteItem implements Store.
@@ -376,9 +452,7 @@ func (w *WAL) DeleteItem(rid core.ID, qual string) error {
 	if err := w.mem.DeleteItem(rid, qual); err != nil {
 		return err
 	}
-	w.enc.reset()
-	w.enc.encodeDelItem(rid, qual)
-	return w.appendLocked()
+	return w.appendLocked(DeletedItem{RingID: rid, Qual: qual})
 }
 
 // PutCounter implements Store.
@@ -388,9 +462,7 @@ func (w *WAL) PutCounter(k core.Key, ts core.Timestamp) error {
 	if err := w.mem.PutCounter(k, ts); err != nil {
 		return err
 	}
-	w.enc.reset()
-	w.enc.encodePutCounter(k, ts)
-	return w.appendLocked()
+	return w.appendLocked(Counter{Key: k, TS: ts})
 }
 
 // DeleteCounter implements Store.
@@ -400,9 +472,7 @@ func (w *WAL) DeleteCounter(k core.Key) error {
 	if err := w.mem.DeleteCounter(k); err != nil {
 		return err
 	}
-	w.enc.reset()
-	w.enc.encodeDelCounter(k)
-	return w.appendLocked()
+	return w.appendLocked(DeletedCounter{Key: k})
 }
 
 // live returns the in-memory state, or nil once the handle has crashed
@@ -507,22 +577,19 @@ func (w *WAL) Compact() error {
 // log or the new snapshot + (possibly still full) log — both replay to
 // the same state, because log records are idempotent overwrites.
 func (w *WAL) compactLocked() error {
-	var e encoder
-	e.buf = append(e.buf, snapMagicStr...)
-	var rec []byte
-	var scratch encoder
+	snap := []byte(snapMagicStr)
+	var err error
 	w.mem.EachItem(func(it Item) bool {
-		scratch.reset()
-		scratch.encodePutItem(it)
-		rec = frame(rec[:0], scratch.buf)
-		e.buf = append(e.buf, rec...)
-		return true
+		snap, err = appendRecord(snap, it)
+		return err == nil
 	})
 	for _, c := range w.mem.Counters() {
-		scratch.reset()
-		scratch.encodePutCounter(c.Key, c.TS)
-		rec = frame(rec[:0], scratch.buf)
-		e.buf = append(e.buf, rec...)
+		if err == nil {
+			snap, err = appendRecord(snap, c)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("snapshot encode: %v: %w", err, ErrStore)
 	}
 
 	tmp := filepath.Join(w.dir, snapTmpName)
@@ -530,7 +597,7 @@ func (w *WAL) compactLocked() error {
 	if err != nil {
 		return fmt.Errorf("snapshot tmp: %v: %w", err, ErrStore)
 	}
-	if _, err := f.Write(e.buf); err == nil {
+	if _, err = f.Write(snap); err == nil {
 		err = f.Sync()
 		if err == nil {
 			w.stats.Fsyncs++

@@ -1,14 +1,18 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/network"
 )
 
 func item(rid uint64, qual, data string, ts uint64) Item {
@@ -42,48 +46,63 @@ func TestWALEmptyLogReplay(t *testing.T) {
 	}
 }
 
+// TestWALRoundTrip writes all four record kinds and reads them back
+// through log replay, then through a snapshot. An item with empty Data
+// comes back with nil Data.
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	w := openT(t, dir, WALOptions{})
-	if err := w.PutItem(item(7, "ums|k|h1", "v1", 3)); err != nil {
+	high := core.Timestamp{Hi: 1 << 63, Lo: 9}
+	for _, err := range []error{
+		w.PutItem(item(7, "ums|k|h1", "v1", 3)),
+		w.PutItem(Item{RingID: 8, Qual: "ums|e|h1", Val: core.Value{Data: []byte{}, TS: core.TS(4)}}),
+		w.PutItem(item(9, "ums|k|h2", "v2", 4)),
+		w.DeleteItem(9, "ums|k|h2"),
+		w.PutCounter("k", high),
+		w.PutCounter("gone", core.TS(9)),
+		w.DeleteCounter("gone"),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.PutItem(item(9, "ums|k|h2", "v2", 4)); err != nil {
-		t.Fatal(err)
+	check := func(stage string, w *WAL) {
+		t.Helper()
+		if v, ok := w.GetItem(7, "ums|k|h1"); !ok || string(v.Data) != "v1" || v.TS != core.TS(3) {
+			t.Errorf("%s: item = %v %v", stage, v, ok)
+		}
+		if v, ok := w.GetItem(8, "ums|e|h1"); !ok || v.Data != nil || v.TS != core.TS(4) {
+			t.Errorf("%s: empty item = %#v %v, want nil Data at ts(4)", stage, v, ok)
+		}
+		if _, ok := w.GetItem(9, "ums|k|h2"); ok {
+			t.Errorf("%s: deleted item resurrected", stage)
+		}
+		if cs := w.Counters(); len(cs) != 1 || cs[0] != (Counter{Key: "k", TS: high}) {
+			t.Errorf("%s: counters = %v", stage, cs)
+		}
 	}
-	if err := w.DeleteItem(9, "ums|k|h2"); err != nil {
-		t.Fatal(err)
+
+	w = openT(t, dir, WALOptions{})
+	rec := w.Recovered()
+	if rec.Items != 2 || rec.Counters != 1 || rec.Records != 7 || rec.TornTail {
+		t.Fatalf("recovered %+v, want 2 items, 1 counter, 7 clean records", rec)
 	}
-	if err := w.PutCounter("k", core.TS(4)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.PutCounter("gone", core.TS(9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.DeleteCounter("gone"); err != nil {
+	check("log replay", w)
+	if err := w.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
 	w = openT(t, dir, WALOptions{})
 	defer w.Close()
-	rec := w.Recovered()
-	if rec.Items != 1 || rec.Counters != 1 || rec.Records != 6 {
-		t.Fatalf("recovered %+v, want 1 item, 1 counter, 6 records", rec)
+	if rec := w.Recovered(); rec.Records != 0 {
+		t.Fatalf("after compaction %d log records replayed, want 0", rec.Records)
 	}
-	v, ok := w.GetItem(7, "ums|k|h1")
-	if !ok || string(v.Data) != "v1" || v.TS != core.TS(3) {
-		t.Fatalf("item = %v %v", v, ok)
-	}
-	if _, ok := w.GetItem(9, "ums|k|h2"); ok {
-		t.Fatal("deleted item resurrected")
-	}
-	cs := w.Counters()
-	if len(cs) != 1 || cs[0].Key != "k" || cs[0].TS != core.TS(4) {
-		t.Fatalf("counters = %v", cs)
-	}
+	check("snapshot", w)
 }
 
 func TestWALTornFinalRecordTolerated(t *testing.T) {
@@ -408,4 +427,48 @@ func TestMemCrashLosesEverything(t *testing.T) {
 	if m.ItemCount() != 0 || len(m.Counters()) != 0 {
 		t.Fatal("Mem.Crash must lose everything")
 	}
+}
+
+// oldFormatLog is a log an earlier build wrote: the DCWAL1 magic, then a
+// counter and an item record in that build's hand-rolled encoding.
+var oldFormatLog = []byte("DCWAL1\n\x00\x1f\x00\x00\x00%\xdcd\xef\x03\n\x00\x00\x00agenda:mon\x00\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00A\x00\x00\x00$\x8biM\x01\x05\x00\x00\x00\x00\x00\x00\x00\x15\x00\x00\x00replica|agenda:mon|h2\x00\x00\x00\x00\x00\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x0b\x00\x00\x00standup 9am")
+
+// TestWALRejectsWhatIsNoRecord: a frame whose CRC holds but whose body
+// is not one of the four records, and a file in an older format, are
+// corruption, whether in the log or in the snapshot.
+func TestWALRejectsWhatIsNoRecord(t *testing.T) {
+	good := counterFrame("k", core.TS(1))
+	cat := slices.Concat[[]byte]
+	unregistered := network.AppendString(nil, "store.noSuchRecord")
+	for _, tc := range []struct {
+		name, file string
+		data       []byte
+	}{
+		{"registered non-record", walName, cat([]byte(walMagicStr), recordFrame(notARecord{Key: "k"}), good)},
+		{"nil message", walName, cat([]byte(walMagicStr), recordFrame(nil), good)},
+		{"unregistered type", walName, cat([]byte(walMagicStr), frameOf(unregistered), good)},
+		{"trailing bytes", walName, cat([]byte(walMagicStr), frameOf(append(recordFrame(Counter{Key: "k"})[frameOverhead:], 0)), good)},
+		{"old-format log", walName, oldFormatLog},
+		{"registered non-record in snapshot", snapName, cat([]byte(snapMagicStr), recordFrame(notARecord{Key: "k"}))},
+		{"nil message in snapshot", snapName, cat([]byte(snapMagicStr), recordFrame(nil))},
+		{"old-format snapshot", snapName, cat([]byte("DCSNAP1\n"), oldFormatLog[len(walMagicStr):])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, tc.file), tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenWAL(dir, WALOptions{})
+			if !errors.Is(err, ErrCorruptLog) || !errors.Is(err, ErrStore) {
+				t.Fatalf("err = %v, want ErrCorruptLog and ErrStore", err)
+			}
+		})
+	}
+}
+
+// frameOf frames a raw payload, valid CRC included.
+func frameOf(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
 }
