@@ -18,7 +18,8 @@ type GatewayConfig struct {
 	// fixed seed.
 	Seed int64
 	// Obs receives the gateway's dcdht_gw_* metric families. Nil
-	// creates a private registry, readable via Metrics.
+	// creates a private registry, readable via Metrics. Stats reads
+	// these families, so a registry serves one gateway.
 	Obs *MetricsRegistry
 }
 

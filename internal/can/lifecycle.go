@@ -20,11 +20,10 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	// Route from the bootstrap to the owner of our point.
 	cur := dht.NodeRef{Addr: bootstrap}
 	for step := 0; step < maxRouteSteps; step++ {
-		raw, err := n.Call(context.Background(), cur.Addr, methodRouteStep, RouteStepReq{Target: target})
+		resp, err := network.Reply[RouteStepResp](n.Call(context.Background(), cur.Addr, methodRouteStep, RouteStepReq{Target: target}))
 		if err != nil {
 			return fmt.Errorf("can: join routing via %s: %w", cur.Addr, err)
 		}
-		resp := raw.(RouteStepResp)
 		if resp.Done {
 			cur = resp.Next
 			break
@@ -35,11 +34,10 @@ func (n *Node) Join(bootstrap network.Addr) error {
 		cur = resp.Next
 	}
 
-	raw, err := n.Call(context.Background(), cur.Addr, methodSplit, SplitReq{NewNode: n.Self()})
+	resp, err := network.Reply[SplitResp](n.Call(context.Background(), cur.Addr, methodSplit, SplitReq{NewNode: n.Self()}))
 	if err != nil {
 		return fmt.Errorf("can: join split at %s: %w", cur.Addr, err)
 	}
-	resp := raw.(SplitResp)
 	n.mu.Lock()
 	n.zones = []Zone{resp.Zone}
 	n.zonesChangedLocked()
@@ -132,9 +130,9 @@ func (n *Node) probeNeighbors() {
 	refs := n.neighborsLocked()
 	n.mu.Unlock()
 	for _, nb := range refs {
-		raw, err := n.Call(context.Background(), nb.ref.Addr, methodUpdate, UpdateReq{Info: info})
+		resp, err := network.Reply[UpdateResp](n.Call(context.Background(), nb.ref.Addr, methodUpdate, UpdateReq{Info: info}))
 		if err == nil {
-			n.applyNeighborInfo(raw.(UpdateResp).Info)
+			n.applyNeighborInfo(resp.Info)
 			n.mu.Lock()
 			if cur, ok := n.neighbors[nb.ref.ID]; ok {
 				cur.strikes = 0

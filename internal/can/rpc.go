@@ -274,8 +274,8 @@ func (n *Node) broadcastUpdate() {
 	for _, ref := range targets {
 		ref := ref
 		n.Env().Go(func() {
-			if raw, err := n.Call(context.Background(), ref.Addr, methodUpdate, UpdateReq{Info: info}); err == nil {
-				n.applyNeighborInfo(raw.(UpdateResp).Info)
+			if resp, err := network.Reply[UpdateResp](n.Call(context.Background(), ref.Addr, methodUpdate, UpdateReq{Info: info})); err == nil {
+				n.applyNeighborInfo(resp.Info)
 			}
 		})
 	}
@@ -326,8 +326,9 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 				return dht.NodeRef{}, hops, fmt.Errorf("can: routing loop at %s: %w", cur.ID, core.ErrUnreachable)
 			}
 			visited[cur.ID] = true
-			raw, err := n.Call(ctx, cur.Addr, methodRouteStep,
-				RouteStepReq{Target: target, Exclude: dht.IDList(exclude)})
+			var err error
+			resp, err = network.Reply[RouteStepResp](n.Call(ctx, cur.Addr, methodRouteStep,
+				RouteStepReq{Target: target, Exclude: dht.IDList(exclude)}))
 			hops++
 			if err != nil {
 				if dht.PeerDead(err) {
@@ -336,7 +337,6 @@ func (n *Node) lookupOnce(ctx context.Context, target Point, exclude map[core.ID
 				}
 				return dht.NodeRef{}, hops, err
 			}
-			resp = raw.(RouteStepResp)
 		}
 		if resp.Done {
 			return resp.Next, hops, nil

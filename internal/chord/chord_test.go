@@ -685,3 +685,28 @@ func TestGuessNeedsKnownPredecessor(t *testing.T) {
 		t.Errorf("singleton ring: Guess = %v, want it declined", g)
 	}
 }
+
+// TestRogueRepliesAreErrors: a peer that answers a routing step with
+// another method's body, or with nothing, fails the walk with
+// ErrUnreachable instead of crashing the node that asked.
+func TestRogueRepliesAreErrors(t *testing.T) {
+	for _, reply := range []network.Message{StateResp{}, nil} {
+		tr := newTestRing(t, 1)
+		rogue := tr.net.NewEndpoint("rogue")
+		rogue.Handle(methodFindStep, func(network.Addr, network.Message) (network.Message, error) {
+			return reply, nil
+		})
+		joiner, member := tr.newNode("joiner"), tr.newNode("member")
+		member.CreateRing()
+		var joinErr, nudgeErr error
+		tr.do(func() {
+			joinErr = joiner.Join("rogue")
+			nudgeErr = member.Nudge("rogue")
+		})
+		for name, err := range map[string]error{"join": joinErr, "nudge": nudgeErr} {
+			if !errors.Is(err, core.ErrUnreachable) {
+				t.Errorf("%s via a peer replying %T: %v, want an error wrapping ErrUnreachable", name, reply, err)
+			}
+		}
+	}
+}

@@ -70,8 +70,9 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 					cur.ID, target, core.ErrUnreachable)
 			}
 			visited[cur.ID] = true
-			raw, err := n.Call(ctx, cur.Addr, methodFindStep,
-				FindStepReq{Target: target, Exclude: dht.IDList(exclude)})
+			var err error
+			resp, err = network.Reply[FindStepResp](n.Call(ctx, cur.Addr, methodFindStep,
+				FindStepReq{Target: target, Exclude: dht.IDList(exclude)}))
 			hops++
 			if err != nil {
 				// Dead peers are silence on the simulated transport
@@ -88,7 +89,6 @@ func (n *Node) lookupOnce(ctx context.Context, target core.ID, exclude map[core.
 				}
 				return dht.NodeRef{}, hops, err
 			}
-			resp = raw.(FindStepResp)
 			// Every remote hop names its own arc, (Pred, cur].
 			if !resp.Pred.IsZero() && resp.Pred.ID != cur.ID {
 				n.mu.Lock()

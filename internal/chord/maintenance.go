@@ -40,11 +40,10 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	}
 
 	// Pull our arc from the successor (replicas + service state).
-	raw, err := n.Call(ctx, succ.Addr, methodTransfer, TransferReq{NewNode: n.Self()})
+	tr, err := network.Reply[TransferResp](n.Call(ctx, succ.Addr, methodTransfer, TransferReq{NewNode: n.Self()}))
 	if err != nil {
 		return fmt.Errorf("chord: join transfer from %s: %w", succ.Addr, err)
 	}
-	tr := raw.(TransferResp)
 
 	n.mu.Lock()
 	n.setPredLocked(tr.Pred)
@@ -72,12 +71,11 @@ func (n *Node) Join(bootstrap network.Addr) error {
 // exclude so the caller's retry routes around it; a repeated hop means
 // the walk is cycling through stale state and aborts.
 func (n *Node) joinWalk(ctx context.Context, bootstrap network.Addr, exclude map[core.ID]bool) (dht.NodeRef, error) {
-	raw, err := n.Call(ctx, bootstrap, methodFindStep,
-		FindStepReq{Target: n.Self().ID, Exclude: dht.IDList(exclude)})
+	step, err := network.Reply[FindStepResp](n.Call(ctx, bootstrap, methodFindStep,
+		FindStepReq{Target: n.Self().ID, Exclude: dht.IDList(exclude)}))
 	if err != nil {
 		return dht.NodeRef{}, fmt.Errorf("chord: join via %s: %w", bootstrap, err)
 	}
-	step := raw.(FindStepResp)
 	cur := step.Next
 	visited := map[core.ID]bool{}
 	for !step.Done {
@@ -85,15 +83,14 @@ func (n *Node) joinWalk(ctx context.Context, bootstrap network.Addr, exclude map
 			return dht.NodeRef{}, fmt.Errorf("chord: join routing loop at %s: %w", cur.ID, core.ErrUnreachable)
 		}
 		visited[cur.ID] = true
-		raw, err = n.Call(ctx, cur.Addr, methodFindStep,
-			FindStepReq{Target: n.Self().ID, Exclude: dht.IDList(exclude)})
+		step, err = network.Reply[FindStepResp](n.Call(ctx, cur.Addr, methodFindStep,
+			FindStepReq{Target: n.Self().ID, Exclude: dht.IDList(exclude)}))
 		if err != nil {
 			if dht.PeerDead(err) {
 				exclude[cur.ID] = true
 			}
 			return dht.NodeRef{}, fmt.Errorf("chord: join routing via %s: %w", cur.Addr, err)
 		}
-		step = raw.(FindStepResp)
 		if step.Next.IsZero() || (!step.Done && step.Next.ID == cur.ID) {
 			break
 		}
@@ -125,11 +122,10 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 	// bootstrap, not at this node — routing must happen on the *other*
 	// ring): post-heal routing state is exactly when stale fingers can
 	// form cycles, so an unguarded walk could spin forever.
-	raw, err := n.Call(ctx, bootstrap, methodFindStep, FindStepReq{Target: target})
+	step, err := network.Reply[FindStepResp](n.Call(ctx, bootstrap, methodFindStep, FindStepReq{Target: target}))
 	if err != nil {
 		return fmt.Errorf("chord: nudge via %s: %w", bootstrap, err)
 	}
-	step := raw.(FindStepResp)
 	cur := step.Next
 	visited := map[core.ID]bool{}
 	for hop := 0; !step.Done && hop < maxLookupSteps; hop++ {
@@ -137,11 +133,10 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 			break // routing loop mid-merge; cur is still a usable candidate
 		}
 		visited[cur.ID] = true
-		raw, err = n.Call(ctx, cur.Addr, methodFindStep, FindStepReq{Target: target})
+		step, err = network.Reply[FindStepResp](n.Call(ctx, cur.Addr, methodFindStep, FindStepReq{Target: target}))
 		if err != nil {
 			return fmt.Errorf("chord: nudge routing via %s: %w", cur.Addr, err)
 		}
-		step = raw.(FindStepResp)
 		if step.Next.IsZero() || (!step.Done && step.Next.ID == cur.ID) {
 			break
 		}
@@ -220,13 +215,13 @@ func (n *Node) stabilize() {
 			continue
 		}
 		sawOther = true
-		raw, err := n.Call(context.Background(), s.Addr, methodState, StateReq{})
+		st, err := network.Reply[StateResp](n.Call(context.Background(), s.Addr, methodState, StateReq{}))
 		if err != nil {
 			dead[s.ID] = true
 			continue
 		}
 		succ = s
-		state = raw.(StateResp)
+		state = st
 		found = true
 		break
 	}
@@ -250,9 +245,9 @@ func (n *Node) stabilize() {
 
 	// Adopt succ's predecessor when it sits between us and succ.
 	if !state.Pred.IsZero() && state.Pred.ID.InOpenInterval(n.Self().ID, succ.ID) && !dead[state.Pred.ID] {
-		if raw, err := n.Call(context.Background(), state.Pred.Addr, methodState, StateReq{}); err == nil {
+		if st, err := network.Reply[StateResp](n.Call(context.Background(), state.Pred.Addr, methodState, StateReq{})); err == nil {
 			succ = state.Pred
-			state = raw.(StateResp)
+			state = st
 		}
 	}
 

@@ -67,17 +67,17 @@ func (c *Client) PutHResolved(ctx context.Context, k core.Key, h hashing.Func, o
 func (c *Client) putH(ctx context.Context, k core.Key, h hashing.Func, val core.Value, mode PutMode, resolved bool, owner NodeRef) (bool, error) {
 	rid := h.ID(k)
 	req := PutReq{RingID: rid, Qual: Qualifier(c.ns, k, h.Name()), Val: val, Mode: mode}
-	var resp network.Message
+	var resp PutResp
 	var err error
 	if resolved {
-		resp, err = c.route.CallResolved(ctx, rid, owner, MethodPut, req)
+		resp, err = network.Reply[PutResp](c.route.CallResolved(ctx, rid, owner, MethodPut, req))
 	} else {
-		resp, err = c.route.Call(ctx, rid, MethodPut, req)
+		resp, err = network.Reply[PutResp](c.route.Call(ctx, rid, MethodPut, req))
 	}
 	if err != nil {
 		return false, fmt.Errorf("dht: puth %q via %s: %w", k, h.Name(), err)
 	}
-	return resp.(PutResp).Stored, nil
+	return resp.Stored, nil
 }
 
 // GetH retrieves the replica of k stored at rsp(k, h) — the paper's
@@ -85,9 +85,9 @@ func (c *Client) putH(ctx context.Context, k core.Key, h hashing.Func, val core.
 func (c *Client) GetH(ctx context.Context, k core.Key, h hashing.Func) (core.Value, error) {
 	rid := h.ID(k)
 	req := GetReq{RingID: rid, Qual: Qualifier(c.ns, k, h.Name())}
-	resp, err := c.route.Call(ctx, rid, MethodGet, req)
+	resp, err := network.Reply[GetResp](c.route.Call(ctx, rid, MethodGet, req))
 	if err != nil {
 		return core.Value{}, fmt.Errorf("dht: geth %q via %s: %w", k, h.Name(), err)
 	}
-	return resp.(GetResp).Val, nil
+	return resp.Val, nil
 }

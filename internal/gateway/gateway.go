@@ -56,13 +56,16 @@ type Config struct {
 	// Env supplies time, sleeping and goroutines. Required: the
 	// simulation kernel and the real clock both satisfy it.
 	Env network.Env
-	// Obs receives the dcdht_gw_* metric families. Nil disables
-	// metrics without disabling the gateway.
+	// Obs receives the dcdht_gw_* metric families. Nil keeps them
+	// unexported without disabling the gateway. A registry serves one
+	// gateway: Stats reads these families, so two gateways on one
+	// registry would each read the sum of both.
 	Obs *obs.Registry
 }
 
-// Stats are the gateway's cumulative raw counters, readable without an
-// obs registry (the experiment figure uses them).
+// Stats are the gateway's cumulative raw counters, read from its
+// dcdht_gw_* families; they count with or without a registry (the
+// experiment figure uses them).
 type Stats struct {
 	// Flights counts retrieve flights that actually hit a backend.
 	Flights uint64 `json:"flights"`
@@ -138,11 +141,14 @@ type gwMetrics struct {
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
 	cacheAge      *obs.Histogram
-	cacheServed   *obs.CounterVec
+	servedGets    *obs.Counter
+	servedLastTS  *obs.Counter
 	cacheFallback *obs.Counter
 }
 
 func newGWMetrics(r *obs.Registry) gwMetrics {
+	served := r.CounterVec("dcdht_gw_cache_served_total",
+		"Operations answered from the gateway cache without touching KTS.", "op")
 	return gwMetrics{
 		ops: r.CounterVec("dcdht_gw_ops_total",
 			"Client operations accepted by the gateway.", "op"),
@@ -158,8 +164,8 @@ func newGWMetrics(r *obs.Registry) gwMetrics {
 			"Gateway last-ts cache consults that found nothing usable."),
 		cacheAge: r.DurationHistogram("dcdht_gw_cache_age_seconds",
 			"Age of gateway last-ts cache entries at consult time."),
-		cacheServed: r.CounterVec("dcdht_gw_cache_served_total",
-			"Operations answered from the gateway cache without touching KTS.", "op"),
+		servedGets:   served.With("get"),
+		servedLastTS: served.With("last_ts"),
 		cacheFallback: r.Counter("dcdht_gw_cache_fallback_total",
 			"Cache-floor reads that failed and fell back to the full bounded policy."),
 	}
@@ -177,7 +183,6 @@ type Gateway struct {
 
 	mu      sync.Mutex
 	flights map[flightKey]*flight
-	stats   Stats
 }
 
 // New builds a Gateway over the given backend pool.
@@ -221,15 +226,22 @@ func (g *Gateway) CacheLen() int { return g.cache.Len() }
 
 // Stats returns a snapshot of the gateway's cumulative counters.
 func (g *Gateway) Stats() Stats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
-}
-
-func (g *Gateway) bump(f func(*Stats)) {
-	g.mu.Lock()
-	f(&g.stats)
-	g.mu.Unlock()
+	m := &g.metrics
+	st := Stats{
+		Flights:           m.flights.Value(),
+		Coalesced:         m.coalesced.Value(),
+		FlightRetries:     m.flightRetries.Value(),
+		CacheHits:         m.cacheHits.Value(),
+		CacheMisses:       m.cacheMisses.Value(),
+		CacheServedGets:   m.servedGets.Value(),
+		CacheServedLastTS: m.servedLastTS.Value(),
+		CacheFallbacks:    m.cacheFallback.Value(),
+	}
+	for _, be := range g.perBE {
+		st.BackendOps += be.ops.Value()
+		st.BackendErrors += be.errs.Value()
+	}
+	return st
 }
 
 // Insert writes k through one pooled backend and feeds the granted
@@ -263,13 +275,11 @@ func (g *Gateway) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) 
 		if ok && a <= pol.Bound {
 			g.metrics.cacheHits.Inc()
 			g.metrics.cacheAge.Observe(a)
-			g.bump(func(s *Stats) { s.CacheHits++ })
 			cfloor, age = ts.Max(pol.Floor), a
 			eff = dht.ReadPolicy{Floor: cfloor, FloorFirst: true}
 			rewrite = true
 		} else {
 			g.metrics.cacheMisses.Inc()
-			g.bump(func(s *Stats) { s.CacheMisses++ })
 		}
 	}
 	res, err := g.coalesced(ctx, k, eff)
@@ -279,13 +289,11 @@ func (g *Gateway) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) 
 			// reachable): pay full price rather than surface an error
 			// the original policy could have absorbed.
 			g.metrics.cacheFallback.Inc()
-			g.bump(func(s *Stats) { s.CacheFallbacks++ })
 			res, err = g.coalesced(ctx, k, pol)
 		} else {
 			res.Currency = dht.CurrencyWithinBound
 			res.Floor, res.FloorAge = cfloor, age
-			g.metrics.cacheServed.With("get").Inc()
-			g.bump(func(s *Stats) { s.CacheServedGets++ })
+			g.metrics.servedGets.Inc()
 		}
 	}
 	if err == nil && res.Currency == dht.CurrencyProven {
@@ -332,8 +340,7 @@ func (g *Gateway) LastTS(ctx context.Context, k core.Key, pol dht.ReadPolicy) (c
 func (g *Gateway) serveLastTSFromCache(age time.Duration) {
 	g.metrics.cacheHits.Inc()
 	g.metrics.cacheAge.Observe(age)
-	g.metrics.cacheServed.With("last_ts").Inc()
-	g.bump(func(s *Stats) { s.CacheHits++; s.CacheServedLastTS++ })
+	g.metrics.servedLastTS.Inc()
 }
 
 // Item is one element of a batch insert.
@@ -402,7 +409,6 @@ func (g *Gateway) coalesced(ctx context.Context, k core.Key, pol dht.ReadPolicy)
 	}
 	f := &flight{}
 	g.flights[fk] = f
-	g.stats.Flights++
 	g.mu.Unlock()
 	g.metrics.flights.Inc()
 
@@ -428,11 +434,9 @@ func (g *Gateway) awaitFlight(ctx context.Context, f *flight, k core.Key, pol dh
 		if done {
 			if err == nil && !res.TS.Less(pol.Floor) {
 				g.metrics.coalesced.Inc()
-				g.bump(func(s *Stats) { s.Coalesced++ })
 				return res, nil
 			}
 			g.metrics.flightRetries.Inc()
-			g.bump(func(s *Stats) { s.FlightRetries++ })
 			return g.retrieveBackend(ctx, k, pol)
 		}
 		if serr := network.SleepCtx(ctx, g.env, flightPoll); serr != nil {
@@ -464,12 +468,6 @@ func (g *Gateway) backendDo(ctx context.Context, fn func(Backend) (dht.OpResult,
 		g.perBE[i].errs.Inc()
 	}
 	g.bal.release(i, herr)
-	g.bump(func(s *Stats) {
-		s.BackendOps++
-		if herr != nil {
-			s.BackendErrors++
-		}
-	})
 	return res, err
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/network"
 	"repro/internal/network/simwire"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -613,5 +614,105 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New([]Backend{&fakeBackend{}}, Config{}); err == nil {
 		t.Fatalf("New without Env succeeded")
+	}
+}
+
+// floorFlaky fails its first floor-first read as a transport error, so
+// a cache-served bounded read falls back and counts a backend error.
+type floorFlaky struct {
+	*fakeBackend
+	failed bool
+}
+
+func (b *floorFlaky) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) (dht.OpResult, error) {
+	if pol.FloorFirst && !b.failed {
+		b.failed = true
+		return dht.OpResult{}, core.ErrUnreachable
+	}
+	return b.fakeBackend.Retrieve(ctx, k, pol)
+}
+
+// TestStatsAreTheMetricFamilies drives every path Stats counts — a
+// flight, a coalesced and a floor-rejecting waiter, cache hits and a
+// miss, a cache-served get and last_ts, a fallback after a backend
+// error — and checks that each Stats field is nonzero and equals its
+// dcdht_gw_* family: the two are one count.
+func TestStatsAreTheMetricFamilies(t *testing.T) {
+	reg := obs.NewRegistry()
+	var g *Gateway
+	runSim(3, func(env network.Env) {
+		be := &floorFlaky{fakeBackend: &fakeBackend{env: env, lat: 20 * time.Millisecond, st: newFakeStore()}}
+		var err error
+		if g, err = New([]Backend{be}, Config{Env: env, Obs: reg}); err != nil {
+			t.Errorf("new: %v", err)
+			return
+		}
+		ctx := context.Background()
+		bounded := dht.ReadPolicy{Level: dht.LevelBounded, Bound: time.Hour}
+		put, err := g.Insert(ctx, "k", []byte("v"))
+		if err != nil {
+			t.Errorf("insert: %v", err)
+			return
+		}
+		for _, read := range []struct {
+			k   core.Key
+			pol dht.ReadPolicy
+		}{
+			{"k", bounded}, // cache hit, floor-first read fails, falls back
+			{"k", bounded}, // cache hit served as a get
+			{"u", bounded}, // cache miss
+		} {
+			if _, err := g.Retrieve(ctx, read.k, read.pol); err != nil && read.k == "k" {
+				t.Errorf("bounded read: %v", err)
+			}
+		}
+		if _, err := g.LastTS(ctx, "k", dht.ReadPolicy{Level: dht.LevelEventual}); err != nil {
+			t.Errorf("last_ts: %v", err)
+		}
+		// One flight, one waiter that joins it and one whose floor is
+		// past its result.
+		env.Join(3, func(i int) {
+			pol := dht.ReadPolicy{Level: dht.LevelCurrent}
+			if i > 0 {
+				env.Sleep(time.Millisecond)
+			}
+			if i == 2 {
+				pol.Floor = put.TS.Add(10)
+			}
+			g.Retrieve(ctx, "k", pol)
+		})
+	})
+	if g == nil {
+		t.Fatal("no gateway")
+	}
+	snap := reg.Snapshot()
+	served := func(op string) float64 {
+		for _, s := range snap.Get("dcdht_gw_cache_served_total").Series {
+			if s.Labels["op"] == op {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	st := g.Stats()
+	for _, c := range []struct {
+		field  string
+		got    uint64
+		family float64
+	}{
+		{"Flights", st.Flights, snap.Get("dcdht_gw_flights_total").Total()},
+		{"Coalesced", st.Coalesced, snap.Get("dcdht_gw_coalesced_total").Total()},
+		{"FlightRetries", st.FlightRetries, snap.Get("dcdht_gw_flight_retries_total").Total()},
+		{"CacheHits", st.CacheHits, snap.Get("dcdht_gw_cache_hits_total").Total()},
+		{"CacheMisses", st.CacheMisses, snap.Get("dcdht_gw_cache_misses_total").Total()},
+		{"CacheServedGets", st.CacheServedGets, served("get")},
+		{"CacheServedLastTS", st.CacheServedLastTS, served("last_ts")},
+		{"CacheFallbacks", st.CacheFallbacks, snap.Get("dcdht_gw_cache_fallback_total").Total()},
+		{"BackendOps", st.BackendOps, snap.Get("dcdht_gw_backend_ops_total").Total()},
+		{"BackendErrors", st.BackendErrors, snap.Get("dcdht_gw_backend_errors_total").Total()},
+	} {
+		if c.got == 0 || float64(c.got) != c.family {
+			t.Errorf("Stats.%s = %d, family reads %v; want equal and nonzero", c.field, c.got, c.family)
+		}
 	}
 }

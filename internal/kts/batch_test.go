@@ -2,6 +2,7 @@ package kts
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -230,5 +231,28 @@ func TestBatchWireSizesScale(t *testing.T) {
 	cb := CounterBatch{Entries: []CounterEntry{{Key: "k", TS: core.TS(1)}}}
 	if cb.WireSize() <= 0 {
 		t.Errorf("CounterBatch wire size %d", cb.WireSize())
+	}
+}
+
+// TestBatchRogueReplies: a responsible that answers a batch with
+// another type, with nothing, or with fewer outcomes than keys fails
+// that group's keys with ErrUnreachable instead of crashing the caller.
+func TestBatchRogueReplies(t *testing.T) {
+	for _, reply := range []network.Message{GenTSResp{}, nil, BatchResp{TS: []core.Timestamp{core.TS(1)}}} {
+		c := newCluster(t, 16, 8, Config{Mode: ModeDirect})
+		c.settle(2 * time.Second)
+		keys, owner := c.keysSharingResponsible(2)
+		c.nodes[owner].Endpoint().Handle(MethodGenTSBatch, func(network.Addr, network.Message) (network.Message, error) {
+			return reply, nil
+		})
+		issuer := c.services[(owner+1)%len(c.services)]
+		c.do(func() {
+			_, errs := issuer.GenTSBatch(context.Background(), keys)
+			for i, err := range errs {
+				if !errors.Is(err, core.ErrUnreachable) {
+					t.Errorf("reply %#v: key %q: %v, want an error wrapping ErrUnreachable", reply, keys[i], err)
+				}
+			}
+		})
 	}
 }

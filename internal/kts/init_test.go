@@ -23,6 +23,7 @@ const (
 	unreachable replica = iota // no answer: the owner is down or cut off
 	absent                     // the owner answers that it holds nothing
 	stamped                    // the owner holds a replica stamped 7
+	rogue                      // the owner answers with a put's reply
 )
 
 // initRing is a ring on which the issuer is the key's KTS responsible
@@ -80,6 +81,8 @@ func (r *initRing) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 	case stamped:
 		network.MeterFrom(ctx).Count(network.DefaultWireSize)
 		return dht.GetResp{Val: core.Value{Data: []byte("v"), TS: core.TS(7)}}, nil
+	case rogue:
+		return dht.PutResp{Stored: true}, nil
 	}
 	return nil, fmt.Errorf("stub: %s: %w", to, core.ErrUnreachable)
 }
@@ -102,6 +105,9 @@ func TestIndirectInitTellsAbsentFromUnreachable(t *testing.T) {
 		{"mixed", []replica{unreachable, absent, unreachable, unreachable, unreachable}, core.TS(1)},
 		{"all absent", all(absent), core.TS(1)},
 		{"one stamped", []replica{unreachable, unreachable, stamped, absent, unreachable}, core.TS(9)},
+		// A reply of the wrong type counts as no answer at all.
+		{"all rogue", all(rogue), core.TSZero},
+		{"rogue and absent", []replica{rogue, absent, rogue, rogue, rogue}, core.TS(1)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			k := simnet.New(1)

@@ -20,10 +20,12 @@
 package kts
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,6 +35,7 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // InitMode selects the counter initialization strategy — the UMS-Direct /
@@ -87,25 +90,11 @@ type Config struct {
 	// context with a sooner deadline always wins; zero uses the
 	// transport default.
 	RPCTimeout time.Duration
-	// Persist, when non-nil, journals every counter mutation so a
-	// restarted peer can ship its pre-crash counters back to the current
-	// responsible (§4.2.2's recovery strategy). Typically the store.Store
-	// backing the peer's replica store, so replicas and counters form one
-	// recoverable unit. gen_ts refuses to acknowledge a timestamp whose
-	// journal write failed — durable monotonicity over availability.
-	Persist CounterLog
 }
 
 // lookupRetries is how often gen_ts/last_ts re-resolve the responsible
 // when it moved or died mid-call.
 const lookupRetries = 3
-
-// CounterLog is the slice of a storage backing the service journals
-// counters through; store.Store satisfies it.
-type CounterLog interface {
-	PutCounter(k core.Key, ts core.Timestamp) error
-	DeleteCounter(k core.Key) error
-}
 
 func (c Config) withDefaults() Config {
 	if c.GraceDelay == 0 {
@@ -230,10 +219,17 @@ type Service struct {
 	route  *dht.Router // delivers gen_ts/last_ts/recover to rsp(k, hts)
 	cfg    Config
 
-	// mu guards vcs and the statistics (required on the TCP transport;
-	// under simulation execution is already serialized).
+	// vcs is the Valid Counters Set of §4.1.2, kept in the peer's store
+	// next to its replicas, so the two form one recoverable unit: on a
+	// durable store a restarted peer resumes its counters and ships them
+	// to the current responsible (§4.2.2's recovery strategy). gen_ts
+	// refuses to acknowledge a timestamp the store failed to record —
+	// durable monotonicity over availability. mu covers every counter
+	// read and read-modify-write, so no last_ts sees a grant before the
+	// store has recorded it (the store's own lock covers single calls
+	// only).
 	mu  sync.Mutex
-	vcs VCS
+	vcs store.Store
 
 	// cache holds the last-ts answers this peer has observed as a
 	// client (from its own gen_ts and last_ts calls), each with the
@@ -246,42 +242,30 @@ type Service struct {
 
 	onRepair RepairFunc
 
-	// statistics
-	generated      uint64
-	indirectInits  uint64
-	directArrivals uint64
+	// Per-peer counts, read by Stats and CacheHits and exported to the
+	// ring's registry at scrape time (a shared registry sums the peers).
+	grants         atomic.Uint64
+	indirectInits  atomic.Uint64
+	directArrivals atomic.Uint64
 	cacheHits      atomic.Uint64
 
 	metrics ktsMetrics
 }
 
-// ktsMetrics export the timestamping-side of the currency/cost trade:
-// how often timestamps are granted, how counters get (re)initialized,
-// how well the client-side last-ts cache serves bounded reads, and
-// whether the durability journal ever refused a grant.
+// ktsMetrics export the rest of the timestamping side of the
+// currency/cost trade: cache misses and ages, whether the store ever
+// refused a grant, recoveries, and client-side request counts.
 type ktsMetrics struct {
-	grants         *obs.Counter
-	indirectInits  *obs.Counter
-	directArrivals *obs.Counter
-	cacheHits      *obs.Counter
-	cacheMisses    *obs.Counter
-	cacheAge       *obs.Histogram
-	journalFails   *obs.Counter
-	recoveries     *obs.Counter
-	genTSReqs      *obs.Counter
-	lastTSReqs     *obs.Counter
+	cacheMisses  *obs.Counter
+	cacheAge     *obs.Histogram
+	journalFails *obs.Counter
+	recoveries   *obs.Counter
+	genTSReqs    *obs.Counter
+	lastTSReqs   *obs.Counter
 }
 
 func newKTSMetrics(r *obs.Registry) ktsMetrics {
 	return ktsMetrics{
-		grants: r.Counter("dcdht_kts_grants_total",
-			"Timestamps granted by gen_ts on this responsible."),
-		indirectInits: r.Counter("dcdht_kts_indirect_inits_total",
-			"Counters initialized by reading replicas (Figure 5)."),
-		directArrivals: r.Counter("dcdht_kts_direct_arrivals_total",
-			"Counters received through direct handover batches."),
-		cacheHits: r.Counter("dcdht_kts_cache_hits_total",
-			"last-ts cache consults that found an entry."),
 		cacheMisses: r.Counter("dcdht_kts_cache_misses_total",
 			"last-ts cache consults that found nothing."),
 		cacheAge: r.DurationHistogram("dcdht_kts_cache_age_seconds",
@@ -299,17 +283,24 @@ func newKTSMetrics(r *obs.Registry) ktsMetrics {
 
 // New attaches a KTS service to a peer. replicaNS names the namespace in
 // which UMS stores stamped replicas (indirect initialization reads it).
-// If the ring supports handovers the service registers itself so
-// counters travel with responsibility (the direct algorithm). Its
-// metrics land in the ring's registry.
+// The counters live in the ring's replica store backing when the ring
+// has one, and in a fresh volatile store otherwise; whatever counters
+// that backing already holds (a restart on a durable store) are the
+// service's from the start. If the ring supports handovers the service
+// registers itself so counters travel with responsibility (the direct
+// algorithm). Its metrics land in the ring's registry.
 func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service {
 	s := &Service{
 		ring:    ring,
 		set:     set,
 		client:  dht.NewClient(ring, replicaNS),
 		cfg:     cfg.withDefaults(),
-		vcs:     NewVCS(),
 		metrics: newKTSMetrics(ring.Obs()),
+	}
+	if r, ok := ring.(interface{ Store() *dht.LocalStore }); ok {
+		s.vcs = r.Store().Backing()
+	} else {
+		s.vcs = store.NewMem()
 	}
 	handlers := s.handlers()
 	// We may be the responsible ourselves: serve locally, free of charge.
@@ -325,7 +316,8 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 			return h(ring.Self().Addr, req)
 		},
 	})
-	ring.Obs().GaugeFunc("dcdht_kts_counters",
+	reg := ring.Obs()
+	reg.GaugeFunc("dcdht_kts_counters",
 		"Valid counters currently held (cluster-wide under a shared registry).",
 		func() float64 {
 			if !s.ring.Alive() {
@@ -333,6 +325,17 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 			}
 			return float64(s.VCSLen())
 		})
+	count := func(c *atomic.Uint64) func() float64 {
+		return func() float64 { return float64(c.Load()) }
+	}
+	reg.CounterFunc("dcdht_kts_grants_total",
+		"Timestamps granted by gen_ts on this responsible.", count(&s.grants))
+	reg.CounterFunc("dcdht_kts_indirect_inits_total",
+		"Counters initialized by reading replicas (Figure 5).", count(&s.indirectInits))
+	reg.CounterFunc("dcdht_kts_direct_arrivals_total",
+		"Counters received through direct handover batches.", count(&s.directArrivals))
+	reg.CounterFunc("dcdht_kts_cache_hits_total",
+		"last-ts cache consults that found an entry.", count(&s.cacheHits))
 	for method, h := range handlers {
 		ring.Endpoint().Handle(method, h)
 	}
@@ -345,39 +348,21 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 	return s
 }
 
-// persistPut journals k's counter; callers hold s.mu. A nil journal is
-// a no-op (volatile peers).
-func (s *Service) persistPut(k core.Key, ts core.Timestamp) error {
-	if s.cfg.Persist == nil {
-		return nil
-	}
-	if err := s.cfg.Persist.PutCounter(k, ts); err != nil {
+// putCounter records k's counter; callers hold s.mu.
+func (s *Service) putCounter(k core.Key, ts core.Timestamp) error {
+	if err := s.vcs.PutCounter(k, ts); err != nil {
 		return fmt.Errorf("kts: persist counter %q: %w", k, err)
 	}
 	return nil
 }
 
-// persistDelete journals a counter removal; callers hold s.mu. Removal
-// failures are tolerated: a resurrected counter can only be too high,
-// which never breaks monotonicity.
-func (s *Service) persistDelete(k core.Key) {
-	if s.cfg.Persist != nil {
-		s.cfg.Persist.DeleteCounter(k)
-	}
-}
-
-// SeedCounters installs counters recovered from a durable store,
-// max-merged with anything already present. A restarted node calls this
-// before serving, then runs RecoverTo so the counters also reach
-// whoever is responsible now.
-func (s *Service) SeedCounters(entries []CounterEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range entries {
-		if cur, ok := s.vcs.Get(e.Key); !ok || cur.Less(e.TS) {
-			s.vcs.Put(e.Key, e.TS)
-		}
-	}
+// counters returns the VCS in key order, so the handover batch, a
+// recovery and an inspection round see the counters in the same order
+// on every replay.
+func (s *Service) counters() []store.Counter {
+	cs := s.vcs.Counters()
+	slices.SortFunc(cs, func(a, b store.Counter) int { return cmp.Compare(a.Key, b.Key) })
+	return cs
 }
 
 // SetRepair installs the repair callback (UMS wires itself in).
@@ -388,17 +373,11 @@ func (s *Service) SetRepair(fn RepairFunc) {
 }
 
 // VCSLen reports the number of valid counters held (tests, stats).
-func (s *Service) VCSLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vcs.Len()
-}
+func (s *Service) VCSLen() int { return len(s.vcs.Counters()) }
 
 // Stats reports service counters.
-func (s *Service) Stats() (generated, indirectInits, directArrivals uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.generated, s.indirectInits, s.directArrivals
+func (s *Service) Stats() (grants, indirectInits, directArrivals uint64) {
+	return s.grants.Load(), s.indirectInits.Load(), s.directArrivals.Load()
 }
 
 // Cached returns the freshest last-ts this peer has observed for k as a
@@ -413,7 +392,6 @@ func (s *Service) Cached(k core.Key) (ts core.Timestamp, age time.Duration, ok b
 		return core.TSZero, 0, false
 	}
 	s.cacheHits.Add(1)
-	s.metrics.cacheHits.Inc()
 	s.metrics.cacheAge.Observe(age)
 	return ts, age, true
 }
@@ -437,11 +415,10 @@ func (s *Service) noteLastTS(k core.Key, ts core.Timestamp) {
 // context bounds the call and carries the operation's meter.
 func (s *Service) GenTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
 	s.metrics.genTSReqs.Inc()
-	resp, err := s.route.Call(ctx, s.set.HTS.ID(k), MethodGenTS, GenTSReq{Key: k})
+	r, err := network.Reply[GenTSResp](s.route.Call(ctx, s.set.HTS.ID(k), MethodGenTS, GenTSReq{Key: k}))
 	if err != nil {
 		return core.TSZero, fmt.Errorf("kts: gen_ts(%q): %w", k, err)
 	}
-	r := resp.(GenTSResp)
 	network.MeterFrom(ctx).Merge(r.Cost)
 	// A freshly generated timestamp IS the key's last_ts at this
 	// moment: cache it so the writer's subsequent bounded reads (and
@@ -454,11 +431,10 @@ func (s *Service) GenTS(ctx context.Context, k core.Key) (core.Timestamp, error)
 // the paper's KTS.last_ts(k).
 func (s *Service) LastTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
 	s.metrics.lastTSReqs.Inc()
-	resp, err := s.route.Call(ctx, s.set.HTS.ID(k), MethodLastTS, LastTSReq{Key: k})
+	r, err := network.Reply[LastTSResp](s.route.Call(ctx, s.set.HTS.ID(k), MethodLastTS, LastTSReq{Key: k}))
 	if err != nil {
 		return core.TSZero, fmt.Errorf("kts: last_ts(%q): %w", k, err)
 	}
-	r := resp.(LastTSResp)
 	network.MeterFrom(ctx).Merge(r.Cost)
 	s.noteLastTS(k, r.TS)
 	return r.TS, nil
@@ -515,7 +491,10 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 		for j, i := range idx {
 			req.Keys[j] = keys[i]
 		}
-		resp, err := s.route.Send(ctx, ref, method, req)
+		r, err := network.Reply[BatchResp](s.route.Send(ctx, ref, method, req))
+		if err == nil && (len(r.TS) != len(idx) || len(r.Code) != len(idx) || len(r.Msg) != len(idx)) {
+			err = fmt.Errorf("kts: batch reply for %d keys answers %d: %w", len(idx), len(r.TS), core.ErrUnreachable)
+		}
 		if err != nil {
 			// The whole group shares the transport outcome.
 			for j := range errs {
@@ -523,7 +502,6 @@ func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key)
 			}
 			return errs
 		}
-		r := resp.(BatchResp)
 		network.MeterFrom(ctx).Merge(r.Cost)
 		for j, i := range idx {
 			if errs[j] = network.DecodeError(r.Code[j], r.Msg[j]); errs[j] == nil {
@@ -618,29 +596,26 @@ func (s *Service) handleGenTS(req GenTSReq) (network.Message, error) {
 	s.mu.Lock()
 	// Re-read under the lock: a concurrent gen_ts or an arriving direct
 	// handover may have advanced the counter while we initialized.
-	if cur, ok := s.vcs.Get(k); ok && c.Less(cur) {
+	if cur, ok := s.vcs.GetCounter(k); ok && c.Less(cur) {
 		c = cur
 	}
 	next := c.Next()
-	s.vcs.Put(k, next)
-	perr := s.persistPut(k, next)
-	s.generated++
+	perr := s.putCounter(k, next)
 	if s.cfg.RLU {
 		// RLU strategy (§4.3): assume responsibility is lost after every
 		// generation, so remove the counter (the next gen_ts must
 		// re-initialize).
-		s.vcs.Delete(k)
-		s.persistDelete(k)
+		s.vcs.DeleteCounter(k)
 	}
 	s.mu.Unlock()
 	if perr != nil {
-		// The in-memory counter already advanced (safe — gaps never break
-		// monotonicity) but the journal missed the grant: refuse to hand
-		// out a timestamp that would not survive our own restart.
+		// The store missed the grant: refuse to hand out a timestamp that
+		// would not survive our own restart (a counter that did advance
+		// leaves a gap, which never breaks monotonicity).
 		s.metrics.journalFails.Inc()
 		return nil, perr
 	}
-	s.metrics.grants.Inc()
+	s.grants.Add(1)
 	return GenTSResp{TS: next, Cost: cost}, nil
 }
 
@@ -656,7 +631,7 @@ func (s *Service) handleLastTS(req LastTSReq) (network.Message, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	if cur, ok := s.vcs.Get(k); ok && c.Less(cur) {
+	if cur, ok := s.vcs.GetCounter(k); ok && c.Less(cur) {
 		c = cur
 	}
 	s.mu.Unlock()
@@ -683,11 +658,10 @@ func (s *Service) handleRecover(req RecoverReq) (network.Message, error) {
 	s.mu.Lock()
 	repair := s.onRepair
 	for _, e := range req.Entries {
-		cur, ok := s.vcs.Get(e.Key)
+		cur, ok := s.vcs.GetCounter(e.Key)
 		if !ok {
 			// We have not touched this key yet; adopt the snapshot.
-			s.vcs.Put(e.Key, e.TS)
-			s.persistPut(e.Key, e.TS)
+			s.vcs.PutCounter(e.Key, e.TS)
 			corrected++
 			continue
 		}
@@ -695,8 +669,7 @@ func (s *Service) handleRecover(req RecoverReq) (network.Message, error) {
 			// We initialized too low and may have issued duplicate-range
 			// timestamps; jump past the snapshot and repair stored data.
 			fixed := e.TS.Max(cur.Add(1))
-			s.vcs.Put(e.Key, fixed)
-			s.persistPut(e.Key, fixed)
+			s.vcs.PutCounter(e.Key, fixed)
 			repairs = append(repairs, repairJob{key: e.Key, oldTS: cur, newTS: fixed})
 			corrected++
 		}
@@ -731,11 +704,11 @@ func (s *Service) checkResponsible(k core.Key) error {
 // can be reported back to the requesting peer.
 func (s *Service) ensureCounter(ctx context.Context, k core.Key) (core.Timestamp, error) {
 	s.mu.Lock()
-	if ts, ok := s.vcs.Get(k); ok {
-		s.mu.Unlock()
+	ts, ok := s.vcs.GetCounter(k)
+	s.mu.Unlock()
+	if ok {
 		return ts, nil
 	}
-	s.mu.Unlock()
 
 	init, err := s.indirectInit(ctx, k)
 	if err != nil {
@@ -743,18 +716,16 @@ func (s *Service) ensureCounter(ctx context.Context, k core.Key) (core.Timestamp
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.vcs.Get(k); ok {
+	if cur, ok := s.vcs.GetCounter(k); ok {
 		// Lost a race with a concurrent initialization or an arriving
 		// handover; keep the larger value.
 		init = init.Max(cur)
 	}
-	s.vcs.Put(k, init)
-	if err := s.persistPut(k, init); err != nil {
+	if err := s.putCounter(k, init); err != nil {
 		s.metrics.journalFails.Inc()
 		return core.TSZero, err
 	}
-	s.indirectInits++
-	s.metrics.indirectInits.Inc()
+	s.indirectInits.Add(1)
 	return init, nil
 }
 
@@ -841,17 +812,11 @@ func (s *Service) Collect(ceded func(core.ID) bool) network.Message {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var batch CounterBatch
-	var doomed []core.Key
-	s.vcs.Each(func(k core.Key, ts core.Timestamp) bool {
-		if ceded(s.set.HTS.ID(k)) {
-			doomed = append(doomed, k)
-			batch.Entries = append(batch.Entries, CounterEntry{Key: k, TS: ts})
+	for _, c := range s.counters() {
+		if ceded(s.set.HTS.ID(c.Key)) {
+			s.vcs.DeleteCounter(c.Key)
+			batch.Entries = append(batch.Entries, CounterEntry{Key: c.Key, TS: c.TS})
 		}
-		return true
-	})
-	for _, k := range doomed {
-		s.vcs.Delete(k)
-		s.persistDelete(k)
 	}
 	if s.cfg.Mode == ModeIndirect || len(batch.Entries) == 0 {
 		return nil
@@ -872,33 +837,25 @@ func (s *Service) Accept(msg network.Message) {
 		return
 	}
 	for _, e := range batch.Entries {
-		if cur, ok := s.vcs.Get(e.Key); !ok || cur.Less(e.TS) {
-			s.vcs.Put(e.Key, e.TS)
-			s.persistPut(e.Key, e.TS)
+		if cur, ok := s.vcs.GetCounter(e.Key); !ok || cur.Less(e.TS) {
+			s.vcs.PutCounter(e.Key, e.TS)
 		}
 	}
-	s.directArrivals += uint64(len(batch.Entries))
-	s.metrics.directArrivals.Add(uint64(len(batch.Entries)))
+	s.directArrivals.Add(uint64(len(batch.Entries)))
 }
 
 // RecoverTo sends this peer's counters to the current responsible(s) —
 // the recovery strategy run by a restarted peer. Each counter is routed
 // to rsp(k, hts) at call time.
 func (s *Service) RecoverTo(ctx context.Context) (corrected int, err error) {
-	s.mu.Lock()
-	entries := make([]CounterEntry, 0, s.vcs.Len())
-	s.vcs.Each(func(k core.Key, ts core.Timestamp) bool {
-		entries = append(entries, CounterEntry{Key: k, TS: ts})
-		return true
-	})
-	s.mu.Unlock()
-	for _, e := range entries {
-		resp, cerr := s.route.Call(ctx, s.set.HTS.ID(e.Key), MethodRecover, RecoverReq{Entries: []CounterEntry{e}})
+	for _, c := range s.counters() {
+		e := CounterEntry{Key: c.Key, TS: c.TS}
+		resp, cerr := network.Reply[RecoverResp](s.route.Call(ctx, s.set.HTS.ID(e.Key), MethodRecover, RecoverReq{Entries: []CounterEntry{e}}))
 		if cerr != nil {
 			err = cerr
 			continue
 		}
-		corrected += resp.(RecoverResp).Corrected
+		corrected += resp.Corrected
 	}
 	return corrected, err
 }
@@ -918,19 +875,16 @@ func (s *Service) startInspection() {
 // inspectOnce checks up to InspectPerRound counters against the DHT.
 func (s *Service) inspectOnce(rng interface{ Intn(int) int }) {
 	s.mu.Lock()
-	keys := s.vcs.Keys()
 	repair := s.onRepair
 	s.mu.Unlock()
-	if len(keys) == 0 {
+	cs := s.counters()
+	if len(cs) == 0 {
 		return
 	}
-	limit := s.cfg.InspectPerRound
-	if limit > len(keys) {
-		limit = len(keys)
-	}
-	start := rng.Intn(len(keys))
+	limit := min(s.cfg.InspectPerRound, len(cs))
+	start := rng.Intn(len(cs))
 	for i := 0; i < limit; i++ {
-		k := keys[(start+i)%len(keys)]
+		k := cs[(start+i)%len(cs)].Key
 		if !s.ring.OwnsID(s.set.HTS.ID(k)) {
 			continue
 		}
@@ -941,11 +895,10 @@ func (s *Service) inspectOnce(rng interface{ Intn(int) int }) {
 			}
 		}
 		s.mu.Lock()
-		cur, ok := s.vcs.Get(k)
+		cur, ok := s.vcs.GetCounter(k)
 		corrected := false
 		if ok && cur.Less(highest) {
-			s.vcs.Put(k, highest)
-			s.persistPut(k, highest)
+			s.vcs.PutCounter(k, highest)
 			corrected = true
 		}
 		s.mu.Unlock()

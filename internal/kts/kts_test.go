@@ -15,6 +15,7 @@ import (
 	"repro/internal/network/simwire"
 	"repro/internal/simnet"
 	"repro/internal/stats"
+	"repro/internal/store"
 )
 
 // cluster bundles a simulated Chord ring with a KTS service per node.
@@ -28,6 +29,12 @@ type cluster struct {
 }
 
 func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
+	return newClusterOn(t, seed, n, cfg, nil)
+}
+
+// newClusterOn is newCluster with node i's replicas and counters on
+// backing(i); a nil backing keeps every node on volatile memory.
+func newClusterOn(t *testing.T, seed int64, n int, cfg Config, backing func(i int) store.Store) *cluster {
 	k := simnet.New(seed)
 	net := simwire.New(k, simwire.Config{
 		LatencyMS:      stats.Normal{Mean: 5, Variance: 0, Min: 5},
@@ -47,7 +54,11 @@ func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("peer%d", i)
 		ep := net.NewEndpoint(name)
-		nd := chord.New(net.Env(), ep, hashing.NodeID(name), chordCfg)
+		ndCfg := chordCfg
+		if backing != nil {
+			ndCfg.Store = backing(i)
+		}
+		nd := chord.New(net.Env(), ep, hashing.NodeID(name), ndCfg)
 		c.nodes = append(c.nodes, nd)
 		c.services = append(c.services, New(nd, c.set, "ums", cfg))
 	}
@@ -521,9 +532,7 @@ func TestRecoverToRoutesCounters(t *testing.T) {
 	// A "restarted" peer holds a snapshot with a high counter and runs
 	// the recovery strategy; the current responsible must adopt it.
 	restarted := c.services[0]
-	restarted.mu.Lock()
-	restarted.vcs.Put(key, core.TS(42))
-	restarted.mu.Unlock()
+	c.nodes[0].Store().Backing().PutCounter(key, core.TS(42))
 	c.do(func() {
 		corrected, err := restarted.RecoverTo(context.Background())
 		if err != nil {

@@ -2,20 +2,103 @@ package kts
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/store"
 )
 
+// buildsOn checks that the counter node idx's store holds for k is the
+// one the next gen_ts builds on: that gen_ts returns its successor.
+func (c *cluster) buildsOn(idx int, k core.Key) {
+	c.t.Helper()
+	held, ok := c.nodes[idx].Store().Backing().GetCounter(k)
+	if !ok {
+		c.t.Fatalf("%s's store holds no counter for %q", c.nodes[idx].Self().Addr, k)
+	}
+	c.do(func() {
+		ts, err := c.svc().GenTS(context.Background(), k)
+		if err != nil || ts != held.Next() {
+			c.t.Errorf("gen_ts(%q) = %v, %v; want %v, one past the stored %v", k, ts, err, held.Next(), held)
+		}
+	})
+}
+
+// TestCountersLiveInTheStore follows one key's counter through every
+// path that writes it — a grant, a recovery, an inspection raise and a
+// graceful leave — and checks after each that the peer's store holds
+// exactly the counter the next gen_ts continues from: the store is the
+// Valid Counters Set, not a copy of it.
+func TestCountersLiveInTheStore(t *testing.T) {
+	c := newCluster(t, 14, 8, Config{Mode: ModeDirect})
+	c.settle(2 * time.Second)
+	key := core.Key("home-key")
+	c.do(func() {
+		for i := 0; i < 3; i++ {
+			if _, err := c.svc().GenTS(context.Background(), key); err != nil {
+				t.Errorf("gen_ts: %v", err)
+			}
+		}
+	})
+	idx := c.responsibleFor(key)
+	c.buildsOn(idx, key) // grants ts(4) on top of ts(3)
+
+	// handleRecover raises the counter past a restarted peer's snapshot.
+	req := RecoverReq{Entries: []CounterEntry{{Key: key, TS: core.TS(10)}}}
+	if _, err := c.services[idx].handleRecover(req); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if ts, _ := c.nodes[idx].Store().Backing().GetCounter(key); ts != core.TS(10) {
+		t.Fatalf("store holds %v after recovering ts(10)", ts)
+	}
+	c.buildsOn(idx, key)
+
+	// An inspection round raises it to the highest stored replica.
+	client := dht.NewClient(c.nodes[0], "ums")
+	c.do(func() {
+		for _, h := range c.set.Hr {
+			client.PutH(context.Background(), key, h, core.Value{Data: []byte("x"), TS: core.TS(50)}, dht.PutIfNewer)
+		}
+		c.services[idx].inspectOnce(rand.New(rand.NewSource(1)))
+	})
+	if ts, _ := c.nodes[idx].Store().Backing().GetCounter(key); ts != core.TS(50) {
+		t.Fatalf("store holds %v after inspecting replicas at ts(50)", ts)
+	}
+	c.buildsOn(idx, key)
+
+	// A graceful leave collects the counter out of the leaver's store and
+	// the heir accepts it into its own.
+	c.do(func() {
+		if err := c.nodes[idx].Leave(); err != nil {
+			t.Errorf("leave: %v", err)
+		}
+	})
+	c.net.Kill(c.nodes[idx].Self().Addr)
+	c.settle(3 * time.Second)
+	if ts, ok := c.nodes[idx].Store().Backing().GetCounter(key); ok {
+		t.Fatalf("leaver's store still holds %v", ts)
+	}
+	heir := c.responsibleFor(key)
+	c.buildsOn(heir, key)
+	if _, inits, _ := c.services[heir].Stats(); inits != 0 {
+		t.Fatalf("heir ran %d indirect inits, want 0 (the counter arrived)", inits)
+	}
+}
+
 // TestCounterJournalAndSeedAcrossRestart drives the §4.2.2 recovery data
-// path: every granted timestamp lands in the journal, and a fresh
-// service seeded from that journal keeps granting strictly increasing
-// timestamps without ever falling back to indirect initialization.
+// path: every granted timestamp lands in the peer's durable store, and a
+// service started over that store after a restart keeps granting above
+// it with no seeding call and without ever falling back to indirect
+// initialization.
 func TestCounterJournalAndSeedAcrossRestart(t *testing.T) {
-	journal := store.NewMem()
-	c := newCluster(t, 7, 1, Config{Mode: ModeDirect, Persist: journal})
+	disk := store.NewDepot()
+	onDisk := func(int) store.Store { return disk.Open("peer0") }
+	c := newClusterOn(t, 7, 1, Config{Mode: ModeDirect}, onDisk)
 	c.settle(2 * time.Second)
 	var last core.Timestamp
 	c.do(func() {
@@ -31,20 +114,12 @@ func TestCounterJournalAndSeedAcrossRestart(t *testing.T) {
 	if last != core.TS(5) {
 		t.Fatalf("last granted = %v, want ts(5)", last)
 	}
-	cs := journal.Counters()
-	if len(cs) != 1 || cs[0].Key != "k" || cs[0].TS != core.TS(5) {
-		t.Fatalf("journal = %v, want k@ts(5)", cs)
-	}
+	c.nodes[0].Crash()
 
-	// "Restart": a brand-new cluster with empty state, seeded from what
-	// the journal retained. The key has no replicas anywhere, so without
-	// the seed the counter would restart at 1 and re-issue old values.
-	c2 := newCluster(t, 8, 1, Config{Mode: ModeDirect})
-	var entries []CounterEntry
-	for _, cnt := range journal.Counters() {
-		entries = append(entries, CounterEntry{Key: cnt.Key, TS: cnt.TS})
-	}
-	c2.services[0].SeedCounters(entries)
+	// "Restart": a brand-new cluster over the same disk. The key has no
+	// replicas anywhere, so a counter not read from the store would
+	// restart at 1 and re-issue old values.
+	c2 := newClusterOn(t, 8, 1, Config{Mode: ModeDirect}, onDisk)
 	c2.settle(2 * time.Second)
 	c2.do(func() {
 		ts, err := c2.svc().GenTS(context.Background(), "k")
@@ -52,33 +127,62 @@ func TestCounterJournalAndSeedAcrossRestart(t *testing.T) {
 			t.Errorf("gen_ts after restart: %v", err)
 			return
 		}
-		if !last.Less(ts) {
-			t.Errorf("post-restart ts %v not above pre-crash %v", ts, last)
-		}
 		if ts != last.Next() {
 			t.Errorf("post-restart ts = %v, want exactly %v (no gap from re-init)", ts, last.Next())
 		}
 	})
-	_, inits, _ := c2.services[0].Stats()
-	if inits != 0 {
-		t.Fatalf("seeded service ran %d indirect inits, want 0", inits)
+	if _, inits, _ := c2.services[0].Stats(); inits != 0 {
+		t.Fatalf("restarted service ran %d indirect inits, want 0", inits)
 	}
 }
 
-// TestRLUDeletesJournalEntry checks the ablation mode keeps the journal
-// in step: a counter discarded after each grant must also leave the
-// journal, so a restart re-initializes rather than resuming a counter
-// the live service itself would not have had.
+// TestRLUDeletesJournalEntry checks the ablation mode: a counter
+// discarded after each grant leaves the store, so the next gen_ts
+// re-initializes rather than resuming it.
 func TestRLUDeletesJournalEntry(t *testing.T) {
-	journal := store.NewMem()
-	c := newCluster(t, 9, 1, Config{Mode: ModeDirect, RLU: true, Persist: journal})
+	c := newCluster(t, 9, 1, Config{Mode: ModeDirect, RLU: true})
 	c.settle(2 * time.Second)
-	c.do(func() {
-		if _, err := c.svc().GenTS(context.Background(), "k"); err != nil {
-			t.Errorf("gen_ts: %v", err)
+	for want := uint64(1); want <= 2; want++ {
+		c.do(func() {
+			if _, err := c.svc().GenTS(context.Background(), "k"); err != nil {
+				t.Errorf("gen_ts: %v", err)
+			}
+		})
+		if ts, ok := c.nodes[0].Store().Backing().GetCounter("k"); ok {
+			t.Fatalf("store holds %v under RLU, want nothing", ts)
 		}
-	})
-	if cs := journal.Counters(); len(cs) != 0 {
-		t.Fatalf("journal = %v, want empty under RLU", cs)
+		if _, inits, _ := c.services[0].Stats(); inits != want {
+			t.Fatalf("%d indirect inits after %d grants, want one per grant", inits, want)
+		}
+	}
+}
+
+// TestCountersWalkInKeyOrder: the store hands counters back in no
+// particular order, and the service sorts them, so a handover batch
+// (like a recovery and an inspection round) lists them in key order on
+// every replay.
+func TestCountersWalkInKeyOrder(t *testing.T) {
+	c := newCluster(t, 15, 1, Config{Mode: ModeDirect})
+	backing := c.nodes[0].Store().Backing()
+	var want []core.Key
+	for _, i := range rand.New(rand.NewSource(3)).Perm(40) {
+		k := core.Key(fmt.Sprintf("key-%02d", i))
+		backing.PutCounter(k, core.TS(uint64(i+1)))
+		want = append(want, k)
+	}
+	slices.Sort(want)
+	batch, ok := c.services[0].Collect(func(core.ID) bool { return true }).(CounterBatch)
+	if !ok {
+		t.Fatal("collecting every counter shipped no batch")
+	}
+	var got []core.Key
+	for _, e := range batch.Entries {
+		got = append(got, e.Key)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("batch keys = %v, want %v", got, want)
+	}
+	if n := c.services[0].VCSLen(); n != 0 {
+		t.Fatalf("%d counters left in the store after ceding every position", n)
 	}
 }

@@ -109,6 +109,23 @@ func Typed[Req any](fn func(req Req) (Message, error)) HandlerFunc {
 	}
 }
 
+// Reply is the caller's side of Typed: it takes an Invoke's outcome and
+// checks that the reply is a Resp. A reply of any other type, a nil one
+// included, becomes an error wrapping core.ErrUnreachable, as from a
+// peer that never answered: a peer that replies with another method's
+// body cannot crash its caller. A non-nil err passes through.
+func Reply[Resp any](m Message, err error) (Resp, error) {
+	var r Resp
+	if err != nil {
+		return r, err
+	}
+	r, ok := m.(Resp)
+	if !ok {
+		return r, fmt.Errorf("network: reply %T where %T was asked for: %w", m, r, core.ErrUnreachable)
+	}
+	return r, nil
+}
+
 // Call carries per-invocation options. Deadlines and cancellation come
 // from the context passed to Invoke; Timeout is only the per-RPC
 // patience a protocol grants one round trip (its failure-detection

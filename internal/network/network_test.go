@@ -121,3 +121,21 @@ func TestTypedRefusesOtherRequests(t *testing.T) {
 		t.Fatalf("handler ran %d times, want only for its own request", ran)
 	}
 }
+
+// TestReplyRefusesOtherTypes: Reply passes its own reply type and a
+// transport error through, and turns a reply of any other type, nil
+// included, into an error wrapping ErrUnreachable.
+func TestReplyRefusesOtherTypes(t *testing.T) {
+	type resp struct{ N int }
+	if r, err := Reply[resp](resp{N: 7}, nil); err != nil || r.N != 7 {
+		t.Fatalf("own reply = %v, %v", r, err)
+	}
+	if _, err := Reply[resp](resp{N: 7}, core.ErrTimeout); !errors.Is(err, core.ErrTimeout) {
+		t.Fatalf("transport error became %v", err)
+	}
+	for _, bad := range []Message{struct{ N int }{N: 7}, nil, &resp{N: 7}} {
+		if r, err := Reply[resp](bad, nil); !errors.Is(err, core.ErrUnreachable) || r != (resp{}) {
+			t.Errorf("%T reply = %v, %v; want an error wrapping ErrUnreachable", bad, r, err)
+		}
+	}
+}

@@ -17,12 +17,12 @@ import (
 // every steady member resolves our arc to us in one hop.
 func (n *Node) Join(bootstrap network.Addr) error {
 	ctx := context.Background()
-	raw, err := n.Call(ctx, bootstrap, methodTable, TableReq{})
+	table, err := network.Reply[TableResp](n.Call(ctx, bootstrap, methodTable, TableReq{}))
 	if err != nil {
 		return fmt.Errorf("onehop: join via %s: %w", bootstrap, err)
 	}
 	n.mu.Lock()
-	for _, ref := range raw.(TableResp).Table {
+	for _, ref := range table.Table {
 		n.insertLocked(ref)
 	}
 	skip := map[core.ID]bool{n.Self().ID: true}
@@ -36,11 +36,10 @@ func (n *Node) Join(bootstrap network.Addr) error {
 	if succ.ID == n.Self().ID {
 		return fmt.Errorf("onehop: id collision on join: %w", core.ErrUnreachable)
 	}
-	raw, err = n.Call(ctx, succ.Addr, methodJoin, JoinReq{NewNode: n.Self()})
+	tr, err := network.Reply[JoinResp](n.Call(ctx, succ.Addr, methodJoin, JoinReq{NewNode: n.Self()}))
 	if err != nil {
 		return fmt.Errorf("onehop: join transfer from %s: %w", succ.Addr, err)
 	}
-	tr := raw.(JoinResp)
 	n.mu.Lock()
 	for _, ref := range tr.Table {
 		n.insertLocked(ref)
@@ -153,12 +152,12 @@ func (n *Node) Nudge(bootstrap network.Addr) error {
 	if !n.Alive() {
 		return core.ErrStopped
 	}
-	raw, err := n.Call(context.Background(), bootstrap, methodTable, TableReq{})
+	table, err := network.Reply[TableResp](n.Call(context.Background(), bootstrap, methodTable, TableReq{}))
 	if err != nil {
 		return fmt.Errorf("onehop: nudge via %s: %w", bootstrap, err)
 	}
 	n.mu.Lock()
-	for _, ref := range raw.(TableResp).Table {
+	for _, ref := range table.Table {
 		n.insertLocked(ref)
 	}
 	n.mu.Unlock()

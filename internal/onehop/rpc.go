@@ -207,8 +207,8 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 		if err := network.CtxError(ctx); err != nil {
 			return dht.NodeRef{}, hops, err
 		}
-		raw, err := n.Call(ctx, cand.Addr, methodOwner,
-			OwnerReq{Target: id, Exclude: dht.IDList(dead)})
+		resp, err := network.Reply[OwnerResp](n.Call(ctx, cand.Addr, methodOwner,
+			OwnerReq{Target: id, Exclude: dht.IDList(dead)}))
 		hops++
 		if err != nil {
 			// Dead (or stopped) candidate: evict, remember, take our
@@ -223,7 +223,6 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 			cand = next
 			continue
 		}
-		resp := raw.(OwnerResp)
 		if resp.Owns {
 			n.metrics.hops.ObserveValue(int64(hops))
 			// A multi-probe resolution means our table was stale; adopt

@@ -129,8 +129,8 @@ type Stack struct {
 // not created or joined a ring yet. Its ring position derives from the
 // endpoint's address, so a peer restarted on the same address resumes
 // the same arc. A non-nil backing holds the replicas and the KTS
-// counters as one recoverable unit: whatever counters it retained seed
-// the service, so the first gen_ts after a restart continues above every
+// counters as one recoverable unit: the service reads the counters it
+// retained, so the first gen_ts after a restart continues above every
 // timestamp granted before the crash instead of re-deriving from
 // replicas. A nil backing keeps the volatile default (a crash loses
 // everything, the paper's fail-stop model). New fails on an unknown ring
@@ -162,16 +162,7 @@ func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) 
 
 	ktsCfg := cfg.KTS
 	ktsCfg.RPCTimeout = ktsPatience
-	ktsCfg.Persist = backing
 	s.KTS = kts.New(node, set, ums.Namespace, ktsCfg)
-	if backing != nil {
-		recovered := backing.Counters()
-		entries := make([]kts.CounterEntry, len(recovered))
-		for i, c := range recovered {
-			entries[i] = kts.CounterEntry{Key: c.Key, TS: c.TS}
-		}
-		s.KTS.SeedCounters(entries)
-	}
 	s.UMS = ums.New(node, set, s.KTS)
 	s.BRK = brk.New(node, set)
 	if cfg.Obs != nil {

@@ -124,6 +124,14 @@ func (s *DepotStore) PutCounter(k core.Key, ts core.Timestamp) error {
 	return nil
 }
 
+// GetCounter implements Store.
+func (s *DepotStore) GetCounter(k core.Key) (core.Timestamp, bool) {
+	if m := s.live(); m != nil {
+		return m.GetCounter(k)
+	}
+	return core.TSZero, false
+}
+
 // DeleteCounter implements Store.
 func (s *DepotStore) DeleteCounter(k core.Key) error {
 	if m := s.live(); m != nil {

@@ -99,6 +99,14 @@ func (m *Mem) PutCounter(k core.Key, ts core.Timestamp) error {
 	return nil
 }
 
+// GetCounter implements Store.
+func (m *Mem) GetCounter(k core.Key) (core.Timestamp, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ts, ok := m.counters[k]
+	return ts, ok
+}
+
 // DeleteCounter implements Store.
 func (m *Mem) DeleteCounter(k core.Key) error {
 	m.mu.Lock()

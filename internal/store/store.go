@@ -9,9 +9,10 @@
 //   - replica items — the (ring position, qualifier, stamped value)
 //     triples the peer hosts (dht.LocalStore is a thin concurrency and
 //     handover layer over this interface);
-//   - KTS counters — the per-key timestamps of the Valid Counters Set,
-//     journaled on every mutation so a restart re-seeds the VCS instead
-//     of re-deriving counters from replicas.
+//   - KTS counters — the per-key timestamps of the Valid Counters Set.
+//     kts.Service keeps its set nowhere else, so a restart on a durable
+//     store resumes the counters instead of re-deriving them from
+//     replicas.
 //
 // Implementations:
 //
@@ -89,6 +90,8 @@ type Store interface {
 
 	// PutCounter records the KTS counter for k.
 	PutCounter(k core.Key, ts core.Timestamp) error
+	// GetCounter returns the KTS counter for k.
+	GetCounter(k core.Key) (core.Timestamp, bool)
 	// DeleteCounter removes the counter for k (responsibility ceded).
 	DeleteCounter(k core.Key) error
 	// Counters returns every persisted counter, in unspecified order.

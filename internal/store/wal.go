@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -192,14 +193,17 @@ type WAL struct {
 	dir string
 	opt WALOptions
 
-	mu     sync.Mutex
+	// mem is fixed at open and keeps its own lock, so reads skip mu;
+	// closed is set under mu and read without it.
 	mem    *Mem
-	logF   *os.File
-	buf    []byte // framed records not yet written; only SyncBatch leaves any between appends
-	recs   int    // records appended since the last snapshot
-	closed bool
-	rec    Recovered
-	stats  WALStats
+	closed atomic.Bool
+
+	mu    sync.Mutex
+	logF  *os.File
+	buf   []byte // framed records not yet written; only SyncBatch leaves any between appends
+	recs  int    // records appended since the last snapshot
+	rec   Recovered
+	stats WALStats
 
 	flushStop chan struct{} // SyncBatch flusher shutdown, nil otherwise
 	flushDone chan struct{}
@@ -407,7 +411,7 @@ func errCorrupt() error {
 // appendLocked frames rec into w.buf, writes it per the sync policy and
 // triggers compaction when due. Caller holds w.mu.
 func (w *WAL) appendLocked(rec network.Message) error {
-	if w.closed {
+	if w.closed.Load() {
 		return fmt.Errorf("append to closed store: %w", ErrStore)
 	}
 	var err error
@@ -478,9 +482,7 @@ func (w *WAL) DeleteCounter(k core.Key) error {
 // live returns the in-memory state, or nil once the handle has crashed
 // or closed — a dead process serves nothing, whatever its disk holds.
 func (w *WAL) live() *Mem {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return nil
 	}
 	return w.mem
@@ -509,6 +511,14 @@ func (w *WAL) ItemCount() int {
 	return 0
 }
 
+// GetCounter implements Store (served from memory).
+func (w *WAL) GetCounter(k core.Key) (core.Timestamp, bool) {
+	if m := w.live(); m != nil {
+		return m.GetCounter(k)
+	}
+	return core.TSZero, false
+}
+
 // Counters implements Store (served from memory).
 func (w *WAL) Counters() []Counter {
 	if m := w.live(); m != nil {
@@ -535,28 +545,35 @@ func (w *WAL) flusher(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
-// Sync implements Store: pending frames hit the file and the file hits
-// stable storage.
+// Sync implements Store: pending frames hit the file under mu, and the
+// file hits stable storage after mu is released, so no append waits out
+// the disk. logF is fixed at open, and Close and Crash stop the flusher
+// before they close it.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.syncLocked()
-}
-
-func (w *WAL) syncLocked() error {
-	if w.closed {
-		return nil
-	}
-	if len(w.buf) > 0 {
-		if _, err := w.logF.Write(w.buf); err != nil {
-			return fmt.Errorf("wal flush: %v: %w", err, ErrStore)
-		}
-		w.buf = w.buf[:0]
+	err := w.writeLocked()
+	w.mu.Unlock()
+	if err != nil || w.closed.Load() {
+		return err
 	}
 	if err := w.logF.Sync(); err != nil {
 		return fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
 	}
+	w.mu.Lock()
 	w.stats.Fsyncs++
+	w.mu.Unlock()
+	return nil
+}
+
+// writeLocked hands the pending frames of a live handle to the file.
+func (w *WAL) writeLocked() error {
+	if w.closed.Load() || len(w.buf) == 0 {
+		return nil
+	}
+	if _, err := w.logF.Write(w.buf); err != nil {
+		return fmt.Errorf("wal flush: %v: %w", err, ErrStore)
+	}
+	w.buf = w.buf[:0]
 	return nil
 }
 
@@ -565,7 +582,7 @@ func (w *WAL) syncLocked() error {
 func (w *WAL) Compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return fmt.Errorf("compact closed store: %w", ErrStore)
 	}
 	return w.compactLocked()
@@ -651,10 +668,10 @@ func syncDir(dir string) {
 func (w *WAL) Crash() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return
 	}
-	w.closed = true
+	w.closed.Store(true)
 	w.stopFlusherLocked()
 	w.buf = nil
 	w.logF.Close()
@@ -664,11 +681,18 @@ func (w *WAL) Crash() {
 func (w *WAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
+	if w.closed.Load() {
 		return nil
 	}
-	err := w.syncLocked()
-	w.closed = true
+	err := w.writeLocked()
+	if err == nil {
+		if err = w.logF.Sync(); err != nil {
+			err = fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
+		} else {
+			w.stats.Fsyncs++
+		}
+	}
+	w.closed.Store(true)
 	w.stopFlusherLocked()
 	if cerr := w.logF.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal close: %v: %w", cerr, ErrStore)

@@ -379,6 +379,63 @@ func TestWALCrashDropsUnsyncedBatch(t *testing.T) {
 	}
 }
 
+// TestWALFlusherRacesAppends runs appends, reads and compactions
+// against a fast SyncBatch flusher, whose fsync runs outside the lock,
+// then ends the handle by Close or by Crash while they are still going.
+// Close keeps every record; Crash leaves a log that reopens cleanly.
+func TestWALFlusherRacesAppends(t *testing.T) {
+	for _, crash := range []bool{false, true} {
+		dir := t.TempDir()
+		w := openT(t, dir, WALOptions{Policy: SyncBatch, BatchInterval: time.Millisecond, CompactEvery: 64})
+		const writers, perWriter = 4, 300
+		var wg sync.WaitGroup
+		for g := range writers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range perWriter {
+					k := core.Key(string(rune('a' + g)))
+					if w.PutCounter(k, core.TS(uint64(i+1))) != nil && !crash {
+						t.Errorf("writer %d: put %d failed", g, i)
+						return
+					}
+					w.PutItem(item(uint64(g), "q", "v", uint64(i+1)))
+					w.GetCounter(k)
+					w.GetItem(core.ID(g), "q")
+					if crash && g == 0 && i == perWriter/2 {
+						w.Crash()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if !crash {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if w.Stats().Fsyncs == 0 {
+				t.Fatal("the flusher never synced")
+			}
+		}
+		r, err := OpenWAL(dir, WALOptions{})
+		if err != nil {
+			t.Fatalf("crash=%v: reopen: %v", crash, err)
+		}
+		if !crash {
+			for g := range writers {
+				k := core.Key(string(rune('a' + g)))
+				if ts, ok := r.GetCounter(k); !ok || ts != core.TS(perWriter) {
+					t.Errorf("counter %q = %v, %v after Close; want ts(%d)", k, ts, ok, perWriter)
+				}
+				if v, ok := r.GetItem(core.ID(g), "q"); !ok || v.TS != core.TS(perWriter) {
+					t.Errorf("item %d = %v, %v after Close; want ts(%d)", g, v, ok, perWriter)
+				}
+			}
+		}
+		r.Close()
+	}
+}
+
 func TestDepotSurvivesCrashAndResumes(t *testing.T) {
 	d := NewDepot()
 	s := d.Open("peer0")

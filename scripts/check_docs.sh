@@ -9,6 +9,9 @@
 #   4. every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file (anchors stripped; external and
 #      absolute URLs skipped).
+#   5. every "dcdht_..." metric family named in non-test Go outside
+#      benchmarks/ has a row in docs/OBSERVABILITY.md's tables, and
+#      every row there names such a family.
 # Run from the repository root: ./scripts/check_docs.sh
 set -eu
 
@@ -76,7 +79,27 @@ for f in README.md docs/*.md; do
     IFS=$oldIFS
 done
 
+# 5. the metrics table and the registered families agree
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './.*' -print0 |
+    xargs -0 grep -ohE '"dcdht_[a-z0-9_]+"' | tr -d '"' | sort -u > "$tmp/registered"
+grep -oE '^\| `dcdht_[a-z0-9_]+`' docs/OBSERVABILITY.md |
+    sed 's/^| `//; s/`$//' | sort -u > "$tmp/documented"
+missing=$(comm -23 "$tmp/registered" "$tmp/documented")
+if [ -n "$missing" ]; then
+    echo "metric families with no row in docs/OBSERVABILITY.md:" >&2
+    echo "$missing" >&2
+    fail=1
+fi
+stale=$(comm -13 "$tmp/registered" "$tmp/documented")
+if [ -n "$stale" ]; then
+    echo "docs/OBSERVABILITY.md rows naming no registered family:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docs check clean: gofmt, examples, exported doc comments, relative links"
+echo "docs check clean: gofmt, examples, exported doc comments, relative links, metrics table"
