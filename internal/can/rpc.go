@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/store"
 )
 
 // Protocol method names.
@@ -40,7 +41,7 @@ type SplitReq struct{ NewNode dht.NodeRef }
 // neighborhood to introduce itself to.
 type SplitResp struct {
 	Zone      Zone
-	Items     []dht.Item
+	Items     []store.Item
 	Services  map[string]network.Message
 	Neighbors []NeighborInfo
 }
@@ -58,7 +59,7 @@ type NeighborInfo struct {
 type TakeoverReq struct {
 	From      dht.NodeRef
 	Zones     []Zone
-	Items     []dht.Item
+	Items     []store.Item
 	Services  map[string]network.Message
 	Neighbors []NeighborInfo
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/store"
 )
 
 // Protocol method names.
@@ -67,7 +68,7 @@ type TransferReq struct{ NewNode dht.NodeRef }
 // TransferResp carries the ceded replicas and service state, plus ring
 // bootstrap information for the joiner.
 type TransferResp struct {
-	Items    []dht.Item
+	Items    []store.Item
 	Services map[string]network.Message
 	// Pred is the joiner's predecessor (the responder's previous one).
 	Pred dht.NodeRef
@@ -86,7 +87,7 @@ func (r TransferResp) WireSize() int { return dht.BulkSize(r.Items) }
 // opportunistic push when a node discovers a closer predecessor.
 type AbsorbReq struct {
 	From     dht.NodeRef
-	Items    []dht.Item
+	Items    []store.Item
 	Services map[string]network.Message
 	// NewPred, when set with Departing, is the leaver's predecessor: the
 	// receiver adopts it if the leaver was its predecessor.

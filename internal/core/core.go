@@ -105,4 +105,10 @@ var (
 	// between the lookup and the operation (§2.1's mapping function is
 	// time-dependent).
 	ErrNotResponsible = errors.New("dcdht: peer not responsible")
+
+	// ErrStorage reports that a peer's store failed or refused a write
+	// (store.ErrStore is this error). Like the rest of the taxonomy it
+	// survives the wire, so a caller can tell a responsible whose store
+	// failed from one that refused the request.
+	ErrStorage = errors.New("store: storage error")
 )

@@ -45,11 +45,11 @@ func TestAbsorbNewerWinsOnCollision(t *testing.T) {
 	s := NewLocalStoreOn(store.NewMem())
 	s.Put(1, "ums|k|hr0", core.Value{Data: []byte("mid"), TS: core.TS(5)}, PutOverwrite)
 
-	s.Absorb([]Item{{RingID: 1, Qual: "ums|k|hr0", Val: core.Value{Data: []byte("old"), TS: core.TS(3)}}})
+	s.Absorb([]store.Item{{RingID: 1, Qual: "ums|k|hr0", Val: core.Value{Data: []byte("old"), TS: core.TS(3)}}})
 	if v, _ := s.Get(1, "ums|k|hr0"); string(v.Data) != "mid" {
 		t.Fatalf("older absorb overwrote: %q", v.Data)
 	}
-	s.Absorb([]Item{{RingID: 1, Qual: "ums|k|hr0", Val: core.Value{Data: []byte("new"), TS: core.TS(9)}}})
+	s.Absorb([]store.Item{{RingID: 1, Qual: "ums|k|hr0", Val: core.Value{Data: []byte("new"), TS: core.TS(9)}}})
 	if v, _ := s.Get(1, "ums|k|hr0"); string(v.Data) != "new" || v.TS != core.TS(9) {
 		t.Fatalf("newer absorb lost: %v", v)
 	}

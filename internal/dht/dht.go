@@ -197,15 +197,8 @@ type GetResp struct {
 // WireSize charges the payload against the simulated bandwidth.
 func (r GetResp) WireSize() int { return network.DefaultWireSize + len(r.Val.Data) }
 
-// Item is one stored replica, as moved in bulk during handovers.
-type Item struct {
-	RingID core.ID
-	Qual   string
-	Val    core.Value
-}
-
 func init() {
-	network.RegisterMessage(PutReq{}, PutResp{}, GetReq{}, GetResp{}, Item{}, []Item(nil), NodeRef{})
+	network.RegisterMessage(PutReq{}, PutResp{}, GetReq{}, GetResp{}, NodeRef{})
 }
 
 // Qualifier builds the storage qualifier for key k replicated under hash

@@ -32,9 +32,9 @@ type MemberConfig struct {
 	// Store, when non-nil, backs the node's replica store (and, if the
 	// deployment shares the unit, its KTS counters). Nil keeps the
 	// volatile default: a crash loses everything, the paper's fail-stop
-	// model. A durable backing (store.WAL, the sim depot) instead
-	// survives into the §4.2.2 restart path.
-	Store store.Store
+	// model. A durable backing (store.OpenWAL, a sim depot slot)
+	// instead survives into the §4.2.2 restart path.
+	Store *store.Store
 	// Obs receives the substrate's routing and maintenance metrics. Nil
 	// disables export; the metrics are still maintained but
 	// unregistered.
@@ -161,8 +161,8 @@ func (m *Member) hooks() []Handover {
 // satisfying ceded, for their next responsible: the stored replicas,
 // unless data handoff is off, and each registered service's payload,
 // keyed by service name (nil when no service has any).
-func (m *Member) Cede(ceded func(core.ID) bool) ([]Item, map[string]network.Message) {
-	var items []Item
+func (m *Member) Cede(ceded func(core.ID) bool) ([]store.Item, map[string]network.Message) {
+	var items []store.Item
 	if !m.noHandoff {
 		items = m.store.CollectIf(ceded, true)
 	}
@@ -180,7 +180,7 @@ func (m *Member) Cede(ceded func(core.ID) bool) ([]Item, map[string]network.Mess
 
 // Absorb installs what another node ceded to this one: the replicas,
 // newer value winning, then each service's payload.
-func (m *Member) Absorb(items []Item, services map[string]network.Message) {
+func (m *Member) Absorb(items []store.Item, services map[string]network.Message) {
 	m.store.Absorb(items)
 	if len(services) == 0 {
 		return
@@ -265,7 +265,7 @@ func IDSet(ids []core.ID) map[core.ID]bool {
 }
 
 // BulkSize charges a handover's replicas against the bandwidth model.
-func BulkSize(items []Item) int {
+func BulkSize(items []store.Item) int {
 	n := network.DefaultWireSize
 	for _, it := range items {
 		n += 40 + len(it.Qual) + len(it.Val.Data)

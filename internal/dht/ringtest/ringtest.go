@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -488,31 +489,45 @@ func testHeldSinceMoves(t *testing.T, f Factory, event string) {
 }
 
 // arcState is a service's state as a dht.Handover sees it: the ring
-// positions it holds, and how many payloads it has accepted.
+// positions it holds, how many payloads it has accepted, and the
+// payloads it has collected.
 type arcState struct {
-	held    map[core.ID]bool
-	accepts int
+	held      map[core.ID]bool
+	accepts   int
+	collected []arcPayload
 }
+
+// arcPayload is arcState's handover payload: the positions ceded.
+type arcPayload struct {
+	IDs []core.ID
+}
+
+func init() { network.RegisterMessage(arcPayload{}) }
 
 func (s *arcState) Name() string { return "ringtest" }
 
 func (s *arcState) Collect(ceded func(core.ID) bool) network.Message {
-	var out []core.ID
+	var out arcPayload
 	for id := range s.held {
 		if ceded(id) {
-			out = append(out, id)
+			out.IDs = append(out.IDs, id)
 			delete(s.held, id)
 		}
 	}
-	if len(out) == 0 {
+	if len(out.IDs) == 0 {
 		return nil
 	}
+	s.collected = append(s.collected, out)
 	return out
 }
 
 func (s *arcState) Accept(msg network.Message) {
+	p, ok := msg.(arcPayload)
+	if !ok {
+		return
+	}
 	s.accepts++
-	for _, id := range msg.([]core.ID) {
+	for _, id := range p.IDs {
 		s.held[id] = true
 	}
 }
@@ -607,6 +622,23 @@ func testHandoverFollowsArc(t *testing.T, f Factory, event string) {
 				t.Fatalf("position %s: held by %s = %v, but %s owns it", id, n.Self().ID, held, own.Self().ID)
 			}
 		}
+	}
+	// A TCP ring carries the payload through the wire codec.
+	payloads := 0
+	for _, s := range states {
+		for _, p := range s.collected {
+			payloads++
+			b, err := network.AppendMessage(nil, p)
+			if err != nil {
+				t.Fatalf("encode a payload of %d positions: %v", len(p.IDs), err)
+			}
+			if back, err := network.DecodeMessage(b); err != nil || !reflect.DeepEqual(back, network.Message(p)) {
+				t.Fatalf("a payload of %d positions decodes as %v, %v", len(p.IDs), back, err)
+			}
+		}
+	}
+	if payloads == 0 {
+		t.Fatal("no payload was collected")
 	}
 }
 

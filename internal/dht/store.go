@@ -13,19 +13,18 @@ import (
 // qualifier) → stamped value. Every substrate's Member holds one and
 // moves its contents during responsibility handovers.
 //
-// Since the durability subsystem landed, LocalStore is a thin
-// concurrency and handover layer over a pluggable store.Store backing:
-// its own mutex makes the read-modify-write of conditional puts and the
-// collect-and-remove of handovers atomic, while where the bytes live —
-// volatile map, write-ahead log, simulated depot — is the backing's
-// business. A peer that crashes crashes its backing; with the default
-// volatile Mem that discards every replica, which is what makes replicas
-// unavailable and drives the paper's probability of currency and
-// availability below 1. A durable backing instead survives into the
-// §4.2.2 restart path.
+// LocalStore is a thin concurrency and handover layer over a
+// store.Store backing: its own mutex makes the read-modify-write of
+// conditional puts and the collect-and-remove of handovers atomic,
+// while where the bytes live — volatile memory, write-ahead log,
+// simulated depot — is the backing's business. A peer that crashes
+// crashes its backing; with the default volatile store that discards
+// every replica, which is what makes replicas unavailable and drives the
+// paper's probability of currency and availability below 1. A durable
+// backing instead survives into the §4.2.2 restart path.
 type LocalStore struct {
 	mu      sync.Mutex
-	backing store.Store
+	backing *store.Store
 }
 
 // NewLocalStore returns an empty store on volatile memory — the
@@ -37,15 +36,14 @@ func NewLocalStore() *LocalStore {
 
 // NewLocalStoreOn returns a store over the given backing. The backing
 // may be shared with the peer's KTS service (replica items and counters
-// form one recoverable unit), so it must be internally synchronized —
-// every store.Store implementation is.
-func NewLocalStoreOn(s store.Store) *LocalStore {
+// form one recoverable unit); a store.Store is safe for concurrent use.
+func NewLocalStoreOn(s *store.Store) *LocalStore {
 	return &LocalStore{backing: s}
 }
 
 // Backing exposes the storage layer, so a node can flush it on graceful
 // shutdown or hand the same unit to its counter service.
-func (s *LocalStore) Backing() store.Store {
+func (s *LocalStore) Backing() *store.Store {
 	return s.backing
 }
 
@@ -83,13 +81,14 @@ func (s *LocalStore) Get(rid core.ID, qual string) (core.Value, bool) {
 // CollectIf returns every item whose ring position satisfies pred,
 // removing them when remove is set. Handover paths use it: a Chord node
 // collects the arc it is ceding; a CAN node collects a zone.
-func (s *LocalStore) CollectIf(pred func(core.ID) bool, remove bool) []Item {
+func (s *LocalStore) CollectIf(pred func(core.ID) bool, remove bool) []store.Item {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []Item
+	var out []store.Item
 	s.backing.EachItem(func(it store.Item) bool {
 		if pred(it.RingID) {
-			out = append(out, Item{RingID: it.RingID, Qual: it.Qual, Val: it.Val.Clone()})
+			it.Val = it.Val.Clone()
+			out = append(out, it)
 		}
 		return true
 	})
@@ -105,13 +104,13 @@ func (s *LocalStore) CollectIf(pred func(core.ID) bool, remove bool) []Item {
 // anything. The iteration order is unspecified (map order); callers that
 // need determinism must sort. The anti-entropy sweep snapshots the store
 // once per round so repairs never hold the store lock across RPCs.
-func (s *LocalStore) Snapshot() []Item {
+func (s *LocalStore) Snapshot() []store.Item {
 	return s.CollectIf(func(core.ID) bool { return true }, false)
 }
 
 // Absorb installs items collected elsewhere, keeping the newer value on
 // qualifier collisions (a replica must never travel backwards in time).
-func (s *LocalStore) Absorb(items []Item) {
+func (s *LocalStore) Absorb(items []store.Item) {
 	for _, it := range items {
 		s.Put(it.RingID, it.Qual, it.Val, PutIfNewer)
 	}

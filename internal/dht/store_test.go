@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/store"
 )
 
 func ts(v uint64) core.Timestamp { return core.TS(v) }
@@ -82,7 +83,7 @@ func TestAbsorbNewerWins(t *testing.T) {
 	s := NewLocalStore()
 	s.Put(1, "ums|k|hr0", val("newer", 5), PutOverwrite)
 
-	s.Absorb([]Item{
+	s.Absorb([]store.Item{
 		{RingID: 1, Qual: "ums|k|hr0", Val: val("stale", 3)},  // must lose
 		{RingID: 1, Qual: "ums|k|hr1", Val: val("fresh", 4)},  // new qualifier, installs
 		{RingID: 2, Qual: "ums|k2|hr0", Val: val("other", 1)}, // new position, installs
@@ -99,7 +100,7 @@ func TestAbsorbNewerWins(t *testing.T) {
 	}
 
 	// The other direction: absorbing newer state overwrites older.
-	s.Absorb([]Item{{RingID: 1, Qual: "ums|k|hr0", Val: val("newest", 9)}})
+	s.Absorb([]store.Item{{RingID: 1, Qual: "ums|k|hr0", Val: val("newest", 9)}})
 	if v, _ := s.Get(1, "ums|k|hr0"); string(v.Data) != "newest" {
 		t.Fatalf("absorb failed to advance the replica: %q", v.Data)
 	}
@@ -136,7 +137,7 @@ func TestConcurrentPutDuringCollect(t *testing.T) {
 	const writers, perWriter = 4, 200
 	arc := func(id core.ID) bool { return id%2 == 0 }
 
-	var collected []Item
+	var collected []store.Item
 	stop := make(chan struct{})
 	collectorDone := make(chan struct{})
 	go func() {

@@ -170,11 +170,7 @@ func (d *Deployment) newPeer() *Peer {
 // already hits it.
 func (d *Deployment) newPeerNamed(name string) *Peer {
 	ep := d.Net.NewEndpoint(name)
-	var backing store.Store
-	if d.Depot != nil {
-		backing = d.Depot.Open(name)
-	}
-	stack, err := peer.New(d.Net.Env(), ep, backing, d.peerCfg)
+	stack, err := peer.New(d.Net.Env(), ep, d.Depot.Open(name), d.peerCfg)
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}

@@ -229,7 +229,7 @@ type Service struct {
 	// store has recorded it (the store's own lock covers single calls
 	// only).
 	mu  sync.Mutex
-	vcs store.Store
+	vcs *store.Store
 
 	// cache holds the last-ts answers this peer has observed as a
 	// client (from its own gen_ts and last_ts calls), each with the
@@ -655,13 +655,16 @@ func (s *Service) handleRecover(req RecoverReq) (network.Message, error) {
 		oldTS, newTS core.Timestamp
 	}
 	var repairs []repairJob
+	var err error
 	s.mu.Lock()
 	repair := s.onRepair
 	for _, e := range req.Entries {
 		cur, ok := s.vcs.GetCounter(e.Key)
 		if !ok {
 			// We have not touched this key yet; adopt the snapshot.
-			s.vcs.PutCounter(e.Key, e.TS)
+			if err = s.putCounter(e.Key, e.TS); err != nil {
+				break
+			}
 			corrected++
 			continue
 		}
@@ -669,17 +672,25 @@ func (s *Service) handleRecover(req RecoverReq) (network.Message, error) {
 			// We initialized too low and may have issued duplicate-range
 			// timestamps; jump past the snapshot and repair stored data.
 			fixed := e.TS.Max(cur.Add(1))
-			s.vcs.PutCounter(e.Key, fixed)
+			if err = s.putCounter(e.Key, fixed); err != nil {
+				break
+			}
 			repairs = append(repairs, repairJob{key: e.Key, oldTS: cur, newTS: fixed})
 			corrected++
 		}
 	}
 	s.mu.Unlock()
+	// Only what the store recorded is counted and repaired; a refused
+	// correction fails the request with the store's error.
 	s.metrics.recoveries.Add(uint64(corrected))
 	if repair != nil {
 		for _, r := range repairs {
 			repair(r.key, r.oldTS, r.newTS)
 		}
+	}
+	if err != nil {
+		s.metrics.journalFails.Inc()
+		return nil, err
 	}
 	return RecoverResp{Corrected: corrected}, nil
 }
@@ -838,7 +849,9 @@ func (s *Service) Accept(msg network.Message) {
 	}
 	for _, e := range batch.Entries {
 		if cur, ok := s.vcs.GetCounter(e.Key); !ok || cur.Less(e.TS) {
-			s.vcs.PutCounter(e.Key, e.TS)
+			if s.putCounter(e.Key, e.TS) != nil {
+				s.metrics.journalFails.Inc()
+			}
 		}
 	}
 	s.directArrivals.Add(uint64(len(batch.Entries)))
@@ -898,8 +911,9 @@ func (s *Service) inspectOnce(rng interface{ Intn(int) int }) {
 		cur, ok := s.vcs.GetCounter(k)
 		corrected := false
 		if ok && cur.Less(highest) {
-			s.vcs.PutCounter(k, highest)
-			corrected = true
+			if corrected = s.putCounter(k, highest) == nil; !corrected {
+				s.metrics.journalFails.Inc()
+			}
 		}
 		s.mu.Unlock()
 		if corrected && repair != nil {

@@ -34,7 +34,7 @@ func newCluster(t *testing.T, seed int64, n int, cfg Config) *cluster {
 
 // newClusterOn is newCluster with node i's replicas and counters on
 // backing(i); a nil backing keeps every node on volatile memory.
-func newClusterOn(t *testing.T, seed int64, n int, cfg Config, backing func(i int) store.Store) *cluster {
+func newClusterOn(t *testing.T, seed int64, n int, cfg Config, backing func(i int) *store.Store) *cluster {
 	k := simnet.New(seed)
 	net := simwire.New(k, simwire.Config{
 		LatencyMS:      stats.Normal{Mean: 5, Variance: 0, Min: 5},

@@ -2,6 +2,7 @@ package kts
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -97,7 +98,7 @@ func TestCountersLiveInTheStore(t *testing.T) {
 // initialization.
 func TestCounterJournalAndSeedAcrossRestart(t *testing.T) {
 	disk := store.NewDepot()
-	onDisk := func(int) store.Store { return disk.Open("peer0") }
+	onDisk := func(int) *store.Store { return disk.Open("peer0") }
 	c := newClusterOn(t, 7, 1, Config{Mode: ModeDirect}, onDisk)
 	c.settle(2 * time.Second)
 	var last core.Timestamp
@@ -184,5 +185,45 @@ func TestCountersWalkInKeyOrder(t *testing.T) {
 	}
 	if n := c.services[0].VCSLen(); n != 0 {
 		t.Fatalf("%d counters left in the store after ceding every position", n)
+	}
+}
+
+// TestRecoverRefusedByAClosedStore: a responsible whose store refuses
+// the correction reports the storage failure instead of a correction
+// that never landed, and the restarted peer keeps its counter to ship
+// again.
+func TestRecoverRefusedByAClosedStore(t *testing.T) {
+	disk := store.NewDepot()
+	c := newClusterOn(t, 12, 4, Config{Mode: ModeDirect}, func(i int) *store.Store {
+		return disk.Open(fmt.Sprintf("peer%d", i))
+	})
+	c.settle(2 * time.Second)
+	key := core.Key("refused-key")
+	rsp := c.responsibleFor(key)
+	restarted := (rsp + 1) % len(c.nodes)
+	if err := c.nodes[restarted].Store().Backing().PutCounter(key, core.TS(42)); err != nil {
+		t.Fatal(err)
+	}
+	c.nodes[rsp].Store().Backing().Close() // the responsible lives on; its store does not
+	c.do(func() {
+		corrected, err := c.services[restarted].RecoverTo(context.Background())
+		if !errors.Is(err, store.ErrStore) || corrected != 0 {
+			t.Errorf("RecoverTo = %d, %v; want 0 corrected and an error wrapping ErrStore", corrected, err)
+		}
+	})
+	if ts, ok := c.nodes[restarted].Store().Backing().GetCounter(key); !ok || ts != core.TS(42) {
+		t.Fatalf("restarted peer's counter = %v, %v; want ts(42) kept", ts, ok)
+	}
+}
+
+// TestRefusedAdoptionIsCounted: a handed-over counter the store refuses
+// is counted as a journal failure, not adopted in silence.
+func TestRefusedAdoptionIsCounted(t *testing.T) {
+	c := newCluster(t, 13, 1, Config{Mode: ModeDirect})
+	svc := c.services[0]
+	c.nodes[0].Store().Backing().Close()
+	svc.Accept(CounterBatch{Entries: []CounterEntry{{Key: "k", TS: core.TS(5)}}})
+	if n := svc.metrics.journalFails.Value(); n != 1 {
+		t.Fatalf("journal failures = %d, want 1", n)
 	}
 }

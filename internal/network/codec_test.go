@@ -21,7 +21,7 @@ var (
 	ref1  = dht.NodeRef{ID: 1 << 63, Addr: "10.0.0.1:4100"}
 	ref2  = dht.NodeRef{ID: 7, Addr: "10.0.0.2:4100"}
 	val   = core.Value{Data: []byte("payload\x00\xff"), TS: core.Timestamp{Hi: 1, Lo: 1<<64 - 1}}
-	item  = dht.Item{RingID: 42, Qual: "ums/k/hr0", Val: val}
+	item  = store.Item{RingID: 42, Qual: "ums/k/hr0", Val: val}
 	batch = kts.CounterBatch{Entries: []kts.CounterEntry{{Key: "k1", TS: core.TS(3)}, {Key: "", TS: core.TSMax}}}
 	zone  = can.Zone{Lo: can.Point{0, 0.25}, Hi: can.Point{0.5, 1}}
 	info  = can.NeighborInfo{Ref: ref2, Zones: []can.Zone{zone, can.FullZone()}}
@@ -37,8 +37,6 @@ var wireSamples = []network.Message{
 	dht.PutResp{Stored: true},
 	dht.GetReq{RingID: 1<<64 - 1, Qual: "brk/x/h1"},
 	dht.GetResp{Val: core.Value{TS: core.TS(1)}}, // nil Data
-	item,
-	[]dht.Item{item, {}},
 	ref1,
 	dht.PingReq{},
 	dht.PingResp{},
@@ -53,8 +51,8 @@ var wireSamples = []network.Message{
 	chord.SuccCandidateReq{Candidate: ref2},
 	chord.SuccCandidateResp{},
 	chord.TransferReq{NewNode: ref1},
-	chord.TransferResp{Items: []dht.Item{item}, Services: svc, Pred: ref2, Succs: []dht.NodeRef{ref1}, Fingers: []dht.NodeRef{ref2, ref2}},
-	chord.AbsorbReq{From: ref1, Items: []dht.Item{item, item}, Services: svc, NewPred: ref2, Departing: true},
+	chord.TransferResp{Items: []store.Item{item}, Services: svc, Pred: ref2, Succs: []dht.NodeRef{ref1}, Fingers: []dht.NodeRef{ref2, ref2}},
+	chord.AbsorbReq{From: ref1, Items: []store.Item{item, item}, Services: svc, NewPred: ref2, Departing: true},
 	chord.AbsorbResp{},
 	chord.PredLeavingReq{Departing: ref1, Replacements: []dht.NodeRef{ref2}},
 	chord.PredLeavingResp{},
@@ -62,8 +60,8 @@ var wireSamples = []network.Message{
 	can.RouteStepReq{Target: can.Point{0.1, -0.0}, Exclude: []core.ID{4}},
 	can.RouteStepResp{Done: true, Next: ref1},
 	can.SplitReq{NewNode: ref2},
-	can.SplitResp{Zone: zone, Items: []dht.Item{item}, Services: svc, Neighbors: []can.NeighborInfo{info}},
-	can.TakeoverReq{From: ref1, Zones: []can.Zone{zone}, Items: []dht.Item{item}, Services: svc, Neighbors: []can.NeighborInfo{info, {}}},
+	can.SplitResp{Zone: zone, Items: []store.Item{item}, Services: svc, Neighbors: []can.NeighborInfo{info}},
+	can.TakeoverReq{From: ref1, Zones: []can.Zone{zone}, Items: []store.Item{item}, Services: svc, Neighbors: []can.NeighborInfo{info, {}}},
 	can.TakeoverResp{},
 	can.UpdateReq{Info: info},
 	can.UpdateResp{Info: info},
@@ -90,13 +88,13 @@ var wireSamples = []network.Message{
 	onehop.TableReq{},
 	onehop.TableResp{Table: []dht.NodeRef{ref1, ref2}},
 	onehop.JoinReq{NewNode: ref2},
-	onehop.JoinResp{Items: []dht.Item{item}, Services: map[string]network.Message{}, Table: []dht.NodeRef{ref1}},
+	onehop.JoinResp{Items: []store.Item{item}, Services: map[string]network.Message{}, Table: []dht.NodeRef{ref1}},
 	onehop.EventReq{From: ref1, Joins: []dht.NodeRef{ref2}, Leaves: []core.ID{8}},
 	onehop.EventResp{},
-	onehop.BulkReq{From: ref2, Items: []dht.Item{item}, Services: svc},
+	onehop.BulkReq{From: ref2, Items: []store.Item{item, {}}, Services: svc},
 	onehop.BulkResp{},
 	// store: the log and snapshot records
-	store.Item{RingID: 42, Qual: "ums|k|h1", Val: val},
+	item,
 	store.Counter{Key: "k", TS: core.TSMax},
 	store.DeletedItem{RingID: 1<<64 - 1, Qual: "brk|k|h2"},
 	store.DeletedCounter{Key: ""},

@@ -262,6 +262,7 @@ const (
 	codeStopped        = "stopped"
 	codeNoCurrent      = "no_current"
 	codeNotResponsible = "not_responsible"
+	codeStorage        = "storage"
 	codeOther          = "error"
 )
 
@@ -283,6 +284,8 @@ func EncodeError(err error) (code, msg string) {
 		return codeNoCurrent, err.Error()
 	case errors.Is(err, core.ErrNotResponsible):
 		return codeNotResponsible, err.Error()
+	case errors.Is(err, core.ErrStorage):
+		return codeStorage, err.Error()
 	default:
 		return codeOther, err.Error()
 	}
@@ -308,6 +311,8 @@ func DecodeError(code, msg string) error {
 		base = core.ErrNoCurrentReplica
 	case codeNotResponsible:
 		base = core.ErrNotResponsible
+	case codeStorage:
+		base = core.ErrStorage
 	default:
 		return errors.New(msg)
 	}

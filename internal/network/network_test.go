@@ -16,10 +16,12 @@ func TestErrorCodecRoundTrip(t *testing.T) {
 		fmt.Errorf("wrapped: %w", core.ErrStopped),
 		fmt.Errorf("wrapped: %w", core.ErrNoCurrentReplica),
 		fmt.Errorf("wrapped: %w", core.ErrNotResponsible),
+		fmt.Errorf("wrapped: %w", core.ErrStorage),
 	}
 	bases := []error{
 		core.ErrNotFound, core.ErrUnreachable, core.ErrTimeout,
 		core.ErrStopped, core.ErrNoCurrentReplica, core.ErrNotResponsible,
+		core.ErrStorage,
 	}
 	for i, err := range cases {
 		code, msg := EncodeError(err)

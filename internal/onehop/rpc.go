@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/store"
 )
 
 // Protocol method names.
@@ -57,7 +58,7 @@ type JoinReq struct {
 // JoinResp carries the ceded replicas and service state plus the
 // receiver's routing table.
 type JoinResp struct {
-	Items    []dht.Item
+	Items    []store.Item
 	Services map[string]network.Message
 	Table    []dht.NodeRef
 }
@@ -85,7 +86,7 @@ type EventResp struct{}
 // (graceful leaves).
 type BulkReq struct {
 	From     dht.NodeRef
-	Items    []dht.Item
+	Items    []store.Item
 	Services map[string]network.Message
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/network/simwire"
 	"repro/internal/onehop"
 	"repro/internal/simnet"
+	"repro/internal/store"
 )
 
 // requestFrame is the body of a TCP request frame: the method and the
@@ -52,7 +53,7 @@ type request struct {
 func methodTable() []request {
 	ref := dht.NodeRef{ID: 7, Addr: "sim-gone"}
 	val := core.Value{Data: []byte("v"), TS: core.TS(3)}
-	items := []dht.Item{{RingID: 9, Qual: "ums|k|h1", Val: val}}
+	items := []store.Item{{RingID: 9, Qual: "ums|k|h1", Val: val}}
 	svc := map[string]network.Message{"kts": kts.CounterBatch{Entries: []kts.CounterEntry{{Key: "k", TS: core.TS(4)}}}}
 	zone := can.Zone{Lo: can.Point{0, 0}, Hi: can.Point{0.5, 0.5}}
 	info := can.NeighborInfo{Ref: ref, Zones: []can.Zone{zone}}

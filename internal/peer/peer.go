@@ -135,7 +135,7 @@ type Stack struct {
 // replicas. A nil backing keeps the volatile default (a crash loses
 // everything, the paper's fail-stop model). New fails on an unknown ring
 // and on fewer than one replica.
-func New(env network.Env, ep network.Endpoint, backing store.Store, cfg Config) (*Stack, error) {
+func New(env network.Env, ep network.Endpoint, backing *store.Store, cfg Config) (*Stack, error) {
 	kind, err := ParseRing(string(cfg.Ring))
 	if err != nil {
 		return nil, err

@@ -118,7 +118,7 @@ func TestStackParity(t *testing.T) {
 			if full.Repair == nil {
 				t.Fatal("maintenance missing: no repair")
 			}
-			if full.Node.Store().Backing() != store.Store(backing) {
+			if full.Node.Store().Backing() != backing {
 				t.Error("the replica store does not sit on the backing")
 			}
 			full.Node.CreateRing()

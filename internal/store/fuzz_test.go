@@ -104,7 +104,7 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // findCounter scans the store's counters for a key.
-func findCounter(w *WAL, k core.Key) (core.Timestamp, bool) {
+func findCounter(w *Store, k core.Key) (core.Timestamp, bool) {
 	for _, c := range w.Counters() {
 		if c.Key == k {
 			return c.TS, true

@@ -9,10 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/network"
 )
 
@@ -41,21 +39,6 @@ const (
 // (core.Value, core.Timestamp), changes the format and needs new
 // magics.
 
-// DeletedItem is the log record of a DeleteItem.
-type DeletedItem struct {
-	RingID core.ID
-	Qual   string
-}
-
-// DeletedCounter is the log record of a DeleteCounter.
-type DeletedCounter struct {
-	Key core.Key
-}
-
-func init() {
-	network.RegisterMessage(Item{}, Counter{}, DeletedItem{}, DeletedCounter{})
-}
-
 // frameOverhead is the byte cost of one record frame.
 const frameOverhead = 8
 
@@ -81,26 +64,19 @@ func appendRecord(dst []byte, rec network.Message) ([]byte, error) {
 	return b, nil
 }
 
-// applyRecord decodes one payload and applies it to m. The frame's CRC
-// has already been verified; a payload that is not one of the four
-// records is still corruption (a CRC collision or an encoder bug),
-// never tolerated.
-func applyRecord(m *Mem, payload []byte) error {
+// replay decodes one frame's payload and applies it to st. The frame's
+// CRC has already been verified; a payload that is not one of the four
+// records is still corruption (a CRC collision or an encoder bug), never
+// tolerated.
+func (st *state) replay(payload []byte) error {
 	rec, err := network.DecodeMessage(payload)
 	if err != nil {
 		return fmt.Errorf("%v: %w", err, errCorrupt())
 	}
-	switch r := rec.(type) {
-	case Item:
-		return m.PutItem(r)
-	case Counter:
-		return m.PutCounter(r.Key, r.TS)
-	case DeletedItem:
-		return m.DeleteItem(r.RingID, r.Qual)
-	case DeletedCounter:
-		return m.DeleteCounter(r.Key)
+	if !st.apply(rec) {
+		return fmt.Errorf("%T is not a record: %w", rec, errCorrupt())
 	}
-	return fmt.Errorf("%T is not a record: %w", rec, errCorrupt())
+	return nil
 }
 
 // SyncPolicy selects when appended records reach stable storage — the
@@ -184,68 +160,6 @@ type Recovered struct {
 	TornTail bool
 }
 
-// WAL is the disk-backed Store: current state in memory (a Mem), every
-// mutation appended to a CRC-framed write-ahead log, state snapshotted
-// and the log truncated every CompactEvery records. Opening a directory
-// replays snapshot + log, tolerating a torn final record and rejecting
-// anything corrupt before it.
-type WAL struct {
-	dir string
-	opt WALOptions
-
-	// mem is fixed at open and keeps its own lock, so reads skip mu;
-	// closed is set under mu and read without it.
-	mem    *Mem
-	closed atomic.Bool
-
-	mu    sync.Mutex
-	logF  *os.File
-	buf   []byte // framed records not yet written; only SyncBatch leaves any between appends
-	recs  int    // records appended since the last snapshot
-	rec   Recovered
-	stats WALStats
-
-	flushStop chan struct{} // SyncBatch flusher shutdown, nil otherwise
-	flushDone chan struct{}
-}
-
-var _ Store = (*WAL)(nil)
-
-// OpenWAL opens (creating if needed) the durable store in dir and
-// recovers its state. Errors wrap ErrStore; unrecoverable mid-log or
-// snapshot corruption also wraps ErrCorruptLog. A torn final log record
-// is truncated away silently (Recovered reports it), because that is
-// what a crash mid-append leaves behind.
-func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
-	w := &WAL{dir: dir, opt: opt.withDefaults(), mem: NewMem()}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("data dir %s: %v: %w", dir, err, ErrStore)
-	}
-	// A tmp snapshot is a snapshot that never landed: ignore and remove.
-	os.Remove(filepath.Join(dir, snapTmpName))
-	if err := w.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	if err := w.replayLog(); err != nil {
-		return nil, err
-	}
-	w.rec.Items = w.mem.ItemCount()
-	w.rec.Counters = len(w.mem.Counters())
-	if w.opt.Policy == SyncBatch {
-		w.flushStop = make(chan struct{})
-		w.flushDone = make(chan struct{})
-		go w.flusher(w.flushStop, w.flushDone)
-	}
-	return w, nil
-}
-
-// Recovered reports what opening the directory reconstructed.
-func (w *WAL) Recovered() Recovered {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.rec
-}
-
 // WALStats counts the log's disk activity since open — the raw material
 // for the dcdht_store_wal_* metric families.
 type WALStats struct {
@@ -259,21 +173,81 @@ type WALStats struct {
 	Compactions uint64
 }
 
-// Stats returns a snapshot of the disk-activity counters.
-func (w *WAL) Stats() WALStats {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.stats
+// wal is the log behind a Store opened by OpenWAL: every write appended
+// as a CRC-framed record, the state snapshotted and the log truncated
+// every CompactEvery records. Its lock is taken before the state's, and
+// reads take only the state's, so no read waits on an fsync or a
+// compaction's file work.
+type wal struct {
+	dir string
+	opt WALOptions
+	rec Recovered // fixed once OpenWAL returns
+
+	mu    sync.Mutex
+	f     *os.File
+	buf   []byte // framed records not yet written; only SyncBatch leaves any between appends
+	recs  int    // records appended since the last snapshot
+	stats WALStats
+
+	flushStop chan struct{} // SyncBatch flusher shutdown, nil otherwise
+	flushDone chan struct{}
 }
 
-// Dir returns the data directory.
-func (w *WAL) Dir() string { return w.dir }
+// OpenWAL opens (creating if needed) the data directory dir, replays its
+// snapshot and log into a fresh state, and returns a Store that appends
+// every later write to the log. Errors wrap ErrStore; unrecoverable
+// mid-log or snapshot corruption also wraps ErrCorruptLog. A torn final
+// log record is truncated away silently (Recovered reports it), because
+// that is what a crash mid-append leaves behind.
+func OpenWAL(dir string, opt WALOptions) (*Store, error) {
+	l := &wal{dir: dir, opt: opt.withDefaults()}
+	st := newState()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("data dir %s: %v: %w", dir, err, ErrStore)
+	}
+	// A tmp snapshot is a snapshot that never landed: ignore and remove.
+	os.Remove(filepath.Join(dir, snapTmpName))
+	if err := l.loadSnapshot(st); err != nil {
+		return nil, err
+	}
+	if err := l.replayLog(st); err != nil {
+		return nil, err
+	}
+	s := open(st, l)
+	l.rec.Items, l.rec.Counters = s.ItemCount(), len(st.counters)
+	if l.opt.Policy == SyncBatch {
+		l.flushStop = make(chan struct{})
+		l.flushDone = make(chan struct{})
+		go s.flusher(l.flushStop, l.flushDone)
+	}
+	return s, nil
+}
+
+// Recovered reports what OpenWAL reconstructed; zero for a store with no
+// log.
+func (s *Store) Recovered() Recovered {
+	if s.log == nil {
+		return Recovered{}
+	}
+	return s.log.rec
+}
+
+// Stats returns a snapshot of the log's disk-activity counters; zero for
+// a store with no log.
+func (s *Store) Stats() WALStats {
+	if s.log == nil {
+		return WALStats{}
+	}
+	s.log.mu.Lock()
+	defer s.log.mu.Unlock()
+	return s.log.stats
+}
 
 // loadSnapshot seeds the in-memory state from the snapshot file, if one
 // exists. The snapshot is written atomically, so any damage inside it is
 // real corruption, never a torn write.
-func (w *WAL) loadSnapshot() error {
-	path := filepath.Join(w.dir, snapName)
+func (l *wal) loadSnapshot(st *state) error {
+	path := filepath.Join(l.dir, snapName)
 	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
@@ -290,7 +264,7 @@ func (w *WAL) loadSnapshot() error {
 		if !ok || torn {
 			return fmt.Errorf("snapshot %s: damaged record at offset %d: %w", path, off, errCorrupt())
 		}
-		if err := applyRecord(w.mem, payload); err != nil {
+		if err := st.replay(payload); err != nil {
 			return fmt.Errorf("snapshot %s: record at offset %d: %w", path, off, err)
 		}
 		off = next
@@ -300,8 +274,8 @@ func (w *WAL) loadSnapshot() error {
 
 // replayLog applies the write-ahead log on top of the snapshot state,
 // truncating a torn tail and opening the file for appending.
-func (w *WAL) replayLog() error {
-	path := filepath.Join(w.dir, walName)
+func (l *wal) replayLog(st *state) error {
+	path := filepath.Join(l.dir, walName)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal %s: %v: %w", path, err, ErrStore)
@@ -329,7 +303,7 @@ func (w *WAL) replayLog() error {
 			f.Close()
 			return fmt.Errorf("wal %s: rewrite header: %v: %w", path, err, ErrStore)
 		}
-		w.rec.TornTail = true
+		l.rec.TornTail = true
 		valid = len(walMagicStr)
 	case len(data) < len(walMagicStr) || string(data[:len(walMagicStr)]) != walMagicStr:
 		f.Close()
@@ -340,24 +314,24 @@ func (w *WAL) replayLog() error {
 		for off < len(data) {
 			payload, next, ok, torn := nextFrame(data, off)
 			if torn {
-				w.rec.TornTail = true
+				l.rec.TornTail = true
 				break
 			}
 			if !ok {
 				f.Close()
 				return fmt.Errorf("wal %s: corrupt record at offset %d (%d valid records before it): %w",
-					path, off, w.rec.Records, errCorrupt())
+					path, off, l.rec.Records, errCorrupt())
 			}
-			if err := applyRecord(w.mem, payload); err != nil {
+			if err := st.replay(payload); err != nil {
 				f.Close()
 				return fmt.Errorf("wal %s: record at offset %d: %w", path, off, err)
 			}
-			w.rec.Records++
+			l.rec.Records++
 			off = next
 			valid = off
 		}
 	}
-	if valid < len(data) || w.rec.TornTail {
+	if valid < len(data) || l.rec.TornTail {
 		if err := f.Truncate(int64(valid)); err != nil {
 			f.Close()
 			return fmt.Errorf("wal %s: truncate torn tail: %v: %w", path, err, ErrStore)
@@ -367,8 +341,8 @@ func (w *WAL) replayLog() error {
 		f.Close()
 		return fmt.Errorf("wal %s: %v: %w", path, err, ErrStore)
 	}
-	w.logF = f
-	w.recs = w.rec.Records
+	l.f = f
+	l.recs = l.rec.Records
 	return nil
 }
 
@@ -406,201 +380,121 @@ func errCorrupt() error {
 	return fmt.Errorf("%w: %w", ErrStore, ErrCorruptLog)
 }
 
-// ---- appends -----------------------------------------------------------
+// ---- appends, sync, compaction, shutdown --------------------------------
 
-// appendLocked frames rec into w.buf, writes it per the sync policy and
-// triggers compaction when due. Caller holds w.mu.
-func (w *WAL) appendLocked(rec network.Message) error {
-	if w.closed.Load() {
-		return fmt.Errorf("append to closed store: %w", ErrStore)
-	}
+// appendLocked frames rec into the log's buffer, writes it per the sync
+// policy and compacts when due. Caller holds s.log.mu.
+func (s *Store) appendLocked(rec network.Message) error {
+	l := s.log
 	var err error
-	if w.buf, err = appendRecord(w.buf, rec); err != nil {
+	if l.buf, err = appendRecord(l.buf, rec); err != nil {
 		return fmt.Errorf("wal append: %v: %w", err, ErrStore)
 	}
-	if w.opt.Policy != SyncBatch {
-		_, err := w.logF.Write(w.buf)
-		w.buf = w.buf[:0]
+	if l.opt.Policy != SyncBatch {
+		_, err := l.f.Write(l.buf)
+		l.buf = l.buf[:0]
 		if err != nil {
 			return fmt.Errorf("wal append: %v: %w", err, ErrStore)
 		}
-		if w.opt.Policy == SyncAlways {
-			if err := w.logF.Sync(); err != nil {
+		if l.opt.Policy == SyncAlways {
+			if err := l.f.Sync(); err != nil {
 				return fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
 			}
-			w.stats.Fsyncs++
+			l.stats.Fsyncs++
 		}
 	}
-	w.stats.Appends++
-	w.recs++
-	if w.recs >= w.opt.CompactEvery {
-		return w.compactLocked()
+	l.stats.Appends++
+	l.recs++
+	if l.recs >= l.opt.CompactEvery {
+		return s.compactLocked()
 	}
 	return nil
 }
-
-// PutItem implements Store.
-func (w *WAL) PutItem(it Item) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.mem.PutItem(it); err != nil {
-		return err
-	}
-	return w.appendLocked(it)
-}
-
-// DeleteItem implements Store.
-func (w *WAL) DeleteItem(rid core.ID, qual string) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.mem.DeleteItem(rid, qual); err != nil {
-		return err
-	}
-	return w.appendLocked(DeletedItem{RingID: rid, Qual: qual})
-}
-
-// PutCounter implements Store.
-func (w *WAL) PutCounter(k core.Key, ts core.Timestamp) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.mem.PutCounter(k, ts); err != nil {
-		return err
-	}
-	return w.appendLocked(Counter{Key: k, TS: ts})
-}
-
-// DeleteCounter implements Store.
-func (w *WAL) DeleteCounter(k core.Key) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.mem.DeleteCounter(k); err != nil {
-		return err
-	}
-	return w.appendLocked(DeletedCounter{Key: k})
-}
-
-// live returns the in-memory state, or nil once the handle has crashed
-// or closed — a dead process serves nothing, whatever its disk holds.
-func (w *WAL) live() *Mem {
-	if w.closed.Load() {
-		return nil
-	}
-	return w.mem
-}
-
-// GetItem implements Store (served from memory).
-func (w *WAL) GetItem(rid core.ID, qual string) (core.Value, bool) {
-	if m := w.live(); m != nil {
-		return m.GetItem(rid, qual)
-	}
-	return core.Value{}, false
-}
-
-// EachItem implements Store (served from memory).
-func (w *WAL) EachItem(fn func(Item) bool) {
-	if m := w.live(); m != nil {
-		m.EachItem(fn)
-	}
-}
-
-// ItemCount implements Store (served from memory).
-func (w *WAL) ItemCount() int {
-	if m := w.live(); m != nil {
-		return m.ItemCount()
-	}
-	return 0
-}
-
-// GetCounter implements Store (served from memory).
-func (w *WAL) GetCounter(k core.Key) (core.Timestamp, bool) {
-	if m := w.live(); m != nil {
-		return m.GetCounter(k)
-	}
-	return core.TSZero, false
-}
-
-// Counters implements Store (served from memory).
-func (w *WAL) Counters() []Counter {
-	if m := w.live(); m != nil {
-		return m.Counters()
-	}
-	return nil
-}
-
-// ---- sync, compaction, shutdown ----------------------------------------
 
 // flusher is the SyncBatch background task. The channels come in as
 // arguments because stopFlusherLocked nils the struct fields.
-func (w *WAL) flusher(stop <-chan struct{}, done chan<- struct{}) {
+func (s *Store) flusher(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
-	t := time.NewTicker(w.opt.BatchInterval)
+	t := time.NewTicker(s.log.opt.BatchInterval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
-			w.Sync()
+			s.Sync()
 		case <-stop:
 			return
 		}
 	}
 }
 
-// Sync implements Store: pending frames hit the file under mu, and the
-// file hits stable storage after mu is released, so no append waits out
-// the disk. logF is fixed at open, and Close and Crash stop the flusher
-// before they close it.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	err := w.writeLocked()
-	w.mu.Unlock()
-	if err != nil || w.closed.Load() {
-		return err
-	}
-	if err := w.logF.Sync(); err != nil {
-		return fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
-	}
-	w.mu.Lock()
-	w.stats.Fsyncs++
-	w.mu.Unlock()
-	return nil
-}
-
-// writeLocked hands the pending frames of a live handle to the file.
-func (w *WAL) writeLocked() error {
-	if w.closed.Load() || len(w.buf) == 0 {
+// Sync forces buffered log records to stable storage; a store with no
+// log has nothing to sync. Pending frames hit the file under the log's
+// lock, and the file hits stable storage after it is released, so no
+// write waits out the disk. The file is fixed at open, and Close and
+// Crash stop the flusher before they close it.
+func (s *Store) Sync() error {
+	l := s.log
+	if l == nil {
 		return nil
 	}
-	if _, err := w.logF.Write(w.buf); err != nil {
-		return fmt.Errorf("wal flush: %v: %w", err, ErrStore)
+	l.mu.Lock()
+	err := l.writeLocked()
+	l.mu.Unlock()
+	if err != nil || s.st.Load() == nil {
+		return err
 	}
-	w.buf = w.buf[:0]
+	if err := l.f.Sync(); err != nil {
+		return fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
+	}
+	l.mu.Lock()
+	l.stats.Fsyncs++
+	l.mu.Unlock()
 	return nil
 }
 
-// Compact snapshots the current state and truncates the log, regardless
-// of the CompactEvery budget.
-func (w *WAL) Compact() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed.Load() {
+// writeLocked hands the pending frames to the file. A dead handle has
+// none: shutting down clears them.
+func (l *wal) writeLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	if _, err := l.f.Write(l.buf); err != nil {
+		return fmt.Errorf("wal flush: %v: %w", err, ErrStore)
+	}
+	l.buf = l.buf[:0]
+	return nil
+}
+
+// Compact snapshots the state and truncates the log, regardless of the
+// CompactEvery budget; a store with no log has nothing to compact.
+func (s *Store) Compact() error {
+	l := s.log
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if s.st.Load() == nil {
 		return fmt.Errorf("compact closed store: %w", ErrStore)
 	}
-	return w.compactLocked()
+	return s.compactLocked()
 }
 
 // compactLocked writes snapshot.tmp, fsyncs it, renames it over the
 // snapshot, fsyncs the directory, then truncates the log back to its
 // header. A crash at any point leaves either the old snapshot + full
 // log or the new snapshot + (possibly still full) log — both replay to
-// the same state, because log records are idempotent overwrites.
-func (w *WAL) compactLocked() error {
+// the same state, because log records are idempotent overwrites. Caller
+// holds s.log.mu on a live handle.
+func (s *Store) compactLocked() error {
+	l := s.log
 	snap := []byte(snapMagicStr)
 	var err error
-	w.mem.EachItem(func(it Item) bool {
+	s.EachItem(func(it Item) bool {
 		snap, err = appendRecord(snap, it)
 		return err == nil
 	})
-	for _, c := range w.mem.Counters() {
+	for _, c := range s.Counters() {
 		if err == nil {
 			snap, err = appendRecord(snap, c)
 		}
@@ -609,7 +503,7 @@ func (w *WAL) compactLocked() error {
 		return fmt.Errorf("snapshot encode: %v: %w", err, ErrStore)
 	}
 
-	tmp := filepath.Join(w.dir, snapTmpName)
+	tmp := filepath.Join(l.dir, snapTmpName)
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("snapshot tmp: %v: %w", err, ErrStore)
@@ -617,7 +511,7 @@ func (w *WAL) compactLocked() error {
 	if _, err = f.Write(snap); err == nil {
 		err = f.Sync()
 		if err == nil {
-			w.stats.Fsyncs++
+			l.stats.Fsyncs++
 		}
 	}
 	if cerr := f.Close(); err == nil {
@@ -627,27 +521,27 @@ func (w *WAL) compactLocked() error {
 		os.Remove(tmp)
 		return fmt.Errorf("snapshot write: %v: %w", err, ErrStore)
 	}
-	if err := os.Rename(tmp, filepath.Join(w.dir, snapName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("snapshot rename: %v: %w", err, ErrStore)
 	}
-	syncDir(w.dir)
+	syncDir(l.dir)
 
 	// The snapshot has landed: drop pending frames (they are inside it)
 	// and reset the log to just its header.
-	w.buf = w.buf[:0]
-	if err := w.logF.Truncate(int64(len(walMagicStr))); err != nil {
+	l.buf = l.buf[:0]
+	if err := l.f.Truncate(int64(len(walMagicStr))); err != nil {
 		return fmt.Errorf("wal truncate: %v: %w", err, ErrStore)
 	}
-	if _, err := w.logF.Seek(int64(len(walMagicStr)), io.SeekStart); err != nil {
+	if _, err := l.f.Seek(int64(len(walMagicStr)), io.SeekStart); err != nil {
 		return fmt.Errorf("wal seek: %v: %w", err, ErrStore)
 	}
-	if err := w.logF.Sync(); err != nil {
+	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
 	}
-	w.stats.Fsyncs++
-	w.stats.Compactions++
-	w.recs = 0
+	l.stats.Fsyncs++
+	l.stats.Compactions++
+	l.recs = 0
 	return nil
 }
 
@@ -660,55 +554,50 @@ func syncDir(dir string) {
 	}
 }
 
-// Crash implements Store: the handle dies exactly the way SIGKILL would
-// kill a process — pending unsynced frames are dropped on the floor, the
-// file is released with no flush, and the on-disk state is whatever the
-// sync policy had already made stable. Tests and the simulation use it
-// to exercise recovery honestly.
-func (w *WAL) Crash() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed.Load() {
-		return
-	}
-	w.closed.Store(true)
-	w.stopFlusherLocked()
-	w.buf = nil
-	w.logF.Close()
-}
-
-// Close implements Store: flush, fsync, release.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed.Load() {
+// shut kills the handle. A WAL-backed handle dies under the log's lock:
+// Close (flush) writes the pending frames and fsyncs the log first;
+// Crash drops them the way SIGKILL would, releasing the file with no
+// flush, so the directory holds whatever the sync policy had already
+// made stable.
+func (s *Store) shut(flush bool) error {
+	l := s.log
+	if l == nil {
+		s.st.Store(nil)
 		return nil
 	}
-	err := w.writeLocked()
-	if err == nil {
-		if err = w.logF.Sync(); err != nil {
-			err = fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
-		} else {
-			w.stats.Fsyncs++
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if s.st.Load() == nil {
+		return nil
+	}
+	var err error
+	if flush {
+		if err = l.writeLocked(); err == nil {
+			if err = l.f.Sync(); err != nil {
+				err = fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
+			} else {
+				l.stats.Fsyncs++
+			}
 		}
 	}
-	w.closed.Store(true)
-	w.stopFlusherLocked()
-	if cerr := w.logF.Close(); err == nil && cerr != nil {
+	s.st.Store(nil)
+	l.buf = nil
+	l.stopFlusherLocked()
+	if cerr := l.f.Close(); flush && err == nil && cerr != nil {
 		err = fmt.Errorf("wal close: %v: %w", cerr, ErrStore)
 	}
 	return err
 }
 
-func (w *WAL) stopFlusherLocked() {
-	if w.flushStop == nil {
+func (l *wal) stopFlusherLocked() {
+	if l.flushStop == nil {
 		return
 	}
-	close(w.flushStop)
-	w.flushStop = nil
-	// Wait outside the lock would be cleaner, but the flusher's Sync
-	// only blocks on w.mu briefly and checks closed first.
-	w.mu.Unlock()
-	<-w.flushDone
-	w.mu.Lock()
+	close(l.flushStop)
+	l.flushStop = nil
+	// The flusher's Sync takes l.mu briefly and finds nothing pending,
+	// so wait for it with the lock released.
+	l.mu.Unlock()
+	<-l.flushDone
+	l.mu.Lock()
 }

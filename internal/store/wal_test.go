@@ -19,8 +19,8 @@ func item(rid uint64, qual, data string, ts uint64) Item {
 	return Item{RingID: core.ID(rid), Qual: qual, Val: core.Value{Data: []byte(data), TS: core.TS(ts)}}
 }
 
-// openT opens a WAL or fails the test.
-func openT(t *testing.T, dir string, opt WALOptions) *WAL {
+// openT opens a WAL-backed store or fails the test.
+func openT(t *testing.T, dir string, opt WALOptions) *Store {
 	t.Helper()
 	w, err := OpenWAL(dir, opt)
 	if err != nil {
@@ -69,7 +69,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	check := func(stage string, w *WAL) {
+	check := func(stage string, w *Store) {
 		t.Helper()
 		if v, ok := w.GetItem(7, "ums|k|h1"); !ok || string(v.Data) != "v1" || v.TS != core.TS(3) {
 			t.Errorf("%s: item = %v %v", stage, v, ok)
@@ -449,8 +449,8 @@ func TestDepotSurvivesCrashAndResumes(t *testing.T) {
 	if _, ok := s.GetItem(7, "ums|k|h1"); ok {
 		t.Fatal("crashed handle still serves reads")
 	}
-	if err := s.PutCounter("k", core.TS(9)); err != nil {
-		t.Fatal(err)
+	if err := s.PutCounter("k", core.TS(9)); !errors.Is(err, ErrStore) {
+		t.Fatalf("post-crash write: err = %v, want ErrStore", err)
 	}
 
 	if !d.Has("peer0") {
@@ -482,7 +482,7 @@ func TestMemCrashLosesEverything(t *testing.T) {
 	}
 	m.Crash()
 	if m.ItemCount() != 0 || len(m.Counters()) != 0 {
-		t.Fatal("Mem.Crash must lose everything")
+		t.Fatal("a crashed NewMem handle must read nothing")
 	}
 }
 

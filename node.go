@@ -106,7 +106,7 @@ type Node struct {
 	env   *network.RealEnv
 	ep    *tcpwire.Endpoint
 	stack *peer.Stack
-	wal   *store.WAL // nil when the node is volatile
+	wal   *store.Store // nil when the node is volatile
 	obs   *obs.Registry
 }
 
@@ -127,18 +127,16 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 	// Replicas and counters share the one recoverable unit (when
 	// durable): the log backs the replica store and journals the KTS
 	// counters.
-	var wal *store.WAL
-	var backing store.Store
+	var wal *store.Store
 	if cfg.DataDir != "" {
 		wal, err = store.OpenWAL(cfg.DataDir, store.WALOptions{Policy: cfg.Fsync})
 		if err != nil {
 			ep.Close()
 			return nil, fmt.Errorf("dcdht: start node: %w", err)
 		}
-		backing = wal
 	}
 	env := network.NewRealEnv(cfg.Seed)
-	stack, err := peer.New(env, ep, backing, peer.Config{
+	stack, err := peer.New(env, ep, wal, peer.Config{
 		Replicas: cfg.Replicas,
 		Ring:     cfg.Ring,
 		Chord: chord.Config{
