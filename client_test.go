@@ -6,6 +6,11 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/dht"
+	"repro/internal/hashing"
+	"repro/internal/peer"
 )
 
 // newTestRing starts a small TCP ring for client API tests and returns
@@ -61,6 +66,12 @@ type contractWorld struct {
 	pins bool
 	// bogusRing builds the world on a ring name that does not exist.
 	bogusRing func() error
+	// issuer returns the options that make client 1 issue its reads of
+	// k from one fixed peer that names rsp(k, hts) and a replica owner
+	// without a lookup (see currentReadMsgs), and that peer's stack:
+	// WithIssuer under simulation, none on a Node, which always issues
+	// from itself.
+	issuer func(t *testing.T, k Key) ([]OpOption, *peer.Stack)
 }
 
 func (w contractWorld) at(i int) Client { return w.clients[i%len(w.clients)] }
@@ -81,21 +92,28 @@ var clientContract = []struct {
 		if ins.Stored == 0 {
 			t.Fatal("put stored no replicas")
 		}
+		pin, st := w.issuer(t, "c-levels")
 		for name, opts := range map[string][]OpOption{
 			"current":  nil,
 			"bounded":  {WithConsistency(Bounded(time.Minute))},
 			"bounded0": {WithConsistency(Bounded(0))},
 			"eventual": {WithConsistency(Eventual)},
 		} {
-			r, err := w.at(1).Get(ctx, "c-levels", opts...)
+			overlapped := overlappedGets(st)
+			r, err := w.at(1).Get(ctx, "c-levels", append(pin, opts...)...)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if string(r.Data) != "v1" {
 				t.Fatalf("%s: got %q", name, r.Data)
 			}
-			if name == "current" && (!r.Current() || r.Msgs <= 0) {
-				t.Fatalf("current read: current=%v msgs=%d", r.Current(), r.Msgs)
+			if name != "current" {
+				continue
+			}
+			want, _ := currentReadMsgs(st, "c-levels", overlappedGets(st) > overlapped)
+			if !r.Current() || r.Probed != 1 || r.Msgs != want {
+				t.Fatalf("current read: current=%v after %d probes, %d msgs; want current after 1 probe, %d msgs",
+					r.Current(), r.Probed, r.Msgs, want)
 			}
 		}
 	}},
@@ -264,6 +282,41 @@ var clientContract = []struct {
 	}},
 }
 
+// overlappedGets reads how many retrieves sent their first probe
+// alongside last_ts off st's registry (shared by every simulated peer).
+func overlappedGets(st *peer.Stack) uint64 {
+	return st.Node.Obs().CounterVec("dcdht_ums_retrieve_total", "", "mode").With("overlapped").Value()
+}
+
+// currentReadMsgs is what a Current read of k from st costs when its
+// first probe finds a current replica: a message pair for last_ts unless
+// st is rsp(k, hts), and one for the probe unless st owns a replica
+// position and probes it first — which the early probe sent alongside a
+// slow last_ts never does. A peer serves itself in-process, for free.
+// guessed is false when the read could pay a lookup on the way: st
+// cannot name rsp(k, hts), or any replica owner it does not own.
+func currentReadMsgs(st *peer.Stack, k Key, overlapped bool) (msgs int, guessed bool) {
+	set := hashing.NewSet(5)
+	named := func(id core.ID) bool {
+		_, src := st.Node.Guess(id)
+		return src != dht.NoGuess
+	}
+	guessed = st.Node.OwnsID(set.HTS.ID(k)) || named(set.HTS.ID(k))
+	if !st.Node.OwnsID(set.HTS.ID(k)) {
+		msgs += 2
+	}
+	ownsReplica, namesReplica := false, false
+	for _, h := range set.Hr {
+		owns := st.Node.OwnsID(h.ID(k))
+		ownsReplica = ownsReplica || owns
+		namesReplica = namesReplica || (!owns && named(h.ID(k)))
+	}
+	if overlapped || !ownsReplica {
+		msgs += 2
+	}
+	return msgs, guessed && namesReplica
+}
+
 // second drops an operation's result, keeping its error.
 func second[T any](_ T, err error) error { return err }
 
@@ -325,7 +378,16 @@ func TestClientContract(t *testing.T) {
 		"sim": func(t *testing.T) contractWorld {
 			n := NewSimNetwork(24, SimConfig{Replicas: 5, Seed: 21})
 			t.Cleanup(n.Close)
-			return contractWorld{clients: []Client{n}, pins: true, bogusRing: func() (err error) {
+			issuer := func(t *testing.T, k Key) ([]OpOption, *peer.Stack) {
+				for i, p := range n.d.LivePeers() {
+					if _, guessed := currentReadMsgs(p.Stack, k, false); guessed {
+						return []OpOption{WithIssuer(i)}, p.Stack
+					}
+				}
+				t.Fatalf("no peer names the owners of %q without a lookup", k)
+				return nil, nil
+			}
+			return contractWorld{clients: []Client{n}, pins: true, issuer: issuer, bogusRing: func() (err error) {
 				defer func() {
 					if r := recover(); r != nil {
 						err = fmt.Errorf("panic: %v", r)
@@ -346,6 +408,13 @@ func TestClientContract(t *testing.T) {
 				}
 				return err
 			}}
+			w.issuer = func(t *testing.T, k Key) ([]OpOption, *peer.Stack) {
+				st := w.clients[1].(*Node).stack
+				if _, guessed := currentReadMsgs(st, k, false); !guessed {
+					t.Fatalf("a member of a 3-node ring cannot name the owners of %q", k)
+				}
+				return nil, st
+			}
 			for _, n := range newTestRing(t, 3) {
 				w.clients = append(w.clients, n)
 			}

@@ -25,10 +25,23 @@ type Client struct {
 	route *Router
 }
 
-// NewClient builds a client for the given namespace ("ums", "brk").
+// localServer is a Ring whose peer hosts a replica store: Member, so
+// every substrate node.
+type localServer interface {
+	// StoreHandlers returns the put/get handlers the peer serves on its
+	// endpoint (RegisterStore).
+	StoreHandlers() map[string]network.HandlerFunc
+}
+
+// NewClient builds a client for the given namespace ("ums", "brk"). On
+// a ring whose peer hosts a store, an operation on a position the peer
+// owns is served in-process at no message (Router.Send).
 func NewClient(ring Ring, namespace string) *Client {
-	return &Client{ring: ring, ns: namespace,
-		route: NewRouter(ring, RouteConfig{Retries: 1, Backoff: 100 * time.Millisecond})}
+	cfg := RouteConfig{Retries: 1, Backoff: 100 * time.Millisecond}
+	if l, ok := ring.(localServer); ok {
+		cfg.Local = l.StoreHandlers()
+	}
+	return &Client{ring: ring, ns: namespace, route: NewRouter(ring, cfg)}
 }
 
 // Router exposes the client's router (its guess statistics, in tests).

@@ -51,6 +51,7 @@ type Member struct {
 	ep         network.Endpoint
 	self       NodeRef
 	store      *LocalStore
+	storeOps   map[string]network.HandlerFunc // the put/get protocol, as served on ep
 	obs        *obs.Registry
 	noHandoff  bool
 	rpcTimeout time.Duration
@@ -80,7 +81,7 @@ func NewMember(env network.Env, ep network.Endpoint, id core.ID, cfg MemberConfi
 		m.store = NewLocalStore()
 	}
 	m.alive.Store(true)
-	RegisterStore(ep, m.store, owns)
+	m.storeOps = RegisterStore(ep, m.store, owns)
 	m.Handle(MethodPing, network.Typed(func(PingReq) (network.Message, error) { return PingResp{}, nil }))
 	return m
 }
@@ -99,6 +100,10 @@ func (m *Member) Obs() *obs.Registry { return m.obs }
 
 // Store implements RingNode: the local replica store.
 func (m *Member) Store() *LocalStore { return m.store }
+
+// StoreHandlers returns the put/get handlers the node serves on its
+// endpoint, for its own clients' routers to call in-process.
+func (m *Member) StoreHandlers() map[string]network.HandlerFunc { return m.storeOps }
 
 // Alive implements Ring.
 func (m *Member) Alive() bool { return m.alive.Load() }

@@ -3,6 +3,7 @@ package dht
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -22,10 +23,10 @@ type RouteConfig struct {
 	// Timeout is the per-RPC patience; zero selects the transport
 	// default.
 	Timeout time.Duration
-	// Local, when set, serves operations addressed to this peer without
-	// touching the wire. Nil sends them through the endpoint like any
-	// other.
-	Local func(method string, req network.Message) (network.Message, error)
+	// Local is the method table this peer serves itself: an operation
+	// addressed to this peer whose method it holds runs in-process, with
+	// no message charged. Any other goes through the endpoint.
+	Local map[string]network.HandlerFunc
 }
 
 // Router delivers an operation to the peer responsible for a ring
@@ -96,11 +97,19 @@ func (r *Router) resolve(ctx context.Context, id core.ID, guess bool) (ref NodeR
 	return ref, NoGuess, err
 }
 
-// Send performs one operation on ref: locally when ref is this peer and
-// the router has a local server, over the wire otherwise.
+// Send performs one operation on ref: in-process, at no message, when
+// ref is this peer and Local holds the method, over the wire otherwise.
+// The handler's own checks still run — a position the peer does not own
+// answers ErrNotResponsible and the caller re-resolves — and a stopped
+// peer answers core.ErrStopped, as its endpoint would.
 func (r *Router) Send(ctx context.Context, ref NodeRef, method string, req network.Message) (network.Message, error) {
-	if r.cfg.Local != nil && ref.Addr == r.ring.Self().Addr {
-		return r.cfg.Local(method, req)
+	if self := r.ring.Self().Addr; ref.Addr == self {
+		if h, ok := r.cfg.Local[method]; ok {
+			if !r.ring.Alive() {
+				return nil, fmt.Errorf("dht: %s %s: %w", self, method, core.ErrStopped)
+			}
+			return h(self, req)
+		}
 	}
 	return r.ring.Endpoint().Invoke(ctx, ref.Addr, method, req, network.Call{Timeout: r.cfg.Timeout})
 }

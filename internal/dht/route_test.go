@@ -44,16 +44,16 @@ func (r *forgettingRing) GuessMissed(ref NodeRef) {
 	r.calls = append(r.calls, "missed "+string(ref.Addr))
 }
 
-// refuseFirst is a local server that turns the first n operations away
-// as not its own and stores the rest.
-func refuseFirst(n int) func(string, network.Message) (network.Message, error) {
-	return func(string, network.Message) (network.Message, error) {
+// refuseFirst is a local put handler that turns the first n operations
+// away as not its own and stores the rest.
+func refuseFirst(n int) map[string]network.HandlerFunc {
+	return map[string]network.HandlerFunc{MethodPut: func(network.Addr, network.Message) (network.Message, error) {
 		if n > 0 {
 			n--
 			return nil, core.ErrNotResponsible
 		}
 		return PutResp{Stored: true}, nil
-	}
+	}}
 }
 
 // TestRouterReportsMissBeforeLookup: a guessed owner that refuses is

@@ -147,27 +147,36 @@ func (s *LocalStore) Crash() {
 	s.backing.Crash()
 }
 
-// RegisterStore wires the put/get protocol for store onto ep. owns guards
-// against stale lookups: a peer only accepts operations for positions it
-// is currently responsible for, returning ErrNotResponsible otherwise so
-// callers re-resolve (the DHT's mapping function m(k, h, t) changes over
-// time, §2.1).
-func RegisterStore(ep network.Endpoint, store *LocalStore, owns func(core.ID) bool) {
-	ep.Handle(MethodPut, network.Typed(func(r PutReq) (network.Message, error) {
-		if owns != nil && !owns(r.RingID) {
-			return nil, fmt.Errorf("dht: put %s: %w", r.RingID, core.ErrNotResponsible)
-		}
-		stored := store.Put(r.RingID, r.Qual, r.Val, r.Mode)
-		return PutResp{Stored: stored}, nil
-	}))
-	ep.Handle(MethodGet, network.Typed(func(r GetReq) (network.Message, error) {
-		if owns != nil && !owns(r.RingID) {
-			return nil, fmt.Errorf("dht: get %s: %w", r.RingID, core.ErrNotResponsible)
-		}
-		v, ok := store.Get(r.RingID, r.Qual)
-		if !ok {
-			return nil, fmt.Errorf("dht: get %s %q: %w", r.RingID, r.Qual, core.ErrNotFound)
-		}
-		return GetResp{Val: v}, nil
-	}))
+// RegisterStore serves the put/get protocol for store on ep and returns
+// its method table, for the peer's own router to serve in-process
+// (Member.StoreHandlers): one table reaches the store from other peers
+// and from the peer itself. owns guards against stale lookups: a peer
+// only accepts operations for positions it is currently responsible
+// for, returning ErrNotResponsible otherwise so callers re-resolve (the
+// DHT's mapping function m(k, h, t) changes over time, §2.1).
+// LocalStore's Put and Get clone the value, so the caller's buffer and
+// the stored replica never share memory on the in-process path either.
+func RegisterStore(ep network.Endpoint, store *LocalStore, owns func(core.ID) bool) map[string]network.HandlerFunc {
+	handlers := map[string]network.HandlerFunc{
+		MethodPut: network.Typed(func(r PutReq) (network.Message, error) {
+			if owns != nil && !owns(r.RingID) {
+				return nil, fmt.Errorf("dht: put %s: %w", r.RingID, core.ErrNotResponsible)
+			}
+			return PutResp{Stored: store.Put(r.RingID, r.Qual, r.Val, r.Mode)}, nil
+		}),
+		MethodGet: network.Typed(func(r GetReq) (network.Message, error) {
+			if owns != nil && !owns(r.RingID) {
+				return nil, fmt.Errorf("dht: get %s: %w", r.RingID, core.ErrNotResponsible)
+			}
+			v, ok := store.Get(r.RingID, r.Qual)
+			if !ok {
+				return nil, fmt.Errorf("dht: get %s %q: %w", r.RingID, r.Qual, core.ErrNotFound)
+			}
+			return GetResp{Val: v}, nil
+		}),
+	}
+	for method, h := range handlers {
+		ep.Handle(method, h)
+	}
+	return handlers
 }

@@ -48,9 +48,10 @@ func TestFigurePerfDeterministic(t *testing.T) {
 }
 
 // TestFigurePerfBaselineDrift regenerates the committed BENCH_perf.json
-// at the parameters scripts/check_bench.sh uses and requires the bytes
-// dcdht-bench would write to equal it: any change to a cost the figure
-// reports must come with a regenerated baseline.
+// at the parameters scripts/check_bench.sh compares it at (and its
+// -update mode writes it at) and requires the bytes dcdht-bench would
+// write to equal it: any change to a cost the figure reports must come
+// with a regenerated baseline.
 func TestFigurePerfBaselineDrift(t *testing.T) {
 	committed, err := os.ReadFile("../../BENCH_perf.json")
 	if err != nil {
@@ -62,6 +63,6 @@ func TestFigurePerfBaselineDrift(t *testing.T) {
 		t.Fatalf("marshal: %v", err)
 	}
 	if got := string(data) + "\n"; got != string(committed) {
-		t.Fatalf("BENCH_perf.json drifted; regenerate it with the command in scripts/check_bench.sh.\ngot:\n%s", got)
+		t.Fatalf("BENCH_perf.json drifted; regenerate it with ./scripts/check_bench.sh -update.\ngot:\n%s", got)
 	}
 }

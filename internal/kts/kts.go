@@ -303,18 +303,13 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 		s.vcs = store.NewMem()
 	}
 	handlers := s.handlers()
-	// We may be the responsible ourselves: serve locally, free of charge.
+	// We may be the responsible ourselves: the router serves the same
+	// table locally, free of charge.
 	s.route = dht.NewRouter(ring, dht.RouteConfig{
 		Retries: lookupRetries,
 		Backoff: 200 * time.Millisecond,
 		Timeout: s.cfg.RPCTimeout,
-		Local: func(method string, req network.Message) (network.Message, error) {
-			h, ok := handlers[method]
-			if !ok {
-				return nil, fmt.Errorf("kts: unknown local method %q", method)
-			}
-			return h(ring.Self().Addr, req)
-		},
+		Local:   handlers,
 	})
 	reg := ring.Obs()
 	reg.GaugeFunc("dcdht_kts_counters",

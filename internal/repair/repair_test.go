@@ -204,19 +204,42 @@ func TestReadRepairRestoresMissing(t *testing.T) {
 			t.Errorf("insert: %v", err)
 		}
 	})
-	h0 := c.set.Hr[0]
-	c.nodes[c.owner(h0.ID(key))].Store().Clear()
+	// The retrieve comes from a peer that owns none of the key's
+	// positions, so it probes first the first one it can guess (ums's
+	// probe order): that is the position wiped.
+	issuer := -1
+	for i, nd := range c.nodes {
+		owns := false
+		for _, h := range c.set.Hr {
+			owns = owns || nd.OwnsID(h.ID(key))
+		}
+		if !owns {
+			issuer = i
+			break
+		}
+	}
+	if issuer < 0 {
+		t.Fatal("every peer owns a replica position; the test wants an issuer that owns none")
+	}
+	wiped := c.set.Hr[0]
+	for _, h := range c.set.Hr {
+		if _, src := c.nodes[issuer].Guess(h.ID(key)); src != dht.NoGuess {
+			wiped = h
+			break
+		}
+	}
+	c.nodes[c.owner(wiped.ID(key))].Store().Clear()
 
 	// A retrieve observes the missing position and the current value; the
 	// wired ReadRepairer refreshes it asynchronously.
 	c.do(func() {
-		if _, err := c.ums[3].Retrieve(context.Background(), key); err != nil {
+		if _, err := c.ums[issuer].Retrieve(context.Background(), key); err != nil {
 			t.Errorf("retrieve: %v", err)
 		}
 	})
 	c.settle(10 * time.Second)
 
-	val, ok := c.replicaAt(key, h0)
+	val, ok := c.replicaAt(key, wiped)
 	if !ok || string(val.Data) != "cur" {
 		t.Fatalf("read-repair did not restore the replica: ok=%v val=%q", ok, val.Data)
 	}

@@ -90,7 +90,9 @@ func (o *overlap) settle(abandon bool) (went bool, err error) {
 }
 
 // probe is a retrieve's first probe sent alongside last_ts: the read of
-// rsp(k, Hr[pos]), pos as nextProbe names it when the probe fires.
+// rsp(k, Hr[pos]), pos as nextProbe names it among the positions the
+// issuer does not own when the probe fires. It reads nothing when the
+// issuer owns them all.
 type probe struct {
 	overlap
 	s *Service
@@ -99,8 +101,9 @@ type probe struct {
 }
 
 func (p *probe) read(ctx context.Context) {
-	p.pos = p.s.nextProbe(p.k, nil)
-	p.val, p.err = p.s.client.GetH(ctx, p.k, p.s.set.Hr[p.pos])
+	if p.pos = p.s.nextProbe(p.k, nil, true); p.pos >= 0 {
+		p.val, p.err = p.s.client.GetH(ctx, p.k, p.s.set.Hr[p.pos])
+	}
 }
 
 // prefetch resolves a put's replica owners while its gen_ts is on the

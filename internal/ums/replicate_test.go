@@ -142,7 +142,9 @@ func TestPutStaysSerialOnClusterLinks(t *testing.T) {
 // stubWire: what replicate and retrieve do with slow, dead and cancelled
 // calls can then be scripted exactly, on the simulation kernel and on
 // the wall clock alike. It guesses every owner except those in noGuess,
-// naming the peer in stale instead where it lists one; a lookup takes
+// naming the peer in stale instead where it lists one. OwnsID claims the
+// positions in owned for the issuer, yet their reads still cross the
+// stubWire, so the order the probes went in shows. A lookup takes
 // lookupHops (at least one) hops of lookupRTT and one message pair on
 // the wire each.
 type stubRing struct {
@@ -151,6 +153,7 @@ type stubRing struct {
 	owners     map[core.ID]dht.NodeRef
 	noGuess    map[core.ID]bool
 	stale      map[core.ID]dht.NodeRef
+	owned      map[core.ID]bool // positions OwnsID claims for the issuer
 	lookupRTT  time.Duration
 	lookupHops int
 	reg        *obs.Registry
@@ -167,7 +170,7 @@ const stubKTS network.Addr = "kts"
 
 func newStubRing(env network.Env, set hashing.Set, k core.Key) *stubRing {
 	r := &stubRing{env: env, owners: map[core.ID]dht.NodeRef{}, noGuess: map[core.ID]bool{},
-		stale: map[core.ID]dht.NodeRef{}, reg: obs.NewRegistry(), lookups: map[core.ID]int{}}
+		stale: map[core.ID]dht.NodeRef{}, owned: map[core.ID]bool{}, reg: obs.NewRegistry(), lookups: map[core.ID]int{}}
 	r.wire = &stubWire{env: env, delay: map[network.Addr]time.Duration{},
 		behind: map[network.Addr]bool{}, refuse: map[network.Addr]bool{}}
 	for i, h := range set.Hr {
@@ -215,7 +218,7 @@ func (r *stubRing) lookupsOf(id core.ID) int {
 }
 func (r *stubRing) Endpoint() network.Endpoint { return r.wire }
 func (r *stubRing) Env() network.Env           { return r.env }
-func (r *stubRing) OwnsID(core.ID) bool        { return false }
+func (r *stubRing) OwnsID(id core.ID) bool     { return r.owned[id] }
 func (r *stubRing) HeldSince() time.Duration   { return r.env.Now() }
 func (r *stubRing) Alive() bool                { return true }
 func (r *stubRing) Obs() *obs.Registry         { return r.reg }

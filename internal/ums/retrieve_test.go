@@ -109,9 +109,9 @@ func TestCurrentGetOverlapsLastTSOnWANLinks(t *testing.T) {
 	}
 }
 
-// firstGuessable is the Hr position a retrieve from p probes first: the
-// first one whose owner p's ring names without a lookup, Hr[0] when it
-// names none.
+// firstGuessable is the Hr position a retrieve from p probes first when
+// p owns none of them: the first one whose owner p's ring names without
+// a lookup, Hr[0] when it names none.
 func firstGuessable(p *exp.Peer, set hashing.Set, k core.Key) int {
 	for i, h := range set.Hr {
 		if _, src := p.Node.Guess(h.ID(k)); src != dht.NoGuess {
@@ -531,4 +531,65 @@ func TestGetProbesAGuessedPositionFirst(t *testing.T) {
 			t.Errorf("same seed, different results:\n first %+v\n again %+v", gets, again)
 		}
 	})
+}
+
+// TestGetProbesAnOwnedPositionFirst: a get probes a position its issuer
+// owns before any other, whatever the guesses say, since its router
+// serves that read in-process at no message; but the early probe sent
+// alongside a slow last_ts never takes an owned position: it goes to the
+// first remote one the issuer can guess, and when every position is the
+// issuer's own it sends nothing and the get stays serial.
+func TestGetProbesAnOwnedPositionFirst(t *testing.T) {
+	const rtt, timeout = 700 * time.Millisecond, 2 * time.Second
+	key := core.Key("k")
+	set := hashing.NewSet(10)
+	for _, c := range []struct {
+		name               string
+		pol                dht.ReadPolicy
+		fastKTS            bool
+		owned, behind      []int
+		reads              []int
+		serial, overlapped uint64
+	}{
+		{"current, serial", dht.ReadPolicy{}, true, []int{4, 7}, nil, []int{4}, 1, 0},
+		{"eventual", dht.ReadPolicy{Level: dht.LevelEventual}, false, []int{4, 7}, nil, []int{4}, 0, 0},
+		{"owned replica behind", dht.ReadPolicy{}, true, []int{4}, []int{4}, []int{4, 0}, 1, 0},
+		{"current, early probe", dht.ReadPolicy{}, false, []int{0, 1}, nil, []int{2}, 0, 1},
+		{"early probe behind", dht.ReadPolicy{}, false, []int{0, 1}, []int{2}, []int{2, 0}, 0, 1},
+		{"every position owned", dht.ReadPolicy{}, false, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, nil, []int{0}, 1, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			k := simnet.New(1)
+			ring := newStubRing(simwire.Env(k), set, key)
+			w := ring.wire
+			w.rtt, w.timeout, w.stamp = rtt, timeout, core.TS(1)
+			if c.fastKTS {
+				w.delay[stubKTS] = time.Millisecond
+			}
+			for _, i := range c.owned {
+				ring.owned[set.Hr[i].ID(key)] = true
+			}
+			for _, i := range c.behind {
+				w.behind[stubOwner(i)] = true
+			}
+			svc := ring.service(set)
+			var res dht.OpResult
+			var err error
+			k.Go(func() { res, err = svc.RetrieveWith(context.Background(), key, c.pol) })
+			k.Run(time.Minute)
+			if err != nil || res.Probed != len(c.reads) {
+				t.Fatalf("get: %d probes, err %v; want %d probes and none", res.Probed, err, len(c.reads))
+			}
+			var want []network.Addr
+			for _, i := range c.reads {
+				want = append(want, stubOwner(i))
+			}
+			if got := w.readFrom(); !reflect.DeepEqual(got, want) {
+				t.Errorf("replica reads went to %v, want %v", got, want)
+			}
+			if serial, overlapped := retrieveModes(ring.reg); serial != c.serial || overlapped != c.overlapped {
+				t.Errorf("retrieve modes: %d serial, %d overlapped, want %d and %d", serial, overlapped, c.serial, c.overlapped)
+			}
+		})
+	}
 }

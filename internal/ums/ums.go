@@ -432,7 +432,7 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 			i, val, gerr = first.pos, first.val, first.err
 			first = nil
 		} else {
-			i = s.nextProbe(k, probed)
+			i = s.nextProbe(k, probed, false)
 			probeStart := env.Now()
 			val, gerr = s.client.GetH(ctx, k, s.set.Hr[i])
 			obs.PhasesFrom(ctx).Add(obs.PhaseProbe, env.Now()-probeStart)
@@ -469,28 +469,42 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 	return res, fmt.Errorf("ums: retrieve(%q): returning most recent available: %w", k, core.ErrNoCurrentReplica)
 }
 
-// nextProbe names the Hr position a retrieve probes next: the first one
-// not yet probed whose owner the ring names without a lookup, or, when
-// it can name none of them, the first one not yet probed. Figure 2's
-// proof and Eq. 1 rest on which replicas are current, never on the
-// order they are probed in (docs/PROTOCOLS.md, "Retrieve sequencing"),
-// so a position the issuer already knows the way to goes first. A warm
-// issuer knows Hr[0]'s and probes in Figure 2's order. The guess only
-// orders the probes: the probe itself goes through the router, whose
-// callee's owns-check confirms it, and a stale guess falls back to a
-// lookup there.
-func (s *Service) nextProbe(k core.Key, probed positions) int {
-	fallback := -1
+// nextProbe names the Hr position a retrieve probes next, among those
+// not yet probed: one the issuer owns, whose read its router serves
+// in-process at no message; else the first whose owner the ring names
+// without a lookup; else the first. Figure 2's proof and Eq. 1 rest on
+// which replicas are current, never on the order they are probed in
+// (docs/PROTOCOLS.md, "Retrieve sequencing"), so the cheapest position
+// goes first. A warm issuer that owns none knows Hr[0]'s and probes in
+// Figure 2's order. Ownership and the guess only order the probes: the
+// probe itself goes through the router, whose callee's owns-check
+// confirms it, and a stale guess falls back to a lookup there. remote
+// skips the owned positions (the early probe's rule, see lastTS); it
+// returns -1 when every position left is owned.
+func (s *Service) nextProbe(k core.Key, probed positions, remote bool) int {
+	guessed, fallback := -1, -1
 	for i, h := range s.set.Hr {
 		if probed.has(i) {
 			continue
 		}
-		if _, src := s.ring.Guess(h.ID(k)); src != dht.NoGuess {
+		id := h.ID(k)
+		if s.ring.OwnsID(id) {
+			if remote {
+				continue
+			}
 			return i
 		}
 		if fallback < 0 {
 			fallback = i
 		}
+		if guessed < 0 {
+			if _, src := s.ring.Guess(id); src != dht.NoGuess {
+				guessed = i
+			}
+		}
+	}
+	if guessed >= 0 {
+		return guessed
 	}
 	return fallback
 }
@@ -519,11 +533,14 @@ func (s *Service) cachedTarget(k core.Key, pol dht.ReadPolicy, res *dht.OpResult
 // 2 probes only after last_ts answers, but its proof needs no more than
 // the accepted replica carrying ts1 (docs/PROTOCOLS.md, "Retrieve
 // sequencing"), so a last_ts still outstanding after overlapAfter gets
-// the retrieve's first probe, of the position nextProbe names when it
-// fires, sent alongside it (see overlap). A probe that went is waited
-// for whatever last_ts returned; its messages and time are charged to
-// the op and its read comes back in first, for the probe loop to start
-// from.
+// the retrieve's first probe sent alongside it (see overlap): of the
+// position nextProbe names when it fires among those the issuer does not
+// own. An owned replica is read in-process for free once last_ts has
+// answered, so sending it early gains nothing, and taking the slot would
+// leave the remote probe to run after last_ts. A probe that went is
+// waited for whatever last_ts returned; its messages and time are
+// charged to the op and its read comes back in first, for the probe
+// loop to start from.
 func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, first *earlyRead, err error) {
 	env := s.ring.Env()
 	p := &probe{s: s, k: k}
@@ -532,7 +549,7 @@ func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, f
 	ts1, err = s.ts.LastTS(ctx, k)
 	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-begin)
 	went, werr := p.settle(false)
-	if !went {
+	if !went || (werr == nil && p.pos < 0) {
 		s.gets.serial.Inc()
 		return ts1, nil, err
 	}
@@ -548,7 +565,7 @@ func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, f
 
 // earlyRead is what the first probe read when it went alongside last_ts.
 type earlyRead struct {
-	pos int // the Hr position it read
+	pos int // the Hr position it read; -1 when every position is the issuer's own
 	val core.Value
 	err error
 }

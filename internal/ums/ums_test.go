@@ -3,10 +3,13 @@ package ums_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dht"
 	"repro/internal/exp"
 	"repro/internal/network/simwire"
 	"repro/internal/ums"
@@ -210,5 +213,65 @@ func TestProbeCountTracksAvailability(t *testing.T) {
 	})
 	if total != len(keys) {
 		t.Fatalf("with pt=1 every retrieve must probe exactly once; total=%d", total)
+	}
+}
+
+// TestCurrentReadFromAnOwnReplica: a peer serves itself in-process, so
+// a Current read whose issuer owns a replica position probes it first
+// for free. On cluster links (last_ts answers before any early probe
+// would go) an issuer that is also rsp(k, hts) reads Proven at 0
+// messages, and one that owns only a replica pays exactly last_ts's
+// pair, 2; the same seed replays both.
+func TestCurrentReadFromAnOwnReplica(t *testing.T) {
+	script := func() []dht.OpResult {
+		d := calmRing(31, simwire.Cluster())
+		// find names a key and a peer that owns one of its replica
+		// positions, and owns its counter too when counter is set (else
+		// names the counter's owner without a lookup).
+		find := func(counter bool) (core.Key, *exp.Peer) {
+			for i := 0; i < 1000; i++ {
+				k := core.Key(fmt.Sprintf("own-%d", i))
+				hts := d.Set.HTS.ID(k)
+				for _, p := range d.Peers {
+					_, src := p.Node.Guess(hts)
+					if p.Node.OwnsID(hts) != counter || (!counter && src == dht.NoGuess) {
+						continue
+					}
+					for _, h := range d.Set.Hr {
+						if p.Node.OwnsID(h.ID(k)) {
+							return k, p
+						}
+					}
+				}
+			}
+			t.Fatalf("no key whose replica owner is (counter=%v) its KTS responsible", counter)
+			return "", nil
+		}
+		var gets []dht.OpResult
+		for _, counter := range []bool{true, false} {
+			k, p := find(counter)
+			if !d.Do(func() {
+				if _, err := d.Peers[0].UMS.Insert(context.Background(), k, []byte("v")); err != nil {
+					t.Errorf("put %q: %v", k, err)
+				}
+				res, err := p.UMS.Retrieve(context.Background(), k)
+				if err != nil {
+					t.Errorf("get %q: %v", k, err)
+				}
+				gets = append(gets, res)
+			}) {
+				t.Fatal("simulation stalled")
+			}
+		}
+		return gets
+	}
+	gets := script()
+	for i, want := range []int{0, 2} {
+		if r := gets[i]; r.Currency != dht.CurrencyProven || r.Probed != 1 || r.Msgs != want {
+			t.Errorf("case %d: %s after %d probes, %d msgs; want proven after 1 probe, %d msgs", i, r.Currency, r.Probed, r.Msgs, want)
+		}
+	}
+	if again := script(); !reflect.DeepEqual(gets, again) {
+		t.Errorf("same seed, different results:\n first %+v\n again %+v", gets, again)
 	}
 }

@@ -12,7 +12,22 @@
 # crash-and-forget, or a committed figure that moved without a
 # regenerated baseline all fail this gate.
 # Run from the repository root: ./scripts/check_bench.sh
+#
+# ./scripts/check_bench.sh -update regenerates the four committed
+# baselines (BENCH_workload, BENCH_gateway, BENCH_lookup, BENCH_perf)
+# with the very parameter lines the gate compares them at, writes them
+# over the committed files, validates them and stops. Commit them with
+# the change that moved them.
 set -eu
+
+update=false
+case ${1:-} in
+"") ;;
+-update) update=true ;;
+*)
+    echo "usage: $0 [-update]" >&2
+    exit 2 ;;
+esac
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
@@ -33,7 +48,8 @@ bench() {
 # requires TITLE in its printed table. CHECK is what its document is
 # held to beyond the figure's invariants:
 #   -             nothing more
-#   cmp:FILE      byte-identical to the committed FILE
+#   cmp:FILE      byte-identical to the committed FILE (with -update,
+#                 written over FILE instead)
 figure() {
     name=$1 title=$2 check=$3
     shift 3
@@ -45,14 +61,34 @@ figure() {
     }
     case $check in
     cmp:*)
-        cmp -s "$json" "${check#cmp:}" || {
-            echo "check_bench: ${check#cmp:} drifted from the committed baseline" >&2
-            diff "$json" "${check#cmp:}" >&2 || true
-            exit 1
-        } ;;
+        if $update; then
+            cp "$json" "${check#cmp:}"
+            echo "check_bench: rewrote ${check#cmp:}"
+        else
+            cmp -s "$json" "${check#cmp:}" || {
+                echo "check_bench: ${check#cmp:} drifted from the committed baseline; regenerate it with ./scripts/check_bench.sh -update" >&2
+                diff "$json" "${check#cmp:}" >&2 || true
+                exit 1
+            }
+        fi ;;
     esac
     "$out/validate_bench" "$name" "$json"
 }
+
+# The committed baselines: every run is fully deterministic (simulated
+# time, fixed seed), so any drift means the path changed behaviour —
+# regenerate them with -update, which runs exactly these lines, and
+# commit them alongside the change.
+figure workload "Workload: throughput and latency quantiles" cmp:BENCH_workload.json \
+    pattern=uniform peers=32 duration=45s concurrency=3
+figure gateway "Gateway: hot-key coalescing front-end" cmp:BENCH_gateway.json
+figure lookup "Lookup acceleration: chord vs chord+cache vs onehop" cmp:BENCH_lookup.json
+figure perf "Perf: hot-path costs" cmp:BENCH_perf.json ops=12 peers=32 macro_ops=120
+
+if $update; then
+    echo "bench baselines rewritten: workload, gateway, lookup and perf"
+    exit 0
+fi
 
 # 48 queries per level: the validator demands strictly fewer messages
 # for bounded than for current, and that gap is the bounded reads served
@@ -61,18 +97,6 @@ figure() {
 figure consistency "Consistency: retrieval cost vs observed currency" - peers=32 queries=48 duration=6m
 
 figure recovery "Recovery: crash-and-forget vs durable restart" - peers=30 queries=16 duration=20m
-
-# The committed baselines: every run is fully deterministic (simulated
-# time, fixed seed), so any drift means the path changed behaviour —
-# regenerate the baseline with the same parameters (defaults for gateway
-# and lookup) and commit it alongside the change, e.g. for perf:
-#   go run ./cmd/dcdht-bench -figure perf -set ops=12 -set peers=32 \
-#       -set macro_ops=120 -quiet -json .
-figure workload "Workload: throughput and latency quantiles" cmp:BENCH_workload.json \
-    pattern=uniform peers=32 duration=45s concurrency=3
-figure gateway "Gateway: hot-key coalescing front-end" cmp:BENCH_gateway.json
-figure lookup "Lookup acceleration: chord vs chord+cache vs onehop" cmp:BENCH_lookup.json
-figure perf "Perf: hot-path costs" cmp:BENCH_perf.json ops=12 peers=32 macro_ops=120
 
 # The paper's figures, the ablations and the repair and scenario
 # figures at quick scale (about three minutes on one core): every table
