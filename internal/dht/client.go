@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/hashing"
 	"repro/internal/network"
+	"repro/internal/store"
 )
 
 // Client performs puth/geth operations (§2.2) from one peer: a Router
@@ -91,6 +92,54 @@ func (c *Client) putH(ctx context.Context, k core.Key, h hashing.Func, val core.
 		return false, fmt.Errorf("dht: puth %q via %s: %w", k, h.Name(), err)
 	}
 	return resp.Stored, nil
+}
+
+// PutHBatch stores val at rsp(k, h) for every h in hs with one request
+// to ref, the peer named the owner of all of them before the write: by
+// a guess (srcs[j] is what the guess for hs[j] rested on) or by a
+// lookup run ahead of it (srcs[j] is NoGuess). Every position keeps the
+// outcome it would have had alone: one that ref refuses as not its own,
+// or that cannot reach ref, re-resolves alone through the router, as
+// PutH goes on after a missed guess and PutHResolved after its first
+// attempt. errs is parallel to hs.
+func (c *Client) PutHBatch(ctx context.Context, k core.Key, ref NodeRef, hs []hashing.Func, srcs []GuessSource, val core.Value, mode PutMode) (errs []error) {
+	req := PutBatchReq{Items: make([]store.Item, len(hs)), Mode: mode}
+	for j, h := range hs {
+		req.Items[j] = store.Item{RingID: h.ID(k), Qual: Qualifier(c.ns, k, h.Name()), Val: val}
+	}
+	_, errs = c.putBatch(ctx, ref, req)
+	for j, it := range req.Items {
+		err := errs[j]
+		if c.route.settle(ref, srcs[j], err) {
+			single := PutReq{RingID: it.RingID, Qual: it.Qual, Val: val, Mode: mode}
+			_, err = network.Reply[PutResp](c.route.reroute(ctx, it.RingID, srcs[j], err, MethodPut, single))
+		}
+		if err != nil {
+			err = fmt.Errorf("dht: puth %q via %s: %w", k, hs[j].Name(), err)
+		}
+		errs[j] = err
+	}
+	return errs
+}
+
+// putBatch sends req to ref and returns each item's outcome. A reply
+// that does not answer every item exactly once is the whole batch's
+// failure, as from a peer that never answered.
+func (c *Client) putBatch(ctx context.Context, ref NodeRef, req PutBatchReq) (stored []bool, errs []error) {
+	n := len(req.Items)
+	stored, errs = make([]bool, n), make([]error, n)
+	r, err := network.Reply[PutBatchResp](c.route.Send(ctx, ref, MethodPutBatch, req))
+	if err == nil && (len(r.Stored) != n || len(r.Code) != n || len(r.Msg) != n) {
+		err = fmt.Errorf("dht: put batch of %d answered with %d: %w", n, len(r.Stored), core.ErrUnreachable)
+	}
+	for j := range errs {
+		if err != nil {
+			errs[j] = err
+		} else if errs[j] = network.DecodeError(r.Code[j], r.Msg[j]); errs[j] == nil {
+			stored[j] = r.Stored[j]
+		}
+	}
+	return stored, errs
 }
 
 // GetH retrieves the replica of k stored at rsp(k, h) — the paper's

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/network"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // NodeRef identifies a peer: its ring position and transport address.
@@ -197,8 +198,48 @@ type GetResp struct {
 // WireSize charges the payload against the simulated bandwidth.
 func (r GetResp) WireSize() int { return network.DefaultWireSize + len(r.Val.Data) }
 
+// PutBatchReq asks a peer to store several replicas in one message: the
+// replica writes of one put whose positions the issuer found to share
+// this owner. A batch is its items sent one by one: each passes the
+// owns-check and Mode on its own and gets its own outcome.
+type PutBatchReq struct {
+	Items []store.Item
+	Mode  PutMode
+}
+
+// WireSize charges each item as its own PutReq would be charged, under
+// one header.
+func (r PutBatchReq) WireSize() int {
+	n := network.DefaultWireSize
+	for _, it := range r.Items {
+		n += len(it.Qual) + len(it.Val.Data)
+	}
+	return n
+}
+
+// PutBatchResp carries per-item outcomes, parallel to the request's
+// Items: Code[i] is empty when item i was served (Stored[i] then says
+// whether Mode kept it) or the network error code of its refusal.
+type PutBatchResp struct {
+	Stored []bool
+	Code   []string
+	Msg    []string
+}
+
+// WireSize charges the response proportionally to its items.
+func (r PutBatchResp) WireSize() int {
+	n := network.DefaultWireSize + len(r.Stored)
+	for i := range r.Code {
+		n += len(r.Code[i])
+	}
+	for i := range r.Msg {
+		n += len(r.Msg[i])
+	}
+	return n
+}
+
 func init() {
-	network.RegisterMessage(PutReq{}, PutResp{}, GetReq{}, GetResp{}, NodeRef{})
+	network.RegisterMessage(PutReq{}, PutResp{}, GetReq{}, GetResp{}, PutBatchReq{}, PutBatchResp{}, NodeRef{})
 }
 
 // Qualifier builds the storage qualifier for key k replicated under hash
@@ -224,6 +265,7 @@ func ParseQualifier(q string) (ns string, k core.Key, hname string, ok bool) {
 
 // Methods registered by RegisterStore.
 const (
-	MethodPut = "dht.Put"
-	MethodGet = "dht.Get"
+	MethodPut      = "dht.Put"
+	MethodGet      = "dht.Get"
+	MethodPutBatch = "dht.PutBatch"
 )

@@ -176,8 +176,29 @@ func (r *Router) Declines(id core.ID) bool {
 // there first exactly as Call's lookup-routed attempt would; a
 // retryable answer re-resolves under the retry policy.
 func (r *Router) CallResolved(ctx context.Context, id core.ID, owner NodeRef, method string, req network.Message) (network.Message, error) {
+	return r.callFrom(ctx, id, owner, 0, method, req)
+}
+
+// reroute finishes an operation for id whose first attempt went out in
+// a batch with others for one peer, and whose answer there, err, was
+// settled as retryable: after a guess (src) it goes on as Call does
+// after a missed guess; after an owner looked up ahead of it (NoGuess),
+// as CallResolved does after its first attempt.
+func (r *Router) reroute(ctx context.Context, id core.ID, src GuessSource, err error, method string, req network.Message) (network.Message, error) {
+	first := 0
+	if src == NoGuess {
+		if first = 1; first > r.cfg.Retries {
+			return nil, err
+		}
+	}
+	return r.callFrom(ctx, id, NodeRef{}, first, method, req)
+}
+
+// callFrom is CallResolved from attempt first on: the attempts before it
+// went elsewhere.
+func (r *Router) callFrom(ctx context.Context, id core.ID, owner NodeRef, first int, method string, req network.Message) (network.Message, error) {
 	var lastErr error
-	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
+	for attempt := first; attempt <= r.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			if err := r.pause(ctx); err != nil {
 				return nil, err

@@ -153,16 +153,36 @@ func (s *LocalStore) Crash() {
 // and from the peer itself. owns guards against stale lookups: a peer
 // only accepts operations for positions it is currently responsible
 // for, returning ErrNotResponsible otherwise so callers re-resolve (the
-// DHT's mapping function m(k, h, t) changes over time, §2.1).
-// LocalStore's Put and Get clone the value, so the caller's buffer and
-// the stored replica never share memory on the in-process path either.
+// DHT's mapping function m(k, h, t) changes over time, §2.1). A batch
+// runs the single put for each of its items, so one item's refusal is
+// that item's outcome alone. LocalStore's Put and Get clone the value,
+// so the caller's buffer and the stored replica never share memory on
+// the in-process path either.
 func RegisterStore(ep network.Endpoint, store *LocalStore, owns func(core.ID) bool) map[string]network.HandlerFunc {
+	put := func(r PutReq) (stored bool, err error) {
+		if owns != nil && !owns(r.RingID) {
+			return false, fmt.Errorf("dht: put %s: %w", r.RingID, core.ErrNotResponsible)
+		}
+		return store.Put(r.RingID, r.Qual, r.Val, r.Mode), nil
+	}
 	handlers := map[string]network.HandlerFunc{
 		MethodPut: network.Typed(func(r PutReq) (network.Message, error) {
-			if owns != nil && !owns(r.RingID) {
-				return nil, fmt.Errorf("dht: put %s: %w", r.RingID, core.ErrNotResponsible)
+			stored, err := put(r)
+			if err != nil {
+				return nil, err
 			}
-			return PutResp{Stored: store.Put(r.RingID, r.Qual, r.Val, r.Mode)}, nil
+			return PutResp{Stored: stored}, nil
+		}),
+		MethodPutBatch: network.Typed(func(r PutBatchReq) (network.Message, error) {
+			n := len(r.Items)
+			resp := PutBatchResp{Stored: make([]bool, n), Code: make([]string, n), Msg: make([]string, n)}
+			for i, it := range r.Items {
+				var err error
+				if resp.Stored[i], err = put(PutReq{RingID: it.RingID, Qual: it.Qual, Val: it.Val, Mode: r.Mode}); err != nil {
+					resp.Code[i], resp.Msg[i] = network.EncodeError(err)
+				}
+			}
+			return resp, nil
 		}),
 		MethodGet: network.Typed(func(r GetReq) (network.Message, error) {
 			if owns != nil && !owns(r.RingID) {

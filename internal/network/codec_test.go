@@ -37,6 +37,8 @@ var wireSamples = []network.Message{
 	dht.PutResp{Stored: true},
 	dht.GetReq{RingID: 1<<64 - 1, Qual: "brk/x/h1"},
 	dht.GetResp{Val: core.Value{TS: core.TS(1)}}, // nil Data
+	dht.PutBatchReq{Items: []store.Item{item, {}}, Mode: dht.PutIfNewer},
+	dht.PutBatchResp{Stored: []bool{true, false}, Code: []string{"", "not_responsible"}, Msg: []string{"", "moved"}},
 	ref1,
 	dht.PingReq{},
 	dht.PingResp{},

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -60,6 +61,7 @@ func methodTable() []request {
 	return []request{
 		{dht.MethodPut, dht.PutReq{RingID: 9, Qual: "ums|k|h1", Val: val, Mode: dht.PutIfNewer}},
 		{dht.MethodGet, dht.GetReq{RingID: 9, Qual: "ums|k|h1"}},
+		{dht.MethodPutBatch, dht.PutBatchReq{Items: append(items, store.Item{RingID: 10, Qual: "ums|k|h2", Val: val}), Mode: dht.PutIfNewer}},
 		{dht.MethodPing, dht.PingReq{}},
 		{kts.MethodGenTS, kts.GenTSReq{Key: "k"}},
 		{kts.MethodLastTS, kts.LastTSReq{Key: "k"}},
@@ -99,6 +101,11 @@ func FuzzMethodTable(f *testing.F) {
 		f.Add(requestFrame(m.method, dht.PutResp{Stored: true})) // a type no handler serves
 	}
 	f.Add(requestFrame(dht.MethodGet, kts.GenTSReq{Key: "k"}))
+	// A batch claiming more items than its frame has bytes for: the
+	// codec's count check must turn it away before anything allocates.
+	empty := requestFrame(dht.MethodPutBatch, dht.PutBatchReq{}) // ends in its count and mode
+	head := empty[: len(empty)-2 : len(empty)-2]
+	f.Add(append(binary.AppendUvarint(head, 1<<40), 0))
 	f.Add(requestFrame("no.such.method", dht.PingReq{}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

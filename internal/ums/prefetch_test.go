@@ -96,9 +96,9 @@ func TestColdPutResolvesOwnersWhileStampingOnWANLinks(t *testing.T) {
 // TestStampedPutStaysSerialOnClusterLinks: on the §5.1 cluster profile
 // gen_ts for a key already stamped answers long before the threshold, so
 // a put — cold, with its lookups, or warm — is exactly gen_ts followed
-// by the serial loop: the same elapsed time, messages, bytes and
-// replicas as gen_ts and the ten accesses issued one after the other on
-// a twin deployment of the same seed, and the same network total.
+// by the grouped serial loop: the same elapsed time, messages, bytes and
+// replicas as gen_ts and the writes issued one after the other on a twin
+// deployment of the same seed, and the same network total.
 func TestStampedPutStaysSerialOnClusterLinks(t *testing.T) {
 	key, data := core.Key("lan"), make([]byte, 1000)
 	put, ref := calmRing(26, simwire.Cluster()), calmRing(26, simwire.Cluster())
@@ -126,7 +126,7 @@ func TestStampedPutStaysSerialOnClusterLinks(t *testing.T) {
 			if err != nil {
 				t.Errorf("round %d: gen_ts: %v", round, err)
 			}
-			_, writes, n := serialWrites(ref, p, key, core.Value{Data: data, TS: ts})
+			_, writes, n := groupedWrites(ref, p, key, core.Value{Data: data, TS: ts})
 			meter.Merge(writes)
 			elapsed, stored = ref.K.Now()-start, n
 		})

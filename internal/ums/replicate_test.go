@@ -60,6 +60,116 @@ func serialWrites(d *exp.Deployment, p *exp.Peer, k core.Key, val core.Value) (e
 	return d.K.Now() - start, meter, stored
 }
 
+// groupedWrites is the reference a put that never reaches the overlap
+// threshold is held against: its replica writes one after the other,
+// composed by hand from peer p — one batch per owner the issuer names
+// without a lookup (Ring.Guess), and a plain PutIfNewer for a group of
+// one or for a position the ring declines to guess. It returns the
+// time and the messages the writes took.
+func groupedWrites(d *exp.Deployment, p *exp.Peer, k core.Key, val core.Value) (elapsed time.Duration, meter network.Meter, stored int) {
+	ctx := network.WithMeter(context.Background(), &meter)
+	client := dht.NewClient(p.Node, ums.Namespace)
+	type group struct {
+		ref  dht.NodeRef
+		hs   []hashing.Func
+		srcs []dht.GuessSource
+	}
+	var groups []*group
+	byOwner := map[network.Addr]*group{}
+	for _, h := range d.Set.Hr {
+		ref, src := p.Node.Guess(h.ID(k))
+		g := byOwner[ref.Addr]
+		if g == nil || src == dht.NoGuess {
+			g = &group{ref: ref}
+			groups = append(groups, g)
+			if src != dht.NoGuess {
+				byOwner[ref.Addr] = g
+			}
+		}
+		g.hs, g.srcs = append(g.hs, h), append(g.srcs, src)
+	}
+	start := d.K.Now()
+	for _, g := range groups {
+		if len(g.hs) == 1 {
+			if client.PutH(ctx, k, g.hs[0], val, dht.PutIfNewer) == nil {
+				stored++
+			}
+			continue
+		}
+		for _, err := range client.PutHBatch(ctx, k, g.ref, g.hs, g.srcs, val, dht.PutIfNewer) {
+			if err == nil {
+				stored++
+			}
+		}
+	}
+	return d.K.Now() - start, meter, stored
+}
+
+// remoteOwners counts, per peer of d other than issuer, the Hr positions
+// of k it owns, and names the responsible of k's timestamps.
+func remoteOwners(d *exp.Deployment, issuer *exp.Peer, k core.Key) (remote map[network.Addr]int, stamper *exp.Peer) {
+	ownerOf := func(id core.ID) *exp.Peer {
+		for _, p := range d.Peers {
+			if p.Node.OwnsID(id) {
+				return p
+			}
+		}
+		return nil
+	}
+	remote = map[network.Addr]int{}
+	for _, h := range d.Set.Hr {
+		if p := ownerOf(h.ID(k)); p != issuer {
+			remote[p.Node.Self().Addr]++
+		}
+	}
+	return remote, ownerOf(d.Set.HTS.ID(k))
+}
+
+// TestPutSendsOneRequestPerOwner: on the §5.1 cluster links, a warm put
+// whose Hr positions share owners sends exactly one write request to
+// each distinct remote owner — with gen_ts remote it costs 2 + 2 × the
+// remote owners — and stores all ten; the same seed replays the same
+// results.
+func TestPutSendsOneRequestPerOwner(t *testing.T) {
+	data := make([]byte, 1000)
+	script := func() (puts []dht.OpResult, owned int) {
+		d := calmRing(27, simwire.Cluster())
+		p := d.Peers[5]
+		var key core.Key
+		for i := 0; key == ""; i++ {
+			k := core.Key(fmt.Sprintf("shared%d", i))
+			remote, ts := remoteOwners(d, p, k)
+			positions := 0
+			for _, n := range remote {
+				positions += n
+			}
+			if ts != p && positions > len(remote) {
+				key, owned = k, len(remote)
+			}
+		}
+		if !d.Do(func() {
+			for i := 0; i < 2; i++ { // the first put teaches the issuer the ten arcs
+				res, err := p.UMS.Insert(context.Background(), key, data)
+				if err != nil {
+					t.Errorf("put %d: %v", i, err)
+				}
+				puts = append(puts, res)
+			}
+		}) {
+			t.Fatal("simulation stalled")
+		}
+		return puts, owned
+	}
+	puts, owned := script()
+	t.Logf("cold put %d msgs, warm put %d msgs, %d remote owners", puts[0].Msgs, puts[1].Msgs, owned)
+	if warm := puts[1]; warm.Stored != 10 || warm.Msgs != 2+2*owned {
+		t.Errorf("warm put: %d replicas stored for %d msgs, want 10 for 2 + 2 × %d remote owners", warm.Stored, warm.Msgs, owned)
+	}
+	if again, _ := script(); !reflect.DeepEqual(puts, again) {
+		t.Errorf("same seed, different results:\n first %+v\n again %+v", puts, again)
+	}
+}
+
 // TestPutOverlapsReplicaWritesOnWANLinks: on the Table 1 links a put's
 // first replica write shows it is waiting on the network, and the other
 // nine run side by side — the warm put takes at most half of what its
@@ -106,9 +216,9 @@ func TestPutOverlapsReplicaWritesOnWANLinks(t *testing.T) {
 
 // TestPutStaysSerialOnClusterLinks: on the §5.1 cluster profile (round
 // trip ≈ 0.6 ms) no replica write comes near the threshold, so a put —
-// cold, with its lookups, or warm — is exactly the serial loop: the same
-// elapsed time, messages and bytes as the ten accesses issued one after
-// the other on a twin deployment of the same seed.
+// cold, with its lookups, or warm — is exactly the grouped serial loop:
+// the same elapsed time, messages and bytes as its writes issued one
+// after the other on a twin deployment of the same seed.
 func TestPutStaysSerialOnClusterLinks(t *testing.T) {
 	key, data := core.Key("lan"), make([]byte, 1000)
 	put, ref := calmRing(22, simwire.Cluster()), calmRing(22, simwire.Cluster())
@@ -123,7 +233,7 @@ func TestPutStaysSerialOnClusterLinks(t *testing.T) {
 		var elapsed time.Duration
 		var meter network.Meter
 		var stored int
-		ref.Do(func() { elapsed, meter, stored = serialWrites(ref, ref.Peers[5], key, val) })
+		ref.Do(func() { elapsed, meter, stored = groupedWrites(ref, ref.Peers[5], key, val) })
 		if res.Elapsed != elapsed || res.Msgs != meter.Msgs || res.Bytes != meter.Bytes || res.Stored != stored {
 			t.Errorf("round %d: put took %v, %d msgs, %d bytes, %d stored; the serial loop %v, %d, %d, %d",
 				round, res.Elapsed, res.Msgs, res.Bytes, res.Stored, elapsed, meter.Msgs, meter.Bytes, stored)
@@ -171,7 +281,7 @@ const stubKTS network.Addr = "kts"
 func newStubRing(env network.Env, set hashing.Set, k core.Key) *stubRing {
 	r := &stubRing{env: env, owners: map[core.ID]dht.NodeRef{}, noGuess: map[core.ID]bool{},
 		stale: map[core.ID]dht.NodeRef{}, owned: map[core.ID]bool{}, reg: obs.NewRegistry(), lookups: map[core.ID]int{}}
-	r.wire = &stubWire{env: env, delay: map[network.Addr]time.Duration{},
+	r.wire = &stubWire{env: env, owners: r.owners, delay: map[network.Addr]time.Duration{},
 		behind: map[network.Addr]bool{}, refuse: map[network.Addr]bool{}}
 	for i, h := range set.Hr {
 		id := h.ID(k)
@@ -228,7 +338,8 @@ func (r *stubRing) service(set hashing.Set) *ums.Service {
 	return ums.New(r, set, kts.New(r, set, ums.Namespace, kts.Config{}))
 }
 
-// stubWire answers after the callee's delay: every store with "stored",
+// stubWire answers after the callee's delay: every store with "stored"
+// (a batch refuses the items whose position owners names another peer),
 // gen_ts with the stamp after stamp, last_ts with stamp, and every
 // replica read with a value stamped stamp — or, from a callee listed in
 // behind, stamped zero — or not found while stamp is zero, the key never
@@ -239,6 +350,7 @@ func (r *stubRing) service(set hashing.Set) *ums.Service {
 // the callees of replica reads in the order the reads were sent.
 type stubWire struct {
 	env     network.Env
+	owners  map[core.ID]dht.NodeRef
 	delay   map[network.Addr]time.Duration // per callee; missing means rtt
 	rtt     time.Duration
 	dead    map[network.Addr]bool
@@ -303,7 +415,18 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 	if w.refuse[to] {
 		return nil, fmt.Errorf("stub: %s: %w", to, core.ErrNotResponsible)
 	}
-	switch req.(type) {
+	switch r := req.(type) {
+	case dht.PutBatchReq:
+		n := len(r.Items)
+		resp := dht.PutBatchResp{Stored: make([]bool, n), Code: make([]string, n), Msg: make([]string, n)}
+		for i, it := range r.Items {
+			if w.owners[it.RingID].Addr == to {
+				resp.Stored[i] = true
+			} else {
+				resp.Code[i], resp.Msg[i] = network.EncodeError(core.ErrNotResponsible)
+			}
+		}
+		return resp, nil
 	case kts.GenTSReq:
 		if w.genErr != nil {
 			return nil, w.genErr
@@ -321,6 +444,56 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 		return dht.GetResp{Val: core.Value{Data: []byte("v"), TS: w.stamp}}, nil
 	}
 	return dht.PutResp{Stored: true}, nil
+}
+
+// TestStaleGroupMemberReroutesAlone: three positions the issuer names
+// one owner for travel as one batch; the one behind a stale guess is
+// refused alone, re-resolves through one lookup of its own and is
+// stored, while its siblings stay stored at the owner and no other
+// position pays a lookup — and the script replays identically.
+func TestStaleGroupMemberReroutesAlone(t *testing.T) {
+	const rtt = time.Millisecond
+	key := core.Key("k")
+	set := hashing.NewSet(10)
+	id := func(i int) core.ID { return set.Hr[i].ID(key) }
+	run := func() (res dht.OpResult, ring *stubRing) {
+		k := simnet.New(1)
+		ring = newStubRing(simwire.Env(k), set, key)
+		ring.wire.rtt, ring.lookupRTT = rtt, rtt
+		ring.owners[id(2)] = ring.owners[id(0)] // 0 and 2 share an owner
+		ring.stale[id(1)] = ring.owners[id(0)]  // and 1 is guessed there too
+		svc := ring.service(set)
+		done := false
+		k.Go(func() {
+			var err error
+			if res, err = svc.InsertWithTS(context.Background(), key, []byte("v"), core.TS(1)); err != nil {
+				t.Errorf("put: %v", err)
+			}
+			done = true
+		})
+		k.Run(time.Minute)
+		if !done {
+			t.Fatal("simulation stalled")
+		}
+		return res, ring
+	}
+	res, ring := run()
+	// One batch and seven plain writes, then the lookup and the write of
+	// the refused member.
+	if res.Stored != 10 || res.Msgs != 2*(1+7+2) || res.Elapsed != 10*rtt {
+		t.Errorf("stored %d for %d msgs in %v; want 10 for %d in %v", res.Stored, res.Msgs, res.Elapsed, 2*(1+7+2), 10*rtt)
+	}
+	for i := range set.Hr {
+		if want := map[bool]int{true: 1}[i == 1]; ring.lookupsOf(id(i)) != want {
+			t.Errorf("position %d: %d lookups, want %d", i, ring.lookupsOf(id(i)), want)
+		}
+	}
+	if serial, overlapped := replicateModes(ring.reg); serial != 1 || overlapped != 0 {
+		t.Errorf("replicate modes: %d serial, %d overlapped, want 1 and 0", serial, overlapped)
+	}
+	if again, _ := run(); !reflect.DeepEqual(res, again) {
+		t.Errorf("same script, different results:\n first %+v\n again %+v", res, again)
+	}
 }
 
 // TestOverlappedPutWithUnreachableOwners scripts the overlapped branch

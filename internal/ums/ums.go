@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -152,13 +153,15 @@ const overlapAfter = 10 * time.Millisecond
 // replicate sends val to rsp(k, h) for every h ∈ Hr, counting stored
 // replicas into res. Every replica applies PutIfNewer on its own, so the
 // order of the writes carries no meaning (Figure 2 gives none); what it
-// costs is time. The writes go one at a time while each returns faster
+// costs is messages and time. Positions whose owner is known before any
+// write leaves share one message per owner (see groups); the rest each
+// get their own. The groups go one at a time while each returns faster
 // than overlapAfter; once one has taken that long the remaining ones
 // run side by side, the put then waiting for the slowest instead of for
 // their sum. The regime is observed on this put's own round trips, never
 // configured and never remembered: when owners resolved while stamping
 // (owners, nil when nothing was) include a lookup that took overlapAfter
-// or longer, no write goes alone and all |Hr| run side by side at once.
+// or longer, no group goes alone and all run side by side at once.
 func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res *dht.OpResult, owners *prefetch) error {
 	env := s.ring.Env()
 	mode := s.puts.serial
@@ -167,7 +170,8 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 	// A failed write means that replica position is currently
 	// unreachable; the insert proceeds — availability of that replica
 	// simply suffers, which is the behaviour the analysis models.
-	n := len(s.set.Hr)
+	groups := s.groups(k, owners)
+	n := len(groups)
 	i, waited := 0, false
 	if owners != nil && owners.slow {
 		mode, waited = s.prefetched, true
@@ -177,9 +181,7 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 			return fmt.Errorf("ums: insert(%q): %w", k, cerr)
 		}
 		begin := env.Now()
-		if s.write(ctx, k, i, val, owners) {
-			res.Stored++
-		}
+		res.Stored += s.write(ctx, k, groups[i], val, owners)
 		waited = env.Now()-begin >= overlapAfter
 	}
 	if i < n {
@@ -192,28 +194,27 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 		// it to the heap on every put, the serial ones included.)
 		first := i
 		type write struct {
-			stored bool
+			stored int
 			meter  network.Meter
 		}
 		writes := make([]write, n-first)
 		if jerr := env.Join(len(writes), func(j int) {
 			w := &writes[j]
-			w.stored = s.write(network.WithMeter(ctx, &w.meter), k, first+j, val, owners)
+			w.stored = s.write(network.WithMeter(ctx, &w.meter), k, groups[first+j], val, owners)
 		}); jerr != nil {
 			// The environment shut down with branches still running:
 			// what they hold is not ours to read.
 			return fmt.Errorf("ums: insert(%q): %w", k, jerr)
 		}
 		cost := network.MeterFrom(ctx)
-		landed := 0
-		for _, w := range writes {
+		landed, sent := 0, 0
+		for j, w := range writes {
 			cost.Merge(w.meter)
-			if w.stored {
-				landed++
-			}
+			landed += w.stored
+			sent += len(groups[first+j].pos)
 		}
 		res.Stored += landed
-		if landed < len(writes) {
+		if landed < sent {
 			// A context that ended under the branches is why they failed.
 			if cerr := network.CtxError(ctx); cerr != nil {
 				return fmt.Errorf("ums: insert(%q): %w", k, cerr)
@@ -226,15 +227,74 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 	return nil
 }
 
-// write sends val to rsp(k, Hr[i]) and reports whether it was stored:
-// to the owner resolved while stamping when that position's was (owners
-// may be nil), through the router's own resolution otherwise.
-func (s *Service) write(ctx context.Context, k core.Key, i int, val core.Value, owners *prefetch) bool {
-	h := s.set.Hr[i]
-	if owners != nil && owners.owners[i].looked {
-		return s.client.PutHResolved(ctx, k, h, owners.owners[i].ref, val, dht.PutIfNewer) == nil
+// group is the Hr positions of a put that travel as one write: every
+// position whose owner is known before any write is sent — ref, named by
+// the ring's guess or by a lookup run while stamping — with the others
+// that peer owns, and a position whose owner is not known alone.
+type group struct {
+	ref  dht.NodeRef
+	pos  []int             // indexes into Hr, ascending
+	srcs []dht.GuessSource // what named ref for each of pos; NoGuess for a lookup
+}
+
+// groups splits Hr into the put's writes, in the order of each group's
+// first position. A position the ring declines to guess and no lookup
+// resolved is a group of its own, so the lookup its write runs delays
+// only that write.
+func (s *Service) groups(k core.Key, owners *prefetch) []group {
+	groups := make([]group, 0, len(s.set.Hr))
+	for i, h := range s.set.Hr {
+		var ref dht.NodeRef
+		src := dht.NoGuess
+		if owners != nil && owners.owners[i].looked {
+			ref = owners.owners[i].ref
+		} else {
+			ref, src = s.ring.Guess(h.ID(k))
+		}
+		g := -1
+		if !ref.IsZero() {
+			g = slices.IndexFunc(groups, func(g group) bool { return g.ref.Addr == ref.Addr })
+		}
+		if g < 0 {
+			g = len(groups)
+			groups = append(groups, group{ref: ref})
+		}
+		groups[g].pos = append(groups[g].pos, i)
+		groups[g].srcs = append(groups[g].srcs, src)
 	}
-	return s.client.PutH(ctx, k, h, val, dht.PutIfNewer) == nil
+	return groups
+}
+
+// write sends val to the owner of g's positions and reports how many of
+// them stored it. A lone position is a plain put: to the owner resolved
+// while stamping when that position's was (owners may be nil), through
+// the router's own resolution otherwise. A group goes as one batch to
+// its owner, whose refusals re-resolve alone (dht.Client.PutHBatch).
+func (s *Service) write(ctx context.Context, k core.Key, g group, val core.Value, owners *prefetch) (stored int) {
+	if len(g.pos) == 1 {
+		i := g.pos[0]
+		h := s.set.Hr[i]
+		var err error
+		if owners != nil && owners.owners[i].looked {
+			err = s.client.PutHResolved(ctx, k, h, owners.owners[i].ref, val, dht.PutIfNewer)
+		} else {
+			err = s.client.PutH(ctx, k, h, val, dht.PutIfNewer)
+		}
+		if err != nil {
+			return 0
+		}
+		return 1
+	}
+	hs := make([]hashing.Func, len(g.pos))
+	for j, i := range g.pos {
+		hs[j] = s.set.Hr[i]
+	}
+	for _, err := range s.client.PutHBatch(ctx, k, g.ref, hs, g.srcs, val, dht.PutIfNewer) {
+		if err == nil {
+			stored++
+		}
+	}
+	return stored
 }
 
 // InsertWithTS is Insert for a caller that already holds the key's fresh
