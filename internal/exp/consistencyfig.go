@@ -1,17 +1,13 @@
 package exp
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/dht"
-	"repro/internal/obs"
 	"repro/internal/repair"
 	"repro/internal/stats"
-	"repro/internal/ums"
 )
 
 // The consistency figure: the paper's response-time-vs-currency
@@ -51,16 +47,12 @@ func (p *consistencyParams) declare(fs *flag.FlagSet, o Options) {
 
 // parseLevel maps a level name to the UMS read level.
 func parseLevel(name string) (dht.Level, error) {
-	switch name {
-	case "current":
-		return dht.LevelCurrent, nil
-	case "bounded":
-		return dht.LevelBounded, nil
-	case "eventual":
-		return dht.LevelEventual, nil
-	default:
-		return 0, fmt.Errorf("exp: unknown consistency level %q (want current, bounded or eventual)", name)
+	for _, l := range []dht.Level{dht.LevelCurrent, dht.LevelBounded, dht.LevelEventual} {
+		if l.String() == name {
+			return l, nil
+		}
 	}
+	return 0, fmt.Errorf("exp: unknown consistency level %q (want current, bounded or eventual)", name)
 }
 
 // ConsistencyPoint is one (level, repair) cell's outcome in
@@ -103,222 +95,86 @@ type ConsistencyPoint struct {
 	// and probe phases laid end to end: their first probe went alongside
 	// a slow last_ts. LedgerBreaks counts retrieves that contradict the
 	// read path and must stay 0: a read that skips KTS (Eventual, a
-	// Bounded cache hit) yet asked it, a read that waited on a remote
-	// last_ts yet did not overlap its first probe with it (on the
-	// figure's Table 1 links every remote last_ts is a WAN round trip,
-	// far past the overlap threshold), or a read slower than its phases
-	// in series.
+	// Bounded cache hit) yet asked it, a read that waited on last_ts (on
+	// Table 1 links, always past the overlap threshold) yet did not
+	// overlap its first probe with it, unless its issuer owned every
+	// replica position (the early probe goes only to one it does not
+	// own), or a read slower than its phases in series.
 	KTSReqsPerRetrieve float64 `json:"kts_reqs_per_retrieve"`
 	OverlappedReads    int     `json:"overlapped_reads"`
 	LedgerBreaks       int     `json:"ledger_breaks"`
 
-	// KTSCacheHits counts last-ts cache consults that found an entry
-	// across the client pool (the mechanism behind bounded's savings).
+	// KTSCacheHits counts last-ts cache consults that found an entry,
+	// deployment-wide (the mechanism behind bounded's savings).
 	KTSCacheHits uint64 `json:"kts_cache_hits"`
 	// ReplicasHealed is the maintenance subsystem's work (repair runs).
 	ReplicasHealed uint64 `json:"replicas_healed"`
 }
 
-// consistencyRun measures one (level, repair) cell on a fresh
-// deployment built from the shared seed; every random choice comes off
-// named kernel streams, so the same options replay the identical point.
-func consistencyRun(o Options, cp *consistencyParams, levelName string, withRepair bool) ConsistencyPoint {
-	level, err := parseLevel(levelName)
-	if err != nil {
-		panic(err) // run validated the names already
-	}
+// consistencyRun measures one (level, repair) cell: a Table 1 scenario
+// of UMS-Direct under heavy, failure-laden churn — so the replica loss
+// that separates the levels occurs within the window — with frequent
+// updates and the cell's level on every query, all issued from the
+// client pool, whose writes keep the pool's last-ts caches warm as an
+// application tier's would. Run replays it per seed.
+func consistencyRun(o Options, cp *consistencyParams, level dht.Level, withRepair bool) ConsistencyPoint {
 	sc := Table1Scenario(AlgUMSDirect, cp.peers, o.Seed)
-	cfg := sc.DeployConfig
+	sc.Duration, sc.Queries = cp.duration, cp.queries
+	sc.ChurnRate, sc.FailRate, sc.UpdateRate = 0.05, 0.3, 6
+	sc.Clients = cp.clients
+	sc.Read = dht.ReadPolicy{Level: level, Bound: cp.bound}
 	if withRepair {
-		cfg.Repair = repair.Config{Every: 2 * time.Minute, PerRound: 8, ReadRepair: true}
+		sc.Repair = repair.Config{Every: 2 * time.Minute, PerRound: 8, ReadRepair: true}
 	}
-	d := NewDeployment(cfg)
-	defer d.K.Stop()
-	d.RunFor(sc.Warmup)
+	r := Run(sc)
 
 	point := ConsistencyPoint{
-		Level:   levelName,
-		Repair:  withRepair,
-		Peers:   cp.peers,
-		Clients: cp.clients,
+		Level:             level.String(),
+		Repair:            withRepair,
+		Peers:             cp.peers,
+		Clients:           cp.clients,
+		QueriesRun:        r.QueriesRun,
+		FailedQueries:     r.QueriesFailed,
+		StaleReturns:      r.StaleReturns,
+		MsgsPerRetrieve:   r.Msgs.Mean(),
+		RespTimeSec:       r.RespTime.Mean(),
+		ProbesPerRetrieve: r.Probed.Mean(),
+		KTSCacheHits:      uint64(r.Obs.Get("dcdht_kts_cache_hits_total").Total()),
+		ReplicasHealed:    r.Repair.Healed,
 	}
 	if level == dht.LevelBounded {
 		point.BoundSec = cp.bound.Seconds()
 	}
-
-	// The client pool: the first Clients peers of the deployment front
-	// all traffic (queries and updates), like application servers in
-	// front of a storage tier. A pool peer lost to churn falls through
-	// to the next live one.
-	pool := make([]*Peer, cp.clients)
-	copy(pool, d.Peers[:min(cp.clients, len(d.Peers))])
-	poolRng := d.K.NewRand("consistency-pool")
-	clientPeer := func(i int) *Peer {
-		for probe := 0; probe < len(pool); probe++ {
-			if p := pool[(i+probe)%len(pool)]; p != nil && p.Alive() {
-				return p
-			}
-		}
-		return d.RandomLivePeer(poolRng)
-	}
-
-	// Ground truth: the last timestamp each key was successfully
-	// inserted with. Mutated only inside kernel processes, which the
-	// kernel serializes deterministically.
-	keys := make([]core.Key, sc.Keys)
-	lastTS := make(map[core.Key]core.Timestamp, sc.Keys)
-	for i := range keys {
-		keys[i] = core.Key(fmt.Sprintf("cons-%03d", i))
-	}
-	payload := func(k core.Key, gen int) []byte {
-		b := make([]byte, sc.DataSize)
-		copy(b, fmt.Sprintf("%s#%d", k, gen))
-		return b
-	}
-	if ok := d.Do(func() {
-		for i, k := range keys {
-			if r, err := clientPeer(i).UMS.Insert(context.Background(), k, payload(k, 0)); err == nil {
-				lastTS[k] = r.TS
-			}
-		}
-	}); !ok {
-		panic("exp: consistency figure: initial load did not complete")
-	}
-
-	endAt := d.K.Now() + cp.duration
-
-	// Churn: Poisson departures with a high failure share, so replica
-	// loss — the condition that separates the levels — actually occurs
-	// within the window. Join-per-departure keeps the population.
-	churnRng := d.K.NewRand("consistency-churn")
-	churn := &stats.PoissonProcess{Rate: 0.05, Rng: d.K.NewRand("consistency-churn-times")}
-	d.K.Go(func() {
-		for {
-			if err := d.Net.Env().Sleep(churn.Next()); err != nil {
-				return
-			}
-			if d.K.Now() >= endAt {
-				return
-			}
-			victim := d.RandomLivePeer(churnRng)
-			if victim == nil {
-				return
-			}
-			d.Depart(victim, stats.Bernoulli(churnRng, 0.3))
-			d.SpawnJoin(churnRng)
-		}
-	})
-
-	// Updates: one Poisson stream per key, issued from the pool (which
-	// is what keeps the pool's last-ts caches warm, exactly as an
-	// application tier's writes would).
-	for i, k := range keys {
-		i, k := i, k
-		gen := 1
-		updRng := d.K.NewRand(fmt.Sprintf("consistency-upd-%d", i))
-		proc := &stats.PoissonProcess{Rate: 1.0 / 600, Rng: updRng}
-		d.K.Go(func() {
-			for {
-				if err := d.Net.Env().Sleep(proc.Next()); err != nil {
-					return
-				}
-				if d.K.Now() >= endAt {
-					return
-				}
-				p := clientPeer(i + gen)
-				if r, err := p.UMS.Insert(context.Background(), k, payload(k, gen)); err == nil {
-					if lastTS[k].Less(r.TS) {
-						lastTS[k] = r.TS
-					}
-				}
-				gen++
-			}
-		})
-	}
-
-	// Queries at uniformly random times, round-robin over the pool, at
-	// the cell's consistency level.
-	var respTime, msgs, probes, lag stats.Summary
+	verdicts := [...]*int{dht.CurrencyUnknown: &point.Unknown, dht.CurrencySessionFloor: &point.SessionFloor,
+		dht.CurrencyWithinBound: &point.WithinBound, dht.CurrencyProven: &point.Proven}
+	var lag stats.Summary
 	staleObserved, ktsReqs := 0, 0
-	qRng := d.K.NewRand("consistency-queries")
-	queriesDone := 0
-	for q := 0; q < cp.queries; q++ {
-		q := q
-		at := stats.UniformDuration(qRng, cp.duration)
-		key := keys[qRng.Intn(len(keys))]
-		d.K.After(at, func() {
-			defer func() { queriesDone++ }()
-			p := clientPeer(q)
-			if p == nil {
-				// No live peer to issue from: the query still ran (and
-				// failed), keeping the verdict accounting exhaustive.
-				point.QueriesRun++
-				point.FailedQueries++
-				return
-			}
-			pol := dht.ReadPolicy{Level: level, Bound: cp.bound}
-			ledger := &readLedger{}
-			r, err := p.UMS.RetrieveWith(obs.WithTracer(context.Background(), ledger), key, pol)
-			point.QueriesRun++
-			respTime.AddDuration(r.Elapsed)
-			msgs.Add(float64(r.Msgs))
-			probes.Add(float64(r.Probed))
-			kts, askedKTS := ledger.phase(obs.PhaseKTS)
-			probe, _ := ledger.phase(obs.PhaseProbe)
-			overlapped := r.Elapsed < kts+probe
-			skipsKTS := level == dht.LevelEventual || (err == nil && r.Currency == dht.CurrencyWithinBound)
-			if askedKTS {
-				ktsReqs++
-			}
-			if overlapped {
-				point.OverlappedReads++
-			}
-			if (skipsKTS && askedKTS) || (kts > 0 && !overlapped) || r.Elapsed > kts+probe {
-				point.LedgerBreaks++
-			}
-			returned := false
-			switch {
-			case err == nil:
-				returned = true
-				switch r.Currency {
-				case dht.CurrencyProven:
-					point.Proven++
-				case dht.CurrencyWithinBound:
-					point.WithinBound++
-				case dht.CurrencySessionFloor:
-					point.SessionFloor++
-				default:
-					point.Unknown++
+	for _, q := range r.Queries {
+		if q.Outcome == QueryOK {
+			*verdicts[q.Verdict]++
+		}
+		if q.Outcome != QueryFailed {
+			if q.TS.Less(q.Truth) {
+				staleObserved++
+				if q.Truth.Hi == q.TS.Hi {
+					lag.Add(float64(q.Truth.Lo - q.TS.Lo))
 				}
-			case ums.IsNoCurrent(err):
-				point.StaleReturns++
-				returned = true
-			default:
-				point.FailedQueries++
+			} else {
+				lag.Add(0)
 			}
-			if returned {
-				truth := lastTS[key]
-				if r.TS.Less(truth) {
-					staleObserved++
-					if truth.Hi == r.TS.Hi {
-						lag.Add(float64(truth.Lo - r.TS.Lo))
-					}
-				} else {
-					lag.Add(0)
-				}
-			}
-		})
+		}
+		if q.AskedKTS {
+			ktsReqs++
+		}
+		overlapped := q.Elapsed < q.KTS+q.Probe
+		if overlapped {
+			point.OverlappedReads++
+		}
+		skipsKTS := level == dht.LevelEventual || q.Verdict == dht.CurrencyWithinBound
+		if (skipsKTS && q.AskedKTS) || (q.KTS > 0 && !overlapped && !q.OwnedAll) || q.Elapsed > q.KTS+q.Probe {
+			point.LedgerBreaks++
+		}
 	}
-
-	// Drive the window plus slack for stragglers.
-	d.K.Run(endAt + 2*time.Minute)
-	for i := 0; i < 100 && queriesDone < cp.queries; i++ {
-		d.K.Run(d.K.Now() + 10*time.Second)
-	}
-
-	point.MsgsPerRetrieve = msgs.Mean()
-	point.RespTimeSec = respTime.Mean()
-	point.ProbesPerRetrieve = probes.Mean()
 	point.VersionLagMean = lag.Mean()
 	if returned := point.QueriesRun - point.FailedQueries; returned > 0 {
 		point.ObservedStaleRate = float64(staleObserved) / float64(returned)
@@ -327,32 +183,7 @@ func consistencyRun(o Options, cp *consistencyParams, levelName string, withRepa
 		point.ProvenRate = float64(point.Proven) / float64(point.QueriesRun)
 		point.KTSReqsPerRetrieve = float64(ktsReqs) / float64(point.QueriesRun)
 	}
-	for _, p := range pool {
-		if p != nil {
-			point.KTSCacheHits += p.KTS.CacheHits()
-		}
-	}
-	point.ReplicasHealed = d.RepairStats().Healed
 	return point
-}
-
-// readLedger is the tracer one figure retrieve carries: it keeps the
-// retrieve's phase ledger. Tracing consumes no randomness and no time,
-// so it leaves the replay untouched.
-type readLedger struct{ phases []obs.Phase }
-
-func (l *readLedger) OpStart(obs.Op)       {}
-func (l *readLedger) OpEnd(r obs.OpResult) { l.phases = r.Phases }
-
-// phase returns the time charged to the named phase and whether the
-// retrieve charged it at all (a last_ts served locally charges 0).
-func (l *readLedger) phase(name string) (time.Duration, bool) {
-	for _, ph := range l.phases {
-		if ph.Name == name {
-			return ph.D, true
-		}
-	}
-	return 0, false
 }
 
 // ConsistencyPoints is the consistency figure's document
@@ -363,11 +194,13 @@ type ConsistencyPoints []ConsistencyPoint
 // on, each cell on a fresh same-seed deployment, and tabulates the
 // per-retrieve cost and observed currency per level.
 func (p *consistencyParams) run(o Options) (*Table, *ConsistencyPoints, error) {
-	levels := names(p.levels, ConsistencyLevels)
-	for _, l := range levels {
-		if _, err := parseLevel(l); err != nil {
+	var levels []dht.Level
+	for _, name := range names(p.levels, ConsistencyLevels) {
+		l, err := parseLevel(name)
+		if err != nil {
 			return nil, nil, err
 		}
+		levels = append(levels, l)
 	}
 	points := make(ConsistencyPoints, 0, 2*len(levels))
 	for _, withRepair := range []bool{false, true} {

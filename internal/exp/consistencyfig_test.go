@@ -106,3 +106,18 @@ func TestConsistencyLevelsOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestConsistencyLedgerAtGateScale pins seed 4 at the bench gate's
+// scale, where a Current read issued by a chord peer with no
+// predecessor — which owns every id, so its last_ts runs in-process and
+// the early probe has no remote position to go to — waits on a slow
+// indirect init and then probes in series, as the early-probe rule
+// says it must. The figure's invariants, the sequencing ledger among
+// them, hold on every cell.
+func TestConsistencyLedgerAtGateScale(t *testing.T) {
+	_, doc := runFigure(t, "consistency", Options{Seed: 4},
+		"peers=32", "queries=48", "duration=6m")
+	if err := doc.(*ConsistencyPoints).Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -3,6 +3,11 @@
 // workload — Poisson churn with join-per-departure, Poisson per-key
 // updates, queries at uniformly random times — and regenerates every
 // figure of §5 as a table of series.
+//
+// Run is the one runner of that workload: Figures 6–12, the ablations
+// and the repair, scenario, recovery and consistency figures are each a
+// Scenario it plays. The lookup figure's evenly spaced leave+join window
+// measures routing-state maintenance and is not a second runner.
 package exp
 
 import (

@@ -31,6 +31,13 @@ type Scenario struct {
 	ChurnRate  float64       // peer departures per second (Table 1: 1)
 	FailRate   float64       // fraction of departures that are failures (Table 1: 0.05)
 	UpdateRate float64       // updates per key per hour (Table 1: 1)
+	// Clients is the issuing pool: the first Clients peers issue the
+	// load, the updates and the queries round-robin (Deployment.issuer);
+	// zero issues each from a random live peer.
+	Clients int
+	// Read is the queries' acceptance policy; the zero value is the
+	// paper's provably-current retrieve. BRK ignores it.
+	Read dht.ReadPolicy
 	// Script plays a scripted fault-and-condition scenario
 	// (internal/scenario) over the measured window: event times are
 	// relative to the end of warmup and initial load. Nil plays nothing.
@@ -77,9 +84,12 @@ type Result struct {
 	Probed   stats.Summary // replicas probed per retrieve (nums)
 
 	QueriesRun    int
-	QueriesFailed int     // retrieve returned no data at all
+	QueriesFailed int     // retrieve returned no data at all, or found no live issuer
 	CurrentRate   float64 // fraction of retrieves that returned a provably current replica
 	StaleReturns  int     // retrieves that fell back to most-recent-available
+
+	// Queries records every retrieve in the order they finished.
+	Queries []Query
 
 	UpdatesRun    int
 	UpdatesFailed int
@@ -105,6 +115,34 @@ type Result struct {
 	SimEvents    uint64
 }
 
+// Outcome is how one retrieve ended.
+type Outcome int
+
+const (
+	QueryOK     Outcome = iota // a replica that met the read's acceptance test
+	QueryStale                 // the most recent available replica (Figure 2's data_mr)
+	QueryFailed                // no data, or no live peer to issue from
+)
+
+// Query is one retrieve's record.
+type Query struct {
+	Elapsed      time.Duration
+	Msgs, Probes int
+	Verdict      dht.Currency
+	Outcome      Outcome
+	// TS is the returned replica's timestamp; Truth is the key's last
+	// acknowledged put when the read returned (Run's ground truth).
+	TS, Truth core.Timestamp
+	// KTS and Probe are the read's phase ledger: the time it charged to
+	// timestamping and to replica probes. AskedKTS is set when it
+	// charged a kts phase at all (a last_ts served in-process charges 0).
+	KTS, Probe time.Duration
+	AskedKTS   bool
+	// OwnedAll: the issuer owned every Hr position of the key when it
+	// issued the read, so an early probe had no remote position to take.
+	OwnedAll bool
+}
+
 // Run executes the scenario and returns aggregated metrics.
 func Run(sc Scenario) *Result {
 	cfg := sc.DeployConfig
@@ -115,10 +153,14 @@ func Run(sc Scenario) *Result {
 	case AlgUMSIndirect:
 		cfg.KTS.Mode = kts.ModeIndirect
 	}
+	return NewDeployment(cfg).run(sc, alg)
+}
+
+// run drives sc's workload on d with alg and stops d's kernel.
+func (d *Deployment) run(sc Scenario, alg peer.Algorithm) *Result {
 	// The harness drives virtual time and never abandons an operation, so
 	// ops run under a background context.
 	ctx := context.Background()
-	d := NewDeployment(cfg)
 	res := &Result{Scenario: sc}
 
 	// Working set.
@@ -126,19 +168,26 @@ func Run(sc Scenario) *Result {
 	for i := range keys {
 		keys[i] = core.Key(fmt.Sprintf("data-%03d", i))
 	}
-	payload := func(rng interface{ Intn(int) int }, gen int, k core.Key) []byte {
-		b := make([]byte, sc.DataSize)
-		copy(b, fmt.Sprintf("%s#%d", k, gen))
-		return b
+	// Ground truth: the last acknowledged timestamp of each key. Kernel
+	// processes mutate it, and the kernel serializes them.
+	lastTS := make(map[core.Key]core.Timestamp, len(keys))
+	put := func(p *Peer, k core.Key, gen int) error {
+		data := make([]byte, sc.DataSize)
+		copy(data, fmt.Sprintf("%s#%d", k, gen))
+		r, err := p.Put(ctx, alg, k, data)
+		if err == nil && lastTS[k].Less(r.TS) {
+			lastTS[k] = r.TS
+		}
+		return err
 	}
 
 	// Let maintenance settle, then load the initial working set.
 	d.RunFor(sc.Warmup)
+	pool := d.Peers[:min(sc.Clients, len(d.Peers))]
 	loadRng := d.K.NewRand("load")
 	ok := d.Do(func() {
-		for _, k := range keys {
-			p := d.RandomLivePeer(loadRng)
-			if _, err := p.Put(ctx, alg, k, payload(loadRng, 0, k)); err != nil {
+		for i, k := range keys {
+			if err := put(d.issuer(pool, i, loadRng), k, 0); err != nil {
 				res.UpdatesFailed++
 			}
 		}
@@ -192,7 +241,6 @@ func Run(sc Scenario) *Result {
 	// Update processes: one Poisson stream per key (Table 1: λ = 1/hour).
 	if sc.UpdateRate > 0 {
 		for i, k := range keys {
-			k := k
 			gen := 1
 			updRng := d.K.NewRand(fmt.Sprintf("upd-%d", i))
 			proc := &stats.PoissonProcess{Rate: sc.UpdateRate / 3600.0, Rng: updRng}
@@ -204,11 +252,11 @@ func Run(sc Scenario) *Result {
 					if d.K.Now() >= endAt {
 						return
 					}
-					p := d.RandomLivePeer(updRng)
+					p := d.issuer(pool, i+gen, updRng)
 					if p == nil {
 						return
 					}
-					if _, err := p.Put(ctx, alg, k, payload(updRng, gen, k)); err != nil {
+					if err := put(p, k, gen); err != nil {
 						res.UpdatesFailed++
 					} else {
 						res.UpdatesRun++
@@ -223,29 +271,42 @@ func Run(sc Scenario) *Result {
 	// (§5.1: "30 tests ... uniformly distributed over the total
 	// experimental time").
 	qRng := d.K.NewRand("queries")
-	queriesDone := 0
+	metrics := obs.NewMetricsTracer(d.Obs)
 	currentReturns := 0
 	for q := 0; q < sc.Queries; q++ {
 		at := stats.UniformDuration(qRng, sc.Duration)
 		key := keys[qRng.Intn(len(keys))]
 		d.K.After(at, func() {
-			defer func() { queriesDone++ }()
-			p := d.RandomLivePeer(qRng)
+			rec := Query{Outcome: QueryFailed}
+			defer func() { res.Queries = append(res.Queries, rec) }()
+			res.QueriesRun++
+			p := d.issuer(pool, q, qRng)
 			if p == nil {
+				// No live peer to issue from: the query still ran, and
+				// failed, keeping the outcome accounting exhaustive.
 				res.QueriesFailed++
 				return
 			}
-			r, err := p.Get(ctx, alg, key, dht.ReadPolicy{})
-			res.QueriesRun++
+			rec.OwnedAll = true
+			for _, h := range d.Set.Hr {
+				rec.OwnedAll = rec.OwnedAll && p.Node.OwnsID(h.ID(key))
+			}
+			// The read reports to the deployment's metrics and to its
+			// record's phase ledger.
+			r, err := p.Get(obs.WithTracer(ctx, obs.Fanout{metrics, ledger{&rec}}), alg, key, sc.Read)
 			res.RespTime.AddDuration(r.Elapsed)
 			res.Msgs.Add(float64(r.Msgs))
 			res.Probed.Add(float64(r.Probed))
+			rec.Elapsed, rec.Msgs, rec.Probes = r.Elapsed, r.Msgs, r.Probed
+			rec.Verdict, rec.TS, rec.Truth = r.Currency, r.TS, lastTS[key]
 			switch {
 			case err == nil:
+				rec.Outcome = QueryOK
 				if r.Current() {
 					currentReturns++
 				}
 			case ums.IsNoCurrent(err):
+				rec.Outcome = QueryStale
 				res.StaleReturns++
 			default:
 				res.QueriesFailed++
@@ -255,7 +316,7 @@ func Run(sc Scenario) *Result {
 
 	// Drive the whole experiment, plus slack for in-flight operations.
 	d.K.Run(endAt + 2*time.Minute)
-	for i := 0; i < 100 && queriesDone < sc.Queries; i++ {
+	for i := 0; i < 100 && len(res.Queries) < sc.Queries; i++ {
 		d.K.Run(d.K.Now() + 10*time.Second)
 	}
 
@@ -276,4 +337,36 @@ func Run(sc Scenario) *Result {
 	res.SimEvents = d.K.Events()
 	d.K.Stop()
 	return res
+}
+
+// issuer names the peer that issues a stream's i-th operation:
+// round-robin over pool, a dead pool peer falling through to the next
+// live one, then to a random live peer drawn from rng (nil when none
+// lives). An empty pool always draws the random live peer.
+func (d *Deployment) issuer(pool []*Peer, i int, rng interface{ Intn(int) int }) *Peer {
+	for j := range pool {
+		if p := pool[(i+j)%len(pool)]; p.Alive() {
+			return p
+		}
+	}
+	return d.RandomLivePeer(rng)
+}
+
+// ledger is the tracer one retrieve carries beside the metrics tracer:
+// it copies the retrieve's kts and probe phases into its record.
+// Tracing consumes no randomness and no time, so it leaves the replay
+// untouched.
+type ledger struct{ q *Query }
+
+func (l ledger) OpStart(obs.Op) {}
+
+func (l ledger) OpEnd(r obs.OpResult) {
+	for _, ph := range r.Phases {
+		switch ph.Name {
+		case obs.PhaseKTS:
+			l.q.KTS, l.q.AskedKTS = ph.D, true
+		case obs.PhaseProbe:
+			l.q.Probe = ph.D
+		}
+	}
 }

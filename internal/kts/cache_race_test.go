@@ -111,7 +111,7 @@ func TestLastTSCacheRaceHammer(t *testing.T) {
 			t.Errorf("key %s: age went backwards %v → %v", k, age1, age2)
 		}
 	}
-	if s.CacheHits() == 0 {
+	if s.cacheHits.Load() == 0 {
 		t.Error("hammer produced zero cache hits")
 	}
 }

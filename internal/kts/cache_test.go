@@ -53,7 +53,7 @@ func TestLastTSCacheObservesClientCalls(t *testing.T) {
 		t.Fatalf("after re-confirmation: ts=%v age=%v (was %v), want same ts with a reset age", cts, age3, age2)
 	}
 
-	if issuer.CacheHits() == 0 {
+	if issuer.cacheHits.Load() == 0 {
 		t.Fatal("cache hits not counted")
 	}
 }

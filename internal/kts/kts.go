@@ -242,8 +242,8 @@ type Service struct {
 
 	onRepair RepairFunc
 
-	// Per-peer counts, read by Stats and CacheHits and exported to the
-	// ring's registry at scrape time (a shared registry sums the peers).
+	// Per-peer counts, read by Stats and exported to the ring's
+	// registry at scrape time (a shared registry sums the peers).
 	grants         atomic.Uint64
 	indirectInits  atomic.Uint64
 	directArrivals atomic.Uint64
@@ -389,11 +389,6 @@ func (s *Service) Cached(k core.Key) (ts core.Timestamp, age time.Duration, ok b
 	s.cacheHits.Add(1)
 	s.metrics.cacheAge.Observe(age)
 	return ts, age, true
-}
-
-// CacheHits reports how many Cached consults found an entry.
-func (s *Service) CacheHits() uint64 {
-	return s.cacheHits.Load()
 }
 
 // noteLastTS records an observed last-ts for k at the current

@@ -35,8 +35,15 @@ const DefaultTimeout = 5 * time.Second
 // arc while keeping a lying length prefix harmless.
 const maxFrame = 64 << 20
 
-// keepBuf is the largest frame buffer a connection keeps for reuse.
-const keepBuf = 64 << 10
+// keepBuf is the largest frame buffer a connection keeps for reuse: a
+// request or reply carrying one 1 KB value fits, and a rarer bigger
+// frame (an owner batch, a handover) is allocated for itself, so it
+// does not stay resident on every connection.
+const keepBuf = 2 << 10
+
+// trustLen is the longest announced frame read into one allocation of
+// its announced size; a longer one grows with the bytes that arrive.
+const trustLen = 64 << 10
 
 // maxIdlePerHost limits pooled idle connections per destination.
 const maxIdlePerHost = 4
@@ -327,15 +334,19 @@ func (fc *frameConn) read() (s1, s2 string, m network.Message, err error) {
 		return "", "", nil, fmt.Errorf("tcpwire: frame of %d bytes exceeds %d", n, maxFrame)
 	}
 	var body []byte
-	if n <= keepBuf {
+	switch {
+	case n <= keepBuf:
 		if int(n) > cap(fc.rbuf) {
 			fc.rbuf = make([]byte, n)
 		}
 		body = fc.rbuf[:n]
 		_, err = io.ReadFull(fc.r, body)
-	} else {
-		// A frame too big to keep grows with the bytes that arrive,
-		// so a length prefix that lies costs no more than was sent.
+	case n <= trustLen:
+		body = make([]byte, n)
+		_, err = io.ReadFull(fc.r, body)
+	default:
+		// A frame this long grows with the bytes that arrive, so a
+		// length prefix that lies costs no more than was sent.
 		var buf bytes.Buffer
 		_, err = io.CopyN(&buf, fc.r, int64(n))
 		body = buf.Bytes()
