@@ -204,11 +204,11 @@ func TestPutBatchReplyMustAnswerEveryItem(t *testing.T) {
 	}
 }
 
-// TestPutHBatchReroutesARefusedMember: a member the named owner refuses
-// re-resolves alone through the router and is stored where the lookup
-// points, whether a guess or a lookup run ahead named the owner, while
-// its sibling stays stored at the owner.
-func TestPutHBatchReroutesARefusedMember(t *testing.T) {
+// TestPutHEachRefusedMemberGoesOnAlone: a member the named owner
+// refuses re-resolves alone through the router and is stored where the
+// lookup points, whether a guess or a lookup run ahead named the owner,
+// while its sibling stays stored at the owner.
+func TestPutHEachRefusedMemberGoesOnAlone(t *testing.T) {
 	set := hashing.NewSet(2)
 	var k core.Key
 	for i := 0; ; i++ {
@@ -222,7 +222,11 @@ func TestPutHBatchReroutesARefusedMember(t *testing.T) {
 			p.server.Store().Clear()
 			p.caller.Store().Clear()
 			c := NewClient(p.caller, "ums")
-			errs := c.PutHBatch(context.Background(), k, p.server.Self(), set.Hr, []GuessSource{src, src}, core.Value{Data: []byte("v"), TS: core.TS(1)}, PutIfNewer)
+			targets := make([]Target, len(set.Hr))
+			for j, h := range set.Hr {
+				targets[j] = Target{ID: h.ID(k), Ref: p.server.Self(), Src: src, Looked: src == NoGuess}
+			}
+			errs := c.PutHEach(context.Background(), k, set.Hr, targets, core.Value{Data: []byte("v"), TS: core.TS(1)}, PutIfNewer)
 			if errs[0] != nil || errs[1] != nil {
 				t.Errorf("source %q: %v", src, errs)
 			}

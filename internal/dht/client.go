@@ -66,58 +66,41 @@ func (c *Client) PutH(ctx context.Context, k core.Key, h hashing.Func, val core.
 // maintenance subsystem uses the report to count real heals instead of
 // every push.
 func (c *Client) PutHStored(ctx context.Context, k core.Key, h hashing.Func, val core.Value, mode PutMode) (bool, error) {
-	return c.putH(ctx, k, h, val, mode, false, NodeRef{})
-}
-
-// PutHResolved is PutH for a position whose owner was sought ahead of
-// the write: the ring declined to guess it (Router.Declines), and owner
-// is what the Lookup run then named — zero when it failed. See
-// Router.CallResolved.
-func (c *Client) PutHResolved(ctx context.Context, k core.Key, h hashing.Func, owner NodeRef, val core.Value, mode PutMode) error {
-	_, err := c.putH(ctx, k, h, val, mode, true, owner)
-	return err
-}
-
-func (c *Client) putH(ctx context.Context, k core.Key, h hashing.Func, val core.Value, mode PutMode, resolved bool, owner NodeRef) (bool, error) {
 	rid := h.ID(k)
 	req := PutReq{RingID: rid, Qual: Qualifier(c.ns, k, h.Name()), Val: val, Mode: mode}
-	var resp PutResp
-	var err error
-	if resolved {
-		resp, err = network.Reply[PutResp](c.route.CallResolved(ctx, rid, owner, MethodPut, req))
-	} else {
-		resp, err = network.Reply[PutResp](c.route.Call(ctx, rid, MethodPut, req))
-	}
+	resp, err := network.Reply[PutResp](c.route.Call(ctx, rid, MethodPut, req))
 	if err != nil {
 		return false, fmt.Errorf("dht: puth %q via %s: %w", k, h.Name(), err)
 	}
 	return resp.Stored, nil
 }
 
-// PutHBatch stores val at rsp(k, h) for every h in hs with one request
-// to ref, the peer named the owner of all of them before the write: by
-// a guess (srcs[j] is what the guess for hs[j] rested on) or by a
-// lookup run ahead of it (srcs[j] is NoGuess). Every position keeps the
-// outcome it would have had alone: one that ref refuses as not its own,
-// or that cannot reach ref, re-resolves alone through the router, as
-// PutH goes on after a missed guess and PutHResolved after its first
-// attempt. errs is parallel to hs.
-func (c *Client) PutHBatch(ctx context.Context, k core.Key, ref NodeRef, hs []hashing.Func, srcs []GuessSource, val core.Value, mode PutMode) (errs []error) {
-	req := PutBatchReq{Items: make([]store.Item, len(hs)), Mode: mode}
-	for j, h := range hs {
-		req.Items[j] = store.Item{RingID: h.ID(k), Qual: Qualifier(c.ns, k, h.Name()), Val: val}
+// PutHEach stores val at rsp(k, h) for every h in hs, targets[j]
+// carrying what is known of hs[j]'s owner (its ID is hs[j].ID(k)): one
+// write per owner through Router.CallEach — the plain Put for a lone
+// position, one PutBatch for several — and a position its owner refuses
+// re-resolves alone. A lone position with nothing known is PutH. errs
+// is parallel to hs.
+func (c *Client) PutHEach(ctx context.Context, k core.Key, hs []hashing.Func, targets []Target, val core.Value, mode PutMode) []error {
+	if len(hs) == 1 && targets[0].Ref.IsZero() && !targets[0].Looked {
+		return []error{c.PutH(ctx, k, hs[0], val, mode)}
 	}
-	_, errs = c.putBatch(ctx, ref, req)
-	for j, it := range req.Items {
-		err := errs[j]
-		if c.route.settle(ref, srcs[j], err) {
-			single := PutReq{RingID: it.RingID, Qual: it.Qual, Val: val, Mode: mode}
-			_, err = network.Reply[PutResp](c.route.reroute(ctx, it.RingID, srcs[j], err, MethodPut, single))
+	errs := c.route.CallEach(ctx, targets, func(ref NodeRef, idx []int) []error {
+		req := PutBatchReq{Items: make([]store.Item, len(idx)), Mode: mode}
+		for j, i := range idx {
+			req.Items[j] = store.Item{RingID: hs[i].ID(k), Qual: Qualifier(c.ns, k, hs[i].Name()), Val: val}
 		}
+		if it := req.Items[0]; len(idx) == 1 {
+			_, err := network.Reply[PutResp](c.route.Send(ctx, ref, MethodPut, PutReq{RingID: it.RingID, Qual: it.Qual, Val: val, Mode: mode}))
+			return []error{err}
+		}
+		_, errs := c.putBatch(ctx, ref, req)
+		return errs
+	})
+	for j, err := range errs {
 		if err != nil {
-			err = fmt.Errorf("dht: puth %q via %s: %w", k, hs[j].Name(), err)
+			errs[j] = fmt.Errorf("dht: puth %q via %s: %w", k, hs[j].Name(), err)
 		}
-		errs[j] = err
 	}
 	return errs
 }
@@ -127,15 +110,11 @@ func (c *Client) PutHBatch(ctx context.Context, k core.Key, ref NodeRef, hs []ha
 // failure, as from a peer that never answered.
 func (c *Client) putBatch(ctx context.Context, ref NodeRef, req PutBatchReq) (stored []bool, errs []error) {
 	n := len(req.Items)
-	stored, errs = make([]bool, n), make([]error, n)
+	stored = make([]bool, n)
 	r, err := network.Reply[PutBatchResp](c.route.Send(ctx, ref, MethodPutBatch, req))
-	if err == nil && (len(r.Stored) != n || len(r.Code) != n || len(r.Msg) != n) {
-		err = fmt.Errorf("dht: put batch of %d answered with %d: %w", n, len(r.Stored), core.ErrUnreachable)
-	}
-	for j := range errs {
-		if err != nil {
-			errs[j] = err
-		} else if errs[j] = network.DecodeError(r.Code[j], r.Msg[j]); errs[j] == nil {
+	errs, _ = network.DecodeBatch(n, err, len(r.Stored), r.Code, r.Msg)
+	for j, err := range errs {
+		if err == nil {
 			stored[j] = r.Stored[j]
 		}
 	}

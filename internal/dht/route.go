@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -84,19 +85,6 @@ func (r *Router) guess(id core.ID) (NodeRef, GuessSource) {
 	return ref, src
 }
 
-// resolve names the peer to send an operation for id to: the ring's
-// guess when one is wanted and offered, the authoritative Lookup
-// otherwise.
-func (r *Router) resolve(ctx context.Context, id core.ID, guess bool) (ref NodeRef, src GuessSource, err error) {
-	if guess {
-		if ref, src = r.guess(id); src != NoGuess {
-			return ref, src, nil
-		}
-	}
-	ref, _, err = r.ring.Lookup(ctx, id)
-	return ref, NoGuess, err
-}
-
 // Send performs one operation on ref: in-process, at no message, when
 // ref is this peer and Local holds the method, over the wire otherwise.
 // The handler's own checks still run — a position the peer does not own
@@ -137,12 +125,6 @@ func (r *Router) settle(ref NodeRef, src GuessSource, err error) (retry bool) {
 	return retry
 }
 
-// pause sleeps the back-off before an authoritative re-resolution. A
-// missed guess never pays it: nothing authoritative has gone stale yet.
-func (r *Router) pause(ctx context.Context) error {
-	return network.SleepCtx(ctx, r.ring.Env(), r.cfg.Backoff)
-}
-
 // Call delivers one operation to the peer responsible for id and
 // returns that peer's answer. The guessed owner is a free first try
 // outside the retry budget; after it come the authoritative lookup and
@@ -157,132 +139,122 @@ func (r *Router) Call(ctx context.Context, id core.ID, method string, req networ
 			return resp, err
 		}
 	}
-	return r.CallResolved(ctx, id, NodeRef{}, method, req)
+	var resp network.Message
+	err := r.callFrom(ctx, id, 0, nil, func(ref NodeRef) (err error) {
+		resp, err = r.Send(ctx, ref, method, req)
+		return err
+	})
+	return resp, err
 }
 
 // Declines asks the ring to name id's owner, as Call does first, and
 // reports whether it named nobody — counted as Call counts it. A caller
 // that resolves id ahead of an operation runs the Lookup itself on a
-// decline and hands the answer to CallResolved, which asks no second
-// guess; where the ring does name an owner, Call will again, for free.
+// decline and hands the answer to CallEach as a Looked Target.
 func (r *Router) Declines(id core.ID) bool {
 	_, src := r.guess(id)
 	return src == NoGuess
 }
 
-// CallResolved is Call's authoritative path: owner — what a Lookup for
-// id run ahead of the operation named, zero when there was none or it
-// failed — takes the place of the first lookup, so the operation goes
-// there first exactly as Call's lookup-routed attempt would; a
-// retryable answer re-resolves under the retry policy.
-func (r *Router) CallResolved(ctx context.Context, id core.ID, owner NodeRef, method string, req network.Message) (network.Message, error) {
-	return r.callFrom(ctx, id, owner, 0, method, req)
-}
-
-// reroute finishes an operation for id whose first attempt went out in
-// a batch with others for one peer, and whose answer there, err, was
-// settled as retryable: after a guess (src) it goes on as Call does
-// after a missed guess; after an owner looked up ahead of it (NoGuess),
-// as CallResolved does after its first attempt.
-func (r *Router) reroute(ctx context.Context, id core.ID, src GuessSource, err error, method string, req network.Message) (network.Message, error) {
-	first := 0
-	if src == NoGuess {
-		if first = 1; first > r.cfg.Retries {
-			return nil, err
-		}
-	}
-	return r.callFrom(ctx, id, NodeRef{}, first, method, req)
-}
-
-// callFrom is CallResolved from attempt first on: the attempts before it
-// went elsewhere.
-func (r *Router) callFrom(ctx context.Context, id core.ID, owner NodeRef, first int, method string, req network.Message) (network.Message, error) {
-	var lastErr error
+// callFrom is an operation's lookup-routed attempts from attempt first
+// on, the attempts before it having gone elsewhere and last failed with
+// lastErr: each resolves id through the authoritative Lookup and hands
+// the owner to try, until an answer is not retryable or the Retries are
+// spent. Every attempt after the first sleeps the back-off before it; a
+// missed guess never pays it, as nothing authoritative has gone stale.
+func (r *Router) callFrom(ctx context.Context, id core.ID, first int, lastErr error, try func(ref NodeRef) error) error {
 	for attempt := first; attempt <= r.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			if err := r.pause(ctx); err != nil {
-				return nil, err
+			if err := network.SleepCtx(ctx, r.ring.Env(), r.cfg.Backoff); err != nil {
+				return err
 			}
 		}
 		if err := network.CtxError(ctx); err != nil {
-			return nil, err
+			return err
 		}
-		ref := owner
-		owner = NodeRef{}
-		if ref.IsZero() {
-			var err error
-			if ref, _, err = r.ring.Lookup(ctx, id); err != nil {
-				return nil, err
-			}
+		ref, _, err := r.ring.Lookup(ctx, id)
+		if err != nil {
+			return err
 		}
-		resp, err := r.Send(ctx, ref, method, req)
-		if !retryable(err) {
-			return resp, err
+		if err = try(ref); !retryable(err) {
+			return err
 		}
 		lastErr = err
 	}
-	return nil, lastErr
+	return lastErr
+}
+
+// Target is one position of a grouped call with what its caller already
+// knows of the position's owner: nothing (the zero Ref, Looked unset), a
+// guess (Ref, and Src what it rested on), or a Lookup run ahead of the
+// call (Looked, Ref what it named — zero when it failed).
+type Target struct {
+	ID     core.ID
+	Ref    NodeRef
+	Src    GuessSource
+	Looked bool
 }
 
 // CallEach is Call for a batch of positions that share one request per
-// responsible: it groups ids by the peer resolved for each (guessed
-// owners in the first round, the authoritative lookup after) and hands
-// every group to send, in first-seen order so a round's RPC sequence is
-// deterministic. send issues the group's request to ref — through Send —
-// for the positions idx (indexes into ids) and returns one outcome per
-// entry of idx. Positions whose outcome is retryable re-resolve in the
-// next round; the result is each position's final outcome.
-func (r *Router) CallEach(ctx context.Context, ids []core.ID, send func(ref NodeRef, idx []int) []error) []error {
-	errs := make([]error, len(ids))
-	guessed := make([]GuessSource, len(ids))
-	pending := make([]int, len(ids))
-	for i := range pending {
-		pending[i] = i
-	}
-	failPending := func(err error) []error {
-		for _, i := range pending {
+// responsible. Each target goes first to the owner it names; one that
+// names none is resolved as Call resolves it — the guess, else the
+// Lookup — and a Looked one whose lookup failed by a fresh Lookup. The
+// targets are grouped by that owner and every group is handed to send,
+// in first-seen order so the RPC sequence is deterministic. send issues
+// the group's request to ref — through Send — for the targets idx
+// (indexes into targets) and returns one outcome per entry of idx. A
+// member whose outcome is retryable goes on alone, through send(ref,
+// [i]), exactly as Call would after that attempt: after a guess, the
+// lookup at once; after a lookup, the back-off and a fresh one. The
+// result is each target's final outcome.
+func (r *Router) CallEach(ctx context.Context, targets []Target, send func(ref NodeRef, idx []int) []error) []error {
+	errs := make([]error, len(targets))
+	if err := network.CtxError(ctx); err != nil {
+		for i := range errs {
 			errs[i] = err
 		}
 		return errs
 	}
-	rounds := r.cfg.Retries + 1
-	backoff := false
-	for round := 0; round < rounds && len(pending) > 0; round++ {
-		if backoff {
-			if err := r.pause(ctx); err != nil {
-				return failPending(err)
+	first := make([]Target, len(targets)) // the owner each goes to first; zero Ref when none was found
+	for i, t := range targets {
+		f := &first[i]
+		f.Ref, f.Src = t.Ref, t.Src
+		if f.Ref.IsZero() && !t.Looked {
+			if ref, src := r.guess(t.ID); src != NoGuess {
+				f.Ref, f.Src = ref, src
 			}
 		}
-		if err := network.CtxError(ctx); err != nil {
-			return failPending(err)
+		if f.Ref.IsZero() {
+			var err error
+			if f.Ref, _, err = r.ring.Lookup(ctx, t.ID); err != nil {
+				errs[i], f.Ref = err, NodeRef{}
+			}
 		}
-		var order []NodeRef
-		groups := make(map[network.Addr][]int)
-		for _, i := range pending {
-			ref, src, err := r.resolve(ctx, ids[i], round == 0)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			if guessed[i] = src; src != NoGuess && rounds == r.cfg.Retries+1 {
-				rounds++ // a round with guesses in it is outside the retry budget
-			}
-			if _, seen := groups[ref.Addr]; !seen {
-				order = append(order, ref)
-			}
-			groups[ref.Addr] = append(groups[ref.Addr], i)
+	}
+	idx := make([]int, 0, len(targets)) // the groups' members, one group after another
+	for i, f := range first {
+		if f.Ref.IsZero() || slices.IndexFunc(first, func(o Target) bool { return o.Ref.Addr == f.Ref.Addr }) < i {
+			continue // no owner, or that owner's group has gone
 		}
-		pending, backoff = nil, false
-		for _, ref := range order {
-			idx := groups[ref.Addr]
-			for j, err := range send(ref, idx) {
-				i := idx[j]
-				errs[i] = err
-				if r.settle(ref, guessed[i], err) {
-					pending = append(pending, i)
-					backoff = backoff || guessed[i] == NoGuess
+		from := len(idx)
+		for j := i; j < len(first); j++ {
+			if first[j].Ref.Addr == f.Ref.Addr {
+				idx = append(idx, j)
+			}
+		}
+		group := idx[from:len(idx):len(idx)]
+		for j, err := range send(f.Ref, group) {
+			m := group[j]
+			if src := first[m].Src; r.settle(f.Ref, src, err) {
+				attempt := 0 // a missed guess: the lookup at once
+				if src == NoGuess {
+					attempt = 1
 				}
+				err = r.callFrom(ctx, targets[m].ID, attempt, err, func(ref NodeRef) error {
+					return send(ref, []int{m})[0]
+				})
 			}
+			errs[m] = err
 		}
 	}
 	return errs

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -30,11 +31,23 @@ func (r *scriptedRing) Guess(core.ID) (NodeRef, GuessSource) {
 	return r.Self(), r.src
 }
 func (r *scriptedRing) Endpoint() network.Endpoint { return nil }
-func (r *scriptedRing) Env() network.Env           { return nil }
+func (r *scriptedRing) Env() network.Env           { return sleeper{r: r} }
 func (r *scriptedRing) OwnsID(core.ID) bool        { return true }
 func (r *scriptedRing) HeldSince() time.Duration   { return 0 } // no Env: nothing reads it
 func (r *scriptedRing) Alive() bool                { return true }
 func (r *scriptedRing) Obs() *obs.Registry         { return nil }
+
+// sleeper is a scriptedRing's environment: it records every back-off
+// among the ring's calls and has nothing else.
+type sleeper struct {
+	network.Env
+	r *scriptedRing
+}
+
+func (s sleeper) Sleep(time.Duration) error {
+	s.r.calls = append(s.r.calls, "sleep")
+	return nil
+}
 
 // forgettingRing is a scriptedRing that remembers arcs, so the router
 // reports every missed guess to it.
@@ -113,5 +126,118 @@ func TestRouterMissOnRingWithoutForgetter(t *testing.T) {
 	}
 	if hits, misses := r.GuessStats(); hits != 0 || misses != 1 {
 		t.Errorf("hits %d misses %d, want 0 and 1", hits, misses)
+	}
+}
+
+// TestCallEachRefusedMemberGoesOnAlone: each member of a group that its
+// owner refuses goes on alone, exactly as Call would after that
+// attempt — after a guess, the miss reported and the lookup at once;
+// after a lookup, the back-off and one fresh lookup, none when Retries
+// is 0 — and a Looked target whose lookup failed gets a fresh lookup,
+// never a guess.
+func TestCallEachRefusedMemberGoesOnAlone(t *testing.T) {
+	owner := NodeRef{ID: 9, Addr: "owner"}
+	for _, tc := range []struct {
+		name      string
+		retries   int
+		targets   []Target
+		calls     []string // the ring consulted, in order
+		sends     []string // each send's owner and members
+		refused   bool     // the members keep the owner's refusal
+		hits, mis uint64
+	}{{
+		name:    "guessed",
+		retries: 1,
+		targets: []Target{{ID: 1, Ref: owner, Src: GuessRouting}, {ID: 2, Ref: owner, Src: GuessRouting}, {ID: 3, Ref: owner, Src: GuessRouting}},
+		calls:   []string{"missed owner", "lookup", "missed owner", "lookup"},
+		sends:   []string{"owner [0 1 2]", "self [1]", "self [2]"},
+		hits:    1, mis: 2,
+	}, {
+		name:    "looked",
+		retries: 1,
+		targets: []Target{{ID: 1, Ref: owner, Looked: true}, {ID: 2, Ref: owner, Looked: true}, {ID: 3, Ref: owner, Looked: true}},
+		calls:   []string{"sleep", "lookup", "sleep", "lookup"},
+		sends:   []string{"owner [0 1 2]", "self [1]", "self [2]"},
+	}, {
+		name:    "looked, no retries",
+		targets: []Target{{ID: 1, Ref: owner, Looked: true}, {ID: 2, Ref: owner, Looked: true}, {ID: 3, Ref: owner, Looked: true}},
+		sends:   []string{"owner [0 1 2]"},
+		refused: true,
+	}, {
+		name:    "looked without an owner",
+		retries: 1,
+		targets: []Target{{ID: 1, Looked: true}},
+		calls:   []string{"lookup"},
+		sends:   []string{"self [0]"},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ring := &forgettingRing{scriptedRing{src: GuessRouting}}
+			r := NewRouter(ring, RouteConfig{Retries: tc.retries})
+			var sends []string
+			errs := r.CallEach(context.Background(), tc.targets, func(ref NodeRef, idx []int) []error {
+				sends = append(sends, fmt.Sprint(ref.Addr, " ", idx))
+				errs := make([]error, len(idx))
+				for j, i := range idx {
+					if ref == owner && i > 0 {
+						errs[j] = core.ErrNotResponsible
+					}
+				}
+				return errs
+			})
+			for i, err := range errs {
+				if want := tc.refused && i > 0; (err != nil) != want || (want && !errors.Is(err, core.ErrNotResponsible)) {
+					t.Errorf("member %d: %v, refused %v", i, err, want)
+				}
+			}
+			if !reflect.DeepEqual(sends, tc.sends) {
+				t.Errorf("sent %q, want %q", sends, tc.sends)
+			}
+			if !reflect.DeepEqual(ring.calls, tc.calls) {
+				t.Errorf("ring consulted as %q, want %q", ring.calls, tc.calls)
+			}
+			if hits, misses := r.GuessStats(); hits != tc.hits || misses != tc.mis {
+				t.Errorf("hits %d misses %d, want %d and %d", hits, misses, tc.hits, tc.mis)
+			}
+		})
+	}
+}
+
+// TestCallEachResolvesAnUnknownTargetAsCall: a target that names no
+// owner is resolved, sent, retried and counted exactly as Call handles
+// the same operation, whatever the ring's guess rests on and whether
+// the first owner refuses.
+func TestCallEachResolvesAnUnknownTargetAsCall(t *testing.T) {
+	for _, src := range []GuessSource{GuessRouting, GuessLearned, NoGuess} {
+		for refusals := 0; refusals <= 2; refusals++ {
+			t.Run(fmt.Sprintf("source=%q/refusals=%d", src, refusals), func(t *testing.T) {
+				type outcome struct {
+					calls                 []string
+					err                   bool
+					hits, misses, learned uint64
+					declined              uint64
+				}
+				run := func(each bool) outcome {
+					ring := &forgettingRing{scriptedRing{src: src}}
+					r := NewRouter(ring, RouteConfig{Retries: 1, Local: refuseFirst(refusals)})
+					ctx := context.Background()
+					var err error
+					if each {
+						err = r.CallEach(ctx, []Target{{ID: 7}}, func(ref NodeRef, idx []int) []error {
+							_, err := r.Send(ctx, ref, MethodPut, PutReq{})
+							return []error{err}
+						})[0]
+					} else {
+						_, err = r.Call(ctx, 7, MethodPut, PutReq{})
+					}
+					o := outcome{calls: ring.calls, err: err != nil, declined: r.declined.Value()}
+					o.hits, o.misses = r.GuessStats()
+					_, o.learned = r.LearnedStats()
+					return o
+				}
+				if call, each := run(false), run(true); !reflect.DeepEqual(call, each) {
+					t.Errorf("CallEach %+v, Call %+v", each, call)
+				}
+			})
+		}
 	}
 }

@@ -256,3 +256,49 @@ func TestBatchRogueReplies(t *testing.T) {
 		})
 	}
 }
+
+// TestBatchRefusedKeyGoesOnAlone: keys their responsible turns away as
+// not its own each go on alone, in a BatchReq of one key, as a single-key
+// gen_ts would after that refusal; the sibling it granted keeps its
+// timestamp and every key is stamped exactly once.
+func TestBatchRefusedKeyGoesOnAlone(t *testing.T) {
+	c := newCluster(t, 17, 8, Config{Mode: ModeDirect})
+	c.settle(2 * time.Second)
+	keys, owner := c.keysSharingResponsible(3)
+	serve := c.services[owner].handlers()[MethodGenTSBatch]
+	refuse := map[core.Key]bool{keys[1]: true, keys[2]: true}
+	var got [][]core.Key
+	c.nodes[owner].Endpoint().Handle(MethodGenTSBatch, func(from network.Addr, m network.Message) (network.Message, error) {
+		req := m.(BatchReq)
+		got = append(got, req.Keys)
+		n := len(req.Keys)
+		resp := BatchResp{TS: make([]core.Timestamp, n), Code: make([]string, n), Msg: make([]string, n)}
+		for j, k := range req.Keys {
+			if refuse[k] {
+				refuse[k] = false
+				resp.Code[j], resp.Msg[j] = network.EncodeError(core.ErrNotResponsible)
+				continue
+			}
+			r, err := serve(from, BatchReq{Keys: []core.Key{k}})
+			if err != nil {
+				return nil, err
+			}
+			one := r.(BatchResp)
+			resp.TS[j], resp.Code[j], resp.Msg[j] = one.TS[0], one.Code[0], one.Msg[0]
+		}
+		return resp, nil
+	})
+	issuer := c.services[(owner+1)%len(c.services)]
+	c.do(func() {
+		out, errs := issuer.GenTSBatch(context.Background(), keys)
+		for i, k := range keys {
+			if errs[i] != nil || out[i] != core.TS(1) {
+				t.Errorf("gen %q = %v, %v; want ts(1)", k, out[i], errs[i])
+			}
+		}
+	})
+	want := [][]core.Key{keys, {keys[1]}, {keys[2]}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("the responsible was sent %v, want %v", got, want)
+	}
+}

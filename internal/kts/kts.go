@@ -468,33 +468,26 @@ func (s *Service) LastTSBatch(ctx context.Context, keys []core.Key) ([]core.Time
 
 // batchCall is the grouped analogue of the single-key call: the router
 // groups the keys by responsible and each group travels as one RPC —
-// the local group is served free of charge. Outcomes are per key.
+// the local group is served free of charge; a key its responsible
+// refuses goes on alone. Outcomes are per key.
 func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key) ([]core.Timestamp, []error) {
 	out := make([]core.Timestamp, len(keys))
-	ids := make([]core.ID, len(keys))
+	targets := make([]dht.Target, len(keys))
 	for i, k := range keys {
-		ids[i] = s.set.HTS.ID(k)
+		targets[i].ID = s.set.HTS.ID(k)
 	}
-	errs := s.route.CallEach(ctx, ids, func(ref dht.NodeRef, idx []int) []error {
-		errs := make([]error, len(idx))
+	errs := s.route.CallEach(ctx, targets, func(ref dht.NodeRef, idx []int) []error {
 		req := BatchReq{Keys: make([]core.Key, len(idx))}
 		for j, i := range idx {
 			req.Keys[j] = keys[i]
 		}
 		r, err := network.Reply[BatchResp](s.route.Send(ctx, ref, method, req))
-		if err == nil && (len(r.TS) != len(idx) || len(r.Code) != len(idx) || len(r.Msg) != len(idx)) {
-			err = fmt.Errorf("kts: batch reply for %d keys answers %d: %w", len(idx), len(r.TS), core.ErrUnreachable)
+		errs, whole := network.DecodeBatch(len(idx), err, len(r.TS), r.Code, r.Msg)
+		if whole == nil {
+			network.MeterFrom(ctx).Merge(r.Cost)
 		}
-		if err != nil {
-			// The whole group shares the transport outcome.
-			for j := range errs {
-				errs[j] = err
-			}
-			return errs
-		}
-		network.MeterFrom(ctx).Merge(r.Cost)
 		for j, i := range idx {
-			if errs[j] = network.DecodeError(r.Code[j], r.Msg[j]); errs[j] == nil {
+			if errs[j] == nil {
 				out[i] = r.TS[j]
 			}
 		}

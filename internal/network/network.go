@@ -318,3 +318,24 @@ func DecodeError(code, msg string) error {
 	}
 	return fmt.Errorf("%s: %w", "remote", base)
 }
+
+// DecodeBatch is DecodeError for a reply to a batch of n items: err is
+// the call's own outcome, answered how many results the reply carries,
+// and codes and msgs its per-item error codes. A reply that does not
+// answer every item exactly once is the whole batch's failure, as from a
+// peer that never answered. errs holds one outcome per item; whole is
+// the failure every item shares, nil when the reply answered each.
+func DecodeBatch(n int, err error, answered int, codes, msgs []string) (errs []error, whole error) {
+	errs = make([]error, n)
+	if err == nil && (answered != n || len(codes) != n || len(msgs) != n) {
+		err = fmt.Errorf("network: batch of %d answered with %d: %w", n, answered, core.ErrUnreachable)
+	}
+	for j := range errs {
+		if err != nil {
+			errs[j] = err
+		} else {
+			errs[j] = DecodeError(codes[j], msgs[j])
+		}
+	}
+	return errs, err
+}

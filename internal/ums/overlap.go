@@ -109,8 +109,8 @@ func (p *probe) read(ctx context.Context) {
 // prefetch resolves a put's replica owners while its gen_ts is on the
 // wire: for every Hr position the ring cannot guess, the Ring.Lookup the
 // write's router would otherwise run, all side by side. Each answer goes
-// to that position's write (dht.Client.PutHResolved, or the batch to
-// that owner), which sends to it first, so the put runs no lookup and
+// to that position's write as a Looked dht.Target, which sends to it
+// first (dht.Client.PutHEach), so the put runs no lookup and
 // sends no message it would not have anyway; positions the ring can
 // guess are left to the write's own guess. A CAN issuer, or a chord
 // arc the learned table has since evicted, therefore pays no second

@@ -70,9 +70,8 @@ func groupedWrites(d *exp.Deployment, p *exp.Peer, k core.Key, val core.Value) (
 	ctx := network.WithMeter(context.Background(), &meter)
 	client := dht.NewClient(p.Node, ums.Namespace)
 	type group struct {
-		ref  dht.NodeRef
-		hs   []hashing.Func
-		srcs []dht.GuessSource
+		hs      []hashing.Func
+		targets []dht.Target
 	}
 	var groups []*group
 	byOwner := map[network.Addr]*group{}
@@ -80,23 +79,21 @@ func groupedWrites(d *exp.Deployment, p *exp.Peer, k core.Key, val core.Value) (
 		ref, src := p.Node.Guess(h.ID(k))
 		g := byOwner[ref.Addr]
 		if g == nil || src == dht.NoGuess {
-			g = &group{ref: ref}
+			g = &group{}
 			groups = append(groups, g)
 			if src != dht.NoGuess {
 				byOwner[ref.Addr] = g
 			}
 		}
-		g.hs, g.srcs = append(g.hs, h), append(g.srcs, src)
+		g.hs = append(g.hs, h)
+		g.targets = append(g.targets, dht.Target{ID: h.ID(k), Ref: ref, Src: src})
 	}
 	start := d.K.Now()
 	for _, g := range groups {
 		if len(g.hs) == 1 {
-			if client.PutH(ctx, k, g.hs[0], val, dht.PutIfNewer) == nil {
-				stored++
-			}
-			continue
+			g.targets[0] = dht.Target{ID: g.targets[0].ID} // a lone position guesses again
 		}
-		for _, err := range client.PutHBatch(ctx, k, g.ref, g.hs, g.srcs, val, dht.PutIfNewer) {
+		for _, err := range client.PutHEach(ctx, k, g.hs, g.targets, val, dht.PutIfNewer) {
 			if err == nil {
 				stored++
 			}

@@ -181,7 +181,7 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 			return fmt.Errorf("ums: insert(%q): %w", k, cerr)
 		}
 		begin := env.Now()
-		res.Stored += s.write(ctx, k, groups[i], val, owners)
+		res.Stored += s.write(ctx, k, groups[i], val)
 		waited = env.Now()-begin >= overlapAfter
 	}
 	if i < n {
@@ -200,7 +200,7 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 		writes := make([]write, n-first)
 		if jerr := env.Join(len(writes), func(j int) {
 			w := &writes[j]
-			w.stored = s.write(network.WithMeter(ctx, &w.meter), k, groups[first+j], val, owners)
+			w.stored = s.write(network.WithMeter(ctx, &w.meter), k, groups[first+j], val)
 		}); jerr != nil {
 			// The environment shut down with branches still running:
 			// what they hold is not ours to read.
@@ -211,7 +211,7 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 		for j, w := range writes {
 			cost.Merge(w.meter)
 			landed += w.stored
-			sent += len(groups[first+j].pos)
+			sent += len(groups[first+j].hs)
 		}
 		res.Stored += landed
 		if landed < sent {
@@ -228,68 +228,57 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 }
 
 // group is the Hr positions of a put that travel as one write: every
-// position whose owner is known before any write is sent — ref, named by
-// the ring's guess or by a lookup run while stamping — with the others
-// that peer owns, and a position whose owner is not known alone.
+// position whose owner is known before any write is sent — named by the
+// ring's guess or by a lookup run while stamping — with the others that
+// peer owns, and a position whose owner is not known alone. targets is
+// what is known of each position's owner, parallel to hs.
 type group struct {
-	ref  dht.NodeRef
-	pos  []int             // indexes into Hr, ascending
-	srcs []dht.GuessSource // what named ref for each of pos; NoGuess for a lookup
+	hs      []hashing.Func
+	targets []dht.Target
 }
 
 // groups splits Hr into the put's writes, in the order of each group's
 // first position. A position the ring declines to guess and no lookup
 // resolved is a group of its own, so the lookup its write runs delays
-// only that write.
+// only that write; a guessed position alone in its group names no owner
+// ahead, and its write guesses again when it goes.
 func (s *Service) groups(k core.Key, owners *prefetch) []group {
-	groups := make([]group, 0, len(s.set.Hr))
+	n := len(s.set.Hr)
+	targets := make([]dht.Target, n)
 	for i, h := range s.set.Hr {
-		var ref dht.NodeRef
-		src := dht.NoGuess
+		t := &targets[i]
+		t.ID = h.ID(k)
 		if owners != nil && owners.owners[i].looked {
-			ref = owners.owners[i].ref
+			t.Ref, t.Looked = owners.owners[i].ref, true
 		} else {
-			ref, src = s.ring.Guess(h.ID(k))
+			t.Ref, t.Src = s.ring.Guess(t.ID)
 		}
-		g := -1
-		if !ref.IsZero() {
-			g = slices.IndexFunc(groups, func(g group) bool { return g.ref.Addr == ref.Addr })
+	}
+	// One backing array each for the groups' positions and targets.
+	hs, ts := make([]hashing.Func, 0, n), make([]dht.Target, 0, n)
+	groups := make([]group, 0, n)
+	for i, t := range targets {
+		if !t.Ref.IsZero() && slices.IndexFunc(targets, func(o dht.Target) bool { return o.Ref.Addr == t.Ref.Addr }) < i {
+			continue // that owner's group has gone
 		}
-		if g < 0 {
-			g = len(groups)
-			groups = append(groups, group{ref: ref})
+		from := len(hs)
+		for j := i; j < n; j++ {
+			if j == i || !t.Ref.IsZero() && targets[j].Ref.Addr == t.Ref.Addr {
+				hs, ts = append(hs, s.set.Hr[j]), append(ts, targets[j])
+			}
 		}
-		groups[g].pos = append(groups[g].pos, i)
-		groups[g].srcs = append(groups[g].srcs, src)
+		if len(hs) == from+1 && t.Src != dht.NoGuess {
+			ts[from] = dht.Target{ID: t.ID}
+		}
+		groups = append(groups, group{hs: hs[from:], targets: ts[from:]})
 	}
 	return groups
 }
 
-// write sends val to the owner of g's positions and reports how many of
-// them stored it. A lone position is a plain put: to the owner resolved
-// while stamping when that position's was (owners may be nil), through
-// the router's own resolution otherwise. A group goes as one batch to
-// its owner, whose refusals re-resolve alone (dht.Client.PutHBatch).
-func (s *Service) write(ctx context.Context, k core.Key, g group, val core.Value, owners *prefetch) (stored int) {
-	if len(g.pos) == 1 {
-		i := g.pos[0]
-		h := s.set.Hr[i]
-		var err error
-		if owners != nil && owners.owners[i].looked {
-			err = s.client.PutHResolved(ctx, k, h, owners.owners[i].ref, val, dht.PutIfNewer)
-		} else {
-			err = s.client.PutH(ctx, k, h, val, dht.PutIfNewer)
-		}
-		if err != nil {
-			return 0
-		}
-		return 1
-	}
-	hs := make([]hashing.Func, len(g.pos))
-	for j, i := range g.pos {
-		hs[j] = s.set.Hr[i]
-	}
-	for _, err := range s.client.PutHBatch(ctx, k, g.ref, hs, g.srcs, val, dht.PutIfNewer) {
+// write sends val to the owner of g's positions (dht.Client.PutHEach)
+// and reports how many of them stored it.
+func (s *Service) write(ctx context.Context, k core.Key, g group, val core.Value) (stored int) {
+	for _, err := range s.client.PutHEach(ctx, k, g.hs, g.targets, val, dht.PutIfNewer) {
 		if err == nil {
 			stored++
 		}
