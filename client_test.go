@@ -292,7 +292,9 @@ func overlappedGets(st *peer.Stack) uint64 {
 // first probe finds a current replica: a message pair for last_ts unless
 // st is rsp(k, hts), and one for the probe unless st owns a replica
 // position and probes it first — which the early probe sent alongside a
-// slow last_ts never does. A peer serves itself in-process, for free.
+// slow last_ts never does — or owns none and guesses rsp(k, hts) to own
+// one, whose replica then rides on last_ts. A peer serves itself
+// in-process, for free.
 // guessed is false when the read could pay a lookup on the way: st
 // cannot name rsp(k, hts), or any replica owner it does not own.
 func currentReadMsgs(st *peer.Stack, k Key, overlapped bool) (msgs int, guessed bool) {
@@ -305,13 +307,16 @@ func currentReadMsgs(st *peer.Stack, k Key, overlapped bool) (msgs int, guessed 
 	if !st.Node.OwnsID(set.HTS.ID(k)) {
 		msgs += 2
 	}
-	ownsReplica, namesReplica := false, false
+	ownsReplica, namesReplica, fused := false, false, false
+	stamper, src := st.Node.Guess(set.HTS.ID(k))
 	for _, h := range set.Hr {
 		owns := st.Node.OwnsID(h.ID(k))
 		ownsReplica = ownsReplica || owns
 		namesReplica = namesReplica || (!owns && named(h.ID(k)))
+		ref, hsrc := st.Node.Guess(h.ID(k))
+		fused = fused || (src != dht.NoGuess && hsrc != dht.NoGuess && ref.Addr == stamper.Addr)
 	}
-	if overlapped || !ownsReplica {
+	if overlapped || !ownsReplica && !fused {
 		msgs += 2
 	}
 	return msgs, guessed && namesReplica

@@ -147,14 +147,11 @@ func (r *Router) Call(ctx context.Context, id core.ID, method string, req networ
 	return resp, err
 }
 
-// Declines asks the ring to name id's owner, as Call does first, and
-// reports whether it named nobody — counted as Call counts it. A caller
-// that resolves id ahead of an operation runs the Lookup itself on a
-// decline and hands the answer to CallEach as a Looked Target.
-func (r *Router) Declines(id core.ID) bool {
-	_, src := r.guess(id)
-	return src == NoGuess
-}
+// Declined counts a decline of Ring.Guess that a caller resolving an
+// owner ahead of its operation met itself, as Call counts its own: the
+// caller then runs the Lookup and hands the answer to CallEach as a
+// Looked Target, which asks the ring no second time.
+func (r *Router) Declined() { r.declined.Inc() }
 
 // callFrom is an operation's lookup-routed attempts from attempt first
 // on, the attempts before it having gone elsewhere and last failed with

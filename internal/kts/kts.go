@@ -118,24 +118,88 @@ const (
 )
 
 // GenTSReq asks the responsible of timestamping for a new timestamp —
-// the TSR message of §4.1.1.
-type GenTSReq struct{ Key core.Key }
-
-// GenTSResp carries the generated timestamp plus the communication cost
-// the responsible spent on the caller's behalf (indirect initialization).
-type GenTSResp struct {
-	TS   core.Timestamp
-	Cost network.Meter
+// the TSR message of §4.1.1. Hr names the key's replica positions
+// (indexes into the set's Hr) the issuer guesses the responsible owns:
+// once the timestamp is granted and journalled, the responsible stores
+// Data stamped with it at each of them, so those writes ride on the
+// gen_ts round trip (a fused gen_ts). Data travels only with Hr.
+type GenTSReq struct {
+	Key  core.Key
+	Data []byte
+	Hr   []int
 }
 
-// LastTSReq asks for the last timestamp generated for a key.
-type LastTSReq struct{ Key core.Key }
+// WireSize charges the value and the named positions; a request that
+// names none is a plain TSR message.
+func (r GenTSReq) WireSize() int {
+	if len(r.Hr) == 0 {
+		return network.DefaultWireSize
+	}
+	return network.DefaultWireSize + len(r.Data) + len(r.Hr)
+}
+
+// GenTSResp carries the generated timestamp plus the communication cost
+// the responsible spent on the caller's behalf (indirect initialization),
+// and, parallel to the request's Hr, each named position's outcome:
+// Code[j] is empty when the position was served (Stored[j] then says
+// whether PutIfNewer kept the value) or the network error code of its
+// refusal.
+type GenTSResp struct {
+	TS     core.Timestamp
+	Cost   network.Meter
+	Stored []bool
+	Code   []string
+	Msg    []string
+}
+
+// WireSize charges the per-position outcomes; a reply to a request that
+// named none is a plain message.
+func (r GenTSResp) WireSize() int {
+	return network.DefaultWireSize + len(r.Stored) + codesSize(r.Code, r.Msg)
+}
+
+// LastTSReq asks for the last timestamp generated for a key. Hr names
+// the replica positions the issuer guesses the responsible owns: it
+// reads its counter, then each of those replicas, and returns them with
+// the timestamp (a fused last_ts).
+type LastTSReq struct {
+	Key core.Key
+	Hr  []int
+}
+
+// WireSize charges the named positions.
+func (r LastTSReq) WireSize() int { return network.DefaultWireSize + len(r.Hr) }
 
 // LastTSResp carries the last timestamp (zero when the key has never
-// been stamped) and the server-side cost.
+// been stamped) and the server-side cost, and, parallel to the
+// request's Hr, each named position's replica: Code[j] is empty when
+// Vals[j] was read there, else the network error code of the read.
 type LastTSResp struct {
 	TS   core.Timestamp
 	Cost network.Meter
+	Vals []core.Value
+	Code []string
+	Msg  []string
+}
+
+// WireSize charges the replicas' bytes and the outcomes.
+func (r LastTSResp) WireSize() int {
+	n := network.DefaultWireSize + codesSize(r.Code, r.Msg)
+	for _, v := range r.Vals {
+		n += len(v.Data)
+	}
+	return n
+}
+
+// codesSize is the bytes of a reply's per-item error codes.
+func codesSize(codes, msgs []string) (n int) {
+	for _, c := range codes {
+		n += len(c)
+	}
+	for _, m := range msgs {
+		n += len(m)
+	}
+	return n
 }
 
 // BatchReq asks the responsible for timestamps (gen_ts) or last
@@ -166,11 +230,7 @@ type BatchResp struct {
 
 // WireSize charges the response proportionally to its entries.
 func (r BatchResp) WireSize() int {
-	n := network.DefaultWireSize + 24*len(r.TS)
-	for i := range r.Code {
-		n += len(r.Code[i]) + len(r.Msg[i])
-	}
-	return n
+	return network.DefaultWireSize + 24*len(r.TS) + codesSize(r.Code, r.Msg)
 }
 
 // CounterEntry is one (key, counter) pair moved by handover or recovery.
@@ -218,6 +278,11 @@ type Service struct {
 	client *dht.Client // reads the replica namespace for indirect init
 	route  *dht.Router // delivers gen_ts/last_ts/recover to rsp(k, hts)
 	cfg    Config
+
+	// replicas is the peer's own store method table (dht.RegisterStore),
+	// through which a fused gen_ts or last_ts serves the replica
+	// positions it names; nil when the peer hosts no store.
+	replicas map[string]network.HandlerFunc
 
 	// vcs is the Valid Counters Set of §4.1.2, kept in the peer's store
 	// next to its replicas, so the two form one recoverable unit: on a
@@ -301,6 +366,11 @@ func New(ring dht.Ring, set hashing.Set, replicaNS string, cfg Config) *Service 
 		s.vcs = r.Store().Backing()
 	} else {
 		s.vcs = store.NewMem()
+	}
+	if r, ok := ring.(interface {
+		StoreHandlers() map[string]network.HandlerFunc
+	}); ok {
+		s.replicas = r.StoreHandlers()
 	}
 	handlers := s.handlers()
 	// We may be the responsible ourselves: the router serves the same
@@ -404,30 +474,84 @@ func (s *Service) noteLastTS(k core.Key, ts core.Timestamp) {
 // sends it a timestamp request. This is the paper's KTS.gen_ts(k). The
 // context bounds the call and carries the operation's meter.
 func (s *Service) GenTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
+	ts, _, err := s.GenTSStore(ctx, k, nil, nil)
+	return ts, err
+}
+
+// Served is what rsp(k, hts) did at the replica positions a fused
+// gen_ts or last_ts named, each slice parallel to them. Errs[j] is nil
+// when the position was served: Vals[j] is then the replica a last_ts
+// read there, Stored[j] whether a gen_ts's PutIfNewer kept the value.
+// A reply that does not answer every position fails each with
+// core.ErrUnreachable.
+type Served struct {
+	Errs   []error
+	Vals   []core.Value
+	Stored []bool
+}
+
+// GenTSStore is GenTS fused with the writes of data to the Hr positions
+// at (indexes into the set's Hr) that the caller guesses rsp(k, hts)
+// owns: that peer grants and journals the timestamp, then stores
+// {data, ts} at each of them it does own, in the same round trip. A
+// position it refuses, or a reply that does not answer it, is the
+// caller's to write the ordinary way.
+func (s *Service) GenTSStore(ctx context.Context, k core.Key, data []byte, at []int) (core.Timestamp, Served, error) {
 	s.metrics.genTSReqs.Inc()
-	r, err := network.Reply[GenTSResp](s.route.Call(ctx, s.set.HTS.ID(k), MethodGenTS, GenTSReq{Key: k}))
+	req := GenTSReq{Key: k}
+	if len(at) > 0 {
+		req.Data, req.Hr = data, at
+	}
+	r, err := network.Reply[GenTSResp](s.route.Call(ctx, s.set.HTS.ID(k), MethodGenTS, req))
 	if err != nil {
-		return core.TSZero, fmt.Errorf("kts: gen_ts(%q): %w", k, err)
+		return core.TSZero, Served{}, fmt.Errorf("kts: gen_ts(%q): %w", k, err)
 	}
 	network.MeterFrom(ctx).Merge(r.Cost)
 	// A freshly generated timestamp IS the key's last_ts at this
 	// moment: cache it so the writer's subsequent bounded reads (and
 	// read-your-writes through a session) skip the KTS round trip.
 	s.noteLastTS(k, r.TS)
-	return r.TS, nil
+	var sv Served
+	if len(at) > 0 {
+		sv.Errs, _ = network.DecodeBatch(len(at), nil, len(r.Stored), r.Code, r.Msg)
+		sv.Stored = make([]bool, len(at))
+		for j, err := range sv.Errs {
+			sv.Stored[j] = err == nil && r.Stored[j]
+		}
+	}
+	return r.TS, sv, nil
 }
 
 // LastTS returns the last timestamp generated for k (zero when none) —
 // the paper's KTS.last_ts(k).
 func (s *Service) LastTS(ctx context.Context, k core.Key) (core.Timestamp, error) {
+	ts, _, err := s.LastTSRead(ctx, k, nil)
+	return ts, err
+}
+
+// LastTSRead is LastTS fused with the reads of the Hr positions at
+// (indexes into the set's Hr) that the caller guesses rsp(k, hts) owns:
+// that peer reads its counter, then each of those replicas it does own,
+// and returns them with the timestamp in the same round trip.
+func (s *Service) LastTSRead(ctx context.Context, k core.Key, at []int) (core.Timestamp, Served, error) {
 	s.metrics.lastTSReqs.Inc()
-	r, err := network.Reply[LastTSResp](s.route.Call(ctx, s.set.HTS.ID(k), MethodLastTS, LastTSReq{Key: k}))
+	r, err := network.Reply[LastTSResp](s.route.Call(ctx, s.set.HTS.ID(k), MethodLastTS, LastTSReq{Key: k, Hr: at}))
 	if err != nil {
-		return core.TSZero, fmt.Errorf("kts: last_ts(%q): %w", k, err)
+		return core.TSZero, Served{}, fmt.Errorf("kts: last_ts(%q): %w", k, err)
 	}
 	network.MeterFrom(ctx).Merge(r.Cost)
 	s.noteLastTS(k, r.TS)
-	return r.TS, nil
+	var sv Served
+	if len(at) > 0 {
+		sv.Errs, _ = network.DecodeBatch(len(at), nil, len(r.Vals), r.Code, r.Msg)
+		sv.Vals = make([]core.Value, len(at))
+		for j, err := range sv.Errs {
+			if err == nil {
+				sv.Vals[j] = r.Vals[j]
+			}
+		}
+	}
+	return r.TS, sv, nil
 }
 
 // GenTSBatch generates timestamps for many keys in one KTS round per
@@ -594,15 +718,32 @@ func (s *Service) handleGenTS(req GenTSReq) (network.Message, error) {
 	if perr != nil {
 		// The store missed the grant: refuse to hand out a timestamp that
 		// would not survive our own restart (a counter that did advance
-		// leaves a gap, which never breaks monotonicity).
+		// leaves a gap, which never breaks monotonicity). Nothing is
+		// stored at the named positions either.
 		s.metrics.journalFails.Inc()
 		return nil, perr
 	}
 	s.grants.Add(1)
-	return GenTSResp{TS: next, Cost: cost}, nil
+	resp := GenTSResp{TS: next, Cost: cost}
+	if n := len(req.Hr); n > 0 {
+		// Only now, the grant journalled, does any named position see a
+		// value — stamped with the timestamp just granted.
+		resp.Stored, resp.Code, resp.Msg = make([]bool, n), make([]string, n), make([]string, n)
+		val := core.Value{Data: req.Data, TS: next}
+		for j, i := range req.Hr {
+			r, err := s.atReplica(dht.MethodPut, k, i, val)
+			if err != nil {
+				resp.Code[j], resp.Msg[j] = network.EncodeError(err)
+				continue
+			}
+			resp.Stored[j] = r.(dht.PutResp).Stored
+		}
+	}
+	return resp, nil
 }
 
 // handleLastTS implements last_ts: like gen_ts but without incrementing.
+// The named replica positions are read after the counter.
 func (s *Service) handleLastTS(req LastTSReq) (network.Message, error) {
 	k := req.Key
 	if err := s.checkResponsible(k); err != nil {
@@ -618,7 +759,37 @@ func (s *Service) handleLastTS(req LastTSReq) (network.Message, error) {
 		c = cur
 	}
 	s.mu.Unlock()
-	return LastTSResp{TS: c, Cost: cost}, nil
+	resp := LastTSResp{TS: c, Cost: cost}
+	if n := len(req.Hr); n > 0 {
+		resp.Vals, resp.Code, resp.Msg = make([]core.Value, n), make([]string, n), make([]string, n)
+		for j, i := range req.Hr {
+			r, err := s.atReplica(dht.MethodGet, k, i, core.Value{})
+			if err != nil {
+				resp.Code[j], resp.Msg[j] = network.EncodeError(err)
+				continue
+			}
+			resp.Vals[j] = r.(dht.GetResp).Val
+		}
+	}
+	return resp, nil
+}
+
+// atReplica runs method — dht.MethodGet, or dht.MethodPut of val under
+// PutIfNewer — on k's Hr position i through the peer's own store method
+// table: the handler every other peer reaches, owns-check and clone
+// included. A position the peer does not own is refused with
+// core.ErrNotResponsible, like any stale store op.
+func (s *Service) atReplica(method string, k core.Key, i int, val core.Value) (network.Message, error) {
+	if i < 0 || i >= len(s.set.Hr) || s.replicas == nil {
+		return nil, fmt.Errorf("kts: %s serves no replica position %d of %q: %w", s.ring.Self().ID, i, k, core.ErrNotResponsible)
+	}
+	h := s.set.Hr[i]
+	rid, qual := h.ID(k), dht.Qualifier(s.client.Namespace(), k, h.Name())
+	var req network.Message = dht.GetReq{RingID: rid, Qual: qual}
+	if method == dht.MethodPut {
+		req = dht.PutReq{RingID: rid, Qual: qual, Val: val, Mode: dht.PutIfNewer}
+	}
+	return s.replicas[method](s.ring.Self().Addr, req)
 }
 
 // handleRecover implements the recovery strategy: correct counters upward

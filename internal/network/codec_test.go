@@ -100,6 +100,11 @@ var wireSamples = []network.Message{
 	store.Counter{Key: "k", TS: core.TSMax},
 	store.DeletedItem{RingID: 1<<64 - 1, Qual: "brk|k|h2"},
 	store.DeletedCounter{Key: ""},
+	// kts: a fused gen_ts and last_ts, naming replica positions
+	kts.GenTSReq{Key: "k", Data: []byte("v"), Hr: []int{0, 7}},
+	kts.GenTSResp{TS: core.TS(18), Cost: cost, Stored: []bool{true, false}, Code: []string{"", "not_responsible"}, Msg: []string{"", "moved"}},
+	kts.LastTSReq{Key: "k", Hr: []int{3}},
+	kts.LastTSResp{TS: core.TS(18), Cost: cost, Vals: []core.Value{val, {}}, Code: []string{"", "not_found"}, Msg: []string{"", "gone"}},
 }
 
 // wantDecoded is what v comes back as: gob's convention, which the codec

@@ -107,6 +107,13 @@ func FuzzMethodTable(f *testing.F) {
 	head := empty[: len(empty)-2 : len(empty)-2]
 	f.Add(append(binary.AppendUvarint(head, 1<<40), 0))
 	f.Add(requestFrame("no.such.method", dht.PingReq{}))
+	// Fused gen_ts and last_ts naming positions the callee does not own:
+	// past the end of Hr, and negative.
+	f.Add(requestFrame(kts.MethodGenTS, kts.GenTSReq{Key: "k", Data: []byte("v"), Hr: []int{0, 99, -1}}))
+	f.Add(requestFrame(kts.MethodLastTS, kts.LastTSReq{Key: "k", Hr: []int{2, 1 << 40}}))
+	// A fused reply whose per-position slices are shorter than its
+	// positions, sent where a request belongs.
+	f.Add(requestFrame(kts.MethodGenTS, kts.GenTSResp{TS: core.TS(1), Stored: []bool{true}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

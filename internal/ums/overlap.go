@@ -91,36 +91,48 @@ func (o *overlap) settle(abandon bool) (went bool, err error) {
 
 // probe is a retrieve's first probe sent alongside last_ts: the read of
 // rsp(k, Hr[pos]), pos as nextProbe names it among the positions the
-// issuer does not own when the probe fires. It reads nothing when the
-// issuer owns them all.
+// issuer does not own and last_ts has not named when the probe fires.
+// It reads nothing when none is left — nor, when last_ts names some,
+// when the issuer cannot guess the owner of the one left: replicas
+// already ride on last_ts, and a probe that must look its owner up
+// first would only hold the read up.
 type probe struct {
 	overlap
-	s *Service
-	k core.Key
+	s     *Service
+	k     core.Key
+	named positions // the positions riding on last_ts
 	earlyRead
 }
 
 func (p *probe) read(ctx context.Context) {
-	if p.pos = p.s.nextProbe(p.k, nil, true); p.pos >= 0 {
+	p.pos = p.s.nextProbe(p.k, p.named, true)
+	if p.pos >= 0 && p.named != nil {
+		if _, src := p.s.ring.Guess(p.s.set.Hr[p.pos].ID(p.k)); src == dht.NoGuess {
+			p.pos = -1
+		}
+	}
+	if p.pos >= 0 {
 		p.val, p.err = p.s.client.GetH(ctx, p.k, p.s.set.Hr[p.pos])
 	}
 }
 
 // prefetch resolves a put's replica owners while its gen_ts is on the
-// wire: for every Hr position the ring cannot guess, the Ring.Lookup the
-// write's router would otherwise run, all side by side. Each answer goes
-// to that position's write as a Looked dht.Target, which sends to it
-// first (dht.Client.PutHEach), so the put runs no lookup and
-// sends no message it would not have anyway; positions the ring can
-// guess are left to the write's own guess. A CAN issuer, or a chord
-// arc the learned table has since evicted, therefore pays no second
-// lookup either.
+// wire: for every Hr position the ring could not guess when the put
+// began (guessed), the Ring.Lookup the write's router would otherwise
+// run, all side by side; each decline is counted as Router.Call counts
+// one. Each answer goes to that position's write as a Looked
+// dht.Target, which sends to it first (dht.Client.PutHEach), so the put
+// runs no lookup and sends no message it would not have anyway;
+// positions the ring can guess are left to the write's own guess. A CAN
+// issuer, or a chord arc the learned table has since evicted, therefore
+// pays no second lookup either.
 type prefetch struct {
 	overlap
-	s      *Service
-	k      core.Key
-	owners []resolved // per Hr position
-	slow   bool       // a lookup took overlapAfter or longer
+	s       *Service
+	k       core.Key
+	guessed []dht.Target // the put's guesses, parallel to Hr
+	owners  []resolved   // per Hr position
+	slow    bool         // a lookup took overlapAfter or longer
 }
 
 // resolved is one position's owner as resolved while stamping.
@@ -136,8 +148,9 @@ func (p *prefetch) resolve(ctx context.Context) {
 	route := s.client.Router()
 	p.owners = make([]resolved, len(s.set.Hr))
 	var todo []int // the positions the ring declined
-	for i, h := range s.set.Hr {
-		if route.Declines(h.ID(p.k)) {
+	for i, t := range p.guessed {
+		if t.Src == dht.NoGuess {
+			route.Declined()
 			p.owners[i].looked = true
 			todo = append(todo, i)
 		}

@@ -278,8 +278,8 @@ const stubKTS network.Addr = "kts"
 func newStubRing(env network.Env, set hashing.Set, k core.Key) *stubRing {
 	r := &stubRing{env: env, owners: map[core.ID]dht.NodeRef{}, noGuess: map[core.ID]bool{},
 		stale: map[core.ID]dht.NodeRef{}, owned: map[core.ID]bool{}, reg: obs.NewRegistry(), lookups: map[core.ID]int{}}
-	r.wire = &stubWire{env: env, owners: r.owners, delay: map[network.Addr]time.Duration{},
-		behind: map[network.Addr]bool{}, refuse: map[network.Addr]bool{}}
+	r.wire = &stubWire{env: env, set: set, key: k, owners: r.owners, delay: map[network.Addr]time.Duration{},
+		behind: map[network.Addr]bool{}, refuse: map[network.Addr]bool{}, writes: map[network.Addr]int{}}
 	for i, h := range set.Hr {
 		id := h.ID(k)
 		r.owners[id] = dht.NodeRef{ID: id, Addr: stubOwner(i)}
@@ -340,13 +340,18 @@ func (r *stubRing) service(set hashing.Set) *ums.Service {
 // gen_ts with the stamp after stamp, last_ts with stamp, and every
 // replica read with a value stamped stamp — or, from a callee listed in
 // behind, stamped zero — or not found while stamp is zero, the key never
-// inserted. A callee listed in dead stays silent for timeout and the
-// call fails as a crashed peer's does; one listed in refuse answers that
+// inserted. A fused gen_ts or last_ts has each named position of key
+// served so when owners names the callee, and refused otherwise. A
+// callee listed in dead stays silent for timeout and the call fails as
+// a crashed peer's does; one listed in refuse answers that
 // it is not responsible. It charges the caller's meter as the
-// transports do and keeps its own totals to hold the op's against, and
-// the callees of replica reads in the order the reads were sent.
+// transports do and keeps its own totals to hold the op's against, the
+// callees of replica reads in the order the reads were sent, and the
+// write requests each callee was sent.
 type stubWire struct {
 	env     network.Env
+	set     hashing.Set
+	key     core.Key
 	owners  map[core.ID]dht.NodeRef
 	delay   map[network.Addr]time.Duration // per callee; missing means rtt
 	rtt     time.Duration
@@ -360,8 +365,9 @@ type stubWire struct {
 	msgs, bytes   atomic.Int64
 	inFlight, max atomic.Int32
 
-	mu    sync.Mutex
-	reads []network.Addr
+	mu     sync.Mutex
+	reads  []network.Addr
+	writes map[network.Addr]int
 }
 
 // readFrom lists the callees of the replica reads sent so far.
@@ -390,11 +396,14 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 		}
 	}
 	w.count(ctx, network.SizeOf(req))
-	if _, ok := req.(dht.GetReq); ok {
-		w.mu.Lock()
+	w.mu.Lock()
+	switch req.(type) {
+	case dht.GetReq:
 		w.reads = append(w.reads, to)
-		w.mu.Unlock()
+	case dht.PutReq, dht.PutBatchReq:
+		w.writes[to]++
 	}
+	w.mu.Unlock()
 	d, ok := w.delay[to]
 	if !ok {
 		d = w.rtt
@@ -428,19 +437,57 @@ func (w *stubWire) Invoke(ctx context.Context, to network.Addr, _ string, req ne
 		if w.genErr != nil {
 			return nil, w.genErr
 		}
-		return kts.GenTSResp{TS: w.stamp.Next()}, nil
+		n := len(r.Hr)
+		resp := kts.GenTSResp{TS: w.stamp.Next()}
+		if n > 0 {
+			resp.Stored, resp.Code, resp.Msg = make([]bool, n), make([]string, n), make([]string, n)
+		}
+		for j, i := range r.Hr {
+			if resp.Stored[j] = w.owns(to, i); !resp.Stored[j] {
+				resp.Code[j], resp.Msg[j] = network.EncodeError(core.ErrNotResponsible)
+			}
+		}
+		return resp, nil
 	case kts.LastTSReq:
-		return kts.LastTSResp{TS: w.stamp}, nil
+		n := len(r.Hr)
+		resp := kts.LastTSResp{TS: w.stamp}
+		if n > 0 {
+			resp.Vals, resp.Code, resp.Msg = make([]core.Value, n), make([]string, n), make([]string, n)
+		}
+		for j, i := range r.Hr {
+			var err error
+			if !w.owns(to, i) {
+				err = core.ErrNotResponsible
+			} else {
+				resp.Vals[j], err = w.read(to)
+			}
+			resp.Code[j], resp.Msg[j] = network.EncodeError(err)
+		}
+		return resp, nil
 	case dht.GetReq:
-		if w.stamp.IsZero() {
-			return nil, fmt.Errorf("stub: %s: %w", to, core.ErrNotFound)
+		val, err := w.read(to)
+		if err != nil {
+			return nil, err
 		}
-		if w.behind[to] {
-			return dht.GetResp{Val: core.Value{Data: []byte("old")}}, nil
-		}
-		return dht.GetResp{Val: core.Value{Data: []byte("v"), TS: w.stamp}}, nil
+		return dht.GetResp{Val: val}, nil
 	}
 	return dht.PutResp{Stored: true}, nil
+}
+
+// owns reports whether owners names to as the owner of key's Hr[i].
+func (w *stubWire) owns(to network.Addr, i int) bool {
+	return i >= 0 && i < len(w.set.Hr) && w.owners[w.set.Hr[i].ID(w.key)].Addr == to
+}
+
+// read is what a replica read at to returns.
+func (w *stubWire) read(to network.Addr) (core.Value, error) {
+	if w.stamp.IsZero() {
+		return core.Value{}, fmt.Errorf("stub: %s: %w", to, core.ErrNotFound)
+	}
+	if w.behind[to] {
+		return core.Value{Data: []byte("old")}, nil
+	}
+	return core.Value{Data: []byte("v"), TS: w.stamp}, nil
 }
 
 // TestStaleGroupMemberReroutesAlone: three positions the issuer names

@@ -47,6 +47,7 @@ type Service struct {
 
 	puts, gets modes        // by whether their round trips overlapped
 	prefetched *obs.Counter // puts whose writes all went at once (see replicate)
+	fused      *obs.Counter // gets whose first probe rode on last_ts (see lastTS)
 }
 
 // modes counts operations by how their round trips ran: one after the
@@ -73,9 +74,10 @@ func New(ring dht.Ring, set hashing.Set, ts *kts.Service) *Service {
 		"Puts by how their replica writes ran: one after the other (serial), side by side from the first write whose round trip showed the put was waiting on the network (overlapped), or all side by side because an owner lookup run while gen_ts was outstanding took that long (prefetched).",
 		"mode")
 	s.puts, s.prefetched = newModes(puts), puts.With("prefetched")
-	s.gets = newModes(ring.Obs().CounterVec("dcdht_ums_retrieve_total",
-		"Retrieves that asked KTS for last_ts, by when their first probe went: after last_ts answered (serial), or alongside a last_ts still outstanding after the overlap threshold (overlapped).",
-		"mode"))
+	gets := ring.Obs().CounterVec("dcdht_ums_retrieve_total",
+		"Retrieves that asked KTS for last_ts, by when their first probe went: after last_ts answered (serial), alongside a last_ts still outstanding after the overlap threshold (overlapped), or with last_ts itself, read by the timestamp responsible from a replica it owns (fused).",
+		"mode")
+	s.gets, s.fused = newModes(gets), gets.With("fused")
 	ts.SetRepair(s.repair)
 	return s
 }
@@ -100,7 +102,9 @@ func (s *Service) SetTracer(t obs.Tracer) { s.tracer = t }
 // Only the writes' payload needs ts, not finding rsp(k, h): a gen_ts
 // still outstanding after overlapAfter gets the owner lookups the
 // writes would run resolved alongside it (see prefetch). No write
-// leaves before ts exists.
+// leaves before ts exists. The positions the issuer guesses rsp(k, hts)
+// owns ride on gen_ts itself (kts.Service.GenTSStore): that peer stores
+// them once it has granted ts, and only the rest are written here.
 func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.OpResult, err error) {
 	meter := &network.Meter{}
 	ctx = network.WithMeter(ctx, meter)
@@ -113,14 +117,16 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 		finish(&res, err)
 	}()
 
-	p := &prefetch{s: s, k: k}
+	guessed := s.guesses(k)
+	at := s.colocated(k, guessed)
+	p := &prefetch{s: s, k: k, guessed: guessed}
 	p.arm(env, ctx, p.resolve)
 	ktsStart := env.Now()
-	ts, err := s.ts.GenTS(ctx, k)
+	ts, sv, err := s.ts.GenTSStore(ctx, k, data, at)
 	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-ktsStart)
 	// A gen_ts that failed leaves nothing to write: its lookups are
 	// cancelled, and the put returns once they have unwound.
-	went, werr := p.settle(err != nil)
+	_, werr := p.settle(err != nil)
 	if werr != nil {
 		// The environment shut down under the lookups: what they hold is
 		// not ours to read.
@@ -130,11 +136,66 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 		return res, fmt.Errorf("ums: insert(%q): %w", k, err)
 	}
 	res.TS = ts
-	var owners *prefetch
-	if went {
-		owners = p
+	var done positions // what gen_ts stored; a refused or unstored position is written below
+	if len(at) > 0 {
+		done = newPositions(len(s.set.Hr))
+		for j, i := range at {
+			if sv.Stored[j] {
+				done.add(i)
+				res.Stored++
+			}
+		}
 	}
-	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, owners)
+	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, p, done)
+}
+
+// guesses names each Hr position's owner from what the ring already
+// knows, at no message, once per put: what a fused gen_ts's positions,
+// the prefetch's lookups and the writes' groups rest on.
+func (s *Service) guesses(k core.Key) []dht.Target {
+	targets := make([]dht.Target, len(s.set.Hr))
+	for i, h := range s.set.Hr {
+		t := &targets[i]
+		t.ID = h.ID(k)
+		t.Ref, t.Src = s.ring.Guess(t.ID)
+	}
+	return targets
+}
+
+// colocated names, in Hr order and at no message, the positions among
+// targets (guesses) whose guessed owner the ring also guesses to own
+// hts(k): rsp(k, hts), which a fused gen_ts or last_ts asks to serve
+// them in its own round trip. It names none when the ring cannot guess
+// hts's owner. The guesses only pick the positions: rsp(k, hts) refuses
+// each one it does not own, and that one then goes the ordinary way.
+func (s *Service) colocated(k core.Key, targets []dht.Target) []int {
+	hts, src := s.ring.Guess(s.set.HTS.ID(k))
+	if src == dht.NoGuess {
+		return nil
+	}
+	var at []int
+	for i, t := range targets {
+		if t.Src != dht.NoGuess && t.Ref.Addr == hts.Addr {
+			at = append(at, i)
+		}
+	}
+	return at
+}
+
+// readColocated is colocated for a read: none when the issuer owns a
+// position, whose probe goes first and in-process.
+func (s *Service) readColocated(k core.Key) []int {
+	var few [16]dht.Target
+	targets := few[:0]
+	for _, h := range s.set.Hr {
+		id := h.ID(k)
+		if s.ring.OwnsID(id) {
+			return nil
+		}
+		ref, src := s.ring.Guess(id)
+		targets = append(targets, dht.Target{ID: id, Ref: ref, Src: src})
+	}
+	return s.colocated(k, targets)
 }
 
 // overlapAfter is the round trip at and beyond which an op is paying for
@@ -150,8 +211,9 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 // ≈ 150 ms to push 1 KB through 56 kbps when the message carries data).
 const overlapAfter = 10 * time.Millisecond
 
-// replicate sends val to rsp(k, h) for every h ∈ Hr, counting stored
-// replicas into res. Every replica applies PutIfNewer on its own, so the
+// replicate sends val to rsp(k, h) for every h ∈ Hr but the positions
+// done (those a fused gen_ts stored), counting stored replicas into res.
+// Every replica applies PutIfNewer on its own, so the
 // order of the writes carries no meaning (Figure 2 gives none); what it
 // costs is messages and time. Positions whose owner is known before any
 // write leaves share one message per owner (see groups); the rest each
@@ -160,9 +222,10 @@ const overlapAfter = 10 * time.Millisecond
 // run side by side, the put then waiting for the slowest instead of for
 // their sum. The regime is observed on this put's own round trips, never
 // configured and never remembered: when owners resolved while stamping
-// (owners, nil when nothing was) include a lookup that took overlapAfter
-// or longer, no group goes alone and all run side by side at once.
-func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res *dht.OpResult, owners *prefetch) error {
+// (owners: the put's guesses and prefetch, nil when it made none)
+// include a lookup that took overlapAfter or longer, no group goes alone
+// and all run side by side at once.
+func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res *dht.OpResult, owners *prefetch, done positions) error {
 	env := s.ring.Env()
 	mode := s.puts.serial
 	defer func() { mode.Inc() }()
@@ -170,7 +233,7 @@ func (s *Service) replicate(ctx context.Context, k core.Key, val core.Value, res
 	// A failed write means that replica position is currently
 	// unreachable; the insert proceeds — availability of that replica
 	// simply suffers, which is the behaviour the analysis models.
-	groups := s.groups(k, owners)
+	groups := s.groups(k, owners, done)
 	n := len(groups)
 	i, waited := 0, false
 	if owners != nil && owners.slow {
@@ -237,20 +300,28 @@ type group struct {
 	targets []dht.Target
 }
 
-// groups splits Hr into the put's writes, in the order of each group's
-// first position. A position the ring declines to guess and no lookup
-// resolved is a group of its own, so the lookup its write runs delays
-// only that write; a guessed position alone in its group names no owner
-// ahead, and its write guesses again when it goes.
-func (s *Service) groups(k core.Key, owners *prefetch) []group {
+// groups splits Hr but the positions done into the put's writes, in the
+// order of each group's first position, each position's owner as owners
+// knows it — the put's guess, or its lookup run while stamping — or as
+// the ring guesses it now. A position the ring declines to guess and no
+// lookup resolved is a group of its own, so the lookup its write runs
+// delays only that write; a guessed position alone in its group names
+// no owner ahead, and its write guesses again when it goes.
+func (s *Service) groups(k core.Key, owners *prefetch, done positions) []group {
 	n := len(s.set.Hr)
-	targets := make([]dht.Target, n)
+	targets := make([]dht.Target, n) // a done position's stays zero and joins no group
 	for i, h := range s.set.Hr {
+		if done.has(i) {
+			continue
+		}
 		t := &targets[i]
 		t.ID = h.ID(k)
-		if owners != nil && owners.owners[i].looked {
+		switch {
+		case owners != nil && owners.owners != nil && owners.owners[i].looked:
 			t.Ref, t.Looked = owners.owners[i].ref, true
-		} else {
+		case owners != nil && owners.guessed[i].Src != dht.NoGuess:
+			t.Ref, t.Src = owners.guessed[i].Ref, owners.guessed[i].Src
+		default:
 			t.Ref, t.Src = s.ring.Guess(t.ID)
 		}
 	}
@@ -258,8 +329,8 @@ func (s *Service) groups(k core.Key, owners *prefetch) []group {
 	hs, ts := make([]hashing.Func, 0, n), make([]dht.Target, 0, n)
 	groups := make([]group, 0, n)
 	for i, t := range targets {
-		if !t.Ref.IsZero() && slices.IndexFunc(targets, func(o dht.Target) bool { return o.Ref.Addr == t.Ref.Addr }) < i {
-			continue // that owner's group has gone
+		if done.has(i) || !t.Ref.IsZero() && slices.IndexFunc(targets, func(o dht.Target) bool { return o.Ref.Addr == t.Ref.Addr }) < i {
+			continue // stored already, or that owner's group has gone
 		}
 		from := len(hs)
 		for j := i; j < n; j++ {
@@ -301,7 +372,7 @@ func (s *Service) InsertWithTS(ctx context.Context, k core.Key, data []byte, ts 
 		finish(&res, err)
 	}()
 	res.TS = ts
-	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, nil)
+	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, nil, nil)
 }
 
 // InsertMulti inserts many keys with one KTS round per responsible: a
@@ -420,7 +491,7 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 	// and the currency verdict an accepting replica earns.
 	target := core.TSZero
 	verdict := dht.CurrencyUnknown
-	var first *earlyRead // the first probe's read, when it went out alongside last_ts
+	var first []earlyRead // the first probes' reads, when they rode on or alongside last_ts
 	switch {
 	case pol.FloorFirst && !pol.Floor.IsZero():
 		// Session fast path: the floor is the bar; no KTS round trip.
@@ -467,7 +538,7 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 	var few [1]uint64
 	probed := positions(few[:])
 	if n := len(s.set.Hr); n > 64 {
-		probed = make(positions, (n+63)/64)
+		probed = newPositions(n)
 	}
 	for range s.set.Hr {
 		if cerr := network.CtxError(ctx); cerr != nil {
@@ -477,9 +548,9 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 		var i int
 		var val core.Value
 		var gerr error
-		if first != nil {
-			i, val, gerr = first.pos, first.val, first.err
-			first = nil
+		if len(first) > 0 {
+			i, val, gerr = first[0].pos, first[0].val, first[0].err
+			first = first[1:]
 		} else {
 			i = s.nextProbe(k, probed, false)
 			probeStart := env.Now()
@@ -558,9 +629,12 @@ func (s *Service) nextProbe(k core.Key, probed positions, remote bool) int {
 	return fallback
 }
 
-// positions marks the Hr positions a retrieve has probed, one bit each;
-// nil marks none.
+// positions marks Hr positions, one bit each — those a retrieve has
+// probed, or a fused gen_ts stored; nil marks none.
 type positions []uint64
+
+// newPositions returns an empty set of n positions.
+func newPositions(n int) positions { return make(positions, (n+63)/64) }
 
 func (p positions) has(i int) bool { return i/64 < len(p) && p[i/64]&(1<<(i%64)) != 0 }
 func (p positions) add(i int)      { p[i/64] |= 1 << (i % 64) }
@@ -578,43 +652,75 @@ func (s *Service) cachedTarget(k core.Key, pol dht.ReadPolicy, res *dht.OpResult
 	return true
 }
 
-// lastTS fetches Figure 2's ts1 = KTS.last_ts(k) for a retrieve. Figure
-// 2 probes only after last_ts answers, but its proof needs no more than
-// the accepted replica carrying ts1 (docs/PROTOCOLS.md, "Retrieve
-// sequencing"), so a last_ts still outstanding after overlapAfter gets
-// the retrieve's first probe sent alongside it (see overlap): of the
-// position nextProbe names when it fires among those the issuer does not
-// own. An owned replica is read in-process for free once last_ts has
-// answered, so sending it early gains nothing, and taking the slot would
-// leave the remote probe to run after last_ts. A probe that went is
-// waited for whatever last_ts returned; its messages and time are
-// charged to the op and its read comes back in first, for the probe
-// loop to start from.
-func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, first *earlyRead, err error) {
+// lastTS fetches Figure 2's ts1 = KTS.last_ts(k) for a retrieve,
+// together with the retrieve's first probes when they can go with it.
+// The positions the issuer guesses rsp(k, hts) owns ride on last_ts
+// itself (kts.Service.LastTSRead; see colocated): that peer reads its
+// counter, then those replicas. Figure 2 probes only after last_ts
+// answers, but its proof needs no more than the accepted replica
+// carrying ts1 (docs/PROTOCOLS.md, "Retrieve sequencing"), so a last_ts
+// still outstanding after overlapAfter also gets a probe sent alongside
+// it (see overlap): of the position nextProbe names when it fires among
+// those neither named nor owned by the issuer. An owned replica is read
+// in-process for free once last_ts has answered, so sending it early
+// gains nothing, and taking the slot would leave the remote probe to
+// run after last_ts; a named one comes back with last_ts anyway. A
+// probe that went is waited for whatever last_ts returned; its messages
+// and time are charged to the op. The reads come back in first — the
+// early probe's, then the named positions' in Hr order — for the probe
+// loop to start from. A named position that rsp(k, hts) refused or did
+// not answer is not among them: the loop probes it the ordinary way.
+func (s *Service) lastTS(ctx context.Context, k core.Key) (ts1 core.Timestamp, first []earlyRead, err error) {
 	env := s.ring.Env()
+	at := s.readColocated(k)
 	p := &probe{s: s, k: k}
+	if len(at) > 0 {
+		p.named = newPositions(len(s.set.Hr))
+		for _, i := range at {
+			p.named.add(i)
+		}
+	}
 	p.arm(env, ctx, p.read)
 	begin := env.Now()
-	ts1, err = s.ts.LastTS(ctx, k)
-	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, env.Now()-begin)
+	ts1, sv, err := s.ts.LastTSRead(ctx, k, at)
+	took := env.Now() - begin
+	obs.PhasesFrom(ctx).Add(obs.PhaseKTS, took)
 	went, werr := p.settle(false)
-	if !went || (werr == nil && p.pos < 0) {
+	if went && (werr != nil || p.pos >= 0) {
+		s.gets.overlapped.Inc()
+		if werr != nil {
+			// The environment shut down under the probe: what it holds
+			// is not ours to read.
+			return ts1, nil, werr
+		}
+		obs.PhasesFrom(ctx).Add(obs.PhaseProbe, p.took)
+		first = append(first, p.earlyRead)
+	}
+	early := len(first)
+	for j := range sv.Errs {
+		// A replica the responsible read, or found missing, is a probe; a
+		// position it refused is left to the loop.
+		if e := sv.Errs[j]; e == nil || errors.Is(e, core.ErrNotFound) {
+			first = append(first, earlyRead{pos: at[j], val: sv.Vals[j], err: e})
+		}
+	}
+	if len(first) > early {
+		// Those replicas were read within last_ts's round trip, and so
+		// was their probe time.
+		obs.PhasesFrom(ctx).Add(obs.PhaseProbe, took)
+	}
+	switch {
+	case len(first) == 0:
 		s.gets.serial.Inc()
-		return ts1, nil, err
+	case early == 0:
+		s.fused.Inc()
 	}
-	s.gets.overlapped.Inc()
-	if werr != nil {
-		// The environment shut down under the probe: what it holds is
-		// not ours to read.
-		return ts1, nil, werr
-	}
-	obs.PhasesFrom(ctx).Add(obs.PhaseProbe, p.took)
-	return ts1, &p.earlyRead, err
+	return ts1, first, err
 }
 
 // earlyRead is what the first probe read when it went alongside last_ts.
 type earlyRead struct {
-	pos int // the Hr position it read; -1 when every position is the issuer's own
+	pos int // the Hr position it read; -1 when none was left to read
 	val core.Value
 	err error
 }
@@ -670,9 +776,11 @@ func (s *Service) repair(k core.Key, oldTS, newTS core.Timestamp) {
 		if !found || newTS.Less(best.TS) {
 			return
 		}
+		// One write per owner, as a put's (groups); not replicate, whose
+		// mode counters count puts.
 		reinsert := core.Value{Data: best.Data, TS: newTS}
-		for _, h := range s.set.Hr {
-			s.client.PutH(ctx, k, h, reinsert, dht.PutIfNewer)
+		for _, g := range s.groups(k, nil, nil) {
+			s.write(ctx, k, g, reinsert)
 		}
 	})
 }
