@@ -296,7 +296,9 @@ func overlappedGets(st *peer.Stack) uint64 {
 // one, whose replica then rides on last_ts. A peer serves itself
 // in-process, for free.
 // guessed is false when the read could pay a lookup on the way: st
-// cannot name rsp(k, hts), or any replica owner it does not own.
+// cannot name rsp(k, hts), or owns only some replica positions and
+// cannot name the owner of any other (where the early probe goes). A
+// peer owning every position needs no name: its probes stay local.
 func currentReadMsgs(st *peer.Stack, k Key, overlapped bool) (msgs int, guessed bool) {
 	set := hashing.NewSet(5)
 	named := func(id core.ID) bool {
@@ -307,11 +309,11 @@ func currentReadMsgs(st *peer.Stack, k Key, overlapped bool) (msgs int, guessed 
 	if !st.Node.OwnsID(set.HTS.ID(k)) {
 		msgs += 2
 	}
-	ownsReplica, namesReplica, fused := false, false, false
+	ownsReplica, ownsAll, namesReplica, fused := false, true, false, false
 	stamper, src := st.Node.Guess(set.HTS.ID(k))
 	for _, h := range set.Hr {
 		owns := st.Node.OwnsID(h.ID(k))
-		ownsReplica = ownsReplica || owns
+		ownsReplica, ownsAll = ownsReplica || owns, ownsAll && owns
 		namesReplica = namesReplica || (!owns && named(h.ID(k)))
 		ref, hsrc := st.Node.Guess(h.ID(k))
 		fused = fused || (src != dht.NoGuess && hsrc != dht.NoGuess && ref.Addr == stamper.Addr)
@@ -319,7 +321,7 @@ func currentReadMsgs(st *peer.Stack, k Key, overlapped bool) (msgs int, guessed 
 	if overlapped || !ownsReplica && !fused {
 		msgs += 2
 	}
-	return msgs, guessed && namesReplica
+	return msgs, guessed && (ownsAll || namesReplica)
 }
 
 // second drops an operation's result, keeping its error.

@@ -54,16 +54,9 @@ func (s *Service) SetTracer(t obs.Tracer) { s.tracer = t }
 // Two concurrent inserts can read the same highest version and thus
 // write the same new version — the undecidability the paper points out.
 func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.OpResult, err error) {
-	meter := &network.Meter{}
-	ctx = network.WithMeter(ctx, meter)
 	env := s.ring.Env()
-	ctx, finish := dht.TraceOp(ctx, s.tracer, obs.Op{Op: "put", Alg: "brk", Key: string(k)})
-	start := env.Now()
-	defer func() {
-		res.Elapsed = env.Now() - start
-		res.Msgs, res.Bytes = meter.Msgs, meter.Bytes
-		finish(&res, err)
-	}()
+	ctx, span := dht.TraceOp(ctx, env, s.tracer, obs.Op{Op: "put", Alg: "brk", Key: string(k)})
+	defer span.End(&res, &err)
 
 	// Learn the highest stored version.
 	highest := core.TSZero
@@ -105,16 +98,9 @@ func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.
 // hold a higher version. With duplicate versions the returned data is
 // whichever replica was fetched first, and currency cannot be decided.
 func (s *Service) Retrieve(ctx context.Context, k core.Key) (res dht.OpResult, err error) {
-	meter := &network.Meter{}
-	ctx = network.WithMeter(ctx, meter)
 	env := s.ring.Env()
-	ctx, finish := dht.TraceOp(ctx, s.tracer, obs.Op{Op: "get", Alg: "brk", Key: string(k)})
-	start := env.Now()
-	defer func() {
-		res.Elapsed = env.Now() - start
-		res.Msgs, res.Bytes = meter.Msgs, meter.Bytes
-		finish(&res, err)
-	}()
+	ctx, span := dht.TraceOp(ctx, env, s.tracer, obs.Op{Op: "get", Alg: "brk", Key: string(k)})
+	defer span.End(&res, &err)
 
 	var best []byte
 	bestVersion := core.TSZero

@@ -109,7 +109,6 @@ type chordMetrics struct {
 	lookups         *obs.Counter
 	lookupFails     *obs.Counter
 	stabilizeRounds *obs.Counter
-	fingerFixFails  *obs.Counter
 }
 
 func newChordMetrics(r *obs.Registry) chordMetrics {
@@ -122,8 +121,6 @@ func newChordMetrics(r *obs.Registry) chordMetrics {
 			"Lookups that exhausted retries without resolving a responsible."),
 		stabilizeRounds: r.Counter("dcdht_chord_stabilize_rounds_total",
 			"Stabilize task rounds executed."),
-		fingerFixFails: r.Counter("dcdht_chord_finger_fix_failures_total",
-			"Finger-repair lookups that failed (stale finger kept)."),
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/network"
 	"repro/internal/network/simwire"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 )
@@ -645,6 +646,40 @@ func TestCrashedNodeRefusesOperations(t *testing.T) {
 	}
 	if nd.Store().Len() != 0 {
 		t.Fatal("crash must clear the store")
+	}
+}
+
+// TestLookupFailureIsCounted: a lookup whose every candidate is dead
+// excludes one per attempt, exhausts its retries and fails, and
+// dcdht_chord_lookup_failures_total counts that one failure.
+func TestLookupFailureIsCounted(t *testing.T) {
+	tr := newTestRing(t, 17)
+	reg := obs.NewRegistry()
+	for i := 0; i < 8; i++ {
+		cfg := testCfg()
+		cfg.Obs = reg
+		name := fmt.Sprintf("node%d", i)
+		tr.nodes = append(tr.nodes, New(tr.net.Env(), tr.net.NewEndpoint(name), hashing.NodeID(name), cfg))
+	}
+	AssembleRing(tr.nodes)
+	issuer := tr.nodes[0]
+	for _, nd := range tr.nodes[1:] {
+		nd.Crash()
+	}
+	// Just short of the issuer's own ID: every other peer precedes it,
+	// so each attempt has a dead candidate left to try.
+	target := issuer.Self().ID - 1
+	tr.do(func() {
+		_, hops, err := issuer.Lookup(context.Background(), target)
+		if err == nil {
+			t.Errorf("lookup through dead peers resolved")
+		}
+		if hops != lookupRetries+1 {
+			t.Errorf("lookup made %d hops, want one per attempt (%d)", hops, lookupRetries+1)
+		}
+	})
+	if got := reg.Snapshot().Get("dcdht_chord_lookup_failures_total").Total(); got != 1 {
+		t.Fatalf("dcdht_chord_lookup_failures_total = %v after one failed lookup, want 1", got)
 	}
 }
 

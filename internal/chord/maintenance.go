@@ -270,8 +270,7 @@ func (n *Node) fixNextFinger() {
 	target := n.Self().ID + core.ID(uint64(1)<<uint(i))
 	ref, _, err := n.Lookup(context.Background(), target)
 	if err != nil {
-		n.metrics.fingerFixFails.Inc()
-		return
+		return // the stale finger stays; Lookup counted the failure
 	}
 	n.mu.Lock()
 	if old := n.fingers[i]; !old.IsZero() && old.ID != ref.ID {

@@ -2,42 +2,64 @@ package dht
 
 import (
 	"context"
+	"time"
 
+	"repro/internal/network"
 	"repro/internal/obs"
 )
 
-// TraceOp begins one traced operation on behalf of ums/brk: it resolves
-// the effective tracer (one carried by the context wins over the
-// service default), emits OpStart, and attaches a phase accumulator to
-// the context so the layers below (chord lookups, KTS round trips,
-// replica probes) can charge their time slices. The returned finish
-// closure emits OpEnd from the operation's final OpResult; callers
-// invoke it from the same defer that fills Elapsed and the meter
-// fields. With no tracer anywhere the call is free and finish is a
-// no-op.
-func TraceOp(ctx context.Context, def obs.Tracer, op obs.Op) (context.Context, func(res *OpResult, err error)) {
-	tr := obs.TracerFrom(ctx)
-	if tr == nil {
-		tr = def
+// Span is one client operation's envelope, from TraceOp to End: the
+// meter its messages are charged to, its start on the environment's
+// clock, and the tracer (if any) that hears about it.
+type Span struct {
+	env   network.Env
+	start time.Duration
+	meter *network.Meter
+	tr    obs.Tracer
+	op    obs.Op
+	ph    *obs.Phases
+}
+
+// TraceOp opens one operation on behalf of ums/brk: it attaches a fresh
+// meter to the context and notes the start time. When a tracer is in
+// effect (one carried by the context wins over the service default) it
+// also emits OpStart and attaches a phase accumulator, so the layers
+// below (chord lookups, KTS round trips, replica probes) can charge
+// their time slices. Callers defer the returned Span's End on their
+// named results.
+func TraceOp(ctx context.Context, env network.Env, def obs.Tracer, op obs.Op) (context.Context, Span) {
+	sp := Span{env: env, meter: &network.Meter{}, tr: obs.TracerFrom(ctx), op: op}
+	ctx = network.WithMeter(ctx, sp.meter)
+	if sp.tr == nil {
+		sp.tr = def
 	}
-	if tr == nil {
-		return ctx, func(*OpResult, error) {}
+	sp.start = env.Now()
+	if sp.tr != nil {
+		sp.tr.OpStart(op)
+		sp.ph = obs.NewPhases()
+		ctx = obs.WithPhases(ctx, sp.ph)
 	}
-	tr.OpStart(op)
-	ph := obs.NewPhases()
-	ctx = obs.WithPhases(ctx, ph)
-	return ctx, func(res *OpResult, err error) {
-		e := obs.OpResult{
-			Op:      op,
-			Err:     err != nil,
-			Elapsed: res.Elapsed,
-			Msgs:    res.Msgs,
-			Bytes:   res.Bytes,
-			Phases:  ph.List(),
-		}
-		if op.Op == "get" {
-			e.Verdict = res.Currency.String()
-		}
-		tr.OpEnd(e)
+	return ctx, sp
+}
+
+// End fills res's Elapsed, Msgs and Bytes, traced or not, then emits
+// OpEnd with the op's phases when a tracer is in effect.
+func (sp Span) End(res *OpResult, err *error) {
+	res.Elapsed = sp.env.Now() - sp.start
+	res.Msgs, res.Bytes = sp.meter.Msgs, sp.meter.Bytes
+	if sp.tr == nil {
+		return
 	}
+	e := obs.OpResult{
+		Op:      sp.op,
+		Err:     *err != nil,
+		Elapsed: res.Elapsed,
+		Msgs:    res.Msgs,
+		Bytes:   res.Bytes,
+		Phases:  sp.ph.List(),
+	}
+	if sp.op.Op == "get" {
+		e.Verdict = res.Currency.String()
+	}
+	sp.tr.OpEnd(e)
 }

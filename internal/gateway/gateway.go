@@ -140,7 +140,6 @@ type gwMetrics struct {
 	flightRetries *obs.Counter
 	cacheHits     *obs.Counter
 	cacheMisses   *obs.Counter
-	cacheAge      *obs.Histogram
 	servedGets    *obs.Counter
 	servedLastTS  *obs.Counter
 	cacheFallback *obs.Counter
@@ -162,8 +161,6 @@ func newGWMetrics(r *obs.Registry) gwMetrics {
 			"Gateway last-ts cache consults that found a usable entry."),
 		cacheMisses: r.Counter("dcdht_gw_cache_misses_total",
 			"Gateway last-ts cache consults that found nothing usable."),
-		cacheAge: r.DurationHistogram("dcdht_gw_cache_age_seconds",
-			"Age of gateway last-ts cache entries at consult time."),
 		servedGets:   served.With("get"),
 		servedLastTS: served.With("last_ts"),
 		cacheFallback: r.Counter("dcdht_gw_cache_fallback_total",
@@ -274,7 +271,6 @@ func (g *Gateway) Retrieve(ctx context.Context, k core.Key, pol dht.ReadPolicy) 
 		ts, a, ok := g.cache.Get(k, g.env.Now)
 		if ok && a <= pol.Bound {
 			g.metrics.cacheHits.Inc()
-			g.metrics.cacheAge.Observe(a)
 			cfloor, age = ts.Max(pol.Floor), a
 			eff = dht.ReadPolicy{Floor: cfloor, FloorFirst: true}
 			rewrite = true
@@ -314,13 +310,13 @@ func (g *Gateway) LastTS(ctx context.Context, k core.Key, pol dht.ReadPolicy) (c
 	if !pol.FloorFirst {
 		switch pol.Level {
 		case dht.LevelEventual:
-			if ts, a, ok := g.cache.Get(k, g.env.Now); ok {
-				g.serveLastTSFromCache(a)
+			if ts, _, ok := g.cache.Get(k, g.env.Now); ok {
+				g.serveLastTSFromCache()
 				return ts.Max(pol.Floor), nil
 			}
 		case dht.LevelBounded:
 			if ts, a, ok := g.cache.Get(k, g.env.Now); ok && a <= pol.Bound {
-				g.serveLastTSFromCache(a)
+				g.serveLastTSFromCache()
 				return ts.Max(pol.Floor), nil
 			}
 		}
@@ -337,9 +333,8 @@ func (g *Gateway) LastTS(ctx context.Context, k core.Key, pol dht.ReadPolicy) (c
 	return ts, err
 }
 
-func (g *Gateway) serveLastTSFromCache(age time.Duration) {
+func (g *Gateway) serveLastTSFromCache() {
 	g.metrics.cacheHits.Inc()
-	g.metrics.cacheAge.Observe(age)
 	g.metrics.servedLastTS.Inc()
 }
 

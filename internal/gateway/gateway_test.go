@@ -120,6 +120,34 @@ func newSimGateway(env network.Env, backends, latMS int) (*Gateway, *fakeStore) 
 	return g, st
 }
 
+// TestBackendInflightGaugeFollowsAnOp: a read parked on a slow backend
+// reads dcdht_gw_backend_inflight as 1, and 0 once the backend answers.
+func TestBackendInflightGaugeFollowsAnOp(t *testing.T) {
+	reg := obs.NewRegistry()
+	inflight := func() float64 { return reg.Snapshot().Get("dcdht_gw_backend_inflight").Total() }
+	runSim(4, func(env network.Env) {
+		be := &fakeBackend{env: env, lat: 100 * time.Millisecond, st: newFakeStore()}
+		g, err := New([]Backend{be}, Config{Env: env, Obs: reg})
+		if err != nil {
+			t.Errorf("new: %v", err)
+			return
+		}
+		env.Join(2, func(i int) {
+			if i == 0 {
+				g.Retrieve(context.Background(), "k", dht.ReadPolicy{Level: dht.LevelCurrent})
+				return
+			}
+			env.Sleep(50 * time.Millisecond)
+			if got := inflight(); got != 1 {
+				t.Errorf("dcdht_gw_backend_inflight = %v while the read is on the backend, want 1", got)
+			}
+		})
+		if got := inflight(); got != 0 {
+			t.Errorf("dcdht_gw_backend_inflight = %v after the read, want 0", got)
+		}
+	})
+}
+
 // ---- balancer -----------------------------------------------------------
 
 func TestBalancerRoundRobinAndLeastInflight(t *testing.T) {

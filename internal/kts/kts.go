@@ -318,13 +318,11 @@ type Service struct {
 }
 
 // ktsMetrics export the rest of the timestamping side of the
-// currency/cost trade: cache misses and ages, whether the store ever
-// refused a grant, recoveries, and client-side request counts.
+// currency/cost trade: cache misses, whether the store ever refused a
+// grant, and client-side request counts.
 type ktsMetrics struct {
 	cacheMisses  *obs.Counter
-	cacheAge     *obs.Histogram
 	journalFails *obs.Counter
-	recoveries   *obs.Counter
 	genTSReqs    *obs.Counter
 	lastTSReqs   *obs.Counter
 }
@@ -333,12 +331,8 @@ func newKTSMetrics(r *obs.Registry) ktsMetrics {
 	return ktsMetrics{
 		cacheMisses: r.Counter("dcdht_kts_cache_misses_total",
 			"last-ts cache consults that found nothing."),
-		cacheAge: r.DurationHistogram("dcdht_kts_cache_age_seconds",
-			"Age of last-ts cache entries at consult time."),
 		journalFails: r.Counter("dcdht_kts_journal_failures_total",
 			"Counter journal writes that failed (grants refused)."),
-		recoveries: r.Counter("dcdht_kts_recover_corrections_total",
-			"Counters corrected upward by the §4.2.2 recovery strategy."),
 		genTSReqs: r.Counter("dcdht_kts_gents_requests_total",
 			"Client-side gen_ts requests issued against the KTS tier."),
 		lastTSReqs: r.Counter("dcdht_kts_lastts_requests_total",
@@ -457,7 +451,6 @@ func (s *Service) Cached(k core.Key) (ts core.Timestamp, age time.Duration, ok b
 		return core.TSZero, 0, false
 	}
 	s.cacheHits.Add(1)
-	s.metrics.cacheAge.Observe(age)
 	return ts, age, true
 }
 
@@ -834,9 +827,8 @@ func (s *Service) handleRecover(req RecoverReq) (network.Message, error) {
 		}
 	}
 	s.mu.Unlock()
-	// Only what the store recorded is counted and repaired; a refused
-	// correction fails the request with the store's error.
-	s.metrics.recoveries.Add(uint64(corrected))
+	// Only what the store recorded is repaired; a refused correction
+	// fails the request with the store's error.
 	if repair != nil {
 		for _, r := range repairs {
 			repair(r.key, r.oldTS, r.newTS)

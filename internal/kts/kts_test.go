@@ -13,17 +13,20 @@ import (
 	"repro/internal/hashing"
 	"repro/internal/network"
 	"repro/internal/network/simwire"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/store"
 )
 
-// cluster bundles a simulated Chord ring with a KTS service per node.
+// cluster bundles a simulated Chord ring with a KTS service per node,
+// every node registering its metrics on one shared registry.
 type cluster struct {
 	t        *testing.T
 	k        *simnet.Kernel
 	net      *simwire.Network
 	set      hashing.Set
+	obs      *obs.Registry
 	nodes    []*chord.Node
 	services []*Service
 }
@@ -41,7 +44,7 @@ func newClusterOn(t *testing.T, seed int64, n int, cfg Config, backing func(i in
 		BandwidthKbps:  stats.Normal{Mean: 1e6, Variance: 0, Min: 1e6},
 		DefaultTimeout: 250 * time.Millisecond,
 	})
-	c := &cluster{t: t, k: k, net: net, set: hashing.NewSet(5)}
+	c := &cluster{t: t, k: k, net: net, set: hashing.NewSet(5), obs: obs.NewRegistry()}
 	chordCfg := chord.Config{
 		StabilizeEvery:  500 * time.Millisecond,
 		FixFingersEvery: 400 * time.Millisecond,
@@ -55,6 +58,7 @@ func newClusterOn(t *testing.T, seed int64, n int, cfg Config, backing func(i in
 		name := fmt.Sprintf("peer%d", i)
 		ep := net.NewEndpoint(name)
 		ndCfg := chordCfg
+		ndCfg.Obs = c.obs
 		if backing != nil {
 			ndCfg.Store = backing(i)
 		}

@@ -227,3 +227,24 @@ func TestRefusedAdoptionIsCounted(t *testing.T) {
 		t.Fatalf("journal failures = %d, want 1", n)
 	}
 }
+
+// TestRefusedGrantCountsAJournalFailure: a gen_ts whose responsible's
+// counter store has crashed is refused (the store will not take the new
+// key's counter), and dcdht_kts_journal_failures_total — the one report
+// of a store refusing KTS — counts the refusal.
+func TestRefusedGrantCountsAJournalFailure(t *testing.T) {
+	c := newCluster(t, 23, 8, Config{Mode: ModeDirect})
+	c.settle(2 * time.Second)
+	key := core.Key("refused-key")
+	crashed := store.NewMem()
+	crashed.Crash()
+	c.services[c.responsibleFor(key)].vcs = crashed
+	c.do(func() {
+		if ts, err := c.svc().GenTS(context.Background(), key); err == nil {
+			t.Errorf("gen_ts on a crashed store granted %v", ts)
+		}
+	})
+	if got := c.obs.Snapshot().Get("dcdht_kts_journal_failures_total").Total(); got != 1 {
+		t.Fatalf("dcdht_kts_journal_failures_total = %v after one refused grant, want 1", got)
+	}
+}

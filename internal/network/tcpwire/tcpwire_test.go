@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dht"
 	"repro/internal/network"
+	"repro/internal/obs"
 )
 
 type ping struct{ N int }
@@ -179,6 +180,45 @@ func TestSlowHandlerTimesOut(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("timed out too slowly: %v", elapsed)
+	}
+}
+
+// TestInflightGaugeFollowsACall: a call parked in a slow handler reads
+// dcdht_net_inflight as 1 on the caller, and 0 once its reply is back.
+func TestInflightGaugeFollowsACall(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, err := ListenWith("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, b := newPair(t)
+	t.Cleanup(func() { a.Close() })
+	inflight := func() float64 { return reg.Snapshot().Get("dcdht_net_inflight").Total() }
+	entered, release := make(chan struct{}), make(chan struct{})
+	b.Handle("slow", func(network.Addr, network.Message) (network.Message, error) {
+		close(entered)
+		<-release
+		return pong{}, nil
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.Invoke(context.Background(), b.Addr(), "slow", ping{}, network.Call{Timeout: 10 * time.Second})
+		done <- err
+	}()
+	select {
+	case <-entered:
+	case err := <-done:
+		t.Fatalf("the call returned before its handler ran: %v", err)
+	}
+	if got := inflight(); got != 1 {
+		t.Errorf("dcdht_net_inflight = %v while the call is parked, want 1", got)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := inflight(); got != 0 {
+		t.Errorf("dcdht_net_inflight = %v after the reply, want 0", got)
 	}
 }
 

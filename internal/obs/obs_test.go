@@ -18,7 +18,7 @@ func feed(r *Registry) {
 	v := r.CounterVec("test_verdicts_total", "verdicts", "level", "verdict")
 	v.With("current", "proven").Add(3)
 	v.With("eventual", "unknown").Inc()
-	h := r.DurationHistogram("test_latency_seconds", "latency")
+	h := r.DurationHistogramVec("test_latency_seconds", "latency").With()
 	h.Observe(1500 * time.Microsecond)
 	h.Observe(80 * time.Millisecond)
 	h.Observe(2 * time.Second)
@@ -114,7 +114,7 @@ func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
 	r.Counter("a_total", "a").Inc()
 	r.Gauge("g", "g").Set(1)
-	r.DurationHistogram("h_seconds", "h").Observe(time.Millisecond)
+	r.DurationHistogramVec("h_seconds", "h").With().Observe(time.Millisecond)
 	r.CounterVec("v_total", "v", "l").With("x").Inc()
 	r.CounterFunc("f_total", "f", func() float64 { return 1 })
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {

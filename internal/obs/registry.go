@@ -206,13 +206,8 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	return &GaugeVec{f: r.lookup(name, help, KindGauge, false, labels)}
 }
 
-// DurationHistogram returns a plain histogram that records durations
+// DurationHistogramVec declares a labeled duration histogram family
 // (stored as nanoseconds, exposed in seconds).
-func (r *Registry) DurationHistogram(name, help string) *Histogram {
-	return &Histogram{s: r.lookup(name, help, KindHistogram, true, nil).with(nil)}
-}
-
-// DurationHistogramVec declares a labeled duration histogram family.
 func (r *Registry) DurationHistogramVec(name, help string, labels ...string) *HistogramVec {
 	return &HistogramVec{f: r.lookup(name, help, KindHistogram, true, labels)}
 }

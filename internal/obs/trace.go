@@ -136,15 +136,15 @@ func PhasesFrom(ctx context.Context) *Phases {
 }
 
 // MetricsTracer is the standard Tracer: it folds op events into a
-// registry's op-level metric families. Core families (get/put × ums/brk
-// at level "current") are pre-registered at zero so a freshly started
-// node's /metrics already exposes them — operators alert on families,
-// not on their first sample.
+// registry's op-level metric families (latency, messages, errors,
+// verdicts, ops in flight). An op's bytes and phase times stay in its
+// OpResult, for a tracer that records them. Core families (get/put ×
+// ums/brk at level "current") are pre-registered at zero so a freshly
+// started node's /metrics already exposes them — operators alert on
+// families, not on their first sample.
 type MetricsTracer struct {
 	lat      *HistogramVec
-	phase    *HistogramVec
 	msgs     *CounterVec
-	bytes    *CounterVec
 	errs     *CounterVec
 	verdicts *CounterVec
 	inflight *Gauge
@@ -156,12 +156,8 @@ func NewMetricsTracer(r *Registry) *MetricsTracer {
 	t := &MetricsTracer{
 		lat: r.DurationHistogramVec("dcdht_op_duration_seconds",
 			"End-to-end latency of client operations.", "op", "alg", "level"),
-		phase: r.DurationHistogramVec("dcdht_op_phase_duration_seconds",
-			"Operation time by phase (lookup/probe/kts); phases overlap, they do not sum to op duration.", "phase"),
 		msgs: r.CounterVec("dcdht_op_msgs_total",
 			"Messages charged to client operations.", "op", "alg"),
-		bytes: r.CounterVec("dcdht_op_bytes_total",
-			"Bytes charged to client operations.", "op", "alg"),
 		errs: r.CounterVec("dcdht_op_errors_total",
 			"Client operations that returned an error.", "op", "alg"),
 		verdicts: r.CounterVec("dcdht_op_verdicts_total",
@@ -179,9 +175,6 @@ func NewMetricsTracer(r *Registry) *MetricsTracer {
 		t.errs.With("put", alg)
 	}
 	t.verdicts.With("current", "proven")
-	t.phase.With(PhaseLookup)
-	t.phase.With(PhaseProbe)
-	t.phase.With(PhaseKTS)
 	return t
 }
 
@@ -193,15 +186,11 @@ func (t *MetricsTracer) OpEnd(res OpResult) {
 	t.inflight.Add(-1)
 	t.lat.With(res.Op.Op, res.Alg, res.Level).Observe(res.Elapsed)
 	t.msgs.With(res.Op.Op, res.Alg).Add(uint64(res.Msgs))
-	t.bytes.With(res.Op.Op, res.Alg).Add(uint64(res.Bytes))
 	if res.Err {
 		t.errs.With(res.Op.Op, res.Alg).Inc()
 	}
 	if res.Verdict != "" {
 		t.verdicts.With(res.Level, res.Verdict).Inc()
-	}
-	for _, ph := range res.Phases {
-		t.phase.With(ph.Name).Observe(ph.D)
 	}
 }
 

@@ -108,7 +108,6 @@ func (n *Node) Leave() error {
 		}
 	}
 	n.Env().Join(len(others), func(i int) {
-		n.metrics.eventsSent.Inc()
 		n.Call(context.Background(), others[i].Addr, methodEvent, ev)
 	})
 	return firstErr
@@ -173,7 +172,6 @@ func (n *Node) broadcast(ev EventReq) {
 		if ref.ID == n.Self().ID {
 			continue
 		}
-		n.metrics.eventsSent.Inc()
 		to := ref.Addr
 		n.Env().Go(func() {
 			n.Call(context.Background(), to, methodEvent, ev)

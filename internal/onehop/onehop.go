@@ -78,29 +78,20 @@ type Node struct {
 
 var _ dht.RingNode = (*Node)(nil)
 
-// oneHopMetrics are the substrate's observables: atomic counters and the
-// locked histogram only — no clock, no random stream — so
-// instrumentation cannot perturb a replay.
+// oneHopMetrics are the substrate's observables: atomic counters only
+// — no clock, no random stream — so instrumentation cannot perturb a
+// replay.
 type oneHopMetrics struct {
-	hops           *obs.Histogram
 	lookups        *obs.Counter
 	staleFallbacks *obs.Counter
-	eventsSent     *obs.Counter
-	eventsRecv     *obs.Counter
 }
 
 func newOneHopMetrics(r *obs.Registry) oneHopMetrics {
 	return oneHopMetrics{
-		hops: r.ValueHistogram("dcdht_onehop_lookup_hops",
-			"Remote probes per completed lookup (1 in steady state)."),
 		lookups: r.Counter("dcdht_onehop_lookups_total",
 			"Lookups issued from this node."),
 		staleFallbacks: r.Counter("dcdht_onehop_stale_fallbacks_total",
 			"Probes answered 'not mine' by a stale-table candidate (forwarded)."),
-		eventsSent: r.Counter("dcdht_onehop_events_sent_total",
-			"Membership event messages broadcast from this node."),
-		eventsRecv: r.Counter("dcdht_onehop_events_received_total",
-			"Membership event messages applied from peers."),
 	}
 }
 
@@ -112,13 +103,6 @@ func New(env network.Env, ep network.Endpoint, id core.ID, cfg Config) *Node {
 	n.table = []dht.NodeRef{n.Self()}
 	n.tableChangedLocked()
 	n.registerHandlers()
-	if r := cfg.Obs; r != nil {
-		r.GaugeFunc("dcdht_onehop_table_size", "Members in the full routing table.", func() float64 {
-			n.mu.Lock()
-			defer n.mu.Unlock()
-			return float64(len(n.table))
-		})
-	}
 	return n
 }
 

@@ -143,7 +143,6 @@ func (n *Node) registerHandlers() {
 	}))
 
 	n.Handle(methodEvent, network.Typed(func(r EventReq) (network.Message, error) {
-		n.metrics.eventsRecv.Inc()
 		n.mu.Lock()
 		for _, ref := range r.Joins {
 			n.insertLocked(ref)
@@ -175,7 +174,6 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 	}
 	n.metrics.lookups.Inc()
 	if n.OwnsID(id) {
-		n.metrics.hops.ObserveValue(0)
 		return n.Self(), 0, nil
 	}
 	hops := 0
@@ -225,7 +223,6 @@ func (n *Node) Lookup(ctx context.Context, id core.ID) (dht.NodeRef, int, error)
 			continue
 		}
 		if resp.Owns {
-			n.metrics.hops.ObserveValue(int64(hops))
 			// A multi-probe resolution means our table was stale; adopt
 			// the owner so the next lookup is one hop again.
 			if hops > 1 {

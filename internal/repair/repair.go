@@ -130,27 +130,12 @@ func New(ring dht.Ring, set hashing.Set, ts *kts.Service, store *dht.LocalStore,
 		cfg:    cfg.withDefaults(),
 	}
 	// The subsystem already keeps cumulative Stats under its own lock;
-	// the ring's registry reads them at scrape time instead of
-	// double-counting on the hot path. Per-peer registrations under a
-	// shared deployment registry sum into cluster-wide series.
-	stat := func(read func(Stats) uint64) func() float64 {
-		return func() float64 { return float64(read(s.Stats())) }
-	}
-	reg := ring.Obs()
-	reg.CounterFunc("dcdht_repair_rounds_total",
-		"Anti-entropy sweep rounds completed.", stat(func(st Stats) uint64 { return st.Rounds }))
-	reg.CounterFunc("dcdht_repair_keys_scanned_total",
-		"Key repairs attempted by the sweep.", stat(func(st Stats) uint64 { return st.KeysScanned }))
-	reg.CounterFunc("dcdht_repair_healed_total",
-		"Replicas restored or advanced by the sweep.", stat(func(st Stats) uint64 { return st.Healed }))
-	reg.CounterFunc("dcdht_repair_read_repairs_total",
-		"Replicas restored or advanced by read-repair.", stat(func(st Stats) uint64 { return st.ReadRepairs }))
-	reg.CounterFunc("dcdht_repair_msgs_total",
-		"Messages spent on maintenance traffic.", stat(func(st Stats) uint64 { return st.Msgs }))
-	reg.CounterFunc("dcdht_repair_bytes_total",
-		"Bytes spent on maintenance traffic.", stat(func(st Stats) uint64 { return st.Bytes }))
-	reg.CounterFunc("dcdht_repair_errors_total",
-		"Repair attempts abandoned on RPC or KTS failures.", stat(func(st Stats) uint64 { return st.Errors }))
+	// the ring's registry reads the round count at scrape time instead
+	// of double-counting on the hot path. Per-peer registrations under a
+	// shared deployment registry sum into one cluster-wide series; the
+	// other counts are read through Stats.
+	ring.Obs().CounterFunc("dcdht_repair_rounds_total",
+		"Anti-entropy sweep rounds completed.", func() float64 { return float64(s.Stats().Rounds) })
 	return s
 }
 

@@ -160,8 +160,9 @@ type Recovered struct {
 	TornTail bool
 }
 
-// WALStats counts the log's disk activity since open — the raw material
-// for the dcdht_store_wal_* metric families.
+// WALStats counts the log's disk activity since open: what a node
+// exports as dcdht_store_wal_appends_total and
+// dcdht_store_wal_fsyncs_total, the per-put costs the benchmark reads.
 type WALStats struct {
 	// Appends is the number of records framed and appended (buffered
 	// appends under SyncBatch count when framed, not when flushed).
@@ -169,8 +170,6 @@ type WALStats struct {
 	// Fsyncs counts successful fsync calls on the log and snapshot
 	// files, the price of the chosen durability policy.
 	Fsyncs uint64
-	// Compactions counts snapshot+truncate cycles.
-	Compactions uint64
 }
 
 // wal is the log behind a Store opened by OpenWAL: every write appended
@@ -540,7 +539,6 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("wal fsync: %v: %w", err, ErrStore)
 	}
 	l.stats.Fsyncs++
-	l.stats.Compactions++
 	l.recs = 0
 	return nil
 }

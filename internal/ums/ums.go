@@ -106,16 +106,9 @@ func (s *Service) SetTracer(t obs.Tracer) { s.tracer = t }
 // owns ride on gen_ts itself (kts.Service.GenTSStore): that peer stores
 // them once it has granted ts, and only the rest are written here.
 func (s *Service) Insert(ctx context.Context, k core.Key, data []byte) (res dht.OpResult, err error) {
-	meter := &network.Meter{}
-	ctx = network.WithMeter(ctx, meter)
 	env := s.ring.Env()
-	ctx, finish := dht.TraceOp(ctx, s.tracer, obs.Op{Op: "put", Alg: "ums", Key: string(k)})
-	start := env.Now()
-	defer func() {
-		res.Elapsed = env.Now() - start
-		res.Msgs, res.Bytes = meter.Msgs, meter.Bytes
-		finish(&res, err)
-	}()
+	ctx, span := dht.TraceOp(ctx, env, s.tracer, obs.Op{Op: "put", Alg: "ums", Key: string(k)})
+	defer span.End(&res, &err)
 
 	guessed := s.guesses(k)
 	at := s.colocated(k, guessed)
@@ -361,16 +354,8 @@ func (s *Service) write(ctx context.Context, k core.Key, g group, val core.Value
 // timestamp — one slot of a batched gen_ts round: it replicates
 // (k, {data, ts}) without a KTS round trip of its own.
 func (s *Service) InsertWithTS(ctx context.Context, k core.Key, data []byte, ts core.Timestamp) (res dht.OpResult, err error) {
-	meter := &network.Meter{}
-	ctx = network.WithMeter(ctx, meter)
-	env := s.ring.Env()
-	ctx, finish := dht.TraceOp(ctx, s.tracer, obs.Op{Op: "put", Alg: "ums", Key: string(k)})
-	start := env.Now()
-	defer func() {
-		res.Elapsed = env.Now() - start
-		res.Msgs, res.Bytes = meter.Msgs, meter.Bytes
-		finish(&res, err)
-	}()
+	ctx, span := dht.TraceOp(ctx, s.ring.Env(), s.tracer, obs.Op{Op: "put", Alg: "ums", Key: string(k)})
+	defer span.End(&res, &err)
 	res.TS = ts
 	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, nil, nil)
 }
@@ -475,17 +460,10 @@ func (s *Service) Retrieve(ctx context.Context, k core.Key) (dht.OpResult, error
 // (Figure 2's data_mr path), and the probed set is handed to
 // read-repair.
 func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPolicy) (res dht.OpResult, err error) {
-	meter := &network.Meter{}
-	ctx = network.WithMeter(ctx, meter)
 	env := s.ring.Env()
-	ctx, finish := dht.TraceOp(ctx, s.tracer,
+	ctx, span := dht.TraceOp(ctx, env, s.tracer,
 		obs.Op{Op: "get", Alg: "ums", Level: pol.Level.String(), Key: string(k)})
-	start := env.Now()
-	defer func() {
-		res.Elapsed = env.Now() - start
-		res.Msgs, res.Bytes = meter.Msgs, meter.Bytes
-		finish(&res, err)
-	}()
+	defer span.End(&res, &err)
 
 	// Resolve the acceptance target: the timestamp a replica must reach
 	// and the currency verdict an accepting replica earns.

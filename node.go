@@ -174,21 +174,6 @@ func StartNode(listen string, cfg NodeConfig) (*Node, error) {
 		reg.CounterFunc("dcdht_store_wal_fsyncs_total",
 			"Successful fsyncs of the log and snapshot files.",
 			func() float64 { return float64(wal.Stats().Fsyncs) })
-		reg.CounterFunc("dcdht_store_wal_compactions_total",
-			"Snapshot+truncate compaction cycles.",
-			func() float64 { return float64(wal.Stats().Compactions) })
-		rec := wal.Recovered()
-		reg.GaugeFunc("dcdht_store_wal_recovered_records",
-			"Log records replayed at the last start.",
-			func() float64 { return float64(rec.Records) })
-		reg.GaugeFunc("dcdht_store_wal_torn_tail",
-			"1 when the last start discarded a torn final record.",
-			func() float64 {
-				if rec.TornTail {
-					return 1
-				}
-				return 0
-			})
 	}
 	return &Node{env: env, ep: ep, stack: stack, wal: wal, obs: reg}, nil
 }

@@ -12,6 +12,10 @@
 #   5. every "dcdht_..." metric family named in non-test Go outside
 #      benchmarks/ has a row in docs/OBSERVABILITY.md's tables, and
 #      every row there names such a family.
+#   6. every family step 5 collects is read somewhere: named in a
+#      _test.go file, in a file under scripts/ other than this one, or
+#      in a .go source under benchmarks/. A family nothing reads is
+#      code to delete, not to document.
 # Run from the repository root: ./scripts/check_docs.sh
 set -eu
 
@@ -99,7 +103,22 @@ if [ -n "$stale" ]; then
     fail=1
 fi
 
+# 6. every registered family has a reader. A histogram read by one of
+# its series (_bucket, _sum, _count) counts as read.
+{
+    find . -name '*_test.go' ! -path './.*' -print0
+    find scripts -type f ! -name check_docs.sh -print0
+    find benchmarks -name '*.go' -print0
+} | xargs -0 grep -ohE 'dcdht_[a-z0-9_]+' | sed -E 'p; s/_(bucket|sum|count)$//' |
+    sort -u > "$tmp/read"
+unread=$(comm -23 "$tmp/registered" "$tmp/read")
+if [ -n "$unread" ]; then
+    echo "metric families no test, script or benchmark source reads:" >&2
+    echo "$unread" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     exit 1
 fi
-echo "docs check clean: gofmt, examples, exported doc comments, relative links, metrics table"
+echo "docs check clean: gofmt, examples, exported doc comments, relative links, metrics table, metric readers"
