@@ -169,9 +169,9 @@ var clientContract = []struct {
 			t.Fatalf("UMS probed %d vs BRK %d", ru.Probed, r.Probed)
 		}
 	}},
-	{"multi-ums", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mu") }},
-	{"multi-brk", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mb", WithAlgorithm(AlgBRK)) }},
-	{"multi-relaxed", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mr", WithConsistency(Eventual)) }},
+	{"multi-ums", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mu", true) }},
+	{"multi-brk", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mb", false, WithAlgorithm(AlgBRK)) }},
+	{"multi-relaxed", func(t *testing.T, w contractWorld) { contractMulti(t, w, "c-mr", false, WithConsistency(Eventual)) }},
 	{"canceled-context", func(t *testing.T, w contractWorld) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -329,8 +329,9 @@ func second[T any](_ T, err error) error { return err }
 
 // contractMulti writes a batch and reads it back with a never-inserted
 // key in the middle: index i of every result matches input i, and the
-// missing key's error stays its own.
-func contractMulti(t *testing.T, w contractWorld, prefix string, opts ...OpOption) {
+// missing key's error stays its own. With proven, every get found must
+// also come back CurrencyProven.
+func contractMulti(t *testing.T, w contractWorld, prefix string, proven bool, opts ...OpOption) {
 	t.Helper()
 	items := make([]KV, 4)
 	for i := range items {
@@ -370,6 +371,9 @@ func contractMulti(t *testing.T, w contractWorld, prefix string, opts ...OpOptio
 		want := "v" + string(r.Key[len(r.Key)-1])
 		if r.Err != nil || string(r.Data) != want {
 			t.Fatalf("%q = %q (err %v), want %q with the ghost's error kept out", r.Key, r.Data, r.Err, want)
+		}
+		if proven && r.Currency != CurrencyProven {
+			t.Fatalf("%q came back %s, want %s", r.Key, r.Currency, CurrencyProven)
 		}
 	}
 	if empty, err := w.at(2).GetMulti(context.Background(), nil, opts...); err != nil || len(empty) != 0 {

@@ -238,19 +238,17 @@ func (s *SimNetwork) LastTS(ctx context.Context, key Key, opts ...OpOption) (Tim
 }
 
 // PutMulti implements Client: the whole batch issues from one live
-// peer. UMS writes share one batched KTS round per responsible
-// (kts.GenTSBatch), then replicate concurrently, with per-key error
-// isolation; BRK has no KTS round to batch, so its writes fan out per
-// key. With no live peer left to issue from, the batch fails as a whole
-// with ErrUnreachable, like a single operation.
+// peer, each item as its own Put (fused gen_ts included), all of them
+// concurrently, with per-key error isolation. With no live peer left to
+// issue from, the batch fails as a whole with ErrUnreachable, like a
+// single operation.
 func (s *SimNetwork) PutMulti(ctx context.Context, items []KV, opts ...OpOption) ([]MultiResult, error) {
 	return putMulti(ctx, s, items, opts)
 }
 
 // GetMulti implements Client: the whole batch issues from one live
-// peer. UMS reads at the provably-current level share one batched KTS
-// last_ts round per responsible (kts.LastTSBatch); the relaxed levels
-// and BRK have no KTS round to batch and fan out per key.
+// peer, each key as its own Get at the requested level (fused last_ts
+// included), all of them concurrently, with per-key error isolation.
 func (s *SimNetwork) GetMulti(ctx context.Context, keys []Key, opts ...OpOption) ([]MultiResult, error) {
 	return getMulti(ctx, s, keys, opts)
 }

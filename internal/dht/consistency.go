@@ -97,10 +97,4 @@ type ReadPolicy struct {
 	// trip — before falling back to the level's own acceptance rule.
 	// Only meaningful with a non-zero Floor.
 	FloorFirst bool
-	// KnownTS is an authoritative last_ts the caller already holds for
-	// this key — typically from a batched KTS round serving a multi-get.
-	// A LevelCurrent retrieve uses it as the proven acceptance target
-	// without its own KTS round trip; the currency claim is unchanged
-	// (verdict Proven), only who paid for the evidence moved.
-	KnownTS core.Timestamp
 }

@@ -110,11 +110,9 @@ func (c Config) withDefaults() Config {
 
 // Service methods registered on the endpoint.
 const (
-	MethodGenTS       = "kts.GenTS"
-	MethodLastTS      = "kts.LastTS"
-	MethodGenTSBatch  = "kts.GenTSBatch"
-	MethodLastTSBatch = "kts.LastTSBatch"
-	MethodRecover     = "kts.Recover"
+	MethodGenTS   = "kts.GenTS"
+	MethodLastTS  = "kts.LastTS"
+	MethodRecover = "kts.Recover"
 )
 
 // GenTSReq asks the responsible of timestamping for a new timestamp —
@@ -202,37 +200,6 @@ func codesSize(codes, msgs []string) (n int) {
 	return n
 }
 
-// BatchReq asks the responsible for timestamps (gen_ts) or last
-// timestamps (last_ts) for a whole group of keys it serves — the
-// one-round-per-replica-set fan-in behind PutMulti/GetMulti. The keys
-// necessarily share a responsible at resolution time; ones that moved
-// since come back with a per-key ErrNotResponsible so the caller
-// re-resolves just those.
-type BatchReq struct{ Keys []core.Key }
-
-// WireSize charges the batch proportionally to its keys.
-func (r BatchReq) WireSize() int {
-	n := network.DefaultWireSize
-	for _, k := range r.Keys {
-		n += 8 + len(k)
-	}
-	return n
-}
-
-// BatchResp carries per-key outcomes, parallel to the request's Keys:
-// Code[i] is empty on success (TS[i] valid) or a network error code.
-type BatchResp struct {
-	TS   []core.Timestamp
-	Code []string
-	Msg  []string
-	Cost network.Meter
-}
-
-// WireSize charges the response proportionally to its entries.
-func (r BatchResp) WireSize() int {
-	return network.DefaultWireSize + 24*len(r.TS) + codesSize(r.Code, r.Msg)
-}
-
 // CounterEntry is one (key, counter) pair moved by handover or recovery.
 type CounterEntry struct {
 	Key core.Key
@@ -261,7 +228,6 @@ type RecoverResp struct{ Corrected int }
 func init() {
 	network.RegisterMessage(
 		GenTSReq{}, GenTSResp{}, LastTSReq{}, LastTSResp{},
-		BatchReq{}, BatchResp{},
 		CounterBatch{}, RecoverReq{}, RecoverResp{},
 	)
 }
@@ -547,138 +513,16 @@ func (s *Service) LastTSRead(ctx context.Context, k core.Key, at []int) (core.Ti
 	return r.TS, sv, nil
 }
 
-// GenTSBatch generates timestamps for many keys in one KTS round per
-// responsible: keys are grouped by rsp(k, hts) and each group travels as
-// a single gen_ts batch message instead of |keys| independent round
-// trips. Outcomes are per key (out[i], errs[i] parallel to keys); keys
-// whose responsible moved or died mid-call are retried individually like
-// the single-key path. This is PutMulti's fan-in.
-func (s *Service) GenTSBatch(ctx context.Context, keys []core.Key) ([]core.Timestamp, []error) {
-	s.metrics.genTSReqs.Add(uint64(len(keys)))
-	out, errs := s.batchCall(ctx, MethodGenTSBatch, keys)
-	for i, k := range keys {
-		if errs[i] == nil {
-			// A freshly generated timestamp IS the key's last_ts.
-			s.noteLastTS(k, out[i])
-		} else {
-			errs[i] = fmt.Errorf("kts: gen_ts(%q): %w", k, errs[i])
-		}
-	}
-	return out, errs
-}
-
-// LastTSBatch fetches last timestamps for many keys in one KTS round per
-// responsible — GetMulti's fan-in. Outcomes are per key; a zero
-// timestamp with a nil error means the key was never stamped.
-func (s *Service) LastTSBatch(ctx context.Context, keys []core.Key) ([]core.Timestamp, []error) {
-	s.metrics.lastTSReqs.Add(uint64(len(keys)))
-	out, errs := s.batchCall(ctx, MethodLastTSBatch, keys)
-	for i, k := range keys {
-		if errs[i] == nil {
-			s.noteLastTS(k, out[i])
-		} else {
-			errs[i] = fmt.Errorf("kts: last_ts(%q): %w", k, errs[i])
-		}
-	}
-	return out, errs
-}
-
-// batchCall is the grouped analogue of the single-key call: the router
-// groups the keys by responsible and each group travels as one RPC —
-// the local group is served free of charge; a key its responsible
-// refuses goes on alone. Outcomes are per key.
-func (s *Service) batchCall(ctx context.Context, method string, keys []core.Key) ([]core.Timestamp, []error) {
-	out := make([]core.Timestamp, len(keys))
-	targets := make([]dht.Target, len(keys))
-	for i, k := range keys {
-		targets[i].ID = s.set.HTS.ID(k)
-	}
-	errs := s.route.CallEach(ctx, targets, func(ref dht.NodeRef, idx []int) []error {
-		req := BatchReq{Keys: make([]core.Key, len(idx))}
-		for j, i := range idx {
-			req.Keys[j] = keys[i]
-		}
-		r, err := network.Reply[BatchResp](s.route.Send(ctx, ref, method, req))
-		errs, whole := network.DecodeBatch(len(idx), err, len(r.TS), r.Code, r.Msg)
-		if whole == nil {
-			network.MeterFrom(ctx).Merge(r.Cost)
-		}
-		for j, i := range idx {
-			if errs[j] == nil {
-				out[i] = r.TS[j]
-			}
-		}
-		return errs
-	})
-	return out, errs
-}
-
 // ---- server-side handlers ----------------------------------------------
 
 // handlers is the service's one method table: the endpoint serves it to
 // other peers, and the router's Local path to this one, free of charge.
 func (s *Service) handlers() map[string]network.HandlerFunc {
 	return map[string]network.HandlerFunc{
-		MethodGenTS:  network.Typed(s.handleGenTS),
-		MethodLastTS: network.Typed(s.handleLastTS),
-		MethodGenTSBatch: network.Typed(func(r BatchReq) (network.Message, error) {
-			return s.handleBatch(r, true), nil
-		}),
-		MethodLastTSBatch: network.Typed(func(r BatchReq) (network.Message, error) {
-			return s.handleBatch(r, false), nil
-		}),
+		MethodGenTS:   network.Typed(s.handleGenTS),
+		MethodLastTS:  network.Typed(s.handleLastTS),
 		MethodRecover: network.Typed(s.handleRecover),
 	}
-}
-
-// handleBatch serves a grouped gen_ts/last_ts request: each key runs the
-// ordinary single-key handler concurrently (so indirect initializations
-// overlap their grace delays exactly as independent requests would) and
-// lands its outcome in the response slot matching the request's order.
-// Per-key failures — above all ErrNotResponsible for keys that moved
-// since the caller resolved — travel back as error codes, never failing
-// the keys this peer still serves.
-func (s *Service) handleBatch(req BatchReq, gen bool) BatchResp {
-	n := len(req.Keys)
-	resp := BatchResp{
-		TS:   make([]core.Timestamp, n),
-		Code: make([]string, n),
-		Msg:  make([]string, n),
-	}
-	costs := make([]network.Meter, n)
-	joinErr := s.ring.Env().Join(n, func(i int) {
-		var r network.Message
-		var err error
-		if gen {
-			r, err = s.handleGenTS(GenTSReq{Key: req.Keys[i]})
-		} else {
-			r, err = s.handleLastTS(LastTSReq{Key: req.Keys[i]})
-		}
-		if err != nil {
-			resp.Code[i], resp.Msg[i] = network.EncodeError(err)
-			return
-		}
-		if gen {
-			g := r.(GenTSResp)
-			resp.TS[i], costs[i] = g.TS, g.Cost
-		} else {
-			l := r.(LastTSResp)
-			resp.TS[i], costs[i] = l.TS, l.Cost
-		}
-	})
-	if joinErr != nil {
-		// The environment shut down mid-batch: fail the slots that never
-		// produced an outcome.
-		for i := range resp.Code {
-			if resp.Code[i] == "" && resp.TS[i].IsZero() {
-				resp.Code[i], resp.Msg[i] = network.EncodeError(joinErr)
-			}
-		}
-	}
-	for _, c := range costs {
-		resp.Cost.Merge(c)
-	}
-	return resp
 }
 
 // handleGenTS implements Figure 4: ensure the counter exists (initialize

@@ -79,8 +79,6 @@ var wireSamples = []network.Message{
 	kts.GenTSResp{TS: core.TS(17), Cost: cost},
 	kts.LastTSReq{Key: "ключ"},
 	kts.LastTSResp{TS: core.TSMax, Cost: cost},
-	kts.BatchReq{Keys: []core.Key{"a", "", "c"}},
-	kts.BatchResp{TS: []core.Timestamp{core.TS(1), {}}, Code: []string{"", "not_found"}, Msg: []string{"", "gone"}, Cost: cost},
 	batch,
 	kts.RecoverReq{Entries: batch.Entries},
 	kts.RecoverResp{Corrected: -4},
@@ -169,7 +167,7 @@ func TestWireRejects(t *testing.T) {
 	if _, err := network.AppendMessage(nil, nested); err == nil {
 		t.Error("an unregistered type nested in a message encoded")
 	}
-	valid, err := network.AppendMessage(nil, kts.BatchReq{Keys: []core.Key{"a", "b"}})
+	valid, err := network.AppendMessage(nil, dht.PutBatchReq{Items: []store.Item{item, item}, Mode: dht.PutIfNewer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +182,7 @@ func TestWireRejects(t *testing.T) {
 		"unknown name":    append(network.AppendString(nil, "nope.Msg"), 0),
 		"truncated":       valid[:len(valid)-1],
 		"trailing byte":   append(append([]byte(nil), valid...), 0),
-		"count overflows": append(network.AppendString(nil, "kts.BatchReq"), 0xff, 0xff, 0xff, 0xff, 0x0f),
+		"count overflows": append(network.AppendString(nil, "dht.PutBatchReq"), 0xff, 0xff, 0xff, 0xff, 0x0f),
 		"nested too deep": tooDeep,
 	} {
 		if m, err := network.DecodeMessage(b); err == nil {

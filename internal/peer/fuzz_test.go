@@ -65,8 +65,6 @@ func methodTable() []request {
 		{dht.MethodPing, dht.PingReq{}},
 		{kts.MethodGenTS, kts.GenTSReq{Key: "k"}},
 		{kts.MethodLastTS, kts.LastTSReq{Key: "k"}},
-		{kts.MethodGenTSBatch, kts.BatchReq{Keys: []core.Key{"a", "b"}}},
-		{kts.MethodLastTSBatch, kts.BatchReq{Keys: []core.Key{"a"}}},
 		{kts.MethodRecover, kts.RecoverReq{Entries: []kts.CounterEntry{{Key: "k", TS: core.TS(5)}}}},
 		{"chord.State", chord.StateReq{}},
 		{"chord.FindStep", chord.FindStepReq{Target: 5, Exclude: []core.ID{1}}},

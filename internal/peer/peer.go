@@ -281,28 +281,20 @@ func (s *Stack) LastTSWith(ctx context.Context, k core.Key, pol dht.ReadPolicy) 
 }
 
 // PutMulti stores a batch from this peer with per-key error isolation
-// (index i of both results matches keys[i]). UMS writes share one
-// batched KTS round per responsible, then replicate concurrently; BRK
-// has no KTS round to batch and fans out per key.
+// (index i of both results matches keys[i]): each key is its own Put,
+// all of them concurrent.
 func (s *Stack) PutMulti(ctx context.Context, alg Algorithm, keys []core.Key, datas [][]byte) ([]dht.OpResult, []error) {
-	if alg == BRK {
-		return s.fanOut(len(keys), func(i int) (dht.OpResult, error) {
-			return s.BRK.Insert(ctx, keys[i], datas[i])
-		})
-	}
-	return s.UMS.InsertMulti(ctx, keys, datas)
+	return s.fanOut(len(keys), func(i int) (dht.OpResult, error) {
+		return s.Put(ctx, alg, keys[i], datas[i])
+	})
 }
 
-// GetMulti reads a batch from this peer with per-key error isolation.
-// UMS reads at the provably-current level share one batched KTS last_ts
-// round per responsible; the relaxed levels and BRK fan out per key.
+// GetMulti reads a batch from this peer with per-key error isolation:
+// each key is its own Get, all of them concurrent.
 func (s *Stack) GetMulti(ctx context.Context, alg Algorithm, keys []core.Key, pol dht.ReadPolicy) ([]dht.OpResult, []error) {
-	if alg == BRK {
-		return s.fanOut(len(keys), func(i int) (dht.OpResult, error) {
-			return s.BRK.Retrieve(ctx, keys[i])
-		})
-	}
-	return s.UMS.RetrieveMulti(ctx, keys, pol)
+	return s.fanOut(len(keys), func(i int) (dht.OpResult, error) {
+		return s.Get(ctx, alg, keys[i], pol)
+	})
 }
 
 // fanOut runs n independent operations concurrently on the peer's Env

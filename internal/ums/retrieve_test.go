@@ -16,6 +16,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/network/simwire"
 	"repro/internal/obs"
+	"repro/internal/peer"
 	"repro/internal/simnet"
 	"repro/internal/ums"
 )
@@ -511,7 +512,7 @@ func TestGetProbesAGuessedPositionFirst(t *testing.T) {
 					}
 					gets = append(gets, res)
 				}
-				res, errs := cold.UMS.RetrieveMulti(context.Background(), keys, dht.ReadPolicy{})
+				res, errs := cold.Stack.GetMulti(context.Background(), peer.UMS, keys, dht.ReadPolicy{})
 				for i, err := range errs {
 					if err != nil || res[i].Currency != dht.CurrencyProven {
 						t.Errorf("multi get %q: %s, %v", keys[i], res[i].Currency, err)

@@ -350,82 +350,6 @@ func (s *Service) write(ctx context.Context, k core.Key, g group, val core.Value
 	return stored
 }
 
-// InsertWithTS is Insert for a caller that already holds the key's fresh
-// timestamp — one slot of a batched gen_ts round: it replicates
-// (k, {data, ts}) without a KTS round trip of its own.
-func (s *Service) InsertWithTS(ctx context.Context, k core.Key, data []byte, ts core.Timestamp) (res dht.OpResult, err error) {
-	ctx, span := dht.TraceOp(ctx, s.ring.Env(), s.tracer, obs.Op{Op: "put", Alg: "ums", Key: string(k)})
-	defer span.End(&res, &err)
-	res.TS = ts
-	return res, s.replicate(ctx, k, core.Value{Data: data, TS: ts}, &res, nil, nil)
-}
-
-// InsertMulti inserts many keys with one KTS round per responsible: a
-// batched gen_ts fetches every timestamp first (kts.GenTSBatch groups
-// the keys by rsp(k, hts)), then the replica fan-outs run concurrently.
-// Outcomes are per key, parallel to keys.
-func (s *Service) InsertMulti(ctx context.Context, keys []core.Key, datas [][]byte) ([]dht.OpResult, []error) {
-	n := len(keys)
-	results := make([]dht.OpResult, n)
-	errs := make([]error, n)
-	tss, terrs := s.ts.GenTSBatch(ctx, keys)
-	if jerr := s.ring.Env().Join(n, func(i int) {
-		if terrs[i] != nil {
-			errs[i] = fmt.Errorf("ums: insert(%q): %w", keys[i], terrs[i])
-			return
-		}
-		results[i], errs[i] = s.InsertWithTS(ctx, keys[i], datas[i], tss[i])
-	}); jerr != nil {
-		for i := range errs {
-			if errs[i] == nil && results[i].TS.IsZero() {
-				errs[i] = jerr
-			}
-		}
-	}
-	return results, errs
-}
-
-// RetrieveMulti retrieves many keys under one policy. At LevelCurrent
-// the authoritative last_ts round is batched (one KTS message per
-// responsible, kts.LastTSBatch) and each retrieve runs with the proof it
-// came back with; the other levels have no KTS round to batch and
-// simply fan out. Outcomes are per key, parallel to keys.
-func (s *Service) RetrieveMulti(ctx context.Context, keys []core.Key, pol dht.ReadPolicy) ([]dht.OpResult, []error) {
-	n := len(keys)
-	results := make([]dht.OpResult, n)
-	errs := make([]error, n)
-	seen := make([]bool, n)
-	var tss []core.Timestamp
-	var terrs []error
-	batched := pol.Level == dht.LevelCurrent && pol.KnownTS.IsZero() && !pol.FloorFirst
-	if batched {
-		tss, terrs = s.ts.LastTSBatch(ctx, keys)
-	}
-	if jerr := s.ring.Env().Join(n, func(i int) {
-		defer func() { seen[i] = true }()
-		p := pol
-		if batched {
-			if terrs[i] != nil {
-				errs[i] = fmt.Errorf("ums: retrieve(%q): %w", keys[i], terrs[i])
-				return
-			}
-			if tss[i].IsZero() {
-				errs[i] = fmt.Errorf("ums: retrieve(%q): never inserted: %w", keys[i], core.ErrNotFound)
-				return
-			}
-			p.KnownTS = tss[i]
-		}
-		results[i], errs[i] = s.RetrieveWith(ctx, keys[i], p)
-	}); jerr != nil {
-		for i := range errs {
-			if !seen[i] && errs[i] == nil {
-				errs[i] = jerr
-			}
-		}
-	}
-	return results, errs
-}
-
 // Retrieve implements Figure 2's retrieve(k): fetch the last timestamp
 // ts1 from KTS, then probe rsp(k, h) for each h ∈ Hr until a replica
 // stamped ts1 appears. If none is reachable, the most recent available
@@ -487,12 +411,6 @@ func (s *Service) RetrieveWith(ctx context.Context, k core.Key, pol dht.ReadPoli
 		res.Floor = pol.Floor
 	case pol.Level == dht.LevelBounded && s.cachedTarget(k, pol, &res):
 		target, verdict = res.Floor, dht.CurrencyWithinBound
-	case pol.Level == dht.LevelCurrent && !pol.KnownTS.IsZero():
-		// The caller already holds the authoritative last_ts (a batched
-		// KTS round fetched it): same proof, no second round trip.
-		target = pol.KnownTS.Max(pol.Floor)
-		verdict = dht.CurrencyProven
-		res.Floor = target
 	default:
 		// LevelCurrent, or LevelBounded without a fresh enough cached
 		// floor: the authoritative path (which also refreshes the

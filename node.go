@@ -273,17 +273,15 @@ func (n *Node) LastTS(ctx context.Context, key Key, opts ...OpOption) (Timestamp
 	return lastTS(ctx, n, key, opts)
 }
 
-// PutMulti implements Client: UMS writes share one batched KTS round
-// per responsible (kts.GenTSBatch), then replicate concurrently, with
-// per-key error isolation. BRK writes have no KTS round to batch and
-// fan out per key. Invalid options fail the batch as a whole.
+// PutMulti implements Client: each item is its own Put (fused gen_ts
+// included), all of them concurrently, with per-key error isolation.
+// Invalid options fail the batch as a whole.
 func (n *Node) PutMulti(ctx context.Context, items []KV, opts ...OpOption) ([]MultiResult, error) {
 	return putMulti(ctx, n, items, opts)
 }
 
-// GetMulti implements Client: UMS reads at the provably-current level
-// share one batched KTS last_ts round per responsible
-// (kts.LastTSBatch); the relaxed levels and BRK fan out per key. Every
+// GetMulti implements Client: each key is its own Get at the requested
+// level (fused last_ts included), all of them concurrently. Every
 // outcome keeps its per-key error isolation.
 func (n *Node) GetMulti(ctx context.Context, keys []Key, opts ...OpOption) ([]MultiResult, error) {
 	return getMulti(ctx, n, keys, opts)
